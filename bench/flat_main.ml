@@ -1,21 +1,22 @@
-(* Pointer vs flat stage kernels (the PR 7 hot-path claim):
+(* Pointer reference vs flat stage kernels (the flat hot-path claim):
 
      dune exec bench/flat_main.exe               full sweep
      PAX_BENCH_QUICK=1 dune exec ...             smoke scale
      PAX_BENCH_OUT=path ...                      where the JSON goes
                                                  (default BENCH_PR7.json)
 
-   Each row times one stage loop — the bottom-up qualifier pass, the
-   top-down selection pass, PaX2's combined traversal — over the same
-   single-fragment XMark document, once through the pointer kernels
-   and once through the flat image (Pax_core.Flat_pass), best-of-N
-   wall time.  The queries are the relative forms of the XMark
-   workload so both sides run the pure in-fragment loop with the root
-   as context and no #document wrapper (wrapper handling is pointer
-   code on both paths and is covered by the seam tests, not timed
-   here).  Outcomes are cross-checked for bit-identity before a row is
-   emitted; the flat image build (paid once at load, not per query) is
-   reported separately as "flat_build_s".
+   Each row times one stage loop — the bottom-up qualifier pass or the
+   top-down selection pass — over the same single-fragment XMark
+   document, once through the pointer reference kernels
+   (Pax_core.Qual_pass, Pax_core.Sel_pass) and once through the flat
+   image (Pax_core.Flat_pass, the engines' only path), best-of-N wall
+   time.  The queries are the relative forms of the XMark workload so
+   both sides run the pure in-fragment loop with the root as context
+   and no #document wrapper.  Outcomes are cross-checked for
+   bit-identity before a row is emitted; the flat image build (paid
+   once at load, not per query) is reported separately as
+   "flat_build_s".  PaX2's combined traversal has no pointer
+   reference, so it has no row.
 
    The @bench-smoke alias runs this quick and schema-checks the JSON
    with bench/validate_bench.ml; the committed BENCH_PR7.json comes
@@ -120,23 +121,7 @@ let () =
           (sp.Sel_pass.ops = fs.Sel_pass.ops
           && ids sp.Sel_pass.answers = ids fs.Sel_pass.answers
           && List.length sp.Sel_pass.candidates
-             = List.length fs.Sel_pass.candidates);
-      (* Combined traversal (Stage 1 of PaX2). *)
-      let cp =
-        Pax_core.Pax2.Combined.run compiled ~init ~root_is_context:true root
-      in
-      let cf = Flat_pass.combined_run plan fl ~init ~is_root:true in
-      row ~query:qs ~kernel:"combined"
-        ~pointer_s:
-          (time_best (fun () ->
-               Pax_core.Pax2.Combined.run compiled ~init ~root_is_context:true
-                 root))
-        ~flat_s:
-          (time_best (fun () -> Flat_pass.combined_run plan fl ~init ~is_root:true))
-        ~agree:
-          (cp.Pax_core.Pax2.Combined.ops = cf.Flat_pass.ops
-          && ids cp.Pax_core.Pax2.Combined.answers = ids cf.Flat_pass.answers
-          && cp.Pax_core.Pax2.Combined.root_qvec = cf.Flat_pass.root_qvec))
+             = List.length fs.Sel_pass.candidates))
     queries;
   let json =
     J.Obj

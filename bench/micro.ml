@@ -22,7 +22,6 @@ let ground_sat =
       v filter
 
 let q1 = Query.of_string Pax_xmark.Xmark.q1
-let sj_index = Pax_core.Struct_join.build doc.Tree.root
 
 (* The flat image and plan, built once as a store does at load; the
    flat sel/combined rows run with [is_root:true], which for the
@@ -58,11 +57,6 @@ let tests =
              Pax_core.Flat_pass.sel_run fplan fl
                ~init:(Pax_core.Sel_pass.blank_init compiled)
                ~is_root:true ~qual:(Some fq)));
-      Test.make ~name:"combined-pass (8k nodes)"
-        (Staged.stage (fun () ->
-             Pax_core.Pax2.Combined.run compiled
-               ~init:(Pax_core.Sel_pass.blank_init compiled)
-               ~root_is_context:true doc.Tree.root));
       Test.make ~name:"combined-pass flat (8k nodes)"
         (Staged.stage (fun () ->
              Pax_core.Flat_pass.combined_run fplan fl
@@ -75,8 +69,6 @@ let tests =
          (Staged.stage (fun () -> Pax_core.Stream_eval.over_string q3 xml)));
       Test.make ~name:"centralized Q1 (8k nodes)"
         (Staged.stage (fun () -> Pax_core.Centralized.run q1 doc.Tree.root));
-      Test.make ~name:"struct-join Q1 (8k nodes, shared index)"
-        (Staged.stage (fun () -> Pax_core.Struct_join.run sj_index q1));
       Test.make ~name:"query compile (Q3)"
         (Staged.stage (fun () -> Query.of_string Pax_xmark.Xmark.q3));
       Test.make ~name:"formula subst (8-way residual)"

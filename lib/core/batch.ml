@@ -15,7 +15,8 @@ type per_query = {
   q : Query.t;
   compiled : Compile.t;
   analysis : Annot.analysis option;
-  outcomes : Pax2.Combined.outcome option array;
+  plan : Flat_pass.plan;
+  outcomes : Flat_pass.combined_outcome option array;
   mutable resolved_quals : bool array array;
   mutable resolved_ctx : bool array array;
 }
@@ -31,6 +32,7 @@ let run ?(annotations = false) (cl : Cluster.t) (queries : Query.t list) : t =
         {
           q;
           compiled;
+          plan = Flat_pass.make_plan compiled (Fragment.intern ft);
           analysis =
             (if annotations then Some (Annot.analyze compiled ft) else None);
           outcomes = Array.make n_frag None;
@@ -41,10 +43,6 @@ let run ?(annotations = false) (cl : Cluster.t) (queries : Query.t list) : t =
   in
   let relevant st fid =
     match st.analysis with None -> true | Some a -> a.Annot.relevant.(fid)
-  in
-  let eval_root st fid =
-    let root = (Fragment.fragment ft fid).Fragment.root in
-    if fid = 0 then fst (Sel_pass.context_root st.compiled root) else root
   in
   let init_for st fid =
     if fid = 0 then Sel_pass.blank_init st.compiled
@@ -69,11 +67,11 @@ let run ?(annotations = false) (cl : Cluster.t) (queries : Query.t list) : t =
                (fun st ->
                  if relevant st fid then begin
                    let oc =
-                     Pax2.Combined.run st.compiled ~init:(init_for st fid)
-                       ~root_is_context:(fid = 0) (eval_root st fid)
+                     Flat_pass.combined_run st.plan (Fragment.flat ft fid)
+                       ~init:(init_for st fid) ~is_root:(fid = 0)
                    in
                    st.outcomes.(fid) <- Some oc;
-                   Cluster.add_ops cl ~site oc.Pax2.Combined.ops
+                   Cluster.add_ops cl ~site oc.Flat_pass.ops
                  end)
                states)
            (Cluster.fragments_on cl site)));
@@ -90,18 +88,18 @@ let run ?(annotations = false) (cl : Cluster.t) (queries : Query.t list) : t =
                   if st.compiled.Compile.n_qual > 0 then
                     Cluster.send cl ~src:(Site site) ~dst:Coordinator
                       ~kind:Vectors
-                      ~bytes:(Measure.formula_array oc.Pax2.Combined.root_qvec)
+                      ~bytes:(Measure.formula_array oc.Flat_pass.root_qvec)
                       ~label:"QV";
                   List.iter
                     (fun (_, vec) ->
                       Cluster.send cl ~src:(Site site) ~dst:Coordinator
                         ~kind:Vectors ~bytes:(Measure.formula_array vec)
                         ~label:"SV")
-                    oc.Pax2.Combined.contexts;
-                  if oc.Pax2.Combined.answers <> [] then
+                    oc.Flat_pass.contexts;
+                  if oc.Flat_pass.answers <> [] then
                     Cluster.send cl ~src:(Site site) ~dst:Coordinator
                       ~kind:Answers
-                      ~bytes:(Measure.answers oc.Pax2.Combined.answers)
+                      ~bytes:(Measure.answers oc.Flat_pass.answers)
                       ~label:"ans"
               | None -> ())
             (Cluster.fragments_on cl site))
@@ -114,14 +112,14 @@ let run ?(annotations = false) (cl : Cluster.t) (queries : Query.t list) : t =
         (fun st ->
           st.resolved_quals <-
             Eval_ft.resolve_quals ft ~root_vecs:(fun fid ->
-                Option.map (fun oc -> oc.Pax2.Combined.root_qvec) st.outcomes.(fid));
+                Option.map (fun oc -> oc.Flat_pass.root_qvec) st.outcomes.(fid));
           let raw_ctx = Array.make n_frag None in
           Array.iter
             (function
               | Some oc ->
                   List.iter
                     (fun (sub, vec) -> raw_ctx.(sub) <- Some vec)
-                    oc.Pax2.Combined.contexts
+                    oc.Flat_pass.contexts
               | None -> ())
             st.outcomes;
           st.resolved_ctx <-
@@ -134,7 +132,7 @@ let run ?(annotations = false) (cl : Cluster.t) (queries : Query.t list) : t =
   (* ---- Round 2: one visit per site holding any candidate ---------- *)
   let has_candidates st fid =
     match st.outcomes.(fid) with
-    | Some oc -> oc.Pax2.Combined.candidates <> []
+    | Some oc -> oc.Flat_pass.candidates <> []
     | None -> false
   in
   let cand_sites =
@@ -154,7 +152,7 @@ let run ?(annotations = false) (cl : Cluster.t) (queries : Query.t list) : t =
               List.concat_map
                 (fun fid ->
                   match st.outcomes.(fid) with
-                  | Some oc when oc.Pax2.Combined.candidates <> [] ->
+                  | Some oc when oc.Flat_pass.candidates <> [] ->
                       List.filter_map
                         (fun ((v : Tree.node), f) ->
                           Cluster.add_ops cl ~site 1;
@@ -162,7 +160,7 @@ let run ?(annotations = false) (cl : Cluster.t) (queries : Query.t list) : t =
                           | Some true when v.Tree.id >= 0 -> Some v
                           | Some _ -> None
                           | None -> invalid_arg "Batch: unresolved candidate")
-                        oc.Pax2.Combined.candidates
+                        oc.Flat_pass.candidates
                   | Some _ | None -> [])
                 (Cluster.fragments_on cl site)
             in
@@ -193,7 +191,7 @@ let run ?(annotations = false) (cl : Cluster.t) (queries : Query.t list) : t =
         let certain =
           Array.to_list st.outcomes
           |> List.concat_map (function
-               | Some oc -> oc.Pax2.Combined.answers
+               | Some oc -> oc.Flat_pass.answers
                | None -> [])
         in
         let late =

@@ -21,11 +21,8 @@ let run ?(annotations = false) (cl : Cluster.t) (q : Query.t) :
   let relevant fid =
     match analysis with None -> true | Some a -> a.Annot.relevant.(fid)
   in
-  let eval_roots =
-    Array.init n_frag (fun fid ->
-        let root = (Fragment.fragment ft fid).Fragment.root in
-        if fid = 0 then fst (Sel_pass.context_root compiled root) else root)
-  in
+  (* Built before the round: pool domains only read it. *)
+  let plan = Flat_pass.make_plan compiled (Fragment.intern ft) in
   let init_for fid =
     if fid = 0 then Sel_pass.blank_init compiled
     else
@@ -35,18 +32,20 @@ let run ?(annotations = false) (cl : Cluster.t) (q : Query.t) :
   in
   let rel_fids = List.filter relevant (Fragment.top_down ft) in
   let stage1_sites = Cluster.sites_holding cl rel_fids in
-  let outcomes : Pax2.Combined.outcome option array = Array.make n_frag None in
+  let outcomes : Flat_pass.combined_outcome option array =
+    Array.make n_frag None
+  in
   ignore
     (Cluster.run_round cl ~label:"stage1" ~sites:stage1_sites (fun site ->
          List.iter
            (fun fid ->
              if relevant fid then begin
                let oc =
-                 Pax2.Combined.run compiled ~init:(init_for fid)
-                   ~root_is_context:(fid = 0) eval_roots.(fid)
+                 Flat_pass.combined_run plan (Fragment.flat ft fid)
+                   ~init:(init_for fid) ~is_root:(fid = 0)
                in
                outcomes.(fid) <- Some oc;
-               Cluster.add_ops cl ~site oc.Pax2.Combined.ops
+               Cluster.add_ops cl ~site oc.Flat_pass.ops
              end)
            (Cluster.fragments_on cl site)));
   List.iter
@@ -59,14 +58,14 @@ let run ?(annotations = false) (cl : Cluster.t) (q : Query.t) :
           | Some oc ->
               if compiled.Compile.n_qual > 0 then
                 Cluster.send cl ~src:(Site site) ~dst:Coordinator ~kind:Vectors
-                  ~bytes:(Measure.formula_array oc.Pax2.Combined.root_qvec)
+                  ~bytes:(Measure.formula_array oc.Flat_pass.root_qvec)
                   ~label:(spf "QV(F%d)" fid);
               List.iter
                 (fun (sub, vec) ->
                   Cluster.send cl ~src:(Site site) ~dst:Coordinator
                     ~kind:Vectors ~bytes:(Measure.formula_array vec)
                     ~label:(spf "SV(F%d)" sub))
-                oc.Pax2.Combined.contexts;
+                oc.Flat_pass.contexts;
               (* The certain count: one varint, not the elements. *)
               Cluster.send cl ~src:(Site site) ~dst:Coordinator ~kind:Vectors
                 ~bytes:8 ~label:(spf "count(F%d)" fid)
@@ -76,7 +75,7 @@ let run ?(annotations = false) (cl : Cluster.t) (q : Query.t) :
   let resolved_quals =
     Cluster.coord cl ~label:"evalFT:quals" (fun () ->
         Eval_ft.resolve_quals ft ~root_vecs:(fun fid ->
-            Option.map (fun oc -> oc.Pax2.Combined.root_qvec) outcomes.(fid)))
+            Option.map (fun oc -> oc.Flat_pass.root_qvec) outcomes.(fid)))
   in
   let qual_lookup = Eval_ft.qual_lookup resolved_quals in
   let raw_ctx = Array.make n_frag None in
@@ -85,7 +84,7 @@ let run ?(annotations = false) (cl : Cluster.t) (q : Query.t) :
       | Some oc ->
           List.iter
             (fun (sub, vec) -> raw_ctx.(sub) <- Some vec)
-            oc.Pax2.Combined.contexts
+            oc.Flat_pass.contexts
       | None -> ())
     outcomes;
   let resolved_ctx =
@@ -98,7 +97,7 @@ let run ?(annotations = false) (cl : Cluster.t) (q : Query.t) :
   let full_lookup = Eval_ft.full_lookup ~quals:resolved_quals ~ctxs:resolved_ctx in
   let has_candidates fid =
     match outcomes.(fid) with
-    | Some oc -> oc.Pax2.Combined.candidates <> []
+    | Some oc -> oc.Flat_pass.candidates <> []
     | None -> false
   in
   let cand_fids = List.filter has_candidates (Fragment.top_down ft) in
@@ -108,7 +107,7 @@ let run ?(annotations = false) (cl : Cluster.t) (q : Query.t) :
         List.fold_left
           (fun acc fid ->
             match outcomes.(fid) with
-            | Some oc when oc.Pax2.Combined.candidates <> [] ->
+            | Some oc when oc.Flat_pass.candidates <> [] ->
                 List.fold_left
                   (fun acc ((v : Tree.node), f) ->
                     Cluster.add_ops cl ~site 1;
@@ -116,7 +115,7 @@ let run ?(annotations = false) (cl : Cluster.t) (q : Query.t) :
                     | Some true when v.Tree.id >= 0 -> acc + 1
                     | Some _ -> acc
                     | None -> invalid_arg "Count: candidate failed to resolve")
-                  acc oc.Pax2.Combined.candidates
+                  acc oc.Flat_pass.candidates
             | Some _ | None -> acc)
           0
           (Cluster.fragments_on cl site))
@@ -145,7 +144,7 @@ let run ?(annotations = false) (cl : Cluster.t) (q : Query.t) :
     Array.fold_left
       (fun acc oc ->
         match oc with
-        | Some oc -> acc + List.length oc.Pax2.Combined.answers
+        | Some oc -> acc + List.length oc.Flat_pass.answers
         | None -> acc)
       0 outcomes
   in

@@ -1,21 +1,21 @@
-(* The engine hot path over flat fragment images (docs/FLATTREE.md).
+(* The engines' stage kernels over flat fragment images
+   (docs/FLATTREE.md): every engine and site server evaluates a
+   fragment through these three passes.
 
-   These are the same three passes as {!Sel_pass}, {!Qual_pass} and
-   {!Pax2.Combined} — same recurrences, same evaluation order, same
-   operation counting — re-expressed over {!Pax_xml.Flat} slots: tag
-   tests compare interned int codes, text and attribute tests compare
-   against the shared byte buffer in place, and traversal follows the
+   The qualifier and selection passes are {!Qual_pass} and {!Sel_pass}
+   — same recurrences, same evaluation order, same operation counting —
+   re-expressed over {!Pax_xml.Flat} slots: tag tests compare interned
+   int codes, text and attribute tests compare against the shared byte
+   buffer in place, and traversal follows the
    [first_child]/[next_sibling] int vectors instead of chasing node
    pointers.  Every formula the pointer passes would build is built
-   here in the identical construction order, so a flat run is
-   bit-identical through every oracle (answers, visit vectors, ops,
-   trace events, audits) — test/test_engine_seam.ml asserts exactly
-   that, clean and under faults.
+   here in the identical construction order; test/test_passes.ml holds
+   each kernel to its pointer reference on random fragmentations.
 
    The one node that has no slot is the [#document] context wrapper an
-   absolute query puts above the root fragment; it is evaluated
-   through the original pointer code on a materialized wrapper node
-   ({!Sel_pass.context_root}), keeping parity trivially. *)
+   absolute query puts above the root fragment; it is evaluated here
+   on a materialized wrapper node ({!Sel_pass.context_root}) with the
+   pointer node helpers. *)
 
 module Tree = Pax_xml.Tree
 module Flat = Pax_xml.Flat
@@ -24,11 +24,6 @@ module Compile = Pax_xpath.Compile
 module Ast = Pax_xpath.Ast
 module Formula = Pax_bool.Formula
 module Var = Pax_bool.Var
-
-(* The flat hot path is the default; PAX_FLAT=0 forces the pointer
-   passes (the seam tests run both and compare). *)
-let enabled () =
-  match Sys.getenv_opt "PAX_FLAT" with Some "0" -> false | _ -> true
 
 (* ------------------------------------------------------------------ *)
 (* plans: the compiled query lowered against a store's intern table   *)
@@ -168,7 +163,7 @@ type qual = {
 
 (* Mirror of {!Qual_pass.run} on [eval_root fid]: [is_root] says this
    is fragment 0, whose root an absolute query wraps in a materialized
-   [#document] node (evaluated through the pointer kernel). *)
+   [#document] node (its vector from {!Qual_pass.eval_node}). *)
 let qual_run plan flat ~is_root : qual =
   let compiled = plan.compiled in
   let n_qual = compiled.Compile.n_qual in
@@ -285,7 +280,7 @@ let sel_run plan flat ~init ~is_root ~(qual : qual option) : Sel_pass.outcome =
     end
   in
   if is_root && compiled.Compile.absolute then begin
-    (* The wrapper through the pointer kernel, its vector from the
+    (* The wrapper as a materialized node, its vector from the
        qualifier pass (stored under the wrapper when it ran wrapped). *)
     let wrapper, wvec =
       match qual with
@@ -328,8 +323,6 @@ let sel_run plan flat ~init ~is_root ~(qual : qual option) : Sel_pass.outcome =
 (* combined pass (PaX2 stage 1)                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Same record as {!Pax2.Combined.outcome} (re-exported there as an
-   equation, so the wire server and tests see one type). *)
 type combined_outcome = {
   root_qvec : Formula.t array;
   answers : Tree.node list;
@@ -339,7 +332,8 @@ type combined_outcome = {
 }
 
 (* Qualifier entries that selection filters consult (one sorted list
-   per query; identical to Pax2.Combined.placeholder_entries). *)
+   per query): for these the pre-order half issues [Qual_at]
+   placeholders. *)
 let placeholder_entries (compiled : Compile.t) =
   let rec refs acc = function
     | Compile.Sat pi ->
@@ -358,7 +352,12 @@ let placeholder_entries (compiled : Compile.t) =
     [] compiled.Compile.sel
   |> List.sort_uniq compare
 
-(* Mirror of {!Pax2.Combined.run}. *)
+(* PaX2's single traversal: pre-order selection entries with
+   placeholder variables for qualifier values not yet computed,
+   post-order qualifier vectors, and the placeholders each node issued
+   resolved locally once its subtree is done (the paper's [qz]
+   unification).  Only nodes that issued a placeholder get a sigma
+   entry. *)
 let combined_run plan flat ~init ~is_root : combined_outcome =
   let compiled = plan.compiled in
   let n_sel = compiled.Compile.n_sel in
@@ -391,8 +390,8 @@ let combined_run plan flat ~init ~is_root : combined_outcome =
     in
     go q
   in
-  (* Pre-order filter satisfaction for the wrapper node only —
-     identical to the pointer pass's sat_pre. *)
+  (* Pre-order filter satisfaction for the wrapper node only: data-local
+     tests evaluate now, path satisfactions become placeholders. *)
   let sat_pre_node (v : Tree.node) q =
     let rec go = function
       | Compile.Sat pi ->

@@ -1,23 +1,21 @@
-(** The stage passes of {!Sel_pass}, {!Qual_pass} and PaX2's combined
-    traversal over flat fragment images ({!Pax_xml.Flat},
-    docs/FLATTREE.md).
+(** The engines' stage kernels: the qualifier pass, the selection pass
+    and PaX2's combined traversal over flat fragment images
+    ({!Pax_xml.Flat}, docs/FLATTREE.md).  PaX2, PaX3, ParBoX, Count,
+    Batch, Paging and the site servers all evaluate fragments here.
 
-    Same recurrences, same formula-construction order, same operation
-    counting as the pointer passes — only the node representation
-    changes: tag tests compare interned int codes, text/attribute tests
-    read the shared byte buffer in place, traversal follows int vectors.
-    A flat run is bit-identical to a pointer run through every oracle
-    (answers, visit vectors, ops, trace events, audits); the engine seam
-    tests assert this clean and under faults.
+    The qualifier and selection passes keep {!Qual_pass} and
+    {!Sel_pass}'s recurrences, formula-construction order and operation
+    counting — only the node representation changes: tag tests compare
+    interned int codes, text/attribute tests read the shared byte buffer
+    in place, traversal follows int vectors.  Those pointer passes are
+    the kernel-level reference (test/test_passes.ml checks parity per
+    fragment); the engines are checked end to end against the
+    centralized evaluator and the set-based semantics.
 
     The [#document] wrapper of an absolute query has no slot; it is
-    evaluated through the pointer kernel on a materialized node. *)
+    evaluated on a materialized node inside each pass. *)
 
 module Formula = Pax_bool.Formula
-
-(** Whether the flat hot path is on ([PAX_FLAT] unset or not ["0"]).
-    Engines take [?flat] defaulting to this. *)
-val enabled : unit -> bool
 
 (** {1 Plans} *)
 
@@ -70,23 +68,21 @@ val sel_run :
 
 (** {1 Combined pass} — PaX2's single interleaved traversal. *)
 
-(** Same shape as [Pax2.Combined.outcome] (re-exported there as an
-    equation). *)
+(** One fragment's combined-pass result. *)
 type combined_outcome = {
-  root_qvec : Formula.t array;
-  answers : Pax_xml.Tree.node list;
+  root_qvec : Formula.t array;  (** eval root's qualifier vector *)
+  answers : Pax_xml.Tree.node list;  (** certain already *)
   candidates : (Pax_xml.Tree.node * Formula.t) list;
-  contexts : (int * Formula.t array) list;
+  contexts : (int * Formula.t array) list;  (** per sub-fragment *)
   ops : int;
 }
 
-(** The qualifier entries selection filters consult (sorted, unique). *)
-val placeholder_entries : Pax_xpath.Compile.t -> int list
-
 (** [combined_run plan flat ~init ~is_root] — pre-order selection with
     placeholder qualifiers interleaved with post-order qualifier
-    vectors, local placeholders resolved before returning; mirror of
-    [Pax2.Combined.run]. *)
+    vectors, local placeholders resolved before returning: what is left
+    symbolic mentions boundary variables only.  [is_root] plays the role
+    of [root_is_context] and selects [#document] wrapping for absolute
+    queries. *)
 val combined_run :
   plan ->
   Pax_xml.Flat.t ->

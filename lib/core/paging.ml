@@ -49,6 +49,7 @@ let run ~memory_budget (q : Query.t) (doc : Tree.doc) : result =
   let ft, peak = fragment_setup ~memory_budget doc in
   let n = Fragment.n_fragments ft in
   let swaps = ref 0 and bytes = ref 0 in
+  let plan = Flat_pass.make_plan compiled (Fragment.intern ft) in
   let outcomes = Array.make n None in
   (* One swap-in per fragment: the combined traversal extracts
      everything the resolution needs. *)
@@ -56,14 +57,14 @@ let run ~memory_budget (q : Query.t) (doc : Tree.doc) : result =
     (fun fid ->
       load (swaps, bytes) ft fid;
       let oc =
-        Pax2.Combined.run compiled ~init:(init_for compiled fid)
-          ~root_is_context:(fid = 0) (eval_root compiled ft fid)
+        Flat_pass.combined_run plan (Fragment.flat ft fid)
+          ~init:(init_for compiled fid) ~is_root:(fid = 0)
       in
       outcomes.(fid) <- Some oc)
     (Fragment.top_down ft);
   let resolved_quals =
     Eval_ft.resolve_quals ft ~root_vecs:(fun fid ->
-        Option.map (fun oc -> oc.Pax2.Combined.root_qvec) outcomes.(fid))
+        Option.map (fun oc -> oc.Flat_pass.root_qvec) outcomes.(fid))
   in
   let qual_lookup = Eval_ft.qual_lookup resolved_quals in
   let raw_ctx = Array.make n None in
@@ -72,7 +73,7 @@ let run ~memory_budget (q : Query.t) (doc : Tree.doc) : result =
       | Some oc ->
           List.iter
             (fun (sub, vec) -> raw_ctx.(sub) <- Some vec)
-            oc.Pax2.Combined.contexts
+            oc.Flat_pass.contexts
       | None -> ())
     outcomes;
   let resolved_ctx =
@@ -88,14 +89,14 @@ let run ~memory_budget (q : Query.t) (doc : Tree.doc) : result =
       | Some oc ->
           List.iter
             (fun (v : Tree.node) -> answers := v.Tree.id :: !answers)
-            oc.Pax2.Combined.answers;
+            oc.Flat_pass.answers;
           List.iter
             (fun ((v : Tree.node), f) ->
               match Formula.to_bool (Formula.subst lookup f) with
               | Some true when v.Tree.id >= 0 -> answers := v.Tree.id :: !answers
               | Some _ -> ()
               | None -> invalid_arg "Paging.run: unresolved candidate")
-            oc.Pax2.Combined.candidates
+            oc.Flat_pass.candidates
       | None -> ())
     outcomes;
   finish ~answers:!answers ~swaps:!swaps ~bytes:!bytes ~ft ~peak

@@ -7,7 +7,7 @@ module Fragment = Pax_frag.Fragment
 module Cluster = Pax_dist.Cluster
 module Measure = Pax_dist.Measure
 
-let eval ?flat (cl : Cluster.t) (qual : Ast.qual) : bool * Cluster.report =
+let eval (cl : Cluster.t) (qual : Ast.qual) : bool * Cluster.report =
   Cluster.reset cl;
   let ft = Cluster.ftree cl in
   let n_frag = Fragment.n_fragments ft in
@@ -16,10 +16,8 @@ let eval ?flat (cl : Cluster.t) (qual : Ast.qual) : bool * Cluster.report =
     Query.of_ast { Ast.absolute = false; path = Ast.Qualified (Ast.Empty, qual) }
   in
   let compiled = q.Query.compiled in
-  let use_flat =
-    match flat with Some b -> b | None -> Flat_pass.enabled ()
-  in
-  let fplan = lazy (Flat_pass.make_plan compiled (Fragment.intern ft)) in
+  (* Built before the round: pool domains only read it. *)
+  let plan = Flat_pass.make_plan compiled (Fragment.intern ft) in
   let root_vecs : Formula.t array option array = Array.make n_frag None in
   let sites = Cluster.sites_holding cl (Fragment.top_down ft) in
   (* Keyed by fid: a replayed visit under a fault plan neither
@@ -28,23 +26,15 @@ let eval ?flat (cl : Cluster.t) (qual : Ast.qual) : bool * Cluster.report =
     (Cluster.run_round cl ~label:"parbox" ~sites (fun site ->
          List.iter
            (fun fid ->
-             if Option.is_none root_vecs.(fid) then
-               if use_flat then begin
-                 (* The query is relative, so the root fragment's eval
-                    root is never wrapped. *)
-                 let fq =
-                   Flat_pass.qual_run (Lazy.force fplan)
-                     (Fragment.flat ft fid) ~is_root:false
-                 in
-                 root_vecs.(fid) <- Some fq.Flat_pass.q_root_vec;
-                 Cluster.add_ops cl ~site fq.Flat_pass.q_ops
-               end
-               else begin
-                 let root = (Fragment.fragment ft fid).Fragment.root in
-                 let qp = Qual_pass.run compiled root in
-                 root_vecs.(fid) <- Some qp.Qual_pass.root_vec;
-                 Cluster.add_ops cl ~site qp.Qual_pass.ops
-               end)
+             if Option.is_none root_vecs.(fid) then begin
+               (* The query is relative, so the root fragment's eval
+                  root is never wrapped. *)
+               let fq =
+                 Flat_pass.qual_run plan (Fragment.flat ft fid) ~is_root:false
+               in
+               root_vecs.(fid) <- Some fq.Flat_pass.q_root_vec;
+               Cluster.add_ops cl ~site fq.Flat_pass.q_ops
+             end)
            (Cluster.fragments_on cl site)));
   List.iter
     (fun site ->
@@ -79,4 +69,4 @@ let eval ?flat (cl : Cluster.t) (qual : Ast.qual) : bool * Cluster.report =
   in
   (answer, Cluster.report cl)
 
-let eval_string ?flat cl s = eval ?flat cl (Pax_xpath.Parse.qual s)
+let eval_string cl s = eval cl (Pax_xpath.Parse.qual s)

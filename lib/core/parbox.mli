@@ -9,14 +9,11 @@
     qualifiers (pass a conjunction). *)
 
 (** [eval cluster q] — truth of [q] at the root of the distributed
-    document, plus the cost report.  [?flat] selects the flat or pointer
-    hot path (default {!Flat_pass.enabled}); both are bit-identical. *)
+    document, plus the cost report.  Each site runs
+    {!Flat_pass.qual_run} over its fragments. *)
 val eval :
-  ?flat:bool ->
-  Pax_dist.Cluster.t ->
-  Pax_xpath.Ast.qual ->
-  bool * Pax_dist.Cluster.report
+  Pax_dist.Cluster.t -> Pax_xpath.Ast.qual -> bool * Pax_dist.Cluster.report
 
 (** [eval_string cluster s] parses [s] as a qualifier first. *)
 val eval_string :
-  ?flat:bool -> Pax_dist.Cluster.t -> string -> bool * Pax_dist.Cluster.report
+  Pax_dist.Cluster.t -> string -> bool * Pax_dist.Cluster.report

@@ -2,7 +2,6 @@ module Tree = Pax_xml.Tree
 module Query = Pax_xpath.Query
 module Compile = Pax_xpath.Compile
 module Formula = Pax_bool.Formula
-module Var = Pax_bool.Var
 module Fragment = Pax_frag.Fragment
 module Cluster = Pax_dist.Cluster
 module Measure = Pax_dist.Measure
@@ -10,167 +9,16 @@ module Wire = Pax_wire.Wire
 
 let spf = Printf.sprintf
 
-module Combined = struct
-  (* One type with the flat pass, so the wire server and the tests can
-     hold outcomes from either representation. *)
-  type outcome = Flat_pass.combined_outcome = {
-    root_qvec : Formula.t array;
-    answers : Tree.node list;
-    candidates : (Tree.node * Formula.t) list;
-    contexts : (int * Formula.t array) list;
-    ops : int;
-  }
-
-  (* Qualifier entries that selection filters consult: for these the
-     pre-order half issues Qual_at placeholders. *)
-  let placeholder_entries compiled =
-    let rec refs acc = function
-      | Compile.Sat pi ->
-          let p = compiled.Compile.paths.(pi) in
-          if Array.length p.Compile.items = 0 then acc
-          else p.Compile.sat.(0) :: acc
-      | Compile.Text_eq _ | Compile.Val_cmp _ | Compile.Attr_test _ -> acc
-      | Compile.Qnot q -> refs acc q
-      | Compile.Qand (a, b) | Compile.Qor (a, b) -> refs (refs acc a) b
-    in
-    Array.fold_left
-      (fun acc item ->
-        match item with
-        | Compile.Filter q -> refs acc q
-        | Compile.Move _ | Compile.Dos_item -> acc)
-      [] compiled.Compile.sel
-    |> List.sort_uniq compare
-
-  let run compiled ~init ~root_is_context (root : Tree.node) : outcome =
-    let n_sel = compiled.Compile.n_sel in
-    let last = n_sel - 1 in
-    let placeholders = placeholder_entries compiled in
-    let sigma : (int * int, Formula.t) Hashtbl.t = Hashtbl.create 64 in
-    (* Nodes that actually issued a placeholder; only those need a sigma
-       entry at post-order. *)
-    let issued : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-    let pending = ref [] in
-    let contexts = ref [] in
-    let ops = ref 0 in
-    (* Pre-order filter satisfaction: data-local tests evaluate now,
-       path satisfactions become placeholders resolved post-order. *)
-    let sat_pre (v : Tree.node) q =
-      let rec go = function
-        | Compile.Sat pi ->
-            let p = compiled.Compile.paths.(pi) in
-            if Array.length p.Compile.items = 0 then Formula.true_
-            else begin
-              Hashtbl.replace issued v.Tree.id ();
-              Formula.var (Var.Qual_at (v.Tree.id, p.Compile.sat.(0)))
-            end
-        | Compile.Text_eq s -> Formula.bool (Tree.text_of v = s)
-        | Compile.Val_cmp (op, num) ->
-            Formula.bool
-              (match Tree.float_of v with
-              | Some f -> Pax_xpath.Ast.compare_num op f num
-              | None -> false)
-        | Compile.Attr_test (name, value) ->
-            Formula.bool
-              (match (Tree.attr v name, value) with
-              | Some _, None -> true
-              | Some actual, Some expected -> actual = expected
-              | None, _ -> false)
-        | Compile.Qnot q -> Formula.not_ (go q)
-        | Compile.Qand (a, b) -> Formula.conj (go a) (go b)
-        | Compile.Qor (a, b) -> Formula.disj (go a) (go b)
-      in
-      go q
-    in
-    let rec go (v : Tree.node) ~is_context (sv_p : Formula.t array) :
-        Formula.t array =
-      match v.kind with
-      | Tree.Virtual fid ->
-          contexts := (fid, Array.copy sv_p) :: !contexts;
-          Array.init compiled.Compile.n_qual (fun e ->
-              Formula.var (Var.Qual (fid, e)))
-      | Tree.Element ->
-          (* Pre-order: selection entries with placeholders; dead
-             prefixes never consult their qualifier. *)
-          ops := !ops + n_sel;
-          let sv = Array.make n_sel Formula.false_ in
-          sv.(0) <- Formula.bool is_context;
-          Array.iteri
-            (fun j item ->
-              let i = j + 1 in
-              match item with
-              | Compile.Move test ->
-                  sv.(i) <-
-                    (if Compile.matches test v.tag then sv_p.(j)
-                     else Formula.false_)
-              | Compile.Dos_item -> sv.(i) <- Formula.disj sv_p.(i) sv.(i - 1)
-              | Compile.Filter q ->
-                  sv.(i) <-
-                    (if sv.(i - 1) = Formula.false_ then Formula.false_
-                     else Formula.conj sv.(i - 1) (sat_pre v q)))
-            compiled.Compile.sel;
-          if sv.(last) <> Formula.false_ then pending := (v, sv.(last)) :: !pending;
-          let child_vecs =
-            List.map (fun c -> go c ~is_context:false sv) v.children
-          in
-          (* Post-order: qualifier vector, then local unification of the
-             placeholders this node's filters introduced. *)
-          let qvec = Qual_pass.eval_node compiled ~ops v child_vecs in
-          if Hashtbl.mem issued v.Tree.id then
-            List.iter
-              (fun e -> Hashtbl.replace sigma (v.Tree.id, e) qvec.(e))
-              placeholders;
-          qvec
-    in
-    let root_qvec = go root ~is_context:root_is_context init in
-    let sigma_lookup = function
-      | Var.Qual_at (nid, e) -> Hashtbl.find_opt sigma (nid, e)
-      | Var.Qual _ | Var.Sel_ctx _ -> None
-    in
-    let answers = ref [] in
-    let candidates = ref [] in
-    List.iter
-      (fun ((v : Tree.node), f) ->
-        ops := !ops + 1;
-        let g = Formula.subst sigma_lookup f in
-        match Formula.to_bool g with
-        | Some true -> if v.Tree.id >= 0 then answers := v :: !answers
-        | Some false -> ()
-        | None -> candidates := (v, g) :: !candidates)
-      (List.rev !pending);
-    let contexts =
-      List.rev_map
-        (fun (fid, vec) -> (fid, Array.map (Formula.subst sigma_lookup) vec))
-        !contexts
-    in
-    {
-      root_qvec;
-      answers = List.rev !answers;
-      candidates = List.rev !candidates;
-      contexts;
-      ops = !ops;
-    }
-end
-
-let run ?(annotations = false) ?flat (cl : Cluster.t) (q : Query.t) :
-    Run_result.t =
+let run ?(annotations = false) (cl : Cluster.t) (q : Query.t) : Run_result.t =
   Cluster.reset cl;
   let ft = Cluster.ftree cl in
   let n_frag = Fragment.n_fragments ft in
   let compiled = q.Query.compiled in
-  let use_flat =
-    match flat with Some b -> b | None -> Flat_pass.enabled ()
-  in
-  let fplan =
-    lazy (Flat_pass.make_plan compiled (Fragment.intern ft))
-  in
+  (* Built before the round: pool domains only read it. *)
+  let plan = Flat_pass.make_plan compiled (Fragment.intern ft) in
   let analysis = if annotations then Some (Annot.analyze compiled ft) else None in
   let relevant fid =
     match analysis with None -> true | Some a -> a.Annot.relevant.(fid)
-  in
-  let eval_roots =
-    Array.init n_frag (fun fid ->
-        let root = (Fragment.fragment ft fid).Fragment.root in
-        if fid = 0 then fst (Sel_pass.context_root compiled root) else root)
   in
   let init_for fid =
     if fid = 0 then Sel_pass.blank_init compiled
@@ -241,21 +89,16 @@ let run ?(annotations = false) ?flat (cl : Cluster.t) (q : Query.t) :
       (fun fid ->
         if relevant fid && not s1_seen.(fid) then begin
           let oc =
-            if use_flat then
-              Flat_pass.combined_run (Lazy.force fplan)
-                (Fragment.flat ft fid) ~init:(init_for fid)
-                ~is_root:(fid = 0)
-            else
-              Combined.run compiled ~init:(init_for fid)
-                ~root_is_context:(fid = 0) eval_roots.(fid)
+            Flat_pass.combined_run plan (Fragment.flat ft fid)
+              ~init:(init_for fid) ~is_root:(fid = 0)
           in
-          s1_qvec.(fid) <- oc.Combined.root_qvec;
-          s1_ctxs.(fid) <- oc.Combined.contexts;
-          s1_answers.(fid) <- oc.Combined.answers;
-          s1_cands.(fid) <- List.length oc.Combined.candidates;
-          local_cands.(fid) <- oc.Combined.candidates;
+          s1_qvec.(fid) <- oc.Flat_pass.root_qvec;
+          s1_ctxs.(fid) <- oc.Flat_pass.contexts;
+          s1_answers.(fid) <- oc.Flat_pass.answers;
+          s1_cands.(fid) <- List.length oc.Flat_pass.candidates;
+          local_cands.(fid) <- oc.Flat_pass.candidates;
           s1_seen.(fid) <- true;
-          Cluster.add_ops cl ~site oc.Combined.ops
+          Cluster.add_ops cl ~site oc.Flat_pass.ops
         end)
       (Cluster.fragments_on cl site)
   in

@@ -17,32 +17,6 @@
     no qualifier of a possible answer can reach — and ground contexts
     remove Stage 2 visits (a single visit for qualifier-free queries). *)
 
-(** [?flat] selects the hot path for in-process fragment evaluation:
-    flat images ({!Flat_pass}, the default per {!Flat_pass.enabled}) or
-    the original pointer traversal.  Both are bit-identical through
-    every observable. *)
+(** Every fragment is evaluated through {!Flat_pass.combined_run}. *)
 val run :
-  ?annotations:bool ->
-  ?flat:bool ->
-  Pax_dist.Cluster.t ->
-  Pax_xpath.Query.t ->
-  Run_result.t
-
-(** The per-fragment combined traversal, exposed for testing and for the
-    {!Paging} simulator. *)
-module Combined : sig
-  type outcome = Flat_pass.combined_outcome = {
-    root_qvec : Pax_bool.Formula.t array;
-    answers : Pax_xml.Tree.node list;  (** certain already *)
-    candidates : (Pax_xml.Tree.node * Pax_bool.Formula.t) list;
-    contexts : (int * Pax_bool.Formula.t array) list;
-    ops : int;
-  }
-
-  val run :
-    Pax_xpath.Compile.t ->
-    init:Pax_bool.Formula.t array ->
-    root_is_context:bool ->
-    Pax_xml.Tree.node ->
-    outcome
-end
+  ?annotations:bool -> Pax_dist.Cluster.t -> Pax_xpath.Query.t -> Run_result.t

@@ -15,28 +15,16 @@ let active_sites cl fids = Cluster.sites_holding cl fids
 
 let all_fids ft = Fragment.top_down ft
 
-let run ?(annotations = false) ?flat (cl : Cluster.t) (q : Query.t) :
-    Run_result.t =
+let run ?(annotations = false) (cl : Cluster.t) (q : Query.t) : Run_result.t =
   Cluster.reset cl;
   let ft = Cluster.ftree cl in
   let n_frag = Fragment.n_fragments ft in
   let compiled = q.Query.compiled in
-  let use_flat =
-    match flat with Some b -> b | None -> Flat_pass.enabled ()
-  in
-  let fplan =
-    lazy (Flat_pass.make_plan compiled (Fragment.intern ft))
-  in
+  (* Built before the rounds: pool domains only read it. *)
+  let plan = Flat_pass.make_plan compiled (Fragment.intern ft) in
   let analysis = if annotations then Some (Annot.analyze compiled ft) else None in
   let relevant_sel fid =
     match analysis with None -> true | Some a -> a.Annot.relevant_sel.(fid)
-  in
-  (* The root fragment evaluates from the query context (a materialized
-     document node for absolute queries). *)
-  let eval_roots =
-    Array.init n_frag (fun fid ->
-        let root = (Fragment.fragment ft fid).Fragment.root in
-        if fid = 0 then fst (Sel_pass.context_root compiled root) else root)
   in
   let init_for fid =
     if fid = 0 then Sel_pass.blank_init compiled
@@ -45,7 +33,6 @@ let run ?(annotations = false) ?flat (cl : Cluster.t) (q : Query.t) :
       | Some a -> Annot.init_of_ctx compiled ~fid a.Annot.ctx.(fid)
       | None -> Sel_pass.symbolic_init compiled ~fid
   in
-  let qp_store : Qual_pass.t option array = Array.make n_frag None in
   let fq_store : Flat_pass.qual option array = Array.make n_frag None in
   let remote_if_net rm =
     if Cluster.transport_active cl then Some rm else None
@@ -55,7 +42,7 @@ let run ?(annotations = false) ?flat (cl : Cluster.t) (q : Query.t) :
   let stage1_needed = not (Compile.no_qualifiers compiled) in
   (* Per-fragment views of the stage-1 result (the root qualifier
      vector), filled by the in-process pass or a wire reply; the
-     accounting loop and evalFT read only these.  [qp_store] holds the
+     accounting loop and evalFT read only these.  [fq_store] holds the
      full in-process qual-pass state for stage 2 — a remote site keeps
      the equivalent state itself between visits. *)
   let q1_seen = Array.make n_frag false in
@@ -71,21 +58,13 @@ let run ?(annotations = false) ?flat (cl : Cluster.t) (q : Query.t) :
         List.iter
           (fun fid ->
             if not q1_seen.(fid) then begin
-              (if use_flat then begin
-                 let fq =
-                   Flat_pass.qual_run (Lazy.force fplan)
-                     (Fragment.flat ft fid) ~is_root:(fid = 0)
-                 in
-                 fq_store.(fid) <- Some fq;
-                 q1_vec.(fid) <- fq.Flat_pass.q_root_vec;
-                 Cluster.add_ops cl ~site fq.Flat_pass.q_ops
-               end
-               else begin
-                 let qp = Qual_pass.run compiled eval_roots.(fid) in
-                 qp_store.(fid) <- Some qp;
-                 q1_vec.(fid) <- qp.Qual_pass.root_vec;
-                 Cluster.add_ops cl ~site qp.Qual_pass.ops
-               end);
+              let fq =
+                Flat_pass.qual_run plan (Fragment.flat ft fid)
+                  ~is_root:(fid = 0)
+              in
+              fq_store.(fid) <- Some fq;
+              q1_vec.(fid) <- fq.Flat_pass.q_root_vec;
+              Cluster.add_ops cl ~site fq.Flat_pass.q_ops;
               q1_seen.(fid) <- true
             end)
           (Cluster.fragments_on cl site)
@@ -158,46 +137,26 @@ let run ?(annotations = false) ?flat (cl : Cluster.t) (q : Query.t) :
   let s2_cands = Array.make n_frag 0 in
   let local_cands : (Tree.node * Formula.t) list array = Array.make n_frag [] in
   (* The [s2_seen] guard keeps replayed visits from re-running
-     [Qual_pass.resolve], which substitutes into the stage-1 vectors in
-     place — exactly the "corrupt stage-1 state" hazard idempotent
-     visits exist to prevent. *)
+     [Flat_pass.qual_resolve], which substitutes into the stage-1
+     vectors in place — exactly the "corrupt stage-1 state" hazard
+     idempotent visits exist to prevent. *)
   let s2_local site =
     List.iter
       (fun fid ->
         if relevant_sel fid && not s2_seen.(fid) then begin
+          let fl =
+            match fq_store.(fid) with
+            | Some fq ->
+                Cluster.add_ops cl ~site
+                  (Flat_pass.qual_resolve fq qual_lookup);
+                (* The same image stage 1 ran on: its slots index the
+                   resolved qualifier vectors. *)
+                fq.Flat_pass.q_flat
+            | None -> Fragment.flat ft fid
+          in
           let oc =
-            if use_flat then begin
-              (match fq_store.(fid) with
-              | Some fq ->
-                  Cluster.add_ops cl ~site
-                    (Flat_pass.qual_resolve fq qual_lookup)
-              | None -> ());
-              (* The same image stage 1 ran on: its slots index the
-                 resolved qualifier vectors. *)
-              let fl =
-                match fq_store.(fid) with
-                | Some fq -> fq.Flat_pass.q_flat
-                | None -> Fragment.flat ft fid
-              in
-              Flat_pass.sel_run (Lazy.force fplan) fl ~init:(init_for fid)
-                ~is_root:(fid = 0) ~qual:fq_store.(fid)
-            end
-            else begin
-              (match qp_store.(fid) with
-              | Some qp ->
-                  Cluster.add_ops cl ~site (Qual_pass.resolve qp qual_lookup)
-              | None -> ());
-              let sat v filter =
-                match qp_store.(fid) with
-                | Some qp ->
-                    Qual_pass.sat compiled
-                      (Hashtbl.find qp.Qual_pass.vectors v.Tree.id)
-                      v filter
-                | None -> Qual_pass.sat compiled [||] v filter
-              in
-              Sel_pass.run compiled ~init:(init_for fid)
-                ~root_is_context:(fid = 0) ~sat eval_roots.(fid)
-            end
+            Flat_pass.sel_run plan fl ~init:(init_for fid) ~is_root:(fid = 0)
+              ~qual:fq_store.(fid)
           in
           s2_ctxs.(fid) <- oc.Sel_pass.contexts;
           s2_certain.(fid) <- Sel_pass.real_answers oc.Sel_pass.answers;

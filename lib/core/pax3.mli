@@ -25,13 +25,7 @@
     context is fully ground produce no candidates, removing their
     Stage 3 visit. *)
 
-(** [?flat] selects the hot path for in-process fragment evaluation:
-    flat images ({!Flat_pass}, the default per {!Flat_pass.enabled}) or
-    the original pointer traversal.  Both are bit-identical through
-    every observable. *)
+(** Fragments are evaluated through {!Flat_pass.qual_run} and
+    {!Flat_pass.sel_run}. *)
 val run :
-  ?annotations:bool ->
-  ?flat:bool ->
-  Pax_dist.Cluster.t ->
-  Pax_xpath.Query.t ->
-  Run_result.t
+  ?annotations:bool -> Pax_dist.Cluster.t -> Pax_xpath.Query.t -> Run_result.t

@@ -110,11 +110,15 @@ let apply_op (ft : Fragment.t) (op : op) : (int, error) result =
 
 (* Every successful mutation advances the touched fragment's update
    generation, so caches keyed by (fragment, generation) are invalidated
-   by exactly the fragments an update touched. *)
+   by exactly the fragments an update touched.  The fragment's flat image
+   is rebuilt here rather than on first use: that interns any tag the
+   edit introduced, and engines lower a query against the intern table
+   once, before a run visits any fragment. *)
 let apply (ft : Fragment.t) (op : op) : (int, error) result =
   match apply_op ft op with
   | Ok fid ->
       Fragment.bump_generation ft fid;
+      ignore (Fragment.flat ft fid : Pax_xml.Flat.t);
       (* In-place mutation: drop the Tree.find_by_id memo too. *)
       Tree.invalidate_id_index ();
       Ok fid

@@ -42,21 +42,22 @@ let run_id_base =
 
 (* Lazy.force is not thread-safe and the thunk blocks on /dev/urandom —
    a concurrent scheduler worker forcing mid-read would see
-   CamlinternalLazy.Undefined — so the first force is serialized.  The
-   cell stays lazy (not eager at module load) so a forked child that
-   never forced it still derives its own pid-mixed base. *)
+   CamlinternalLazy.Undefined — so every force takes the lock.  There
+   is no unlocked fast path: [Lazy.is_val] already answers true while
+   another thread is still inside the thunk, so it cannot tell a
+   finished cell from one being forced.  The lock is taken once per
+   run and is uncontended in steady state.  The cell stays lazy (not
+   eager at module load) so a forked child that never forced it still
+   derives its own pid-mixed base. *)
 let run_id_base_lock = Mutex.create ()
 
 let fresh_run_id () =
   let c = Atomic.fetch_and_add run_id_counter 1 in
   let base =
-    if Lazy.is_val run_id_base then Lazy.force run_id_base
-    else begin
-      Mutex.lock run_id_base_lock;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock run_id_base_lock)
-        (fun () -> Lazy.force run_id_base)
-    end
+    Mutex.lock run_id_base_lock;
+    Fun.protect
+      ~finally:(fun () -> Mutex.unlock run_id_base_lock)
+      (fun () -> Lazy.force run_id_base)
   in
   (base land lnot 0xFFFFFFFF lor (c land 0xFFFFFFFF)) land ((1 lsl 55) - 1)
 

@@ -4,22 +4,21 @@ module Query = Pax_xpath.Query
 module Compile = Pax_xpath.Compile
 module Formula = Pax_bool.Formula
 module Var = Pax_bool.Var
-module Qual_pass = Pax_core.Qual_pass
 module Sel_pass = Pax_core.Sel_pass
 module Flat_pass = Pax_core.Flat_pass
-module Combined = Pax_core.Pax2.Combined
 
 (* Per-run visit state.  Stage-1 results feed the later stages of the
    same run; replies are memoized by round so a retransmitted request
    (lost reply, client reconnect) is answered identically without
-   re-execution — [Qual_pass.resolve] mutates stage-1 vectors in place,
-   so re-execution would corrupt them. *)
+   re-execution — [Flat_pass.qual_resolve] mutates stage-1 vectors in
+   place, so re-execution would corrupt them. *)
 type run_state = {
   rs_run : int;
-  mutable rs_query : (string * Query.t) option;
-  rs_pax2 : (int, Combined.outcome) Hashtbl.t;
-  rs_qp : (int, Qual_pass.t) Hashtbl.t;
-  rs_fq : (int, Flat_pass.qual) Hashtbl.t;  (* flat twin of rs_qp *)
+  (* The run's query source, compiled, and lowered to a plan against
+     the site's intern table — once per run, not per fragment. *)
+  mutable rs_query : (string * Query.t * Flat_pass.plan) option;
+  rs_pax2 : (int, Flat_pass.combined_outcome) Hashtbl.t;
+  rs_fq : (int, Flat_pass.qual) Hashtbl.t;
   rs_sel : (int, Sel_pass.outcome) Hashtbl.t;
   rs_replies : (int, Wire.reply) Hashtbl.t;  (* round -> reply *)
   mutable rs_touch : int;  (* recency stamp for LRU eviction *)
@@ -31,12 +30,10 @@ type run_state = {
 type conn_entry = { c_id : int; c_fd : Unix.file_descr; c_wlock : Mutex.t }
 
 type t = {
-  frags : (int, Tree.node) Hashtbl.t;
-  (* The flat hot path (docs/FLATTREE.md): one site-wide intern table
-     and one flat image per held fragment, both built at server
-     creation.  Servers never mutate their fragments, so the images
-     stay valid for the server's lifetime. *)
-  flat : bool;
+  (* One site-wide intern table and one flat image per held fragment
+     (docs/FLATTREE.md), built at server creation or decoded on
+     install.  Images are immutable: an install swaps in a new one.
+     [Flat.orig] maps a slot back to the node an answer ships as. *)
   intern : Pax_xml.Intern.t;
   flat_imgs : (int, Pax_xml.Flat.t) Hashtbl.t;
   (* Graph fragments for the reachability engine (docs/ENGINES.md).  A
@@ -108,26 +105,20 @@ type t = {
 let default_max_runs = 64
 
 let create ?(max_runs = default_max_runs) ?(service_delay = 0.) ?(flake = 0)
-    ?(gfrags = []) ?flat ~frags () =
+    ?(gfrags = []) ~frags () =
   if max_runs < 1 then invalid_arg "Server.create: need max_runs >= 1";
   if service_delay < 0. then
     invalid_arg "Server.create: negative service_delay";
   if flake < 0 then invalid_arg "Server.create: negative flake period";
-  let flat = match flat with Some b -> b | None -> Flat_pass.enabled () in
-  let tbl = Hashtbl.create 8 in
-  List.iter (fun (fid, root) -> Hashtbl.replace tbl fid root) frags;
   let gtbl = Hashtbl.create 8 in
   List.iter (fun (fid, frag) -> Hashtbl.replace gtbl fid frag) gfrags;
   let intern = Pax_xml.Intern.create () in
   let flat_imgs = Hashtbl.create 8 in
-  if flat then
-    List.iter
-      (fun (fid, root) ->
-        Hashtbl.replace flat_imgs fid (Pax_xml.Flat.of_tree ~intern root))
-      frags;
+  List.iter
+    (fun (fid, root) ->
+      Hashtbl.replace flat_imgs fid (Pax_xml.Flat.of_tree ~intern root))
+    frags;
   {
-    frags = tbl;
-    flat;
     intern;
     flat_imgs;
     gfrags = gtbl;
@@ -156,7 +147,6 @@ let fresh_state run =
     rs_run = run;
     rs_query = None;
     rs_pax2 = Hashtbl.create 8;
-    rs_qp = Hashtbl.create 8;
     rs_fq = Hashtbl.create 8;
     rs_sel = Hashtbl.create 8;
     rs_replies = Hashtbl.create 8;
@@ -194,11 +184,6 @@ let state_for t run =
   st.rs_touch <- t.clock;
   st
 
-let frag_root t fid =
-  match Hashtbl.find_opt t.frags fid with
-  | Some root -> root
-  | None -> failwith (Printf.sprintf "site server holds no fragment %d" fid)
-
 let frag_flat t fid =
   match Hashtbl.find_opt t.flat_imgs fid with
   | Some fl -> fl
@@ -210,17 +195,17 @@ let gfrag_of t fid =
   | None ->
       failwith (Printf.sprintf "site server holds no graph fragment %d" fid)
 
-(* All stages of one run evaluate the same query; compile it once. *)
-let query_of st source =
+(* All stages of one run evaluate the same query; compile and lower it
+   once.  Images are built at [create], or installed before any run
+   routed to them starts, so the plan sees every label they carry. *)
+let query_of t st source =
   match st.rs_query with
-  | Some (src, q) when src = source -> q
+  | Some (src, q, plan) when src = source -> (q.Query.compiled, plan)
   | _ ->
       let q = Query.of_string source in
-      st.rs_query <- Some (source, q);
-      q
-
-let eval_root compiled ~is_root root =
-  if is_root then fst (Sel_pass.context_root compiled root) else root
+      let plan = Flat_pass.make_plan q.Query.compiled t.intern in
+      st.rs_query <- Some (source, q, plan);
+      (q.Query.compiled, plan)
 
 let init_of compiled ~fid ~is_root = function
   | Some vec -> vec
@@ -255,8 +240,7 @@ let handle_call t ~run call =
   let st = state_for t run in
   match call with
   | Wire.Pax2_stage1 { query; frags } ->
-      let q = query_of st query in
-      let compiled = q.Query.compiled in
+      let compiled, plan = query_of t st query in
       Wire.Frag_results
         (List.map
            (fun (fe : Wire.frag_eval) ->
@@ -264,25 +248,19 @@ let handle_call t ~run call =
              let is_root = fe.Wire.fe_is_root in
              let init = init_of compiled ~fid ~is_root fe.Wire.fe_init in
              let oc =
-               if t.flat then
-                 Flat_pass.combined_run
-                   (Flat_pass.make_plan compiled t.intern)
-                   (frag_flat t fid) ~init ~is_root
-               else
-                 Combined.run compiled ~init ~root_is_context:is_root
-                   (eval_root compiled ~is_root (frag_root t fid))
+               Flat_pass.combined_run plan (frag_flat t fid) ~init ~is_root
              in
              Hashtbl.replace st.rs_pax2 fid oc;
              {
                Wire.fr_fid = fid;
                fr_vec =
                  (if compiled.Compile.n_qual > 0 then
-                    Some oc.Combined.root_qvec
+                    Some oc.Flat_pass.root_qvec
                   else None);
-               fr_ctxs = oc.Combined.contexts;
-               fr_answers = List.map Wire.answer_of_node oc.Combined.answers;
-               fr_cands = List.length oc.Combined.candidates;
-               fr_ops = oc.Combined.ops;
+               fr_ctxs = oc.Flat_pass.contexts;
+               fr_answers = List.map Wire.answer_of_node oc.Flat_pass.answers;
+               fr_cands = List.length oc.Flat_pass.candidates;
+               fr_ops = oc.Flat_pass.ops;
              })
            frags)
   | Wire.Pax2_stage2 { frags } ->
@@ -298,7 +276,7 @@ let handle_call t ~run call =
         List.concat_map
           (fun (fid, _, _) ->
             match Hashtbl.find_opt st.rs_pax2 fid with
-            | Some oc -> resolve_candidates oc.Combined.candidates lookup ~ops
+            | Some oc -> resolve_candidates oc.Flat_pass.candidates lookup ~ops
             | None ->
                 failwith
                   (Printf.sprintf "no stage-1 state for fragment %d" fid))
@@ -307,43 +285,25 @@ let handle_call t ~run call =
       Wire.Final_answers
         { answers = List.map Wire.answer_of_node answers; ops = !ops }
   | Wire.Pax3_stage1 { query; fids } ->
-      let q = query_of st query in
-      let compiled = q.Query.compiled in
+      let _, plan = query_of t st query in
       Wire.Frag_results
         (List.map
            (fun fid ->
-             let is_root = fid = 0 in
-             let vec, ops =
-               if t.flat then begin
-                 let fq =
-                   Flat_pass.qual_run
-                     (Flat_pass.make_plan compiled t.intern)
-                     (frag_flat t fid) ~is_root
-                 in
-                 Hashtbl.replace st.rs_fq fid fq;
-                 (fq.Flat_pass.q_root_vec, fq.Flat_pass.q_ops)
-               end
-               else begin
-                 let qp =
-                   Qual_pass.run compiled
-                     (eval_root compiled ~is_root (frag_root t fid))
-                 in
-                 Hashtbl.replace st.rs_qp fid qp;
-                 (qp.Qual_pass.root_vec, qp.Qual_pass.ops)
-               end
+             let fq =
+               Flat_pass.qual_run plan (frag_flat t fid) ~is_root:(fid = 0)
              in
+             Hashtbl.replace st.rs_fq fid fq;
              {
                Wire.fr_fid = fid;
-               fr_vec = Some vec;
+               fr_vec = Some fq.Flat_pass.q_root_vec;
                fr_ctxs = [];
                fr_answers = [];
                fr_cands = 0;
-               fr_ops = ops;
+               fr_ops = fq.Flat_pass.q_ops;
              })
            fids)
   | Wire.Pax3_stage2 { query; frags } ->
-      let q = query_of st query in
-      let compiled = q.Query.compiled in
+      let compiled, plan = query_of t st query in
       Wire.Frag_results
         (List.map
            (fun ((fe : Wire.frag_eval), subs) ->
@@ -353,37 +313,14 @@ let handle_call t ~run call =
              List.iter (fun (sub, vec) -> Hashtbl.replace quals sub vec) subs;
              let lookup = lookup_of ~ctxs:(Hashtbl.create 1) ~quals in
              let init = init_of compiled ~fid ~is_root fe.Wire.fe_init in
-             let resolve_ops, oc =
-               if t.flat then begin
-                 let plan = Flat_pass.make_plan compiled t.intern in
-                 let fq = Hashtbl.find_opt st.rs_fq fid in
-                 let resolve_ops =
-                   match fq with
-                   | Some fq -> Flat_pass.qual_resolve fq lookup
-                   | None -> 0
-                 in
-                 ( resolve_ops,
-                   Flat_pass.sel_run plan (frag_flat t fid) ~init ~is_root
-                     ~qual:fq )
-               end
-               else begin
-                 let resolve_ops =
-                   match Hashtbl.find_opt st.rs_qp fid with
-                   | Some qp -> Qual_pass.resolve qp lookup
-                   | None -> 0
-                 in
-                 let sat v filter =
-                   match Hashtbl.find_opt st.rs_qp fid with
-                   | Some qp ->
-                       Qual_pass.sat compiled
-                         (Hashtbl.find qp.Qual_pass.vectors v.Tree.id)
-                         v filter
-                   | None -> Qual_pass.sat compiled [||] v filter
-                 in
-                 ( resolve_ops,
-                   Sel_pass.run compiled ~init ~root_is_context:is_root ~sat
-                     (eval_root compiled ~is_root (frag_root t fid)) )
-               end
+             let fq = Hashtbl.find_opt st.rs_fq fid in
+             let resolve_ops =
+               match fq with
+               | Some fq -> Flat_pass.qual_resolve fq lookup
+               | None -> 0
+             in
+             let oc =
+               Flat_pass.sel_run plan (frag_flat t fid) ~init ~is_root ~qual:fq
              in
              Hashtbl.replace st.rs_sel fid oc;
              {
@@ -503,14 +440,9 @@ let handle_request t ~run ~round ~epoch ?parent call =
 let fetch_image t ~fid ~kind =
   match kind with
   | Wire.Tree_frag -> (
-      match Hashtbl.find_opt t.frags fid with
+      match Hashtbl.find_opt t.flat_imgs fid with
       | None -> Error (Printf.sprintf "site server holds no fragment %d" fid)
-      | Some root ->
-          let fl =
-            match Hashtbl.find_opt t.flat_imgs fid with
-            | Some fl -> fl
-            | None -> Pax_xml.Flat.of_tree ~intern:t.intern root
-          in
+      | Some fl ->
           Ok { Wire.fi_kind = kind; fi_bytes = Pax_xml.Flat.encode fl })
   | Wire.Graph_frag -> (
       match Hashtbl.find_opt t.gfrags fid with
@@ -530,8 +462,7 @@ let install_image t ~fid ~epoch (image : Wire.frag_image) =
       match Pax_xml.Flat.decode ~intern:t.intern image.Wire.fi_bytes with
       | None -> Error (Printf.sprintf "corrupt flat image for fragment %d" fid)
       | Some fl ->
-          Hashtbl.replace t.frags fid (Pax_xml.Flat.to_tree fl);
-          if t.flat then Hashtbl.replace t.flat_imgs fid fl;
+          Hashtbl.replace t.flat_imgs fid fl;
           Hashtbl.remove t.retired (Wire.Tree_frag, fid);
           Ok (Printf.sprintf "installed fragment %d at epoch %d" fid epoch))
   | Wire.Graph_frag -> (
@@ -872,7 +803,7 @@ let serve t fd =
   in
   accept_loop ()
 
-let spawn ?max_runs ?service_delay ?flake ?gfrags ?flat ~addr ~frags () =
+let spawn ?max_runs ?service_delay ?flake ?gfrags ~addr ~frags () =
   (* Bind before forking so the parent can connect without racing the
      child's startup. *)
   let fd = Sockio.listen addr in
@@ -881,7 +812,7 @@ let spawn ?max_runs ?service_delay ?flake ?gfrags ?flat ~addr ~frags () =
   match Unix.fork () with
   | 0 ->
       (try
-         serve (create ?max_runs ?service_delay ?flake ?gfrags ?flat ~frags ()) fd
+         serve (create ?max_runs ?service_delay ?flake ?gfrags ~frags ()) fd
        with _ -> ());
       (try Unix.close fd with _ -> ());
       Unix._exit 0

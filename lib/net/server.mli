@@ -2,11 +2,10 @@
     fragments and answering {!Wire} visit requests over a socket.
 
     A server is a faithful stand-in for the in-process site closures of
-    the PaX engines: it runs the {e same} pass code
-    ({!Pax_core.Pax2.Combined}, {!Pax_core.Qual_pass},
-    {!Pax_core.Sel_pass}) on the same fragment trees, so answers, per
-    fragment vectors and operation counts are bit-identical across
-    transports.
+    the PaX engines: it runs the {e same} stage kernels
+    ({!Pax_core.Flat_pass}) on flat images of the same fragments, so
+    answers, per fragment vectors and operation counts are bit-identical
+    across transports.
 
     Visit state is kept per run (the coordinator stamps every request
     with a run id): stage-1 results are retained for the later stages,
@@ -49,16 +48,14 @@ val default_max_runs : int
     fragments, graph fragments or both under the same fragment-id
     space.
 
-    [flat] (default {!Pax_core.Flat_pass.enabled}) selects the flat hot
-    path: fragments are flattened once at creation (one site-wide
-    intern table, docs/FLATTREE.md) and visits evaluate through
-    {!Pax_core.Flat_pass}; replies are bit-identical either way. *)
+    Tree fragments are flattened once, here, into images sharing one
+    site-wide intern table (docs/FLATTREE.md); every visit evaluates
+    over those images. *)
 val create :
   ?max_runs:int ->
   ?service_delay:float ->
   ?flake:int ->
   ?gfrags:(int * Pax_graph.Gfrag.fragment) list ->
-  ?flat:bool ->
   frags:(int * Pax_xml.Tree.node) list ->
   unit ->
   t
@@ -133,7 +130,6 @@ val spawn :
   ?service_delay:float ->
   ?flake:int ->
   ?gfrags:(int * Pax_graph.Gfrag.fragment) list ->
-  ?flat:bool ->
   addr:Sockio.addr ->
   frags:(int * Pax_xml.Tree.node) list ->
   unit ->

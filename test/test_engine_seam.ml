@@ -81,10 +81,10 @@ let direct_xpath ~annotations runner ~ename cl text =
   | o -> Completed o
   | exception Cluster.Site_unreachable _ -> Unreachable
 
-let direct_parbox ?flat cl text =
+let direct_parbox cl text =
   match
     let qual = Pax_xpath.Parse.qual text in
-    let answer, report = Pax_core.Parbox.eval ?flat cl qual in
+    let answer, report = Pax_core.Parbox.eval cl qual in
     let rq =
       Query.of_ast ~source:text
         {
@@ -188,64 +188,6 @@ let seam ~fault ((s : H.Gen.scenario), seed) =
   Cluster.set_fault cl (if fault then mk_fault seed else Fault.none);
   check "parbox" via_pe (direct_parbox cl qual_text)
 
-(* The second seam: flat structure-of-arrays kernels vs the pointer
-   kernels, same projection.  [Flat_pass] promises bit-identity through
-   every observable (answers, visit vectors, trace events, ops,
-   audits), so the two runs must compare equal on the same placement
-   under identically seeded fault plans — the fault schedule itself
-   only stays aligned if the visit sequences do. *)
-let flat_runners =
-  [
-    ("pax2", fun ~flat cl q -> Pax_core.Pax2.run ~flat cl q);
-    ( "pax2-xa",
-      fun ~flat cl q -> Pax_core.Pax2.run ~annotations:true ~flat cl q );
-    ("pax3", fun ~flat cl q -> Pax_core.Pax3.run ~flat cl q);
-    ( "pax3-xa",
-      fun ~flat cl q -> Pax_core.Pax3.run ~annotations:true ~flat cl q );
-  ]
-
-let direct_obs ~ename runner ~flat cl text =
-  match
-    let q = Query.of_string text in
-    let r : Run_result.t = runner ~flat cl q in
-    obs ~keys:r.Run_result.answer_ids ~report:r.Run_result.report
-      ~trace:r.Run_result.trace
-      ~audit:
-        (Pax_core.Guarantee.audit ~engine:ename ~ftree:(Cluster.ftree cl) r)
-  with
-  | o -> Completed o
-  | exception Cluster.Site_unreachable _ -> Unreachable
-
-let flat_seam ~fault ((s : H.Gen.scenario), seed) =
-  let cl = s.H.Gen.s_cluster in
-  let text = Ast.to_string s.H.Gen.s_query in
-  let qual_text =
-    Format.asprintf "%a" Ast.pp_qual (Ast.QPath s.H.Gen.s_query.Ast.path)
-  in
-  let plan () = if fault then mk_fault seed else Fault.none in
-  let check name via_flat via_ptr =
-    if via_flat <> via_ptr then
-      QCheck.Test.fail_reportf "%s: flat diverges@.flat:    %a@.pointer: %a"
-        name explain via_flat explain via_ptr
-    else true
-  in
-  List.for_all
-    (fun (name, runner) ->
-      Cluster.set_fault cl (plan ());
-      let via_ptr = direct_obs ~ename:name runner ~flat:false cl text in
-      Cluster.set_fault cl (plan ());
-      let via_flat = direct_obs ~ename:name runner ~flat:true cl text in
-      check name via_flat via_ptr)
-    flat_runners
-  &&
-  begin
-    Cluster.set_fault cl (plan ());
-    let via_ptr = direct_parbox ~flat:false cl qual_text in
-    Cluster.set_fault cl (plan ());
-    let via_flat = direct_parbox ~flat:true cl qual_text in
-    check "parbox" via_flat via_ptr
-  end
-
 let arbitrary_faulty =
   QCheck.make
     ~print:(fun (s, seed) ->
@@ -327,9 +269,5 @@ let () =
             test_golden_matrix;
           qtest "Pe = direct, bit for bit (clean)" ~count:100 (seam ~fault:false);
           qtest "Pe = direct, bit for bit (faults)" ~count:150 (seam ~fault:true);
-          qtest "flat = pointer, bit for bit (clean)" ~count:100
-            (flat_seam ~fault:false);
-          qtest "flat = pointer, bit for bit (faults)" ~count:150
-            (flat_seam ~fault:true);
         ] );
     ]

@@ -719,6 +719,42 @@ let test_run_id_uniqueness () =
     Hashtbl.add seen id ()
   done
 
+(* The first use of the per-process run-id base, raced: in each of 20
+   forked children 16 threads make their first [fresh_run_id] call at
+   once.  A child exits non-zero on any exception (a thread forcing the
+   base while another is still inside it) or duplicate id.  The
+   children inherit the parent's base cell, so this must run before
+   anything in this process draws a run id. *)
+let test_run_id_first_use_race () =
+  let n_threads = 16 in
+  let child () =
+    let ready = Atomic.make 0 and failed = Atomic.make false in
+    let ids = Array.make n_threads (-1) in
+    let worker i =
+      Atomic.incr ready;
+      while Atomic.get ready < n_threads do
+        Thread.yield ()
+      done;
+      match Client.fresh_run_id () with
+      | id -> ids.(i) <- id
+      | exception _ -> Atomic.set failed true
+    in
+    List.iter Thread.join (List.init n_threads (Thread.create worker));
+    let distinct = List.sort_uniq compare (Array.to_list ids) in
+    if Atomic.get failed || List.length distinct <> n_threads then 1 else 0
+  in
+  for k = 1 to 20 do
+    flush_all ();
+    match Unix.fork () with
+    | 0 -> Unix._exit (try child () with _ -> 2)
+    | pid -> (
+        match Unix.waitpid [] pid with
+        | _, Unix.WEXITED 0 -> ()
+        | _, Unix.WEXITED code -> Alcotest.failf "child %d exited %d" k code
+        | _, (Unix.WSIGNALED s | Unix.WSTOPPED s) ->
+            Alcotest.failf "child %d stopped by signal %d" k s)
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Span ring bounds                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -1099,6 +1135,9 @@ let () =
          pooled-coverage test below spins up the domain pool. *)
       ( "net",
         [
+          (* First: it needs this process's run-id base still unforced. *)
+          Alcotest.test_case "run ids: racing first use" `Quick
+            test_run_id_first_use_race;
           Alcotest.test_case "sockets: differential + coverage + stats" `Quick
             test_net_differential_and_stats;
           Alcotest.test_case "sockets: cross-process parent links" `Quick

@@ -1,8 +1,10 @@
 (* White-box tests of the evaluation passes: qualifier vectors against
-   the reference semantics, context vectors against ancestry, and the
+   the reference semantics, context vectors against ancestry, the flat
+   stage kernels the engines run against these pointer passes, and the
    coordinator's unification (evalFT). *)
 
 module Tree = Pax_xml.Tree
+module Flat = Pax_xml.Flat
 module Query = Pax_xpath.Query
 module Compile = Pax_xpath.Compile
 module Semantics = Pax_xpath.Semantics
@@ -12,6 +14,7 @@ module Var = Pax_bool.Var
 module Fragment = Pax_frag.Fragment
 module Qual_pass = Pax_core.Qual_pass
 module Sel_pass = Pax_core.Sel_pass
+module Flat_pass = Pax_core.Flat_pass
 module Eval_ft = Pax_core.Eval_ft
 module H = Test_helpers
 
@@ -157,6 +160,76 @@ let test_symbolic_init_creates_candidates () =
        (Formula.vars f))
 
 (* ------------------------------------------------------------------ *)
+(* Kernel parity: every fragment of a random fragmentation through the
+   flat kernels and through their pointer references, compared entry by
+   entry.  Absolute queries exercise the #document wrapper on fragment
+   0; the other fragments start from symbolic contexts.                *)
+(* ------------------------------------------------------------------ *)
+
+(* Stand-in unified values for boundary qualifier variables, so the
+   resolution step and the ground selection filters run too. *)
+let fake_quals = function
+  | Var.Qual (sub, e) -> Some (Formula.bool ((sub + e) mod 2 = 0))
+  | Var.Sel_ctx _ | Var.Qual_at _ -> None
+
+let kernel_parity (s : H.Gen.scenario) =
+  let compiled = (Query.of_ast s.H.Gen.s_query).Query.compiled in
+  let ft = Pax_dist.Cluster.ftree s.H.Gen.s_cluster in
+  let plan = Flat_pass.make_plan compiled (Fragment.intern ft) in
+  let ids = List.map (fun (n : Tree.node) -> n.Tree.id) in
+  let cands = List.map (fun ((n : Tree.node), f) -> (n.Tree.id, f)) in
+  let check fid what ok =
+    if not ok then QCheck.Test.fail_reportf "F%d: flat %s diverges" fid what
+  in
+  List.iter
+    (fun fid ->
+      let is_root = fid = 0 in
+      let root = (Fragment.fragment ft fid).Fragment.root in
+      let eval_root =
+        if is_root then fst (Sel_pass.context_root compiled root) else root
+      in
+      let fl = Fragment.flat ft fid in
+      let qp = Qual_pass.run compiled eval_root in
+      let fq = Flat_pass.qual_run plan fl ~is_root in
+      check fid "qual ops" (qp.Qual_pass.ops = fq.Flat_pass.q_ops);
+      check fid "qual root vector"
+        (qp.Qual_pass.root_vec = fq.Flat_pass.q_root_vec);
+      for i = 0 to Flat.length fl - 1 do
+        check fid
+          (Printf.sprintf "qual vector at slot %d" i)
+          (Hashtbl.find_opt qp.Qual_pass.vectors (Flat.node_id fl i)
+          = Some fq.Flat_pass.q_vecs.(i))
+      done;
+      check fid "qual resolve ops"
+        (Qual_pass.resolve qp fake_quals
+        = Flat_pass.qual_resolve fq fake_quals);
+      let init =
+        if is_root then Sel_pass.blank_init compiled
+        else Sel_pass.symbolic_init compiled ~fid
+      in
+      let sat (v : Tree.node) filter =
+        Qual_pass.sat compiled
+          (Hashtbl.find qp.Qual_pass.vectors v.Tree.id)
+          v filter
+      in
+      let sp =
+        Sel_pass.run compiled ~init ~root_is_context:is_root ~sat eval_root
+      in
+      let fs = Flat_pass.sel_run plan fl ~init ~is_root ~qual:(Some fq) in
+      check fid "sel ops" (sp.Sel_pass.ops = fs.Sel_pass.ops);
+      check fid "sel answers"
+        (ids sp.Sel_pass.answers = ids fs.Sel_pass.answers);
+      check fid "sel candidates"
+        (cands sp.Sel_pass.candidates = cands fs.Sel_pass.candidates);
+      check fid "sel contexts" (sp.Sel_pass.contexts = fs.Sel_pass.contexts))
+    (Fragment.top_down ft);
+  true
+
+let prop_kernel_parity =
+  QCheck.Test.make ~name:"flat = pointer per fragment" ~count:300
+    H.Gen.arbitrary_scenario kernel_parity
+
+(* ------------------------------------------------------------------ *)
 (* evalFT                                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -258,6 +331,7 @@ let () =
           Alcotest.test_case "symbolic init makes candidates" `Quick
             test_symbolic_init_creates_candidates;
         ] );
+      ("flat-kernels", [ QCheck_alcotest.to_alcotest prop_kernel_parity ]);
       ( "evalFT",
         [
           Alcotest.test_case "qualifier chain" `Quick test_resolve_quals_chain;

@@ -8,7 +8,7 @@ module Formula = Pax_bool.Formula
 module Fragment = Pax_frag.Fragment
 module Cluster = Pax_dist.Cluster
 module Run_result = Pax_core.Run_result
-module Combined = Pax_core.Pax2.Combined
+module Flat_pass = Pax_core.Flat_pass
 module Sel_pass = Pax_core.Sel_pass
 module H = Test_helpers
 
@@ -39,17 +39,20 @@ let test_combined_on_whole_tree () =
      locally: no candidates, answers certain, matching the oracle. *)
   let q = Query.of_string "client[country/text() = \"US\"]/broker/name" in
   let compiled = q.Query.compiled in
+  let ft = Fragment.trivial c.doc in
   let outcome =
-    Combined.run compiled
+    Flat_pass.combined_run
+      (Flat_pass.make_plan compiled (Fragment.intern ft))
+      (Fragment.flat ft 0)
       ~init:(Sel_pass.blank_init compiled)
-      ~root_is_context:true c.doc.Tree.root
+      ~is_root:true
   in
   Alcotest.(check int) "no candidates on a complete tree" 0
-    (List.length outcome.Combined.candidates);
+    (List.length outcome.Flat_pass.candidates);
   Alcotest.(check (list int)) "answers match the oracle"
     (Semantics.eval_ids q.Query.ast c.doc.Tree.root)
     (List.sort compare
-       (List.map (fun (n : Tree.node) -> n.Tree.id) outcome.Combined.answers))
+       (List.map (fun (n : Tree.node) -> n.Tree.id) outcome.Flat_pass.answers))
 
 let test_combined_placeholders_resolve_locally () =
   (* Every residual the combined pass leaves must only mention boundary
@@ -57,10 +60,12 @@ let test_combined_placeholders_resolve_locally () =
   let ft = H.Data.clientele_ftree c in
   let q = Query.of_string "client[country/text() = \"US\"]//stock[qt > 40]/code" in
   let compiled = q.Query.compiled in
-  let f0 = (Fragment.fragment ft 0).Fragment.root in
   let outcome =
-    Combined.run compiled ~init:(Sel_pass.blank_init compiled)
-      ~root_is_context:true f0
+    Flat_pass.combined_run
+      (Flat_pass.make_plan compiled (Fragment.intern ft))
+      (Fragment.flat ft 0)
+      ~init:(Sel_pass.blank_init compiled)
+      ~is_root:true
   in
   let no_placeholder f =
     List.for_all
@@ -71,7 +76,7 @@ let test_combined_placeholders_resolve_locally () =
     (fun (_, f) ->
       Alcotest.(check bool) "candidate free of placeholders" true
         (no_placeholder f))
-    outcome.Combined.candidates;
+    outcome.Flat_pass.candidates;
   List.iter
     (fun (_, vec) ->
       Array.iter
@@ -79,12 +84,12 @@ let test_combined_placeholders_resolve_locally () =
           Alcotest.(check bool) "context free of placeholders" true
             (no_placeholder f))
         vec)
-    outcome.Combined.contexts;
+    outcome.Flat_pass.contexts;
   Array.iter
     (fun f ->
       Alcotest.(check bool) "root vector free of placeholders" true
         (no_placeholder f))
-    outcome.Combined.root_qvec
+    outcome.Flat_pass.root_qvec
 
 let test_agrees_with_pax3 () =
   let queries =

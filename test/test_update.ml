@@ -130,6 +130,37 @@ let test_queries_after_updates () =
     oracle r.Pax_core.Run_result.answer_ids;
   Alcotest.(check int) "exactly the updated broker" 1 (List.length oracle)
 
+(* An insert may bring a tag no fragment held before.  Every engine
+   lowers a query once per run against the store's intern table, so the
+   edited fragment's image must have interned the new tag by the time
+   the next run starts — not lazily, midway through the run. *)
+let test_new_tag_after_insert () =
+  let c, ft = setup () in
+  let b = Tree.builder_from 60_000 in
+  (* Into Bache's NASDAQ market (fragment F4, not the root fragment). *)
+  let rating = Tree.leaf b "rating" "AAA" in
+  (match Update.apply ft (Update.Insert (c.H.Data.cut_f4, rating)) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail (Update.error_to_string e));
+  let cl = Pax_dist.Cluster.one_site_per_fragment ft in
+  List.iter
+    (fun qs ->
+      let q = Query.of_string qs in
+      let oracle = Semantics.eval_ids q.Query.ast (Fragment.reassemble ft) in
+      Alcotest.(check int) (qs ^ ": one answer") 1 (List.length oracle);
+      List.iter
+        (fun (name, run) ->
+          Alcotest.(check (list int))
+            (Printf.sprintf "%s: %s = oracle" qs name)
+            oracle
+            (run cl q).Pax_core.Run_result.answer_ids)
+        [
+          ("PaX2", fun cl q -> Pax_core.Pax2.run cl q);
+          ("PaX3", fun cl q -> Pax_core.Pax3.run cl q);
+          ("PaX2-XA", fun cl q -> Pax_core.Pax2.run ~annotations:true cl q);
+        ])
+    [ "//rating"; "//market[rating/text() = \"AAA\"]/name" ]
+
 let () =
   Alcotest.run "update"
     [
@@ -147,5 +178,10 @@ let () =
           Alcotest.test_case "locate" `Quick test_locate;
         ] );
       ( "end-to-end",
-        [ Alcotest.test_case "queries after updates" `Quick test_queries_after_updates ] );
+        [
+          Alcotest.test_case "queries after updates" `Quick
+            test_queries_after_updates;
+          Alcotest.test_case "new tag after insert" `Quick
+            test_new_tag_after_insert;
+        ] );
     ]

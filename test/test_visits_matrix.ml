@@ -60,12 +60,7 @@ let test_matrix () =
   in
   List.iter
     (fun (qs, name,
-          (run :
-            ?annotations:bool ->
-            ?flat:bool ->
-            Cluster.t ->
-            Query.t ->
-            Run_result.t),
+          (run : ?annotations:bool -> Cluster.t -> Query.t -> Run_result.t),
           annotations, expected) ->
       Alcotest.(check int)
         (Printf.sprintf "%s on %s" name qs)

@@ -9,8 +9,9 @@
        must name something that exists — stale paths are how docs rot.
 
    Fenced code blocks are skipped entirely (they hold shell transcripts
-   and example output, not navigation).  Absolute paths, globs and
-   `_build/...` artifacts are never treated as repo references.  Runs
+   and example output, not navigation).  Absolute paths, globs,
+   `_build/...` artifacts and hidden paths (dune copies no dot-directory
+   into its build sandbox) are never treated as repo references.  Runs
    from the repository root; exits 1 listing every problem found. *)
 
 let errors = ref []
@@ -140,6 +141,7 @@ let looks_like_path tok =
   && (not (String.contains tok '{'))
   && (not (starts tok "http"))
   && (not (starts tok "/"))
+  && (not (starts tok "."))
   && (not (starts tok "_build"))
   && (not (contains tok "//"))
   && (not (ends tok ".exe"))
@@ -153,7 +155,9 @@ let looks_like_path tok =
    Cmdliner's [info [ "name"; ... ]] lists) and every PAX_* environment
    variable the sources read must appear in docs/OPERATIONS.md — an
    undocumented knob is an inoperable one, and this check is what keeps
-   the reference table honest as flags are added. *)
+   the reference table honest as flags are added.  The environment
+   table is checked the other way too: a variable it lists that no
+   source mentions any more is a knob that silently does nothing. *)
 
 (* Extract the string-literal lists of [info [ ... ]] occurrences.
    [Cmd.info "name"] takes a bare string, not a list, so requiring the
@@ -232,6 +236,23 @@ let rec ml_files dir =
            else [])
   else []
 
+(* The PAX_* names in the first column of the "Environment variables"
+   table: rows of that section that open with a backquoted variable. *)
+let env_table_vars ops =
+  let in_section = ref false in
+  List.filter_map
+    (fun line ->
+      if starts line "## " then begin
+        in_section := String.trim line = "## Environment variables";
+        None
+      end
+      else if !in_section && starts line "| `PAX_" then
+        match String.index_from_opt line 3 '`' with
+        | Some j -> Some (String.sub line 3 (j - 3))
+        | None -> None
+      else None)
+    (String.split_on_char '\n' ops)
+
 let check_operations () =
   let ops_file = "docs/OPERATIONS.md" in
   if not (Sys.file_exists ops_file) then
@@ -259,7 +280,12 @@ let check_operations () =
       (fun v ->
         if not (contains ops v) then
           err "%s: environment variable %s is undocumented" ops_file v)
-      vars
+      vars;
+    List.iter
+      (fun v ->
+        if not (List.mem v vars) then
+          err "%s: environment variable %s is read by no source" ops_file v)
+      (env_table_vars ops)
   end
 
 let md_files_in dir =
