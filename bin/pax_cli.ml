@@ -170,10 +170,6 @@ let query_cmd =
               match connect_addrs with
               | None -> None
               | Some addrs ->
-                  if fault_seed <> None then
-                    invalid_arg
-                      "--fault-seed and --connect are mutually exclusive \
-                       (fault injection applies to the in-process transport)";
                   if Array.length addrs <> Cluster.n_sites cluster then
                     invalid_arg
                       (Printf.sprintf
@@ -340,8 +336,6 @@ let query_cmd =
                              match report.Cluster.measured_bytes with
                              | Some b -> J.int b
                              | None -> J.Null );
-                           ( "forced_sequential",
-                             J.Bool report.Cluster.forced_sequential );
                          ] );
                      ( "metrics",
                        metrics_json
@@ -390,20 +384,16 @@ let query_cmd =
             match r.Pax_core.Run_result.trace with
             | Some tr ->
                 (* Header: the execution mode the trace was produced
-                   under, read off the report rather than re-derived
-                   from the flags. *)
-                let report = r.Pax_core.Run_result.report in
+                   under. *)
                 let mode =
-                  if report.Cluster.forced_sequential then
-                    Printf.sprintf
-                      "sequential (fault plan active; --domains %d ignored)"
-                      domains
-                  else if connect <> None then "remote sites over sockets"
-                  else if fault_seed <> None then
-                    "sequential (fault plan active)"
+                  if connect <> None then "remote sites over sockets"
                   else if domains > 1 then
                     Printf.sprintf "parallel, pool of %d domains" domains
                   else "sequential"
+                in
+                let mode =
+                  if fault_seed <> None then mode ^ " (fault plan active)"
+                  else mode
                 in
                 Format.printf "# trace: %s@.%a@." mode Pax_dist.Trace.pp tr
             | None -> ());
@@ -532,9 +522,7 @@ let query_cmd =
          & info [ "domains" ]
              ~doc:"Execute each round's per-site visits on a pool of this \
                    many OCaml domains (real cores). Default 1, or \
-                   $(b,PAX_DOMAINS). With $(b,--fault-seed) the run is \
-                   forced sequential: fault schedules are deterministic \
-                   functions of the visit order.")
+                   $(b,PAX_DOMAINS).")
   in
   let connect =
     Arg.(value & opt (some string) None

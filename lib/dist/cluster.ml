@@ -55,7 +55,6 @@ type t = {
   mutable transport : Transport.t option;
   mutable stage_cache : Stage_cache.t;
   mutable net_base : Transport.stats;
-  mutable forced_sequential : bool;
   mutable sink : Pax_obs.Sink.t;
   (* Simulated per-visit service latency (seconds), the in-process
      mirror of [Pax_net.Server]'s [service_delay]: charged into the
@@ -70,31 +69,81 @@ let site_track site = Printf.sprintf "site %d" site
 let enabled t = t.sink.Pax_obs.Sink.enabled
 
 (* ------------------------------------------------------------------ *)
-(* Parallel visits: per-visit effect logs                             *)
+(* Effect logs                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* When a round runs on the domain pool, the shared accumulators (trace,
-   message list, coordinator ops) must not be touched from worker
-   domains.  Instead each visit records its effects into a private log,
-   installed in domain-local storage for the duration of the visit;
-   [send] and [add_ops] divert to it transparently.  At the round
-   barrier the logs are merged in site order, which reproduces the
-   sequential event order bit for bit — a parallel run is
-   distinguishable from a sequential one only by wall-clock. *)
+(* Every in-process round runs on the domain pool (inline, in site
+   order, at degree 1), so the shared accumulators (trace, message
+   list, coordinator ops, retry counters) must not be touched from
+   inside a visit.  Instead each visit records its effects — fate
+   events, sends, retries, backoff — into a private log, registered in
+   domain-local storage for the duration of the visit; [send] and
+   [add_ops] divert to it transparently.  At the round barrier the logs
+   are merged in site order.  Fault plans are pure functions of (site,
+   round, attempt) and of the message context, so neither the degree
+   nor the completion order can change a schedule: a run at any degree
+   is distinguishable from [domains:1] only by wall-clock.  Effects
+   outside a visit go through a log too, merged as soon as the effect
+   is complete ([with_log]). *)
 type visit_log = {
   mutable vl_events_rev : Trace.event list;
   mutable vl_msgs_rev : message list;
   mutable vl_coord_ops : int;
   mutable vl_seconds : float;
+  mutable vl_retries : int;
+  mutable vl_backoff : float;
 }
 
 let fresh_log () =
-  { vl_events_rev = []; vl_msgs_rev = []; vl_coord_ops = 0; vl_seconds = 0. }
+  {
+    vl_events_rev = [];
+    vl_msgs_rev = [];
+    vl_coord_ops = 0;
+    vl_seconds = 0.;
+    vl_retries = 0;
+    vl_backoff = 0.;
+  }
 
-let dls_log : visit_log option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
+(* The visits running on this domain, keyed by cluster: concurrent runs
+   on systhreads share a domain (the serving scheduler), so a single
+   slot per domain would let one run's effects leak into another's.  A
+   cluster has at most one visit per domain in flight. *)
+let dls_logs : (t * visit_log) list Atomic.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Atomic.make [])
 
-let current_log () = !(Domain.DLS.get dls_log)
+let rec update_logs a f =
+  let cur = Atomic.get a in
+  if not (Atomic.compare_and_set a cur (f cur)) then update_logs a f
+
+let current_log t =
+  match Atomic.get (Domain.DLS.get dls_logs) with
+  | [] -> None
+  | logs -> List.assq_opt t logs
+
+let emit log ev = log.vl_events_rev <- ev :: log.vl_events_rev
+
+let merge_log t log =
+  List.iter (Trace.add t.trace) (List.rev log.vl_events_rev);
+  t.messages_rev <- log.vl_msgs_rev @ t.messages_rev;
+  t.coord_ops <- t.coord_ops + log.vl_coord_ops;
+  t.retries <- t.retries + log.vl_retries;
+  t.backoff_seconds <- t.backoff_seconds +. log.vl_backoff
+
+(* Run [f] against the current visit's log, or against a fresh one
+   merged when [f] returns or raises. *)
+let with_log t f =
+  match current_log t with
+  | Some log -> f log
+  | None -> (
+      let log = fresh_log () in
+      match f log with
+      | v ->
+          merge_log t log;
+          v
+      | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          merge_log t log;
+          Printexc.raise_with_backtrace e bt)
 
 let default_domains () =
   match Sys.getenv_opt "PAX_DOMAINS" with
@@ -142,7 +191,6 @@ let create_gen ?domains ?transport ~ft ~n_frags ~n_sites ~assign () =
     transport;
     stage_cache = Stage_cache.noop;
     net_base = Transport.zero_stats;
-    forced_sequential = false;
     sink = Pax_obs.Sink.noop;
     service_delay = 0.;
   }
@@ -197,7 +245,6 @@ let sink t = t.sink
 let set_sink t s = t.sink <- s
 let set_fault t plan = t.fault <- plan
 let set_retry t policy = t.retry <- policy
-let fault_active t = not (Fault.is_none t.fault)
 let set_transport t tr = t.transport <- tr
 let transport_active t = Option.is_some t.transport
 let set_stage_cache t c = t.stage_cache <- c
@@ -215,52 +262,77 @@ let net_stats t =
 
 (* Back off before the next attempt (simulated time only) and record the
    retry, or raise once the policy's budget is exhausted. *)
-let retry_or_give_up t ~site ~round ~stage ~attempt ~reason =
+let retry_or_give_up t log ~site ~round ~stage ~attempt ~reason =
   if Retry.should_retry t.retry ~attempt then begin
-    t.retries <- t.retries + 1;
-    t.backoff_seconds <-
-      t.backoff_seconds +. Retry.delay_before t.retry ~attempt:(attempt + 1);
+    log.vl_retries <- log.vl_retries + 1;
+    log.vl_backoff <-
+      log.vl_backoff +. Retry.delay_before t.retry ~attempt:(attempt + 1);
     Pax_obs.Sink.count t.sink "pax_retries_total";
-    Trace.add t.trace (Trace.Retry { site; round; attempt; reason })
+    emit log (Trace.Retry { site; round; attempt; reason })
   end
   else begin
-    Trace.add t.trace (Trace.Gave_up { site; round; attempts = attempt });
+    emit log (Trace.Gave_up { site; round; attempts = attempt });
     raise (Site_unreachable { site; stage; attempts = attempt })
   end
 
-(* One (site, round) visit under the fault plan: deliver the request,
-   execute, deliver the reply — any leg may fail and be retried.  A lost
-   reply makes the site re-execute [f] on the next delivery, so [f] must
-   be (and the engines are) idempotent per round. *)
-let visit_site t r ~round ~label ~site f =
-  let executed = ref false in
-  let rec go ~was_down attempt =
-    let restart_if_needed () =
-      if was_down then
-        Trace.add t.trace (Trace.Site_restart { site; round; attempt })
+(* The fate walk of one (site, round) visit, run by both backends:
+   deliver the request, execute, deliver the reply — any leg may fail
+   under the fault plan and be retried.  [exec ~attempt ~replay] is one
+   physical execution; a lost reply makes the site execute again on the
+   next delivery, so site work must be (and the engines' is) idempotent
+   per round.  Returns the last execution's result. *)
+let walk_fates t log ~round ~label ~site exec =
+  let retry ~attempt ~reason =
+    retry_or_give_up t log ~site ~round ~stage:label ~attempt ~reason
+  in
+  let rec go ~was_down ~replay attempt =
+    let restart () =
+      if was_down then emit log (Trace.Site_restart { site; round; attempt })
     in
     match Fault.on_visit t.fault ~site ~round ~attempt with
     | Fault.Down ->
-        Trace.add t.trace (Trace.Site_down { site; round; attempt });
-        retry_or_give_up t ~site ~round ~stage:label ~attempt
-          ~reason:"site down";
-        go ~was_down:true (attempt + 1)
+        emit log (Trace.Site_down { site; round; attempt });
+        retry ~attempt ~reason:"site down";
+        go ~was_down:true ~replay (attempt + 1)
     | Fault.Lost_request ->
-        restart_if_needed ();
-        retry_or_give_up t ~site ~round ~stage:label ~attempt
-          ~reason:"visit request dropped";
-        go ~was_down:false (attempt + 1)
+        restart ();
+        retry ~attempt ~reason:"visit request dropped";
+        go ~was_down:false ~replay (attempt + 1)
     | (Fault.Visit_ok | Fault.Lost_reply) as fate ->
-        restart_if_needed ();
-        let replay = !executed in
-        Trace.add t.trace (Trace.Visit { site; round; attempt; replay });
-        executed := true;
+        restart ();
+        emit log (Trace.Visit { site; round; attempt; replay });
+        let result = exec ~attempt ~replay in
+        if fate = Fault.Visit_ok then result
+        else begin
+          retry ~attempt ~reason:"visit reply dropped";
+          go ~was_down:false ~replay:true (attempt + 1)
+        end
+  in
+  go ~was_down:false ~replay:false 1
+
+(* The in-process round: one pool task per site, each walking its fates
+   against a private [visit_log]; then the logs are merged at the
+   barrier in input-site order.  If visits raised, the logs are still
+   merged up to and including the first failing site (in site order,
+   not completion order) and that site's exception is re-raised — the
+   observable state matches a run that stopped at the same site. *)
+let run_round_local t r ~round ~label ~sites f =
+  let sites_arr = Array.of_list sites in
+  let n = Array.length sites_arr in
+  let logs = Array.init n (fun _ -> fresh_log ()) in
+  let outcomes = Array.make n None in
+  (* The inline degree-1 pool has no queue to wait in: not instrumented. *)
+  let obs = if t.domains > 1 then t.sink else Pax_obs.Sink.noop in
+  Pool.run ~obs (Pool.shared ~domains:t.domains) ~n (fun i ->
+      let site = sites_arr.(i) in
+      let log = logs.(i) in
+      let exec ~attempt ~replay =
         let t0 = Pax_obs.Clock.now () in
         let result = f site in
         let t1 = Pax_obs.Clock.now () in
         (* Each physical execution pays the simulated service latency:
            a replay forced by a lost reply is served again. *)
-        r.seconds.(site) <- r.seconds.(site) +. (t1 -. t0) +. t.service_delay;
+        log.vl_seconds <- log.vl_seconds +. (t1 -. t0) +. t.service_delay;
         if enabled t then
           Pax_obs.Sink.record t.sink ~cat:"visit" ~track:(site_track site)
             ~args:
@@ -270,47 +342,16 @@ let visit_site t r ~round ~label ~site f =
                 ("replay", string_of_bool replay);
               ]
             label ~t0 ~t1;
-        if fate = Fault.Lost_reply then begin
-          retry_or_give_up t ~site ~round ~stage:label ~attempt
-            ~reason:"visit reply dropped";
-          go ~was_down:false (attempt + 1)
-        end
-        else result
-  in
-  go ~was_down:false 1
-
-(* The parallel path: fan the visits out over the shared pool, one task
-   per site, each diverting its effects into a private [visit_log]; then
-   merge the logs at the barrier in input-site order.  Only taken with
-   no fault plan installed, so a visit is exactly: one [Visit] event,
-   then [f site].  If visits raised, the logs are still merged up to and
-   including the first failing site (in site order, not completion
-   order) and that site's exception is re-raised — the observable state
-   matches a sequential run that died at the same site. *)
-let run_round_parallel t r ~round ~label ~sites f =
-  let sites_arr = Array.of_list sites in
-  let n = Array.length sites_arr in
-  let logs = Array.init n (fun _ -> fresh_log ()) in
-  let outcomes = Array.make n None in
-  let pool = Pool.shared ~domains:t.domains in
-  Pool.run ~obs:t.sink pool ~n (fun i ->
-      let log = logs.(i) in
-      let slot = Domain.DLS.get dls_log in
-      slot := Some log;
-      let t0 = Pax_obs.Clock.now () in
+        result
+      in
+      let slot = Domain.DLS.get dls_logs in
+      update_logs slot (List.cons (t, log));
       let out =
-        match f sites_arr.(i) with
+        match walk_fates t log ~round ~label ~site exec with
         | v -> Ok v
         | exception e -> Error (e, Printexc.get_raw_backtrace ())
       in
-      let t1 = Pax_obs.Clock.now () in
-      log.vl_seconds <- t1 -. t0;
-      if enabled t then
-        Pax_obs.Sink.record t.sink ~cat:"visit"
-          ~track:(site_track sites_arr.(i))
-          ~args:[ ("round", string_of_int round); ("attempt", "1") ]
-          label ~t0 ~t1;
-      slot := None;
+      update_logs slot (List.filter (fun (c, _) -> c != t));
       outcomes.(i) <- Some out);
   let results = ref [] in
   let failure = ref None in
@@ -319,13 +360,8 @@ let run_round_parallel t r ~round ~label ~sites f =
     let site = sites_arr.(!i) in
     let log = logs.(!i) in
     t.visits.(site) <- t.visits.(site) + 1;
-    Trace.add t.trace (Trace.Visit { site; round; attempt = 1; replay = false });
-    List.iter (Trace.add t.trace) (List.rev log.vl_events_rev);
-    List.iter
-      (fun m -> t.messages_rev <- m :: t.messages_rev)
-      (List.rev log.vl_msgs_rev);
-    t.coord_ops <- t.coord_ops + log.vl_coord_ops;
-    r.seconds.(site) <- r.seconds.(site) +. log.vl_seconds +. t.service_delay;
+    merge_log t log;
+    r.seconds.(site) <- r.seconds.(site) +. log.vl_seconds;
     (match outcomes.(!i) with
     | Some (Ok v) -> results := (site, v) :: !results
     | Some (Error (e, bt)) -> failure := Some (e, bt)
@@ -341,31 +377,50 @@ type 'a remote = {
   parse : int -> Pax_wire.Wire.reply -> 'a;
 }
 
-(* The socket path: requests are built up front, the transport moves
-   them (pipelined across sites), and replies are parsed over the
-   domain pool when one is configured — parse callbacks only touch
-   their own site's state (per-fragment view cells, per-site op
-   counters, mutexed caches), so the only synchronization needed is
-   the input-site-order merge of seconds and spans afterwards.
-   Delivery failures come back through [retry], which shares the
-   budget/trace machinery with the simulated fault path — except that
-   here the backoff is physically slept, since a restarting server
-   needs the wall-clock time. *)
+(* The socket round.  First each site walks its fates, in input order,
+   exactly as in-process: [Down] and [Lost_request] send nothing and
+   charge the retry budget.  A site whose walk met a lost reply has its
+   request sent alone, ahead of the round, and the reply discarded; the
+   server's per-round reply memo then answers the resend.  Then the
+   transport moves every request (pipelined across sites), and replies
+   are parsed over the domain pool when one is configured — parse
+   callbacks only touch their own site's state (per-fragment view
+   cells, per-site op counters, mutexed caches), so the only
+   synchronization needed is the input-site-order merge of seconds and
+   spans afterwards.  Real delivery failures come back through [retry],
+   numbered after the site's simulated attempts so both share one
+   budget — here the backoff is physically slept, since a restarting
+   server needs the wall-clock time. *)
 let run_round_net t tr r ~round ~label ~sites (rm : 'a remote) =
-  if not (Fault.is_none t.fault) then
-    invalid_arg
-      "Cluster: simulated fault plans apply to the in-process transport only";
-  List.iter
-    (fun site ->
-      t.visits.(site) <- t.visits.(site) + 1;
-      Trace.add t.trace (Trace.Visit { site; round; attempt = 1; replay = false }))
-    sites;
-  let reqs = List.map (fun site -> (site, rm.build site)) sites in
-  let retry ~site ~attempt ~reason =
-    retry_or_give_up t ~site ~round ~stage:label ~attempt ~reason;
+  let next_attempt = Array.make t.n_sites 1 in
+  let lost =
+    List.filter
+      (fun site ->
+        t.visits.(site) <- t.visits.(site) + 1;
+        let attempt, replay =
+          with_log t (fun log ->
+              walk_fates t log ~round ~label ~site (fun ~attempt ~replay ->
+                  (attempt, replay)))
+        in
+        next_attempt.(site) <- attempt;
+        replay)
+      sites
+  in
+  let retry ~site ~attempt:_ ~reason =
+    let attempt = next_attempt.(site) in
+    next_attempt.(site) <- attempt + 1;
+    with_log t (fun log ->
+        retry_or_give_up t log ~site ~round ~stage:label ~attempt ~reason);
     Unix.sleepf (Retry.delay_before t.retry ~attempt:(attempt + 1))
   in
-  let replies = Array.of_list (tr.Transport.visit_round ~round ~label ~retry reqs) in
+  let visit sites =
+    tr.Transport.visit_round ~round ~label ~retry
+      (List.map (fun site -> (site, rm.build site)) sites)
+  in
+  List.iter
+    (fun (site, _, secs) -> r.seconds.(site) <- r.seconds.(site) +. secs)
+    (List.concat_map (fun site -> visit [ site ]) lost);
+  let replies = Array.of_list (visit sites) in
   let parsed =
     (* [Pool.map] re-raises the smallest failing index's exception
        after the barrier, so a decode failure is observed at the same
@@ -426,22 +481,7 @@ let run_round ?remote t ~label ~sites f =
              "Cluster.run_round: stage %S has no remote implementation for \
               the socket transport"
              label)
-    | None, _ ->
-        (* Fault plans stay on the sequential path: their schedules are
-           deterministic functions of the exact visit/attempt order,
-           which parallel execution would scramble.  Record the forced
-           downgrade so reports and trace headers can say so. *)
-        if t.domains > 1 && List.length sites > 1 && Fault.is_none t.fault then
-          run_round_parallel t r ~round ~label ~sites f
-        else begin
-          if t.domains > 1 && not (Fault.is_none t.fault) then
-            t.forced_sequential <- true;
-          List.map
-            (fun site ->
-              t.visits.(site) <- t.visits.(site) + 1;
-              (site, visit_site t r ~round ~label ~site f))
-            sites
-        end
+    | None, _ -> run_round_local t r ~round ~label ~sites f
   in
   let results =
     if not (enabled t) then dispatch ()
@@ -495,70 +535,51 @@ let send t ~src ~dst ~kind ~bytes ~label =
     Pax_obs.Sink.count t.sink ~labels ~by:(float_of_int bytes)
       "pax_message_bytes_total"
   end;
-  let record () = t.messages_rev <- { src; dst; kind; bytes; label } :: t.messages_rev in
-  match current_log () with
-  | Some log ->
-      (* Inside a pooled visit: divert to the visit's private log.  The
-         parallel path is only taken fault-free, so the message is
-         simply delivered. *)
-      log.vl_msgs_rev <- { src; dst; kind; bytes; label } :: log.vl_msgs_rev;
-      log.vl_events_rev <-
-        Trace.Message
-          { src; dst; kind; bytes; label; attempt = 1; status = Trace.Delivered }
-        :: log.vl_events_rev
-  | None ->
-  if Fault.is_none t.fault then begin
-    record ();
-    Trace.add t.trace
-      (Trace.Message
-         { src; dst; kind; bytes; label; attempt = 1; status = Trace.Delivered })
-  end
-  else begin
-    (* Sends logically belong to the round just run (or 0 before any). *)
-    let round = max 0 (t.round_no - 1) in
-    let site =
-      match (dst, src) with Site s, _ | _, Site s -> s | _ -> -1
-    in
-    let rec go attempt =
-      let ctx =
-        {
-          Fault.m_src = src;
-          m_dst = dst;
-          m_kind = kind;
-          m_label = label;
-          m_round = round;
-          m_attempt = attempt;
-        }
+  (* Sends belong to the round in flight, or else the one just run (0
+     before any). *)
+  let round = max 0 (t.round_no - 1) in
+  let site = match (dst, src) with Site s, _ | _, Site s -> s | _ -> -1 in
+  let m = { src; dst; kind; bytes; label } in
+  with_log t (fun log ->
+      let rec go attempt =
+        let ctx =
+          {
+            Fault.m_src = src;
+            m_dst = dst;
+            m_kind = kind;
+            m_label = label;
+            m_round = round;
+            m_attempt = attempt;
+          }
+        in
+        let status =
+          match Fault.on_message t.fault ctx with
+          | Fault.Deliver -> Trace.Delivered
+          | Fault.Drop -> Trace.Dropped
+          | Fault.Duplicate -> Trace.Duplicated
+          | Fault.Delay s -> Trace.Delayed s
+        in
+        log.vl_msgs_rev <- m :: log.vl_msgs_rev;
+        emit log
+          (Trace.Message { src; dst; kind; bytes; label; attempt; status });
+        match status with
+        | Trace.Delivered -> ()
+        | Trace.Duplicated ->
+            (* The spurious copy also crossed the wire. *)
+            log.vl_msgs_rev <- m :: log.vl_msgs_rev
+        | Trace.Delayed s -> log.vl_backoff <- log.vl_backoff +. s
+        | Trace.Dropped ->
+            retry_or_give_up t log ~site ~round ~stage:label ~attempt
+              ~reason:("message dropped: " ^ label);
+            go (attempt + 1)
       in
-      let status =
-        match Fault.on_message t.fault ctx with
-        | Fault.Deliver -> Trace.Delivered
-        | Fault.Drop -> Trace.Dropped
-        | Fault.Duplicate -> Trace.Duplicated
-        | Fault.Delay s -> Trace.Delayed s
-      in
-      record ();
-      Trace.add t.trace
-        (Trace.Message { src; dst; kind; bytes; label; attempt; status });
-      match status with
-      | Trace.Delivered -> ()
-      | Trace.Duplicated ->
-          (* The spurious copy also crossed the wire. *)
-          record ()
-      | Trace.Delayed s -> t.backoff_seconds <- t.backoff_seconds +. s
-      | Trace.Dropped ->
-          retry_or_give_up t ~site ~round ~stage:label ~attempt
-            ~reason:("message dropped: " ^ label);
-          go (attempt + 1)
-    in
-    go 1
-  end
+      go 1)
 
 let add_ops t ~site n =
   if site < 0 then
     (* Coordinator ops from inside a pooled visit go to the visit log
        (the shared counter is not safe from worker domains). *)
-    match current_log () with
+    match current_log t with
     | Some log -> log.vl_coord_ops <- log.vl_coord_ops + n
     | None -> t.coord_ops <- t.coord_ops + n
   else
@@ -581,7 +602,6 @@ let reset t =
   t.round_no <- 0;
   t.retries <- 0;
   t.backoff_seconds <- 0.;
-  t.forced_sequential <- false;
   Pax_obs.Sink.clear t.sink;
   match t.transport with
   | Some tr ->
@@ -605,7 +625,6 @@ type report = {
   n_messages : int;
   net_seconds : float;
   measured_bytes : int option;
-  forced_sequential : bool;
 }
 
 let report t =
@@ -661,7 +680,6 @@ let report t =
       Option.map
         (fun (s : Transport.stats) -> s.sent_bytes + s.received_bytes)
         (net_stats t);
-    forced_sequential = t.forced_sequential;
   }
 
 let messages t = List.rev t.messages_rev
@@ -669,7 +687,7 @@ let messages t = List.rev t.messages_rev
 let pp_report ppf r =
   Format.fprintf ppf
     "@[<v>parallel: %.4fs (%d ops)@,total:    %.4fs (%d ops)@,\
-     coordinator: %.4fs@,visits: [%s] (max %d)%s@,rounds: %s%s@,\
+     coordinator: %.4fs@,visits: [%s] (max %d)%s@,rounds: %s@,\
      traffic: %d control + %d answer + %d tree bytes in %d messages (net %.4fs)%s@]"
     r.parallel_seconds r.parallel_ops r.total_seconds r.total_ops
     r.coord_seconds
@@ -677,8 +695,6 @@ let pp_report ppf r =
     r.max_visits
     (if r.retries > 0 then Printf.sprintf " after %d retries" r.retries else "")
     (String.concat " -> " r.rounds)
-    (if r.forced_sequential then " [sequential: fault plan overrode domains]"
-     else "")
     r.control_bytes r.answer_bytes r.tree_bytes r.n_messages r.net_seconds
     (match r.measured_bytes with
     | Some b -> Printf.sprintf "; measured on wire: %d bytes" b

@@ -46,15 +46,14 @@
     its effects (trace events, {!send}s, coordinator {!add_ops}) into a
     private log, merged at the round barrier in input-site order, so
     answers, visit counts, traces and all deterministic report fields
-    are identical to a [domains:1] run.  Two requirements on site work
-    beyond the idempotence above: within a round it must not share
-    mutable state across sites (the engines keep stage state per
+    are identical to a [domains:1] run — under an installed fault plan
+    too, since a plan is a pure function of (site, round, attempt) and
+    of the message context, never of visit order.  Two requirements on
+    site work beyond the idempotence above: within a round it must not
+    share mutable state across sites (the engines keep stage state per
     fragment, and a fragment lives on exactly one site), and it must
-    charge {!add_ops} only to the site being visited.
-
-    Rounds run under an installed fault plan always take the sequential
-    path, whatever the degree: the deterministic fault schedules are
-    functions of the exact visit order.  See docs/PARALLELISM.md. *)
+    charge {!add_ops} only to the site being visited.  See
+    docs/PARALLELISM.md. *)
 
 type endpoint = Trace.endpoint = Coordinator | Site of int
 
@@ -159,16 +158,14 @@ val set_fault : t -> Fault.t -> unit
 
 val set_retry : t -> Retry.t -> unit
 
-(** Is a non-trivial fault plan installed? *)
-val fault_active : t -> bool
-
 (** {1 Transports}
 
-    Fault plans and transports are mutually exclusive: the simulated
-    schedules assume in-process delivery, so a round that finds both
-    installed raises [Invalid_argument].  Real delivery failures on a
-    transport go through the same {!Retry} budget and raise the same
-    {!Site_unreachable}. *)
+    A fault plan drives socket rounds exactly as in-process ones: each
+    site walks the same fates before its request is sent, so a plan
+    yields the same trace on both backends (docs/FAULTS.md).  Real
+    delivery failures on a transport are numbered after a site's
+    simulated attempts, go through the same {!Retry} budget and raise
+    the same {!Site_unreachable}. *)
 
 (** Install or remove the remote backend. *)
 val set_transport : t -> Transport.t option -> unit
@@ -252,12 +249,12 @@ type 'a remote = {
     order.  The deterministic parallel merge relies on this, and callers
     may too.
 
-    With [domains > 1] and no fault plan, the visits run concurrently on
-    real domains; observable state afterwards is identical to the
-    sequential run (see the {e Real parallelism} section above).  Under
-    an installed fault plan each visit may take several delivery
-    attempts (see {!Site_unreachable}); the per-site visit counter is
-    charged once per (site, round) regardless.
+    With [domains > 1], the visits run concurrently on real domains;
+    observable state afterwards is identical to the [domains:1] run (see
+    the {e Real parallelism} section above).  Under an installed fault
+    plan each visit may take several delivery attempts (see
+    {!Site_unreachable}); the per-site visit counter is charged once per
+    (site, round) regardless.
 
     With a transport installed (see {!set_transport}), the round runs
     remotely through [remote] instead of calling [f]: [build site] is
@@ -313,9 +310,6 @@ type report = {
   measured_bytes : int option;
       (** actual socket bytes this run, both directions, when a
           transport is installed; [None] for in-process runs *)
-  forced_sequential : bool;
-      (** true when [domains > 1] was requested but an installed fault
-          plan forced rounds down the sequential path *)
 }
 
 val report : t -> report

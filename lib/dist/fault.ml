@@ -14,17 +14,13 @@ type action = Deliver | Drop | Duplicate | Delay of float
 type t = {
   message : msg_ctx -> action;
   visit : site:int -> round:int -> attempt:int -> visit_fate;
-  trivial : bool;
 }
 
 let none =
   {
     message = (fun _ -> Deliver);
     visit = (fun ~site:_ ~round:_ ~attempt:_ -> Visit_ok);
-    trivial = true;
   }
-
-let is_none t = t.trivial
 
 let on_message t ctx = t.message ctx
 let on_visit t ~site ~round ~attempt = t.visit ~site ~round ~attempt
@@ -33,7 +29,6 @@ let make ?message ?visit () =
   {
     message = Option.value ~default:none.message message;
     visit = Option.value ~default:none.visit visit;
-    trivial = false;
   }
 
 (* A decision in [0, 1) from the seed and a context tuple.  Hashtbl.hash
@@ -66,7 +61,7 @@ let seeded ?(drop = 0.) ?(dup = 0.) ?(delay = 0.) ?(lose = 0.) ?(crash = 0.)
     else if roll seed "visit-rep" (site, round, attempt) < lose then Lost_reply
     else Visit_ok
   in
-  { message; visit; trivial = false }
+  { message; visit }
 
 let drop_message ?(times = 1) pred =
   make
@@ -97,28 +92,22 @@ let lose_reply ?(times = 1) ~site ~round () =
     ()
 
 let all plans =
-  let plans = List.filter (fun p -> not p.trivial) plans in
-  match plans with
-  | [] -> none
-  | plans ->
-      let message ctx =
-        let rec first = function
-          | [] -> Deliver
-          | p :: rest -> (
-              match p.message ctx with
-              | Deliver -> first rest
-              | decision -> decision)
-        in
-        first plans
-      in
-      let visit ~site ~round ~attempt =
-        let rec first = function
-          | [] -> Visit_ok
-          | p :: rest -> (
-              match p.visit ~site ~round ~attempt with
-              | Visit_ok -> first rest
-              | fate -> fate)
-        in
-        first plans
-      in
-      { message; visit; trivial = false }
+  let message ctx =
+    let rec first = function
+      | [] -> Deliver
+      | p :: rest -> (
+          match p.message ctx with Deliver -> first rest | decision -> decision)
+    in
+    first plans
+  in
+  let visit ~site ~round ~attempt =
+    let rec first = function
+      | [] -> Visit_ok
+      | p :: rest -> (
+          match p.visit ~site ~round ~attempt with
+          | Visit_ok -> first rest
+          | fate -> fate)
+    in
+    first plans
+  in
+  { message; visit }

@@ -1,11 +1,13 @@
-(** Deterministic, seedable fault injection for the simulated cluster.
+(** Deterministic, seedable fault injection for the cluster, in-process
+    or over sockets.
 
     A fault plan is a pure decision function consulted by {!Cluster} at
-    every visit attempt and every message transmission.  Decisions
-    depend only on the plan and on the (site, round, attempt) or message
-    context — never on wall-clock time or global RNG state — so any
-    schedule replays identically, which is what makes failing schedules
-    shrinkable and reportable.
+    every visit attempt and every message transmission, on either
+    backend.  Decisions depend only on the plan and on the (site, round,
+    attempt) or message context — never on wall-clock time, global RNG
+    state or the order visits run in — so any schedule replays
+    identically at any pool degree, which is what makes failing
+    schedules shrinkable and reportable.
 
     Faults injected on attempt [n] leave later attempts alone unless the
     plan says otherwise, so a plan built from [?times:k] rules is always
@@ -34,9 +36,6 @@ type t
 
 (** The empty plan: every visit succeeds, every message is delivered. *)
 val none : t
-
-(** Fast-path test used by {!Cluster} to skip fault bookkeeping. *)
-val is_none : t -> bool
 
 val on_message : t -> msg_ctx -> action
 val on_visit : t -> site:int -> round:int -> attempt:int -> visit_fate
@@ -88,5 +87,5 @@ val crash_site : ?down_for:int -> site:int -> round:int -> unit -> t
     re-delivers, the site replays. *)
 val lose_reply : ?times:int -> site:int -> round:int -> unit -> t
 
-(** First non-trivial decision wins. *)
+(** The first plan's decision that is not [Deliver]/[Visit_ok] wins. *)
 val all : t list -> t

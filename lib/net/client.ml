@@ -165,15 +165,17 @@ let fail_waiters_locked t site e =
     t.pending;
   Condition.broadcast t.cond
 
-(* Close a site's connection (requested by a sender that saw a delivery
-   failure, or by the site's receiver).  The receiver notices the
-   generation change and exits; in-flight waiters are failed here so
-   their senders retry without waiting for the receiver's next poll. *)
+(* Retire a site's connection (requested by a sender that saw a delivery
+   failure).  Shut down, not closed: the receiver may be inside a select
+   or read on the descriptor, and only the receiver closes it, on exit —
+   a closed number could be reused by the reconnect and read by both
+   threads.  The shutdown wakes the receiver; in-flight waiters are
+   failed here so their senders retry without waiting for it. *)
 let drop t site =
   locked t (fun () ->
       match t.conns.(site) with
       | Some c ->
-          (try Unix.close c.c_fd with _ -> ());
+          (try Unix.shutdown c.c_fd Unix.SHUTDOWN_ALL with _ -> ());
           t.conns.(site) <- None;
           fail_waiters_locked t site
             (Failure "connection to site server lost")
@@ -222,8 +224,9 @@ let expire_due t site =
    frame and desynchronize the stream) and commits to a full frame read
    only once bytes are available; a mid-frame stall longer than the
    client timeout means the stream is broken and kills the connection.
-   On any exit path every in-flight waiter of the site is failed — no
-   sender can be left waiting on a dead connection. *)
+   On any exit path the connection's in-flight waiters are failed (here,
+   or by [drop] if it retired the connection first) — no sender can be
+   left waiting on a dead connection — and the descriptor is closed. *)
 let receiver t site (c : conn) =
   let alive () =
     locked t (fun () ->
@@ -233,12 +236,11 @@ let receiver t site (c : conn) =
   in
   let fail e =
     locked t (fun () ->
-        (match t.conns.(site) with
+        match t.conns.(site) with
         | Some c' when c'.c_gen = c.c_gen ->
-            (try Unix.close c.c_fd with _ -> ());
-            t.conns.(site) <- None
-        | _ -> ());
-        fail_waiters_locked t site e)
+            t.conns.(site) <- None;
+            fail_waiters_locked t site e
+        | _ -> ())
   in
   let rec loop () =
     if alive () then begin
@@ -257,7 +259,8 @@ let receiver t site (c : conn) =
       | exception e -> fail e
     end
   in
-  loop ()
+  loop ();
+  try Unix.close c.c_fd with _ -> ()
 
 let ensure_conn t site =
   match locked t (fun () -> t.conns.(site)) with

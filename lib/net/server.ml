@@ -69,15 +69,6 @@ type t = {
      clock without consuming CPU, which is exactly what distinguishes
      them from compute. *)
   service_delay : float;
-  (* Planned flakiness: every [flake]-th visit request is answered by
-     closing the connection instead of replying — the recoverable
-     fault the accept loop already tolerates (EOF → client reconnects
-     and resends; the reply memo keeps the retry idempotent).  At most
-     once per (run, round) so a retried request always makes progress.
-     0 = never. *)
-  flake : int;
-  mutable flake_tick : int;
-  flaked : (int * int, unit) Hashtbl.t;
   mutable clock : int;
   (* Always-on telemetry: a server exists to be queried, so its sink is
      enabled from the start and its counters are served on
@@ -104,12 +95,11 @@ type t = {
 
 let default_max_runs = 64
 
-let create ?(max_runs = default_max_runs) ?(service_delay = 0.) ?(flake = 0)
-    ?(gfrags = []) ~frags () =
+let create ?(max_runs = default_max_runs) ?(service_delay = 0.) ?(gfrags = [])
+    ~frags () =
   if max_runs < 1 then invalid_arg "Server.create: need max_runs >= 1";
   if service_delay < 0. then
     invalid_arg "Server.create: negative service_delay";
-  if flake < 0 then invalid_arg "Server.create: negative flake period";
   let gtbl = Hashtbl.create 8 in
   List.iter (fun (fid, frag) -> Hashtbl.replace gtbl fid frag) gfrags;
   let intern = Pax_xml.Intern.create () in
@@ -126,9 +116,6 @@ let create ?(max_runs = default_max_runs) ?(service_delay = 0.) ?(flake = 0)
     states = Hashtbl.create 16;
     max_runs;
     service_delay;
-    flake;
-    flake_tick = 0;
-    flaked = Hashtbl.create 16;
     clock = 0;
     obs = Pax_obs.Sink.create ();
     lock = Mutex.create ();
@@ -481,20 +468,6 @@ let retire_frag t ~fid ~epoch ~kind =
   | _ -> Hashtbl.replace t.retired key epoch);
   Ok (Printf.sprintf "retired fragment %d at epoch %d" fid epoch)
 
-let flake_now t ~run ~round =
-  t.flake > 0
-  && begin
-       t.flake_tick <- t.flake_tick + 1;
-       t.flake_tick mod t.flake = 0
-       && (not (Hashtbl.mem t.flaked (run, round)))
-       && begin
-            if Hashtbl.length t.flaked > 4096 then Hashtbl.reset t.flaked;
-            Hashtbl.replace t.flaked (run, round) ();
-            Pax_obs.Sink.count t.obs "pax_srv_flakes_total";
-            true
-          end
-     end
-
 let count_visit_frame t ~dir ~frame_len =
   let labels = [ ("dir", dir) ] in
   Pax_obs.Sink.count t.obs ~labels "pax_net_visit_frames_total";
@@ -567,6 +540,22 @@ let broadcast_gens t kind gens =
    through the per-connection write lock — [Gen_event] pushes share
    the socket with replies. *)
 let serve t fd =
+  (* One control-plane exchange: count the admin frame received, build
+     the reply under [t.lock] inside an [admin] span, encode and write
+     it, count the frame sent. *)
+  let admin c ~payload ~corr ?parent ?args name reply =
+    let out =
+      locked t (fun () ->
+          count_admin_frame t ~dir:"recv"
+            ~frame_len:(4 + String.length payload);
+          Wire.encode_payload ~corr
+            (Pax_obs.Sink.span t.obs ~cat:"admin" ?parent ?args name reply))
+    in
+    write_conn c out;
+    locked t (fun () ->
+        count_admin_frame t ~dir:"sent" ~frame_len:(4 + String.length out))
+  in
+  let fid_arg fid () = [ ("fid", string_of_int fid) ] in
   let rec conn_loop (c : conn_entry) rd =
     match Sockio.read_frame_r rd with
     | None -> `Eof
@@ -575,18 +564,6 @@ let serve t fd =
         let decoded = Wire.decode_payload_corr payload in
         let td1 = Pax_obs.Clock.now () in
         match decoded with
-        | Ok
-            ( _,
-              Wire.Visit_request
-                { run; round; site = _; epoch = _; label = _; call = _; _ } )
-          when locked t (fun () -> flake_now t ~run ~round) ->
-            (* Planned fault: swallow the request and drop the
-               connection.  The client sees EOF, reconnects and
-               resends; the memo answers the retry. *)
-            locked t (fun () ->
-                count_visit_frame t ~dir:"recv"
-                  ~frame_len:(4 + String.length payload));
-            `Eof
         | Ok
             ( corr,
               Wire.Visit_request
@@ -662,101 +639,36 @@ let serve t fd =
             locked t (fun () -> evict_run t run);
             conn_loop c rd
         | Ok (corr, Wire.Frag_fetch { fid; kind; parent }) ->
-            let out =
-              locked t (fun () ->
-                  count_admin_frame t ~dir:"recv"
-                    ~frame_len:(4 + String.length payload);
-                  let image =
-                    Pax_obs.Sink.span t.obs ~cat:"admin" ?parent
-                      ~args:(fun () -> [ ("fid", string_of_int fid) ])
-                      "frag fetch"
-                      (fun () -> fetch_image t ~fid ~kind)
-                  in
-                  Wire.encode_payload ~corr (Wire.Frag_image { fid; image }))
-            in
-            write_conn c out;
-            locked t (fun () ->
-                count_admin_frame t ~dir:"sent"
-                  ~frame_len:(4 + String.length out));
+            admin c ~payload ~corr ?parent ~args:(fid_arg fid) "frag fetch"
+              (fun () ->
+                Wire.Frag_image { fid; image = fetch_image t ~fid ~kind });
             conn_loop c rd
         | Ok (corr, Wire.Frag_install { fid; epoch; image; parent }) ->
-            let out =
-              locked t (fun () ->
-                  count_admin_frame t ~dir:"recv"
-                    ~frame_len:(4 + String.length payload);
-                  let reply =
-                    Pax_obs.Sink.span t.obs ~cat:"admin" ?parent
-                      ~args:(fun () -> [ ("fid", string_of_int fid) ])
-                      "frag install"
-                      (fun () -> install_image t ~fid ~epoch image)
-                  in
-                  Wire.encode_payload ~corr (Wire.Admin_reply { reply }))
-            in
-            write_conn c out;
-            locked t (fun () ->
-                count_admin_frame t ~dir:"sent"
-                  ~frame_len:(4 + String.length out));
+            admin c ~payload ~corr ?parent ~args:(fid_arg fid) "frag install"
+              (fun () ->
+                Wire.Admin_reply { reply = install_image t ~fid ~epoch image });
             conn_loop c rd
         | Ok (corr, Wire.Frag_retire { fid; epoch; kind; parent }) ->
-            let out =
-              locked t (fun () ->
-                  count_admin_frame t ~dir:"recv"
-                    ~frame_len:(4 + String.length payload);
-                  let reply =
-                    Pax_obs.Sink.span t.obs ~cat:"admin" ?parent
-                      ~args:(fun () -> [ ("fid", string_of_int fid) ])
-                      "frag retire"
-                      (fun () -> retire_frag t ~fid ~epoch ~kind)
-                  in
-                  Wire.encode_payload ~corr (Wire.Admin_reply { reply }))
-            in
-            write_conn c out;
-            locked t (fun () ->
-                count_admin_frame t ~dir:"sent"
-                  ~frame_len:(4 + String.length out));
+            admin c ~payload ~corr ?parent ~args:(fid_arg fid) "frag retire"
+              (fun () ->
+                Wire.Admin_reply { reply = retire_frag t ~fid ~epoch ~kind });
             conn_loop c rd
         | Ok (corr, Wire.Gen_publish { kind; gens; parent }) ->
-            locked t (fun () ->
-                count_admin_frame t ~dir:"recv"
-                  ~frame_len:(4 + String.length payload);
-                Pax_obs.Sink.span t.obs ~cat:"admin" ?parent
-                  ~args:(fun () -> [ ("n", string_of_int (List.length gens)) ])
-                  "gen publish"
-                  (fun () ->
-                    List.iter
-                      (fun (fid, gen) -> merge_gen_locked t kind fid gen)
-                      gens));
-            let out =
-              Wire.encode_payload ~corr
-                (Wire.Admin_reply
-                   {
-                     reply =
-                       Ok
-                         (Printf.sprintf "merged %d generation(s)"
-                            (List.length gens));
-                   })
-            in
-            write_conn c out;
-            locked t (fun () ->
-                count_admin_frame t ~dir:"sent"
-                  ~frame_len:(4 + String.length out));
+            let n = List.length gens in
+            admin c ~payload ~corr ?parent
+              ~args:(fun () -> [ ("n", string_of_int n) ])
+              "gen publish"
+              (fun () ->
+                List.iter
+                  (fun (fid, gen) -> merge_gen_locked t kind fid gen)
+                  gens;
+                Wire.Admin_reply
+                  { reply = Ok (Printf.sprintf "merged %d generation(s)" n) });
             broadcast_gens t kind gens;
             conn_loop c rd
         | Ok (corr, Wire.Gen_fetch { kind; parent }) ->
-            let out =
-              locked t (fun () ->
-                  count_admin_frame t ~dir:"recv"
-                    ~frame_len:(4 + String.length payload);
-                  let gens =
-                    Pax_obs.Sink.span t.obs ~cat:"admin" ?parent "gen fetch"
-                      (fun () -> gens_locked t kind)
-                  in
-                  Wire.encode_payload ~corr (Wire.Gen_reply { kind; gens }))
-            in
-            write_conn c out;
-            locked t (fun () ->
-                count_admin_frame t ~dir:"sent"
-                  ~frame_len:(4 + String.length out));
+            admin c ~payload ~corr ?parent "gen fetch" (fun () ->
+                Wire.Gen_reply { kind; gens = gens_locked t kind });
             conn_loop c rd
         | Ok (_, Wire.Shutdown) -> `Shutdown
         | Ok
@@ -803,7 +715,7 @@ let serve t fd =
   in
   accept_loop ()
 
-let spawn ?max_runs ?service_delay ?flake ?gfrags ~addr ~frags () =
+let spawn ?max_runs ?service_delay ?gfrags ~addr ~frags () =
   (* Bind before forking so the parent can connect without racing the
      child's startup. *)
   let fd = Sockio.listen addr in
@@ -812,7 +724,7 @@ let spawn ?max_runs ?service_delay ?flake ?gfrags ~addr ~frags () =
   match Unix.fork () with
   | 0 ->
       (try
-         serve (create ?max_runs ?service_delay ?flake ?gfrags ~frags ()) fd
+         serve (create ?max_runs ?service_delay ?gfrags ~frags ()) fd
        with _ -> ());
       (try Unix.close fd with _ -> ());
       Unix._exit 0

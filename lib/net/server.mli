@@ -35,14 +35,6 @@ val default_max_runs : int
     concurrent serving overlaps (bench/throughput.ml, docs/SERVING.md).
     Ping, stats and [Run_done] frames are never delayed.
 
-    [flake] (default 0 = never) injects a {e planned recoverable
-    fault}: every [flake]-th visit request is swallowed and its
-    connection closed without a reply — the client reconnects and
-    resends, and the per-round reply memo answers the retry
-    identically.  At most once per (run, round), so retries always
-    make progress.  This is the socket-transport analogue of the
-    simulator's fault plans, used by the differential oracles.
-
     [gfrags] (default none) are graph fragments for the reachability
     engine ([lib/graph/], docs/ENGINES.md); a server may hold tree
     fragments, graph fragments or both under the same fragment-id
@@ -54,7 +46,6 @@ val default_max_runs : int
 val create :
   ?max_runs:int ->
   ?service_delay:float ->
-  ?flake:int ->
   ?gfrags:(int * Pax_graph.Gfrag.fragment) list ->
   frags:(int * Pax_xml.Tree.node) list ->
   unit ->
@@ -128,7 +119,6 @@ val serve : t -> Unix.file_descr -> unit
 val spawn :
   ?max_runs:int ->
   ?service_delay:float ->
-  ?flake:int ->
   ?gfrags:(int * Pax_graph.Gfrag.fragment) list ->
   addr:Sockio.addr ->
   frags:(int * Pax_xml.Tree.node) list ->

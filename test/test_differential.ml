@@ -239,6 +239,68 @@ let test_socket_domains () =
               qs)
         seq par)
 
+(* Backend parity under fault plans: socket rounds walk the same
+   per-site fates as in-process rounds, so on the same placement and
+   plan a socket run and an in-process run agree on answers, visits,
+   retries, trace events and the message log — or both fail with the
+   same [Site_unreachable] after the same trace. *)
+let parity_seeds = [ 1; 2; 3; 5; 8; 13; 21; 34 ]
+
+let test_socket_fault_parity () =
+  with_timeout 120 (fun () ->
+      with_net_cluster ~domains:1 (fun cl_net ->
+          let cl_mem =
+            Cluster.create ~domains:1 ~ftree:(Cluster.ftree cl_net)
+              ~n_sites:(Cluster.n_sites cl_net)
+              ~assign:(Cluster.site_of cl_net) ()
+          in
+          let outcome run cl q =
+            match (run cl q : Run_result.t) with
+            | r ->
+                let report = r.Run_result.report in
+                Ok
+                  ( r.Run_result.answer_ids,
+                    Array.to_list report.Cluster.visits,
+                    report.Cluster.retries,
+                    Trace.events (Cluster.trace cl),
+                    Cluster.messages cl )
+            | exception Cluster.Site_unreachable { site; stage; attempts } ->
+                Error ((site, stage, attempts), Trace.events (Cluster.trace cl))
+          in
+          List.iter
+            (fun seed ->
+              let plan =
+                Fault.seeded ~drop:0.12 ~dup:0.08 ~delay:0.05 ~lose:0.1
+                  ~crash:0.15 ~seed ()
+              in
+              Cluster.set_fault cl_net plan;
+              Cluster.set_fault cl_mem plan;
+              List.iter
+                (fun qs ->
+                  let q = Query.of_string qs in
+                  List.iter
+                    (fun (name, run, _) ->
+                      let what =
+                        Printf.sprintf "%s on %s, seed %d" name qs seed
+                      in
+                      match (outcome run cl_net q, outcome run cl_mem q) with
+                      | Ok (a, v, r, ev, m), Ok (a', v', r', ev', m') ->
+                          Alcotest.(check (list int)) (what ^ ": answers") a' a;
+                          Alcotest.(check (list int)) (what ^ ": visits") v' v;
+                          Alcotest.(check int) (what ^ ": retries") r' r;
+                          Alcotest.(check bool)
+                            (what ^ ": trace") true (ev = ev');
+                          Alcotest.(check bool)
+                            (what ^ ": messages") true (m = m')
+                      | Error e, Error e' ->
+                          Alcotest.(check bool) (what ^ ": same failure") true
+                            (e = e')
+                      | Ok _, Error _ | Error _, Ok _ ->
+                          Alcotest.failf "%s: only one backend failed" what)
+                    engines)
+                net_queries)
+            parity_seeds))
+
 (* ------------------------------------------------------------------ *)
 (* Mid-run migration axis                                             *)
 (* ------------------------------------------------------------------ *)
@@ -466,6 +528,8 @@ let () =
           Alcotest.test_case
             "sockets: live migration between waves is invisible" `Quick
             test_migration_axis;
+          Alcotest.test_case "sockets: fault plans = in-process, bit for bit"
+            `Quick test_socket_fault_parity;
           Alcotest.test_case "sockets: domains=4 = sequential, bit for bit"
             `Quick test_socket_domains;
         ] );

@@ -379,7 +379,7 @@ let with_servers ft ~n_sites f =
           | Sockio.Tcp _ -> ())
         addrs;
       try Sys.rmdir dir with _ -> ())
-    (fun () -> f cl client pids)
+    (fun () -> f cl client pids addrs)
 
 let accounted (r : Cluster.report) =
   r.Cluster.control_bytes + r.Cluster.answer_bytes + r.Cluster.tree_bytes
@@ -389,7 +389,7 @@ let check_differential engine_name engine () =
       let _, ft = make_setup () in
       let n_sites = 3 in
       let cl_ctrl = Pax_dist.Placement.cluster_round_robin ft ~n_sites in
-      with_servers ft ~n_sites (fun cl_net _client _pids ->
+      with_servers ft ~n_sites (fun cl_net _client _pids _addrs ->
           List.iter
             (fun qs ->
               let q = Query.of_string qs in
@@ -459,7 +459,7 @@ let check_differential_annotated () =
       let _, ft = make_setup () in
       let n_sites = 3 in
       let cl_ctrl = Pax_dist.Placement.cluster_round_robin ft ~n_sites in
-      with_servers ft ~n_sites (fun cl_net _client _pids ->
+      with_servers ft ~n_sites (fun cl_net _client _pids _addrs ->
           List.iter
             (fun qs ->
               let q = Query.of_string qs in
@@ -494,7 +494,7 @@ let check_differential_annotated () =
 let test_killed_server () =
   with_timeout 60 (fun () ->
       let _, ft = make_setup () in
-      with_servers ft ~n_sites:3 (fun cl_net _client pids ->
+      with_servers ft ~n_sites:3 (fun cl_net _client pids _addrs ->
           Cluster.set_retry cl_net
             {
               Pax_dist.Retry.max_attempts = 3;
@@ -518,6 +518,36 @@ let test_killed_server () =
           | exception Cluster.Site_unreachable { site; attempts; _ } ->
               Alcotest.(check int) "the killed site" 1 site;
               Alcotest.(check int) "after the retry budget" 3 attempts))
+
+(* The reconnect path: a server killed between runs and respawned at the
+   same address with the same fragments.  The client finds its cached
+   connection dead, drops it, reconnects and resends — the next run
+   must answer exactly like the warm one. *)
+let test_restarted_server () =
+  with_timeout 60 (fun () ->
+      let _, ft = make_setup () in
+      with_servers ft ~n_sites:3 (fun cl_net _client pids addrs ->
+          let q = Query.of_string "//person[profile/education]" in
+          let warm = Pax_core.Pax2.run cl_net q in
+          let dead = List.nth pids 1 in
+          Unix.kill dead Sys.sigkill;
+          ignore (Unix.waitpid [] dead);
+          let pid =
+            Server.spawn ~addr:addrs.(1) ~frags:(site_frags cl_net ft 1) ()
+          in
+          Fun.protect
+            ~finally:(fun () ->
+              (try Unix.kill pid Sys.sigkill with _ -> ());
+              try ignore (Unix.waitpid [] pid) with _ -> ())
+            (fun () ->
+              let r = Pax_core.Pax2.run cl_net q in
+              Alcotest.(check (list int))
+                "answers after the restart" warm.Pax_core.Run_result.answer_ids
+                r.Pax_core.Run_result.answer_ids;
+              Alcotest.(check (array int))
+                "visits after the restart"
+                warm.Pax_core.Run_result.report.Cluster.visits
+                r.Pax_core.Run_result.report.Cluster.visits)))
 
 (* A server that was never started: connection refused from the very
    first attempt, same typed failure. *)
@@ -547,18 +577,6 @@ let test_refused_connection () =
       | exception Cluster.Site_unreachable { attempts; _ } ->
           Alcotest.(check int) "budget spent" 2 attempts)
 
-(* Faults and transports are mutually exclusive by contract. *)
-let test_fault_plan_rejected () =
-  let _, ft = make_setup () in
-  with_timeout 60 (fun () ->
-      with_servers ft ~n_sites:2 (fun cl_net _client _pids ->
-          Cluster.set_fault cl_net
-            (Pax_dist.Fault.seeded ~drop:0.5 ~dup:0. ~lose:0. ~crash:0. ~seed:1 ());
-          let q = Query.of_string "//person" in
-          match Pax_core.Pax2.run cl_net q with
-          | _ -> Alcotest.fail "fault plan + transport must be rejected"
-          | exception Invalid_argument _ -> ()))
-
 let () =
   Random.self_init ();
   Alcotest.run "net"
@@ -585,9 +603,8 @@ let () =
       ( "failures",
         [
           Alcotest.test_case "killed server" `Quick test_killed_server;
+          Alcotest.test_case "restarted server" `Quick test_restarted_server;
           Alcotest.test_case "refused connection" `Quick
             test_refused_connection;
-          Alcotest.test_case "fault plan rejected" `Quick
-            test_fault_plan_rejected;
         ] );
     ]

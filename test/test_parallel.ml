@@ -7,7 +7,9 @@
    - unit tests of the [run_round] result-order contract (input [sites]
      order, duplicates removed) and of [Pool] itself;
    - a qcheck differential: random scenarios evaluated by every engine
-     at [domains:4] vs [domains:1];
+     at [domains:4] vs [domains:1], two in three under a seeded fault
+     plan — plans are pure per-attempt functions, so faulted rounds run
+     pooled and must stay bit-identical too;
    - a stress test hammering the pool with many rounds of deliberately
      uneven per-site workloads (set PAX_STRESS to raise the iteration
      count; `dune build @slow` does). *)
@@ -16,6 +18,7 @@ module Tree = Pax_xml.Tree
 module Query = Pax_xpath.Query
 module Fragment = Pax_frag.Fragment
 module Cluster = Pax_dist.Cluster
+module Fault = Pax_dist.Fault
 module Pool = Pax_dist.Pool
 module Trace = Pax_dist.Trace
 module Run_result = Pax_core.Run_result
@@ -135,25 +138,57 @@ let check_same_report name (r1 : Cluster.report) (r4 : Cluster.report) =
   chk "tree_bytes" (istr r1.tree_bytes) (istr r4.tree_bytes);
   chk "n_messages" (istr r1.n_messages) (istr r4.n_messages)
 
-let differential (s : H.Gen.scenario) =
+(* A third of the seeds run fault-free; the rest under the plan the
+   differential oracle uses. *)
+let plan seed =
+  if seed mod 3 = 0 then Fault.none
+  else
+    Fault.seeded ~drop:0.12 ~dup:0.08 ~delay:0.05 ~lose:0.1 ~crash:0.15 ~seed
+      ()
+
+let differential ((s : H.Gen.scenario), seed) =
   let cl1 = reclustered ~domains:1 s.H.Gen.s_cluster in
   let cl4 = reclustered ~domains:4 s.H.Gen.s_cluster in
+  Cluster.set_fault cl1 (plan seed);
+  Cluster.set_fault cl4 (plan seed);
   let q = Query.of_ast s.H.Gen.s_query in
+  let attempt run cl =
+    match (run cl q : Run_result.t) with
+    | r -> Ok r
+    | exception Cluster.Site_unreachable { site; stage; attempts } ->
+        Error (site, stage, attempts)
+  in
   List.for_all
     (fun (name, run) ->
-      let r1 : Run_result.t = run cl1 q in
-      let r4 : Run_result.t = run cl4 q in
-      if r1.Run_result.answer_ids <> r4.Run_result.answer_ids then
-        QCheck.Test.fail_reportf "%s: answers differ: [%s] vs [%s]" name
-          (String.concat ";" (List.map string_of_int r1.Run_result.answer_ids))
-          (String.concat ";" (List.map string_of_int r4.Run_result.answer_ids))
-      else begin
-        check_same_report name r1.Run_result.report r4.Run_result.report;
-        check_same_trace name (Run_result.trace_exn r1)
-          (Run_result.trace_exn r4);
-        true
-      end)
+      match (attempt run cl1, attempt run cl4) with
+      | Ok r1, Ok r4 ->
+          if r1.Run_result.answer_ids <> r4.Run_result.answer_ids then
+            QCheck.Test.fail_reportf "%s: answers differ: [%s] vs [%s]" name
+              (String.concat ";"
+                 (List.map string_of_int r1.Run_result.answer_ids))
+              (String.concat ";"
+                 (List.map string_of_int r4.Run_result.answer_ids))
+          else begin
+            check_same_report name r1.Run_result.report r4.Run_result.report;
+            check_same_trace name (Run_result.trace_exn r1)
+              (Run_result.trace_exn r4);
+            true
+          end
+      | Error e1, Error e4 when e1 = e4 ->
+          check_same_trace name (Cluster.trace cl1) (Cluster.trace cl4);
+          true
+      | _ ->
+          QCheck.Test.fail_reportf
+            "%s: one degree failed with Site_unreachable, the other did not \
+             (or at another site/stage/attempt)"
+            name)
     engines
+
+let arbitrary_faulty =
+  QCheck.make
+    ~print:(fun (s, seed) ->
+      Printf.sprintf "fault seed %d\n%s" seed (H.Gen.print_scenario s))
+    G.(pair H.Gen.scenario (int_bound 1_000_000))
 
 let qcheck_count n =
   match Sys.getenv_opt "PAX_QCHECK_COUNT" with
@@ -163,7 +198,7 @@ let qcheck_count n =
 let equivalence_test =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name:"domains:4 = domains:1 (answers, reports, traces)"
-       ~count:(qcheck_count 75) H.Gen.arbitrary_scenario differential)
+       ~count:(qcheck_count 75) arbitrary_faulty differential)
 
 (* ------------------------------------------------------------------ *)
 (* Stress: uneven workloads over many rounds                          *)

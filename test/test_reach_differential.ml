@@ -8,9 +8,10 @@
      service delay (an axis the XPath oracle also covers), where the
      engine must either return the BFS answer or fail with the typed
      [Cluster.Site_unreachable],
-   - and over real forked socket servers, with planned connection
-     flakes ([Server.spawn ~flake]) and sometimes a real service
-     delay, where the reply memo must make retries bit-identical.
+   - and over real forked socket servers under the same seeded fault
+     plans ([Cluster.set_fault] drives socket rounds too) and sometimes
+     a real service delay, where the reply memo must make resends
+     bit-identical and the typed failure stays legal.
 
    Every successful run's guarantee audit (one visit per site,
    O(|Vf|²) communication) must pass.  Default counts keep `dune
@@ -76,6 +77,9 @@ let check_run ~what ~gs ~g ~cl ~got ~report =
 
 (* ---------------- in-process, faults x service delay ---------------- *)
 
+let plan seed =
+  Fault.seeded ~drop:0.12 ~dup:0.08 ~delay:0.05 ~lose:0.1 ~crash:0.15 ~seed ()
+
 let faulted ((gs : H.Gen.gscenario), seed) =
   let g = partition_of gs in
   let cl =
@@ -84,9 +88,7 @@ let faulted ((gs : H.Gen.gscenario), seed) =
       ~assign:(fun fid -> gs.H.Gen.g_assign.(fid))
       ()
   in
-  Cluster.set_fault cl
-    (Fault.seeded ~drop:0.12 ~dup:0.08 ~delay:0.05 ~lose:0.1 ~crash:0.15 ~seed
-       ());
+  Cluster.set_fault cl (plan seed);
   (* Half the schedules also charge a per-visit service delay — the
      axis must compose with fault plans (it changes timing accounting,
      never answers). *)
@@ -105,11 +107,11 @@ let faulted ((gs : H.Gen.gscenario), seed) =
            visits delay report.Cluster.total_seconds
   | exception Cluster.Site_unreachable _ -> true
 
-(* ---------------- sockets, flakes x service delay ------------------- *)
+(* ---------------- sockets, faults x service delay ------------------- *)
 
 (* Fork one server per site holding that site's graph fragments, run
    the engine over the socket transport, tear everything down. *)
-let with_graph_servers (gs : H.Gen.gscenario) g ~flake ~service_delay f =
+let with_graph_servers (gs : H.Gen.gscenario) g ~service_delay f =
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "pax_reach_test_%d_%d" (Unix.getpid ())
@@ -131,7 +133,7 @@ let with_graph_servers (gs : H.Gen.gscenario) g ~flake ~service_delay f =
     Array.to_list
       (Array.mapi
          (fun site addr ->
-           Server.spawn ~flake ~service_delay ~addr ~frags:[]
+           Server.spawn ~service_delay ~addr ~frags:[]
              ~gfrags:(gfrags site) ())
          addrs)
   in
@@ -155,11 +157,10 @@ let with_graph_servers (gs : H.Gen.gscenario) g ~flake ~service_delay f =
 
 let sockets ((gs : H.Gen.gscenario), seed) =
   let g = partition_of gs in
-  (* Every third visit request flakes; half the schedules also sleep a
-     real millisecond per visit on the server side. *)
-  let flake = if seed mod 3 = 0 then 0 else 3 in
+  (* Two schedules in three run under the in-process property's plan;
+     half also sleep a real millisecond per visit on the server side. *)
   let service_delay = if seed mod 2 = 0 then 0.001 else 0. in
-  with_graph_servers gs g ~flake ~service_delay @@ fun mux ->
+  with_graph_servers gs g ~service_delay @@ fun mux ->
   let handle = Client.handle mux in
   let tr = Client.handle_transport handle in
   Fun.protect ~finally:(fun () -> tr.Pax_dist.Transport.close ())
@@ -170,16 +171,19 @@ let sockets ((gs : H.Gen.gscenario), seed) =
       ~assign:(fun fid -> gs.H.Gen.g_assign.(fid))
       ()
   in
+  if seed mod 3 <> 0 then Cluster.set_fault cl (plan seed);
   let q = query_of g gs in
   Cluster.reset cl;
-  let got, report = Reach.eval g cl q in
-  (* Proof the wire was really used: a transport run measures actual
-     socket bytes, and visiting any site at all moves some. *)
-  (match report.Cluster.measured_bytes with
-  | Some b when b > 0 -> ()
-  | Some _ | None ->
-      QCheck.Test.fail_reportf "sockets: no socket traffic measured");
-  check_run ~what:"sockets" ~gs ~g ~cl ~got ~report
+  match Reach.eval g cl q with
+  | got, report ->
+      (* Proof the wire was really used: a transport run measures
+         actual socket bytes, and visiting any site at all moves some. *)
+      (match report.Cluster.measured_bytes with
+      | Some b when b > 0 -> ()
+      | Some _ | None ->
+          QCheck.Test.fail_reportf "sockets: no socket traffic measured");
+      check_run ~what:"sockets" ~gs ~g ~cl ~got ~report
+  | exception Cluster.Site_unreachable _ -> seed mod 3 <> 0
 
 let qtest name ~count:n prop =
   QCheck_alcotest.to_alcotest
@@ -410,7 +414,7 @@ let () =
         [
           qtest "reach = BFS or typed failure (faults x delay)"
             ~count:(count 150) faulted;
-          qtest "reach = BFS over sockets (flakes x delay)"
+          qtest "reach = BFS over sockets (faults x delay)"
             ~count:(socket_count 15) sockets;
           Alcotest.test_case
             "sockets: live graph-fragment migration is invisible" `Quick

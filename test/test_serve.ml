@@ -493,7 +493,7 @@ let check_obs name a b =
 
 (* [gsite_frags site] adds graph fragments for the reachability engine
    to each site server (the mixed-workload suite); default none. *)
-let with_servers ?(gsite_frags = fun _ -> []) ?(flake = 0) ft ~n_sites f =
+let with_servers ?(gsite_frags = fun _ -> []) ft ~n_sites f =
   let cl = Pax_dist.Placement.cluster_round_robin ft ~n_sites in
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -514,7 +514,7 @@ let with_servers ?(gsite_frags = fun _ -> []) ?(flake = 0) ft ~n_sites f =
     Array.to_list
       (Array.mapi
          (fun site addr ->
-           Server.spawn ~flake ~addr ~frags:(site_frags site)
+           Server.spawn ~addr ~frags:(site_frags site)
              ~gfrags:(gsite_frags site) ())
          addrs)
   in
@@ -728,9 +728,14 @@ let test_coordinator_overloaded () =
    the event to coordinator B's mux, B's feed merges it, and B's next
    queries must be bit-identical to a cold-cache coordinator whose
    replica saw the same update — B must never serve pre-update answers
-   from its warm cache.  [flake] runs the same flow over faulted
-   schedules (every flake-th visit swallowed, client retries). *)
-let test_gen_coherence ~flake () =
+   from its warm cache.  [fault] runs the same flow under a seeded
+   plan that loses visit requests and replies: the client re-sends,
+   and a lost reply's resend is answered from the server's memo. *)
+let test_gen_coherence ~fault () =
+  let tune cl =
+    if fault then
+      Cluster.set_fault cl (Pax_dist.Fault.seeded ~lose:0.2 ~seed:7 ())
+  in
   with_timeout 120 (fun () ->
       let cA = H.Data.clientele () in
       let ftA = H.Data.clientele_ftree cA in
@@ -738,10 +743,10 @@ let test_gen_coherence ~flake () =
       let cC = H.Data.clientele () in
       let ftC = H.Data.clientele_ftree cC in
       let n_sites = 3 in
-      with_servers ~flake ftA ~n_sites (fun ~mux:muxA ~proto ~addrs () ->
+      with_servers ftA ~n_sites (fun ~mux:muxA ~proto ~addrs () ->
           let mounts ft =
             let assign fid = Cluster.site_of proto fid in
-            [ Coordinator.mount (Engines.pax2 ft ~n_sites ~assign) ]
+            [ Coordinator.mount ~tune (Engines.pax2 ft ~n_sites ~assign) ]
           in
           let muxB = Client.create ~timeout:20. ~addrs () in
           let muxC = Client.create ~timeout:20. ~addrs () in
@@ -828,6 +833,10 @@ let test_gen_coherence ~flake () =
             a_post.Pe.audit.Pax_obs.Audit.pass;
           Alcotest.(check bool) "stale entries were swept" true
             (counter_value cache_sink "pax_cache_invalidated_total" > 0.);
+          Alcotest.(check bool) "retries iff a plan is installed" fault
+            (List.exists
+               (fun (o : Pe.outcome) -> o.Pe.report.Cluster.retries > 0)
+               [ a_pre; b_pre; a_post; b_post; a_ref; b_ref ]);
           Coordinator.close coordB;
           Coordinator.close coordC))
 
@@ -1018,8 +1027,8 @@ let () =
       ( "coherence",
         [
           Alcotest.test_case "two coordinators, one update (clean)" `Quick
-            (test_gen_coherence ~flake:0);
+            (test_gen_coherence ~fault:false);
           Alcotest.test_case "two coordinators, one update (flaky)" `Quick
-            (test_gen_coherence ~flake:3);
+            (test_gen_coherence ~fault:true);
         ] );
     ]

@@ -117,13 +117,16 @@ let clean_target t =
 
 let external_target t = contains t "://" || starts t "mailto:"
 
-(* `lib/net/wire.ml:42` -> `lib/net/wire.ml` *)
+(* `lib/net/wire.ml:42`, `lib/net/wire.ml:42-60` and
+   `lib/net/wire.ml:42,60` -> `lib/net/wire.ml` *)
 let strip_line_suffix tok =
+  let digit c = c >= '0' && c <= '9' in
   match String.rindex_opt tok ':' with
   | Some i
     when i + 1 < String.length tok
+         && digit tok.[i + 1]
          && String.for_all
-              (fun c -> c >= '0' && c <= '9')
+              (fun c -> digit c || c = '-' || c = ',')
               (String.sub tok (i + 1) (String.length tok - i - 1)) ->
       String.sub tok 0 i
   | _ -> tok
