@@ -118,10 +118,11 @@ let () =
           (time_best (fun () ->
                Flat_pass.sel_run plan fl ~init ~is_root:true ~qual:(Some fq)))
         ~agree:
-          (sp.Sel_pass.ops = fs.Sel_pass.ops
-          && ids sp.Sel_pass.answers = ids fs.Sel_pass.answers
+          (sp.Sel_pass.ops = fs.Flat_pass.ops
+          && ids sp.Sel_pass.answers
+             = List.map (Flat.node_id fl) fs.Flat_pass.answers
           && List.length sp.Sel_pass.candidates
-             = List.length fs.Sel_pass.candidates))
+             = List.length fs.Flat_pass.candidates))
     queries;
   let json =
     J.Obj

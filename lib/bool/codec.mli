@@ -16,7 +16,7 @@ val encode_formula : Buffer.t -> Formula.t -> unit
 val encode_formula_array : Buffer.t -> Formula.t array -> unit
 val encode_bool_array : Buffer.t -> bool array -> unit
 
-(** Encoded lengths without materializing a buffer twice. *)
+(** Encoded lengths without building a buffer twice. *)
 val formula_bytes : Formula.t -> int
 
 val formula_array_bytes : Formula.t array -> int

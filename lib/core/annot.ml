@@ -117,7 +117,7 @@ let step compiled st tag =
 
 let initial compiled root_tag =
   if compiled.Compile.absolute then begin
-    (* State at the materialized document node, then into the root. *)
+    (* State at the synthetic document node, then into the root. *)
     let sv = Array.make compiled.Compile.n_sel F in
     sv.(0) <- T;
     Array.iteri

@@ -1,7 +1,6 @@
 module Tree = Pax_xml.Tree
 module Query = Pax_xpath.Query
 module Compile = Pax_xpath.Compile
-module Formula = Pax_bool.Formula
 module Fragment = Pax_frag.Fragment
 module Cluster = Pax_dist.Cluster
 module Measure = Pax_dist.Measure
@@ -16,7 +15,9 @@ type per_query = {
   compiled : Compile.t;
   analysis : Annot.analysis option;
   plan : Flat_pass.plan;
-  outcomes : Flat_pass.combined_outcome option array;
+  (* per fragment: the image the combined pass ran on, whose slots the
+     outcome names, and the outcome *)
+  outcomes : (Pax_xml.Flat.t * Flat_pass.combined_outcome) option array;
   mutable resolved_quals : bool array array;
   mutable resolved_ctx : bool array array;
 }
@@ -66,11 +67,12 @@ let run ?(annotations = false) (cl : Cluster.t) (queries : Query.t list) : t =
              List.iter
                (fun st ->
                  if relevant st fid then begin
+                   let fl = Fragment.flat ft fid in
                    let oc =
-                     Flat_pass.combined_run st.plan (Fragment.flat ft fid)
-                       ~init:(init_for st fid) ~is_root:(fid = 0)
+                     Flat_pass.combined_run st.plan fl ~init:(init_for st fid)
+                       ~is_root:(fid = 0)
                    in
-                   st.outcomes.(fid) <- Some oc;
+                   st.outcomes.(fid) <- Some (fl, oc);
                    Cluster.add_ops cl ~site oc.Flat_pass.ops
                  end)
                states)
@@ -84,7 +86,7 @@ let run ?(annotations = false) (cl : Cluster.t) (queries : Query.t list) : t =
           List.iter
             (fun fid ->
               match st.outcomes.(fid) with
-              | Some oc ->
+              | Some (fl, oc) ->
                   if st.compiled.Compile.n_qual > 0 then
                     Cluster.send cl ~src:(Site site) ~dst:Coordinator
                       ~kind:Vectors
@@ -99,7 +101,9 @@ let run ?(annotations = false) (cl : Cluster.t) (queries : Query.t list) : t =
                   if oc.Flat_pass.answers <> [] then
                     Cluster.send cl ~src:(Site site) ~dst:Coordinator
                       ~kind:Answers
-                      ~bytes:(Measure.answers oc.Flat_pass.answers)
+                      ~bytes:
+                        (Measure.answers
+                           (Run_result.nodes_of_slots fl oc.Flat_pass.answers))
                       ~label:"ans"
               | None -> ())
             (Cluster.fragments_on cl site))
@@ -112,11 +116,13 @@ let run ?(annotations = false) (cl : Cluster.t) (queries : Query.t list) : t =
         (fun st ->
           st.resolved_quals <-
             Eval_ft.resolve_quals ft ~root_vecs:(fun fid ->
-                Option.map (fun oc -> oc.Flat_pass.root_qvec) st.outcomes.(fid));
+                Option.map
+                  (fun (_, oc) -> oc.Flat_pass.root_qvec)
+                  st.outcomes.(fid));
           let raw_ctx = Array.make n_frag None in
           Array.iter
             (function
-              | Some oc ->
+              | Some (_, oc) ->
                   List.iter
                     (fun (sub, vec) -> raw_ctx.(sub) <- Some vec)
                     oc.Flat_pass.contexts
@@ -132,7 +138,7 @@ let run ?(annotations = false) (cl : Cluster.t) (queries : Query.t list) : t =
   (* ---- Round 2: one visit per site holding any candidate ---------- *)
   let has_candidates st fid =
     match st.outcomes.(fid) with
-    | Some oc -> oc.Flat_pass.candidates <> []
+    | Some (_, oc) -> oc.Flat_pass.candidates <> []
     | None -> false
   in
   let cand_sites =
@@ -152,15 +158,13 @@ let run ?(annotations = false) (cl : Cluster.t) (queries : Query.t list) : t =
               List.concat_map
                 (fun fid ->
                   match st.outcomes.(fid) with
-                  | Some oc when oc.Flat_pass.candidates <> [] ->
-                      List.filter_map
-                        (fun ((v : Tree.node), f) ->
-                          Cluster.add_ops cl ~site 1;
-                          match Formula.to_bool (Formula.subst lookup f) with
-                          | Some true when v.Tree.id >= 0 -> Some v
-                          | Some _ -> None
-                          | None -> invalid_arg "Batch: unresolved candidate")
-                        oc.Flat_pass.candidates
+                  | Some (fl, oc) when oc.Flat_pass.candidates <> [] ->
+                      let slots, ops =
+                        Flat_pass.resolve_candidates oc.Flat_pass.candidates
+                          lookup
+                      in
+                      Cluster.add_ops cl ~site ops;
+                      Run_result.nodes_of_slots fl slots
                   | Some _ | None -> [])
                 (Cluster.fragments_on cl site)
             in
@@ -191,7 +195,8 @@ let run ?(annotations = false) (cl : Cluster.t) (queries : Query.t list) : t =
         let certain =
           Array.to_list st.outcomes
           |> List.concat_map (function
-               | Some oc -> oc.Flat_pass.answers
+               | Some (fl, oc) ->
+                   Run_result.nodes_of_slots fl oc.Flat_pass.answers
                | None -> [])
         in
         let late =

@@ -38,7 +38,10 @@ let run (q : Query.t) (root : Tree.node) : result =
       ~root_is_context ~sat eval_root
   in
   assert (outcome.Sel_pass.candidates = []);
-  let answers = Sel_pass.real_answers outcome.Sel_pass.answers in
+  (* The document node is never an answer. *)
+  let answers =
+    List.filter (fun (n : Tree.node) -> n.id >= 0) outcome.Sel_pass.answers
+  in
   {
     answers;
     answer_ids = List.sort compare (List.map (fun (n : Tree.node) -> n.id) answers);

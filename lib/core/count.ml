@@ -1,7 +1,5 @@
-module Tree = Pax_xml.Tree
 module Query = Pax_xpath.Query
 module Compile = Pax_xpath.Compile
-module Formula = Pax_bool.Formula
 module Fragment = Pax_frag.Fragment
 module Cluster = Pax_dist.Cluster
 module Measure = Pax_dist.Measure
@@ -108,14 +106,12 @@ let run ?(annotations = false) (cl : Cluster.t) (q : Query.t) :
           (fun acc fid ->
             match outcomes.(fid) with
             | Some oc when oc.Flat_pass.candidates <> [] ->
-                List.fold_left
-                  (fun acc ((v : Tree.node), f) ->
-                    Cluster.add_ops cl ~site 1;
-                    match Formula.to_bool (Formula.subst full_lookup f) with
-                    | Some true when v.Tree.id >= 0 -> acc + 1
-                    | Some _ -> acc
-                    | None -> invalid_arg "Count: candidate failed to resolve")
-                  acc oc.Flat_pass.candidates
+                let slots, ops =
+                  Flat_pass.resolve_candidates oc.Flat_pass.candidates
+                    full_lookup
+                in
+                Cluster.add_ops cl ~site ops;
+                acc + List.length slots
             | Some _ | None -> acc)
           0
           (Cluster.fragments_on cl site))

@@ -12,12 +12,12 @@
    here in the identical construction order; test/test_passes.ml holds
    each kernel to its pointer reference on random fragmentations.
 
-   The one node that has no slot is the [#document] context wrapper an
-   absolute query puts above the root fragment; it is evaluated here
-   on a materialized wrapper node ({!Sel_pass.context_root}) with the
-   pointer node helpers. *)
+   Slots are the only way the kernels name a node: answers and
+   candidates leave as slot indices, and the caller builds shipped
+   answers from the image ([Wire.answer_of_slot]).  The [#document]
+   wrapper an absolute query puts above the root fragment is slot -1,
+   evaluated by the same per-slot code as every other slot. *)
 
-module Tree = Pax_xml.Tree
 module Flat = Pax_xml.Flat
 module Intern = Pax_xml.Intern
 module Compile = Pax_xpath.Compile
@@ -92,31 +92,57 @@ let make_plan (compiled : Compile.t) intern : plan =
   }
 
 (* ------------------------------------------------------------------ *)
+(* slots, the #document wrapper included                              *)
+(* ------------------------------------------------------------------ *)
+
+(* An absolute query evaluates the root fragment under a [#document]
+   wrapper: slot -1, the parent of slot 0.  No XPath label can spell its
+   tag, so only wildcard tests match it ([-3] is neither a tag code nor
+   the never-interned [-1]).  It has no text (reads as [""]), no number,
+   no attributes, and node id -1.  The kernels read slots through these
+   accessors, so the wrapper runs the same per-slot code as every other
+   slot; [next_sibling] is only asked of real slots. *)
+let node_id flat i = if i < 0 then -1 else Flat.node_id flat i
+let tag_code flat i = if i < 0 then -3 else Flat.tag_code flat i
+let first_child flat i = if i < 0 then 0 else Flat.first_child flat i
+let virtual_fid flat i = if i < 0 then -1 else Flat.virtual_fid flat i
+let text_equals flat i s = if i < 0 then s = "" else Flat.text_equals flat i s
+let num flat i = if i < 0 then None else Flat.num flat i
+
+let attr_test flat i ~key ~expected =
+  i >= 0 && Flat.attr_test flat i ~key ~expected
+
+(* Where a fragment's evaluation starts: the wrapper for the root
+   fragment of an absolute query, the fragment root otherwise. *)
+let start plan ~is_root =
+  if is_root && plan.compiled.Compile.absolute then -1 else 0
+
+(* ------------------------------------------------------------------ *)
 (* qualifier satisfaction over a slot                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Mirror of {!Qual_pass.sat_view} with the lowered tests. *)
+(* Mirror of the pointer pass's [sat_view] with the lowered tests: [vec] is the
+   slot's qualifier vector. *)
 let rec fsat_view flat vec i = function
   | FSat_empty -> Formula.true_
   | FSat e -> vec.(e)
-  | FText_eq s -> Formula.bool (Flat.text_equals flat i s)
-  | FVal_cmp (op, num) ->
+  | FText_eq s -> Formula.bool (text_equals flat i s)
+  | FVal_cmp (op, n) ->
       Formula.bool
-        (match Flat.num flat i with
-        | Some f -> Ast.compare_num op f num
+        (match num flat i with
+        | Some f -> Ast.compare_num op f n
         | None -> false)
-  | FAttr_test (key, expected) ->
-      Formula.bool (Flat.attr_test flat i ~key ~expected)
+  | FAttr_test (key, expected) -> Formula.bool (attr_test flat i ~key ~expected)
   | FNot q -> Formula.not_ (fsat_view flat vec i q)
   | FAnd (a, b) ->
       Formula.conj (fsat_view flat vec i a) (fsat_view flat vec i b)
   | FOr (a, b) -> Formula.disj (fsat_view flat vec i a) (fsat_view flat vec i b)
 
-(* Mirror of {!Qual_pass.eval_entries}: one element slot's qualifier
+(* Mirror of the pointer pass's [eval_entries]: one element slot's qualifier
    vector, path by path, suffix-position descending. *)
 let feval_entries plan flat i ~exists_child : Formula.t array =
   let vec = Array.make plan.compiled.Compile.n_qual Formula.false_ in
-  let tagc = Flat.tag_code flat i in
+  let tagc = tag_code flat i in
   Array.iter
     (fun (p : fpath) ->
       let k = Array.length p.fitems in
@@ -147,6 +173,17 @@ let feval_entries plan flat i ~exists_child : Formula.t array =
     plan.fpaths;
   vec
 
+(* The pointer qualifier pass's step on one element slot, given its
+   children's vectors, charged [n_qual * (1 + children)]. *)
+let element_vec plan flat ~ops i child_vecs =
+  ops := !ops + (plan.compiled.Compile.n_qual * (1 + List.length child_vecs));
+  let exists_child e =
+    List.fold_left
+      (fun acc cv -> Formula.disj acc cv.(e))
+      Formula.false_ child_vecs
+  in
+  feval_entries plan flat i ~exists_child
+
 (* ------------------------------------------------------------------ *)
 (* qualifier pass (PaX3 stage 1, ParBoX)                              *)
 (* ------------------------------------------------------------------ *)
@@ -154,60 +191,43 @@ let feval_entries plan flat i ~exists_child : Formula.t array =
 type qual = {
   q_flat : Flat.t;
   q_vecs : Formula.t array array;  (* slot -> qualifier vector *)
-  q_wrap : (Tree.node * Formula.t array) option;
-      (* the #document wrapper and its vector, when the eval root was
-         wrapped (root fragment of an absolute query) *)
+  q_wrap : Formula.t array option;  (* the wrapper's vector, if it ran *)
   q_root_vec : Formula.t array;  (* eval root's vector (wrapper if any) *)
   q_ops : int;
 }
 
-(* Mirror of {!Qual_pass.run} on [eval_root fid]: [is_root] says this
-   is fragment 0, whose root an absolute query wraps in a materialized
-   [#document] node (its vector from {!Qual_pass.eval_node}). *)
+let qual_vec_at q i =
+  if i >= 0 then q.q_vecs.(i) else Option.value q.q_wrap ~default:[||]
+
+(* Mirror of {!Qual_pass.run} on [eval_root fid]. *)
 let qual_run plan flat ~is_root : qual =
-  let compiled = plan.compiled in
-  let n_qual = compiled.Compile.n_qual in
+  let n_qual = plan.compiled.Compile.n_qual in
   let vecs = Array.make (Flat.length flat) [||] in
+  let wrap = ref None in
   let ops = ref 0 in
   let rec go i =
     let rec kids c acc =
       if c < 0 then List.rev acc
       else kids (Flat.next_sibling flat c) (go c :: acc)
     in
-    let child_vecs = kids (Flat.first_child flat i) [] in
+    let child_vecs = kids (first_child flat i) [] in
+    let vfid = virtual_fid flat i in
     let vec =
-      let vfid = Flat.virtual_fid flat i in
       if vfid >= 0 then begin
         ops := !ops + n_qual;
-        Qual_pass.virtual_vec compiled vfid
+        Qual_pass.virtual_vec plan.compiled vfid
       end
-      else begin
-        ops := !ops + (n_qual * (1 + List.length child_vecs));
-        let exists_child e =
-          List.fold_left
-            (fun acc cv -> Formula.disj acc cv.(e))
-            Formula.false_ child_vecs
-        in
-        feval_entries plan flat i ~exists_child
-      end
+      else element_vec plan flat ~ops i child_vecs
     in
-    vecs.(i) <- vec;
+    if i >= 0 then vecs.(i) <- vec else wrap := Some vec;
     vec
   in
-  let root_vec = go 0 in
-  let wrap =
-    if is_root && compiled.Compile.absolute then begin
-      let wrapper = fst (Sel_pass.context_root compiled (Flat.root flat)) in
-      let wvec = Qual_pass.eval_node compiled ~ops wrapper [ root_vec ] in
-      Some (wrapper, wvec)
-    end
-    else None
-  in
+  let root_vec = go (start plan ~is_root) in
   {
     q_flat = flat;
     q_vecs = vecs;
-    q_wrap = wrap;
-    q_root_vec = (match wrap with Some (_, wv) -> wv | None -> root_vec);
+    q_wrap = !wrap;
+    q_root_vec = root_vec;
     q_ops = !ops;
   }
 
@@ -215,45 +235,47 @@ let qual_run plan flat ~is_root : qual =
    entry of every stored vector (virtual slots and wrapper included). *)
 let qual_resolve q lookup =
   let n = ref 0 in
-  Array.iter
-    (fun vec ->
-      n := !n + Array.length vec;
-      Array.iteri (fun e f -> vec.(e) <- Formula.subst lookup f) vec)
-    q.q_vecs;
-  (match q.q_wrap with
-  | Some (_, wvec) ->
-      n := !n + Array.length wvec;
-      Array.iteri (fun e f -> wvec.(e) <- Formula.subst lookup f) wvec
-  | None -> ());
+  let resolve vec =
+    n := !n + Array.length vec;
+    Array.iteri (fun e f -> vec.(e) <- Formula.subst lookup f) vec
+  in
+  Array.iter resolve q.q_vecs;
+  Option.iter resolve q.q_wrap;
   !n
 
 (* ------------------------------------------------------------------ *)
 (* selection pass (PaX3 stage 2)                                      *)
 (* ------------------------------------------------------------------ *)
 
+type sel_outcome = {
+  answers : int list;
+  candidates : (int * Formula.t) list;
+  contexts : (int * Formula.t array) list;
+  ops : int;
+}
+
 (* Mirror of {!Sel_pass.run} on [eval_root fid], with qualifier
    satisfaction read from a resolved flat qualifier pass ([qual]), or
    trivially (empty vectors) when the query has no qualifier entries. *)
-let sel_run plan flat ~init ~is_root ~(qual : qual option) : Sel_pass.outcome =
-  let compiled = plan.compiled in
-  let n = compiled.Compile.n_sel in
+let sel_run plan flat ~init ~is_root ~(qual : qual option) : sel_outcome =
+  let n = plan.compiled.Compile.n_sel in
   let last = n - 1 in
   let ops = ref 0 in
   let answers = ref [] in
   let candidates = ref [] in
   let contexts = ref [] in
   let sat_slot i q =
-    let vec = match qual with Some qp -> qp.q_vecs.(i) | None -> [||] in
+    let vec = match qual with Some qp -> qual_vec_at qp i | None -> [||] in
     fsat_view flat vec i q
   in
   let rec go i ~is_context (sv_p : Formula.t array) =
-    let vfid = Flat.virtual_fid flat i in
+    let vfid = virtual_fid flat i in
     if vfid >= 0 then contexts := (vfid, Array.copy sv_p) :: !contexts
     else begin
       ops := !ops + n;
       let sv = Array.make n Formula.false_ in
       sv.(0) <- Formula.bool is_context;
-      let tagc = Flat.tag_code flat i in
+      let tagc = tag_code flat i in
       for ix = 1 to Array.length plan.fsel do
         match plan.fsel.(ix - 1) with
         | FMove code ->
@@ -267,53 +289,22 @@ let sel_run plan flat ~init ~is_root ~(qual : qual option) : Sel_pass.outcome =
                else Formula.conj sv.(ix - 1) (sat_slot i q))
       done;
       (match Formula.to_bool sv.(last) with
-      | Some true -> answers := Flat.orig flat i :: !answers
+      | Some true -> answers := i :: !answers
       | Some false -> ()
-      | None -> candidates := (Flat.orig flat i, sv.(last)) :: !candidates);
+      | None -> candidates := (i, sv.(last)) :: !candidates);
       let rec each c =
         if c >= 0 then begin
           go c ~is_context:false sv;
           each (Flat.next_sibling flat c)
         end
       in
-      each (Flat.first_child flat i)
+      each (first_child flat i)
     end
   in
-  if is_root && compiled.Compile.absolute then begin
-    (* The wrapper as a materialized node, its vector from the
-       qualifier pass (stored under the wrapper when it ran wrapped). *)
-    let wrapper, wvec =
-      match qual with
-      | Some { q_wrap = Some (w, wv); _ } -> (w, wv)
-      | _ -> (fst (Sel_pass.context_root compiled (Flat.root flat)), [||])
-    in
-    ops := !ops + n;
-    let sv = Array.make n Formula.false_ in
-    sv.(0) <- Formula.bool true;
-    let items = compiled.Compile.sel in
-    for ix = 1 to Array.length items do
-      match items.(ix - 1) with
-      | Compile.Move test ->
-          sv.(ix) <-
-            (if Compile.matches test wrapper.Tree.tag then init.(ix - 1)
-             else Formula.false_)
-      | Compile.Dos_item -> sv.(ix) <- Formula.disj init.(ix) sv.(ix - 1)
-      | Compile.Filter q ->
-          sv.(ix) <-
-            (if sv.(ix - 1) = Formula.false_ then Formula.false_
-             else
-               Formula.conj sv.(ix - 1)
-                 (Qual_pass.sat compiled wvec wrapper q))
-    done;
-    (match Formula.to_bool sv.(last) with
-    | Some true -> answers := wrapper :: !answers
-    | Some false -> ()
-    | None -> candidates := (wrapper, sv.(last)) :: !candidates);
-    go 0 ~is_context:false sv
-  end
-  else go 0 ~is_context:is_root init;
+  (* The wrapper, when there is one, is the context node itself. *)
+  go (start plan ~is_root) ~is_context:is_root init;
   {
-    Sel_pass.answers = List.rev !answers;
+    answers = List.rev !answers;
     candidates = List.rev !candidates;
     contexts = List.rev !contexts;
     ops = !ops;
@@ -325,8 +316,8 @@ let sel_run plan flat ~init ~is_root ~(qual : qual option) : Sel_pass.outcome =
 
 type combined_outcome = {
   root_qvec : Formula.t array;
-  answers : Tree.node list;
-  candidates : (Tree.node * Formula.t) list;
+  answers : int list;
+  candidates : (int * Formula.t) list;
   contexts : (int * Formula.t array) list;
   ops : int;
 }
@@ -361,7 +352,6 @@ let placeholder_entries (compiled : Compile.t) =
 let combined_run plan flat ~init ~is_root : combined_outcome =
   let compiled = plan.compiled in
   let n_sel = compiled.Compile.n_sel in
-  let n_qual = compiled.Compile.n_qual in
   let last = n_sel - 1 in
   let placeholders = placeholder_entries compiled in
   let sigma : (int * int, Formula.t) Hashtbl.t = Hashtbl.create 64 in
@@ -369,67 +359,40 @@ let combined_run plan flat ~init ~is_root : combined_outcome =
   let pending = ref [] in
   let contexts = ref [] in
   let ops = ref 0 in
+  (* Pre-order filter satisfaction: data-local tests evaluate now, path
+     satisfactions become placeholders. *)
   let sat_pre_slot i q =
-    let nid = Flat.node_id flat i in
+    let nid = node_id flat i in
     let rec go = function
       | FSat_empty -> Formula.true_
       | FSat e ->
           Hashtbl.replace issued nid ();
           Formula.var (Var.Qual_at (nid, e))
-      | FText_eq s -> Formula.bool (Flat.text_equals flat i s)
-      | FVal_cmp (op, num) ->
+      | FText_eq s -> Formula.bool (text_equals flat i s)
+      | FVal_cmp (op, n) ->
           Formula.bool
-            (match Flat.num flat i with
-            | Some f -> Ast.compare_num op f num
+            (match num flat i with
+            | Some f -> Ast.compare_num op f n
             | None -> false)
       | FAttr_test (key, expected) ->
-          Formula.bool (Flat.attr_test flat i ~key ~expected)
+          Formula.bool (attr_test flat i ~key ~expected)
       | FNot q -> Formula.not_ (go q)
       | FAnd (a, b) -> Formula.conj (go a) (go b)
       | FOr (a, b) -> Formula.disj (go a) (go b)
     in
     go q
   in
-  (* Pre-order filter satisfaction for the wrapper node only: data-local
-     tests evaluate now, path satisfactions become placeholders. *)
-  let sat_pre_node (v : Tree.node) q =
-    let rec go = function
-      | Compile.Sat pi ->
-          let p = compiled.Compile.paths.(pi) in
-          if Array.length p.Compile.items = 0 then Formula.true_
-          else begin
-            Hashtbl.replace issued v.Tree.id ();
-            Formula.var (Var.Qual_at (v.Tree.id, p.Compile.sat.(0)))
-          end
-      | Compile.Text_eq s -> Formula.bool (Tree.text_of v = s)
-      | Compile.Val_cmp (op, num) ->
-          Formula.bool
-            (match Tree.float_of v with
-            | Some f -> Ast.compare_num op f num
-            | None -> false)
-      | Compile.Attr_test (name, value) ->
-          Formula.bool
-            (match (Tree.attr v name, value) with
-            | Some _, None -> true
-            | Some actual, Some expected -> actual = expected
-            | None, _ -> false)
-      | Compile.Qnot q -> Formula.not_ (go q)
-      | Compile.Qand (a, b) -> Formula.conj (go a) (go b)
-      | Compile.Qor (a, b) -> Formula.disj (go a) (go b)
-    in
-    go q
-  in
-  let rec go_slot i ~is_context (sv_p : Formula.t array) : Formula.t array =
-    let vfid = Flat.virtual_fid flat i in
+  let rec go i ~is_context (sv_p : Formula.t array) : Formula.t array =
+    let vfid = virtual_fid flat i in
     if vfid >= 0 then begin
       contexts := (vfid, Array.copy sv_p) :: !contexts;
-      Array.init n_qual (fun e -> Formula.var (Var.Qual (vfid, e)))
+      Qual_pass.virtual_vec compiled vfid
     end
     else begin
       ops := !ops + n_sel;
       let sv = Array.make n_sel Formula.false_ in
       sv.(0) <- Formula.bool is_context;
-      let tagc = Flat.tag_code flat i in
+      let tagc = tag_code flat i in
       Array.iteri
         (fun j item ->
           let ix = j + 1 in
@@ -443,59 +406,21 @@ let combined_run plan flat ~init ~is_root : combined_outcome =
                 (if sv.(ix - 1) = Formula.false_ then Formula.false_
                  else Formula.conj sv.(ix - 1) (sat_pre_slot i q)))
         plan.fsel;
-      if sv.(last) <> Formula.false_ then
-        pending := (Flat.orig flat i, sv.(last)) :: !pending;
+      if sv.(last) <> Formula.false_ then pending := (i, sv.(last)) :: !pending;
       let rec kids c acc =
         if c < 0 then List.rev acc
-        else
-          kids (Flat.next_sibling flat c) (go_slot c ~is_context:false sv :: acc)
+        else kids (Flat.next_sibling flat c) (go c ~is_context:false sv :: acc)
       in
-      let child_vecs = kids (Flat.first_child flat i) [] in
-      ops := !ops + (n_qual * (1 + List.length child_vecs));
-      let exists_child e =
-        List.fold_left
-          (fun acc cv -> Formula.disj acc cv.(e))
-          Formula.false_ child_vecs
-      in
-      let qvec = feval_entries plan flat i ~exists_child in
-      let nid = Flat.node_id flat i in
+      let qvec = element_vec plan flat ~ops i (kids (first_child flat i) []) in
+      let nid = node_id flat i in
       if Hashtbl.mem issued nid then
-        List.iter (fun e -> Hashtbl.replace sigma (nid, e) qvec.(e)) placeholders;
-      qvec
-    end
-  in
-  let root_qvec =
-    if is_root && compiled.Compile.absolute then begin
-      let wrapper = fst (Sel_pass.context_root compiled (Flat.root flat)) in
-      ops := !ops + n_sel;
-      let sv = Array.make n_sel Formula.false_ in
-      sv.(0) <- Formula.bool true;
-      Array.iteri
-        (fun j item ->
-          let ix = j + 1 in
-          match item with
-          | Compile.Move test ->
-              sv.(ix) <-
-                (if Compile.matches test wrapper.Tree.tag then init.(j)
-                 else Formula.false_)
-          | Compile.Dos_item -> sv.(ix) <- Formula.disj init.(ix) sv.(ix - 1)
-          | Compile.Filter q ->
-              sv.(ix) <-
-                (if sv.(ix - 1) = Formula.false_ then Formula.false_
-                 else Formula.conj sv.(ix - 1) (sat_pre_node wrapper q)))
-        compiled.Compile.sel;
-      if sv.(last) <> Formula.false_ then
-        pending := (wrapper, sv.(last)) :: !pending;
-      let child_vecs = [ go_slot 0 ~is_context:false sv ] in
-      let qvec = Qual_pass.eval_node compiled ~ops wrapper child_vecs in
-      if Hashtbl.mem issued wrapper.Tree.id then
         List.iter
-          (fun e -> Hashtbl.replace sigma (wrapper.Tree.id, e) qvec.(e))
+          (fun e -> Hashtbl.replace sigma (nid, e) qvec.(e))
           placeholders;
       qvec
     end
-    else go_slot 0 ~is_context:is_root init
   in
+  let root_qvec = go (start plan ~is_root) ~is_context:is_root init in
   let sigma_lookup = function
     | Var.Qual_at (nid, e) -> Hashtbl.find_opt sigma (nid, e)
     | Var.Qual _ | Var.Sel_ctx _ -> None
@@ -503,13 +428,13 @@ let combined_run plan flat ~init ~is_root : combined_outcome =
   let answers = ref [] in
   let candidates = ref [] in
   List.iter
-    (fun ((v : Tree.node), f) ->
+    (fun (i, f) ->
       ops := !ops + 1;
       let g = Formula.subst sigma_lookup f in
       match Formula.to_bool g with
-      | Some true -> if v.Tree.id >= 0 then answers := v :: !answers
+      | Some true -> if i >= 0 then answers := i :: !answers
       | Some false -> ()
-      | None -> candidates := (v, g) :: !candidates)
+      | None -> candidates := (i, g) :: !candidates)
     (List.rev !pending);
   let contexts =
     List.rev_map
@@ -523,3 +448,21 @@ let combined_run plan flat ~init ~is_root : combined_outcome =
     contexts;
     ops = !ops;
   }
+
+(* ------------------------------------------------------------------ *)
+(* candidate resolution (the last stage of every engine)              *)
+(* ------------------------------------------------------------------ *)
+
+(* One op per candidate; the wrapper is resolved like any candidate and
+   then dropped — it is never an answer. *)
+let resolve_candidates cands lookup =
+  let answers =
+    List.filter_map
+      (fun (i, f) ->
+        match Formula.to_bool (Formula.subst lookup f) with
+        | Some true when i >= 0 -> Some i
+        | Some _ -> None
+        | None -> invalid_arg "Flat_pass: candidate failed to resolve")
+      cands
+  in
+  (answers, List.length cands)

@@ -12,8 +12,13 @@
     fragment); the engines are checked end to end against the
     centralized evaluator and the set-based semantics.
 
-    The [#document] wrapper of an absolute query has no slot; it is
-    evaluated on a materialized node inside each pass. *)
+    Nodes are named by slot only: answers and candidates are slot
+    indices of the image passed in, and the caller builds what it ships
+    from that image ({!Pax_wire.Wire.answer_of_slot}).  The [#document]
+    wrapper of an absolute query is slot [-1], the parent of slot [0]:
+    only wildcard tests match its tag, it has no text, number or
+    attributes, and its node id is [-1].  It is never shipped as an
+    answer. *)
 
 module Formula = Pax_bool.Formula
 
@@ -28,14 +33,17 @@ type plan
     label the store never interned matches no node. *)
 val make_plan : Pax_xpath.Compile.t -> Pax_xml.Intern.t -> plan
 
+(** [node_id flat i] — slot [i]'s document node id; [-1] for the
+    wrapper slot [-1]. *)
+val node_id : Pax_xml.Flat.t -> int -> int
+
 (** {1 Qualifier pass} — {!Qual_pass.run} over a flat image. *)
 
 type qual = {
   q_flat : Pax_xml.Flat.t;
   q_vecs : Formula.t array array;  (** slot → qualifier vector *)
-  q_wrap : (Pax_xml.Tree.node * Formula.t array) option;
-      (** the materialized [#document] wrapper and its vector, when the
-          eval root was wrapped *)
+  q_wrap : Formula.t array option;
+      (** the wrapper's vector, when the eval root was wrapped *)
   q_root_vec : Formula.t array;  (** eval root's vector (wrapper if any) *)
   q_ops : int;
 }
@@ -52,27 +60,37 @@ val qual_resolve : qual -> (Pax_bool.Var.t -> Formula.t option) -> int
 
 (** {1 Selection pass} — {!Sel_pass.run} over a flat image. *)
 
+(** One fragment's selection-pass result, as {!Sel_pass.outcome} with
+    slots for nodes. *)
+type sel_outcome = {
+  answers : int list;
+      (** certain slots, the wrapper included as {!Sel_pass} includes
+          the document node; {!Pax_wire.Wire.answers_of_slots} drops it *)
+  candidates : (int * Formula.t) list;
+  contexts : (int * Formula.t array) list;  (** sub-fragment fid → ctx *)
+  ops : int;
+}
+
 (** [sel_run plan flat ~init ~is_root ~qual] — the top-down pass, with
     qualifier satisfaction read from a resolved [qual] (or trivially
     when [None]: no qualifier entries).  [is_root] plays the role of
     [root_is_context] and selects [#document] wrapping for absolute
-    queries.  Answer and candidate nodes are the live pointer nodes
-    ([Flat.orig]), so downstream resolution is unchanged. *)
+    queries. *)
 val sel_run :
   plan ->
   Pax_xml.Flat.t ->
   init:Formula.t array ->
   is_root:bool ->
   qual:qual option ->
-  Sel_pass.outcome
+  sel_outcome
 
 (** {1 Combined pass} — PaX2's single interleaved traversal. *)
 
 (** One fragment's combined-pass result. *)
 type combined_outcome = {
   root_qvec : Formula.t array;  (** eval root's qualifier vector *)
-  answers : Pax_xml.Tree.node list;  (** certain already *)
-  candidates : (Pax_xml.Tree.node * Formula.t) list;
+  answers : int list;  (** slots certain already; never the wrapper *)
+  candidates : (int * Formula.t) list;
   contexts : (int * Formula.t array) list;  (** per sub-fragment *)
   ops : int;
 }
@@ -89,3 +107,15 @@ val combined_run :
   init:Formula.t array ->
   is_root:bool ->
   combined_outcome
+
+(** {1 Candidate resolution} *)
+
+(** [resolve_candidates cands lookup] substitutes [lookup] into every
+    candidate's formula and returns the answer slots and the operation
+    count, one per candidate.  A wrapper candidate is resolved, charged
+    and dropped.  Raises [Invalid_argument] if a formula stays
+    symbolic: [lookup] must cover every boundary variable. *)
+val resolve_candidates :
+  (int * Formula.t) list ->
+  (Pax_bool.Var.t -> Formula.t option) ->
+  int list * int

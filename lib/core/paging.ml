@@ -3,6 +3,7 @@ module Query = Pax_xpath.Query
 module Compile = Pax_xpath.Compile
 module Formula = Pax_bool.Formula
 module Fragment = Pax_frag.Fragment
+module Flat = Pax_xml.Flat
 
 type result = {
   answer_ids : int list;
@@ -56,21 +57,22 @@ let run ~memory_budget (q : Query.t) (doc : Tree.doc) : result =
   List.iter
     (fun fid ->
       load (swaps, bytes) ft fid;
+      let fl = Fragment.flat ft fid in
       let oc =
-        Flat_pass.combined_run plan (Fragment.flat ft fid)
-          ~init:(init_for compiled fid) ~is_root:(fid = 0)
+        Flat_pass.combined_run plan fl ~init:(init_for compiled fid)
+          ~is_root:(fid = 0)
       in
-      outcomes.(fid) <- Some oc)
+      outcomes.(fid) <- Some (fl, oc))
     (Fragment.top_down ft);
   let resolved_quals =
     Eval_ft.resolve_quals ft ~root_vecs:(fun fid ->
-        Option.map (fun oc -> oc.Flat_pass.root_qvec) outcomes.(fid))
+        Option.map (fun (_, oc) -> oc.Flat_pass.root_qvec) outcomes.(fid))
   in
   let qual_lookup = Eval_ft.qual_lookup resolved_quals in
   let raw_ctx = Array.make n None in
   Array.iter
     (function
-      | Some oc ->
+      | Some (_, oc) ->
           List.iter
             (fun (sub, vec) -> raw_ctx.(sub) <- Some vec)
             oc.Flat_pass.contexts
@@ -83,23 +85,17 @@ let run ~memory_budget (q : Query.t) (doc : Tree.doc) : result =
       ~qual_lookup
   in
   let lookup = Eval_ft.full_lookup ~quals:resolved_quals ~ctxs:resolved_ctx in
-  let answers = ref [] in
-  Array.iter
-    (function
-      | Some oc ->
-          List.iter
-            (fun (v : Tree.node) -> answers := v.Tree.id :: !answers)
-            oc.Flat_pass.answers;
-          List.iter
-            (fun ((v : Tree.node), f) ->
-              match Formula.to_bool (Formula.subst lookup f) with
-              | Some true when v.Tree.id >= 0 -> answers := v.Tree.id :: !answers
-              | Some _ -> ()
-              | None -> invalid_arg "Paging.run: unresolved candidate")
-            oc.Flat_pass.candidates
-      | None -> ())
-    outcomes;
-  finish ~answers:!answers ~swaps:!swaps ~bytes:!bytes ~ft ~peak
+  let answers =
+    Array.to_list outcomes
+    |> List.concat_map (function
+         | Some (fl, oc) ->
+             let late, _ =
+               Flat_pass.resolve_candidates oc.Flat_pass.candidates lookup
+             in
+             List.map (Flat.node_id fl) (oc.Flat_pass.answers @ late)
+         | None -> [])
+  in
+  finish ~answers ~swaps:!swaps ~bytes:!bytes ~ft ~peak
 
 let run_two_pass ~memory_budget (q : Query.t) (doc : Tree.doc) : result =
   let compiled = q.Query.compiled in

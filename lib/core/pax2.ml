@@ -41,7 +41,9 @@ let run ?(annotations = false) (cl : Cluster.t) (q : Query.t) : Run_result.t =
   let s1_ctxs : (int * Formula.t array) list array = Array.make n_frag [] in
   let s1_answers : Tree.node list array = Array.make n_frag [] in
   let s1_cands = Array.make n_frag 0 in
-  let local_cands : (Tree.node * Formula.t) list array = Array.make n_frag [] in
+  let local_cands : (Pax_xml.Flat.t * (int * Formula.t) list) option array =
+    Array.make n_frag None
+  in
   let fill_view fid (fr : Wire.frag_result) =
     s1_qvec.(fid) <-
       (match fr.Wire.fr_vec with
@@ -88,15 +90,16 @@ let run ?(annotations = false) (cl : Cluster.t) (q : Query.t) : Run_result.t =
     List.iter
       (fun fid ->
         if relevant fid && not s1_seen.(fid) then begin
+          let fl = Fragment.flat ft fid in
           let oc =
-            Flat_pass.combined_run plan (Fragment.flat ft fid)
-              ~init:(init_for fid) ~is_root:(fid = 0)
+            Flat_pass.combined_run plan fl ~init:(init_for fid)
+              ~is_root:(fid = 0)
           in
           s1_qvec.(fid) <- oc.Flat_pass.root_qvec;
           s1_ctxs.(fid) <- oc.Flat_pass.contexts;
-          s1_answers.(fid) <- oc.Flat_pass.answers;
+          s1_answers.(fid) <- Run_result.nodes_of_slots fl oc.Flat_pass.answers;
           s1_cands.(fid) <- List.length oc.Flat_pass.candidates;
-          local_cands.(fid) <- oc.Flat_pass.candidates;
+          local_cands.(fid) <- Some (fl, oc.Flat_pass.candidates);
           s1_seen.(fid) <- true;
           Cluster.add_ops cl ~site oc.Flat_pass.ops
         end)
@@ -217,16 +220,10 @@ let run ?(annotations = false) (cl : Cluster.t) (q : Query.t) : Run_result.t =
           match stage2_memo.(fid) with
           | Some answers -> answers
           | None ->
-              let answers =
-                List.filter_map
-                  (fun ((v : Tree.node), f) ->
-                    Cluster.add_ops cl ~site 1;
-                    match Formula.to_bool (Formula.subst full_lookup f) with
-                    | Some true when v.Tree.id >= 0 -> Some v
-                    | Some _ -> None
-                    | None -> invalid_arg "PaX2: candidate failed to resolve")
-                  local_cands.(fid)
-              in
+              let fl, cands = Option.get local_cands.(fid) in
+              let slots, ops = Flat_pass.resolve_candidates cands full_lookup in
+              Cluster.add_ops cl ~site ops;
+              let answers = Run_result.nodes_of_slots fl slots in
               stage2_memo.(fid) <- Some answers;
               answers
         else [])

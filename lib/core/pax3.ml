@@ -2,7 +2,6 @@ module Tree = Pax_xml.Tree
 module Query = Pax_xpath.Query
 module Compile = Pax_xpath.Compile
 module Formula = Pax_bool.Formula
-module Var = Pax_bool.Var
 module Fragment = Pax_frag.Fragment
 module Cluster = Pax_dist.Cluster
 module Measure = Pax_dist.Measure
@@ -135,7 +134,9 @@ let run ?(annotations = false) (cl : Cluster.t) (q : Query.t) : Run_result.t =
   let s2_ctxs : (int * Formula.t array) list array = Array.make n_frag [] in
   let s2_certain : Tree.node list array = Array.make n_frag [] in
   let s2_cands = Array.make n_frag 0 in
-  let local_cands : (Tree.node * Formula.t) list array = Array.make n_frag [] in
+  let local_cands : (Pax_xml.Flat.t * (int * Formula.t) list) option array =
+    Array.make n_frag None
+  in
   (* The [s2_seen] guard keeps replayed visits from re-running
      [Flat_pass.qual_resolve], which substitutes into the stage-1
      vectors in place — exactly the "corrupt stage-1 state" hazard
@@ -158,12 +159,12 @@ let run ?(annotations = false) (cl : Cluster.t) (q : Query.t) : Run_result.t =
             Flat_pass.sel_run plan fl ~init:(init_for fid) ~is_root:(fid = 0)
               ~qual:fq_store.(fid)
           in
-          s2_ctxs.(fid) <- oc.Sel_pass.contexts;
-          s2_certain.(fid) <- Sel_pass.real_answers oc.Sel_pass.answers;
-          s2_cands.(fid) <- List.length oc.Sel_pass.candidates;
-          local_cands.(fid) <- oc.Sel_pass.candidates;
+          s2_ctxs.(fid) <- oc.Flat_pass.contexts;
+          s2_certain.(fid) <- Run_result.nodes_of_slots fl oc.Flat_pass.answers;
+          s2_cands.(fid) <- List.length oc.Flat_pass.candidates;
+          local_cands.(fid) <- Some (fl, oc.Flat_pass.candidates);
           s2_seen.(fid) <- true;
-          Cluster.add_ops cl ~site oc.Sel_pass.ops
+          Cluster.add_ops cl ~site oc.Flat_pass.ops
         end)
       (Cluster.fragments_on cl site)
   in
@@ -285,16 +286,10 @@ let run ?(annotations = false) (cl : Cluster.t) (q : Query.t) : Run_result.t =
           match stage3_memo.(fid) with
           | Some answers -> answers
           | None ->
-              let answers =
-                List.filter_map
-                  (fun ((v : Tree.node), f) ->
-                    Cluster.add_ops cl ~site 1;
-                    match Formula.to_bool (Formula.subst ctx_lookup f) with
-                    | Some true when v.Tree.id >= 0 -> Some v
-                    | Some _ -> None
-                    | None -> invalid_arg "PaX3: candidate failed to resolve")
-                  local_cands.(fid)
-              in
+              let fl, cands = Option.get local_cands.(fid) in
+              let slots, ops = Flat_pass.resolve_candidates cands ctx_lookup in
+              Cluster.add_ops cl ~site ops;
+              let answers = Run_result.nodes_of_slots fl slots in
               stage3_memo.(fid) <- Some answers;
               answers
         else [])

@@ -35,7 +35,7 @@ val sat :
 
 (** {1 Kernel over abstract node views}
 
-    The recurrence itself does not need a materialized tree — only a
+    The recurrence itself does not need a built tree — only a
     node's tag, text, numeric value and attributes, plus the
     child-disjunction of each entry.  The streaming engine
     ({!Stream_eval}) reuses it through this interface. *)

@@ -72,6 +72,3 @@ let context_root compiled (root : Tree.node) =
         children = [ root ]; kind = Tree.Element },
       true )
   else (root, true)
-
-let real_answers nodes =
-  List.filter (fun (n : Tree.node) -> n.Tree.id >= 0) nodes

@@ -48,13 +48,9 @@ val blank_init : Pax_xpath.Compile.t -> Formula.t array
 val symbolic_init : Pax_xpath.Compile.t -> fid:int -> Formula.t array
 
 (** [context_root compiled root] — where evaluation of the root fragment
-    starts: for an absolute query, a materialized document node (id -1,
+    starts: for an absolute query, a synthetic document node (id -1,
     tag ["#document"]) wrapping [root]; for a relative query, [root]
     itself.  The second component is [root_is_context].  The document
     node never counts as an answer (negative id). *)
 val context_root :
   Pax_xpath.Compile.t -> Pax_xml.Tree.node -> Pax_xml.Tree.node * bool
-
-(** Keep only genuine answer nodes (drops the materialized document
-    node). *)
-val real_answers : Pax_xml.Tree.node list -> Pax_xml.Tree.node list

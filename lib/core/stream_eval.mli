@@ -1,6 +1,6 @@
 (** Single-pass streaming evaluation over a SAX event stream — the
     centralized cousin of PaX2's combined traversal, and the §8 remark
-    about large documents taken to its limit: no tree is materialized
+    about large documents taken to its limit: no tree is built
     at all.
 
     The engine keeps one frame per {e open} element (the ancestor

@@ -1,4 +1,5 @@
 module Tree = Pax_xml.Tree
+module Flat = Pax_xml.Flat
 
 type op =
   | Insert of int * Tree.node
@@ -23,25 +24,38 @@ let error_to_string = function
    fragment, not a tree scan: each fragment's flat image carries a
    lazily built id index ({!Pax_xml.Flat.find_index}).  Virtual-node
    ids are allocated past the document range, so a hit on a virtual
-   slot means the id names a placeholder, which [locate] never
-   returns. *)
-let locate (ft : Fragment.t) node_id =
+   slot means the id names a placeholder, which [find] never
+   returns.  The image holds no pointers: the node to edit is reached
+   by walking down from the fragment's root along the slot's ancestor
+   chain, read from the image — depth steps, no scan.  The node comes
+   with its parent, [None] at a fragment root (the document root is
+   fragment 0's). *)
+let find (ft : Fragment.t) node_id =
   let n = Array.length ft.Fragment.fragments in
   let rec go fid =
     if fid >= n then None
     else
       let fl = Fragment.flat ft fid in
-      match Pax_xml.Flat.find_index fl node_id with
-      | Some i when not (Pax_xml.Flat.is_virtual fl i) ->
-          Some (fid, Pax_xml.Flat.orig fl i)
+      match Flat.find_index fl node_id with
+      | Some i when not (Flat.is_virtual fl i) ->
+          (* slot [i] and its ancestors below the root, top-down *)
+          let rec path i acc =
+            if i <= 0 then acc else path (Flat.parent fl i) (i :: acc)
+          in
+          let rec down parent (nd : Tree.node) = function
+            | [] -> Some (fid, parent, nd)
+            | j :: rest ->
+                let id = Flat.node_id fl j in
+                let is_j (c : Tree.node) = c.Tree.id = id in
+                down (Some nd) (List.find is_j nd.Tree.children) rest
+          in
+          down None (Fragment.fragment ft fid).Fragment.root (path i [])
       | _ -> go (fid + 1)
   in
   go 0
 
-let is_fragment_root (ft : Fragment.t) node_id =
-  Array.exists
-    (fun (f : Fragment.fragment) -> f.Fragment.root.Tree.id = node_id)
-    ft.Fragment.fragments
+let locate ft node_id =
+  Option.map (fun (fid, _, nd) -> (fid, nd)) (find ft node_id)
 
 let spans_fragments (n : Tree.node) =
   let spans = ref false in
@@ -59,8 +73,8 @@ let existing_ids (ft : Fragment.t) =
 let apply_op (ft : Fragment.t) (op : op) : (int, error) result =
   match op with
   | Set_text (node_id, text) -> (
-      match locate ft node_id with
-      | Some (fid, n) ->
+      match find ft node_id with
+      | Some (fid, _, n) ->
           n.Tree.text <- (if text = "" then None else Some text);
           Ok fid
       | None -> Error (Node_not_found node_id))
@@ -68,9 +82,9 @@ let apply_op (ft : Fragment.t) (op : op) : (int, error) result =
       if spans_fragments subtree then
         Error (Would_detach_fragments subtree.Tree.id)
       else
-        match locate ft parent_id with
+        match find ft parent_id with
         | None -> Error (Node_not_found parent_id)
-        | Some (fid, parent) -> (
+        | Some (fid, _, parent) -> (
             let ids = existing_ids ft in
             let clash = ref None in
             Tree.iter
@@ -84,29 +98,18 @@ let apply_op (ft : Fragment.t) (op : op) : (int, error) result =
                 parent.Tree.children <- parent.Tree.children @ [ subtree ];
                 Ok fid))
   | Delete node_id -> (
-      if is_fragment_root ft node_id then Error (Is_fragment_root node_id)
-      else
-        match locate ft node_id with
-        | None -> Error (Node_not_found node_id)
-        | Some (fid, n) ->
-            if spans_fragments n then Error (Would_detach_fragments node_id)
-            else begin
-              (* The flat image gives the parent in O(1). *)
-              let fl = Fragment.flat ft fid in
-              match Pax_xml.Flat.find_index fl node_id with
-              | None -> Error (Node_not_found node_id)
-              | Some slot ->
-                  let p = Pax_xml.Flat.parent fl slot in
-                  if p < 0 then Error (Is_fragment_root node_id)
-                  else begin
-                    let parent = Pax_xml.Flat.orig fl p in
-                    parent.Tree.children <-
-                      List.filter
-                        (fun (c : Tree.node) -> c.Tree.id <> node_id)
-                        parent.Tree.children;
-                    Ok fid
-                  end
-            end)
+      match find ft node_id with
+      | None -> Error (Node_not_found node_id)
+      | Some (_, None, _) -> Error (Is_fragment_root node_id)
+      | Some (fid, Some parent, n) ->
+          if spans_fragments n then Error (Would_detach_fragments node_id)
+          else begin
+            parent.Tree.children <-
+              List.filter
+                (fun (c : Tree.node) -> c.Tree.id <> node_id)
+                parent.Tree.children;
+            Ok fid
+          end)
 
 (* Every successful mutation advances the touched fragment's update
    generation, so caches keyed by (fragment, generation) are invalidated
@@ -118,7 +121,7 @@ let apply (ft : Fragment.t) (op : op) : (int, error) result =
   match apply_op ft op with
   | Ok fid ->
       Fragment.bump_generation ft fid;
-      ignore (Fragment.flat ft fid : Pax_xml.Flat.t);
+      ignore (Fragment.flat ft fid : Flat.t);
       (* In-place mutation: drop the Tree.find_by_id memo too. *)
       Tree.invalidate_id_index ();
       Ok fid

@@ -1,5 +1,5 @@
 module Wire = Pax_wire.Wire
-module Tree = Pax_xml.Tree
+module Flat = Pax_xml.Flat
 module Query = Pax_xpath.Query
 module Compile = Pax_xpath.Compile
 module Formula = Pax_bool.Formula
@@ -17,9 +17,11 @@ type run_state = {
   (* The run's query source, compiled, and lowered to a plan against
      the site's intern table — once per run, not per fragment. *)
   mutable rs_query : (string * Query.t * Flat_pass.plan) option;
-  rs_pax2 : (int, Flat_pass.combined_outcome) Hashtbl.t;
+  (* Candidates a fragment keeps for the run's final stage (PaX2 stage
+     2, PaX3 stage 3), with the image whose slots they name: an install
+     between stages swaps the held image, not this one. *)
+  rs_cands : (int, Flat.t * (int * Formula.t) list) Hashtbl.t;
   rs_fq : (int, Flat_pass.qual) Hashtbl.t;
-  rs_sel : (int, Sel_pass.outcome) Hashtbl.t;
   rs_replies : (int, Wire.reply) Hashtbl.t;  (* round -> reply *)
   mutable rs_touch : int;  (* recency stamp for LRU eviction *)
 }
@@ -33,9 +35,10 @@ type t = {
   (* One site-wide intern table and one flat image per held fragment
      (docs/FLATTREE.md), built at server creation or decoded on
      install.  Images are immutable: an install swaps in a new one.
-     [Flat.orig] maps a slot back to the node an answer ships as. *)
+     A site holds columns only: answers ship straight from an image's
+     slots ([Wire.answer_of_slot]). *)
   intern : Pax_xml.Intern.t;
-  flat_imgs : (int, Pax_xml.Flat.t) Hashtbl.t;
+  flat_imgs : (int, Flat.t) Hashtbl.t;
   (* Graph fragments for the reachability engine (docs/ENGINES.md).  A
      site may hold tree fragments, graph fragments or both — the
      mixed-workload serving tests run XPath and reachability through
@@ -106,7 +109,7 @@ let create ?(max_runs = default_max_runs) ?(service_delay = 0.) ?(gfrags = [])
   let flat_imgs = Hashtbl.create 8 in
   List.iter
     (fun (fid, root) ->
-      Hashtbl.replace flat_imgs fid (Pax_xml.Flat.of_tree ~intern root))
+      Hashtbl.replace flat_imgs fid (Flat.of_tree ~intern root))
     frags;
   {
     intern;
@@ -133,9 +136,8 @@ let fresh_state run =
   {
     rs_run = run;
     rs_query = None;
-    rs_pax2 = Hashtbl.create 8;
+    rs_cands = Hashtbl.create 8;
     rs_fq = Hashtbl.create 8;
-    rs_sel = Hashtbl.create 8;
     rs_replies = Hashtbl.create 8;
     rs_touch = 0;
   }
@@ -213,15 +215,23 @@ let lookup_of ~ctxs ~quals = function
         (Hashtbl.find_opt quals f)
   | Var.Qual_at _ -> None
 
-let resolve_candidates cands lookup ~ops =
-  List.filter_map
-    (fun ((v : Tree.node), f) ->
-      incr ops;
-      match Formula.to_bool (Formula.subst lookup f) with
-      | Some true when v.Tree.id >= 0 -> Some v
-      | Some _ -> None
-      | None -> failwith "site server: candidate failed to resolve")
-    cands
+(* The final stage of PaX2 and PaX3: resolve the candidates each listed
+   fragment kept from the [stage] before, ship the answers. *)
+let final_answers st fids lookup ~stage =
+  let ops = ref 0 in
+  let answers =
+    List.concat_map
+      (fun fid ->
+        match Hashtbl.find_opt st.rs_cands fid with
+        | Some (fl, cands) ->
+            let slots, n = Flat_pass.resolve_candidates cands lookup in
+            ops := !ops + n;
+            Wire.answers_of_slots fl slots
+        | None ->
+            failwith (Printf.sprintf "no %s state for fragment %d" stage fid))
+      fids
+  in
+  Wire.Final_answers { answers; ops = !ops }
 
 let handle_call t ~run call =
   let st = state_for t run in
@@ -234,10 +244,9 @@ let handle_call t ~run call =
              let fid = fe.Wire.fe_fid in
              let is_root = fe.Wire.fe_is_root in
              let init = init_of compiled ~fid ~is_root fe.Wire.fe_init in
-             let oc =
-               Flat_pass.combined_run plan (frag_flat t fid) ~init ~is_root
-             in
-             Hashtbl.replace st.rs_pax2 fid oc;
+             let fl = frag_flat t fid in
+             let oc = Flat_pass.combined_run plan fl ~init ~is_root in
+             Hashtbl.replace st.rs_cands fid (fl, oc.Flat_pass.candidates);
              {
                Wire.fr_fid = fid;
                fr_vec =
@@ -245,7 +254,7 @@ let handle_call t ~run call =
                     Some oc.Flat_pass.root_qvec
                   else None);
                fr_ctxs = oc.Flat_pass.contexts;
-               fr_answers = List.map Wire.answer_of_node oc.Flat_pass.answers;
+               fr_answers = Wire.answers_of_slots fl oc.Flat_pass.answers;
                fr_cands = List.length oc.Flat_pass.candidates;
                fr_ops = oc.Flat_pass.ops;
              })
@@ -257,20 +266,9 @@ let handle_call t ~run call =
           Hashtbl.replace ctxs fid ctx;
           List.iter (fun (sub, vec) -> Hashtbl.replace quals sub vec) subs)
         frags;
-      let lookup = lookup_of ~ctxs ~quals in
-      let ops = ref 0 in
-      let answers =
-        List.concat_map
-          (fun (fid, _, _) ->
-            match Hashtbl.find_opt st.rs_pax2 fid with
-            | Some oc -> resolve_candidates oc.Flat_pass.candidates lookup ~ops
-            | None ->
-                failwith
-                  (Printf.sprintf "no stage-1 state for fragment %d" fid))
-          frags
-      in
-      Wire.Final_answers
-        { answers = List.map Wire.answer_of_node answers; ops = !ops }
+      final_answers st
+        (List.map (fun (fid, _, _) -> fid) frags)
+        (lookup_of ~ctxs ~quals) ~stage:"stage-1"
   | Wire.Pax3_stage1 { query; fids } ->
       let _, plan = query_of t st query in
       Wire.Frag_results
@@ -301,43 +299,31 @@ let handle_call t ~run call =
              let lookup = lookup_of ~ctxs:(Hashtbl.create 1) ~quals in
              let init = init_of compiled ~fid ~is_root fe.Wire.fe_init in
              let fq = Hashtbl.find_opt st.rs_fq fid in
-             let resolve_ops =
+             (* The image stage 1 ran on: its slots index the resolved
+                qualifier vectors. *)
+             let fl, resolve_ops =
                match fq with
-               | Some fq -> Flat_pass.qual_resolve fq lookup
-               | None -> 0
+               | Some fq ->
+                   (fq.Flat_pass.q_flat, Flat_pass.qual_resolve fq lookup)
+               | None -> (frag_flat t fid, 0)
              in
-             let oc =
-               Flat_pass.sel_run plan (frag_flat t fid) ~init ~is_root ~qual:fq
-             in
-             Hashtbl.replace st.rs_sel fid oc;
+             let oc = Flat_pass.sel_run plan fl ~init ~is_root ~qual:fq in
+             Hashtbl.replace st.rs_cands fid (fl, oc.Flat_pass.candidates);
              {
                Wire.fr_fid = fid;
                fr_vec = None;
-               fr_ctxs = oc.Sel_pass.contexts;
-               fr_answers =
-                 List.map Wire.answer_of_node
-                   (Sel_pass.real_answers oc.Sel_pass.answers);
-               fr_cands = List.length oc.Sel_pass.candidates;
-               fr_ops = resolve_ops + oc.Sel_pass.ops;
+               fr_ctxs = oc.Flat_pass.contexts;
+               fr_answers = Wire.answers_of_slots fl oc.Flat_pass.answers;
+               fr_cands = List.length oc.Flat_pass.candidates;
+               fr_ops = resolve_ops + oc.Flat_pass.ops;
              })
            frags)
   | Wire.Pax3_stage3 { frags } ->
       let ctxs = Hashtbl.create 8 in
       List.iter (fun (fid, ctx) -> Hashtbl.replace ctxs fid ctx) frags;
-      let lookup = lookup_of ~ctxs ~quals:(Hashtbl.create 1) in
-      let ops = ref 0 in
-      let answers =
-        List.concat_map
-          (fun (fid, _) ->
-            match Hashtbl.find_opt st.rs_sel fid with
-            | Some oc -> resolve_candidates oc.Sel_pass.candidates lookup ~ops
-            | None ->
-                failwith
-                  (Printf.sprintf "no stage-2 state for fragment %d" fid))
-          frags
-      in
-      Wire.Final_answers
-        { answers = List.map Wire.answer_of_node answers; ops = !ops }
+      final_answers st (List.map fst frags)
+        (lookup_of ~ctxs ~quals:(Hashtbl.create 1))
+        ~stage:"stage-2"
   | Wire.Reach_stage1 { query; fids } -> (
       match Pax_graph.Gfrag.parse_query query with
       | None ->
@@ -430,7 +416,7 @@ let fetch_image t ~fid ~kind =
       match Hashtbl.find_opt t.flat_imgs fid with
       | None -> Error (Printf.sprintf "site server holds no fragment %d" fid)
       | Some fl ->
-          Ok { Wire.fi_kind = kind; fi_bytes = Pax_xml.Flat.encode fl })
+          Ok { Wire.fi_kind = kind; fi_bytes = Flat.encode fl })
   | Wire.Graph_frag -> (
       match Hashtbl.find_opt t.gfrags fid with
       | None ->
@@ -446,7 +432,7 @@ let fetch_image t ~fid ~kind =
 let install_image t ~fid ~epoch (image : Wire.frag_image) =
   match image.Wire.fi_kind with
   | Wire.Tree_frag -> (
-      match Pax_xml.Flat.decode ~intern:t.intern image.Wire.fi_bytes with
+      match Flat.decode ~intern:t.intern image.Wire.fi_bytes with
       | None -> Error (Printf.sprintf "corrupt flat image for fragment %d" fid)
       | Some fl ->
           Hashtbl.replace t.flat_imgs fid fl;

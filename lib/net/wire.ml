@@ -15,6 +15,20 @@ type answer = {
 let answer_of_node (n : Tree.node) =
   { a_id = n.Tree.id; a_tag = n.Tree.tag; a_text = n.Tree.text; a_attrs = n.Tree.attrs }
 
+let answer_of_slot fl i =
+  {
+    a_id = Pax_xml.Flat.node_id fl i;
+    a_tag = Pax_xml.Flat.tag_name fl i;
+    a_text = Pax_xml.Flat.text fl i;
+    a_attrs = Pax_xml.Flat.attrs fl i;
+  }
+
+(* Slot -1 is an absolute query's #document wrapper: never an answer. *)
+let answers_of_slots fl slots =
+  List.filter_map
+    (fun i -> if i < 0 then None else Some (answer_of_slot fl i))
+    slots
+
 let node_of_answer a : Tree.node =
   {
     Tree.id = a.a_id;

@@ -40,6 +40,16 @@ type answer = {
 
 val answer_of_node : Tree.node -> answer
 
+(** [answer_of_slot fl i] — the answer for slot [i] of a flat image,
+    read from its columns; equal to {!answer_of_node} of the node the
+    slot encodes.  Site servers and the in-process engines both ship
+    answers through it. *)
+val answer_of_slot : Pax_xml.Flat.t -> int -> answer
+
+(** [answer_of_slot] over a slot list, dropping slot [-1] (the
+    [#document] wrapper of an absolute query, never an answer). *)
+val answers_of_slots : Pax_xml.Flat.t -> int list -> answer list
+
 (** A childless [Element] node carrying the shipped fields; the id is
     the server-assigned one, so answer sets compare across transports. *)
 val node_of_answer : answer -> Tree.node

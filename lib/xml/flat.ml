@@ -11,9 +11,10 @@
 
    The image is immutable after construction, so it is shareable
    across OCaml 5 domains without copying: a stage pass is a tight
-   loop over int reads, never a heap walk.  [orig] maps each slot back
-   to the pointer node it was built from — answers must be the
-   physical document nodes, so materialization is one array read.
+   loop over int reads, never a heap walk.  It holds columns only — no
+   pointer node survives [of_tree] — so a site that decodes a pushed
+   image holds exactly what it evaluates, and an answer is built from
+   the columns of its slot.
 
    Updates never mutate an image: {!Pax_frag.Fragment} rebuilds the
    fragment's image under a generation bump (the same invalidation
@@ -36,10 +37,9 @@ type t = {
   attr_off : int array;  (* attr row -> value offset into [buf] *)
   attr_len : int array;
   buf : Bytes.t;  (* all character data and attribute values *)
-  num_some : bool array;  (* slot -> [Tree.float_of] succeeded *)
+  num_some : bool array;  (* slot -> [Tree.number_of_text] succeeded *)
   num_val : float array;
   intern : Intern.t;
-  orig : Tree.node array;  (* slot -> the pointer node this slot encodes *)
   by_id : (int, int) Hashtbl.t option Atomic.t;  (* lazy id -> slot *)
   by_id_lock : Mutex.t;
 }
@@ -47,8 +47,6 @@ type t = {
 let length t = t.n
 let intern t = t.intern
 let node_id t i = t.ids.(i)
-let root t = t.orig.(0)
-let orig t i = t.orig.(i)
 let parent t i = t.parent.(i)
 let first_child t i = t.first_child.(i)
 let next_sibling t i = t.next_sibling.(i)
@@ -58,13 +56,26 @@ let tag_name t i = Intern.name t.intern t.tag.(i)
 let virtual_fid t i = t.vfid.(i)
 let is_virtual t i = t.vfid.(i) >= 0
 
-let n_children t i =
-  let rec go c acc = if c < 0 then acc else go t.next_sibling.(c) (acc + 1) in
-  go t.first_child.(i) 0
-
 (* ------------------------------------------------------------------ *)
 (* construction                                                       *)
 (* ------------------------------------------------------------------ *)
+
+(* The numeric view of every slot's character data, read from the
+   buffer: derived state, so [of_tree] and [decode] both compute it
+   here with the one parser {!Tree.float_of} uses. *)
+let num_columns ~n ~text_off ~text_len buf =
+  let num_some = Array.make n false and num_val = Array.make n 0. in
+  for i = 0 to n - 1 do
+    if text_off.(i) >= 0 then
+      match
+        Tree.number_of_text (Bytes.sub_string buf text_off.(i) text_len.(i))
+      with
+      | Some f ->
+          num_some.(i) <- true;
+          num_val.(i) <- f
+      | None -> ()
+  done;
+  (num_some, num_val)
 
 let of_tree ?(intern = Intern.create ()) (root : Tree.node) =
   let n = Tree.size root in
@@ -84,10 +95,7 @@ let of_tree ?(intern = Intern.create ()) (root : Tree.node) =
   and attr_count = Array.make n 0
   and attr_key = Array.make (max n_attrs 1) 0
   and attr_off = Array.make (max n_attrs 1) 0
-  and attr_len = Array.make (max n_attrs 1) 0
-  and num_some = Array.make n false
-  and num_val = Array.make n 0.
-  and orig = Array.make n root in
+  and attr_len = Array.make (max n_attrs 1) 0 in
   let bbuf = Buffer.create 1024 in
   let slot = ref 0 and attr_ix = ref 0 in
   let rec go p (nd : Tree.node) =
@@ -105,11 +113,6 @@ let of_tree ?(intern = Intern.create ()) (root : Tree.node) =
         text_off.(i) <- Buffer.length bbuf;
         text_len.(i) <- String.length s;
         Buffer.add_string bbuf s);
-    (match Tree.float_of nd with
-    | Some f ->
-        num_some.(i) <- true;
-        num_val.(i) <- f
-    | None -> ());
     attr_start.(i) <- !attr_ix;
     attr_count.(i) <- List.length nd.Tree.attrs;
     List.iter
@@ -121,7 +124,6 @@ let of_tree ?(intern = Intern.create ()) (root : Tree.node) =
         attr_len.(j) <- String.length v;
         Buffer.add_string bbuf v)
       nd.Tree.attrs;
-    orig.(i) <- nd;
     let prev = ref (-1) in
     List.iter
       (fun c ->
@@ -134,6 +136,8 @@ let of_tree ?(intern = Intern.create ()) (root : Tree.node) =
     i
   in
   ignore (go (-1) root);
+  let buf = Buffer.to_bytes bbuf in
+  let num_some, num_val = num_columns ~n ~text_off ~text_len buf in
   {
     n;
     ids;
@@ -150,60 +154,13 @@ let of_tree ?(intern = Intern.create ()) (root : Tree.node) =
     attr_key;
     attr_off;
     attr_len;
-    buf = Buffer.to_bytes bbuf;
+    buf;
     num_some;
     num_val;
     intern;
-    orig;
     by_id = Atomic.make None;
     by_id_lock = Mutex.create ();
   }
-
-(* Materialize fresh pointer nodes from the columns alone, reverse
-   preorder so children exist before their parent (preorder guarantees
-   child slots > parent slot).  Shared by [to_tree] and [decode]. *)
-let materialize ~intern ~n ~ids ~first_child ~next_sibling ~tag ~vfid ~text_off
-    ~text_len ~attr_start ~attr_count ~attr_key ~attr_off ~attr_len ~buf =
-  let dummy : Tree.node =
-    { Tree.id = -1; tag = ""; text = None; attrs = []; children = [];
-      kind = Tree.Element }
-  in
-  let nodes = Array.make n dummy in
-  for i = n - 1 downto 0 do
-    let rec kids c acc =
-      if c < 0 then List.rev acc else kids next_sibling.(c) (nodes.(c) :: acc)
-    in
-    let rec attrs j k acc =
-      if k = 0 then List.rev acc
-      else
-        attrs (j + 1) (k - 1)
-          ( ( Intern.name intern attr_key.(j),
-              Bytes.sub_string buf attr_off.(j) attr_len.(j) )
-          :: acc )
-    in
-    nodes.(i) <-
-      {
-        Tree.id = ids.(i);
-        tag = Intern.name intern tag.(i);
-        text =
-          (if text_off.(i) < 0 then None
-           else Some (Bytes.sub_string buf text_off.(i) text_len.(i)));
-        attrs = attrs attr_start.(i) attr_count.(i) [];
-        children = kids first_child.(i) [];
-        kind = (if vfid.(i) >= 0 then Tree.Virtual vfid.(i) else Tree.Element);
-      }
-  done;
-  nodes
-
-let to_tree t =
-  let nodes =
-    materialize ~intern:t.intern ~n:t.n ~ids:t.ids ~first_child:t.first_child
-      ~next_sibling:t.next_sibling ~tag:t.tag ~vfid:t.vfid
-      ~text_off:t.text_off ~text_len:t.text_len ~attr_start:t.attr_start
-      ~attr_count:t.attr_count ~attr_key:t.attr_key ~attr_off:t.attr_off
-      ~attr_len:t.attr_len ~buf:t.buf
-  in
-  nodes.(0)
 
 (* ------------------------------------------------------------------ *)
 (* content accessors (allocation-free comparisons)                    *)
@@ -258,10 +215,11 @@ let attr_test t i ~key ~expected =
       in
       eq 0
 
-let attr_value t i ~key =
-  let j = attr_row t i key in
-  if j < 0 then None
-  else Some (Bytes.sub_string t.buf t.attr_off.(j) t.attr_len.(j))
+let attrs t i =
+  List.init t.attr_count.(i) (fun k ->
+      let j = t.attr_start.(i) + k in
+      ( Intern.name t.intern t.attr_key.(j),
+        Bytes.sub_string t.buf t.attr_off.(j) t.attr_len.(j) ))
 
 (* ------------------------------------------------------------------ *)
 (* id index                                                           *)
@@ -290,7 +248,6 @@ let index t =
       h
 
 let find_index t id = Hashtbl.find_opt (index t) id
-let find_by_id t id = Option.map (fun i -> t.orig.(i)) (find_index t id)
 
 (* ------------------------------------------------------------------ *)
 (* wire image                                                         *)
@@ -301,7 +258,7 @@ let find_by_id t id = Option.map (fun i -> t.orig.(i)) (find_index t id)
    columns as little-endian u32 rows, and one blit of [buf].  Codes
    are remapped through the receiver's intern on decode, so two stores
    never need to agree on code assignment.  [num_*] is derived state
-   and recomputed ([Tree.float_of] is a pure function of the text). *)
+   and recomputed from the buffer ({!num_columns}). *)
 
 let add_i32 b v = Buffer.add_int32_le b (Int32.of_int v)
 
@@ -430,19 +387,7 @@ let decode ?(intern = Intern.create ()) s =
       if attr_off.(j) < 0 || attr_len.(j) < 0 then raise Corrupt;
       if attr_off.(j) + attr_len.(j) > buf_len then raise Corrupt
     done;
-    let orig =
-      materialize ~intern ~n ~ids ~first_child ~next_sibling ~tag ~vfid
-        ~text_off ~text_len ~attr_start ~attr_count ~attr_key ~attr_off
-        ~attr_len ~buf
-    in
-    let num_some = Array.make n false and num_val = Array.make n 0. in
-    for i = 0 to n - 1 do
-      match Tree.float_of orig.(i) with
-      | Some f ->
-          num_some.(i) <- true;
-          num_val.(i) <- f
-      | None -> ()
-    done;
+    let num_some, num_val = num_columns ~n ~text_off ~text_len buf in
     {
       n;
       ids;
@@ -463,7 +408,6 @@ let decode ?(intern = Intern.create ()) s =
       num_some;
       num_val;
       intern;
-      orig;
       by_id = Atomic.make None;
       by_id_lock = Mutex.create ();
     }

@@ -7,8 +7,10 @@
 
     Built once from the pointer tree, immutable afterwards, and
     therefore shareable across OCaml 5 domains without copying; stage
-    passes traverse it as tight loops over int reads.  Layout,
-    invariants and sharing rules: docs/FLATTREE.md. *)
+    passes traverse it as tight loops over int reads.  An image holds
+    columns only, no pointer node: a site evaluates, ships answers
+    from, and decodes exactly these columns.  Layout, invariants and
+    sharing rules: docs/FLATTREE.md. *)
 
 type t
 
@@ -18,11 +20,6 @@ type t
     attribute key into [intern] (fresh by default; a fragment store
     passes its shared table). *)
 val of_tree : ?intern:Intern.t -> Tree.node -> t
-
-(** Reconstruct fresh pointer nodes — same ids, tags, text,
-    attributes, children order and virtual fragment ids.  Inverse of
-    {!of_tree} up to physical identity. *)
-val to_tree : t -> Tree.node
 
 (** {1 Structure}
 
@@ -41,19 +38,11 @@ val first_child : t -> int -> int  (** [-1] for a leaf *)
 val next_sibling : t -> int -> int  (** [-1] for a last child *)
 
 val subtree_size : t -> int -> int
-val n_children : t -> int -> int
 val tag_code : t -> int -> int
 val tag_name : t -> int -> string
 val virtual_fid : t -> int -> int  (** [-1] for elements *)
 
 val is_virtual : t -> int -> bool
-
-(** The pointer node slot [i] was built from (or a materialized
-    equivalent after {!decode}) — answers ship physical nodes. *)
-val orig : t -> int -> Tree.node
-
-(** [orig t 0]. *)
-val root : t -> Tree.node
 
 (** {1 Content}
 
@@ -67,7 +56,7 @@ val text_equals : t -> int -> string -> bool
 val text : t -> int -> string option
 
 (** Numeric value of the character data, exactly {!Tree.float_of}
-    (precomputed at build time). *)
+    (precomputed by {!Tree.number_of_text} at build and decode time). *)
 val num : t -> int -> float option
 
 (** [attr_test t i ~key ~expected] — slot [i] has an attribute whose
@@ -76,17 +65,16 @@ val num : t -> int -> float option
     [v].  A [key] of [-1] (never interned) matches nothing. *)
 val attr_test : t -> int -> key:int -> expected:string option -> bool
 
-val attr_value : t -> int -> key:int -> string option
+(** Slot [i]'s attributes as (key, value) pairs, in document order. *)
+val attrs : t -> int -> (string * string) list
 
 (** {1 Id lookup}
 
-    Backed by a lazily built id→slot table (satellite of ISSUE 7: no
-    more linear scans).  Thread-safe: the table is built once under a
-    lock and published atomically. *)
+    Backed by a lazily built id→slot table, not a linear scan.
+    Thread-safe: the table is built once under a lock and published
+    atomically. *)
 
 val find_index : t -> int -> int option
-
-val find_by_id : t -> int -> Tree.node option
 
 (** {1 Wire image}
 

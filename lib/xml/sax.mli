@@ -1,5 +1,5 @@
 (** Event-based (SAX-style) XML scanning: the substrate for single-pass
-    streaming evaluation, where no tree is ever materialized.
+    streaming evaluation, where no tree is ever built.
 
     Events follow the conventions of {!Parser}: character data is
     whitespace-trimmed per segment, whitespace-only segments are

@@ -35,10 +35,8 @@ let is_virtual n = match n.kind with Virtual _ -> true | Element -> false
 let virtual_fragment n = match n.kind with Virtual fid -> Some fid | Element -> None
 let text_of n = match n.text with Some s -> s | None -> ""
 
-let float_of n =
-  match n.text with
-  | None -> None
-  | Some s -> ( match float_of_string_opt (String.trim s) with Some f -> Some f | None -> None)
+let number_of_text s = float_of_string_opt (String.trim s)
+let float_of n = Option.bind n.text number_of_text
 
 let attr n name = List.assoc_opt name n.attrs
 
@@ -60,12 +58,11 @@ let rec depth n =
 let doc_of_root root = { root; node_count = size root }
 
 (* [find_by_id] used to be a linear scan; repeated lookups against the
-   same root (answer materialization, update routing) now hit a
-   one-slot memoized id table.  The slot is keyed by physical root, so
-   a different tree rebuilds (one O(n) pass — the cost of the scan it
-   replaces); the mutex makes it safe from any domain.  Mutation
-   invalidates wholesale via [invalidate_id_index] (see
-   Pax_frag.Update). *)
+   same root now hit a one-slot memoized id table.  The slot is keyed
+   by physical root, so a different tree rebuilds (one O(n) pass — the
+   cost of the scan it replaces); the mutex makes it safe from any
+   domain.  Mutation invalidates wholesale via [invalidate_id_index]
+   (see Pax_frag.Update). *)
 let id_index_lock = Mutex.create ()
 let id_index : (node * (int, node) Hashtbl.t) option ref = ref None
 

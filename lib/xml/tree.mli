@@ -62,8 +62,13 @@ val virtual_fragment : node -> int option
 (** Character data of [n], or [""]. *)
 val text_of : node -> string
 
-(** [float_of n] parses the character data as a number ([val()] in the
-    paper's query class); [None] when absent or non-numeric. *)
+(** [number_of_text s] — the numeric value of character data [s]
+    ([val()] in the paper's query class); [None] when non-numeric.  The
+    one parser behind {!float_of} and {!Flat}'s number column. *)
+val number_of_text : string -> float option
+
+(** [float_of n] is {!number_of_text} of [n]'s character data; [None]
+    when absent or non-numeric. *)
 val float_of : node -> float option
 
 val attr : node -> string -> string option

@@ -243,7 +243,10 @@ let test_socket_domains () =
    per-site fates as in-process rounds, so on the same placement and
    plan a socket run and an in-process run agree on answers, visits,
    retries, trace events and the message log — or both fail with the
-   same [Site_unreachable] after the same trace. *)
+   same [Site_unreachable] after the same trace.  The answer nodes
+   themselves match too: both backends build them from the site's
+   image, so an inner element such as a [person] comes back in the
+   same shape from either. *)
 let parity_seeds = [ 1; 2; 3; 5; 8; 13; 21; 34 ]
 
 let test_socket_fault_parity () =
@@ -259,7 +262,7 @@ let test_socket_fault_parity () =
             | r ->
                 let report = r.Run_result.report in
                 Ok
-                  ( r.Run_result.answer_ids,
+                  ( (r.Run_result.answer_ids, r.Run_result.answers),
                     Array.to_list report.Cluster.visits,
                     report.Cluster.retries,
                     Trace.events (Cluster.trace cl),
@@ -284,8 +287,13 @@ let test_socket_fault_parity () =
                         Printf.sprintf "%s on %s, seed %d" name qs seed
                       in
                       match (outcome run cl_net q, outcome run cl_mem q) with
-                      | Ok (a, v, r, ev, m), Ok (a', v', r', ev', m') ->
+                      | ( Ok ((a, ns), v, r, ev, m),
+                          Ok ((a', ns'), v', r', ev', m') ) ->
                           Alcotest.(check (list int)) (what ^ ": answers") a' a;
+                          Alcotest.(check bool)
+                            (what ^ ": answer nodes")
+                            true
+                            (List.equal Tree.equal_structure ns ns');
                           Alcotest.(check (list int)) (what ^ ": visits") v' v;
                           Alcotest.(check int) (what ^ ": retries") r' r;
                           Alcotest.(check bool)

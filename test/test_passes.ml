@@ -216,12 +216,15 @@ let kernel_parity (s : H.Gen.scenario) =
         Sel_pass.run compiled ~init ~root_is_context:is_root ~sat eval_root
       in
       let fs = Flat_pass.sel_run plan fl ~init ~is_root ~qual:(Some fq) in
-      check fid "sel ops" (sp.Sel_pass.ops = fs.Sel_pass.ops);
+      (* The flat kernel names nodes by slot (-1: the wrapper, id -1). *)
+      let slot_ids = List.map (Flat_pass.node_id fl) in
+      let slot_cands = List.map (fun (i, f) -> (Flat_pass.node_id fl i, f)) in
+      check fid "sel ops" (sp.Sel_pass.ops = fs.Flat_pass.ops);
       check fid "sel answers"
-        (ids sp.Sel_pass.answers = ids fs.Sel_pass.answers);
+        (ids sp.Sel_pass.answers = slot_ids fs.Flat_pass.answers);
       check fid "sel candidates"
-        (cands sp.Sel_pass.candidates = cands fs.Sel_pass.candidates);
-      check fid "sel contexts" (sp.Sel_pass.contexts = fs.Sel_pass.contexts))
+        (cands sp.Sel_pass.candidates = slot_cands fs.Flat_pass.candidates);
+      check fid "sel contexts" (sp.Sel_pass.contexts = fs.Flat_pass.contexts))
     (Fragment.top_down ft);
   true
 

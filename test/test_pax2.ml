@@ -52,7 +52,8 @@ let test_combined_on_whole_tree () =
   Alcotest.(check (list int)) "answers match the oracle"
     (Semantics.eval_ids q.Query.ast c.doc.Tree.root)
     (List.sort compare
-       (List.map (fun (n : Tree.node) -> n.Tree.id) outcome.Flat_pass.answers))
+       (List.map (Pax_xml.Flat.node_id (Fragment.flat ft 0))
+          outcome.Flat_pass.answers))
 
 let test_combined_placeholders_resolve_locally () =
   (* Every residual the combined pass leaves must only mention boundary
