@@ -73,20 +73,24 @@ let batch_table () =
   Setup.section "batched evaluation: Q1-Q4 together vs one at a time";
   let cl = Setup.ft1 ~total_mb:100 ~j:10 in
   let qs = List.map snd Setup.queries in
-  let solo_visits, solo_control =
+  let solo_visits, solo_control, solo_ops =
     List.fold_left
-      (fun (v, b) q ->
+      (fun (v, b, o) q ->
         let r = Setup.pax2_na.Setup.run cl q in
         let rep = r.Run_result.report in
-        (v + rep.Cluster.max_visits, b + rep.Cluster.control_bytes))
-      (0, 0) qs
+        ( v + rep.Cluster.max_visits,
+          b + rep.Cluster.control_bytes,
+          o + rep.Cluster.total_ops ))
+      (0, 0, 0) qs
   in
   let batch = Pax_core.Batch.run cl qs in
-  Printf.printf "%-22s %14s %14s\n" "" "visits (max)" "control bytes";
-  Printf.printf "%-22s %14d %14d\n" "4 solo PaX2 runs" solo_visits solo_control;
-  Printf.printf "%-22s %14d %14d\n" "1 batched run"
-    batch.Pax_core.Batch.report.Cluster.max_visits
-    batch.Pax_core.Batch.report.Cluster.control_bytes
+  let rep = batch.Pax_core.Batch.report in
+  Printf.printf "%-22s %14s %14s %14s\n" "" "visits (max)" "control bytes"
+    "total ops";
+  Printf.printf "%-22s %14d %14d %14d\n" "4 solo PaX2 runs" solo_visits
+    solo_control solo_ops;
+  Printf.printf "%-22s %14d %14d %14d\n" "1 batched run" rep.Cluster.max_visits
+    rep.Cluster.control_bytes rep.Cluster.total_ops
 
 let placement_table () =
   Setup.section

@@ -202,3 +202,9 @@ let init_of_ctx compiled ~fid ctx3 =
       | T -> Formula.true_
       | F -> Formula.false_
       | M -> Formula.var (Var.Sel_ctx (fid, i)))
+
+let shipped_init compiled analysis fid =
+  match analysis with
+  | None -> None
+  | Some _ when fid = 0 -> Some (Sel_pass.blank_init compiled)
+  | Some a -> Some (init_of_ctx compiled ~fid a.ctx.(fid))

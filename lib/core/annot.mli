@@ -42,4 +42,13 @@ val analyze : Pax_xpath.Compile.t -> Pax_frag.Fragment.t -> analysis
 val init_of_ctx :
   Pax_xpath.Compile.t -> fid:int -> tri array -> Pax_bool.Formula.t array
 
+(** [shipped_init compiled analysis fid] — the initial vector a
+    coordinator ships with fragment [fid]'s selection visit: [None]
+    without an analysis (the site derives it: {!Sel_pass.blank_init} at
+    the root, {!Sel_pass.symbolic_init} elsewhere), else the
+    annotation-derived vector (blank at the root). *)
+val shipped_init :
+  Pax_xpath.Compile.t -> analysis option -> int ->
+  Pax_bool.Formula.t array option
+
 val pp_tri : Format.formatter -> tri -> unit

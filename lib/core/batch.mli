@@ -4,7 +4,11 @@
     Each visit is the expensive part in a WAN setting; since PaX2's
     protocol is query-independent, [n] queries can share the rounds —
     every site is still visited at most twice {e in total}, and the
-    communication stays [O(Σ|Qᵢ| |FT| + Σ|ansᵢ|)]. *)
+    communication stays [O(Σ|Qᵢ| |FT| + Σ|ansᵢ|)].
+
+    Each query runs PaX2's own stages ({!Pax2.stages}), with its own
+    site states, in process; a batch of one charges exactly what a
+    PaX2 run charges. *)
 
 type t = {
   results : (Pax_xpath.Query.t * Pax_xml.Tree.node list) list;

@@ -4,7 +4,10 @@
     queries on distributed catalogs (the paper's §7): the same two-stage
     PaX2 protocol, but sites ship {e counts} instead of elements, so the
     total communication is [O(|Q| |FT|)] — independent of both the tree
-    {e and} the answer size. *)
+    {e and} the answer size.
+
+    It runs PaX2's own stages ({!Pax2.stages}) in process, so its
+    visits and ops equal a PaX2 run's; only what travels up differs. *)
 
 (** [run ?annotations cluster q] — the number of nodes in [val(Q, root)]
     plus the cost report.  ≤ 2 visits per site, zero answer bytes. *)

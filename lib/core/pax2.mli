@@ -17,6 +17,76 @@
     no qualifier of a possible answer can reach — and ground contexts
     remove Stage 2 visits (a single visit for qualifier-free queries). *)
 
-(** Every fragment is evaluated through {!Flat_pass.combined_run}. *)
+(** Each stage is described once, as a {!Pax_dist.Cluster.remote}: the
+    wire call a site gets and how its reply fills the coordinator's
+    views.  With a transport the call travels to a site server;
+    without one, {!Site.local} runs it through the same site handler
+    in process ({!Flat_pass.combined_run} in stage 1, candidate
+    resolution in stage 2). *)
 val run :
   ?annotations:bool -> Pax_dist.Cluster.t -> Pax_xpath.Query.t -> Run_result.t
+
+(** {1 The stages, shared with Count and Batch}
+
+    {!run} is these steps in order: {!prepare}, a ["stage1"] round of
+    {!stage1} visits, {!send_stage1}, {!unify_quals} and
+    {!unify_contexts} at the coordinator, a ["stage2"] round of
+    {!stage2} visits, {!send_resolutions} and {!ship_answers}.  Count
+    and Batch drive the same steps (in process only), so they charge
+    what PaX2 charges. *)
+
+(** One query's PaX2 run at the coordinator: the stage-1 views filled
+    from site replies, evalFT's results, and one {!Site.t} per site for
+    in-process visits. *)
+type stages
+
+val prepare :
+  ?annotations:bool -> Pax_dist.Cluster.t -> Pax_xpath.Query.t -> stages
+
+(** May the fragment hold answers or data a qualifier of one reads
+    (always, without annotations)?  Stage 1 visits these. *)
+val relevant : stages -> int -> bool
+
+(** Did the fragment's stage-1 reply keep candidates?  Stage 2 visits
+    these. *)
+val has_candidates : stages -> int -> bool
+
+(** [visit r ~round rm site] — {!Site.local} over [r]'s site states:
+    the in-process visit of stage [rm], memoized by [round]. *)
+val visit : stages -> round:int -> 'a Pax_dist.Cluster.remote -> int -> 'a
+
+(** Stage 1: the combined pass over the site's relevant fragments.
+    Parsing fills each fragment's view and charges its ops once;
+    [store] (default: nothing) sees each result as it is first
+    parsed. *)
+val stage1 :
+  ?store:(Pax_wire.Wire.frag_result -> unit) -> stages ->
+  unit Pax_dist.Cluster.remote
+
+(** Stage-1 traffic: the query down to each site and, for each fragment
+    visited, its qualifier and context vectors up, then [up ~site fid]
+    (default: the fragment's certain answers). *)
+val send_stage1 :
+  ?up:(site:int -> int -> unit) -> stages -> int list -> unit
+
+(** evalFT, bottom-up: unify the qualifier vectors; charges the
+    coordinator [n_frag × n_qual] ops. *)
+val unify_quals : stages -> unit
+
+(** evalFT, top-down: unify the context vectors (after
+    {!unify_quals}); charges the coordinator [n_frag × n_sel] ops. *)
+val unify_contexts : stages -> unit
+
+(** Stage 2: resolve the candidates with the unified values; the
+    parsed result is the site's answers, its ops charged once. *)
+val stage2 : stages -> Pax_xml.Tree.node list Pax_dist.Cluster.remote
+
+(** Stage-2 traffic down: each candidate fragment's unified context
+    and its sub-fragments' unified qualifier values. *)
+val send_resolutions : stages -> int list -> unit
+
+(** Stage-2 traffic up: each site's resolved answers. *)
+val ship_answers : stages -> (int * Pax_xml.Tree.node list) list -> unit
+
+(** The answers stage 1 found certain, over all fragments. *)
+val certain_answers : stages -> Pax_xml.Tree.node list

@@ -19,56 +19,27 @@ let run ?(annotations = false) (cl : Cluster.t) (q : Query.t) : Run_result.t =
   let ft = Cluster.ftree cl in
   let n_frag = Fragment.n_fragments ft in
   let compiled = q.Query.compiled in
-  (* Built before the rounds: pool domains only read it. *)
-  let plan = Flat_pass.make_plan compiled (Fragment.intern ft) in
   let analysis = if annotations then Some (Annot.analyze compiled ft) else None in
   let relevant_sel fid =
     match analysis with None -> true | Some a -> a.Annot.relevant_sel.(fid)
   in
-  let init_for fid =
-    if fid = 0 then Sel_pass.blank_init compiled
-    else
-      match analysis with
-      | Some a -> Annot.init_of_ctx compiled ~fid a.Annot.ctx.(fid)
-      | None -> Sel_pass.symbolic_init compiled ~fid
-  in
-  let fq_store : Flat_pass.qual option array = Array.make n_frag None in
-  let remote_if_net rm =
-    if Cluster.transport_active cl then Some rm else None
-  in
+  (* Each stage's in-process visit runs its wire call through the
+     site's handler, against one state per site for the run. *)
+  let site_states = Site.states cl q in
 
   (* ---------------- Stage 1: qualifiers, all sites ---------------- *)
   let stage1_needed = not (Compile.no_qualifiers compiled) in
   (* Per-fragment views of the stage-1 result (the root qualifier
-     vector), filled by the in-process pass or a wire reply; the
-     accounting loop and evalFT read only these.  [fq_store] holds the
-     full in-process qual-pass state for stage 2 — a remote site keeps
-     the equivalent state itself between visits. *)
+     vector), filled by parsing site replies; the accounting loop and
+     evalFT read only these.  The site keeps its full qual-pass state
+     for stage 2. *)
   let q1_seen = Array.make n_frag false in
   let q1_vec : Formula.t array array = Array.make n_frag [||] in
   let resolved_quals =
     if not stage1_needed then None
     else begin
       let sites = active_sites cl (all_fids ft) in
-      (* Stage state is keyed by fid within the round: a replayed visit
-         (lost reply under a fault plan) skips recomputation, so ops are
-         not double-counted and stage-1 vectors are not rebuilt. *)
-      let s1_local site =
-        List.iter
-          (fun fid ->
-            if not q1_seen.(fid) then begin
-              let fq =
-                Flat_pass.qual_run plan (Fragment.flat ft fid)
-                  ~is_root:(fid = 0)
-              in
-              fq_store.(fid) <- Some fq;
-              q1_vec.(fid) <- fq.Flat_pass.q_root_vec;
-              Cluster.add_ops cl ~site fq.Flat_pass.q_ops;
-              q1_seen.(fid) <- true
-            end)
-          (Cluster.fragments_on cl site)
-      in
-      let s1_remote =
+      let rm1 =
         {
           Cluster.build =
             (fun site ->
@@ -78,6 +49,8 @@ let run ?(annotations = false) (cl : Cluster.t) (q : Query.t) : Run_result.t =
             (fun site reply ->
               match reply with
               | Wire.Frag_results frs ->
+                  (* A view is filled, and its ops charged, once: a
+                     replayed visit parses the memoized reply again. *)
                   List.iter
                     (fun (fr : Wire.frag_result) ->
                       let fid = fr.Wire.fr_fid in
@@ -96,9 +69,8 @@ let run ?(annotations = false) (cl : Cluster.t) (q : Query.t) : Run_result.t =
         }
       in
       ignore
-        (Cluster.run_round cl
-           ?remote:(remote_if_net s1_remote)
-           ~label:"stage1" ~sites s1_local);
+        (Cluster.run_round cl ~remote:rm1 ~label:"stage1" ~sites
+           (Site.local site_states ~round:0 rm1));
       List.iter
         (fun site ->
           Cluster.send cl ~src:Coordinator ~dst:(Site site) ~kind:Query
@@ -128,47 +100,12 @@ let run ?(annotations = false) (cl : Cluster.t) (q : Query.t) : Run_result.t =
   let rel_fids = List.filter relevant_sel (all_fids ft) in
   let stage2_sites = active_sites cl rel_fids in
   (* Stage-2 views: context vectors, certain answers, and the number of
-     candidates each site kept back for stage 3 ([local_cands] has the
-     actual formulas in-process only). *)
+     candidates each site kept back for stage 3. *)
   let s2_seen = Array.make n_frag false in
   let s2_ctxs : (int * Formula.t array) list array = Array.make n_frag [] in
   let s2_certain : Tree.node list array = Array.make n_frag [] in
   let s2_cands = Array.make n_frag 0 in
-  let local_cands : (Pax_xml.Flat.t * (int * Formula.t) list) option array =
-    Array.make n_frag None
-  in
-  (* The [s2_seen] guard keeps replayed visits from re-running
-     [Flat_pass.qual_resolve], which substitutes into the stage-1
-     vectors in place — exactly the "corrupt stage-1 state" hazard
-     idempotent visits exist to prevent. *)
-  let s2_local site =
-    List.iter
-      (fun fid ->
-        if relevant_sel fid && not s2_seen.(fid) then begin
-          let fl =
-            match fq_store.(fid) with
-            | Some fq ->
-                Cluster.add_ops cl ~site
-                  (Flat_pass.qual_resolve fq qual_lookup);
-                (* The same image stage 1 ran on: its slots index the
-                   resolved qualifier vectors. *)
-                fq.Flat_pass.q_flat
-            | None -> Fragment.flat ft fid
-          in
-          let oc =
-            Flat_pass.sel_run plan fl ~init:(init_for fid) ~is_root:(fid = 0)
-              ~qual:fq_store.(fid)
-          in
-          s2_ctxs.(fid) <- oc.Flat_pass.contexts;
-          s2_certain.(fid) <- Run_result.nodes_of_slots fl oc.Flat_pass.answers;
-          s2_cands.(fid) <- List.length oc.Flat_pass.candidates;
-          local_cands.(fid) <- Some (fl, oc.Flat_pass.candidates);
-          s2_seen.(fid) <- true;
-          Cluster.add_ops cl ~site oc.Flat_pass.ops
-        end)
-      (Cluster.fragments_on cl site)
-  in
-  let s2_remote =
+  let rm2 =
     {
       Cluster.build =
         (fun site ->
@@ -183,9 +120,7 @@ let run ?(annotations = false) (cl : Cluster.t) (q : Query.t) : Run_result.t =
                         ( {
                             Wire.fe_fid = fid;
                             fe_is_root = fid = 0;
-                            fe_init =
-                              (if annotations then Some (init_for fid)
-                               else None);
+                            fe_init = Annot.shipped_init compiled analysis fid;
                           },
                           match resolved_quals with
                           | Some r ->
@@ -217,9 +152,8 @@ let run ?(annotations = false) (cl : Cluster.t) (q : Query.t) : Run_result.t =
     }
   in
   ignore
-    (Cluster.run_round cl
-       ?remote:(remote_if_net s2_remote)
-       ~label:"stage2" ~sites:stage2_sites s2_local);
+    (Cluster.run_round cl ~remote:rm2 ~label:"stage2" ~sites:stage2_sites
+       (Site.local site_states ~round:1 rm2));
   List.iter
     (fun site ->
       Cluster.send cl ~src:Coordinator ~dst:(Site site) ~kind:Query
@@ -269,33 +203,15 @@ let run ?(annotations = false) (cl : Cluster.t) (q : Query.t) : Run_result.t =
           ~ctx_of:(fun fid -> raw_ctx.(fid))
           ~qual_lookup)
   in
-  let ctx_lookup = Eval_ft.ctx_lookup resolved_ctx in
 
   (* ---------------- Stage 3: resolve candidates -------------------- *)
   let has_candidates fid = s2_seen.(fid) && s2_cands.(fid) > 0 in
   let cand_fids = List.filter has_candidates (all_fids ft) in
   let stage3_sites = active_sites cl cand_fids in
-  (* Per-fid memo (replay idempotence under fault plans) as an array,
-     not a shared hashtable: a fragment lives on exactly one site, so
-     under a parallel round the worker domains write disjoint cells. *)
-  let stage3_memo : Tree.node list option array = Array.make n_frag None in
-  let s3_local site =
-    List.concat_map
-      (fun fid ->
-        if has_candidates fid then
-          match stage3_memo.(fid) with
-          | Some answers -> answers
-          | None ->
-              let fl, cands = Option.get local_cands.(fid) in
-              let slots, ops = Flat_pass.resolve_candidates cands ctx_lookup in
-              Cluster.add_ops cl ~site ops;
-              let answers = Run_result.nodes_of_slots fl slots in
-              stage3_memo.(fid) <- Some answers;
-              answers
-        else [])
-      (Cluster.fragments_on cl site)
-  in
-  let s3_remote =
+  (* Sites whose stage-3 ops are charged: an in-process visit replayed
+     after a lost reply parses the memoized reply again. *)
+  let s3_charged = Array.make (Cluster.n_sites cl) false in
+  let rm3 =
     {
       Cluster.build =
         (fun site ->
@@ -312,16 +228,18 @@ let run ?(annotations = false) (cl : Cluster.t) (q : Query.t) : Run_result.t =
         (fun site reply ->
           match reply with
           | Wire.Final_answers { answers; ops } ->
-              Cluster.add_ops cl ~site ops;
+              if not s3_charged.(site) then begin
+                s3_charged.(site) <- true;
+                Cluster.add_ops cl ~site ops
+              end;
               List.map Wire.node_of_answer answers
           | Wire.Frag_results _ ->
               invalid_arg "PaX3: unexpected stage-3 reply");
     }
   in
   let stage3_answers =
-    Cluster.run_round cl
-      ?remote:(remote_if_net s3_remote)
-      ~label:"stage3" ~sites:stage3_sites s3_local
+    Cluster.run_round cl ~remote:rm3 ~label:"stage3" ~sites:stage3_sites
+      (Site.local site_states ~round:2 rm3)
   in
   List.iter
     (fun site ->

@@ -25,7 +25,12 @@
     context is fully ground produce no candidates, removing their
     Stage 3 visit. *)
 
-(** Fragments are evaluated through {!Flat_pass.qual_run} and
-    {!Flat_pass.sel_run}. *)
+(** Each stage is described once, as a {!Pax_dist.Cluster.remote}: the
+    wire call a site gets and how its reply fills the coordinator's
+    views.  With a transport the call travels to a site server;
+    without one, {!Site.local} runs it through the same site handler
+    in process ({!Flat_pass.qual_run} in stage 1,
+    {!Flat_pass.qual_resolve} and {!Flat_pass.sel_run} in stage 2,
+    candidate resolution in stage 3). *)
 val run :
   ?annotations:bool -> Pax_dist.Cluster.t -> Pax_xpath.Query.t -> Run_result.t

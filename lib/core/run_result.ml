@@ -20,10 +20,6 @@ let make ?trace ~query ~answers ~report () =
     trace;
   }
 
-let nodes_of_slots fl slots =
-  List.map Pax_wire.Wire.node_of_answer
-    (Pax_wire.Wire.answers_of_slots fl slots)
-
 let trace_exn t =
   match t.trace with
   | Some tr -> tr

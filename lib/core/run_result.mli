@@ -16,12 +16,6 @@ val make :
   ?trace:Pax_dist.Trace.t -> query:Pax_xpath.Query.t ->
   answers:Pax_xml.Tree.node list -> report:Pax_dist.Cluster.report -> unit -> t
 
-(** [nodes_of_slots fl slots] — answers exactly as a site ships them:
-    every slot of image [fl] through {!Pax_wire.Wire.answers_of_slots}
-    and {!Pax_wire.Wire.node_of_answer}.  In-process and socket runs
-    build [answers] with it, so both return the same nodes. *)
-val nodes_of_slots : Pax_xml.Flat.t -> int list -> Pax_xml.Tree.node list
-
 (** The trace, for callers that know the engine recorded one. *)
 val trace_exn : t -> Pax_dist.Trace.t
 

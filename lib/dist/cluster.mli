@@ -33,8 +33,9 @@
 
     A visit whose {e reply} was lost is re-delivered, and the site
     re-executes it: site work passed to {!run_round} must therefore be
-    idempotent per round (the PaX engines key their stage state by
-    round for exactly this reason).
+    idempotent per round (PaX2 and PaX3 visits go through the site
+    handler, [Pax_core.Site], whose reply memo answers a replayed round
+    without re-running it — the same memo on both backends).
 
     {2 Real parallelism}
 
@@ -50,8 +51,8 @@
     too, since a plan is a pure function of (site, round, attempt) and
     of the message context, never of visit order.  Two requirements on
     site work beyond the idempotence above: within a round it must not
-    share mutable state across sites (the engines keep stage state per
-    fragment, and a fragment lives on exactly one site), and it must
+    share mutable state across sites (the engines keep views per
+    fragment or per site, and one site-handler state per site), and it must
     charge {!add_ops} only to the site being visited.  See
     docs/PARALLELISM.md. *)
 
@@ -170,8 +171,8 @@ val set_retry : t -> Retry.t -> unit
 (** Install or remove the remote backend. *)
 val set_transport : t -> Transport.t option -> unit
 
-(** Is a remote backend installed?  Engines consult this to decide
-    whether to pass [?remote] stage implementations to {!run_round}. *)
+(** Is a remote backend installed?  PaX2 consults this to use the
+    stage cache on the transport path only. *)
 val transport_active : t -> bool
 
 (** {1 Cross-query cache}

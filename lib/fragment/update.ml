@@ -122,8 +122,6 @@ let apply (ft : Fragment.t) (op : op) : (int, error) result =
   | Ok fid ->
       Fragment.bump_generation ft fid;
       ignore (Fragment.flat ft fid : Flat.t);
-      (* In-place mutation: drop the Tree.find_by_id memo too. *)
-      Tree.invalidate_id_index ();
       Ok fid
   | Error _ as e -> e
 

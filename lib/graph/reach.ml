@@ -18,6 +18,24 @@ let parse g text =
              g.Gfrag.n_nodes)
       else Ok { rq_src = src; rq_dst = dst; rq_source = Gfrag.query_string ~src ~dst }
 
+let stage1_reply frag_of ~query fids =
+  match Gfrag.parse_query query with
+  | None -> failwith (Printf.sprintf "not a reachability query: %S" query)
+  | Some (src, dst) ->
+      Wire.Frag_results
+        (List.map
+           (fun fid ->
+             let vec, ops = Gfrag.local_eval (frag_of fid) ~src ~dst in
+             {
+               Wire.fr_fid = fid;
+               fr_vec = Some vec;
+               fr_ctxs = [];
+               fr_answers = [];
+               fr_cands = 0;
+               fr_ops = ops;
+             })
+           fids)
+
 let eval g cl q =
   Cluster.reset cl;
   let n_frags = Gfrag.n_fragments g in
@@ -34,38 +52,33 @@ let eval g cl q =
       Cluster.add_ops cl ~site ops
     end
   in
-  let visit site =
-    List.iter
-      (fun fid ->
-        let vec, ops =
-          Gfrag.local_eval (Gfrag.fragment g fid) ~src:q.rq_src ~dst:q.rq_dst
-        in
-        account site fid vec ops)
-      (Cluster.fragments_on cl site)
-  in
   let remote =
-    if Cluster.transport_active cl then
-      Some
-        {
-          Cluster.build =
-            (fun site ->
-              Wire.Reach_stage1
-                { query = q.rq_source; fids = Cluster.fragments_on cl site });
-          parse =
-            (fun site reply ->
-              match reply with
-              | Wire.Frag_results frs ->
-                  List.iter
-                    (fun fr ->
-                      match fr.Wire.fr_vec with
-                      | Some vec -> account site fr.Wire.fr_fid vec fr.Wire.fr_ops
-                      | None -> failwith "reach: reply without residual vector")
-                    frs
-              | _ -> failwith "reach: unexpected reply kind");
-        }
-    else None
+    {
+      Cluster.build =
+        (fun site ->
+          Wire.Reach_stage1
+            { query = q.rq_source; fids = Cluster.fragments_on cl site });
+      parse =
+        (fun site reply ->
+          match reply with
+          | Wire.Frag_results frs ->
+              List.iter
+                (fun fr ->
+                  match fr.Wire.fr_vec with
+                  | Some vec -> account site fr.Wire.fr_fid vec fr.Wire.fr_ops
+                  | None -> failwith "reach: reply without residual vector")
+                frs
+          | _ -> failwith "reach: unexpected reply kind");
+    }
   in
-  ignore (Cluster.run_round ?remote cl ~label:"reach:stage1" ~sites visit);
+  (* In process, the site's reply is built by the function a site
+     server runs. *)
+  let visit site =
+    remote.Cluster.parse site
+      (stage1_reply (Gfrag.fragment g) ~query:q.rq_source
+         (Cluster.fragments_on cl site))
+  in
+  ignore (Cluster.run_round ~remote cl ~label:"reach:stage1" ~sites visit);
   (* Accounted traffic, coordinator-side as in pax3: the query down to
      each visited site, one residual vector up per fragment. *)
   List.iter

@@ -23,10 +23,18 @@ type query = {
 (** Parse and range-check against the partition. *)
 val parse : Gfrag.partition -> string -> (query, string) result
 
-(** [eval g cl q] — one round of {!Gfrag.local_eval} over the sites
-    (in-process closure or {!Pax_wire.Wire.call.Reach_stage1} over the
-    transport), accounted sends (query down, vectors up), then the
-    coordinator fixpoint.  Residual vectors are pure disjunctions, so
+(** [stage1_reply frag_of ~query fids] — a site's reply to a
+    [Reach_stage1] call: {!Gfrag.local_eval} of the parsed [query] over
+    each listed fragment ([frag_of fid]), with its ops.  Site servers
+    and {!eval}'s in-process visit both build their replies here.
+    @raise Failure if [query] is not a reachability query. *)
+val stage1_reply :
+  (int -> Gfrag.fragment) -> query:string -> int list -> Pax_wire.Wire.reply
+
+(** [eval g cl q] — one round of {!Pax_wire.Wire.call.Reach_stage1}
+    visits over the sites (answered by {!stage1_reply} in process, or
+    by a site server over the transport), accounted sends (query down,
+    vectors up), then the coordinator fixpoint.  Residual vectors are pure disjunctions, so
     the fixpoint is dependency-graph reachability over entry
     variables. *)
 val eval : Gfrag.partition -> Cluster.t -> query -> bool * Cluster.report

@@ -1,30 +1,12 @@
 module Wire = Pax_wire.Wire
 module Flat = Pax_xml.Flat
-module Query = Pax_xpath.Query
-module Compile = Pax_xpath.Compile
-module Formula = Pax_bool.Formula
-module Var = Pax_bool.Var
-module Sel_pass = Pax_core.Sel_pass
-module Flat_pass = Pax_core.Flat_pass
+module Site = Pax_core.Site
 
-(* Per-run visit state.  Stage-1 results feed the later stages of the
-   same run; replies are memoized by round so a retransmitted request
-   (lost reply, client reconnect) is answered identically without
-   re-execution — [Flat_pass.qual_resolve] mutates stage-1 vectors in
-   place, so re-execution would corrupt them. *)
-type run_state = {
-  rs_run : int;
-  (* The run's query source, compiled, and lowered to a plan against
-     the site's intern table — once per run, not per fragment. *)
-  mutable rs_query : (string * Query.t * Flat_pass.plan) option;
-  (* Candidates a fragment keeps for the run's final stage (PaX2 stage
-     2, PaX3 stage 3), with the image whose slots they name: an install
-     between stages swaps the held image, not this one. *)
-  rs_cands : (int, Flat.t * (int * Formula.t) list) Hashtbl.t;
-  rs_fq : (int, Flat_pass.qual) Hashtbl.t;
-  rs_replies : (int, Wire.reply) Hashtbl.t;  (* round -> reply *)
-  mutable rs_touch : int;  (* recency stamp for LRU eviction *)
-}
+(* Per-run visit state: the site handler's state for the run (stage-1
+   results for the later stages, and the reply memo that answers a
+   retransmitted request identically without re-execution), plus a
+   recency stamp for LRU eviction. *)
+type run_state = { rs_site : Site.t; mutable rs_touch : int }
 
 (* A live accepted connection: its socket plus the write lock that
    serializes reply frames with unsolicited [Gen_event] pushes sharing
@@ -132,16 +114,6 @@ let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let fresh_state run =
-  {
-    rs_run = run;
-    rs_query = None;
-    rs_cands = Hashtbl.create 8;
-    rs_fq = Hashtbl.create 8;
-    rs_replies = Hashtbl.create 8;
-    rs_touch = 0;
-  }
-
 let n_run_states t = Hashtbl.length t.states
 let evict_run t run = Hashtbl.remove t.states run
 
@@ -159,20 +131,6 @@ let evict_lru t =
       Pax_obs.Sink.count t.obs "pax_srv_runs_evicted_total"
   | None -> ()
 
-let state_for t run =
-  t.clock <- t.clock + 1;
-  let st =
-    match Hashtbl.find_opt t.states run with
-    | Some st -> st
-    | None ->
-        if Hashtbl.length t.states >= t.max_runs then evict_lru t;
-        let st = fresh_state run in
-        Hashtbl.replace t.states run st;
-        st
-  in
-  st.rs_touch <- t.clock;
-  st
-
 let frag_flat t fid =
   match Hashtbl.find_opt t.flat_imgs fid with
   | Some fl -> fl
@@ -184,167 +142,21 @@ let gfrag_of t fid =
   | None ->
       failwith (Printf.sprintf "site server holds no graph fragment %d" fid)
 
-(* All stages of one run evaluate the same query; compile and lower it
-   once.  Images are built at [create], or installed before any run
-   routed to them starts, so the plan sees every label they carry. *)
-let query_of t st source =
-  match st.rs_query with
-  | Some (src, q, plan) when src = source -> (q.Query.compiled, plan)
-  | _ ->
-      let q = Query.of_string source in
-      let plan = Flat_pass.make_plan q.Query.compiled t.intern in
-      st.rs_query <- Some (source, q, plan);
-      (q.Query.compiled, plan)
-
-let init_of compiled ~fid ~is_root = function
-  | Some vec -> vec
-  | None ->
-      if is_root then Sel_pass.blank_init compiled
-      else Sel_pass.symbolic_init compiled ~fid
-
-(* A candidate formula of fragment [fid] only mentions
-   [Sel_ctx (fid, _)] and [Qual (sub, _)] for direct sub-fragments, so
-   the per-fragment resolutions in a request are a complete
-   substitution source. *)
-let lookup_of ~ctxs ~quals = function
-  | Var.Sel_ctx (f, i) ->
-      Option.map (fun (a : bool array) -> Formula.bool a.(i))
-        (Hashtbl.find_opt ctxs f)
-  | Var.Qual (f, e) ->
-      Option.map (fun (a : bool array) -> Formula.bool a.(e))
-        (Hashtbl.find_opt quals f)
-  | Var.Qual_at _ -> None
-
-(* The final stage of PaX2 and PaX3: resolve the candidates each listed
-   fragment kept from the [stage] before, ship the answers. *)
-let final_answers st fids lookup ~stage =
-  let ops = ref 0 in
-  let answers =
-    List.concat_map
-      (fun fid ->
-        match Hashtbl.find_opt st.rs_cands fid with
-        | Some (fl, cands) ->
-            let slots, n = Flat_pass.resolve_candidates cands lookup in
-            ops := !ops + n;
-            Wire.answers_of_slots fl slots
-        | None ->
-            failwith (Printf.sprintf "no %s state for fragment %d" stage fid))
-      fids
+let state_for t run =
+  t.clock <- t.clock + 1;
+  let st =
+    match Hashtbl.find_opt t.states run with
+    | Some st -> st
+    | None ->
+        if Hashtbl.length t.states >= t.max_runs then evict_lru t;
+        let st =
+          { rs_site = Site.create t.intern ~image:(frag_flat t); rs_touch = 0 }
+        in
+        Hashtbl.replace t.states run st;
+        st
   in
-  Wire.Final_answers { answers; ops = !ops }
-
-let handle_call t ~run call =
-  let st = state_for t run in
-  match call with
-  | Wire.Pax2_stage1 { query; frags } ->
-      let compiled, plan = query_of t st query in
-      Wire.Frag_results
-        (List.map
-           (fun (fe : Wire.frag_eval) ->
-             let fid = fe.Wire.fe_fid in
-             let is_root = fe.Wire.fe_is_root in
-             let init = init_of compiled ~fid ~is_root fe.Wire.fe_init in
-             let fl = frag_flat t fid in
-             let oc = Flat_pass.combined_run plan fl ~init ~is_root in
-             Hashtbl.replace st.rs_cands fid (fl, oc.Flat_pass.candidates);
-             {
-               Wire.fr_fid = fid;
-               fr_vec =
-                 (if compiled.Compile.n_qual > 0 then
-                    Some oc.Flat_pass.root_qvec
-                  else None);
-               fr_ctxs = oc.Flat_pass.contexts;
-               fr_answers = Wire.answers_of_slots fl oc.Flat_pass.answers;
-               fr_cands = List.length oc.Flat_pass.candidates;
-               fr_ops = oc.Flat_pass.ops;
-             })
-           frags)
-  | Wire.Pax2_stage2 { frags } ->
-      let ctxs = Hashtbl.create 8 and quals = Hashtbl.create 8 in
-      List.iter
-        (fun (fid, ctx, subs) ->
-          Hashtbl.replace ctxs fid ctx;
-          List.iter (fun (sub, vec) -> Hashtbl.replace quals sub vec) subs)
-        frags;
-      final_answers st
-        (List.map (fun (fid, _, _) -> fid) frags)
-        (lookup_of ~ctxs ~quals) ~stage:"stage-1"
-  | Wire.Pax3_stage1 { query; fids } ->
-      let _, plan = query_of t st query in
-      Wire.Frag_results
-        (List.map
-           (fun fid ->
-             let fq =
-               Flat_pass.qual_run plan (frag_flat t fid) ~is_root:(fid = 0)
-             in
-             Hashtbl.replace st.rs_fq fid fq;
-             {
-               Wire.fr_fid = fid;
-               fr_vec = Some fq.Flat_pass.q_root_vec;
-               fr_ctxs = [];
-               fr_answers = [];
-               fr_cands = 0;
-               fr_ops = fq.Flat_pass.q_ops;
-             })
-           fids)
-  | Wire.Pax3_stage2 { query; frags } ->
-      let compiled, plan = query_of t st query in
-      Wire.Frag_results
-        (List.map
-           (fun ((fe : Wire.frag_eval), subs) ->
-             let fid = fe.Wire.fe_fid in
-             let is_root = fe.Wire.fe_is_root in
-             let quals = Hashtbl.create 4 in
-             List.iter (fun (sub, vec) -> Hashtbl.replace quals sub vec) subs;
-             let lookup = lookup_of ~ctxs:(Hashtbl.create 1) ~quals in
-             let init = init_of compiled ~fid ~is_root fe.Wire.fe_init in
-             let fq = Hashtbl.find_opt st.rs_fq fid in
-             (* The image stage 1 ran on: its slots index the resolved
-                qualifier vectors. *)
-             let fl, resolve_ops =
-               match fq with
-               | Some fq ->
-                   (fq.Flat_pass.q_flat, Flat_pass.qual_resolve fq lookup)
-               | None -> (frag_flat t fid, 0)
-             in
-             let oc = Flat_pass.sel_run plan fl ~init ~is_root ~qual:fq in
-             Hashtbl.replace st.rs_cands fid (fl, oc.Flat_pass.candidates);
-             {
-               Wire.fr_fid = fid;
-               fr_vec = None;
-               fr_ctxs = oc.Flat_pass.contexts;
-               fr_answers = Wire.answers_of_slots fl oc.Flat_pass.answers;
-               fr_cands = List.length oc.Flat_pass.candidates;
-               fr_ops = resolve_ops + oc.Flat_pass.ops;
-             })
-           frags)
-  | Wire.Pax3_stage3 { frags } ->
-      let ctxs = Hashtbl.create 8 in
-      List.iter (fun (fid, ctx) -> Hashtbl.replace ctxs fid ctx) frags;
-      final_answers st (List.map fst frags)
-        (lookup_of ~ctxs ~quals:(Hashtbl.create 1))
-        ~stage:"stage-2"
-  | Wire.Reach_stage1 { query; fids } -> (
-      match Pax_graph.Gfrag.parse_query query with
-      | None ->
-          failwith
-            (Printf.sprintf "site server: not a reachability query: %S" query)
-      | Some (src, dst) ->
-          Wire.Frag_results
-            (List.map
-               (fun fid ->
-                 let vec, ops =
-                   Pax_graph.Gfrag.local_eval (gfrag_of t fid) ~src ~dst
-                 in
-                 {
-                   Wire.fr_fid = fid;
-                   fr_vec = Some vec;
-                   fr_ctxs = [];
-                   fr_answers = [];
-                   fr_cands = 0;
-                   fr_ops = ops;
-                 })
-               fids))
+  st.rs_touch <- t.clock;
+  st
 
 (* The fragments a call touches, with the store they live in — what the
    retirement fence is keyed on and what the per-fragment hotness
@@ -374,8 +186,8 @@ let stale_frag t ~epoch call =
     (call_frags call)
 
 let handle_request t ~run ~round ~epoch ?parent call =
-  let st = state_for t run in
-  match Hashtbl.find_opt st.rs_replies round with
+  let site = (state_for t run).rs_site in
+  match Site.replay site ~round with
   | Some reply ->
       (* Memo hits are worth seeing in a trace: a resent request that
          cost no kernel time renders as a sliver under its visit. *)
@@ -393,10 +205,14 @@ let handle_request t ~run ~round ~epoch ?parent call =
       | None -> (
           match
             Pax_obs.Sink.span t.obs ~cat:"stage" ?parent "stage kernel"
-              (fun () -> handle_call t ~run call)
+              (fun () ->
+                match call with
+                | Wire.Reach_stage1 { query; fids } ->
+                    Pax_graph.Reach.stage1_reply (gfrag_of t) ~query fids
+                | _ -> Site.handle site call)
           with
           | reply ->
-              Hashtbl.replace st.rs_replies round reply;
+              Site.record site ~round reply;
               List.iter
                 (fun (_, fid) ->
                   Pax_obs.Sink.count t.obs

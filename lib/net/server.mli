@@ -1,17 +1,20 @@
 (** The site server: one process per site, holding that site's
     fragments and answering {!Wire} visit requests over a socket.
 
-    A server is a faithful stand-in for the in-process site closures of
-    the PaX engines: it runs the {e same} stage kernels
-    ({!Pax_core.Flat_pass}) on flat images of the same fragments, so
-    answers, per fragment vectors and operation counts are bit-identical
-    across transports.
+    A server runs the {e same} site handler as the in-process PaX
+    engines ({!Pax_core.Site}) on flat images of the same fragments,
+    so answers, per fragment vectors and operation counts are
+    bit-identical across transports; reachability calls go to
+    [Pax_graph.Reach.stage1_reply], as in process.
 
     Visit state is kept per run (the coordinator stamps every request
-    with a run id): stage-1 results are retained for the later stages,
-    and every computed reply is memoized by round — a retransmitted
-    request is answered from the memo, making visits idempotent exactly
-    as the simulated cluster requires.  Runs are tracked concurrently
+    with a run id): one {!Pax_core.Site.t} per run retains stage-1
+    results for the later stages and memoizes every computed reply by
+    round — a retransmitted request is answered from the memo, making
+    visits idempotent exactly as the simulated cluster requires.  The
+    server adds what a shared process needs around it: the lock, the
+    retirement fences (checked after the memo, before execution), the
+    run-id table and the generation feed.  Runs are tracked concurrently
     in a bounded table: a [Run_done] frame evicts a finished run's
     state eagerly, and an LRU cap of [max_runs] bounds memory even when
     coordinators die without sending one (docs/SERVING.md).  Evicting a
@@ -57,12 +60,6 @@ val n_run_states : t -> int
 
 (** Drop one run's state (what a [Run_done] frame does). *)
 val evict_run : t -> int -> unit
-
-(** Answer one call (exposed for tests; [serve] handles the memo and
-    envelope around this).
-    @raise Failure (and others) on malformed calls — [serve] turns any
-    exception into an [Error] reply. *)
-val handle_call : t -> run:int -> Pax_wire.Wire.call -> Pax_wire.Wire.reply
 
 (** {1 Elastic sharding hooks (docs/SHARDING.md)}
 

@@ -57,35 +57,6 @@ let rec depth n =
 
 let doc_of_root root = { root; node_count = size root }
 
-(* [find_by_id] used to be a linear scan; repeated lookups against the
-   same root now hit a one-slot memoized id table.  The slot is keyed
-   by physical root, so a different tree rebuilds (one O(n) pass — the
-   cost of the scan it replaces); the mutex makes it safe from any
-   domain.  Mutation invalidates wholesale via [invalidate_id_index]
-   (see Pax_frag.Update). *)
-let id_index_lock = Mutex.create ()
-let id_index : (node * (int, node) Hashtbl.t) option ref = ref None
-
-let invalidate_id_index () =
-  Mutex.lock id_index_lock;
-  id_index := None;
-  Mutex.unlock id_index_lock
-
-let find_by_id root id =
-  Mutex.lock id_index_lock;
-  let h =
-    match !id_index with
-    | Some (r, h) when r == root -> h
-    | _ ->
-        let h = Hashtbl.create 256 in
-        iter (fun n -> Hashtbl.replace h n.id n) root;
-        id_index := Some (root, h);
-        h
-  in
-  let r = Hashtbl.find_opt h id in
-  Mutex.unlock id_index_lock;
-  r
-
 let select p root =
   List.rev (fold (fun acc n -> if p n then n :: acc else acc) [] root)
 

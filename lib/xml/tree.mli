@@ -83,16 +83,6 @@ val fold : ('a -> node -> 'a) -> 'a -> node -> 'a
 (** Post-order iteration: children before parents. *)
 val iter_post : (node -> unit) -> node -> unit
 
-(** [find_by_id root id] finds a node by id.  Backed by a memoized
-    id table keyed by (physical) [root] — repeated lookups against one
-    tree are O(1); a different root rebuilds the table in one pass.
-    Callers that mutate a tree in place must call
-    {!invalidate_id_index} afterwards ({!Pax_frag.Update} does). *)
-val find_by_id : node -> int -> node option
-
-(** Drop the {!find_by_id} memo (after an in-place mutation). *)
-val invalidate_id_index : unit -> unit
-
 (** All nodes satisfying [p], in document order. *)
 val select : (node -> bool) -> node -> node list
 

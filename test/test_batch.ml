@@ -67,6 +67,35 @@ let test_empty_batch () =
   let batch = Pax_core.Batch.run cl [] in
   Alcotest.(check int) "no results" 0 (List.length batch.Pax_core.Batch.results)
 
+(* A batch of one is a PaX2 run: the same visits, traffic and work,
+   coordinator unification and sub-fragment resolutions included. *)
+let test_singleton_is_pax2 () =
+  List.iter
+    (fun annotations ->
+      List.iter
+        (fun qs ->
+          let q = Query.of_string qs in
+          let cl = H.Data.clientele_cluster c in
+          let pax2 =
+            (Pax_core.Pax2.run ~annotations cl q).Pax_core.Run_result.report
+          in
+          let batch =
+            (Pax_core.Batch.run ~annotations cl [ q ]).Pax_core.Batch.report
+          in
+          let name what =
+            Printf.sprintf "%s (annotations=%b): %s" qs annotations what
+          in
+          Alcotest.(check int) (name "control bytes") pax2.Cluster.control_bytes
+            batch.Cluster.control_bytes;
+          Alcotest.(check int) (name "answer bytes") pax2.Cluster.answer_bytes
+            batch.Cluster.answer_bytes;
+          Alcotest.(check int) (name "total ops") pax2.Cluster.total_ops
+            batch.Cluster.total_ops;
+          Alcotest.(check (array int)) (name "visits") pax2.Cluster.visits
+            batch.Cluster.visits)
+        queries)
+    [ false; true ]
+
 let prop_random =
   QCheck.Test.make ~name:"random batches agree with the oracle" ~count:150
     QCheck.(
@@ -98,6 +127,8 @@ let () =
           Alcotest.test_case "beats sequential" `Quick
             test_batch_beats_sequential_visits;
           Alcotest.test_case "empty batch" `Quick test_empty_batch;
+          Alcotest.test_case "batch of one = PaX2" `Quick
+            test_singleton_is_pax2;
           QCheck_alcotest.to_alcotest prop_random;
         ] );
     ]

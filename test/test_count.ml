@@ -52,6 +52,40 @@ let test_traffic_independent_of_answer () =
     (r_all.Cluster.control_bytes < 3 * r_one.Cluster.control_bytes
     || r_all.Cluster.control_bytes < 2000)
 
+(* Count runs PaX2's stages: the same visits and the same work,
+   coordinator unification included. *)
+let test_charges_as_pax2 () =
+  List.iter
+    (fun annotations ->
+      List.iter
+        (fun qs ->
+          let q = Query.of_string qs in
+          let cl = H.Data.clientele_cluster c in
+          let pax2 =
+            (Pax_core.Pax2.run ~annotations cl q).Pax_core.Run_result.report
+          in
+          let _, count = Pax_core.Count.run ~annotations cl q in
+          let name what =
+            Printf.sprintf "%s (annotations=%b): %s" qs annotations what
+          in
+          Alcotest.(check int) (name "total ops") pax2.Cluster.total_ops
+            count.Cluster.total_ops;
+          Alcotest.(check (array int)) (name "visits") pax2.Cluster.visits
+            count.Cluster.visits)
+        [
+          "client";
+          "//stock";
+          "//broker[//stock/code/text() = \"GOOG\"]/name";
+          "client[country/text() = \"US\"]//stock/qt";
+          "//nothing";
+          "//stock[buy >= 370]";
+          "//stock/code";
+          "client[country/text() = \"US\"]/broker/name";
+          "client/name";
+          "//*";
+        ])
+    [ false; true ]
+
 let prop_random =
   QCheck.Test.make ~name:"count = |semantics| on random scenarios" ~count:300
     H.Gen.arbitrary_scenario (fun s ->
@@ -73,6 +107,8 @@ let () =
           Alcotest.test_case "annotations" `Quick test_annotations;
           Alcotest.test_case "traffic vs answer size" `Quick
             test_traffic_independent_of_answer;
+          Alcotest.test_case "charges what PaX2 charges" `Quick
+            test_charges_as_pax2;
           QCheck_alcotest.to_alcotest prop_random;
         ] );
     ]

@@ -144,7 +144,58 @@ let test_lost_reply_replay () =
     r.Run_result.report.Cluster.visits.(2);
   Alcotest.(check int) "replays don't double-count work"
     baseline.Run_result.report.Cluster.total_ops
-    r.Run_result.report.Cluster.total_ops
+    r.Run_result.report.Cluster.total_ops;
+  (* Every round of both engines: one lost reply per site and round, so
+     every visit replays — the final stages and PaX3's qualifier
+     resolution included, whose replays the site's reply memo answers
+     without re-running a kernel. *)
+  List.iter
+    (fun (name, engine, n_rounds) ->
+      Cluster.set_fault cl Fault.none;
+      let clean = engine cl q in
+      Cluster.set_fault cl
+        (Fault.all
+           (List.concat_map
+              (fun round ->
+                List.init (Cluster.n_sites cl) (fun site ->
+                    Fault.lose_reply ~site ~round ()))
+              (List.init n_rounds Fun.id)));
+      let r = engine cl q in
+      check_ids (name ^ " under a lost reply in every round") oracle r;
+      Alcotest.(check int)
+        (name ^ ": replays don't double-count work")
+        clean.Run_result.report.Cluster.total_ops
+        r.Run_result.report.Cluster.total_ops;
+      let tr = Run_result.trace_exn r in
+      for round = 0 to n_rounds - 1 do
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: round %d replayed" name round)
+          true
+          (events_with
+             (function
+               | Trace.Visit { round = r; replay = true; _ } -> r = round
+               | _ -> false)
+             tr)
+      done)
+    [
+      ("PaX2", (fun cl q -> Pax_core.Pax2.run cl q), 2);
+      ("PaX3", (fun cl q -> Pax_core.Pax3.run cl q), 3);
+    ];
+  (* The memo answers a replayed round with the very reply the first
+     execution built: no kernel runs twice. *)
+  let states = Pax_core.Site.states cl q in
+  let stage1 =
+    {
+      Cluster.build =
+        (fun site ->
+          Pax_wire.Wire.Pax3_stage1
+            { query = q.Query.source; fids = Cluster.fragments_on cl site });
+      parse = (fun _ reply -> reply);
+    }
+  in
+  let first = Pax_core.Site.local states ~round:0 stage1 2 in
+  Alcotest.(check bool) "a replay returns the memoized reply" true
+    (Pax_core.Site.local states ~round:0 stage1 2 == first)
 
 (* Post-hoc logical-vs-physical message accounting under duplicated
    deliveries: the paper's communication bound is stated over logical

@@ -487,6 +487,26 @@ let check_differential_annotated () =
                 ])
             [ "//person[profile/education]"; "//regions/*/item/name" ]))
 
+(* A sub-fragment the annotations prune from stage 1 has an empty
+   unified qualifier vector; a candidate that reads one of its entries
+   must see false at a site server as it does in process. *)
+let test_pruned_qualifier () =
+  with_timeout 60 (fun () ->
+      let c = Test_helpers.Data.clientele () in
+      let ft = Test_helpers.Data.clientele_ftree c in
+      let cl_ctrl = Pax_dist.Placement.cluster_round_robin ft ~n_sites:3 in
+      with_servers ft ~n_sites:3 (fun cl_net _client _pids _addrs ->
+          let qs = "client[not(country/text() = \"US\")]/name" in
+          let q = Query.of_string qs in
+          let root = c.Test_helpers.Data.doc.Pax_xml.Tree.root in
+          let expected = Pax_core.Centralized.eval_ids q root in
+          let r_ctrl = Pax_core.Pax2.run ~annotations:true cl_ctrl q in
+          let r_net = Pax_core.Pax2.run ~annotations:true cl_net q in
+          Alcotest.(check (list int)) "in process" expected
+            r_ctrl.Pax_core.Run_result.answer_ids;
+          Alcotest.(check (list int)) "over sockets" expected
+            r_net.Pax_core.Run_result.answer_ids))
+
 (* ------------------------------------------------------------------ *)
 (* Failure: a killed server is a typed error, not a hang              *)
 (* ------------------------------------------------------------------ *)
@@ -599,6 +619,7 @@ let () =
             (check_differential "pax3" (fun cl q -> Pax_core.Pax3.run cl q));
           Alcotest.test_case "annotated engines" `Quick
             check_differential_annotated;
+          Alcotest.test_case "pruned qualifier" `Quick test_pruned_qualifier;
         ] );
       ( "failures",
         [

@@ -88,11 +88,6 @@ let test_traversal () =
 
 let test_find_and_copy () =
   let root = parse "<a><b/><c><d/></c></a>" in
-  (match Tree.find_by_id root 3 with
-  | Some n -> Alcotest.(check bool) "found some node" true (n.Tree.id = 3)
-  | None -> Alcotest.fail "id 3 should exist");
-  Alcotest.(check (option Alcotest.reject)) "missing id" None
-    (Tree.find_by_id root 999 |> Option.map ignore);
   let copy = Tree.copy root in
   Alcotest.(check bool) "copy equal" true (Tree.equal_structure root copy);
   copy.Tree.children <- [];

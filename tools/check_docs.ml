@@ -6,7 +6,12 @@
        must resolve to an existing file or directory;
      - every inline-code reference that looks like a repo path
        (`lib/net/wire.ml`, `bench/throughput.ml`, `docs/SERVING.md:12`)
-       must name something that exists — stale paths are how docs rot.
+       must name something that exists — stale paths are how docs rot;
+     - every inline-code `Module.name` reference in docs/, README.md
+       and DESIGN.md whose module is a repo source file must name a
+       [let], [val], [type] or record field of that file (.ml or .mli;
+       any file of that name counts) — renamed and deleted functions
+       rot docs the same way.
 
    Fenced code blocks are skipped entirely (they hold shell transcripts
    and example output, not navigation).  Absolute paths, globs,
@@ -291,6 +296,133 @@ let check_operations () =
       (env_table_vars ops)
   end
 
+(* ---------------- `Module.name` references ------------------------ *)
+
+let ident_char c =
+  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
+  || (c >= '0' && c <= '9')
+  || c = '_' || c = '\''
+
+(* `Cluster.run_round`, `Pax_dist.Cluster.run_round` -> ("Cluster",
+   "run_round"): capitalized path components, then one lowercase
+   name. *)
+let module_ref code =
+  match List.rev (String.split_on_char '.' (String.trim code)) with
+  | name :: (m :: _ as mods)
+    when name <> ""
+         && (name.[0] = '_' || (name.[0] >= 'a' && name.[0] <= 'z'))
+         && String.for_all ident_char name
+         && List.for_all
+              (fun m ->
+                m <> "" && m.[0] >= 'A' && m.[0] <= 'Z'
+                && String.for_all ident_char m)
+              mods ->
+      Some (m, name)
+  | _ -> None
+
+let words line =
+  let n = String.length line in
+  let rec go i acc =
+    if i >= n then List.rev acc
+    else if ident_char line.[i] then (
+      let j = ref i in
+      while !j < n && ident_char line.[!j] do
+        incr j
+      done;
+      go !j (String.sub line i (!j - i) :: acc))
+    else go (i + 1) acc
+  in
+  go 0 []
+
+(* Does this source line define [name]?  A binding ([let], [let rec],
+   [and], [val], [external]), a type ([type 'a name = ...]: the last
+   word before [=]) or a record field ([name :] opening the line or
+   following [{], [;] or [mutable]). *)
+let defines line name =
+  let rec binding = function
+    | kw :: (n :: _ as rest) ->
+        (n = name && List.mem kw [ "let"; "rec"; "and"; "val"; "external" ])
+        || binding rest
+    | _ -> false
+  in
+  let ws = words line in
+  let type_def =
+    match ws with
+    | ("type" | "and") :: _ -> (
+        let head =
+          match String.index_opt line '=' with
+          | Some i -> String.sub line 0 i
+          | None -> line
+        in
+        match List.rev (words head) with n :: _ -> n = name | [] -> false)
+    | _ -> false
+  in
+  let field seg =
+    let seg = String.trim seg in
+    let seg =
+      if starts seg "mutable " then
+        String.trim (String.sub seg 8 (String.length seg - 8))
+      else seg
+    in
+    let m = String.length name in
+    starts seg name
+    && (let rest = String.trim (String.sub seg m (String.length seg - m)) in
+        starts rest ":" && not (starts rest ":=" || starts rest "::"))
+  in
+  binding ws || type_def
+  || List.exists field
+       (String.split_on_char ';'
+          (String.concat ";" (String.split_on_char '{' line)))
+
+let source_modules () =
+  let tbl = Hashtbl.create 128 in
+  List.iter
+    (fun p ->
+      let m =
+        String.capitalize_ascii
+          (Filename.remove_extension (Filename.basename p))
+      in
+      Hashtbl.replace tbl m
+        (p :: Option.value (Hashtbl.find_opt tbl m) ~default:[]))
+    (List.concat_map ml_files
+       [ "lib"; "bin"; "bench"; "test"; "tools"; "perfbench" ]);
+  tbl
+
+let check_module_refs files =
+  let modules = source_modules () in
+  let lines = Hashtbl.create 64 in
+  let lines_of p =
+    match Hashtbl.find_opt lines p with
+    | Some l -> l
+    | None ->
+        let l = String.split_on_char '\n' (read_file p) in
+        Hashtbl.replace lines p l;
+        l
+  in
+  List.iter
+    (fun file ->
+      let _, codes = scan file in
+      List.iter
+        (fun (ln, code) ->
+          match module_ref code with
+          | None -> ()
+          | Some (m, name) -> (
+              match Hashtbl.find_opt modules m with
+              | None -> () (* not a repo module: Stdlib, Unix, ... *)
+              | Some srcs ->
+                  if
+                    not
+                      (List.exists
+                         (fun p ->
+                           List.exists (fun l -> defines l name) (lines_of p))
+                         srcs)
+                  then
+                    err "%s:%d: `%s`: %s defines no %s" file ln code
+                      (String.concat " or " (List.sort compare srcs))
+                      name))
+        codes)
+    files
+
 let md_files_in dir =
   if Sys.file_exists dir && Sys.is_directory dir then
     Sys.readdir dir |> Array.to_list
@@ -353,6 +485,9 @@ let () =
         err "%s: not reachable from README.md" d)
     (md_files_in "docs");
   check_operations ();
+  check_module_refs
+    (List.filter Sys.file_exists [ "README.md"; "DESIGN.md" ]
+    @ md_files_in "docs");
   match List.rev !errors with
   | [] -> Printf.printf "check_docs: %d pages OK\n" (List.length all_md)
   | es ->
