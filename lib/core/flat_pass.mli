@@ -4,13 +4,19 @@
     Batch, Paging and the site servers all evaluate fragments here.
 
     The qualifier and selection passes keep {!Qual_pass} and
-    {!Sel_pass}'s recurrences, formula-construction order and operation
-    counting — only the node representation changes: tag tests compare
-    interned int codes, text/attribute tests read the shared byte buffer
-    in place, traversal follows int vectors.  Those pointer passes are
-    the kernel-level reference (test/test_passes.ml checks parity per
-    fragment); the engines are checked end to end against the
-    centralized evaluator and the set-based semantics.
+    {!Sel_pass}'s recurrences and operation counting — only the node
+    representation changes: tag tests compare interned int codes,
+    text/attribute tests read the shared byte buffer in place,
+    traversal follows int vectors.  Off the spine
+    ({!Pax_xml.Flat.on_spine}) a qualifier vector is ground and held as
+    a bitset, so no formula is built there; every formula the kernels
+    do build — on spine slots, in selection vectors, and in every
+    result they return — is built in the pointer passes' construction
+    order.  Those pointer passes are the kernel-level reference
+    (test/test_passes.ml checks parity per fragment, test/test_flat.ml
+    the combined pass against the two passes); the engines are checked
+    end to end against the centralized evaluator and the set-based
+    semantics.
 
     Nodes are named by slot only: answers and candidates are slot
     indices of the image passed in, and the caller builds what it ships

@@ -55,11 +55,13 @@ type t = {
      them from compute. *)
   service_delay : float;
   mutable clock : int;
-  (* Always-on telemetry: a server exists to be queried, so its sink is
+  (* Always-on counters: a server exists to be queried, so its sink is
      enabled from the start and its counters are served on
      [Stats_request].  Only visit traffic is counted (not stats or ping
      frames), mirroring the client's counters — see
-     [Client.fetch_stats]. *)
+     [Client.fetch_stats].  Spans go to the same sink but only for
+     traced frames ([spans_for]), so an untraced server's ring stays
+     empty. *)
   obs : Pax_obs.Sink.t;
   (* N coordinators hold their multiplexed connections open
      concurrently, so [serve] runs one thread per accepted connection.
@@ -185,13 +187,20 @@ let stale_frag t ~epoch call =
       | _ -> None)
     (call_frags call)
 
+(* Spans are recorded for traced frames only — those that carry the
+   sender's span id as [parent].  Untraced traffic would only fill the
+   ring: nobody drains it.  Counters stay on either way. *)
+let spans_for t parent =
+  match parent with Some _ -> t.obs | None -> Pax_obs.Sink.noop
+
 let handle_request t ~run ~round ~epoch ?parent call =
   let site = (state_for t run).rs_site in
+  let spans = spans_for t parent in
   match Site.replay site ~round with
   | Some reply ->
       (* Memo hits are worth seeing in a trace: a resent request that
          cost no kernel time renders as a sliver under its visit. *)
-      Pax_obs.Sink.span t.obs ~cat:"memo" ?parent "memo hit" (fun () -> ());
+      Pax_obs.Sink.span spans ~cat:"memo" ?parent "memo hit" (fun () -> ());
       Ok reply
   | None -> (
       (* The fence check sits behind the memo: a reply computed before
@@ -204,7 +213,7 @@ let handle_request t ~run ~round ~epoch ?parent call =
           Error (Wire.stale_epoch_error ~fid ~retired ~epoch)
       | None -> (
           match
-            Pax_obs.Sink.span t.obs ~cat:"stage" ?parent "stage kernel"
+            Pax_obs.Sink.span spans ~cat:"stage" ?parent "stage kernel"
               (fun () ->
                 match call with
                 | Wire.Reach_stage1 { query; fids } ->
@@ -351,7 +360,8 @@ let serve t fd =
           count_admin_frame t ~dir:"recv"
             ~frame_len:(4 + String.length payload);
           Wire.encode_payload ~corr
-            (Pax_obs.Sink.span t.obs ~cat:"admin" ?parent ?args name reply))
+            (Pax_obs.Sink.span (spans_for t parent) ~cat:"admin" ?parent ?args
+               name reply))
     in
     write_conn c out;
     locked t (fun () ->
@@ -376,14 +386,16 @@ let serve t fd =
             if t.service_delay > 0. then Thread.delay t.service_delay;
             (* The visit span carries the coordinator's rpc-span id as
                its parent (the cross-process flow arrow); decode, memo,
-               kernel and reply-encode spans nest under the visit. *)
-            let vid = Pax_obs.Span.alloc () in
+               kernel and reply-encode spans nest under the visit.  An
+               untraced frame records none of them. *)
+            let spans = spans_for t parent in
+            let vid = Pax_obs.Sink.alloc spans in
             let out =
               locked t (fun () ->
-                  Pax_obs.Sink.record t.obs ~cat:"wire" ~parent:vid
+                  Pax_obs.Sink.record spans ~cat:"wire" ?parent:vid
                     "decode request" ~t0:td0 ~t1:td1;
                   let reply =
-                    Pax_obs.Sink.span t.obs ~cat:"visit" ~id:vid ?parent
+                    Pax_obs.Sink.span spans ~cat:"visit" ?id:vid ?parent
                       ~args:(fun () ->
                         [
                           ("run", string_of_int run);
@@ -391,9 +403,9 @@ let serve t fd =
                         ])
                       label
                       (fun () ->
-                        handle_request t ~run ~round ~epoch ~parent:vid call)
+                        handle_request t ~run ~round ~epoch ?parent:vid call)
                   in
-                  Pax_obs.Sink.span t.obs ~cat:"wire" ~parent:vid
+                  Pax_obs.Sink.span spans ~cat:"wire" ?parent:vid
                     "encode reply" (fun () ->
                       Wire.encode_payload ~corr
                         (Wire.Visit_reply { run; round; reply })))
@@ -402,7 +414,7 @@ let serve t fd =
             write_conn c out;
             let ts1 = Pax_obs.Clock.now () in
             locked t (fun () ->
-                Pax_obs.Sink.record t.obs ~cat:"wire" ~parent:vid "send frame"
+                Pax_obs.Sink.record spans ~cat:"wire" ?parent:vid "send frame"
                   ~t0:ts0 ~t1:ts1;
                 count_visit_frame t ~dir:"sent"
                   ~frame_len:(4 + String.length out));

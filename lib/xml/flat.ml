@@ -39,6 +39,7 @@ type t = {
   buf : Bytes.t;  (* all character data and attribute values *)
   num_some : bool array;  (* slot -> [Tree.number_of_text] succeeded *)
   num_val : float array;
+  spine : bool array;  (* slot -> its subtree holds a virtual slot *)
   intern : Intern.t;
   by_id : (int, int) Hashtbl.t option Atomic.t;  (* lazy id -> slot *)
   by_id_lock : Mutex.t;
@@ -55,6 +56,7 @@ let tag_code t i = t.tag.(i)
 let tag_name t i = Intern.name t.intern t.tag.(i)
 let virtual_fid t i = t.vfid.(i)
 let is_virtual t i = t.vfid.(i) >= 0
+let on_spine t i = t.spine.(i)
 
 (* ------------------------------------------------------------------ *)
 (* construction                                                       *)
@@ -76,6 +78,19 @@ let num_columns ~n ~text_off ~text_len buf =
       | None -> ()
   done;
   (num_some, num_val)
+
+(* The spine: slots whose subtree [i, i + subtree_size i) holds a
+   virtual slot.  Derived state like [num_*], computed by [of_tree] and
+   [decode] alike: one backward sweep tracking the first virtual slot
+   at or after [i]. *)
+let spine_column ~n ~subtree_size ~vfid =
+  let spine = Array.make n false in
+  let next_virtual = ref n in
+  for i = n - 1 downto 0 do
+    if vfid.(i) >= 0 then next_virtual := i;
+    spine.(i) <- !next_virtual < i + subtree_size.(i)
+  done;
+  spine
 
 let of_tree ?(intern = Intern.create ()) (root : Tree.node) =
   let n = Tree.size root in
@@ -138,6 +153,7 @@ let of_tree ?(intern = Intern.create ()) (root : Tree.node) =
   ignore (go (-1) root);
   let buf = Buffer.to_bytes bbuf in
   let num_some, num_val = num_columns ~n ~text_off ~text_len buf in
+  let spine = spine_column ~n ~subtree_size ~vfid in
   {
     n;
     ids;
@@ -157,6 +173,7 @@ let of_tree ?(intern = Intern.create ()) (root : Tree.node) =
     buf;
     num_some;
     num_val;
+    spine;
     intern;
     by_id = Atomic.make None;
     by_id_lock = Mutex.create ();
@@ -258,7 +275,8 @@ let find_index t id = Hashtbl.find_opt (index t) id
    columns as little-endian u32 rows, and one blit of [buf].  Codes
    are remapped through the receiver's intern on decode, so two stores
    never need to agree on code assignment.  [num_*] is derived state
-   and recomputed from the buffer ({!num_columns}). *)
+   and recomputed from the buffer ({!num_columns}); so is [spine]
+   ({!spine_column}), which is never shipped. *)
 
 let add_i32 b v = Buffer.add_int32_le b (Int32.of_int v)
 
@@ -388,6 +406,7 @@ let decode ?(intern = Intern.create ()) s =
       if attr_off.(j) + attr_len.(j) > buf_len then raise Corrupt
     done;
     let num_some, num_val = num_columns ~n ~text_off ~text_len buf in
+    let spine = spine_column ~n ~subtree_size ~vfid in
     {
       n;
       ids;
@@ -407,6 +426,7 @@ let decode ?(intern = Intern.create ()) s =
       buf;
       num_some;
       num_val;
+      spine;
       intern;
       by_id = Atomic.make None;
       by_id_lock = Mutex.create ();

@@ -44,6 +44,13 @@ val virtual_fid : t -> int -> int  (** [-1] for elements *)
 
 val is_virtual : t -> int -> bool
 
+(** [on_spine t i] — does slot [i]'s subtree (itself included) hold a
+    virtual slot?  Off this spine every qualifier vector is ground, so
+    the stage kernels evaluate such slots on bits without building a
+    formula.  Derived from [subtree_size] and the virtual slots when
+    the image is built or decoded; not part of the wire image. *)
+val on_spine : t -> int -> bool
+
 (** {1 Content}
 
     The comparison accessors are allocation-free: they compare against

@@ -10,13 +10,27 @@
 
    Flat.t contains mutexes and atomics, so the comparisons here go
    through per-slot accessors and encoded bytes, never polymorphic
-   equality on whole images. *)
+   equality on whole images.
+
+   The second half holds the stage kernels (lib/core/flat_pass.ml) to
+   each other and to the pointer passes on the paths test/test_passes.ml
+   does not reach: PaX2's combined pass against the qualifier and
+   selection passes, and queries wider than one 63-bit word of
+   qualifier entries. *)
 
 module Tree = Pax_xml.Tree
 module Intern = Pax_xml.Intern
 module Flat = Pax_xml.Flat
 module Fragment = Pax_frag.Fragment
 module Wire = Pax_wire.Wire
+module Query = Pax_xpath.Query
+module Compile = Pax_xpath.Compile
+module Ast = Pax_xpath.Ast
+module Formula = Pax_bool.Formula
+module Var = Pax_bool.Var
+module Qual_pass = Pax_core.Qual_pass
+module Sel_pass = Pax_core.Sel_pass
+module Flat_pass = Pax_core.Flat_pass
 module H = Test_helpers
 module G = QCheck.Gen
 
@@ -131,6 +145,29 @@ let check_image fl root =
   if Flat.find_index fl absent <> None then fail "find_index absent id";
   true
 
+(* (c) The spine column against its definition, on the columns
+   [check_accessors] pins to the pointer tree: some virtual slot in
+   [i, i + subtree_size i). *)
+let check_spine fl =
+  for i = 0 to Flat.length fl - 1 do
+    let rec any j =
+      j < i + Flat.subtree_size fl i && (Flat.is_virtual fl j || any (j + 1))
+    in
+    if Flat.on_spine fl i <> any i then fail "slot %d: on_spine" i
+  done;
+  true
+
+let prop_spine (ft : Fragment.t) =
+  Array.for_all
+    (fun (fr : Fragment.fragment) ->
+      let fl = Fragment.flat ft fr.Fragment.fid in
+      check_spine fl
+      &&
+      match Flat.decode (Flat.encode fl) with
+      | Some fl2 -> check_spine fl2
+      | None -> fail "decode (encode fl) = None")
+    ft.Fragment.fragments
+
 let prop_image (ft : Fragment.t) =
   Array.for_all
     (fun (fr : Fragment.fragment) ->
@@ -217,6 +254,139 @@ let test_empty_and_garbage () =
     "garbage" true
     (Flat.decode (String.make 64 '\xFF') = None)
 
+(* ------------------------------------------------------------------ *)
+(* stage kernels                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* One fake valuation of every boundary variable a fragment's results
+   can mention: sub-fragment qualifier entries and the fragment's own
+   stack-initialization variables. *)
+let fake_lookup = function
+  | Var.Qual (sub, e) -> Some (Formula.bool ((sub + e) mod 2 = 0))
+  | Var.Sel_ctx (fid, k) -> Some (Formula.bool ((fid + (2 * k)) mod 3 <> 1))
+  | Var.Qual_at _ -> None
+
+let init_for compiled ~fid ~is_root =
+  if is_root then Sel_pass.blank_init compiled
+  else Sel_pass.symbolic_init compiled ~fid
+
+let resolve_ctxs ctxs =
+  List.map (fun (fid, vec) -> (fid, Array.map (Formula.subst fake_lookup) vec)) ctxs
+
+(* (a) PaX2's combined pass = the qualifier pass then the selection
+   pass, per fragment, once both sides' candidates and contexts are
+   resolved under [fake_lookup]: the same answer slots, the same
+   resolved contexts, and the same (unresolved) root qualifier
+   vector. *)
+let combined_matches_two_pass compiled ft =
+  let plan = Flat_pass.make_plan compiled (Fragment.intern ft) in
+  List.iter
+    (fun fid ->
+      let is_root = fid = 0 in
+      let fl = Fragment.flat ft fid in
+      let init = init_for compiled ~fid ~is_root in
+      let oc = Flat_pass.combined_run plan fl ~init ~is_root in
+      let fq = Flat_pass.qual_run plan fl ~is_root in
+      if oc.Flat_pass.root_qvec <> fq.Flat_pass.q_root_vec then
+        fail "F%d: combined root vector <> qualifier pass root vector" fid;
+      ignore (Flat_pass.qual_resolve fq fake_lookup : int);
+      let os = Flat_pass.sel_run plan fl ~init ~is_root ~qual:(Some fq) in
+      let answers certain cands =
+        let resolved, _ = Flat_pass.resolve_candidates cands fake_lookup in
+        List.sort compare (List.filter (fun i -> i >= 0) certain @ resolved)
+      in
+      if
+        answers oc.Flat_pass.answers oc.Flat_pass.candidates
+        <> answers os.Flat_pass.answers os.Flat_pass.candidates
+      then fail "F%d: combined answers <> two-pass answers" fid;
+      if
+        resolve_ctxs oc.Flat_pass.contexts
+        <> resolve_ctxs os.Flat_pass.contexts
+      then fail "F%d: combined contexts <> two-pass contexts" fid)
+    (Fragment.top_down ft);
+  true
+
+let prop_combined (s : H.Gen.scenario) =
+  combined_matches_two_pass
+    (Query.of_ast s.H.Gen.s_query).Query.compiled
+    (Pax_dist.Cluster.ftree s.H.Gen.s_cluster)
+
+(* The flat qualifier and selection passes against their pointer
+   references, per fragment and per entry (test/test_passes.ml's
+   parity check, for the wide queries below). *)
+let kernels_match_pointer compiled ft =
+  let plan = Flat_pass.make_plan compiled (Fragment.intern ft) in
+  List.iter
+    (fun fid ->
+      let is_root = fid = 0 in
+      let root = (Fragment.fragment ft fid).Fragment.root in
+      let eval_root =
+        if is_root then fst (Sel_pass.context_root compiled root) else root
+      in
+      let fl = Fragment.flat ft fid in
+      let qp = Qual_pass.run compiled eval_root in
+      let fq = Flat_pass.qual_run plan fl ~is_root in
+      if qp.Qual_pass.ops <> fq.Flat_pass.q_ops then fail "F%d: qual ops" fid;
+      if qp.Qual_pass.root_vec <> fq.Flat_pass.q_root_vec then
+        fail "F%d: qual root vector" fid;
+      for i = 0 to Flat.length fl - 1 do
+        if
+          Hashtbl.find_opt qp.Qual_pass.vectors (Flat.node_id fl i)
+          <> Some fq.Flat_pass.q_vecs.(i)
+        then fail "F%d: qual vector at slot %d" fid i
+      done;
+      if Qual_pass.resolve qp fake_lookup <> Flat_pass.qual_resolve fq fake_lookup
+      then fail "F%d: qual resolve ops" fid;
+      let init = init_for compiled ~fid ~is_root in
+      let sat (v : Tree.node) filter =
+        Qual_pass.sat compiled (Hashtbl.find qp.Qual_pass.vectors v.Tree.id) v
+          filter
+      in
+      let sp =
+        Sel_pass.run compiled ~init ~root_is_context:is_root ~sat eval_root
+      in
+      let fs = Flat_pass.sel_run plan fl ~init ~is_root ~qual:(Some fq) in
+      let node_ids = List.map (fun (n : Tree.node) -> n.Tree.id) in
+      let slot_ids = List.map (Flat_pass.node_id fl) in
+      if sp.Sel_pass.ops <> fs.Flat_pass.ops then fail "F%d: sel ops" fid;
+      if node_ids sp.Sel_pass.answers <> slot_ids fs.Flat_pass.answers then
+        fail "F%d: sel answers" fid;
+      if
+        List.map (fun ((n : Tree.node), f) -> (n.Tree.id, f)) sp.Sel_pass.candidates
+        <> List.map (fun (i, f) -> (Flat_pass.node_id fl i, f)) fs.Flat_pass.candidates
+      then fail "F%d: sel candidates" fid;
+      if sp.Sel_pass.contexts <> fs.Flat_pass.contexts then
+        fail "F%d: sel contexts" fid)
+    (Fragment.top_down ft);
+  true
+
+(* (b) A query whose qualifier vectors span several words: a random
+   path filtered by a conjunction of random qualifiers, grown until it
+   has more than 63 entries. *)
+let wide_query st =
+  let path = H.Gen.path ~qdepth:1 st in
+  let rec grow q k =
+    let ast = { Ast.absolute = G.bool st; path = Ast.Qualified (path, q) } in
+    let compiled = (Query.of_ast ast).Query.compiled in
+    if compiled.Compile.n_qual > 63 || k = 0 then (ast, compiled)
+    else grow (Ast.QAnd (H.Gen.qual ~qdepth:2 st, q)) (k - 1)
+  in
+  grow (H.Gen.qual ~qdepth:2 st) 200
+
+let arbitrary_wide =
+  QCheck.make
+    ~print:(fun (s, ast, _) ->
+      Format.asprintf "query: %a@.%s" Ast.pp ast (H.Gen.print_scenario s))
+    (fun st ->
+      let s = H.Gen.scenario st in
+      let ast, compiled = wide_query st in
+      (s, ast, compiled))
+
+let prop_wide ((s : H.Gen.scenario), _, compiled) =
+  if compiled.Compile.n_qual <= 63 then fail "n_qual %d <= 63" compiled.Compile.n_qual;
+  let ft = Pax_dist.Cluster.ftree s.H.Gen.s_cluster in
+  kernels_match_pointer compiled ft && combined_matches_two_pass compiled ft
+
 let qtest name ~count:n prop =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name ~count:(count n) arbitrary_store prop)
@@ -237,5 +407,17 @@ let () =
           qtest "encode/decode and Frag_flat section roundtrip" ~count:100
             prop_wire;
           qtest "decode is total on corrupt input" ~count:50 prop_corrupt;
+          qtest "on_spine = a virtual slot in the subtree, decoded too"
+            ~count:200 prop_spine;
+        ] );
+      ( "kernels",
+        [
+          QCheck_alcotest.to_alcotest
+            (QCheck.Test.make ~name:"combined = qualifier + selection pass"
+               ~count:(count 300) H.Gen.arbitrary_scenario prop_combined);
+          QCheck_alcotest.to_alcotest
+            (QCheck.Test.make
+               ~name:"n_qual > 63: kernels = pointer passes, combined = two-pass"
+               ~count:(count 100) arbitrary_wide prop_wide);
         ] );
     ]

@@ -1025,6 +1025,40 @@ let test_parent_links_across_wire () =
           Alcotest.(check bool) "cross-process flow arrows drawn" true
             (starts <> [])))
 
+(* Site servers record spans only for traced frames: untraced visits of
+   every engine leave their span rings empty, while the counters they
+   serve still count the visits. *)
+let test_untraced_visits_record_no_spans () =
+  with_timeout 120 (fun () ->
+      let ft = xmark_ft () in
+      with_servers ft ~n_sites:2 (fun cl client ->
+          List.iter
+            (fun (_, run) ->
+              List.iter
+                (fun src ->
+                  ignore (run cl (Query.of_string src) : Run_result.t))
+                xmark_queries)
+            engines;
+          for site = 0 to Cluster.n_sites cl - 1 do
+            let _offset, spans = Client.fetch_spans client site in
+            Alcotest.(check int)
+              (Printf.sprintf "site %d recorded no spans" site)
+              0 (List.length spans);
+            let visits =
+              List.fold_left
+                (fun acc (name, v) ->
+                  if
+                    String.starts_with ~prefix:"pax_net_visit_frames_total"
+                      name
+                  then acc +. v
+                  else acc)
+                0. (Client.fetch_stats client site)
+            in
+            Alcotest.(check bool)
+              (Printf.sprintf "site %d still counts visit frames" site)
+              true (visits > 0.)
+          done))
+
 (* ------------------------------------------------------------------ *)
 (* Cost ledger                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -1142,6 +1176,8 @@ let () =
             test_net_differential_and_stats;
           Alcotest.test_case "sockets: cross-process parent links" `Quick
             test_parent_links_across_wire;
+          Alcotest.test_case "sockets: untraced visits record no spans"
+            `Quick test_untraced_visits_record_no_spans;
           Alcotest.test_case "run ids are unique" `Quick test_run_id_uniqueness;
         ] );
       ( "coverage",
