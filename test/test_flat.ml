@@ -407,17 +407,20 @@ let () =
           qtest "encode/decode and Frag_flat section roundtrip" ~count:100
             prop_wire;
           qtest "decode is total on corrupt input" ~count:50 prop_corrupt;
-          qtest "on_spine = a virtual slot in the subtree, decoded too"
-            ~count:200 prop_spine;
+          qtest "on_spine = virtual slot in subtree, decoded" ~count:200
+            prop_spine;
         ] );
-      ( "kernels",
+      (* Alcotest pads every row to the longest group name and cuts
+         test names to fit the terminal: group names stay at four
+         characters so the names above print whole. *)
+      ( "pass",
         [
           QCheck_alcotest.to_alcotest
             (QCheck.Test.make ~name:"combined = qualifier + selection pass"
                ~count:(count 300) H.Gen.arbitrary_scenario prop_combined);
           QCheck_alcotest.to_alcotest
             (QCheck.Test.make
-               ~name:"n_qual > 63: kernels = pointer passes, combined = two-pass"
+               ~name:"n_qual > 63: kernels = pointers, two-pass"
                ~count:(count 100) arbitrary_wide prop_wide);
         ] );
     ]
