@@ -4,7 +4,9 @@
    parallel cost the simulator always reported.
 
    The paper's bound says per-round work is [max_site |F_site|]-shaped;
-   with the Domain pool under [Cluster.run_round] that is now physical:
+   with the in-process transport delivering each round's visits over
+   the Domain pool ([Pax_dist.Transport.local] under
+   [Cluster.run_round]) that is now physical:
    on an n-core box the measured wall-clock of the per-site rounds
    should approach the modelled parallel seconds as the degree grows,
    while every deterministic observable (answers, visits, traces) stays

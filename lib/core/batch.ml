@@ -2,6 +2,7 @@ module Tree = Pax_xml.Tree
 module Query = Pax_xpath.Query
 module Fragment = Pax_frag.Fragment
 module Cluster = Pax_dist.Cluster
+module Wire = Pax_wire.Wire
 
 type t = {
   results : (Query.t * Tree.node list) list;
@@ -9,26 +10,38 @@ type t = {
 }
 
 let run ?annotations (cl : Cluster.t) (queries : Query.t list) : t =
-  Cluster.reset cl;
+  Cluster.reset ~handler:(Site.handler (Site.batch cl queries)) cl;
   let fids = Fragment.top_down (Cluster.ftree cl) in
   let runs = List.map (Pax2.prepare ?annotations cl) queries in
-  (* Each round visits a site once, for every query: the site runs one
-     PaX2 stage call per query, each against that query's state. *)
-  let shared_round ~label ~round ~needed stage =
+  (* Each round visits a site once, for every query: one [Calls] call
+     carries a PaX2 stage call per query, and the site answers each
+     against that query's state. *)
+  let shared_round ~label ~needed stage =
     let sites =
       Cluster.sites_holding cl
         (List.filter (fun fid -> List.exists (fun r -> needed r fid) runs) fids)
     in
-    let rms = List.map (fun r -> (r, stage r)) runs in
+    let rms = List.map stage runs in
     let results =
-      Cluster.run_round cl ~label ~sites (fun site ->
-          List.map (fun (r, rm) -> Pax2.visit r ~round rm site) rms)
+      Cluster.run_round cl ~label ~sites
+        {
+          Cluster.build =
+            (fun site ->
+              Wire.Calls (List.map (fun rm -> rm.Cluster.build site) rms));
+          parse =
+            (fun site reply ->
+              match reply with
+              | Wire.Replies replies when List.compare_lengths replies rms = 0
+                ->
+                  List.map2 (fun rm reply -> rm.Cluster.parse site reply) rms
+                    replies
+              | _ -> invalid_arg "Batch: unexpected reply");
+        }
     in
     (sites, results)
   in
   let sites1, _ =
-    shared_round ~label:"stage1" ~round:0 ~needed:Pax2.relevant (fun r ->
-        Pax2.stage1 r)
+    shared_round ~label:"stage1" ~needed:Pax2.relevant (fun r -> Pax2.stage1 r)
   in
   List.iter (fun r -> Pax2.send_stage1 r sites1) runs;
   Cluster.coord cl ~label:"evalFT" (fun () ->
@@ -38,8 +51,7 @@ let run ?annotations (cl : Cluster.t) (queries : Query.t list) : t =
           Pax2.unify_contexts r)
         runs);
   let sites2, late =
-    shared_round ~label:"stage2" ~round:1 ~needed:Pax2.has_candidates
-      Pax2.stage2
+    shared_round ~label:"stage2" ~needed:Pax2.has_candidates Pax2.stage2
   in
   let results =
     List.mapi

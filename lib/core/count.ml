@@ -7,7 +7,7 @@ let spf = Printf.sprintf
    certain count travels with the stage-1 response, and each site's
    candidate resolutions return one integer. *)
 let run ?annotations (cl : Cluster.t) q : int * Cluster.report =
-  Cluster.reset cl;
+  Cluster.reset ~handler:(Site.handler (Site.states cl q)) cl;
   let r = Pax2.prepare ?annotations cl q in
   let fids = Fragment.top_down (Cluster.ftree cl) in
   let count_up ~site label =
@@ -17,10 +17,8 @@ let run ?annotations (cl : Cluster.t) q : int * Cluster.report =
   let stage1_sites =
     Cluster.sites_holding cl (List.filter (Pax2.relevant r) fids)
   in
-  let rm1 = Pax2.stage1 r in
   ignore
-    (Cluster.run_round cl ~label:"stage1" ~sites:stage1_sites
-       (Pax2.visit r ~round:0 rm1));
+    (Cluster.run_round cl ~label:"stage1" ~sites:stage1_sites (Pax2.stage1 r));
   (* The certain count: one varint, not the elements. *)
   Pax2.send_stage1 r stage1_sites ~up:(fun ~site fid ->
       count_up ~site (spf "count(F%d)" fid));
@@ -29,10 +27,8 @@ let run ?annotations (cl : Cluster.t) q : int * Cluster.report =
   let stage2_sites =
     Cluster.sites_holding cl (List.filter (Pax2.has_candidates r) fids)
   in
-  let rm2 = Pax2.stage2 r in
   let stage2_answers =
-    Cluster.run_round cl ~label:"stage2" ~sites:stage2_sites
-      (Pax2.visit r ~round:1 rm2)
+    Cluster.run_round cl ~label:"stage2" ~sites:stage2_sites (Pax2.stage2 r)
   in
   Pax2.send_resolutions r stage2_sites;
   List.iter (fun site -> count_up ~site "count") stage2_sites;

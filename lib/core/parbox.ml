@@ -6,36 +6,40 @@ module Formula = Pax_bool.Formula
 module Fragment = Pax_frag.Fragment
 module Cluster = Pax_dist.Cluster
 module Measure = Pax_dist.Measure
+module Wire = Pax_wire.Wire
 
 let eval (cl : Cluster.t) (qual : Ast.qual) : bool * Cluster.report =
-  Cluster.reset cl;
   let ft = Cluster.ftree cl in
   let n_frag = Fragment.n_fragments ft in
-  (* A Boolean query is the data-selecting query ε[q] at the root. *)
+  (* A Boolean query is the data-selecting query ε[q] at the root.  It
+     is relative, so the root fragment's eval root is never wrapped, and
+     a site server reparses its source to the same compiled query. *)
   let q =
     Query.of_ast { Ast.absolute = false; path = Ast.Qualified (Ast.Empty, qual) }
   in
   let compiled = q.Query.compiled in
-  (* Built before the round: pool domains only read it. *)
-  let plan = Flat_pass.make_plan compiled (Fragment.intern ft) in
+  Cluster.reset ~handler:(Site.handler (Site.states cl q)) cl;
   let root_vecs : Formula.t array option array = Array.make n_frag None in
   let sites = Cluster.sites_holding cl (Fragment.top_down ft) in
-  (* Keyed by fid: a replayed visit under a fault plan neither
-     recomputes nor double-counts. *)
+  (* PaX3's stage 1: the qualifier pass over every fragment. *)
   ignore
-    (Cluster.run_round cl ~label:"parbox" ~sites (fun site ->
-         List.iter
-           (fun fid ->
-             if Option.is_none root_vecs.(fid) then begin
-               (* The query is relative, so the root fragment's eval
-                  root is never wrapped. *)
-               let fq =
-                 Flat_pass.qual_run plan (Fragment.flat ft fid) ~is_root:false
-               in
-               root_vecs.(fid) <- Some fq.Flat_pass.q_root_vec;
-               Cluster.add_ops cl ~site fq.Flat_pass.q_ops
-             end)
-           (Cluster.fragments_on cl site)));
+    (Cluster.run_round cl ~label:"parbox" ~sites
+       {
+         Cluster.build =
+           (fun site ->
+             Wire.Pax3_stage1
+               { query = q.Query.source; fids = Cluster.fragments_on cl site });
+         parse =
+           (fun site reply ->
+             match reply with
+             | Wire.Frag_results frs ->
+                 List.iter
+                   (fun (fr : Wire.frag_result) ->
+                     root_vecs.(fr.Wire.fr_fid) <- fr.Wire.fr_vec;
+                     Cluster.add_ops cl ~site fr.Wire.fr_ops)
+                   frs
+             | _ -> invalid_arg "ParBoX: unexpected reply");
+       });
   List.iter
     (fun site ->
       Cluster.send cl ~src:Coordinator ~dst:(Site site) ~kind:Query

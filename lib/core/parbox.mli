@@ -9,8 +9,9 @@
     qualifiers (pass a conjunction). *)
 
 (** [eval cluster q] — truth of [q] at the root of the distributed
-    document, plus the cost report.  Each site runs
-    {!Flat_pass.qual_run} over its fragments. *)
+    document, plus the cost report.  Each site answers a PaX3 stage-1
+    call on the query [ε[q]] ({!Flat_pass.qual_run} over its fragments,
+    through {!Site.handle}). *)
 val eval :
   Pax_dist.Cluster.t -> Pax_xpath.Ast.qual -> bool * Pax_dist.Cluster.report
 

@@ -15,7 +15,6 @@ type stages = {
   q : Query.t;
   compiled : Compile.t;
   analysis : Annot.analysis option;
-  sites : Site.t array;
   (* Per-fragment stage-1 views, filled by parsing site replies (or
      from the stage cache: [cached]) — everything downstream
      (accounting, unification, answer assembly) reads only these, so
@@ -31,9 +30,6 @@ type stages = {
   (* evalFT's results, set by [unify_quals] and [unify_contexts]. *)
   mutable quals : bool array array;
   mutable ctx : bool array array;
-  (* Sites whose stage-2 ops are charged: an in-process visit replayed
-     after a lost reply parses the memoized reply again. *)
-  charged : bool array;
 }
 
 let prepare ?(annotations = false) cl q =
@@ -46,7 +42,6 @@ let prepare ?(annotations = false) cl q =
     q;
     compiled;
     analysis = (if annotations then Some (Annot.analyze compiled ft) else None);
-    sites = Site.states cl q;
     seen = Array.make n_frag false;
     cached = Array.make n_frag false;
     qvec = Array.make n_frag [||];
@@ -55,14 +50,12 @@ let prepare ?(annotations = false) cl q =
     cands = Array.make n_frag 0;
     quals = [||];
     ctx = [||];
-    charged = Array.make (Cluster.n_sites cl) false;
   }
 
 let relevant r fid =
   match r.analysis with None -> true | Some a -> a.Annot.relevant.(fid)
 
 let has_candidates r fid = r.seen.(fid) && r.cands.(fid) > 0
-let visit r ~round rm site = Site.local r.sites ~round rm site
 let certain_answers r = List.concat (Array.to_list r.certain)
 
 let fill r (fr : Wire.frag_result) =
@@ -105,13 +98,14 @@ let stage1 ?(store = ignore) r =
         | Wire.Frag_results frs ->
             List.iter
               (fun (fr : Wire.frag_result) ->
-                if not r.seen.(fr.Wire.fr_fid) then begin
+                (* A stage-cache hit's view is already filled. *)
+                if not r.cached.(fr.Wire.fr_fid) then begin
                   fill r fr;
                   Cluster.add_ops r.cl ~site fr.Wire.fr_ops;
                   store fr
                 end)
               frs
-        | Wire.Final_answers _ -> invalid_arg "PaX2: unexpected stage-1 reply");
+        | _ -> invalid_arg "PaX2: unexpected stage-1 reply");
   }
 
 let ship_certain r ~site fid =
@@ -192,12 +186,9 @@ let stage2 r =
       (fun site reply ->
         match reply with
         | Wire.Final_answers { answers; ops } ->
-            if not r.charged.(site) then begin
-              r.charged.(site) <- true;
-              Cluster.add_ops r.cl ~site ops
-            end;
+            Cluster.add_ops r.cl ~site ops;
             List.map Wire.node_of_answer answers
-        | Wire.Frag_results _ -> invalid_arg "PaX2: unexpected stage-2 reply");
+        | _ -> invalid_arg "PaX2: unexpected stage-2 reply");
   }
 
 let send_resolutions r sites =
@@ -230,10 +221,10 @@ let ship_answers r results =
     results
 
 let run ?(annotations = false) (cl : Cluster.t) (q : Query.t) : Run_result.t =
-  Cluster.reset cl;
+  Cluster.reset ~handler:(Site.handler (Site.states cl q)) cl;
   let r = prepare ~annotations cl q in
   let rel_fids = List.filter (relevant r) (Fragment.top_down r.ft) in
-  (* Cross-query cache (transport path only; Stage_cache.noop unless a
+  (* Cross-query cache (socket path only; Stage_cache.noop unless a
      serving layer installed one).  A hit prefills the stage-1 view and
      elides the fragment from the round — no visit, no vector/answer
      traffic, no site ops, exactly as if the wire reply from the run
@@ -266,10 +257,9 @@ let run ?(annotations = false) (cl : Cluster.t) (q : Query.t) : Run_result.t =
     Cluster.sites_holding cl
       (List.filter (fun fid -> not r.cached.(fid)) rel_fids)
   in
-  let rm1 = stage1 ~store r in
   ignore
-    (Cluster.run_round cl ~remote:rm1 ~label:"stage1" ~sites:stage1_sites
-       (visit r ~round:0 rm1));
+    (Cluster.run_round cl ~label:"stage1" ~sites:stage1_sites
+       (stage1 ~store r));
   send_stage1 r stage1_sites;
   Cluster.coord cl ~label:"evalFT:quals" (fun () -> unify_quals r);
   Cluster.coord cl ~label:"evalFT:contexts" (fun () -> unify_contexts r);
@@ -279,10 +269,8 @@ let run ?(annotations = false) (cl : Cluster.t) (q : Query.t) : Run_result.t =
     Cluster.sites_holding cl
       (List.filter (has_candidates r) (Fragment.top_down r.ft))
   in
-  let rm2 = stage2 r in
   let stage2_answers =
-    Cluster.run_round cl ~remote:rm2 ~label:"stage2" ~sites:stage2_sites
-      (visit r ~round:1 rm2)
+    Cluster.run_round cl ~label:"stage2" ~sites:stage2_sites (stage2 r)
   in
   send_resolutions r stage2_sites;
   ship_answers r stage2_answers;

@@ -19,10 +19,10 @@
 
 (** Each stage is described once, as a {!Pax_dist.Cluster.remote}: the
     wire call a site gets and how its reply fills the coordinator's
-    views.  With a transport the call travels to a site server;
-    without one, {!Site.local} runs it through the same site handler
-    in process ({!Flat_pass.combined_run} in stage 1, candidate
-    resolution in stage 2). *)
+    views.  With a socket transport the call travels to a site server;
+    without one, the in-process transport hands it to the same site
+    handler ({!Site.handler}: {!Flat_pass.combined_run} in stage 1,
+    candidate resolution in stage 2). *)
 val run :
   ?annotations:bool -> Pax_dist.Cluster.t -> Pax_xpath.Query.t -> Run_result.t
 
@@ -32,12 +32,12 @@ val run :
     {!stage1} visits, {!send_stage1}, {!unify_quals} and
     {!unify_contexts} at the coordinator, a ["stage2"] round of
     {!stage2} visits, {!send_resolutions} and {!ship_answers}.  Count
-    and Batch drive the same steps (in process only), so they charge
-    what PaX2 charges. *)
+    and Batch drive the same steps, so they charge what PaX2
+    charges. *)
 
 (** One query's PaX2 run at the coordinator: the stage-1 views filled
-    from site replies, evalFT's results, and one {!Site.t} per site for
-    in-process visits. *)
+    from site replies and evalFT's results.  The sites' own state lives
+    behind the run's handler ({!Site.handler}). *)
 type stages
 
 val prepare :
@@ -51,14 +51,10 @@ val relevant : stages -> int -> bool
     these. *)
 val has_candidates : stages -> int -> bool
 
-(** [visit r ~round rm site] — {!Site.local} over [r]'s site states:
-    the in-process visit of stage [rm], memoized by [round]. *)
-val visit : stages -> round:int -> 'a Pax_dist.Cluster.remote -> int -> 'a
-
 (** Stage 1: the combined pass over the site's relevant fragments.
-    Parsing fills each fragment's view and charges its ops once;
-    [store] (default: nothing) sees each result as it is first
-    parsed. *)
+    Parsing fills each fragment's view (unless the stage cache already
+    did) and charges its ops; [store] (default: nothing) sees each
+    result it fills. *)
 val stage1 :
   ?store:(Pax_wire.Wire.frag_result -> unit) -> stages ->
   unit Pax_dist.Cluster.remote
@@ -78,7 +74,7 @@ val unify_quals : stages -> unit
 val unify_contexts : stages -> unit
 
 (** Stage 2: resolve the candidates with the unified values; the
-    parsed result is the site's answers, its ops charged once. *)
+    parsed result is the site's answers, its ops charged. *)
 val stage2 : stages -> Pax_xml.Tree.node list Pax_dist.Cluster.remote
 
 (** Stage-2 traffic down: each candidate fragment's unified context

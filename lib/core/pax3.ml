@@ -15,7 +15,7 @@ let active_sites cl fids = Cluster.sites_holding cl fids
 let all_fids ft = Fragment.top_down ft
 
 let run ?(annotations = false) (cl : Cluster.t) (q : Query.t) : Run_result.t =
-  Cluster.reset cl;
+  Cluster.reset ~handler:(Site.handler (Site.states cl q)) cl;
   let ft = Cluster.ftree cl in
   let n_frag = Fragment.n_fragments ft in
   let compiled = q.Query.compiled in
@@ -23,10 +23,6 @@ let run ?(annotations = false) (cl : Cluster.t) (q : Query.t) : Run_result.t =
   let relevant_sel fid =
     match analysis with None -> true | Some a -> a.Annot.relevant_sel.(fid)
   in
-  (* Each stage's in-process visit runs its wire call through the
-     site's handler, against one state per site for the run. *)
-  let site_states = Site.states cl q in
-
   (* ---------------- Stage 1: qualifiers, all sites ---------------- *)
   let stage1_needed = not (Compile.no_qualifiers compiled) in
   (* Per-fragment views of the stage-1 result (the root qualifier
@@ -49,28 +45,21 @@ let run ?(annotations = false) (cl : Cluster.t) (q : Query.t) : Run_result.t =
             (fun site reply ->
               match reply with
               | Wire.Frag_results frs ->
-                  (* A view is filled, and its ops charged, once: a
-                     replayed visit parses the memoized reply again. *)
                   List.iter
                     (fun (fr : Wire.frag_result) ->
                       let fid = fr.Wire.fr_fid in
-                      if not q1_seen.(fid) then begin
-                        q1_vec.(fid) <-
-                          (match fr.Wire.fr_vec with
-                          | Some vec -> vec
-                          | None ->
-                              invalid_arg "PaX3: stage-1 reply lacks vector");
-                        q1_seen.(fid) <- true;
-                        Cluster.add_ops cl ~site fr.Wire.fr_ops
-                      end)
+                      q1_vec.(fid) <-
+                        (match fr.Wire.fr_vec with
+                        | Some vec -> vec
+                        | None -> invalid_arg "PaX3: stage-1 reply lacks vector");
+                      q1_seen.(fid) <- true;
+                      Cluster.add_ops cl ~site fr.Wire.fr_ops)
                     frs
-              | Wire.Final_answers _ ->
+              | _ ->
                   invalid_arg "PaX3: unexpected stage-1 reply");
         }
       in
-      ignore
-        (Cluster.run_round cl ~remote:rm1 ~label:"stage1" ~sites
-           (Site.local site_states ~round:0 rm1));
+      ignore (Cluster.run_round cl ~label:"stage1" ~sites rm1);
       List.iter
         (fun site ->
           Cluster.send cl ~src:Coordinator ~dst:(Site site) ~kind:Query
@@ -138,22 +127,18 @@ let run ?(annotations = false) (cl : Cluster.t) (q : Query.t) : Run_result.t =
               List.iter
                 (fun (fr : Wire.frag_result) ->
                   let fid = fr.Wire.fr_fid in
-                  if not s2_seen.(fid) then begin
-                    s2_ctxs.(fid) <- fr.Wire.fr_ctxs;
-                    s2_certain.(fid) <-
-                      List.map Wire.node_of_answer fr.Wire.fr_answers;
-                    s2_cands.(fid) <- fr.Wire.fr_cands;
-                    s2_seen.(fid) <- true;
-                    Cluster.add_ops cl ~site fr.Wire.fr_ops
-                  end)
+                  s2_ctxs.(fid) <- fr.Wire.fr_ctxs;
+                  s2_certain.(fid) <-
+                    List.map Wire.node_of_answer fr.Wire.fr_answers;
+                  s2_cands.(fid) <- fr.Wire.fr_cands;
+                  s2_seen.(fid) <- true;
+                  Cluster.add_ops cl ~site fr.Wire.fr_ops)
                 frs
-          | Wire.Final_answers _ ->
+          | _ ->
               invalid_arg "PaX3: unexpected stage-2 reply");
     }
   in
-  ignore
-    (Cluster.run_round cl ~remote:rm2 ~label:"stage2" ~sites:stage2_sites
-       (Site.local site_states ~round:1 rm2));
+  ignore (Cluster.run_round cl ~label:"stage2" ~sites:stage2_sites rm2);
   List.iter
     (fun site ->
       Cluster.send cl ~src:Coordinator ~dst:(Site site) ~kind:Query
@@ -208,9 +193,6 @@ let run ?(annotations = false) (cl : Cluster.t) (q : Query.t) : Run_result.t =
   let has_candidates fid = s2_seen.(fid) && s2_cands.(fid) > 0 in
   let cand_fids = List.filter has_candidates (all_fids ft) in
   let stage3_sites = active_sites cl cand_fids in
-  (* Sites whose stage-3 ops are charged: an in-process visit replayed
-     after a lost reply parses the memoized reply again. *)
-  let s3_charged = Array.make (Cluster.n_sites cl) false in
   let rm3 =
     {
       Cluster.build =
@@ -228,18 +210,14 @@ let run ?(annotations = false) (cl : Cluster.t) (q : Query.t) : Run_result.t =
         (fun site reply ->
           match reply with
           | Wire.Final_answers { answers; ops } ->
-              if not s3_charged.(site) then begin
-                s3_charged.(site) <- true;
-                Cluster.add_ops cl ~site ops
-              end;
+              Cluster.add_ops cl ~site ops;
               List.map Wire.node_of_answer answers
-          | Wire.Frag_results _ ->
+          | _ ->
               invalid_arg "PaX3: unexpected stage-3 reply");
     }
   in
   let stage3_answers =
-    Cluster.run_round cl ~remote:rm3 ~label:"stage3" ~sites:stage3_sites
-      (Site.local site_states ~round:2 rm3)
+    Cluster.run_round cl ~label:"stage3" ~sites:stage3_sites rm3
   in
   List.iter
     (fun site ->

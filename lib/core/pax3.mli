@@ -27,9 +27,9 @@
 
 (** Each stage is described once, as a {!Pax_dist.Cluster.remote}: the
     wire call a site gets and how its reply fills the coordinator's
-    views.  With a transport the call travels to a site server;
-    without one, {!Site.local} runs it through the same site handler
-    in process ({!Flat_pass.qual_run} in stage 1,
+    views.  With a socket transport the call travels to a site server;
+    without one, the in-process transport hands it to the same site
+    handler ({!Site.handler}: {!Flat_pass.qual_run} in stage 1,
     {!Flat_pass.qual_resolve} and {!Flat_pass.sel_run} in stage 2,
     candidate resolution in stage 3). *)
 val run :

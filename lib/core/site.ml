@@ -19,6 +19,9 @@ type t = {
   cands : (int, Flat.t * (int * Formula.t) list) Hashtbl.t;
   quals : (int, Flat_pass.qual) Hashtbl.t;
   replies : (int, Wire.reply) Hashtbl.t;  (* round -> reply *)
+  (* Per-query states for [Calls] (Batch): element [i] of a call list
+     runs against [subs.(i)], created on first use. *)
+  mutable subs : t array;
 }
 
 let create ?query intern ~image =
@@ -32,7 +35,15 @@ let create ?query intern ~image =
     cands = Hashtbl.create 8;
     quals = Hashtbl.create 8;
     replies = Hashtbl.create 4;
+    subs = [||];
   }
+
+(* [handle] asks for the states of a call list in order, so a missing
+   one is always the next. *)
+let sub t i =
+  if i = Array.length t.subs then
+    t.subs <- Array.append t.subs [| create t.intern ~image:t.image |];
+  t.subs.(i)
 
 (* All stages of one run evaluate the same query; compile and lower it
    once.  Images are built before any run routed to them starts, so the
@@ -86,7 +97,7 @@ let final_answers t fids lookup ~stage =
   in
   Wire.Final_answers { answers; ops = !ops }
 
-let handle t call =
+let rec handle t call =
   match call with
   | Wire.Pax2_stage1 { query; frags } ->
       let compiled, plan = query_of t query in
@@ -176,6 +187,16 @@ let handle t call =
       final_answers t (List.map fst frags)
         (lookup_of ~ctxs ~quals:(Hashtbl.create 1))
         ~stage:"stage-2"
+  | Wire.Calls calls ->
+      Wire.Replies
+        (List.mapi
+           (fun i call ->
+             match call with
+             | Wire.Calls _ -> invalid_arg "Site.handle: nested call list"
+             | call -> handle (sub t i) call)
+           calls)
+  | Wire.Ship { fids } ->
+      Wire.Images (List.map (fun fid -> (fid, t.image fid)) fids)
   | Wire.Reach_stage1 _ ->
       invalid_arg "Site.handle: reachability calls run on graph fragments"
 
@@ -197,5 +218,12 @@ let states cl q =
   Array.init (Cluster.n_sites cl) (fun _ ->
       create ~query:(q, plan) intern ~image:(Fragment.flat ft))
 
-let local states ~round (rm : _ Cluster.remote) site =
-  rm.Cluster.parse site (visit states.(site) ~round (rm.Cluster.build site))
+let batch cl qs =
+  let ft = Cluster.ftree cl in
+  let per_query = List.map (states cl) qs in
+  Array.init (Cluster.n_sites cl) (fun site ->
+      let t = create (Fragment.intern ft) ~image:(Fragment.flat ft) in
+      t.subs <- Array.of_list (List.map (fun st -> st.(site)) per_query);
+      t)
+
+let handler states site = visit states.(site)

@@ -4,12 +4,13 @@
     stage 1 for use in stages 2 and 3).
 
     This is the only place the stage kernels ({!Flat_pass}) run for a
-    distributed PaX run.  Both backends call it: the socket server
-    ([Pax_net.Server]) holds one {!t} per run id, and the in-process
-    engines hold one per site per run and visit it with {!local}.  A
-    stage is therefore described once, as a {!Pax_dist.Cluster.remote}
-    ([build] the call, [parse] the reply), and every backend runs the
-    same code on the same images.
+    distributed PaX or ParBoX run.  Both backends call it: the socket
+    server ([Pax_net.Server]) holds one {!t} per run id, and the
+    in-process engines hold one per site per run and hand {!handler}
+    to {!Pax_dist.Cluster.reset}, whose in-process transport visits
+    it.  A stage is therefore described once, as a
+    {!Pax_dist.Cluster.remote} ([build] the call, [parse] the reply),
+    and every backend runs the same code on the same images.
 
     No sockets, no lock, no run-id table: a {!t} is touched by one
     visit at a time (the server's lock, or the one pool task visiting
@@ -37,10 +38,14 @@ val create :
     site's images and returns its reply, without consulting or filling
     the memo.  Stage-1 calls keep state for the run's later stages;
     PaX3 stage 2 substitutes into the kept qualifier vectors in place,
-    which is why a replayed call must be answered from the memo.
+    which is why a replayed call must be answered from the memo.  A
+    [Calls] list answers element [i] against the [i]-th per-query state
+    of [t] (created on first use), since a [t] holds one query's
+    candidates; a [Ship] call answers with the listed fragments'
+    images.
     @raise Failure on a final-stage call for a fragment without
     stage-1 state, and [Invalid_argument] on a reachability call (graph
-    fragments are not tree images). *)
+    fragments are not tree images) or a nested [Calls]. *)
 val handle : t -> Wire.call -> Wire.reply
 
 (** The reply memoized for a round, if any. *)
@@ -48,6 +53,11 @@ val replay : t -> round:int -> Wire.reply option
 
 (** Memoize a round's reply. *)
 val record : t -> round:int -> Wire.reply -> unit
+
+(** [visit t ~round call] — the reply memoized for [round], else
+    {!handle} [call] and memoize its reply.  A replayed round gets the
+    identical reply without running a kernel. *)
+val visit : t -> round:int -> Wire.call -> Wire.reply
 
 (** {1 In process} *)
 
@@ -57,12 +67,12 @@ val record : t -> round:int -> Wire.reply -> unit
     read afterwards). *)
 val states : Pax_dist.Cluster.t -> Pax_xpath.Query.t -> t array
 
-(** [local states ~round rm site] — the in-process visit of a stage:
-    build the site's call, answer it with the reply memoized for
-    [round] in [states.(site)] (else {!handle} it and record the
-    reply), parse the reply.  The function {!Pax_dist.Cluster.run_round}
-    runs at each site when no transport is installed.  A visit replayed
-    after a lost reply gets the identical reply without running a
-    kernel, and parses it again, so [parse] must charge ops once. *)
-val local :
-  t array -> round:int -> 'a Pax_dist.Cluster.remote -> int -> 'a
+(** [batch cl qs] — one run state per site whose [i]-th per-query
+    state is [(states cl q_i).(site)]: the states a Batch run's
+    [Calls] visits go to. *)
+val batch : Pax_dist.Cluster.t -> Pax_xpath.Query.t list -> t array
+
+(** [handler states] — the run's site procedure for
+    {!Pax_dist.Cluster.reset}: site [s] answers through {!visit} on
+    [states.(s)]. *)
+val handler : t array -> Pax_dist.Transport.handler

@@ -63,87 +63,16 @@ type t = {
      the simulated-time fields of the report — answers, visit counts,
      traces and accounted traffic are bit-identical. *)
   mutable service_delay : float;
+  (* The current run's site procedure for in-process rounds, set by
+     [reset]. *)
+  mutable handler : Transport.handler;
 }
+
+let no_handler _ ~round:_ _ =
+  invalid_arg "Cluster.run_round: no site handler (see Cluster.reset)"
 
 let site_track site = Printf.sprintf "site %d" site
 let enabled t = t.sink.Pax_obs.Sink.enabled
-
-(* ------------------------------------------------------------------ *)
-(* Effect logs                                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* Every in-process round runs on the domain pool (inline, in site
-   order, at degree 1), so the shared accumulators (trace, message
-   list, coordinator ops, retry counters) must not be touched from
-   inside a visit.  Instead each visit records its effects — fate
-   events, sends, retries, backoff — into a private log, registered in
-   domain-local storage for the duration of the visit; [send] and
-   [add_ops] divert to it transparently.  At the round barrier the logs
-   are merged in site order.  Fault plans are pure functions of (site,
-   round, attempt) and of the message context, so neither the degree
-   nor the completion order can change a schedule: a run at any degree
-   is distinguishable from [domains:1] only by wall-clock.  Effects
-   outside a visit go through a log too, merged as soon as the effect
-   is complete ([with_log]). *)
-type visit_log = {
-  mutable vl_events_rev : Trace.event list;
-  mutable vl_msgs_rev : message list;
-  mutable vl_coord_ops : int;
-  mutable vl_seconds : float;
-  mutable vl_retries : int;
-  mutable vl_backoff : float;
-}
-
-let fresh_log () =
-  {
-    vl_events_rev = [];
-    vl_msgs_rev = [];
-    vl_coord_ops = 0;
-    vl_seconds = 0.;
-    vl_retries = 0;
-    vl_backoff = 0.;
-  }
-
-(* The visits running on this domain, keyed by cluster: concurrent runs
-   on systhreads share a domain (the serving scheduler), so a single
-   slot per domain would let one run's effects leak into another's.  A
-   cluster has at most one visit per domain in flight. *)
-let dls_logs : (t * visit_log) list Atomic.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Atomic.make [])
-
-let rec update_logs a f =
-  let cur = Atomic.get a in
-  if not (Atomic.compare_and_set a cur (f cur)) then update_logs a f
-
-let current_log t =
-  match Atomic.get (Domain.DLS.get dls_logs) with
-  | [] -> None
-  | logs -> List.assq_opt t logs
-
-let emit log ev = log.vl_events_rev <- ev :: log.vl_events_rev
-
-let merge_log t log =
-  List.iter (Trace.add t.trace) (List.rev log.vl_events_rev);
-  t.messages_rev <- log.vl_msgs_rev @ t.messages_rev;
-  t.coord_ops <- t.coord_ops + log.vl_coord_ops;
-  t.retries <- t.retries + log.vl_retries;
-  t.backoff_seconds <- t.backoff_seconds +. log.vl_backoff
-
-(* Run [f] against the current visit's log, or against a fresh one
-   merged when [f] returns or raises. *)
-let with_log t f =
-  match current_log t with
-  | Some log -> f log
-  | None -> (
-      let log = fresh_log () in
-      match f log with
-      | v ->
-          merge_log t log;
-          v
-      | exception e ->
-          let bt = Printexc.get_raw_backtrace () in
-          merge_log t log;
-          Printexc.raise_with_backtrace e bt)
 
 let default_domains () =
   match Sys.getenv_opt "PAX_DOMAINS" with
@@ -193,6 +122,7 @@ let create_gen ?domains ?transport ~ft ~n_frags ~n_sites ~assign () =
     net_base = Transport.zero_stats;
     sink = Pax_obs.Sink.noop;
     service_delay = 0.;
+    handler = no_handler;
   }
 
 let create ?domains ?transport ~ftree ~n_sites ~assign () =
@@ -262,155 +192,98 @@ let net_stats t =
 
 (* Back off before the next attempt (simulated time only) and record the
    retry, or raise once the policy's budget is exhausted. *)
-let retry_or_give_up t log ~site ~round ~stage ~attempt ~reason =
+let retry_or_give_up t ~site ~round ~stage ~attempt ~reason =
   if Retry.should_retry t.retry ~attempt then begin
-    log.vl_retries <- log.vl_retries + 1;
-    log.vl_backoff <-
-      log.vl_backoff +. Retry.delay_before t.retry ~attempt:(attempt + 1);
+    t.retries <- t.retries + 1;
+    t.backoff_seconds <-
+      t.backoff_seconds +. Retry.delay_before t.retry ~attempt:(attempt + 1);
     Pax_obs.Sink.count t.sink "pax_retries_total";
-    emit log (Trace.Retry { site; round; attempt; reason })
+    Trace.add t.trace (Trace.Retry { site; round; attempt; reason })
   end
   else begin
-    emit log (Trace.Gave_up { site; round; attempts = attempt });
+    Trace.add t.trace (Trace.Gave_up { site; round; attempts = attempt });
     raise (Site_unreachable { site; stage; attempts = attempt })
   end
 
-(* The fate walk of one (site, round) visit, run by both backends:
-   deliver the request, execute, deliver the reply — any leg may fail
-   under the fault plan and be retried.  [exec ~attempt ~replay] is one
-   physical execution; a lost reply makes the site execute again on the
-   next delivery, so site work must be (and the engines' is) idempotent
-   per round.  Returns the last execution's result. *)
-let walk_fates t log ~round ~label ~site exec =
+(* The fate walk of one (site, round) visit: deliver the request,
+   execute, deliver the reply — any leg may fail under the fault plan
+   and be retried.  Every [Visit] event is one physical execution.
+   Returns the attempt whose reply gets through and the number of
+   executions before it whose reply was lost. *)
+let walk_fates t ~round ~label ~site =
+  let emit ev = Trace.add t.trace ev in
   let retry ~attempt ~reason =
-    retry_or_give_up t log ~site ~round ~stage:label ~attempt ~reason
+    retry_or_give_up t ~site ~round ~stage:label ~attempt ~reason
   in
-  let rec go ~was_down ~replay attempt =
+  let rec go ~was_down ~replay attempt lost =
     let restart () =
-      if was_down then emit log (Trace.Site_restart { site; round; attempt })
+      if was_down then emit (Trace.Site_restart { site; round; attempt })
     in
     match Fault.on_visit t.fault ~site ~round ~attempt with
     | Fault.Down ->
-        emit log (Trace.Site_down { site; round; attempt });
+        emit (Trace.Site_down { site; round; attempt });
         retry ~attempt ~reason:"site down";
-        go ~was_down:true ~replay (attempt + 1)
+        go ~was_down:true ~replay (attempt + 1) lost
     | Fault.Lost_request ->
         restart ();
         retry ~attempt ~reason:"visit request dropped";
-        go ~was_down:false ~replay (attempt + 1)
+        go ~was_down:false ~replay (attempt + 1) lost
     | (Fault.Visit_ok | Fault.Lost_reply) as fate ->
         restart ();
-        emit log (Trace.Visit { site; round; attempt; replay });
-        let result = exec ~attempt ~replay in
-        if fate = Fault.Visit_ok then result
+        emit (Trace.Visit { site; round; attempt; replay });
+        if fate = Fault.Visit_ok then (attempt, lost)
         else begin
           retry ~attempt ~reason:"visit reply dropped";
-          go ~was_down:false ~replay:true (attempt + 1)
+          go ~was_down:false ~replay:true (attempt + 1) (lost + 1)
         end
   in
-  go ~was_down:false ~replay:false 1
-
-(* The in-process round: one pool task per site, each walking its fates
-   against a private [visit_log]; then the logs are merged at the
-   barrier in input-site order.  If visits raised, the logs are still
-   merged up to and including the first failing site (in site order,
-   not completion order) and that site's exception is re-raised — the
-   observable state matches a run that stopped at the same site. *)
-let run_round_local t r ~round ~label ~sites f =
-  let sites_arr = Array.of_list sites in
-  let n = Array.length sites_arr in
-  let logs = Array.init n (fun _ -> fresh_log ()) in
-  let outcomes = Array.make n None in
-  (* The inline degree-1 pool has no queue to wait in: not instrumented. *)
-  let obs = if t.domains > 1 then t.sink else Pax_obs.Sink.noop in
-  Pool.run ~obs (Pool.shared ~domains:t.domains) ~n (fun i ->
-      let site = sites_arr.(i) in
-      let log = logs.(i) in
-      let exec ~attempt ~replay =
-        let t0 = Pax_obs.Clock.now () in
-        let result = f site in
-        let t1 = Pax_obs.Clock.now () in
-        (* Each physical execution pays the simulated service latency:
-           a replay forced by a lost reply is served again. *)
-        log.vl_seconds <- log.vl_seconds +. (t1 -. t0) +. t.service_delay;
-        if enabled t then
-          Pax_obs.Sink.record t.sink ~cat:"visit" ~track:(site_track site)
-            ~args:
-              [
-                ("round", string_of_int round);
-                ("attempt", string_of_int attempt);
-                ("replay", string_of_bool replay);
-              ]
-            label ~t0 ~t1;
-        result
-      in
-      let slot = Domain.DLS.get dls_logs in
-      update_logs slot (List.cons (t, log));
-      let out =
-        match walk_fates t log ~round ~label ~site exec with
-        | v -> Ok v
-        | exception e -> Error (e, Printexc.get_raw_backtrace ())
-      in
-      update_logs slot (List.filter (fun (c, _) -> c != t));
-      outcomes.(i) <- Some out);
-  let results = ref [] in
-  let failure = ref None in
-  let i = ref 0 in
-  while Option.is_none !failure && !i < n do
-    let site = sites_arr.(!i) in
-    let log = logs.(!i) in
-    t.visits.(site) <- t.visits.(site) + 1;
-    merge_log t log;
-    r.seconds.(site) <- r.seconds.(site) +. log.vl_seconds;
-    (match outcomes.(!i) with
-    | Some (Ok v) -> results := (site, v) :: !results
-    | Some (Error (e, bt)) -> failure := Some (e, bt)
-    | None -> assert false);
-    incr i
-  done;
-  match !failure with
-  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-  | None -> List.rev !results
+  go ~was_down:false ~replay:false 1 0
 
 type 'a remote = {
   build : int -> Pax_wire.Wire.call;
   parse : int -> Pax_wire.Wire.reply -> 'a;
 }
 
-(* The socket round.  First each site walks its fates, in input order,
-   exactly as in-process: [Down] and [Lost_request] send nothing and
-   charge the retry budget.  A site whose walk met a lost reply has its
-   request sent alone, ahead of the round, and the reply discarded; the
-   server's per-round reply memo then answers the resend.  Then the
-   transport moves every request (pipelined across sites), and replies
-   are parsed over the domain pool when one is configured — parse
-   callbacks only touch their own site's state (per-fragment view
-   cells, per-site op counters, mutexed caches), so the only
-   synchronization needed is the input-site-order merge of seconds and
-   spans afterwards.  Real delivery failures come back through [retry],
-   numbered after the site's simulated attempts so both share one
-   budget — here the backoff is physically slept, since a restarting
-   server needs the wall-clock time. *)
-let run_round_net t tr r ~round ~label ~sites (rm : 'a remote) =
+(* The round, on either backend.  First each site walks its fates, in
+   input order: [Down] and [Lost_request] deliver nothing and charge the
+   retry budget.  Every execution whose reply the plan loses is
+   delivered alone, ahead of the round, and its reply discarded — the
+   site's per-round reply memo answers the later deliveries.  Then the
+   transport delivers every request (pipelined across sites on
+   sockets, over the domain pool in process), and replies are parsed
+   over the pool when one is configured — parse callbacks only touch
+   their own site's state (per-fragment view cells, per-site op
+   counters, mutexed caches), so the only synchronization needed is the
+   input-site-order merge of seconds and spans afterwards.  Real
+   delivery failures come back through [retry], numbered after the
+   site's simulated attempts so both share one budget — here the
+   backoff is physically slept, since a restarting server needs the
+   wall-clock time. *)
+let deliver t r ~round ~label ~sites (rm : 'a remote) =
+  let tr =
+    match t.transport with
+    | Some tr -> tr
+    | None ->
+        (* The inline degree-1 pool has no queue to wait in: not
+           instrumented. *)
+        let obs = if t.domains > 1 then t.sink else Pax_obs.Sink.noop in
+        Transport.local ~obs ~domains:t.domains ~service_delay:t.service_delay
+          t.handler
+  in
   let next_attempt = Array.make t.n_sites 1 in
   let lost =
-    List.filter
+    List.concat_map
       (fun site ->
         t.visits.(site) <- t.visits.(site) + 1;
-        let attempt, replay =
-          with_log t (fun log ->
-              walk_fates t log ~round ~label ~site (fun ~attempt ~replay ->
-                  (attempt, replay)))
-        in
+        let attempt, lost = walk_fates t ~round ~label ~site in
         next_attempt.(site) <- attempt;
-        replay)
+        List.init lost (fun _ -> site))
       sites
   in
   let retry ~site ~attempt:_ ~reason =
     let attempt = next_attempt.(site) in
     next_attempt.(site) <- attempt + 1;
-    with_log t (fun log ->
-        retry_or_give_up t log ~site ~round ~stage:label ~attempt ~reason);
+    retry_or_give_up t ~site ~round ~stage:label ~attempt ~reason;
     Unix.sleepf (Retry.delay_before t.retry ~attempt:(attempt + 1))
   in
   let visit sites =
@@ -435,19 +308,22 @@ let run_round_net t tr r ~round ~label ~sites (rm : 'a remote) =
   List.mapi
     (fun i (site, _, secs) ->
       r.seconds.(site) <- r.seconds.(site) +. secs;
-      (* Remote visits run pipelined inside the transport, so spans are
-         synthesized at merge time from the server-side duration: the
-         interval ends "now" and lasted [secs]. *)
+      (* Spans are synthesized at merge time from the site-side
+         duration: the interval ends "now" and lasted [secs]. *)
       if enabled t then begin
         let t1 = Pax_obs.Clock.now () in
         Pax_obs.Sink.record t.sink ~cat:"visit" ~track:(site_track site)
-          ~args:[ ("round", string_of_int round); ("remote", "true") ]
+          ~args:
+            [
+              ("round", string_of_int round);
+              ("remote", string_of_bool (Option.is_some t.transport));
+            ]
           label ~t0:(t1 -. secs) ~t1
       end;
       (site, parsed.(i)))
     (Array.to_list replies)
 
-let run_round ?remote t ~label ~sites f =
+let run_round t ~label ~sites rm =
   let round = t.round_no in
   t.round_no <- round + 1;
   Trace.add t.trace (Trace.Round_start { round; label });
@@ -472,17 +348,7 @@ let run_round ?remote t ~label ~sites f =
         end)
       sites
   in
-  let dispatch () =
-    match (t.transport, remote) with
-    | Some tr, Some rm -> run_round_net t tr r ~round ~label ~sites rm
-    | Some _, None ->
-        invalid_arg
-          (Printf.sprintf
-             "Cluster.run_round: stage %S has no remote implementation for \
-              the socket transport"
-             label)
-    | None, _ -> run_round_local t r ~round ~label ~sites f
-  in
+  let dispatch () = deliver t r ~round ~label ~sites rm in
   let results =
     if not (enabled t) then dispatch ()
     else begin
@@ -540,57 +406,51 @@ let send t ~src ~dst ~kind ~bytes ~label =
   let round = max 0 (t.round_no - 1) in
   let site = match (dst, src) with Site s, _ | _, Site s -> s | _ -> -1 in
   let m = { src; dst; kind; bytes; label } in
-  with_log t (fun log ->
-      let rec go attempt =
-        let ctx =
-          {
-            Fault.m_src = src;
-            m_dst = dst;
-            m_kind = kind;
-            m_label = label;
-            m_round = round;
-            m_attempt = attempt;
-          }
-        in
-        let status =
-          match Fault.on_message t.fault ctx with
-          | Fault.Deliver -> Trace.Delivered
-          | Fault.Drop -> Trace.Dropped
-          | Fault.Duplicate -> Trace.Duplicated
-          | Fault.Delay s -> Trace.Delayed s
-        in
-        log.vl_msgs_rev <- m :: log.vl_msgs_rev;
-        emit log
-          (Trace.Message { src; dst; kind; bytes; label; attempt; status });
-        match status with
-        | Trace.Delivered -> ()
-        | Trace.Duplicated ->
-            (* The spurious copy also crossed the wire. *)
-            log.vl_msgs_rev <- m :: log.vl_msgs_rev
-        | Trace.Delayed s -> log.vl_backoff <- log.vl_backoff +. s
-        | Trace.Dropped ->
-            retry_or_give_up t log ~site ~round ~stage:label ~attempt
-              ~reason:("message dropped: " ^ label);
-            go (attempt + 1)
-      in
-      go 1)
+  let rec go attempt =
+    let ctx =
+      {
+        Fault.m_src = src;
+        m_dst = dst;
+        m_kind = kind;
+        m_label = label;
+        m_round = round;
+        m_attempt = attempt;
+      }
+    in
+    let status =
+      match Fault.on_message t.fault ctx with
+      | Fault.Deliver -> Trace.Delivered
+      | Fault.Drop -> Trace.Dropped
+      | Fault.Duplicate -> Trace.Duplicated
+      | Fault.Delay s -> Trace.Delayed s
+    in
+    t.messages_rev <- m :: t.messages_rev;
+    Trace.add t.trace
+      (Trace.Message { src; dst; kind; bytes; label; attempt; status });
+    match status with
+    | Trace.Delivered -> ()
+    | Trace.Duplicated ->
+        (* The spurious copy also crossed the wire. *)
+        t.messages_rev <- m :: t.messages_rev
+    | Trace.Delayed s -> t.backoff_seconds <- t.backoff_seconds +. s
+    | Trace.Dropped ->
+        retry_or_give_up t ~site ~round ~stage:label ~attempt
+          ~reason:("message dropped: " ^ label);
+        go (attempt + 1)
+  in
+  go 1
 
 let add_ops t ~site n =
-  if site < 0 then
-    (* Coordinator ops from inside a pooled visit go to the visit log
-       (the shared counter is not safe from worker domains). *)
-    match current_log t with
-    | Some log -> log.vl_coord_ops <- log.vl_coord_ops + n
-    | None -> t.coord_ops <- t.coord_ops + n
+  if site < 0 then t.coord_ops <- t.coord_ops + n
   else
-    (* Per-site ops are safe from workers as long as visit work only
-       charges its own site (the engines do): distinct sites write
-       distinct cells. *)
+    (* Parse callbacks may run on pool domains: each charges only its
+       own site, so distinct sites write distinct cells. *)
     match t.current with
     | Some r -> r.ops.(site) <- r.ops.(site) + n
     | None -> ()
 
-let reset t =
+let reset ?(handler = no_handler) t =
+  t.handler <- handler;
   t.messages_rev <- [];
   Array.fill t.visits 0 t.n_sites 0;
   Array.fill t.frag_touches 0 t.n_frags 0;

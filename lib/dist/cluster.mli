@@ -2,8 +2,11 @@
     [S_Q] of the paper) plus a set of sites, each holding one or more
     fragments of a document.
 
-    The simulator runs everything in-process but accounts for exactly
-    the quantities the paper's guarantees are stated in:
+    Every round goes through a {!Transport.t}: the in-process one
+    ({!Transport.local}, over the run's site handler, see {!reset})
+    unless a socket transport is installed.  Either way the cluster
+    accounts for exactly the quantities the paper's guarantees are
+    stated in:
 
     - {b visits} — one per (site, communication round) in which the
       coordinator executes work at the site, irrespective of how many
@@ -31,11 +34,12 @@
     retry and crash is recorded in a {!Trace.t} (see {!trace}), from
     which the paper's bounds are assertable post hoc.
 
-    A visit whose {e reply} was lost is re-delivered, and the site
-    re-executes it: site work passed to {!run_round} must therefore be
-    idempotent per round (PaX2 and PaX3 visits go through the site
-    handler, [Pax_core.Site], whose reply memo answers a replayed round
-    without re-running it — the same memo on both backends).
+    A visit whose {e reply} was lost is re-delivered: the request goes
+    to the site once per [Trace.Visit] event, so a site must answer a
+    round idempotently (the XPath engines' site handler,
+    [Pax_core.Site], answers a replayed round from its reply memo —
+    the same memo on both backends).  Only the last delivery's reply is
+    parsed, once.
 
     {2 Real parallelism}
 
@@ -43,17 +47,17 @@
     environment variable and the CLI's [--domains]), the per-site visits
     of a round execute concurrently on a {!Pool} of real OCaml domains —
     the paper's parallel-cost bound [O(|Q| · max_site |F_site|)] becomes
-    physical wall-clock, not just accounting.  Each pooled visit records
-    its effects (trace events, {!send}s, coordinator {!add_ops}) into a
-    private log, merged at the round barrier in input-site order, so
-    answers, visit counts, traces and all deterministic report fields
-    are identical to a [domains:1] run — under an installed fault plan
-    too, since a plan is a pure function of (site, round, attempt) and
-    of the message context, never of visit order.  Two requirements on
-    site work beyond the idempotence above: within a round it must not
-    share mutable state across sites (the engines keep views per
-    fragment or per site, and one site-handler state per site), and it must
-    charge {!add_ops} only to the site being visited.  See
+    physical wall-clock, not just accounting.  No effect of a round runs
+    inside a pooled task: fate walks, and so trace events and retries,
+    happen on the calling thread before any delivery, and {!send} is
+    called only by the coordinator.  Answers, visit counts, traces and
+    all deterministic report fields are therefore identical to a
+    [domains:1] run — under an installed fault plan too, since a plan
+    is a pure function of (site, round, attempt) and of the message
+    context, never of visit order.  Replies are parsed on the pool, so
+    two requirements fall on a {!remote}'s [parse]: it must not share
+    mutable state across sites (the engines keep views per fragment or
+    per site), and it must charge {!add_ops} only to its own site.  See
     docs/PARALLELISM.md. *)
 
 type endpoint = Trace.endpoint = Coordinator | Site of int
@@ -86,7 +90,7 @@ type t
     concurrency degree for {!run_round} (default: {!default_domains},
     i.e. [PAX_DOMAINS] or 1).  [transport] plugs in a remote backend
     ({!Pax_net.Client.transport} builds the socket one); without it
-    visits run in-process. *)
+    visits go to the run's site handler in process. *)
 val create :
   ?domains:int ->
   ?transport:Transport.t ->
@@ -168,11 +172,12 @@ val set_retry : t -> Retry.t -> unit
     simulated attempts, go through the same {!Retry} budget and raise
     the same {!Site_unreachable}. *)
 
-(** Install or remove the remote backend. *)
+(** Install or remove the remote backend (without one, rounds use
+    {!Transport.local}). *)
 val set_transport : t -> Transport.t option -> unit
 
 (** Is a remote backend installed?  PaX2 consults this to use the
-    stage cache on the transport path only. *)
+    stage cache on the socket path only. *)
 val transport_active : t -> bool
 
 (** {1 Cross-query cache}
@@ -180,7 +185,7 @@ val transport_active : t -> bool
     A {!Stage_cache.t} (default: {!Stage_cache.noop}) lets engines skip
     recomputing fully-resolved stage-1 results for (query, fragment)
     pairs already evaluated by an earlier run over the same fragment
-    tree.  Only consulted on the transport path — a cache hit elides a
+    tree.  Only consulted with a socket transport — a cache hit elides a
     real network visit; in-process simulated runs stay cache-free so
     their accounted costs remain the paper's.  See {!Stage_cache} for
     the correctness contract and docs/SERVING.md for the serving-layer
@@ -198,8 +203,9 @@ val stage_cache : t -> Stage_cache.t
     budgets.  Nothing is slept, and answers, visit counts, traces and
     accounted traffic are bit-identical with or without it — only the
     report's simulated-time fields grow.  Survives {!reset} like the
-    fault plan.  Ignored on the socket transport, where the real
-    server applies its own delay. *)
+    fault plan.  {!Transport.local} adds it to each delivery's seconds;
+    a socket transport ignores it, since the real server applies its
+    own delay. *)
 
 val set_service_delay : t -> float -> unit
 val service_delay : t -> float
@@ -233,16 +239,17 @@ val set_sink : t -> Pax_obs.Sink.t -> unit
 
 (** {1 Instrumented execution} *)
 
-(** A stage's remote implementation: how to phrase a site visit as a
-    wire call and read the result back from the reply. *)
+(** A round's description: how to phrase a site visit as a wire call
+    and read the result back from the reply.  Both backends run it. *)
 type 'a remote = {
   build : int -> Pax_wire.Wire.call;
   parse : int -> Pax_wire.Wire.reply -> 'a;
 }
 
-(** [run_round t ~label ~sites f] visits each listed site once, running
-    [f site] there; wall-clock spans are recorded per site, and the
-    round's parallel cost is their maximum.
+(** [run_round t ~label ~sites rm] visits each listed site once: the
+    transport delivers [rm.build site] there and [rm.parse site] reads
+    the reply; the round's parallel cost is the maximum of the sites'
+    seconds.
 
     {b Result order is a contract:} the returned [(site, result)] pairs
     follow the input [sites] order with duplicates removed (first
@@ -250,23 +257,13 @@ type 'a remote = {
     order.  The deterministic parallel merge relies on this, and callers
     may too.
 
-    With [domains > 1], the visits run concurrently on real domains;
-    observable state afterwards is identical to the [domains:1] run (see
-    the {e Real parallelism} section above).  Under an installed fault
-    plan each visit may take several delivery attempts (see
-    {!Site_unreachable}); the per-site visit counter is charged once per
-    (site, round) regardless.
-
-    With a transport installed (see {!set_transport}), the round runs
-    remotely through [remote] instead of calling [f]: [build site] is
-    the wire call shipped to the site and [parse site reply] turns the
-    reply into the same result [f] would have produced.  Visit counts,
-    trace events and accounted messages are identical across backends;
-    omitting [remote] while a transport is installed raises
-    [Invalid_argument] (the stage cannot run remotely). *)
-val run_round :
-  ?remote:'a remote ->
-  t -> label:string -> sites:int list -> (int -> 'a) -> (int * 'a) list
+    Under an installed fault plan each visit may take several delivery
+    attempts (see {!Site_unreachable}); the per-site visit counter is
+    charged once per (site, round) regardless, and each site's reply is
+    parsed once.  Visit counts, trace events and accounted messages are
+    identical across backends.  A handler's exception propagates from
+    the first failing site in input order. *)
+val run_round : t -> label:string -> sites:int list -> 'a remote -> (int * 'a) list
 
 (** [coord t ~label f] runs coordinator-side work (e.g. [evalFT]),
     accounted in both parallel and total cost. *)
@@ -285,8 +282,11 @@ val send :
 val add_ops : t -> site:int -> int -> unit
 
 (** Forget all recorded costs and the trace (fragment placement, fault
-    plan and retry policy stay). *)
-val reset : t -> unit
+    plan and retry policy stay), and install [handler] as the run's
+    site procedure for in-process rounds (default: none — an
+    in-process round then raises [Invalid_argument]).  Every engine
+    calls it before its first round. *)
+val reset : ?handler:Transport.handler -> t -> unit
 
 (** {1 Reports} *)
 

@@ -126,12 +126,12 @@ let run ?(obs = Pax_obs.Sink.noop) t ~n run_one =
       Mutex.unlock t.mutex
     end
 
-let map t f xs =
+let map ?obs t f xs =
   let n = Array.length xs in
   if t.deg = 1 || n <= 1 then Array.map f xs
   else begin
     let out = Array.make n None in
-    run t ~n (fun i ->
+    run ?obs t ~n (fun i ->
         out.(i) <-
           Some
             (match f xs.(i) with

@@ -52,8 +52,9 @@ val run : ?obs:Pax_obs.Sink.t -> t -> n:int -> (int -> unit) -> unit
     over the pool, results in input order.  If one or more applications
     raise, the exception of the {e smallest} index is re-raised (with
     its backtrace) after the batch barrier, so failure is deterministic
-    regardless of scheduling. *)
-val map : t -> ('a -> 'b) -> 'a array -> 'b array
+    regardless of scheduling.  [obs] instruments the tasks as in
+    {!run} when the batch runs on the pool. *)
+val map : ?obs:Pax_obs.Sink.t -> t -> ('a -> 'b) -> 'a array -> 'b array
 
 (** Terminate and join the worker domains.  Only for pools you
     {!create}d yourself; {!shared} pools live for the process. *)

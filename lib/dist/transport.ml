@@ -43,3 +43,23 @@ type t = {
   reset_run : unit -> unit;
   close : unit -> unit;
 }
+
+type handler = int -> round:int -> Wire.call -> Wire.reply
+
+let local ?obs ~domains ~service_delay handler =
+  let visit_round ~round ~label:_ ~retry:_ calls =
+    Array.to_list
+      (Pool.map ?obs (Pool.shared ~domains)
+         (fun (site, call) ->
+           let t0 = Pax_obs.Clock.now () in
+           let reply = handler site ~round call in
+           (site, reply, Pax_obs.Clock.now () -. t0 +. service_delay))
+         (Array.of_list calls))
+  in
+  {
+    describe = "in-process";
+    visit_round;
+    stats = (fun () -> zero_stats);
+    reset_run = ignore;
+    close = ignore;
+  }

@@ -1,11 +1,9 @@
 (** The transport seam under {!Cluster.run_round}: how a round of site
-    visits is actually executed.
-
-    The default backend is in-process — site work is an OCaml closure,
-    possibly fanned over a {!Pool} of domains.  A [t] value plugs in a
-    remote backend instead ({!Pax_net.Client} provides the socket one):
-    the engines describe each visit as a {!Pax_wire.Wire.call} and read
-    the {!Pax_wire.Wire.reply} back, and the transport moves the bytes.
+    visits is actually executed.  The engines describe each visit as a
+    {!Pax_wire.Wire.call} and read the {!Pax_wire.Wire.reply} back; the
+    transport delivers the calls.  Two backends: {!local} answers them
+    in process, on a {!Pool} of domains, and {!Pax_net.Client} moves
+    them over sockets to site servers.
 
     Failure contract: [visit_round] reports every delivery failure
     (connection refused, EOF, timeout) through [retry] — once per
@@ -53,3 +51,17 @@ type t = {
       (** Start a fresh run (new run id): called by {!Cluster.reset}. *)
   close : unit -> unit;
 }
+
+(** A run's site procedure in process: [handler site ~round call] is
+    site [site]'s reply to [call] in round [round]. *)
+type handler = int -> round:int -> Wire.call -> Wire.reply
+
+(** [local ?obs ~domains ~service_delay handler] — the in-process
+    backend.  [visit_round] calls [handler] once per listed site, on
+    the shared pool of degree [domains] ([obs] instruments its tasks),
+    and passes the replies on as values, never encoded.  A site's
+    seconds are the handler's wall-clock time plus [service_delay].  It
+    never calls [retry]; a handler's exception propagates from the
+    first failing site in input order.  [stats] stay zero. *)
+val local :
+  ?obs:Pax_obs.Sink.t -> domains:int -> service_delay:float -> handler -> t

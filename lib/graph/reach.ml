@@ -36,22 +36,17 @@ let stage1_reply frag_of ~query fids =
              })
            fids)
 
+let handler g _site ~round:_ = function
+  | Wire.Reach_stage1 { query; fids } ->
+      stage1_reply (Gfrag.fragment g) ~query fids
+  | _ -> invalid_arg "Reach.handler: not a reachability call"
+
 let eval g cl q =
-  Cluster.reset cl;
+  Cluster.reset ~handler:(handler g) cl;
   let n_frags = Gfrag.n_fragments g in
   let fids = List.init n_frags Fun.id in
   let sites = Cluster.sites_holding cl fids in
   let fvecs = Array.make n_frags [||] in
-  (* Replay guard (pax3 idiom): a duplicated delivery re-runs the visit
-     closure; charge each fragment's ops once. *)
-  let seen = Array.make n_frags false in
-  let account site fid vec ops =
-    fvecs.(fid) <- vec;
-    if not seen.(fid) then begin
-      seen.(fid) <- true;
-      Cluster.add_ops cl ~site ops
-    end
-  in
   let remote =
     {
       Cluster.build =
@@ -65,20 +60,15 @@ let eval g cl q =
               List.iter
                 (fun fr ->
                   match fr.Wire.fr_vec with
-                  | Some vec -> account site fr.Wire.fr_fid vec fr.Wire.fr_ops
+                  | Some vec ->
+                      fvecs.(fr.Wire.fr_fid) <- vec;
+                      Cluster.add_ops cl ~site fr.Wire.fr_ops
                   | None -> failwith "reach: reply without residual vector")
                 frs
           | _ -> failwith "reach: unexpected reply kind");
     }
   in
-  (* In process, the site's reply is built by the function a site
-     server runs. *)
-  let visit site =
-    remote.Cluster.parse site
-      (stage1_reply (Gfrag.fragment g) ~query:q.rq_source
-         (Cluster.fragments_on cl site))
-  in
-  ignore (Cluster.run_round ~remote cl ~label:"reach:stage1" ~sites visit);
+  ignore (Cluster.run_round cl ~label:"reach:stage1" ~sites remote);
   (* Accounted traffic, coordinator-side as in pax3: the query down to
      each visited site, one residual vector up per fragment. *)
   List.iter

@@ -32,8 +32,9 @@ val stage1_reply :
   (int -> Gfrag.fragment) -> query:string -> int list -> Pax_wire.Wire.reply
 
 (** [eval g cl q] — one round of {!Pax_wire.Wire.call.Reach_stage1}
-    visits over the sites (answered by {!stage1_reply} in process, or
-    by a site server over the transport), accounted sends (query down,
+    visits over the sites (answered by {!stage1_reply}: in process
+    through the run's {!Cluster.reset} handler, or by a site server
+    over a socket transport), accounted sends (query down,
     vectors up), then the coordinator fixpoint.  Residual vectors are pure disjunctions, so
     the fixpoint is dependency-graph reachability over entry
     variables. *)

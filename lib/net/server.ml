@@ -163,7 +163,7 @@ let state_for t run =
 (* The fragments a call touches, with the store they live in — what the
    retirement fence is keyed on and what the per-fragment hotness
    counters count. *)
-let call_frags = function
+let rec call_frags = function
   | Wire.Pax2_stage1 { frags; _ } ->
       List.map (fun (fe : Wire.frag_eval) -> (Wire.Tree_frag, fe.Wire.fe_fid)) frags
   | Wire.Pax2_stage2 { frags } ->
@@ -178,6 +178,8 @@ let call_frags = function
       List.map (fun (fid, _) -> (Wire.Tree_frag, fid)) frags
   | Wire.Reach_stage1 { fids; _ } ->
       List.map (fun fid -> (Wire.Graph_frag, fid)) fids
+  | Wire.Calls calls -> List.concat_map call_frags calls
+  | Wire.Ship { fids } -> List.map (fun fid -> (Wire.Tree_frag, fid)) fids
 
 let stale_frag t ~epoch call =
   List.find_map

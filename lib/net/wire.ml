@@ -62,6 +62,8 @@ type call =
   | Pax3_stage2 of { query : string; frags : (frag_eval * sub_resolution) list }
   | Pax3_stage3 of { frags : (int * bool array) list }
   | Reach_stage1 of { query : string; fids : int list }
+  | Calls of call list
+  | Ship of { fids : int list }
 
 type frag_result = {
   fr_fid : int;
@@ -75,6 +77,8 @@ type frag_result = {
 type reply =
   | Frag_results of frag_result list
   | Final_answers of { answers : answer list; ops : int }
+  | Replies of reply list
+  | Images of (int * Pax_xml.Flat.t) list
 
 type frag_kind = Tree_frag | Graph_frag
 
@@ -364,6 +368,8 @@ let c_pax3_stage1 = 3
 let c_pax3_stage2 = 4
 let c_pax3_stage3 = 5
 let c_reach_stage1 = 6
+let c_calls = 7
+let c_ship = 8
 
 let add_counted buf xs add =
   add_varint buf (List.length xs);
@@ -409,7 +415,7 @@ let get_subs s ~pos : sub_resolution * int =
       let bs, pos = expect_resolution s ~pos in
       ((sub, bs), pos))
 
-let add_call buf = function
+let rec add_call buf = function
   | Pax2_stage1 { query; frags } ->
       add_u8 buf c_pax2_stage1;
       add_section buf (Query query);
@@ -439,8 +445,16 @@ let add_call buf = function
       add_u8 buf c_reach_stage1;
       add_section buf (Query query);
       add_counted buf fids (fun buf fid -> add_varint buf fid)
+  | Calls calls ->
+      add_u8 buf c_calls;
+      add_counted buf calls add_call
+  | Ship { fids } ->
+      add_u8 buf c_ship;
+      add_counted buf fids (fun buf fid -> add_varint buf fid)
 
-let get_call s ~pos =
+(* A [Calls] list holds plain calls only: a frame cannot nest them, so
+   a hostile one cannot make the decoder recurse. *)
+let rec get_call ?(nested = false) s ~pos =
   let tag, pos = get_u8 s ~pos in
   if tag = c_pax2_stage1 then
     let query, pos = expect_query s ~pos in
@@ -480,6 +494,14 @@ let get_call s ~pos =
     let query, pos = expect_query s ~pos in
     let fids, pos = get_counted s ~pos (fun s ~pos -> get_varint s ~pos) in
     (Reach_stage1 { query; fids }, pos)
+  else if tag = c_calls then
+    if nested then fail "nested call list"
+    else
+      let calls, pos = get_counted s ~pos (get_call ~nested:true) in
+      (Calls calls, pos)
+  else if tag = c_ship then
+    let fids, pos = get_counted s ~pos (fun s ~pos -> get_varint s ~pos) in
+    (Ship { fids }, pos)
   else fail "unknown call tag"
 
 (* ------------------------------------------------------------------ *)
@@ -488,6 +510,8 @@ let get_call s ~pos =
 
 let r_frag_results = 1
 let r_final = 2
+let r_replies = 3
+let r_images = 4
 
 let add_frag_result buf fr =
   add_varint buf fr.fr_fid;
@@ -524,7 +548,7 @@ let get_frag_result s ~pos =
   let fr_ops, pos = get_varint s ~pos in
   ({ fr_fid; fr_vec; fr_ctxs; fr_answers; fr_cands; fr_ops }, pos)
 
-let add_reply buf = function
+let rec add_reply buf = function
   | Frag_results frs ->
       add_u8 buf r_frag_results;
       add_counted buf frs add_frag_result
@@ -536,8 +560,16 @@ let add_reply buf = function
       end
       else add_u8 buf 0;
       add_varint buf ops
+  | Replies replies ->
+      add_u8 buf r_replies;
+      add_counted buf replies add_reply
+  | Images images ->
+      add_u8 buf r_images;
+      add_counted buf images (fun buf (fid, fl) ->
+          add_varint buf fid;
+          add_section buf (Frag_flat fl))
 
-let get_reply s ~pos =
+let rec get_reply ?(nested = false) s ~pos =
   let tag, pos = get_u8 s ~pos in
   if tag = r_frag_results then
     let frs, pos = get_counted s ~pos get_frag_result in
@@ -548,6 +580,20 @@ let get_reply s ~pos =
     let ops, pos = get_varint s ~pos in
     (Final_answers { answers; ops }, pos)
   end
+  else if tag = r_replies then
+    if nested then fail "nested reply list"
+    else
+      let replies, pos = get_counted s ~pos (get_reply ~nested:true) in
+      (Replies replies, pos)
+  else if tag = r_images then
+    let images, pos =
+      get_counted s ~pos (fun s ~pos ->
+          let fid, pos = get_varint s ~pos in
+          match get_section s ~pos with
+          | Frag_flat fl, pos -> ((fid, fl), pos)
+          | _ -> fail "expected a flat-fragment section")
+    in
+    (Images images, pos)
   else fail "unknown reply tag"
 
 (* ------------------------------------------------------------------ *)
@@ -1002,7 +1048,7 @@ let t_frag t = { t with frag_entries = t.frag_entries + 1 }
 let tally_subs t subs =
   List.fold_left (fun t (_, bs) -> t_add t (Resolution bs)) t subs
 
-let tally_call t = function
+let rec tally_call t = function
   | Pax2_stage1 { query; frags } ->
       List.fold_left
         (fun t fe ->
@@ -1033,8 +1079,10 @@ let tally_call t = function
       List.fold_left
         (fun t (_, ctx) -> t_add (t_frag t) (Resolution ctx))
         t frags
+  | Calls calls -> List.fold_left tally_call t calls
+  | Ship { fids } -> List.fold_left (fun t _ -> t_frag t) t fids
 
-let tally_reply t = function
+let rec tally_reply t = function
   | Frag_results frs ->
       List.fold_left
         (fun t fr ->
@@ -1049,6 +1097,9 @@ let tally_reply t = function
         t frs
   | Final_answers { answers; ops = _ } ->
       if answers <> [] then t_add t (Answers answers) else t
+  | Replies replies -> List.fold_left tally_reply t replies
+  | Images images ->
+      List.fold_left (fun t (_, fl) -> t_add (t_frag t) (Frag_flat fl)) t images
 
 let tally = function
   | Visit_request { call; _ } -> tally_call empty_tally call

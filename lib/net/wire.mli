@@ -65,8 +65,8 @@ type section =
   | Frag_flat of Pax_xml.Flat.t
       (** a flat fragment image ({!Pax_xml.Flat.encode}): the columnar
           buffers blitted as-is, for shipping prebuilt fragments
-          between processes.  No engine stage ships one — visit traffic
-          and its byte accounting are unchanged by the flat hot path. *)
+          between processes.  NaiveCentralized's [Ship] reply carries
+          one per fragment; no other engine stage ships one. *)
 
 (** Serialized size of a section including its 4-byte header — the
     byte count {!Pax_dist.Measure} charges. *)
@@ -118,6 +118,14 @@ type call =
           [Frag_results] with one residual-formula vector per fragment
           (one formula per boundary in-node, plus one for the source
           when the fragment owns it) *)
+  | Calls of call list
+      (** several calls answered in one visit, element [i] against the
+          site's [i]-th per-query state (Batch: one call per query);
+          the reply is [Replies] in the same order.  A [Calls] inside
+          a [Calls] is [Corrupt] *)
+  | Ship of { fids : int list }
+      (** ship the listed fragments whole (NaiveCentralized); the reply
+          is [Images] *)
 
 (** Per-fragment stage result.  [fr_vec] is the root qualifier (or
     selection) vector when the stage ships one; [fr_cands] the number
@@ -134,6 +142,9 @@ type frag_result = {
 type reply =
   | Frag_results of frag_result list
   | Final_answers of { answers : answer list; ops : int }
+  | Replies of reply list  (** a [Calls] call's replies, in order *)
+  | Images of (int * Pax_xml.Flat.t) list
+      (** a [Ship] call's fragments, each as a [Frag_flat] section *)
 
 (** {1 Fragment images}
 

@@ -52,6 +52,15 @@ let equal (a : t) (b : t) = a = b
 
 (* Printing re-parses to the same AST (modulo ε placement); used by the
    CLI and by parser round-trip tests. *)
+
+(* Numbers and strings print so that they read back unchanged (a site
+   server reparses a query's source): 15 significant digits unless
+   that rounds, and the quote the string does not hold. *)
+let num_to_string n =
+  let s = Printf.sprintf "%.15g" n in
+  if float_of_string s = n then s else Printf.sprintf "%.17g" n
+
+let quoted s = if String.contains s '"' then "'" ^ s ^ "'" else "\"" ^ s ^ "\""
 let rec pp_path ppf = function
   | Empty -> Format.pp_print_string ppf "."
   | Tag a -> Format.pp_print_string ppf a
@@ -65,16 +74,18 @@ let rec pp_path ppf = function
 
 and pp_qual ppf = function
   | QPath p -> pp_path ppf p
-  | QText (Empty, s) -> Format.fprintf ppf "text() = \"%s\"" s
-  | QText (p, s) -> Format.fprintf ppf "%a/text() = \"%s\"" pp_path p s
-  | QVal (Empty, op, n) -> Format.fprintf ppf "val() %s %g" (cmp_to_string op) n
+  | QText (Empty, s) -> Format.fprintf ppf "text() = %s" (quoted s)
+  | QText (p, s) -> Format.fprintf ppf "%a/text() = %s" pp_path p (quoted s)
+  | QVal (Empty, op, n) ->
+      Format.fprintf ppf "val() %s %s" (cmp_to_string op) (num_to_string n)
   | QVal (p, op, n) ->
-      Format.fprintf ppf "%a/val() %s %g" pp_path p (cmp_to_string op) n
+      Format.fprintf ppf "%a/val() %s %s" pp_path p (cmp_to_string op)
+        (num_to_string n)
   | QAttr (Empty, name, None) -> Format.fprintf ppf "@%s" name
-  | QAttr (Empty, name, Some v) -> Format.fprintf ppf "@%s = \"%s\"" name v
+  | QAttr (Empty, name, Some v) -> Format.fprintf ppf "@%s = %s" name (quoted v)
   | QAttr (p, name, None) -> Format.fprintf ppf "%a/@%s" pp_path p name
   | QAttr (p, name, Some v) ->
-      Format.fprintf ppf "%a/@%s = \"%s\"" pp_path p name v
+      Format.fprintf ppf "%a/@%s = %s" pp_path p name (quoted v)
   | QNot q -> Format.fprintf ppf "not(%a)" pp_qual q
   | QAnd (a, b) -> Format.fprintf ppf "(%a and %a)" pp_qual a pp_qual b
   | QOr (a, b) -> Format.fprintf ppf "(%a or %a)" pp_qual a pp_qual b

@@ -147,7 +147,9 @@ let rec scan lx =
         while
           lx.pos < n
           && (is_digit lx.src.[lx.pos] || lx.src.[lx.pos] = '.'
-             || lx.src.[lx.pos] = 'e' || lx.src.[lx.pos] = 'E')
+             || lx.src.[lx.pos] = 'e' || lx.src.[lx.pos] = 'E'
+             || (lx.src.[lx.pos] = '+' || lx.src.[lx.pos] = '-')
+                && (lx.src.[lx.pos - 1] = 'e' || lx.src.[lx.pos - 1] = 'E'))
         do
           lx.pos <- lx.pos + 1
         done;

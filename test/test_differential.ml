@@ -121,7 +121,7 @@ let make_test name ~count:n ~fault =
 (* ------------------------------------------------------------------ *)
 
 (* With a socket transport installed, a domain pool parallelizes the
-   parsing of visit replies (Cluster.run_round_net).  That must be
+   parsing of visit replies (Cluster.run_round).  That must be
    invisible: a run with domains > 1 is bit-identical to the
    sequential run in every deterministic observable — answers,
    per-site visits, rounds, trace events, logical messages, ops and

@@ -29,8 +29,9 @@ let test_bad_placement_rejected () =
 
 let test_visits_and_rounds () =
   let cl = Cluster.one_site_per_fragment ft in
-  ignore (Cluster.run_round cl ~label:"r1" ~sites:[ 0; 1; 2 ] (fun s -> s));
-  ignore (Cluster.run_round cl ~label:"r2" ~sites:[ 1 ] (fun s -> s));
+  H.Rounds.install cl (fun s ~round:_ -> s);
+  ignore (H.Rounds.run cl ~label:"r1" ~sites:[ 0; 1; 2 ]);
+  ignore (H.Rounds.run cl ~label:"r2" ~sites:[ 1 ]);
   let r = Cluster.report cl in
   Alcotest.(check int) "site 1 visited twice" 2 r.Cluster.visits.(1);
   Alcotest.(check int) "site 3 never" 0 r.Cluster.visits.(3);
@@ -39,12 +40,12 @@ let test_visits_and_rounds () =
 
 let test_ops_aggregation () =
   let cl = Cluster.one_site_per_fragment ft in
-  ignore
-    (Cluster.run_round cl ~label:"work" ~sites:[ 0; 1 ] (fun s ->
-         Cluster.add_ops cl ~site:s (if s = 0 then 10 else 25)));
-  ignore
-    (Cluster.run_round cl ~label:"more" ~sites:[ 0 ] (fun s ->
-         Cluster.add_ops cl ~site:s 5));
+  (* Each site reports its work; the parse charges it to that site. *)
+  H.Rounds.install cl (fun s ~round ->
+      if round = 1 then 5 else if s = 0 then 10 else 25);
+  let parse s n = Cluster.add_ops cl ~site:s n in
+  ignore (H.Rounds.run_parsed ~parse cl ~label:"work" ~sites:[ 0; 1 ]);
+  ignore (H.Rounds.run_parsed ~parse cl ~label:"more" ~sites:[ 0 ]);
   Cluster.coord cl ~label:"c" (fun () -> Cluster.add_ops cl ~site:(-1) 3);
   let r = Cluster.report cl in
   (* parallel = max(10,25) + max(5) + coord 3; total = 10+25+5+3 *)
@@ -72,7 +73,8 @@ let test_message_classification () =
 
 let test_reset () =
   let cl = Cluster.one_site_per_fragment ft in
-  ignore (Cluster.run_round cl ~label:"r" ~sites:[ 0 ] (fun _ -> ()));
+  H.Rounds.install cl (fun _ ~round:_ -> 0);
+  ignore (H.Rounds.run cl ~label:"r" ~sites:[ 0 ]);
   Cluster.send cl ~src:Cluster.Coordinator ~dst:(Cluster.Site 0)
     ~kind:Cluster.Query ~bytes:10 ~label:"q";
   Cluster.reset cl;

@@ -184,18 +184,13 @@ let test_lost_reply_replay () =
   (* The memo answers a replayed round with the very reply the first
      execution built: no kernel runs twice. *)
   let states = Pax_core.Site.states cl q in
-  let stage1 =
-    {
-      Cluster.build =
-        (fun site ->
-          Pax_wire.Wire.Pax3_stage1
-            { query = q.Query.source; fids = Cluster.fragments_on cl site });
-      parse = (fun _ reply -> reply);
-    }
+  let call =
+    Pax_wire.Wire.Pax3_stage1
+      { query = q.Query.source; fids = Cluster.fragments_on cl 2 }
   in
-  let first = Pax_core.Site.local states ~round:0 stage1 2 in
+  let first = Pax_core.Site.visit states.(2) ~round:0 call in
   Alcotest.(check bool) "a replay returns the memoized reply" true
-    (Pax_core.Site.local states ~round:0 stage1 2 == first)
+    (Pax_core.Site.visit states.(2) ~round:0 call == first)
 
 (* Post-hoc logical-vs-physical message accounting under duplicated
    deliveries: the paper's communication bound is stated over logical
@@ -303,7 +298,8 @@ let ft =
    — sites_holding already dedups, and run_round must too. *)
 let test_duplicate_site_in_round () =
   let cl = Cluster.one_site_per_fragment ft in
-  let results = Cluster.run_round cl ~label:"r" ~sites:[ 1; 1; 2; 1 ] (fun s -> s) in
+  H.Rounds.install cl (fun s ~round:_ -> s);
+  let results = H.Rounds.run cl ~label:"r" ~sites:[ 1; 1; 2; 1 ] in
   Alcotest.(check int) "each site ran once" 2 (List.length results);
   let r = Cluster.report cl in
   Alcotest.(check int) "site 1 charged once" 1 r.Cluster.visits.(1)
@@ -318,9 +314,10 @@ let test_retry_visit_accounting () =
          Fault.crash_site ~down_for:1 ~site:2 ~round:0 ();
        ]);
   let executions = Array.make (Cluster.n_sites cl) 0 in
-  ignore
-    (Cluster.run_round cl ~label:"r" ~sites:[ 0; 1; 2 ] (fun s ->
-         executions.(s) <- executions.(s) + 1));
+  H.Rounds.install cl (fun s ~round:_ ->
+      executions.(s) <- executions.(s) + 1;
+      0);
+  ignore (H.Rounds.run cl ~label:"r" ~sites:[ 0; 1; 2 ]);
   let r = Cluster.report cl in
   Alcotest.(check int) "site 1 re-executed" 3 executions.(1);
   Alcotest.(check int) "site 1 charged once" 1 r.Cluster.visits.(1);

@@ -157,6 +157,61 @@ let sample_msgs =
       };
     Wire.Visit_reply
       { run = 5; round = 1; reply = Error "no stage-1 state for fragment 9" };
+    (* Batch: one call list per visit, one reply list back. *)
+    Wire.Visit_request
+      {
+        run = 10;
+        round = 0;
+        site = 2;
+        epoch = 0;
+        label = "stage1";
+        parent = None;
+        call =
+          Wire.Calls
+            [
+              Wire.Pax2_stage1
+                {
+                  query = "//a[b]";
+                  frags =
+                    [ { Wire.fe_fid = 1; fe_is_root = false; fe_init = None } ];
+                };
+              Wire.Pax2_stage1 { query = "//c"; frags = [] };
+              Wire.Pax3_stage3 { frags = [ (1, [| true |]) ] };
+            ];
+      };
+    Wire.Visit_request
+      {
+        run = 10;
+        round = 0;
+        site = 2;
+        epoch = 0;
+        label = "stage1";
+        parent = None;
+        call = Wire.Calls [];
+      };
+    Wire.Visit_reply
+      {
+        run = 10;
+        round = 1;
+        reply =
+          Ok
+            (Wire.Replies
+               [
+                 Wire.Final_answers { answers = [ sample_answer ]; ops = 7 };
+                 Wire.Final_answers { answers = []; ops = 0 };
+               ]);
+      };
+    (* NaiveCentralized's ship call. *)
+    Wire.Visit_request
+      {
+        run = 11;
+        round = 0;
+        site = 1;
+        epoch = 0;
+        label = "ship";
+        parent = None;
+        call = Wire.Ship { fids = [ 1; 4 ] };
+      };
     Wire.Ping;
     Wire.Pong;
     Wire.Shutdown;
@@ -229,6 +284,104 @@ let test_roundtrip () =
       | Error e -> Alcotest.failf "decode failed: %a" Wire.pp_error e)
     sample_msgs
 
+(* A [Ship] reply carries flat images, which hold a lock and an intern
+   table: they compare by their encoding, not structurally. *)
+let sample_image =
+  let doc = Pax_xml.Parser.parse_string "<a x=\"1\"><b>t</b><c/></a>" in
+  Pax_xml.Flat.of_tree doc.Tree.root
+
+let image_msgs =
+  [
+    Wire.Visit_reply
+      {
+        run = 11;
+        round = 0;
+        reply = Ok (Wire.Images [ (1, sample_image); (4, sample_image) ]);
+      };
+    Wire.Visit_reply
+      {
+        run = 10;
+        round = 0;
+        reply =
+          Ok
+            (Wire.Replies
+               [ Wire.Images [ (2, sample_image) ]; Wire.Frag_results [] ]);
+      };
+  ]
+
+let test_image_roundtrip () =
+  List.iter
+    (fun msg ->
+      match Wire.decode (Wire.encode msg) with
+      | Ok msg' ->
+          Alcotest.(check string) "re-encoding is identical" (Wire.encode msg)
+            (Wire.encode msg')
+      | Error e -> Alcotest.failf "decode failed: %a" Wire.pp_error e)
+    image_msgs
+
+(* The new frames' accounted bytes: a call list tallies as its calls, a
+   ship reply as one flat-image section per fragment. *)
+let test_tally_frames () =
+  let req call =
+    Wire.Visit_request
+      { run = 1; round = 0; site = 0; epoch = 0; label = "l"; parent = None; call }
+  in
+  let sum ts =
+    List.fold_left
+      (fun (a : Wire.tally) (b : Wire.tally) ->
+        {
+          Wire.sections = a.Wire.sections + b.Wire.sections;
+          section_bytes = a.Wire.section_bytes + b.Wire.section_bytes;
+          frag_entries = a.Wire.frag_entries + b.Wire.frag_entries;
+        })
+      { Wire.sections = 0; section_bytes = 0; frag_entries = 0 }
+      ts
+  in
+  let calls =
+    [
+      Wire.Pax3_stage1 { query = "a[b]//c"; fids = [ 0; 2 ] };
+      Wire.Pax3_stage3 { frags = [ (2, [| false; true |]) ] };
+    ]
+  in
+  Alcotest.(check bool) "Calls = sum of its calls" true
+    (Wire.tally (req (Wire.Calls calls))
+    = sum (List.map (fun c -> Wire.tally (req c)) calls));
+  Alcotest.(check bool) "Ship: one fragment entry per fid, no section" true
+    (Wire.tally (req (Wire.Ship { fids = [ 1; 4 ] }))
+    = { Wire.sections = 0; section_bytes = 0; frag_entries = 2 });
+  let img = Wire.section_bytes (Wire.Frag_flat sample_image) in
+  Alcotest.(check bool) "Images: one flat section per fragment" true
+    (Wire.tally (List.hd image_msgs)
+    = { Wire.sections = 2; section_bytes = 2 * img; frag_entries = 2 })
+
+(* A call list inside a call list is refused by the decoder, so a
+   hostile frame cannot make it recurse. *)
+let test_nested_calls () =
+  let nested =
+    Wire.Visit_request
+      {
+        run = 1;
+        round = 0;
+        site = 0;
+        epoch = 0;
+        label = "l";
+        parent = None;
+        call = Wire.Calls [ Wire.Calls [ Wire.Ship { fids = [ 1 ] } ] ];
+      }
+  in
+  (match Wire.decode (Wire.encode nested) with
+  | Error (Wire.Corrupt _) -> ()
+  | Ok _ -> Alcotest.fail "a nested call list must not decode"
+  | Error e -> Alcotest.failf "expected Corrupt, got %a" Wire.pp_error e);
+  let nested_reply =
+    Wire.Visit_reply
+      { run = 1; round = 0; reply = Ok (Wire.Replies [ Wire.Replies [] ]) }
+  in
+  match Wire.decode (Wire.encode nested_reply) with
+  | Error (Wire.Corrupt _) -> ()
+  | Ok _ -> Alcotest.fail "a nested reply list must not decode"
+  | Error e -> Alcotest.failf "expected Corrupt, got %a" Wire.pp_error e
+
 (* Protocol v2: the correlation id is an envelope field — stamped on a
    request, echoed on its reply, invisible to the v1-shaped API. *)
 let test_corr_roundtrip () =
@@ -268,7 +421,7 @@ let test_decode_total () =
           | Ok _ | Error _ -> ()
         done
       done)
-    sample_msgs
+    (sample_msgs @ image_msgs)
 
 let test_decode_errors () =
   (match Wire.decode "" with
@@ -345,7 +498,7 @@ let site_frags cl ft site =
     (fun fid -> (fid, (Fragment.fragment ft fid).Fragment.root))
     (Cluster.fragments_on cl site)
 
-let with_servers ft ~n_sites f =
+let with_servers ?service_delay ft ~n_sites f =
   let cl = Pax_dist.Placement.cluster_round_robin ft ~n_sites in
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -359,7 +512,8 @@ let with_servers ft ~n_sites f =
   let pids =
     Array.to_list
       (Array.mapi
-         (fun site addr -> Server.spawn ~addr ~frags:(site_frags cl ft site) ())
+         (fun site addr ->
+           Server.spawn ?service_delay ~addr ~frags:(site_frags cl ft site) ())
          addrs)
   in
   let client = Client.create ~timeout:20. ~addrs () in
@@ -507,6 +661,110 @@ let test_pruned_qualifier () =
           Alcotest.(check (list int)) "over sockets" expected
             r_net.Pax_core.Run_result.answer_ids))
 
+(* Every engine describes its rounds as wire calls, so ParBoX, Naive,
+   Count and Batch run over site servers too, with the same answers,
+   visits, rounds, ops, trace and accounted messages as in process. *)
+let test_every_engine () =
+  with_timeout 120 (fun () ->
+      let _, ft = make_setup () in
+      let n_sites = 3 in
+      let cl_ctrl = Pax_dist.Placement.cluster_round_robin ft ~n_sites in
+      let qs = List.map Query.of_string queries in
+      let ids ids = String.concat "," (List.map string_of_int ids) in
+      (* Each run: its answer, printed, and its report. *)
+      let runs =
+        List.map
+          (fun qual ->
+            ( "parbox",
+              fun cl ->
+                let b, rep = Pax_core.Parbox.eval_string cl qual in
+                (string_of_bool b, rep) ))
+          [
+            "//person/profile/age";
+            "//item[location/text() = \"United States\"]";
+            "//person[profile/age/val() > 1000000]";
+          ]
+        @ List.map
+            (fun q ->
+              ( "naive",
+                fun cl ->
+                  let r = Pax_core.Naive.run cl q in
+                  ( ids r.Pax_core.Run_result.answer_ids,
+                    r.Pax_core.Run_result.report ) ))
+            qs
+        @ List.map
+            (fun q ->
+              ( "count",
+                fun cl ->
+                  let n, rep = Pax_core.Count.run cl q in
+                  (string_of_int n, rep) ))
+            qs
+        @ [
+            ( "batch",
+              fun cl ->
+                let b = Pax_core.Batch.run cl qs in
+                ( String.concat ";"
+                    (List.map
+                       (fun (_, nodes) ->
+                         ids (List.map (fun (n : Tree.node) -> n.Tree.id) nodes))
+                       b.Pax_core.Batch.results),
+                  b.Pax_core.Batch.report ) );
+          ]
+      in
+      with_servers ft ~n_sites (fun cl_net _client _pids _addrs ->
+          List.iteri
+            (fun i (name, run) ->
+              let observe cl =
+                let answer, (rep : Cluster.report) = run cl in
+                ( answer,
+                  rep,
+                  Pax_dist.Trace.events (Cluster.trace cl),
+                  Cluster.messages cl )
+              in
+              let a1, r1, t1, m1 = observe cl_ctrl in
+              let a2, r2, t2, m2 = observe cl_net in
+              let what x = Printf.sprintf "%s #%d: %s" name i x in
+              Alcotest.(check string) (what "answers") a1 a2;
+              Alcotest.(check (array int))
+                (what "visits") r1.Cluster.visits r2.Cluster.visits;
+              Alcotest.(check (list string))
+                (what "rounds") r1.Cluster.rounds r2.Cluster.rounds;
+              Alcotest.(check int)
+                (what "total ops") r1.Cluster.total_ops r2.Cluster.total_ops;
+              Alcotest.(check bool) (what "trace events") true (t1 = t2);
+              Alcotest.(check bool) (what "message log") true (m1 = m2))
+            runs))
+
+(* A lost reply is delivered again, once per [Visit] event: the site
+   server receives exactly the trace's physical visits, and every
+   delivery pays the server's service delay. *)
+let test_lost_reply_deliveries () =
+  with_timeout 60 (fun () ->
+      let _, ft = make_setup () in
+      let n_sites = 3 and site = 1 and delay = 0.001 in
+      with_servers ~service_delay:delay ft ~n_sites
+        (fun cl client _pids _addrs ->
+          Cluster.set_fault cl
+            (Pax_dist.Fault.lose_reply ~times:2 ~site ~round:0 ());
+          let r =
+            Pax_core.Pax2.run cl (Query.of_string "//person[profile/education]")
+          in
+          let tr = Pax_core.Run_result.trace_exn r in
+          let physical = Pax_dist.Trace.physical_visits tr ~site in
+          Alcotest.(check int) "two replays on top of the logical visits"
+            (Pax_dist.Trace.logical_visits tr ~site + 2)
+            physical;
+          let recv =
+            List.assoc_opt "pax_net_visit_frames_total{dir=\"recv\"}"
+              (Client.fetch_stats client site)
+          in
+          Alcotest.(check (option (float 0.))) "frames received = physical visits"
+            (Some (float_of_int physical)) recv;
+          let total = r.Pax_core.Run_result.report.Cluster.total_seconds in
+          if total < delay *. float_of_int physical then
+            Alcotest.failf "total_seconds %g < %g x %d deliveries" total delay
+              physical))
+
 (* ------------------------------------------------------------------ *)
 (* Failure: a killed server is a typed error, not a hang              *)
 (* ------------------------------------------------------------------ *)
@@ -604,6 +862,11 @@ let () =
       ( "wire",
         [
           Alcotest.test_case "round trips" `Quick test_roundtrip;
+          Alcotest.test_case "image round trips" `Quick test_image_roundtrip;
+          Alcotest.test_case "tally of call lists and images" `Quick
+            test_tally_frames;
+          Alcotest.test_case "nested call lists are corrupt" `Quick
+            test_nested_calls;
           Alcotest.test_case "correlation ids" `Quick test_corr_roundtrip;
           Alcotest.test_case "decode is total" `Quick test_decode_total;
           Alcotest.test_case "decode errors" `Quick test_decode_errors;
@@ -620,6 +883,10 @@ let () =
           Alcotest.test_case "annotated engines" `Quick
             check_differential_annotated;
           Alcotest.test_case "pruned qualifier" `Quick test_pruned_qualifier;
+          Alcotest.test_case "every engine over sockets" `Quick
+            test_every_engine;
+          Alcotest.test_case "one delivery per lost reply" `Quick
+            test_lost_reply_deliveries;
         ] );
       ( "failures",
         [

@@ -5,7 +5,8 @@
 
    Three layers:
    - unit tests of the [run_round] result-order contract (input [sites]
-     order, duplicates removed) and of [Pool] itself;
+     order, duplicates removed), over the in-process transport with a
+     test site procedure, and of [Pool] itself;
    - a qcheck differential: random scenarios evaluated by every engine
      at [domains:4] vs [domains:1], two in three under a seeded fault
      plan — plans are pure per-attempt functions, so faulted rounds run
@@ -83,7 +84,8 @@ let test_round_order domains () =
   (* Scrambled order with duplicates: the contract is dedup-preserving
      input order, for sequential and parallel paths alike. *)
   let sites = [ 3; 1; 3; 0; 2; 1; 0 ] in
-  let results = Cluster.run_round cl ~label:"order" ~sites (fun s -> s * 10) in
+  H.Rounds.install cl (fun s ~round:_ -> s * 10);
+  let results = H.Rounds.run cl ~label:"order" ~sites in
   Alcotest.(check (list (pair int int)))
     (Printf.sprintf "input order, deduped (domains:%d)" domains)
     [ (3, 30); (1, 10); (0, 0); (2, 20) ]
@@ -223,14 +225,14 @@ let test_stress () =
   let mk domains = bare_cluster ~domains ~n_sites in
   let all_sites = List.init n_sites Fun.id in
   let run (cl : Cluster.t) =
+    H.Rounds.install cl (fun site ~round -> busywork ~site ~round);
     List.init stress_iters (fun round ->
         (* Vary the site subset and its order from round to round. *)
         let sites =
           List.filter (fun s -> (s + round) mod 3 <> 0 || s = round mod n_sites)
             (if round mod 2 = 0 then all_sites else List.rev all_sites)
         in
-        Cluster.run_round cl ~label:(Printf.sprintf "r%d" round) ~sites
-          (fun site -> busywork ~site ~round))
+        H.Rounds.run cl ~label:(Printf.sprintf "r%d" round) ~sites)
   in
   let seq = run (mk 1) in
   List.iter

@@ -151,6 +151,10 @@ let test_parse_print_roundtrip () =
       "a[not(b) and (c or d/text() = 'x')]";
       "a[b > 1][c <= 2.5]";
       ".//x";
+      (* Large, tiny and inexact numbers, and strings holding a quote:
+         a site server reparses a query's printed source. *)
+      "a[b > 1000000][c < 1.5e-7][d = 0.1]";
+      "a[text() = 'say \"hi\"'][@k = \"it's\"]";
     ]
 
 let () =
