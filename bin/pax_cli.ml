@@ -999,10 +999,11 @@ let coordinator_cmd =
                                | Ok (o : Pax_serve.Coordinator.Pe.outcome) ->
                                    reply
                                      (Printf.sprintf "%s OK %d %s" id
-                                        (List.length o.answer_keys)
+                                        (Array.length o.answer_keys)
                                         (String.concat ","
-                                           (List.map string_of_int
-                                              o.answer_keys)))
+                                           (Array.to_list
+                                              (Array.map string_of_int
+                                                 o.answer_keys))))
                                | Error e ->
                                    reply
                                      (Printf.sprintf "%s ERR %s" id

@@ -7,8 +7,6 @@ type ctor =
 
 let syntax_error pos msg = Printf.sprintf "syntax error at %d: %s" pos msg
 
-let ids_text ids = String.concat "," (List.map string_of_int ids)
-
 (* PaX2/PaX3, plain or annotated, share everything but the runner. *)
 let xpath ~ename ~annotations ~runner : ctor =
  fun ftree ~n_sites ~assign ->
@@ -31,10 +29,8 @@ let xpath ~ename ~annotations ~runner : ctor =
       {
         Pe.engine = ename;
         query = q.Query.source;
-        answer_keys = r.Run_result.answer_ids;
-        answers_text = ids_text r.Run_result.answer_ids;
+        answer_keys = Array.of_list r.Run_result.answer_ids;
         report = r.Run_result.report;
-        trace = r.Run_result.trace;
         audit = Guarantee.audit ~engine:ename ~ftree r;
       }
   end)
@@ -80,10 +76,8 @@ let parbox : ctor =
       {
         Pe.engine = name;
         query = source;
-        answer_keys = (if answer then [ 1 ] else []);
-        answers_text = string_of_bool answer;
+        answer_keys = (if answer then [| 1 |] else [||]);
         report;
-        trace = Some (Cluster.trace cl);
         audit = Guarantee.audit ~engine:name ~ftree r;
       }
   end)

@@ -14,7 +14,10 @@
    built in the pointer passes' construction order.  Scratch is
    indexed by depth and allocated once per call, so a slot off the
    spine allocates nothing.  test/test_passes.ml holds each kernel to
-   its pointer reference on random fragmentations.
+   its pointer reference on random fragmentations.  PaX2's combined
+   pass alone skips the off-spine subtrees whose entries nothing reads
+   and where no selection state can reach an answer, and charges only
+   the slots it walks.
 
    Slots are the only way the kernels name a node: answers and
    candidates leave as slot indices, and the caller builds shipped
@@ -55,7 +58,27 @@ type fpath = {
   fdesc : int array;
 }
 
-type plan = { compiled : Compile.t; fsel : fitem array; fpaths : fpath array }
+(* Besides the lowered items, a plan holds what [combined_run] needs to
+   skip a subtree (docs/FLATTREE.md, "Demand and the tag mask").
+   Qualifier entries: [q_order] lists every entry before the entries of
+   its own vector that it reads; [q_own.(e)] and [q_kids.(e)] are the
+   entries of the slot's own vector and of its children's vectors that
+   [e] reads; [q_test.(e)] is the tag test of a step entry ([-2] for
+   every other entry: a step entry whose test fails reads nothing).
+   Selection states: [s_watch] lists the states a child reads from its
+   parent's vector, [s_need.(ix)] the tag bits of the label moves after
+   state [ix]; a state behind a never-interned label is not watched. *)
+type plan = {
+  compiled : Compile.t;
+  fsel : fitem array;
+  fpaths : fpath array;
+  q_order : int array;
+  q_test : int array;
+  q_own : int array array;
+  q_kids : int array array;
+  s_watch : int array;
+  s_need : int array;
+}
 
 let lower_test intern = function
   | Compile.TAny -> -2
@@ -80,19 +103,87 @@ let make_plan (compiled : Compile.t) intern : plan =
     | Compile.Dos_item -> FDos
     | Compile.Filter q -> FFilter (lower_qual q)
   in
+  let fsel = Array.map lower_item compiled.Compile.sel in
+  let fpaths =
+    Array.map
+      (fun (p : Compile.cpath) ->
+        {
+          fitems = Array.map lower_item p.Compile.items;
+          fsat = p.Compile.sat;
+          fstep = p.Compile.step;
+          fdesc = p.Compile.desc;
+        })
+      compiled.Compile.paths
+  in
+  let n_qual = compiled.Compile.n_qual in
+  let order = ref [] and q_test = Array.make n_qual (-2) in
+  let q_own = Array.make n_qual [||] and q_kids = Array.make n_qual [||] in
+  let rec sat_entries acc = function
+    | FSat e -> e :: acc
+    | FSat_empty | FText_eq _ | FVal_cmp _ | FAttr_test _ -> acc
+    | FNot q -> sat_entries acc q
+    | FAnd (a, b) | FOr (a, b) -> sat_entries (sat_entries acc a) b
+  in
+  (* A path reads the paths nested in it, which have lower indices:
+     walking the paths from the last, and each from its first item, puts
+     every entry before the entries it reads. *)
+  for pi = Array.length fpaths - 1 downto 0 do
+    let p = fpaths.(pi) in
+    let k = Array.length p.fitems in
+    for j = 0 to k - 1 do
+      (* [A(j+1)], read by this item's own entries *)
+      let next = if j + 1 < k then [| p.fsat.(j + 1) |] else [||] in
+      let e = p.fsat.(j) in
+      order := e :: !order;
+      match p.fitems.(j) with
+      | FMove code ->
+          let s = p.fstep.(j) in
+          q_kids.(e) <- [| s |];
+          order := s :: !order;
+          q_test.(s) <- code;
+          q_own.(s) <- next
+      | FDos ->
+          if j + 1 < k then begin
+            let dd = p.fdesc.(j + 1) in
+            q_own.(e) <- [| dd |];
+            order := dd :: !order;
+            q_own.(dd) <- next;
+            q_kids.(dd) <- [| dd |]
+          end
+      | FFilter q ->
+          q_own.(e) <- Array.append next (Array.of_list (sat_entries [] q))
+    done
+  done;
+  let n_sel = compiled.Compile.n_sel in
+  let s_need = Array.make n_sel 0 and dead = Array.make n_sel false in
+  for ix = n_sel - 2 downto 0 do
+    s_need.(ix) <- s_need.(ix + 1);
+    dead.(ix) <- dead.(ix + 1);
+    match fsel.(ix) with
+    | FMove (-1) -> dead.(ix) <- true
+    | FMove code when code >= 0 ->
+        s_need.(ix) <- s_need.(ix) lor (1 lsl (code mod 63))
+    | FMove _ | FDos | FFilter _ -> ()
+  done;
+  let read_by_kids ix =
+    (ix < n_sel - 1 && match fsel.(ix) with FMove _ -> true | _ -> false)
+    || (ix >= 1 && match fsel.(ix - 1) with FDos -> true | _ -> false)
+  in
+  let s_watch =
+    List.filter
+      (fun ix -> read_by_kids ix && not dead.(ix))
+      (List.init n_sel Fun.id)
+  in
   {
     compiled;
-    fsel = Array.map lower_item compiled.Compile.sel;
-    fpaths =
-      Array.map
-        (fun (p : Compile.cpath) ->
-          {
-            fitems = Array.map lower_item p.Compile.items;
-            fsat = p.Compile.sat;
-            fstep = p.Compile.step;
-            fdesc = p.Compile.desc;
-          })
-        compiled.Compile.paths;
+    fsel;
+    fpaths;
+    q_order = Array.of_list (List.rev !order);
+    q_test;
+    q_own;
+    q_kids;
+    s_watch = Array.of_list s_watch;
+    s_need;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -277,11 +368,50 @@ let row r d =
     r.rows.(d)
   else grow r d
 
+(* Demand (docs/FLATTREE.md): the qualifier entries of a slot's vector
+   that something reads.  [close] extends the demand [dem] of a slot
+   tagged [tagc] by the entries of its own vector that demanded entries
+   read, and puts the entries of its children's vectors that they read
+   in [kdem].  A step entry whose tag test fails is [False] whatever
+   the children hold, so it reads nothing.  Answers [0] when nothing is
+   demanded, [1] when the children owe nothing, [2] otherwise. *)
+let close plan ~tagc (dem : int array) (kdem : int array) =
+  let any = ref 0 in
+  for j = 0 to Array.length dem - 1 do
+    any := !any lor dem.(j);
+    kdem.(j) <- 0
+  done;
+  if !any = 0 then 0
+  else begin
+    let order = plan.q_order in
+    for k = 0 to Array.length order - 1 do
+      let e = order.(k) in
+      let t = plan.q_test.(e) in
+      if bit dem e && (t = -2 || t = tagc) then begin
+        let own = plan.q_own.(e) and kids = plan.q_kids.(e) in
+        for m = 0 to Array.length own - 1 do
+          put dem own.(m) true
+        done;
+        for m = 0 to Array.length kids - 1 do
+          put kdem kids.(m) true
+        done
+      end
+    done;
+    let owed = ref 0 in
+    for j = 0 to Array.length kdem - 1 do
+      owed := !owed lor kdem.(j)
+    done;
+    if !owed = 0 then 1 else 2
+  end
+
 (* One post-order qualifier walk, shared by [qual_run] and
-   [combined_run].  [pre i d vfid tagc] runs on slot [i] at depth [d]
-   before its children — [vfid] is its virtual fragment id ([-1] for an
-   element), [tagc] an element's tag code — and answers whether [post]
-   wants the slot's vector. *)
+   [combined_run].  [pre i d vfid tagc dem] runs on slot [i] at depth
+   [d] before its children — [vfid] is its virtual fragment id ([-1]
+   for an element), [tagc] an element's tag code — adds the entries the
+   slot reads of itself to its demand [dem], and answers whether [post]
+   wants the slot's vector.  [descend i d] answers whether an
+   off-spine slot's children must be walked although none of their
+   entries is demanded. *)
 type walk = {
   w_plan : plan;
   w_flat : Flat.t;
@@ -290,59 +420,84 @@ type walk = {
   own : int rows;  (* depth d: ground vector of the slot last done there *)
   kids : int rows;  (* depth d: OR of the open slot's children, ground *)
   fkids : Formula.t rows;  (* the same OR, under a spine slot *)
-  pre : int -> int -> int -> int -> bool;
+  dem : int rows;  (* depth d: entries demanded of the slot open there *)
+  kdem : int rows;  (* depth d: entries it demands of its children *)
+  pre : int -> int -> int -> int -> int array -> bool;
+  descend : int -> int -> bool;
   post : int -> Formula.t array -> unit;
 }
 
-let walk plan flat ~virtual_ops ~pre ~post =
+let walk plan flat ~virtual_ops ~pre ~descend ~post =
   let n_qual = plan.compiled.Compile.n_qual in
+  let w = words n_qual in
   {
     w_plan = plan;
     w_flat = flat;
     ops = ref 0;
     virtual_ops;
-    own = rows (words n_qual) 0;
-    kids = rows (words n_qual) 0;
+    own = rows w 0;
+    kids = rows w 0;
     fkids = rows n_qual Formula.false_;
+    dem = rows w 0;
+    kdem = rows w 0;
     pre;
+    descend;
     post;
   }
 
+(* Every entry, demanded of the walk's first slot and of spine slots. *)
+let demand_all (dem : int array) = Array.fill dem 0 (Array.length dem) (-1)
+
 (* Slot [i]'s qualifier vector, charged as the pointer passes charge
-   it: [virtual_ops] per virtual slot, [n_qual * (1 + children)] per
-   element.  Off the spine it is left in [own] at depth [d] and [[||]]
-   is returned; on the spine it is returned as formulas, from the
-   {!feval_entries} step, with each off-spine child entering as
-   [Formula.bool] of its bits. *)
+   the work done: [virtual_ops] per virtual slot, [n_qual * (1 +
+   children walked)] per element whose vector is computed.  Off the
+   spine the vector is computed only when demanded, into [own] at depth
+   [d], and the children are walked only when they owe demanded entries
+   or [descend] asks for them; [[||]] is returned.  On the spine every
+   entry is demanded and every child walked, and the vector is returned
+   as formulas, from the {!feval_entries} step, with each off-spine
+   child entering as [Formula.bool] of its bits. *)
 let rec qwalk w i d =
   let flat = w.w_flat in
   let n_qual = w.w_plan.compiled.Compile.n_qual in
   if not (on_spine flat i) then begin
     let tagc = tag_code flat i in
-    let want = w.pre i d (-1) tagc in
-    let kids = row w.kids d and bits = row w.own (d + 1) in
+    let dem = row w.dem d and kdem = row w.kdem d and kids = row w.kids d in
+    if d = 0 then demand_all dem;
+    let want = w.pre i d (-1) tagc dem in
+    let demand = close w.w_plan ~tagc dem kdem in
     for j = 0 to Array.length kids - 1 do
       kids.(j) <- 0
     done;
-    let c = ref (first_child flat i) and n_kids = ref 0 in
-    while !c >= 0 do
-      ignore (qwalk w !c (d + 1) : Formula.t array);
-      for j = 0 to Array.length kids - 1 do
-        kids.(j) <- kids.(j) lor bits.(j)
-      done;
-      incr n_kids;
-      c := Flat.next_sibling flat !c
-    done;
-    w.ops := !(w.ops) + (n_qual * (1 + !n_kids));
+    let n_kids = ref 0 in
+    if demand = 2 || w.descend i d then begin
+      let bits = row w.own (d + 1) and cdem = row w.dem (d + 1) in
+      let c = ref (first_child flat i) in
+      while !c >= 0 do
+        (* Each child starts from the kids-demand. *)
+        for j = 0 to Array.length kdem - 1 do
+          cdem.(j) <- kdem.(j)
+        done;
+        ignore (qwalk w !c (d + 1) : Formula.t array);
+        for j = 0 to Array.length kids - 1 do
+          kids.(j) <- kids.(j) lor bits.(j)
+        done;
+        incr n_kids;
+        c := Flat.next_sibling flat !c
+      done
+    end;
     let own = row w.own d in
-    ground_entries w.w_plan flat i ~tagc ~kids ~own;
+    if demand > 0 then begin
+      w.ops := !(w.ops) + (n_qual * (1 + !n_kids));
+      ground_entries w.w_plan flat i ~tagc ~kids ~own
+    end;
     if want then w.post i (formulas_of_bits n_qual own);
     [||]
   end
   else
     let vfid = virtual_fid flat i in
     if vfid >= 0 then begin
-      let want = w.pre i d vfid (-1) in
+      let want = w.pre i d vfid (-1) (row w.dem d) in
       w.ops := !(w.ops) + w.virtual_ops;
       let vec = Qual_pass.virtual_vec w.w_plan.compiled vfid in
       if want then w.post i vec;
@@ -350,13 +505,19 @@ let rec qwalk w i d =
     end
     else begin
       let tagc = tag_code flat i in
-      let want = w.pre i d (-1) tagc in
-      let acc = row w.fkids d in
+      let dem = row w.dem d and kdem = row w.kdem d in
+      demand_all dem;
+      let want = w.pre i d (-1) tagc dem in
+      ignore (close w.w_plan ~tagc dem kdem : int);
+      let acc = row w.fkids d and cdem = row w.dem (d + 1) in
       for e = 0 to n_qual - 1 do
         acc.(e) <- Formula.false_
       done;
       let c = ref (first_child flat i) and n_kids = ref 0 in
       while !c >= 0 do
+        for j = 0 to Array.length kdem - 1 do
+          cdem.(j) <- kdem.(j)
+        done;
         let cv = qwalk w !c (d + 1) in
         if Flat.on_spine flat !c then
           for e = 0 to n_qual - 1 do
@@ -401,7 +562,10 @@ let qual_run plan flat ~is_root : qual =
   let post i vec = if i >= 0 then vecs.(i) <- vec else wrap := Some vec in
   let w =
     walk plan flat ~virtual_ops:plan.compiled.Compile.n_qual
-      ~pre:(fun _ _ _ _ -> true) ~post
+      ~pre:(fun _ _ _ _ dem ->
+        demand_all dem;
+        true)
+      ~descend:(fun _ _ -> true) ~post
   in
   let s = start plan ~is_root in
   ignore (qwalk w s 0 : Formula.t array);
@@ -519,12 +683,34 @@ type combined_outcome = {
   ops : int;
 }
 
+(* Is some selection state the children of a slot read from [sv] both
+   non-[False] and able to finish the path, every label move after it
+   having its bit in the slot's tag mask [mask]?  Collisions mod 63 only
+   answer yes more often. *)
+let live plan (sv : Formula.t array) mask =
+  let watch = plan.s_watch in
+  let k = ref 0 in
+  while
+    !k < Array.length watch
+    &&
+    let ix = watch.(!k) in
+    let need = plan.s_need.(ix) in
+    sv.(ix) == Formula.false_ || need land mask <> need
+  do
+    incr k
+  done;
+  !k < Array.length watch
+
 (* PaX2's single traversal: pre-order selection entries with
    placeholder variables for qualifier values not yet computed,
    post-order qualifier vectors, and the placeholders each node issued
    resolved locally once its subtree is done (the paper's [qz]
    unification).  Only nodes that issued a placeholder get a sigma
-   entry: their whole qualifier vector, keyed by node id. *)
+   entry: their whole qualifier vector, keyed by node id, of which only
+   the issued entries are read.  Off the spine a slot owes the entries
+   it issued and those its parent reads, and its subtree is skipped
+   when its children owe nothing and [live] finds no selection state
+   for them ({!qwalk}). *)
 let combined_run plan flat ~init ~is_root : combined_outcome =
   let compiled = plan.compiled in
   let n_sel = compiled.Compile.n_sel in
@@ -535,13 +721,15 @@ let combined_run plan flat ~init ~is_root : combined_outcome =
   let pending = ref [] in
   let contexts = ref [] in
   let sel_ops = ref 0 in
+  let asked = Array.make (words compiled.Compile.n_qual) 0 in
   (* Pre-order filter satisfaction: data-local tests evaluate now, path
-     satisfactions become placeholders. *)
+     satisfactions become placeholders, which the slot's vector owes. *)
   let entry i e =
     issued := true;
+    put asked e true;
     Formula.var (Var.Qual_at (node_id flat i, e))
   in
-  let pre i d vfid tagc =
+  let pre i d vfid tagc slot_dem =
     let sv_p = if d = 0 then init else row sel (d - 1) in
     if vfid >= 0 then begin
       contexts := (vfid, Array.copy sv_p) :: !contexts;
@@ -554,12 +742,21 @@ let combined_run plan flat ~init ~is_root : combined_outcome =
       sel_step plan flat entry i ~tagc ~is_context:(d = 0 && is_root) sv_p sv;
       let f = sv.(last) in
       if f != Formula.false_ then pending := (i, f) :: !pending;
+      if !issued then
+        for j = 0 to Array.length asked - 1 do
+          slot_dem.(j) <- slot_dem.(j) lor asked.(j);
+          asked.(j) <- 0
+        done;
       !issued
     end
   in
+  (* Below an off-spine slot only selection vectors can add answers:
+     its children are walked for them while a state they read can still
+     reach the end of the path within the slot's tags. *)
+  let descend i d = live plan (row sel d) (Flat.tag_mask flat (max i 0)) in
   let post i vec = Hashtbl.replace sigma (node_id flat i) vec in
   (* PaX2's pass charges nothing for a virtual slot's vector. *)
-  let w = walk plan flat ~virtual_ops:0 ~pre ~post in
+  let w = walk plan flat ~virtual_ops:0 ~pre ~descend ~post in
   let s = start plan ~is_root in
   let vec = qwalk w s 0 in
   let root_qvec =

@@ -106,7 +106,19 @@ type combined_outcome = {
     vectors, local placeholders resolved before returning: what is left
     symbolic mentions boundary variables only.  [is_root] plays the role
     of [root_is_context] and selects [#document] wrapping for absolute
-    queries. *)
+    queries.
+
+    Demand-driven: the pass walks an off-spine slot's children only
+    while one of them owes a qualifier entry that something reads (a
+    placeholder, the parent's vector, the root vector), or while a
+    selection state they read is live and every label move after it
+    is in the slot's {!Pax_xml.Flat.tag_mask}.  Spine slots and the
+    evaluation root compute every entry, so [root_qvec], [contexts],
+    answers and candidates are exactly the two passes' (test/test_flat.ml).
+    [ops] charges the work done: [n_sel] per slot whose selection step
+    ran, [n_qual * (1 + children walked)] per slot whose vector was
+    computed, one per pending entry — never more than a walk of every
+    slot charges, so the auditor's bound still holds (docs/FLATTREE.md). *)
 val combined_run :
   plan ->
   Pax_xml.Flat.t ->

@@ -9,7 +9,10 @@ type t = {
   report : Pax_dist.Cluster.report;
   trace : Pax_dist.Trace.t option;
       (** every visit, message, retry and crash of the run; the visit
-          and communication bounds are assertable from it post hoc *)
+          and communication bounds are assertable from it post hoc.
+          This is the cluster's own trace ({!Pax_dist.Cluster.trace}),
+          not a copy: it describes this run only until the cluster's
+          next run clears it. *)
 }
 
 val make :

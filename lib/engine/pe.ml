@@ -3,10 +3,8 @@ module Cluster = Pax_dist.Cluster
 type outcome = {
   engine : string;
   query : string;
-  answer_keys : int list;
-  answers_text : string;
+  answer_keys : int array;
   report : Cluster.report;
-  trace : Pax_dist.Trace.t option;
   audit : Pax_obs.Audit.report;
 }
 

@@ -22,15 +22,15 @@ module Cluster = Pax_dist.Cluster
 
     [answer_keys] identifies the answer set for bit-identity checks
     across transports and schedulers: sorted node ids for XPath
-    engines, [[1]]/[[]] for Boolean engines.  [answers_text] is the
-    human-facing rendering the CLI and serving layer print. *)
+    engines, [[|1|]]/[[||]] for Boolean engines.  The serving layer
+    keeps outcomes after the run, so an outcome holds values only: the
+    cluster's event trace, which its next run clears, stays with the
+    cluster ({!Cluster.trace}, reached through [run_text]'s [tune]). *)
 type outcome = {
   engine : string;
   query : string;  (** canonical query text, as the engine echoes it *)
-  answer_keys : int list;
-  answers_text : string;
+  answer_keys : int array;
   report : Cluster.report;
-  trace : Pax_dist.Trace.t option;
   audit : Pax_obs.Audit.report;
 }
 

@@ -190,10 +190,8 @@ let engine g ~n_sites ~assign : Pe.packed =
       {
         Pe.engine = name;
         query = q.rq_source;
-        answer_keys = (if answer then [ 1 ] else []);
-        answers_text = string_of_bool answer;
+        answer_keys = (if answer then [| 1 |] else [||]);
         report;
-        trace = Some (Cluster.trace cl);
         audit = audit g cl report;
       }
   end)

@@ -11,7 +11,19 @@
    A query never seen before falls back to the EWMA of whole-run
    seconds; a completely cold predictor predicts nothing (cost 0 — the
    deadline is then checked against queue depth alone, which is the
-   only honest estimate available). *)
+   only honest estimate available).
+
+   The budget is the bound, not the ops the last run actually charged.
+   PaX2's combined pass skips the subtrees a query cannot reach
+   (lib/core/flat_pass.ml), so actual ops differ by up to two orders
+   of magnitude across query shapes (Q1 charges about 1% of what Q3
+   does), while every run also pays a fixed cost — rounds, rpc, unify —
+   that its ops do not count.  The queries that skip most are nearly
+   all fixed cost, so one seconds-per-op constant fitted to actual ops
+   comes out inflated and overprices the rest: on perfbench's traced
+   serve-cpu run (seed 1) it moved the median predicted/actual ratio
+   from 1.29 to 7.15.  The bound grows with the query and the tree,
+   not with what a pass skips, and keeps that ratio near 1. *)
 
 type t = {
   lock : Mutex.t;

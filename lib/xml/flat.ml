@@ -40,6 +40,7 @@ type t = {
   num_some : bool array;  (* slot -> [Tree.number_of_text] succeeded *)
   num_val : float array;
   spine : bool array;  (* slot -> its subtree holds a virtual slot *)
+  mask : int array;  (* slot -> OR of [1 lsl (code mod 63)] over its subtree *)
   intern : Intern.t;
   by_id : (int, int) Hashtbl.t option Atomic.t;  (* lazy id -> slot *)
   by_id_lock : Mutex.t;
@@ -57,6 +58,7 @@ let tag_name t i = Intern.name t.intern t.tag.(i)
 let virtual_fid t i = t.vfid.(i)
 let is_virtual t i = t.vfid.(i) >= 0
 let on_spine t i = t.spine.(i)
+let tag_mask t i = t.mask.(i)
 
 (* ------------------------------------------------------------------ *)
 (* construction                                                       *)
@@ -91,6 +93,30 @@ let spine_column ~n ~subtree_size ~vfid =
     spine.(i) <- !next_virtual < i + subtree_size.(i)
   done;
   spine
+
+(* The subtree tag mask: bit [code mod 63] for every tag in the slot's
+   subtree, all ones at a virtual slot (whatever lies below it).  Also
+   derived, and filled by [of_tree] and [decode] after the spine: a
+   backward sweep ORs each slot's children, found by hopping
+   [subtree_size] through [i + 1, i + subtree_size i).  The hop only
+   needs [subtree_size >= 1], which [decode] has checked, so it
+   terminates on any accepted image. *)
+let mask_column ~n ~subtree_size ~tag ~vfid =
+  let mask = Array.make n 0 in
+  for i = n - 1 downto 0 do
+    if vfid.(i) >= 0 then mask.(i) <- -1
+    else begin
+      let m = ref (1 lsl (tag.(i) mod 63)) in
+      let stop = i + subtree_size.(i) in
+      let c = ref (i + 1) in
+      while !c < stop do
+        m := !m lor mask.(!c);
+        c := !c + subtree_size.(!c)
+      done;
+      mask.(i) <- !m
+    end
+  done;
+  mask
 
 let of_tree ?(intern = Intern.create ()) (root : Tree.node) =
   let n = Tree.size root in
@@ -154,6 +180,7 @@ let of_tree ?(intern = Intern.create ()) (root : Tree.node) =
   let buf = Buffer.to_bytes bbuf in
   let num_some, num_val = num_columns ~n ~text_off ~text_len buf in
   let spine = spine_column ~n ~subtree_size ~vfid in
+  let mask = mask_column ~n ~subtree_size ~tag ~vfid in
   {
     n;
     ids;
@@ -174,6 +201,7 @@ let of_tree ?(intern = Intern.create ()) (root : Tree.node) =
     num_some;
     num_val;
     spine;
+    mask;
     intern;
     by_id = Atomic.make None;
     by_id_lock = Mutex.create ();
@@ -275,8 +303,9 @@ let find_index t id = Hashtbl.find_opt (index t) id
    columns as little-endian u32 rows, and one blit of [buf].  Codes
    are remapped through the receiver's intern on decode, so two stores
    never need to agree on code assignment.  [num_*] is derived state
-   and recomputed from the buffer ({!num_columns}); so is [spine]
-   ({!spine_column}), which is never shipped. *)
+   and recomputed from the buffer ({!num_columns}); so are [spine]
+   ({!spine_column}) and [mask] ({!mask_column}), which are never
+   shipped. *)
 
 let add_i32 b v = Buffer.add_int32_le b (Int32.of_int v)
 
@@ -407,6 +436,7 @@ let decode ?(intern = Intern.create ()) s =
     done;
     let num_some, num_val = num_columns ~n ~text_off ~text_len buf in
     let spine = spine_column ~n ~subtree_size ~vfid in
+    let mask = mask_column ~n ~subtree_size ~tag ~vfid in
     {
       n;
       ids;
@@ -427,6 +457,7 @@ let decode ?(intern = Intern.create ()) s =
       num_some;
       num_val;
       spine;
+      mask;
       intern;
       by_id = Atomic.make None;
       by_id_lock = Mutex.create ();

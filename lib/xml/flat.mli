@@ -51,6 +51,16 @@ val is_virtual : t -> int -> bool
     the image is built or decoded; not part of the wire image. *)
 val on_spine : t -> int -> bool
 
+(** [tag_mask t i] — the tags in slot [i]'s subtree (itself included)
+    as one word: bit [code mod 63] for each tag code, all ones at a
+    virtual slot, whose subtree lives in another fragment.  A superset
+    test: a label whose bit is clear occurs nowhere below [i], while a
+    set bit may come from another code of the same residue.  PaX2's
+    combined pass ([Flat_pass.combined_run]) skips the
+    subtrees where the rest of a selection path cannot match.  Derived
+    like {!on_spine}; not part of the wire image. *)
+val tag_mask : t -> int -> int
+
 (** {1 Content}
 
     The comparison accessors are allocation-free: they compare against

@@ -47,30 +47,39 @@ let doc ?(max_nodes = 60) : Tree.doc G.t =
 let cmp = G.oneofl [ Ast.Eq; Ast.Neq; Ast.Lt; Ast.Le; Ast.Gt; Ast.Ge ]
 let num = G.oneofl [ 1.; 2.; 7.; 10. ]
 
-let rec path ~qdepth st : Ast.path =
-  let n_seg = G.int_range 1 3 st in
+(* [label] draws the tag of a step, [max_seg] bounds the segments of a
+   path, and one step in [dslash] is a [//] step. *)
+let rec path ?(label = tag) ?(max_seg = 3) ?(dslash = 4) ~qdepth st : Ast.path
+    =
+  let n_seg = G.int_range 1 max_seg st in
   let seg st : Ast.path =
     let base =
       match G.int_range 0 5 st with
       | 0 -> Ast.Wildcard
       | 1 when qdepth > 0 -> Ast.Empty
-      | _ -> Ast.Tag (tag st)
+      | _ -> Ast.Tag (label st)
     in
-    if qdepth > 0 && G.bool st then Ast.Qualified (base, qual ~qdepth:(qdepth - 1) st)
+    if qdepth > 0 && G.bool st then
+      Ast.Qualified (base, qual ~label ~qdepth:(qdepth - 1) st)
     else base
   in
   let rec extend acc k =
     if k = 0 then acc
     else
       let s = seg st in
-      let acc = if G.int_range 0 3 st = 0 then Ast.Dslash (acc, s) else Ast.Slash (acc, s) in
+      let acc =
+        if G.int_range 0 (dslash - 1) st = 0 then Ast.Dslash (acc, s)
+        else Ast.Slash (acc, s)
+      in
       extend acc (k - 1)
   in
   let first = seg st in
   let p = extend first (n_seg - 1) in
-  if G.int_range 0 4 st = 0 then Ast.Dslash (Ast.Empty, p) else p
+  if G.int_range 0 dslash st = 0 then Ast.Dslash (Ast.Empty, p) else p
 
-and qual ~qdepth st : Ast.qual =
+and qual ?(label = tag) ~qdepth st : Ast.qual =
+  let path = path ~label in
+  let qual = qual ~label in
   match G.int_range 0 7 st with
   | 0 -> Ast.QText (path ~qdepth:0 st, G.oneofa texts st)
   | 1 -> Ast.QVal (path ~qdepth:0 st, cmp st, num st)
@@ -131,6 +140,84 @@ let print_scenario (s : scenario) =
     (Pax_dist.Cluster.ftree s.s_cluster)
 
 let arbitrary_scenario = QCheck.make ~print:print_scenario scenario
+
+(* ---------------- scenarios that make the combined pass skip ------ *)
+
+(* The documents above draw from four tags, so every subtree's tag mask
+   holds nearly all of them and no mask wraps mod 63.  This variant has
+   more than 63 tag names, deep child-only chains, and queries whose
+   steps name tags the data lacks ([zz]) or holds only here and there,
+   often under [//].  The [w*] tags sit on one child-only chain, the
+   root's first child, which is never cut: a store interns tags in
+   document order, so the chain takes codes 1 to 70 and the four common
+   tags wrap mod 63. *)
+let wide_tags = Array.init 70 (fun i -> "w" ^ string_of_int i)
+
+let deep_label st =
+  match G.int_range 0 5 st with
+  | 0 -> G.oneofa wide_tags st
+  | 1 -> "zz"
+  | _ -> tag st
+
+let deep_doc : Tree.doc G.t =
+ fun st ->
+  let b = Tree.builder () in
+  let budget = ref (G.int_range 1 60 st) in
+  let node_tag st =
+    if G.int_range 0 3 st = 0 then G.oneofa wide_tags st else tag st
+  in
+  let rec build depth =
+    let tg = node_tag st in
+    let txt = text_opt st in
+    let children =
+      if depth > 24 || !budget <= 0 then []
+      else if G.int_range 0 2 st = 0 then begin
+        (* a child-only link *)
+        decr budget;
+        [ build (depth + 1) ]
+      end
+      else begin
+        let want = G.int_range 0 (min 3 !budget) st in
+        budget := !budget - want;
+        List.init want (fun _ -> build (depth + 1))
+      end
+    in
+    let attrs = attrs_gen st in
+    match txt with
+    | Some t -> Tree.elem b ~text:t ~attrs tg children
+    | None -> Tree.elem b ~attrs tg children
+  in
+  let order = Array.copy wide_tags in
+  G.shuffle_a order st;
+  let chain =
+    Array.fold_right (fun tg below -> [ Tree.elem b tg below ]) order []
+  in
+  let subtrees = List.init (G.int_range 1 3 st) (fun _ -> build 1) in
+  Tree.doc_of_root (Tree.elem b (tag st) (chain @ subtrees))
+
+let deep_query : Ast.t G.t =
+ fun st ->
+  let absolute = G.bool st in
+  {
+    Ast.absolute;
+    path = path ~label:deep_label ~max_seg:6 ~dslash:3 ~qdepth:2 st;
+  }
+
+let deep_scenario : scenario G.t =
+ fun st ->
+  let s_doc = deep_doc st in
+  let s_query = deep_query st in
+  let chain = Hashtbl.create 64 in
+  Tree.iter
+    (fun n -> Hashtbl.replace chain n.Tree.id ())
+    (List.hd s_doc.Tree.root.Tree.children);
+  let cuts =
+    List.filter (fun id -> not (Hashtbl.mem chain id)) (cuts s_doc st)
+  in
+  let ft = Pax_frag.Fragment.fragmentize s_doc ~cuts in
+  { s_doc; s_query; s_cluster = cluster ft st }
+
+let arbitrary_deep_scenario = QCheck.make ~print:print_scenario deep_scenario
 
 (* ---------------- graph reachability scenarios --------------------- *)
 

@@ -350,7 +350,7 @@ let migration_eqs =
     migration_queries
 
 let mig_obs (o : Pe.outcome) =
-  ( o.Pe.answer_keys,
+  ( Array.to_list o.Pe.answer_keys,
     Array.to_list o.Pe.report.Cluster.visits,
     o.Pe.audit.Pax_obs.Audit.pass )
 

@@ -120,17 +120,27 @@ let engines =
       direct_xpath ~annotations:true pax3_run ~ename:"pax3-xa" );
   ]
 
+(* [Pe.run_text] with the cluster its [tune] saw, whose trace is the
+   run's until the cluster runs again. *)
+let run_capturing pe ?(tune = ignore) text =
+  let cluster = ref None in
+  let o =
+    Pe.run_text pe
+      ~tune:(fun cl ->
+        cluster := Some cl;
+        tune cl)
+      text
+  in
+  (o, Cluster.trace (Option.get !cluster))
+
 let pe_run pe ~placement:(ftree, n_sites, assign) ~fault text =
   let pe = pe ftree ~n_sites ~assign in
-  match
-    Pe.run_text pe
-      ~tune:(fun cl -> Cluster.set_fault cl fault)
-      text
-  with
-  | (o : Pe.outcome) ->
+  match run_capturing pe ~tune:(fun cl -> Cluster.set_fault cl fault) text with
+  | (o : Pe.outcome), trace ->
       Completed
-        (obs ~keys:o.Pe.answer_keys ~report:o.Pe.report ~trace:o.Pe.trace
-           ~audit:o.Pe.audit)
+        (obs
+           ~keys:(Array.to_list o.Pe.answer_keys)
+           ~report:o.Pe.report ~trace:(Some trace) ~audit:o.Pe.audit)
   | exception Cluster.Site_unreachable _ -> Unreachable
 
 let explain ppf = function
@@ -243,8 +253,7 @@ let test_golden_matrix () =
     (fun (qs, name, expected) ->
       let ctor = Option.get (Engines.of_name name) in
       let pe = ctor ft ~n_sites ~assign:Fun.id in
-      let o = Pe.run_text pe qs in
-      let tr = Option.get o.Pe.trace in
+      let o, tr = run_capturing pe qs in
       Alcotest.(check int)
         (Printf.sprintf "%s on %s" name qs)
         expected

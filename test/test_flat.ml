@@ -15,8 +15,9 @@
    The second half holds the stage kernels (lib/core/flat_pass.ml) to
    each other and to the pointer passes on the paths test/test_passes.ml
    does not reach: PaX2's combined pass against the qualifier and
-   selection passes, and queries wider than one 63-bit word of
-   qualifier entries. *)
+   selection passes, also on data and queries that make it skip most
+   subtrees, and queries wider than one 63-bit word of qualifier
+   entries. *)
 
 module Tree = Pax_xml.Tree
 module Intern = Pax_xml.Intern
@@ -168,6 +169,42 @@ let prop_spine (ft : Fragment.t) =
       | None -> fail "decode (encode fl) = None")
     ft.Fragment.fragments
 
+(* The tag mask column against its definition: the OR over
+   [i, i + subtree_size i) of bit [code mod 63], all ones for a virtual
+   slot. *)
+let check_mask fl =
+  for i = 0 to Flat.length fl - 1 do
+    let m = ref 0 in
+    for j = i to i + Flat.subtree_size fl i - 1 do
+      let bits =
+        if Flat.is_virtual fl j then -1 else 1 lsl (Flat.tag_code fl j mod 63)
+      in
+      m := !m lor bits
+    done;
+    if Flat.tag_mask fl i <> !m then fail "slot %d: tag_mask" i
+  done;
+  true
+
+(* On stores with more than 63 tag names, so masks wrap. *)
+let prop_mask (ft : Fragment.t) =
+  if Intern.size (Fragment.intern ft) <= 63 then fail "63 tags or fewer";
+  Array.for_all
+    (fun (fr : Fragment.fragment) ->
+      let fl = Fragment.flat ft fr.Fragment.fid in
+      check_mask fl
+      &&
+      match Flat.decode (Flat.encode fl) with
+      | Some fl2 -> check_mask fl2
+      | None -> fail "decode (encode fl) = None")
+    ft.Fragment.fragments
+
+let arbitrary_wide_store =
+  QCheck.make
+    ~print:(fun ft -> Format.asprintf "%a" Fragment.pp ft)
+    (fun st ->
+      let d = H.Gen.deep_doc st in
+      Fragment.fragmentize d ~cuts:(H.Gen.cuts d st))
+
 let prop_image (ft : Fragment.t) =
   Array.for_all
     (fun (fr : Fragment.fragment) ->
@@ -311,6 +348,48 @@ let prop_combined (s : H.Gen.scenario) =
     (Query.of_ast s.H.Gen.s_query).Query.compiled
     (Pax_dist.Cluster.ftree s.H.Gen.s_cluster)
 
+(* Skipping on the data it is for: an XMark tree cut like the paper's
+   FT2, where every site but the first is a fragment, and so is each
+   of its regions and auction sections.  Q1 reaches only the people
+   sections, so its combined pass must charge under 5% of a walk over
+   every slot (n_sel per element, Q1 having no qualifier), and still
+   agree with the two passes. *)
+let test_xmark_q1_skips () =
+  let doc = Pax_xmark.Xmark.doc ~seed:42 ~total_nodes:3000 ~n_sites:3 in
+  let sections = [ "regions"; "open_auctions"; "closed_auctions" ] in
+  let cuts =
+    List.concat_map
+      (fun (site : Tree.node) ->
+        site.Tree.id
+        :: List.filter_map
+             (fun (c : Tree.node) ->
+               if List.mem c.Tree.tag sections then Some c.Tree.id else None)
+             site.Tree.children)
+      (List.tl doc.Tree.root.Tree.children)
+  in
+  let ft = Fragment.fragmentize doc ~cuts in
+  Alcotest.(check int) "fragments" 9 (Fragment.n_fragments ft);
+  let compiled = (Query.of_string Pax_xmark.Xmark.q1).Query.compiled in
+  let plan = Flat_pass.make_plan compiled (Fragment.intern ft) in
+  let ops = ref 0 and full = ref 0 in
+  List.iter
+    (fun fid ->
+      let is_root = fid = 0 in
+      let fl = Fragment.flat ft fid in
+      let init = init_for compiled ~fid ~is_root in
+      let oc = Flat_pass.combined_run plan fl ~init ~is_root in
+      ops := !ops + oc.Flat_pass.ops;
+      for i = 0 to Flat.length fl - 1 do
+        if not (Flat.is_virtual fl i) then
+          full := !full + compiled.Compile.n_sel
+      done)
+    (Fragment.top_down ft);
+  if !ops * 20 >= !full then
+    Alcotest.failf "Q1 charged %d ops, not under 5%% of %d" !ops !full;
+  Alcotest.(check bool)
+    "= two passes" true
+    (combined_matches_two_pass compiled ft)
+
 (* The flat qualifier and selection passes against their pointer
    references, per fragment and per entry (test/test_passes.ml's
    parity check, for the wide queries below). *)
@@ -409,6 +488,9 @@ let () =
           qtest "decode is total on corrupt input" ~count:50 prop_corrupt;
           qtest "on_spine = virtual slot in subtree, decoded" ~count:200
             prop_spine;
+          QCheck_alcotest.to_alcotest
+            (QCheck.Test.make ~name:"tag_mask = subtree tag OR, decoded"
+               ~count:(count 200) arbitrary_wide_store prop_mask);
         ] );
       (* Alcotest pads every row to the longest group name and cuts
          test names to fit the terminal: group names stay at four
@@ -422,5 +504,10 @@ let () =
             (QCheck.Test.make
                ~name:"n_qual > 63: kernels = pointers, two-pass"
                ~count:(count 100) arbitrary_wide prop_wide);
+          QCheck_alcotest.to_alcotest
+            (QCheck.Test.make ~name:"combined = two-pass, >63 tags, deep"
+               ~count:(count 300) H.Gen.arbitrary_deep_scenario prop_combined);
+          Alcotest.test_case "XMark Q1 walks under 5% of the slots" `Quick
+            test_xmark_q1_skips;
         ] );
     ]

@@ -178,10 +178,8 @@ let oracle_engine (gs : H.Gen.gscenario) =
     Bfs.reach ~n:gs.H.Gen.g_n ~edges:gs.H.Gen.g_edges ~src:gs.H.Gen.g_src
       ~dst:gs.H.Gen.g_dst
   in
-  if o.Pe.answer_keys <> (if expected then [ 1 ] else []) then
+  if o.Pe.answer_keys <> (if expected then [| 1 |] else [||]) then
     QCheck.Test.fail_reportf "engine keys disagree with BFS %b" expected
-  else if o.Pe.answers_text <> string_of_bool expected then
-    QCheck.Test.fail_reportf "engine text %S" o.Pe.answers_text
   else
     o.Pe.audit.Pax_obs.Audit.pass
     || QCheck.Test.fail_reportf "engine audit failed"

@@ -18,6 +18,11 @@ module Flat_pass = Pax_core.Flat_pass
 module Eval_ft = Pax_core.Eval_ft
 module H = Test_helpers
 
+let count n =
+  match Sys.getenv_opt "PAX_QCHECK_COUNT" with
+  | Some s -> (try int_of_string s with _ -> n)
+  | None -> n
+
 (* ------------------------------------------------------------------ *)
 (* Qualifier pass: for every node of a complete tree, satisfaction of
    every top-level qualifier path equals the set-based oracle.         *)
@@ -70,7 +75,7 @@ let test_qual_pass_oracle () =
     ]
 
 let prop_qual_pass_random =
-  QCheck.Test.make ~name:"qualifier pass = holds, random" ~count:200
+  QCheck.Test.make ~name:"qualifier pass = holds, random" ~count:(count 200)
     (QCheck.make
        ~print:(fun (d, q) ->
          Format.asprintf "[%a] over %a" Pax_xpath.Ast.pp_qual q Tree.pp
@@ -229,7 +234,7 @@ let kernel_parity (s : H.Gen.scenario) =
   true
 
 let prop_kernel_parity =
-  QCheck.Test.make ~name:"flat = pointer per fragment" ~count:300
+  QCheck.Test.make ~name:"flat = pointer per fragment" ~count:(count 300)
     H.Gen.arbitrary_scenario kernel_parity
 
 (* ------------------------------------------------------------------ *)

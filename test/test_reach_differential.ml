@@ -236,7 +236,7 @@ let mig_queries =
     [ (0, 59); (1, 2); (5, 5); (7, 30); (12, 3); (58, 0); (9, 44); (23, 23) ]
 
 let mig_obs (o : Pe.outcome) =
-  ( o.Pe.answer_keys,
+  ( Array.to_list o.Pe.answer_keys,
     Array.to_list o.Pe.report.Cluster.visits,
     o.Pe.audit.Pax_obs.Audit.pass )
 

@@ -480,7 +480,7 @@ type obs = {
 
 let observe (o : Pe.outcome) =
   {
-    o_answers = o.Pe.answer_keys;
+    o_answers = Array.to_list o.Pe.answer_keys;
     o_visits = o.Pe.report.Cluster.visits;
     o_audit_pass = o.Pe.audit.Pax_obs.Audit.pass;
   }
@@ -632,7 +632,7 @@ let test_sockets_differential_cached () =
               check_obs ("cached cold " ^ q) (observe a) (observe b);
               check_obs ("cached hot " ^ q) (observe a') (observe b');
               (* The cache changes visits, never answers. *)
-              Alcotest.(check (list int))
+              Alcotest.(check (array int))
                 ("hot answers = cold answers " ^ q)
                 a.Pe.answer_keys a'.Pe.answer_keys)
             (List.combine queries16 (List.combine s1 s2))
@@ -712,7 +712,7 @@ let test_coordinator_overloaded () =
           match Coordinator.await tk with
           | Ok (o : Pe.outcome) ->
               Alcotest.(check bool) "admitted run answered" true
-                (o.Pe.answer_keys <> [])
+                (o.Pe.answer_keys <> [||])
           | Error e -> Alcotest.failf "admitted run failed: %s" (Printexc.to_string e))
         [ t1; t2 ];
       Coordinator.close coord)
@@ -774,10 +774,10 @@ let test_gen_coherence ~fault () =
           ignore (runB qb);
           let a_pre2 = runB qa in
           let b_pre = runB qb in
-          Alcotest.(check (list int)) "warm hit is identical"
+          Alcotest.(check (array int)) "warm hit is identical"
             a_pre.Pe.answer_keys a_pre2.Pe.answer_keys;
           Alcotest.(check int) "E*trade found pre-update" 1
-            (List.length a_pre.Pe.answer_keys);
+            (Array.length a_pre.Pe.answer_keys);
           (* The update goes through A. *)
           let fid =
             match
@@ -821,13 +821,13 @@ let test_gen_coherence ~fault () =
           let runC = run coordC "C" in
           let a_ref = runC qa in
           let b_ref = runC qb in
-          Alcotest.(check (list int)) "post-update B = cold reference (qa)"
+          Alcotest.(check (array int)) "post-update B = cold reference (qa)"
             a_ref.Pe.answer_keys a_post.Pe.answer_keys;
-          Alcotest.(check (list int)) "post-update B = cold reference (qb)"
+          Alcotest.(check (array int)) "post-update B = cold reference (qb)"
             b_ref.Pe.answer_keys b_post.Pe.answer_keys;
           Alcotest.(check int) "update removed the E*trade match" 0
-            (List.length a_post.Pe.answer_keys);
-          Alcotest.(check (list int)) "unaffected query unchanged"
+            (Array.length a_post.Pe.answer_keys);
+          Alcotest.(check (array int)) "unaffected query unchanged"
             b_pre.Pe.answer_keys b_post.Pe.answer_keys;
           Alcotest.(check bool) "B's audit still passes" true
             a_post.Pe.audit.Pax_obs.Audit.pass;
@@ -974,9 +974,9 @@ let test_mixed_workload () =
                 match Gfrag.parse_query q with
                 | Some (src, dst) ->
                     let expect = Pax_graph.Bfs.reach ~n ~edges ~src ~dst in
-                    Alcotest.(check (list int))
+                    Alcotest.(check (array int))
                       (Printf.sprintf "mixed %s = BFS" q)
-                      (if expect then [ 1 ] else [])
+                      (if expect then [| 1 |] else [||])
                       a.Pe.answer_keys
                 | None -> Alcotest.fail "unparseable reach query")
             eqs

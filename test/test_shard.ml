@@ -332,7 +332,7 @@ let run_coord coord q =
   match Coordinator.run coord q with
   | Ok (o : Pe.outcome) ->
       Alcotest.(check bool) "audit passes" true o.Pe.audit.Pax_obs.Audit.pass;
-      o.Pe.answer_keys
+      Array.to_list o.Pe.answer_keys
   | Error e -> Alcotest.failf "run rejected: %s" (Coordinator.error_message e)
 
 let test_socket_migrate () =
