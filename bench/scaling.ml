@@ -81,8 +81,8 @@ let assert_equivalent ~qname (seq : run_m) (par : run_m) =
     <> seq.m_result.Run_result.report.Cluster.visits
   then fail "visit counts";
   if
-    Trace.events (Run_result.trace_exn par.m_result)
-    <> Trace.events (Run_result.trace_exn seq.m_result)
+    Trace.events (par.m_result.Run_result.trace)
+    <> Trace.events (seq.m_result.Run_result.trace)
   then fail "traces"
 
 type qrow = {

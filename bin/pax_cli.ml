@@ -380,23 +380,21 @@ let query_cmd =
                          ] );
                    ])
           | None -> ());
-          if show_trace then
-            match r.Pax_core.Run_result.trace with
-            | Some tr ->
-                (* Header: the execution mode the trace was produced
-                   under. *)
-                let mode =
-                  if connect <> None then "remote sites over sockets"
-                  else if domains > 1 then
-                    Printf.sprintf "parallel, pool of %d domains" domains
-                  else "sequential"
-                in
-                let mode =
-                  if fault_seed <> None then mode ^ " (fault plan active)"
-                  else mode
-                in
-                Format.printf "# trace: %s@.%a@." mode Pax_dist.Trace.pp tr
-            | None -> ());
+          if show_trace then begin
+            (* Header: the execution mode the trace was produced under. *)
+            let mode =
+              if connect <> None then "remote sites over sockets"
+              else if domains > 1 then
+                Printf.sprintf "parallel, pool of %d domains" domains
+              else "sequential"
+            in
+            let mode =
+              if fault_seed <> None then mode ^ " (fault plan active)"
+              else mode
+            in
+            Format.printf "# trace: %s@.%a@." mode Pax_dist.Trace.pp
+              r.Pax_core.Run_result.trace
+          end);
       match trace_out with
       | Some path -> (
           let spans = Pax_obs.Span.spans sink.Pax_obs.Sink.spans in

@@ -38,19 +38,17 @@ let run ?annotations (cl : Cluster.t) (queries : Query.t list) : t =
               | _ -> invalid_arg "Batch: unexpected reply");
         }
     in
-    (sites, results)
+    results
   in
-  let sites1, _ =
-    shared_round ~label:"stage1" ~needed:Pax2.relevant (fun r -> Pax2.stage1 r)
-  in
-  List.iter (fun r -> Pax2.send_stage1 r sites1) runs;
+  ignore
+    (shared_round ~label:"stage1" ~needed:Pax2.relevant (fun r -> Pax2.stage1 r));
   Cluster.coord cl ~label:"evalFT" (fun () ->
       List.iter
         (fun r ->
           Pax2.unify_quals r;
           Pax2.unify_contexts r)
         runs);
-  let sites2, late =
+  let late =
     shared_round ~label:"stage2" ~needed:Pax2.has_candidates Pax2.stage2
   in
   let results =
@@ -59,8 +57,6 @@ let run ?annotations (cl : Cluster.t) (queries : Query.t list) : t =
         let late =
           List.map (fun (site, per_q) -> (site, List.nth per_q qi)) late
         in
-        Pax2.send_resolutions r sites2;
-        Pax2.ship_answers r late;
         let all =
           List.sort_uniq
             (fun (a : Tree.node) (b : Tree.node) -> compare a.Tree.id b.Tree.id)

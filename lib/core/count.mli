@@ -6,8 +6,10 @@
     total communication is [O(|Q| |FT|)] — independent of both the tree
     {e and} the answer size.
 
-    It runs PaX2's own stages ({!Pax2.stages}) in process, so its
-    visits and ops equal a PaX2 run's; only what travels up differs. *)
+    It runs PaX2's own stages ({!Pax2.stages}), each call wrapped in
+    {!Pax_wire.Wire.Count}: a site answers with its answer lists
+    emptied and their lengths beside them.  Visits and ops equal a PaX2
+    run's; only the answers' elements stay home. *)
 
 (** [run ?annotations cluster q] — the number of nodes in [val(Q, root)]
     plus the cost report.  ≤ 2 visits per site, zero answer bytes. *)

@@ -1,8 +1,8 @@
 (* Glue between a finished engine run and the Pax_obs.Audit bound
    checker: extract |Q|, |FT|, |T| and the run's logical accounting
-   from the run result (preferring the trace, whose logical counters
-   are immune to fault-plan retransmissions), then evaluate the
-   paper's three bounds. *)
+   from the run result (visits and control bytes from the trace, whose
+   logical counters are immune to fault-plan retransmissions), then
+   evaluate the paper's three bounds. *)
 
 module Audit = Pax_obs.Audit
 
@@ -15,22 +15,16 @@ let visit_limit = function
 let input ~engine ~ftree (r : Run_result.t) : Audit.input =
   let compiled = r.Run_result.query.Pax_xpath.Query.compiled in
   let report = r.Run_result.report in
-  let max_visits, control_bytes =
-    match r.Run_result.trace with
-    | Some tr ->
-        (Pax_dist.Trace.max_logical_visits tr,
-         Pax_dist.Trace.logical_control_bytes tr)
-    | None -> (report.Pax_dist.Cluster.max_visits, report.control_bytes)
-  in
+  let tr = r.Run_result.trace in
   {
     Audit.engine;
     visit_limit = visit_limit engine;
-    max_visits;
+    max_visits = Pax_dist.Trace.max_logical_visits tr;
     q_entries = compiled.Pax_xpath.Compile.n_sel + compiled.n_qual;
     ft_size = Pax_frag.Fragment.n_fragments ftree;
     t_size = ftree.Pax_frag.Fragment.doc_node_count;
-    control_bytes;
-    answer_bytes = report.answer_bytes;
+    control_bytes = Pax_dist.Trace.logical_control_bytes tr;
+    answer_bytes = report.Pax_dist.Cluster.answer_bytes;
     total_ops = report.total_ops;
   }
 

@@ -1,9 +1,8 @@
 (** Audit a finished engine run against the paper's guarantees.
 
     Bridges {!Run_result.t} to {!Pax_obs.Audit}: visit counts and
-    control bytes come from the trace when the engine recorded one
-    (logical counters, immune to fault-induced retransmissions), else
-    from the report; |Q| is the compiled entry count
+    control bytes come from the run's trace (logical counters, immune
+    to fault-induced retransmissions); |Q| is the compiled entry count
     ([n_sel + n_qual]), |FT| the fragment count, |T| the document node
     count.  Constants default to the calibrated values in
     {!Pax_obs.Audit} (see docs/OBSERVABILITY.md). *)

@@ -5,7 +5,6 @@ module Compile = Pax_xpath.Compile
 module Formula = Pax_bool.Formula
 module Fragment = Pax_frag.Fragment
 module Cluster = Pax_dist.Cluster
-module Measure = Pax_dist.Measure
 module Wire = Pax_wire.Wire
 
 let eval (cl : Cluster.t) (qual : Ast.qual) : bool * Cluster.report =
@@ -40,20 +39,6 @@ let eval (cl : Cluster.t) (qual : Ast.qual) : bool * Cluster.report =
                    frs
              | _ -> invalid_arg "ParBoX: unexpected reply");
        });
-  List.iter
-    (fun site ->
-      Cluster.send cl ~src:Coordinator ~dst:(Site site) ~kind:Query
-        ~bytes:(Measure.query q) ~label:"QVect(Q)";
-      List.iter
-        (fun fid ->
-          match root_vecs.(fid) with
-          | Some vec ->
-              Cluster.send cl ~src:(Site site) ~dst:Coordinator ~kind:Vectors
-                ~bytes:(Measure.formula_array vec)
-                ~label:(Printf.sprintf "QV(F%d)" fid)
-          | None -> ())
-        (Cluster.fragments_on cl site))
-    sites;
   let answer =
     Cluster.coord cl ~label:"evalFT" (fun () ->
         Cluster.add_ops cl ~site:(-1) (n_frag * compiled.Compile.n_qual);

@@ -4,7 +4,6 @@ module Compile = Pax_xpath.Compile
 module Formula = Pax_bool.Formula
 module Fragment = Pax_frag.Fragment
 module Cluster = Pax_dist.Cluster
-module Measure = Pax_dist.Measure
 module Wire = Pax_wire.Wire
 
 let spf = Printf.sprintf
@@ -80,7 +79,9 @@ let stage1 ?(store = ignore) r =
             frags =
               List.filter_map
                 (fun fid ->
-                  if relevant r fid then
+                  (* A stage-cache hit's view is already filled: it
+                     neither travels nor runs again. *)
+                  if relevant r fid && not r.cached.(fid) then
                     Some
                       {
                         Wire.fe_fid = fid;
@@ -98,48 +99,12 @@ let stage1 ?(store = ignore) r =
         | Wire.Frag_results frs ->
             List.iter
               (fun (fr : Wire.frag_result) ->
-                (* A stage-cache hit's view is already filled. *)
-                if not r.cached.(fr.Wire.fr_fid) then begin
-                  fill r fr;
-                  Cluster.add_ops r.cl ~site fr.Wire.fr_ops;
-                  store fr
-                end)
+                fill r fr;
+                Cluster.add_ops r.cl ~site fr.Wire.fr_ops;
+                store fr)
               frs
         | _ -> invalid_arg "PaX2: unexpected stage-1 reply");
   }
-
-let ship_certain r ~site fid =
-  if r.certain.(fid) <> [] then
-    Cluster.send r.cl ~src:(Site site) ~dst:Coordinator ~kind:Answers
-      ~bytes:(Measure.answers r.certain.(fid))
-      ~label:(spf "ans(F%d)" fid)
-
-let send_stage1 ?up r sites =
-  let up = match up with Some up -> up | None -> ship_certain r in
-  List.iter
-    (fun site ->
-      Cluster.send r.cl ~src:Coordinator ~dst:(Site site) ~kind:Query
-        ~bytes:(Measure.query r.q) ~label:"Q";
-      List.iter
-        (fun fid ->
-          (* Cache-hit fragments were not visited: their vectors and
-             answers are already coordinator-side, so nothing travels. *)
-          if r.seen.(fid) && not r.cached.(fid) then begin
-            if r.compiled.Compile.n_qual > 0 then
-              Cluster.send r.cl ~src:(Site site) ~dst:Coordinator
-                ~kind:Vectors
-                ~bytes:(Measure.formula_array r.qvec.(fid))
-                ~label:(spf "QV(F%d)" fid);
-            List.iter
-              (fun (sub, vec) ->
-                Cluster.send r.cl ~src:(Site site) ~dst:Coordinator
-                  ~kind:Vectors ~bytes:(Measure.formula_array vec)
-                  ~label:(spf "SV(F%d)" sub))
-              r.ctxs.(fid);
-            up ~site fid
-          end)
-        (Cluster.fragments_on r.cl site))
-    sites
 
 let unify_quals r =
   let n_frag = Fragment.n_fragments r.ft in
@@ -191,35 +156,6 @@ let stage2 r =
         | _ -> invalid_arg "PaX2: unexpected stage-2 reply");
   }
 
-let send_resolutions r sites =
-  List.iter
-    (fun site ->
-      List.iter
-        (fun fid ->
-          if has_candidates r fid then begin
-            Cluster.send r.cl ~src:Coordinator ~dst:(Site site)
-              ~kind:Resolution
-              ~bytes:(Measure.bool_array r.ctx.(fid))
-              ~label:(spf "SV*(F%d)" fid);
-            List.iter
-              (fun sub ->
-                Cluster.send r.cl ~src:Coordinator ~dst:(Site site)
-                  ~kind:Resolution
-                  ~bytes:(Measure.bool_array r.quals.(sub))
-                  ~label:(spf "QV*(F%d)" sub))
-              r.ft.Fragment.children.(fid)
-          end)
-        (Cluster.fragments_on r.cl site))
-    sites
-
-let ship_answers r results =
-  List.iter
-    (fun (site, answers) ->
-      if answers <> [] then
-        Cluster.send r.cl ~src:(Site site) ~dst:Coordinator ~kind:Answers
-          ~bytes:(Measure.answers answers) ~label:"ans")
-    results
-
 let run ?(annotations = false) (cl : Cluster.t) (q : Query.t) : Run_result.t =
   Cluster.reset ~handler:(Site.handler (Site.states cl q)) cl;
   let r = prepare ~annotations cl q in
@@ -260,7 +196,6 @@ let run ?(annotations = false) (cl : Cluster.t) (q : Query.t) : Run_result.t =
   ignore
     (Cluster.run_round cl ~label:"stage1" ~sites:stage1_sites
        (stage1 ~store r));
-  send_stage1 r stage1_sites;
   Cluster.coord cl ~label:"evalFT:quals" (fun () -> unify_quals r);
   Cluster.coord cl ~label:"evalFT:contexts" (fun () -> unify_contexts r);
 
@@ -272,8 +207,6 @@ let run ?(annotations = false) (cl : Cluster.t) (q : Query.t) : Run_result.t =
   let stage2_answers =
     Cluster.run_round cl ~label:"stage2" ~sites:stage2_sites (stage2 r)
   in
-  send_resolutions r stage2_sites;
-  ship_answers r stage2_answers;
   let answers = certain_answers r @ List.concat_map snd stage2_answers in
   Run_result.make ~trace:(Cluster.trace cl) ~query:q ~answers
     ~report:(Cluster.report cl) ()

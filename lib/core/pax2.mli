@@ -29,11 +29,11 @@ val run :
 (** {1 The stages, shared with Count and Batch}
 
     {!run} is these steps in order: {!prepare}, a ["stage1"] round of
-    {!stage1} visits, {!send_stage1}, {!unify_quals} and
-    {!unify_contexts} at the coordinator, a ["stage2"] round of
-    {!stage2} visits, {!send_resolutions} and {!ship_answers}.  Count
-    and Batch drive the same steps, so they charge what PaX2
-    charges. *)
+    {!stage1} visits, {!unify_quals} and {!unify_contexts} at the
+    coordinator, and a ["stage2"] round of {!stage2} visits.  Each
+    round's traffic is accounted by {!Pax_dist.Cluster.run_round} from
+    its calls and replies, so a stage is described once.  Count and
+    Batch drive the same steps, so they charge what PaX2 charges. *)
 
 (** One query's PaX2 run at the coordinator: the stage-1 views filled
     from site replies and evalFT's results.  The sites' own state lives
@@ -51,19 +51,13 @@ val relevant : stages -> int -> bool
     these. *)
 val has_candidates : stages -> int -> bool
 
-(** Stage 1: the combined pass over the site's relevant fragments.
-    Parsing fills each fragment's view (unless the stage cache already
-    did) and charges its ops; [store] (default: nothing) sees each
-    result it fills. *)
+(** Stage 1: the combined pass over the site's relevant fragments
+    that the stage cache did not already answer.  Parsing fills each
+    fragment's view and charges its ops; [store] (default: nothing)
+    sees each result it fills. *)
 val stage1 :
   ?store:(Pax_wire.Wire.frag_result -> unit) -> stages ->
   unit Pax_dist.Cluster.remote
-
-(** Stage-1 traffic: the query down to each site and, for each fragment
-    visited, its qualifier and context vectors up, then [up ~site fid]
-    (default: the fragment's certain answers). *)
-val send_stage1 :
-  ?up:(site:int -> int -> unit) -> stages -> int list -> unit
 
 (** evalFT, bottom-up: unify the qualifier vectors; charges the
     coordinator [n_frag × n_qual] ops. *)
@@ -76,13 +70,6 @@ val unify_contexts : stages -> unit
 (** Stage 2: resolve the candidates with the unified values; the
     parsed result is the site's answers, its ops charged. *)
 val stage2 : stages -> Pax_xml.Tree.node list Pax_dist.Cluster.remote
-
-(** Stage-2 traffic down: each candidate fragment's unified context
-    and its sub-fragments' unified qualifier values. *)
-val send_resolutions : stages -> int list -> unit
-
-(** Stage-2 traffic up: each site's resolved answers. *)
-val ship_answers : stages -> (int * Pax_xml.Tree.node list) list -> unit
 
 (** The answers stage 1 found certain, over all fragments. *)
 val certain_answers : stages -> Pax_xml.Tree.node list

@@ -4,10 +4,7 @@ module Compile = Pax_xpath.Compile
 module Formula = Pax_bool.Formula
 module Fragment = Pax_frag.Fragment
 module Cluster = Pax_dist.Cluster
-module Measure = Pax_dist.Measure
 module Wire = Pax_wire.Wire
-
-let spf = Printf.sprintf
 
 (* Sites that hold at least one fragment from [fids]. *)
 let active_sites cl fids = Cluster.sites_holding cl fids
@@ -26,9 +23,8 @@ let run ?(annotations = false) (cl : Cluster.t) (q : Query.t) : Run_result.t =
   (* ---------------- Stage 1: qualifiers, all sites ---------------- *)
   let stage1_needed = not (Compile.no_qualifiers compiled) in
   (* Per-fragment views of the stage-1 result (the root qualifier
-     vector), filled by parsing site replies; the accounting loop and
-     evalFT read only these.  The site keeps its full qual-pass state
-     for stage 2. *)
+     vector), filled by parsing site replies; evalFT reads only these.
+     The site keeps its full qual-pass state for stage 2. *)
   let q1_seen = Array.make n_frag false in
   let q1_vec : Formula.t array array = Array.make n_frag [||] in
   let resolved_quals =
@@ -60,18 +56,6 @@ let run ?(annotations = false) (cl : Cluster.t) (q : Query.t) : Run_result.t =
         }
       in
       ignore (Cluster.run_round cl ~label:"stage1" ~sites rm1);
-      List.iter
-        (fun site ->
-          Cluster.send cl ~src:Coordinator ~dst:(Site site) ~kind:Query
-            ~bytes:(Measure.query q) ~label:"QVect(Q)";
-          List.iter
-            (fun fid ->
-              if q1_seen.(fid) then
-                Cluster.send cl ~src:(Site site) ~dst:Coordinator ~kind:Vectors
-                  ~bytes:(Measure.formula_array q1_vec.(fid))
-                  ~label:(spf "QV(F%d)" fid))
-            (Cluster.fragments_on cl site))
-        sites;
       Some
         (Cluster.coord cl ~label:"evalFT:quals" (fun () ->
              Cluster.add_ops cl ~site:(-1) (n_frag * compiled.Compile.n_qual);
@@ -139,39 +123,6 @@ let run ?(annotations = false) (cl : Cluster.t) (q : Query.t) : Run_result.t =
     }
   in
   ignore (Cluster.run_round cl ~label:"stage2" ~sites:stage2_sites rm2);
-  List.iter
-    (fun site ->
-      Cluster.send cl ~src:Coordinator ~dst:(Site site) ~kind:Query
-        ~bytes:(Measure.query q) ~label:"SVect(Q)";
-      List.iter
-        (fun fid ->
-          if relevant_sel fid then begin
-            (* Unified qualifier values for the fragment's sub-fragments. *)
-            (match resolved_quals with
-            | Some r ->
-                List.iter
-                  (fun sub ->
-                    Cluster.send cl ~src:Coordinator ~dst:(Site site)
-                      ~kind:Resolution
-                      ~bytes:(Measure.bool_array r.(sub))
-                      ~label:(spf "QV*(F%d)" sub))
-                  (Cluster.ftree cl).Fragment.children.(fid)
-            | None -> ());
-            if s2_seen.(fid) then begin
-              List.iter
-                (fun (sub, vec) ->
-                  Cluster.send cl ~src:(Site site) ~dst:Coordinator
-                    ~kind:Vectors ~bytes:(Measure.formula_array vec)
-                    ~label:(spf "SV(F%d)" sub))
-                s2_ctxs.(fid);
-              if s2_certain.(fid) <> [] then
-                Cluster.send cl ~src:(Site site) ~dst:Coordinator ~kind:Answers
-                  ~bytes:(Measure.answers s2_certain.(fid))
-                  ~label:(spf "ans(F%d)" fid)
-            end
-          end)
-        (Cluster.fragments_on cl site))
-    stage2_sites;
 
   (* Coordinator: unify the context vectors top-down. *)
   let raw_ctx : Formula.t array option array = Array.make n_frag None in
@@ -219,23 +170,6 @@ let run ?(annotations = false) (cl : Cluster.t) (q : Query.t) : Run_result.t =
   let stage3_answers =
     Cluster.run_round cl ~label:"stage3" ~sites:stage3_sites rm3
   in
-  List.iter
-    (fun site ->
-      List.iter
-        (fun fid ->
-          if has_candidates fid then
-            Cluster.send cl ~src:Coordinator ~dst:(Site site) ~kind:Resolution
-              ~bytes:(Measure.bool_array resolved_ctx.(fid))
-              ~label:(spf "SV*(F%d)" fid))
-        (Cluster.fragments_on cl site))
-    stage3_sites;
-  List.iter
-    (fun (site, answers) ->
-      if answers <> [] then
-        Cluster.send cl ~src:(Site site) ~dst:Coordinator ~kind:Answers
-          ~bytes:(Measure.answers answers) ~label:"ans")
-    stage3_answers;
-
   let certain = List.concat (Array.to_list s2_certain) in
   let answers = certain @ List.concat_map snd stage3_answers in
   Run_result.make ~trace:(Cluster.trace cl) ~query:q ~answers

@@ -3,10 +3,10 @@ type t = {
   answers : Pax_xml.Tree.node list;
   answer_ids : int list;
   report : Pax_dist.Cluster.report;
-  trace : Pax_dist.Trace.t option;
+  trace : Pax_dist.Trace.t;
 }
 
-let make ?trace ~query ~answers ~report () =
+let make ~trace ~query ~answers ~report () =
   let answers =
     List.sort_uniq
       (fun (a : Pax_xml.Tree.node) (b : Pax_xml.Tree.node) -> compare a.id b.id)
@@ -19,11 +19,6 @@ let make ?trace ~query ~answers ~report () =
     report;
     trace;
   }
-
-let trace_exn t =
-  match t.trace with
-  | Some tr -> tr
-  | None -> invalid_arg "Run_result.trace_exn: engine recorded no trace"
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>query: %a@,answers: %d node(s)@,%a@]"

@@ -97,6 +97,28 @@ let final_answers t fids lookup ~stage =
   in
   Wire.Final_answers { answers; ops = !ops }
 
+(* A [Count] call's reply: the answer lists emptied, their lengths in
+   wire order. *)
+let counted reply =
+  let counts = ref [] in
+  let keep answers =
+    counts := List.length answers :: !counts;
+    []
+  in
+  let reply =
+    match reply with
+    | Wire.Frag_results frs ->
+        Wire.Frag_results
+          (List.map
+             (fun (fr : Wire.frag_result) ->
+               { fr with Wire.fr_answers = keep fr.Wire.fr_answers })
+             frs)
+    | Wire.Final_answers { answers; ops } ->
+        Wire.Final_answers { answers = keep answers; ops }
+    | reply -> reply
+  in
+  Wire.Counted { reply; counts = List.rev !counts }
+
 let rec handle t call =
   match call with
   | Wire.Pax2_stage1 { query; frags } ->
@@ -192,9 +214,13 @@ let rec handle t call =
         (List.mapi
            (fun i call ->
              match call with
-             | Wire.Calls _ -> invalid_arg "Site.handle: nested call list"
+             | Wire.Calls _ | Wire.Count _ ->
+                 invalid_arg "Site.handle: nested call wrapper"
              | call -> handle (sub t i) call)
            calls)
+  | Wire.Count (Wire.Calls _ | Wire.Count _) ->
+      invalid_arg "Site.handle: nested call wrapper"
+  | Wire.Count call -> counted (handle t call)
   | Wire.Ship { fids } ->
       Wire.Images (List.map (fun fid -> (fid, t.image fid)) fids)
   | Wire.Reach_stage1 _ ->

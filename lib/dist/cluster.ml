@@ -29,7 +29,6 @@ type t = {
   n_sites : int;
   frag_site : int array;
   site_frags : int list array;
-  mutable messages_rev : message list;
   visits : int array;
   (* Per-fragment hotness: how many round-participations listed each
      fragment (counted in [sites_holding], the single chokepoint every
@@ -102,7 +101,6 @@ let create_gen ?domains ?transport ~ft ~n_frags ~n_sites ~assign () =
     n_sites;
     frag_site;
     site_frags;
-    messages_rev = [];
     visits = Array.make n_sites 0;
     frag_touches = Array.make n_frag 0;
     epoch = 0;
@@ -239,6 +237,79 @@ let walk_fates t ~round ~label ~site =
   in
   go ~was_down:false ~replay:false 1 0
 
+let send t ~src ~dst ~kind ~bytes ~label =
+  if enabled t then begin
+    (* One logical message per send, whatever the fault plan does to its
+       delivery; the metrics mirror Trace's logical accounting. *)
+    let labels = [ ("kind", Trace.kind_name kind) ] in
+    Pax_obs.Sink.count t.sink ~labels "pax_messages_total";
+    Pax_obs.Sink.count t.sink ~labels ~by:(float_of_int bytes)
+      "pax_message_bytes_total"
+  end;
+  (* Sends belong to the round in flight, or else the one just run (0
+     before any). *)
+  let round = max 0 (t.round_no - 1) in
+  let site = match (dst, src) with Site s, _ | _, Site s -> s | _ -> -1 in
+  let rec go attempt =
+    let ctx =
+      {
+        Fault.m_src = src;
+        m_dst = dst;
+        m_kind = kind;
+        m_label = label;
+        m_round = round;
+        m_attempt = attempt;
+      }
+    in
+    let status =
+      match Fault.on_message t.fault ctx with
+      | Fault.Deliver -> Trace.Delivered
+      | Fault.Drop -> Trace.Dropped
+      | Fault.Duplicate -> Trace.Duplicated
+      | Fault.Delay s -> Trace.Delayed s
+    in
+    Trace.add t.trace
+      (Trace.Message { src; dst; kind; bytes; label; attempt; status });
+    match status with
+    | Trace.Delivered | Trace.Duplicated -> ()
+    | Trace.Delayed s -> t.backoff_seconds <- t.backoff_seconds +. s
+    | Trace.Dropped ->
+        retry_or_give_up t ~site ~round ~stage:label ~attempt
+          ~reason:("message dropped: " ^ label);
+        go (attempt + 1)
+  in
+  go 1
+
+(* What accounting charges for a section: its kind, or [None] for the
+   two kinds that travel uncharged — a call's [Vectors] (the
+   annotation-pruned initial vectors, docs/NETWORK.md) and a
+   [Frag_flat] image (Naive charges its fragments as [Tree_data] of
+   their printed size itself). *)
+let charged ~down : Pax_wire.Wire.section -> msg_kind option = function
+  | Query _ -> Some Query
+  | Vectors _ -> if down then None else Some Vectors
+  | Resolution _ -> Some Resolution
+  | Answers _ -> Some Answers
+  | Tree_data _ -> Some Tree_data
+  | Frag_flat _ -> None
+
+(* A round's traffic, derived from the wire: one logical message per
+   charged section of the site's call (coordinator to site), then of
+   its reply (site to coordinator). *)
+let account t ~site ~call ~reply =
+  let section ~src ~dst ~down label sec =
+    Option.iter
+      (fun kind ->
+        send t ~src ~dst ~kind ~bytes:(Pax_wire.Wire.section_bytes sec) ~label)
+      (charged ~down sec)
+  in
+  Pax_wire.Wire.call_sections
+    (section ~src:Coordinator ~dst:(Site site) ~down:true)
+    call;
+  Pax_wire.Wire.reply_sections
+    (section ~src:(Site site) ~dst:Coordinator ~down:false)
+    reply
+
 type 'a remote = {
   build : int -> Pax_wire.Wire.call;
   parse : int -> Pax_wire.Wire.reply -> 'a;
@@ -258,7 +329,10 @@ type 'a remote = {
    delivery failures come back through [retry], numbered after the
    site's simulated attempts so both share one budget — here the
    backoff is physically slept, since a restarting server needs the
-   wall-clock time. *)
+   wall-clock time.  Each site's call is built once and reused for
+   every delivery.  After the parse barrier, the round's traffic is
+   accounted from the calls and replies, on the calling thread, in
+   input site order. *)
 let deliver t r ~round ~label ~sites (rm : 'a remote) =
   let tr =
     match t.transport with
@@ -286,14 +360,14 @@ let deliver t r ~round ~label ~sites (rm : 'a remote) =
     retry_or_give_up t ~site ~round ~stage:label ~attempt ~reason;
     Unix.sleepf (Retry.delay_before t.retry ~attempt:(attempt + 1))
   in
-  let visit sites =
-    tr.Transport.visit_round ~round ~label ~retry
-      (List.map (fun site -> (site, rm.build site)) sites)
-  in
+  let calls = List.map (fun site -> (site, rm.build site)) sites in
+  let visit calls = tr.Transport.visit_round ~round ~label ~retry calls in
   List.iter
     (fun (site, _, secs) -> r.seconds.(site) <- r.seconds.(site) +. secs)
-    (List.concat_map (fun site -> visit [ site ]) lost);
-  let replies = Array.of_list (visit sites) in
+    (List.concat_map
+       (fun site -> visit [ (site, List.assoc site calls) ])
+       lost);
+  let replies = Array.of_list (visit calls) in
   let parsed =
     (* [Pool.map] re-raises the smallest failing index's exception
        after the barrier, so a decode failure is observed at the same
@@ -305,6 +379,11 @@ let deliver t r ~round ~label ~sites (rm : 'a remote) =
         replies
     else Array.map (fun (site, reply, _) -> rm.parse site reply) replies
   in
+  List.iteri
+    (fun i (site, call) ->
+      let _, reply, _ = replies.(i) in
+      account t ~site ~call ~reply)
+    calls;
   List.mapi
     (fun i (site, _, secs) ->
       r.seconds.(site) <- r.seconds.(site) +. secs;
@@ -392,54 +471,6 @@ let coord t ~label f =
   if enabled t then Pax_obs.Sink.record t.sink ~cat:"stage" label ~t0 ~t1;
   result
 
-let send t ~src ~dst ~kind ~bytes ~label =
-  if enabled t then begin
-    (* One logical message per send, whatever the fault plan does to its
-       delivery; the metrics mirror Trace's logical accounting. *)
-    let labels = [ ("kind", Trace.kind_name kind) ] in
-    Pax_obs.Sink.count t.sink ~labels "pax_messages_total";
-    Pax_obs.Sink.count t.sink ~labels ~by:(float_of_int bytes)
-      "pax_message_bytes_total"
-  end;
-  (* Sends belong to the round in flight, or else the one just run (0
-     before any). *)
-  let round = max 0 (t.round_no - 1) in
-  let site = match (dst, src) with Site s, _ | _, Site s -> s | _ -> -1 in
-  let m = { src; dst; kind; bytes; label } in
-  let rec go attempt =
-    let ctx =
-      {
-        Fault.m_src = src;
-        m_dst = dst;
-        m_kind = kind;
-        m_label = label;
-        m_round = round;
-        m_attempt = attempt;
-      }
-    in
-    let status =
-      match Fault.on_message t.fault ctx with
-      | Fault.Deliver -> Trace.Delivered
-      | Fault.Drop -> Trace.Dropped
-      | Fault.Duplicate -> Trace.Duplicated
-      | Fault.Delay s -> Trace.Delayed s
-    in
-    t.messages_rev <- m :: t.messages_rev;
-    Trace.add t.trace
-      (Trace.Message { src; dst; kind; bytes; label; attempt; status });
-    match status with
-    | Trace.Delivered -> ()
-    | Trace.Duplicated ->
-        (* The spurious copy also crossed the wire. *)
-        t.messages_rev <- m :: t.messages_rev
-    | Trace.Delayed s -> t.backoff_seconds <- t.backoff_seconds +. s
-    | Trace.Dropped ->
-        retry_or_give_up t ~site ~round ~stage:label ~attempt
-          ~reason:("message dropped: " ^ label);
-        go (attempt + 1)
-  in
-  go 1
-
 let add_ops t ~site n =
   if site < 0 then t.coord_ops <- t.coord_ops + n
   else
@@ -451,7 +482,6 @@ let add_ops t ~site n =
 
 let reset ?(handler = no_handler) t =
   t.handler <- handler;
-  t.messages_rev <- [];
   Array.fill t.visits 0 t.n_sites 0;
   Array.fill t.frag_touches 0 t.n_frags 0;
   t.rounds_rev <- [];
@@ -468,6 +498,18 @@ let reset ?(handler = no_handler) t =
       tr.Transport.reset_run ();
       t.net_base <- tr.Transport.stats ()
   | None -> ()
+
+(* The one traffic ledger is the trace: one message per copy that
+   crossed the wire, as [Trace.physical_messages] counts them (a
+   duplicated delivery put a spurious second copy on it). *)
+let messages t =
+  List.concat_map
+    (function
+      | Trace.Message { src; dst; kind; bytes; label; status; _ } ->
+          let m = { src; dst; kind; bytes; label } in
+          if status = Trace.Duplicated then [ m; m ] else [ m ]
+      | _ -> [])
+    (Trace.events t.trace)
 
 type report = {
   parallel_seconds : float;
@@ -505,6 +547,7 @@ let report t =
   let total_ops =
     List.fold_left (fun acc r -> acc + isum r.ops) t.coord_ops rounds
   in
+  let messages = messages t in
   let control_bytes, answer_bytes, tree_bytes =
     List.fold_left
       (fun (c, d, f) m ->
@@ -512,14 +555,14 @@ let report t =
         | Answers -> (c, d + m.bytes, f)
         | Tree_data -> (c, d, f + m.bytes)
         | Query | Vectors | Resolution -> (c + m.bytes, d, f))
-      (0, 0, 0) t.messages_rev
+      (0, 0, 0) messages
   in
   (* LAN-like wire model: 0.1 ms per message plus 100 MB/s, plus any
      simulated retry backoff and injected delays. *)
   let net_seconds =
     List.fold_left
       (fun acc m -> acc +. 0.0001 +. (float_of_int m.bytes /. 100_000_000.))
-      t.backoff_seconds t.messages_rev
+      t.backoff_seconds messages
   in
   {
     parallel_seconds;
@@ -534,15 +577,13 @@ let report t =
     control_bytes;
     answer_bytes;
     tree_bytes;
-    n_messages = List.length t.messages_rev;
+    n_messages = List.length messages;
     net_seconds;
     measured_bytes =
       Option.map
         (fun (s : Transport.stats) -> s.sent_bytes + s.received_bytes)
         (net_stats t);
   }
-
-let messages t = List.rev t.messages_rev
 
 let pp_report ppf r =
   Format.fprintf ppf

@@ -15,7 +15,10 @@
       1 for ParBoX);
     - {b network traffic} — bytes per message, split into control
       traffic (queries, partial-answer vectors, resolutions) and data
-      traffic (shipped answer elements);
+      traffic (shipped answer elements).  {!run_round} derives a
+      round's messages from the sections of its calls and replies, so
+      an engine describes a round once, and both backends account the
+      same bytes by construction;
     - {b computation} — per-site wall-clock spans and abstract operation
       counts; {e parallel cost} is the per-round maximum over sites
       (plus coordinator work), {e total cost} the sum over sites.
@@ -49,8 +52,8 @@
     the paper's parallel-cost bound [O(|Q| · max_site |F_site|)] becomes
     physical wall-clock, not just accounting.  No effect of a round runs
     inside a pooled task: fate walks, and so trace events and retries,
-    happen on the calling thread before any delivery, and {!send} is
-    called only by the coordinator.  Answers, visit counts, traces and
+    happen on the calling thread before any delivery, and a round's
+    messages are accounted on the calling thread after the parse.  Answers, visit counts, traces and
     all deterministic report fields are therefore identical to a
     [domains:1] run — under an installed fault plan too, since a plan
     is a pure function of (site, round, attempt) and of the message
@@ -259,18 +262,30 @@ type 'a remote = {
 
     Under an installed fault plan each visit may take several delivery
     attempts (see {!Site_unreachable}); the per-site visit counter is
-    charged once per (site, round) regardless, and each site's reply is
-    parsed once.  Visit counts, trace events and accounted messages are
-    identical across backends.  A handler's exception propagates from
-    the first failing site in input order. *)
+    charged once per (site, round) regardless, each site's call is
+    built once, and each site's reply is parsed once.  A handler's
+    exception propagates from the first failing site in input order.
+
+    {b Traffic.}  After the parse, the round's messages are {!send}s
+    derived from the wire ({!Pax_wire.Wire.call_sections},
+    {!Pax_wire.Wire.reply_sections}): site by site in input order, one
+    message per section of the site's call (coordinator to site), then
+    one per section of its reply (site to coordinator), labelled and
+    sized as the walker gives them.  Two kinds travel uncharged: a
+    call's [Vectors] (the annotation-pruned initial vectors) and
+    [Frag_flat] images (Naive sends its fragments' [Tree_data] itself).
+    Visit counts, trace events and accounted messages are therefore
+    identical across backends. *)
 val run_round : t -> label:string -> sites:int list -> 'a remote -> (int * 'a) list
 
 (** [coord t ~label f] runs coordinator-side work (e.g. [evalFT]),
     accounted in both parallel and total cost. *)
 val coord : t -> label:string -> (unit -> 'a) -> 'a
 
-(** [send t ~src ~dst ~kind ~bytes ~label] records a message.  Under a
-    fault plan the transmission may be dropped (and retried, each
+(** [send t ~src ~dst ~kind ~bytes ~label] records a message that no
+    round section describes (NaiveCentralized's fragments, charged at
+    their printed size; {!run_round} accounts everything else).  Under
+    a fault plan the transmission may be dropped (and retried, each
     physical copy recorded), duplicated or delayed. *)
 val send :
   t -> src:endpoint -> dst:endpoint -> kind:msg_kind -> bytes:int ->
@@ -313,6 +328,12 @@ type report = {
           transport is installed; [None] for in-process runs *)
 }
 
+(** The report's traffic fields fold over the trace's [Message] events,
+    the one ledger: every transmission counts, and a duplicated
+    delivery counts twice, as in {!Trace.physical_messages}. *)
 val report : t -> report
+
+(** Every transmission of the run, in order: a view of the trace's
+    [Message] events (a duplicated delivery appears twice). *)
 val messages : t -> message list
 val pp_report : Format.formatter -> report -> unit

@@ -69,22 +69,6 @@ let eval g cl q =
     }
   in
   ignore (Cluster.run_round cl ~label:"reach:stage1" ~sites remote);
-  (* Accounted traffic, coordinator-side as in pax3: the query down to
-     each visited site, one residual vector up per fragment. *)
-  List.iter
-    (fun site ->
-      Cluster.send cl ~src:Cluster.Coordinator ~dst:(Cluster.Site site)
-        ~kind:Cluster.Query
-        ~bytes:(Wire.query_section_bytes q.rq_source)
-        ~label:"reach:query")
-    sites;
-  List.iter
-    (fun fid ->
-      Cluster.send cl ~src:(Cluster.Site (Cluster.site_of cl fid))
-        ~dst:Cluster.Coordinator ~kind:Cluster.Vectors
-        ~bytes:(Wire.vectors_section_bytes fvecs.(fid))
-        ~label:"reach:vectors")
-    fids;
   let answer =
     Cluster.coord cl ~label:"reach:fixpoint" (fun () ->
         (* Global index over vector slots: entries first, then the

@@ -179,6 +179,7 @@ let rec call_frags = function
   | Wire.Reach_stage1 { fids; _ } ->
       List.map (fun fid -> (Wire.Graph_frag, fid)) fids
   | Wire.Calls calls -> List.concat_map call_frags calls
+  | Wire.Count call -> call_frags call
   | Wire.Ship { fids } -> List.map (fun fid -> (Wire.Tree_frag, fid)) fids
 
 let stale_frag t ~epoch call =

@@ -63,6 +63,7 @@ type call =
   | Pax3_stage3 of { frags : (int * bool array) list }
   | Reach_stage1 of { query : string; fids : int list }
   | Calls of call list
+  | Count of call
   | Ship of { fids : int list }
 
 type frag_result = {
@@ -78,6 +79,7 @@ type reply =
   | Frag_results of frag_result list
   | Final_answers of { answers : answer list; ops : int }
   | Replies of reply list
+  | Counted of { reply : reply; counts : int list }
   | Images of (int * Pax_xml.Flat.t) list
 
 type frag_kind = Tree_frag | Graph_frag
@@ -257,8 +259,7 @@ let section_kind = function
   | Tree_data _ -> k_tree
   | Frag_flat _ -> k_flat
 
-(* A section costs exactly 4 + payload bytes: kind byte + u24 length,
-   matching the "+4 header" of the Measure model. *)
+(* A section costs exactly 4 + payload bytes: kind byte + u24 length. *)
 let add_section buf sec =
   let payload = section_payload sec in
   let n = String.length payload in
@@ -330,13 +331,16 @@ let expect_answers s ~pos =
   | Answers a, pos -> (a, pos)
   | _ -> fail "expected an answers section"
 
-let section_bytes sec = 4 + String.length (section_payload sec)
-let query_section_bytes q = 4 + String.length q
-let vectors_section_bytes fs = 4 + Codec.formula_array_bytes fs
-let resolution_section_bytes bs = 4 + Codec.bool_array_bytes bs
-
-let answers_section_bytes nodes =
-  4 + answers_payload_bytes (List.map answer_of_node nodes)
+(* Sized from the payload's own size function, never by encoding it. *)
+let section_bytes sec =
+  4
+  +
+  match sec with
+  | Query s | Tree_data s -> String.length s
+  | Vectors fs -> Codec.formula_array_bytes fs
+  | Resolution bs -> Codec.bool_array_bytes bs
+  | Answers answers -> answers_payload_bytes answers
+  | Frag_flat fl -> Pax_xml.Flat.encoded_bytes fl
 
 let tree_to_section n = Tree_data (Pax_xml.Printer.to_string n)
 
@@ -370,6 +374,7 @@ let c_pax3_stage3 = 5
 let c_reach_stage1 = 6
 let c_calls = 7
 let c_ship = 8
+let c_count = 9
 
 let add_counted buf xs add =
   add_varint buf (List.length xs);
@@ -448,12 +453,15 @@ let rec add_call buf = function
   | Calls calls ->
       add_u8 buf c_calls;
       add_counted buf calls add_call
+  | Count call ->
+      add_u8 buf c_count;
+      add_call buf call
   | Ship { fids } ->
       add_u8 buf c_ship;
       add_counted buf fids (fun buf fid -> add_varint buf fid)
 
-(* A [Calls] list holds plain calls only: a frame cannot nest them, so
-   a hostile one cannot make the decoder recurse. *)
+(* [Calls] and [Count] wrap plain calls only: a frame cannot nest
+   wrappers, so a hostile one cannot make the decoder recurse. *)
 let rec get_call ?(nested = false) s ~pos =
   let tag, pos = get_u8 s ~pos in
   if tag = c_pax2_stage1 then
@@ -499,6 +507,11 @@ let rec get_call ?(nested = false) s ~pos =
     else
       let calls, pos = get_counted s ~pos (get_call ~nested:true) in
       (Calls calls, pos)
+  else if tag = c_count then
+    if nested then fail "nested count call"
+    else
+      let call, pos = get_call ~nested:true s ~pos in
+      (Count call, pos)
   else if tag = c_ship then
     let fids, pos = get_counted s ~pos (fun s ~pos -> get_varint s ~pos) in
     (Ship { fids }, pos)
@@ -512,6 +525,7 @@ let r_frag_results = 1
 let r_final = 2
 let r_replies = 3
 let r_images = 4
+let r_counted = 5
 
 let add_frag_result buf fr =
   add_varint buf fr.fr_fid;
@@ -563,6 +577,10 @@ let rec add_reply buf = function
   | Replies replies ->
       add_u8 buf r_replies;
       add_counted buf replies add_reply
+  | Counted { reply; counts } ->
+      add_u8 buf r_counted;
+      add_reply buf reply;
+      add_counted buf counts add_varint
   | Images images ->
       add_u8 buf r_images;
       add_counted buf images (fun buf (fid, fl) ->
@@ -585,6 +603,12 @@ let rec get_reply ?(nested = false) s ~pos =
     else
       let replies, pos = get_counted s ~pos (get_reply ~nested:true) in
       (Replies replies, pos)
+  else if tag = r_counted then
+    if nested then fail "nested counted reply"
+    else
+      let reply, pos = get_reply ~nested:true s ~pos in
+      let counts, pos = get_counted s ~pos (fun s ~pos -> get_varint s ~pos) in
+      (Counted { reply; counts }, pos)
   else if tag = r_images then
     let images, pos =
       get_counted s ~pos (fun s ~pos ->
@@ -1032,78 +1056,94 @@ let decode_corr s = Result.join (Result.map decode_payload_corr (decode_frame s)
 (* accounting                                                         *)
 (* ------------------------------------------------------------------ *)
 
-type tally = { sections : int; section_bytes : int; frag_entries : int }
+(* [lbl "QV" 3] is "QV(F3)". *)
+let lbl name fid = name ^ "(F" ^ string_of_int fid ^ ")"
 
-let empty_tally = { sections = 0; section_bytes = 0; frag_entries = 0 }
+let walk_init ~sec fe =
+  Option.iter (fun init -> sec (lbl "init" fe.fe_fid) (Vectors init)) fe.fe_init
 
-let t_add t sec =
-  {
-    t with
-    sections = t.sections + 1;
-    section_bytes = t.section_bytes + section_bytes sec;
-  }
+let walk_subs ~sec subs =
+  List.iter (fun (sub, bs) -> sec (lbl "QV*" sub) (Resolution bs)) subs
 
-let t_frag t = { t with frag_entries = t.frag_entries + 1 }
-
-let tally_subs t subs =
-  List.fold_left (fun t (_, bs) -> t_add t (Resolution bs)) t subs
-
-let rec tally_call t = function
+(* The one walk over a call's or reply's sections, in wire order, with
+   the label accounting gives each: [frag] once per fragment entry,
+   [sec label section] once per section. *)
+let rec walk_call ~frag ~sec = function
   | Pax2_stage1 { query; frags } ->
-      List.fold_left
-        (fun t fe ->
-          let t = t_frag t in
-          match fe.fe_init with
-          | Some init -> t_add t (Vectors init)
-          | None -> t)
-        (t_add t (Query query))
+      sec "Q" (Query query);
+      List.iter
+        (fun fe ->
+          frag ();
+          walk_init ~sec fe)
         frags
   | Pax2_stage2 { frags } ->
-      List.fold_left
-        (fun t (_, ctx, subs) ->
-          tally_subs (t_add (t_frag t) (Resolution ctx)) subs)
-        t frags
+      List.iter
+        (fun (fid, ctx, subs) ->
+          frag ();
+          sec (lbl "SV*" fid) (Resolution ctx);
+          walk_subs ~sec subs)
+        frags
   | Pax3_stage1 { query; fids } | Reach_stage1 { query; fids } ->
-      List.fold_left (fun t _ -> t_frag t) (t_add t (Query query)) fids
+      sec "Q" (Query query);
+      List.iter (fun _ -> frag ()) fids
   | Pax3_stage2 { query; frags } ->
-      List.fold_left
-        (fun t (fe, subs) ->
-          let t = t_frag t in
-          let t =
-            match fe.fe_init with Some init -> t_add t (Vectors init) | None -> t
-          in
-          tally_subs t subs)
-        (t_add t (Query query))
+      sec "Q" (Query query);
+      List.iter
+        (fun (fe, subs) ->
+          frag ();
+          walk_init ~sec fe;
+          walk_subs ~sec subs)
         frags
   | Pax3_stage3 { frags } ->
-      List.fold_left
-        (fun t (_, ctx) -> t_add (t_frag t) (Resolution ctx))
-        t frags
-  | Calls calls -> List.fold_left tally_call t calls
-  | Ship { fids } -> List.fold_left (fun t _ -> t_frag t) t fids
+      List.iter
+        (fun (fid, ctx) ->
+          frag ();
+          sec (lbl "SV*" fid) (Resolution ctx))
+        frags
+  | Calls calls -> List.iter (walk_call ~frag ~sec) calls
+  | Count call -> walk_call ~frag ~sec call
+  | Ship { fids } -> List.iter (fun _ -> frag ()) fids
 
-let rec tally_reply t = function
+let rec walk_reply ~frag ~sec = function
   | Frag_results frs ->
-      List.fold_left
-        (fun t fr ->
-          let t = t_frag t in
-          let t =
-            match fr.fr_vec with Some vec -> t_add t (Vectors vec) | None -> t
-          in
-          let t =
-            List.fold_left (fun t (_, vec) -> t_add t (Vectors vec)) t fr.fr_ctxs
-          in
-          if fr.fr_answers <> [] then t_add t (Answers fr.fr_answers) else t)
-        t frs
+      List.iter
+        (fun fr ->
+          frag ();
+          Option.iter
+            (fun vec -> sec (lbl "QV" fr.fr_fid) (Vectors vec))
+            fr.fr_vec;
+          List.iter
+            (fun (sub, vec) -> sec (lbl "SV" sub) (Vectors vec))
+            fr.fr_ctxs;
+          if fr.fr_answers <> [] then
+            sec (lbl "ans" fr.fr_fid) (Answers fr.fr_answers))
+        frs
   | Final_answers { answers; ops = _ } ->
-      if answers <> [] then t_add t (Answers answers) else t
-  | Replies replies -> List.fold_left tally_reply t replies
+      if answers <> [] then sec "ans" (Answers answers)
+  | Replies replies -> List.iter (walk_reply ~frag ~sec) replies
+  | Counted { reply; counts = _ } -> walk_reply ~frag ~sec reply
   | Images images ->
-      List.fold_left (fun t (_, fl) -> t_add (t_frag t) (Frag_flat fl)) t images
+      List.iter
+        (fun (fid, fl) ->
+          frag ();
+          sec ("F" ^ string_of_int fid) (Frag_flat fl))
+        images
 
-let tally = function
-  | Visit_request { call; _ } -> tally_call empty_tally call
-  | Visit_reply { reply = Ok r; _ } -> tally_reply empty_tally r
+let call_sections f call = walk_call ~frag:ignore ~sec:f call
+let reply_sections f reply = walk_reply ~frag:ignore ~sec:f reply
+
+type tally = { sections : int; section_bytes : int; frag_entries : int }
+
+let tally msg =
+  let sections = ref 0 and bytes = ref 0 and frags = ref 0 in
+  let frag () = incr frags in
+  let sec _ s =
+    incr sections;
+    bytes := !bytes + section_bytes s
+  in
+  (match msg with
+  | Visit_request { call; _ } -> walk_call ~frag ~sec call
+  | Visit_reply { reply = Ok r; _ } -> walk_reply ~frag ~sec r
   | Visit_reply { reply = Error _; _ }
   | Ping | Pong | Shutdown
   (* Run_done is session control (server-side state eviction); like
@@ -1113,17 +1153,18 @@ let tally = function
   (* Stats and span-harvest traffic is telemetry, not query
      evaluation: it carries no sections and is excluded from accounted
      traffic entirely. *)
-  | Stats_request | Stats_reply _ | Spans_fetch | Spans_reply _ -> empty_tally
+  | Stats_request | Stats_reply _ | Spans_fetch | Spans_reply _
   (* Migration traffic is control plane, not query evaluation: a
      fragment image crossing the wire belongs to no run, so it never
      enters per-query guarantee accounting.  The admin byte volume is
      surfaced through pax_obs counters instead (docs/SHARDING.md). *)
   | Frag_fetch _ | Frag_image _ | Frag_install _ | Frag_retire _
-  | Admin_reply _ -> empty_tally
+  | Admin_reply _
   (* Cache-coherence traffic is likewise control plane: generation
      vectors belong to no run, so they never enter per-query guarantee
      accounting (docs/SERVING.md). *)
-  | Gen_publish _ | Gen_event _ | Gen_fetch _ | Gen_reply _ -> empty_tally
+  | Gen_publish _ | Gen_event _ | Gen_fetch _ | Gen_reply _ -> ());
+  { sections = !sections; section_bytes = !bytes; frag_entries = !frags }
 
 (* Worst-case structure bytes (docs/NETWORK.md derives these): frame
    header + version + correlation id + tags + envelope varints and

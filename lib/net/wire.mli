@@ -9,9 +9,10 @@
     uncorrelated.  Inside bodies, every quantity the simulator's
     cost model charges for travels as a {e section}: a kind byte (one
     per {!Pax_dist.Cluster.msg_kind}), a [u24] payload length and the
-    payload — exactly [4 + payload] bytes, the same "+4 header" the
-    {!Pax_dist.Measure} model uses, so summed section bytes of a run
-    equal its accounted traffic to the byte.  All remaining bytes
+    payload — exactly [4 + payload] bytes.  The cluster accounts a
+    round's traffic from the sections of its calls and replies
+    ({!call_sections}, {!reply_sections}), so summed section bytes of a
+    run equal its accounted traffic to the byte.  All remaining bytes
     (frame header, envelope fields, per-fragment structure) are
     {e framing overhead}, bounded by {!frame_overhead},
     {!frag_overhead} and {!section_overhead}.
@@ -69,13 +70,10 @@ type section =
           one per fragment; no other engine stage ships one. *)
 
 (** Serialized size of a section including its 4-byte header — the
-    byte count {!Pax_dist.Measure} charges. *)
+    byte count accounting charges.  Computed from the payload's size
+    function ({!Pax_bool.Codec.formula_array_bytes},
+    {!Pax_xml.Flat.encoded_bytes}, …), never by encoding it. *)
 val section_bytes : section -> int
-
-val query_section_bytes : string -> int
-val vectors_section_bytes : Formula.t array -> int
-val resolution_section_bytes : bool array -> int
-val answers_section_bytes : Tree.node list -> int
 
 (** Print / parse a subtree for [Tree_data] sections (node ids are
     reassigned on parse, as with {!Pax_frag.Store} round trips). *)
@@ -121,8 +119,12 @@ type call =
   | Calls of call list
       (** several calls answered in one visit, element [i] against the
           site's [i]-th per-query state (Batch: one call per query);
-          the reply is [Replies] in the same order.  A [Calls] inside
-          a [Calls] is [Corrupt] *)
+          the reply is [Replies] in the same order *)
+  | Count of call
+      (** the wrapped call, answered with its answer elements counted,
+          not shipped (Count): the reply is [Counted].  [Calls] and
+          [Count] are wrappers, and a wrapper inside a wrapper is
+          [Corrupt] *)
   | Ship of { fids : int list }
       (** ship the listed fragments whole (NaiveCentralized); the reply
           is [Images] *)
@@ -143,6 +145,10 @@ type reply =
   | Frag_results of frag_result list
   | Final_answers of { answers : answer list; ops : int }
   | Replies of reply list  (** a [Calls] call's replies, in order *)
+  | Counted of { reply : reply; counts : int list }
+      (** a [Count] call's reply: the wrapped call's reply with every
+          answer list emptied, and the lengths of those lists in wire
+          order.  The counts ride as framing, like [fr_cands] *)
   | Images of (int * Pax_xml.Flat.t) list
       (** a [Ship] call's fragments, each as a [Frag_flat] section *)
 
@@ -307,8 +313,22 @@ val decode_payload_corr : string -> (int * msg, error) result
 
 (** {1 Accounting}
 
-    [tally] splits a message into accounted section bytes and counts
-    of the structures that generate framing overhead. *)
+    One walk over a call's or a reply's sections, in wire order, with
+    the label accounting gives each: ["Q"] for the query,
+    ["QV(F<fid>)"] for a fragment's root qualifier vector,
+    ["SV(F<sub>)"] for a context vector, ["ans(F<fid>)"] for a
+    fragment's answers and ["ans"] for [Final_answers]'s,
+    ["SV*(F<fid>)"] and ["QV*(F<sub>)"] for unified context and
+    qualifier values, ["init(F<fid>)"] for a shipped initial vector and
+    ["F<fid>"] for a flat image.  Wrappers ([Calls], [Count],
+    [Replies], [Counted]) yield their elements' sections. *)
+
+val call_sections : (string -> section -> unit) -> call -> unit
+val reply_sections : (string -> section -> unit) -> reply -> unit
+
+(** [tally] splits a message into accounted section bytes and counts
+    of the structures that generate framing overhead; it walks the same
+    sections. *)
 
 type tally = { sections : int; section_bytes : int; frag_entries : int }
 

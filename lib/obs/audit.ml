@@ -19,7 +19,7 @@
    Units: |Q| is the compiled query's entry count (selection +
    qualifier vectors) — the quantity both engines' per-node work is
    linear in; |FT| is the number of fragments; |T| is the document
-   node count; byte bounds use the accounted (Measure) sizes that the
+   node count; byte bounds use the accounted (wire section) sizes that the
    wire codec reproduces exactly. *)
 
 type input = {
@@ -29,8 +29,8 @@ type input = {
   q_entries : int; (* |Q|: n_sel + n_qual *)
   ft_size : int; (* |FT|: number of fragments *)
   t_size : int; (* |T|: document node count *)
-  control_bytes : int; (* logical non-answer traffic (Measure bytes) *)
-  answer_bytes : int; (* logical answer traffic (Measure bytes) *)
+  control_bytes : int; (* logical non-answer traffic (section bytes) *)
+  answer_bytes : int; (* logical answer traffic (section bytes) *)
   total_ops : int; (* coordinator + site ops *)
 }
 

@@ -16,8 +16,8 @@ type input = {
   q_entries : int;  (** |Q|: compiled selection + qualifier entries *)
   ft_size : int;  (** |FT|: number of fragments *)
   t_size : int;  (** |T|: document node count *)
-  control_bytes : int;  (** logical non-answer traffic, Measure bytes *)
-  answer_bytes : int;  (** logical answer traffic, Measure bytes *)
+  control_bytes : int;  (** logical non-answer traffic, section bytes *)
+  answer_bytes : int;  (** logical answer traffic, section bytes *)
   total_ops : int;  (** coordinator + site operations *)
 }
 

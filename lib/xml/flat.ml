@@ -314,17 +314,32 @@ let add_col b arr n =
     add_i32 b arr.(i)
   done
 
-let encode t =
-  let b = Buffer.create (64 * t.n) in
-  (* dictionary: every code that appears in tag or attr_key columns *)
+(* The dictionary: every code that appears in the tag or attr_key
+   columns, ascending. *)
+let used_codes t ~n_attrs =
   let used = Hashtbl.create 64 in
   Array.iter (fun c -> Hashtbl.replace used c ()) t.tag;
-  for j = 0 to t.attr_start.(t.n - 1) + t.attr_count.(t.n - 1) - 1 do
+  for j = 0 to n_attrs - 1 do
     Hashtbl.replace used t.attr_key.(j) ()
   done;
-  let codes = List.sort compare (Hashtbl.fold (fun c () l -> c :: l) used []) in
+  List.sort compare (Hashtbl.fold (fun c () l -> c :: l) used [])
+
+let n_attrs t = t.attr_start.(t.n - 1) + t.attr_count.(t.n - 1)
+
+(* Header, dictionary entries, 11 node columns, 3 attribute columns and
+   the byte buffer, as [encode] writes them. *)
+let encoded_bytes t =
+  let n_attrs = n_attrs t in
+  List.fold_left
+    (fun acc c -> acc + 8 + String.length (Intern.name t.intern c))
+    (16 + (4 * ((11 * t.n) + (3 * n_attrs))) + Bytes.length t.buf)
+    (used_codes t ~n_attrs)
+
+let encode t =
+  let b = Buffer.create (64 * t.n) in
+  let n_attrs = n_attrs t in
+  let codes = used_codes t ~n_attrs in
   add_i32 b t.n;
-  let n_attrs = t.attr_start.(t.n - 1) + t.attr_count.(t.n - 1) in
   add_i32 b n_attrs;
   add_i32 b (List.length codes);
   add_i32 b (Bytes.length t.buf);

@@ -103,4 +103,8 @@ val find_index : t -> int -> int option
 
 val encode : t -> string
 
+(** [String.length (encode t)], computed from the columns without
+    encoding. *)
+val encoded_bytes : t -> int
+
 val decode : ?intern:Intern.t -> string -> t option

@@ -62,7 +62,7 @@ let check_engine ~fault ~delay ~expected name run bound cl q =
           (String.concat ";"
              (List.map string_of_int r.Run_result.answer_ids))
       else begin
-        let tr = Run_result.trace_exn r in
+        let tr = r.Run_result.trace in
         if Trace.max_logical_visits tr > bound then
           QCheck.Test.fail_reportf "%s: %d logical visits > %d" name
             (Trace.max_logical_visits tr)
@@ -214,7 +214,7 @@ let net_obs cl (r : Run_result.t) =
     report.Cluster.total_ops,
     report.Cluster.control_bytes + report.Cluster.answer_bytes
     + report.Cluster.tree_bytes,
-    Option.map Trace.events r.Run_result.trace,
+    Trace.events r.Run_result.trace,
     Cluster.messages cl )
 
 let test_socket_domains () =

@@ -4,7 +4,7 @@
 module Tree = Pax_xml.Tree
 module Fragment = Pax_frag.Fragment
 module Cluster = Pax_dist.Cluster
-module Measure = Pax_dist.Measure
+module Wire = Pax_wire.Wire
 module H = Test_helpers
 
 let ft =
@@ -83,18 +83,144 @@ let test_reset () =
   Alcotest.(check int) "no messages" 0 r.Cluster.n_messages;
   Alcotest.(check (list string)) "no rounds" [] r.Cluster.rounds
 
+(* The section sizes accounting charges. *)
 let test_measures () =
-  let q = Pax_xpath.Query.of_string "a/b[c]/d" in
+  let query s = Wire.section_bytes (Wire.Query s) in
   Alcotest.(check bool) "query bytes grow with |Q|" true
-    (Measure.query q < Measure.query (Pax_xpath.Query.of_string "a/b[c and d/e]/f//g"));
+    (query "a/b[c]/d" < query "a/b[c and d/e]/f//g");
   let open Pax_bool in
   Alcotest.(check bool) "formula vector bytes" true
-    (Measure.formula_array [| Formula.true_; Formula.var (Var.Qual (1, 2)) |] > 0);
+    (Wire.section_bytes
+       (Wire.Vectors [| Formula.true_; Formula.var (Var.Qual (1, 2)) |])
+    > 0);
   Alcotest.(check int) "bool array bytes: header + varint + 2 bytes" 7
-    (Measure.bool_array (Array.make 16 true));
+    (Wire.section_bytes (Wire.Resolution (Array.make 16 true)));
   let b = Tree.builder () in
   Alcotest.(check bool) "answers bytes" true
-    (Measure.answers [ Tree.leaf b "x" "hello" ] > 8)
+    (Wire.section_bytes
+       (Wire.Answers [ Wire.answer_of_node (Tree.leaf b "x" "hello") ])
+    > 8)
+
+(* Accounted traffic, pinned: engine x query -> control, answer and tree
+   bytes of the report, and the run's logical messages per kind (query,
+   vectors, resolution, answers, tree data).  XPath engines run on the
+   paper's clientele placement; reachability on a small 3-fragment graph
+   over 2 sites.  A change to how traffic is accounted must leave every
+   row as it is. *)
+let golden_traffic =
+  [
+    ("pax2", "//stock/code", 120, 79, 0, [ 4; 4; 3; 3; 0 ]);
+    ("pax2-xa", "//stock/code", 100, 84, 0, [ 4; 4; 0; 4; 0 ]);
+    ("pax3", "//stock/code", 120, 79, 0, [ 4; 4; 3; 3; 0 ]);
+    ("pax3-xa", "//stock/code", 100, 84, 0, [ 4; 4; 0; 4; 0 ]);
+    ("naive", "//stock/code", 0, 0, 424, [ 0; 0; 0; 0; 4 ]);
+    ("pax2", "client[country/text() = \"US\"]//stock/qt", 282, 46, 0, [ 4; 9; 3; 2; 0 ]);
+    ("pax2-xa", "client[country/text() = \"US\"]//stock/qt", 282, 46, 0, [ 4; 9; 3; 2; 0 ]);
+    ("pax3", "client[country/text() = \"US\"]//stock/qt", 474, 46, 0, [ 8; 9; 7; 2; 0 ]);
+    ("pax3-xa", "client[country/text() = \"US\"]//stock/qt", 474, 46, 0, [ 8; 9; 7; 2; 0 ]);
+    ("naive", "client[country/text() = \"US\"]//stock/qt", 0, 0, 424, [ 0; 0; 0; 0; 4 ]);
+    ("pax2", "//broker[//stock/code/text() = \"GOOG\"]/name", 409, 58, 0, [ 4; 9; 7; 3; 0 ]);
+    ("pax2-xa", "//broker[//stock/code/text() = \"GOOG\"]/name", 394, 58, 0, [ 4; 9; 6; 3; 0 ]);
+    ("pax3", "//broker[//stock/code/text() = \"GOOG\"]/name", 574, 58, 0, [ 8; 9; 6; 3; 0 ]);
+    ("pax3-xa", "//broker[//stock/code/text() = \"GOOG\"]/name", 556, 58, 0, [ 8; 9; 4; 3; 0 ]);
+    ("naive", "//broker[//stock/code/text() = \"GOOG\"]/name", 0, 0, 424, [ 0; 0; 0; 0; 4 ]);
+    ("pax2", "client/name", 92, 43, 0, [ 4; 4; 0; 1; 0 ]);
+    ("pax2-xa", "client/name", 39, 43, 0, [ 1; 3; 0; 1; 0 ]);
+    ("pax3", "client/name", 92, 43, 0, [ 4; 4; 0; 1; 0 ]);
+    ("pax3-xa", "client/name", 39, 43, 0, [ 1; 3; 0; 1; 0 ]);
+    ("naive", "client/name", 0, 0, 424, [ 0; 0; 0; 0; 4 ]);
+    ("pax2", "//*", 93, 522, 0, [ 4; 4; 5; 4; 0 ]);
+    ("pax2-xa", "//*", 60, 527, 0, [ 4; 4; 0; 5; 0 ]);
+    ("pax3", "//*", 88, 522, 0, [ 4; 4; 4; 4; 0 ]);
+    ("pax3-xa", "//*", 60, 527, 0, [ 4; 4; 0; 5; 0 ]);
+    ("naive", "//*", 0, 0, 424, [ 0; 0; 0; 0; 4 ]);
+    ("pax2", "//nothing", 86, 0, 0, [ 4; 4; 0; 0; 0 ]);
+    ("pax2-xa", "//nothing", 84, 0, 0, [ 4; 4; 0; 0; 0 ]);
+    ("pax3", "//nothing", 86, 0, 0, [ 4; 4; 0; 0; 0 ]);
+    ("pax3-xa", "//nothing", 84, 0, 0, [ 4; 4; 0; 0; 0 ]);
+    ("naive", "//nothing", 0, 0, 424, [ 0; 0; 0; 0; 4 ]);
+    ("parbox", "//stock/code/text() = \"GOOG\"", 260, 0, 0, [ 4; 5; 0; 0; 0 ]);
+    ("parbox", "client[country/text() = \"US\"]", 205, 0, 0, [ 4; 5; 0; 0; 0 ]);
+    ("parbox", "//nothing", 167, 0, 0, [ 4; 5; 0; 0; 0 ]);
+    (* One batch of every query of the pax2 rows. *)
+    ("batch", "*", 1082, 748, 0, [ 24; 34; 18; 13; 0 ]);
+    ("batch-xa", "*", 1004, 758, 0, [ 24; 33; 9; 15; 0 ]);
+    ("reach", "reach 0 5", 59, 0, 0, [ 2; 3; 0; 0; 0 ]);
+    ("reach", "reach 4 7", 59, 0, 0, [ 2; 3; 0; 0; 0 ]);
+    ("reach", "reach 5 0", 62, 0, 0, [ 2; 3; 0; 0; 0 ]);
+  ]
+
+let logical_per_kind cl =
+  List.map
+    (fun k ->
+      List.length
+        (List.filter
+           (function
+             | Pax_dist.Trace.Message m -> m.attempt = 1 && m.kind = k
+             | _ -> false)
+           (Pax_dist.Trace.events (Cluster.trace cl))))
+    [ Cluster.Query; Vectors; Resolution; Answers; Tree_data ]
+
+let golden_graph =
+  Pax_graph.Gfrag.partition ~n:8
+    ~edges:
+      [ (0, 1); (1, 2); (2, 3); (3, 4); (4, 5); (5, 2); (6, 7); (7, 0); (3, 6) ]
+    ~owner:[| 0; 0; 1; 1; 2; 2; 0; 1 |]
+
+let run_golden engine q =
+  let xpath () = H.Data.clientele_cluster (H.Data.clientele ()) in
+  let of_result cl (r : Pax_core.Run_result.t) =
+    (cl, r.Pax_core.Run_result.report)
+  in
+  let queries () =
+    List.filter_map
+      (fun (e, q, _, _, _, _) ->
+        if e = "pax2" then Some (Pax_xpath.Query.of_string q) else None)
+      golden_traffic
+  in
+  match engine with
+  | "pax2" | "pax2-xa" | "pax3" | "pax3-xa" ->
+      let annotations = Filename.check_suffix engine "-xa" in
+      let run =
+        if String.starts_with ~prefix:"pax2" engine then Pax_core.Pax2.run
+        else Pax_core.Pax3.run
+      in
+      let cl = xpath () in
+      of_result cl (run ~annotations cl (Pax_xpath.Query.of_string q))
+  | "naive" ->
+      let cl = xpath () in
+      of_result cl (Pax_core.Naive.run cl (Pax_xpath.Query.of_string q))
+  | "parbox" ->
+      let cl = xpath () in
+      (cl, snd (Pax_core.Parbox.eval_string cl q))
+  | "batch" | "batch-xa" ->
+      let cl = xpath () in
+      let annotations = engine = "batch-xa" in
+      let b = Pax_core.Batch.run ~annotations cl (queries ()) in
+      (cl, b.Pax_core.Batch.report)
+  | "reach" ->
+      let cl =
+        Cluster.create_abstract ~n_frags:3 ~n_sites:2
+          ~assign:(fun f -> f mod 2)
+          ()
+      in
+      let rq = Result.get_ok (Pax_graph.Reach.parse golden_graph q) in
+      (cl, snd (Pax_graph.Reach.eval golden_graph cl rq))
+  | e -> Alcotest.failf "golden table: unknown engine %s" e
+
+let test_golden_traffic () =
+  List.iter
+    (fun (engine, q, control, answer, tree, per_kind) ->
+      let cl, r = run_golden engine q in
+      let name what = Printf.sprintf "%s %s: %s" engine q what in
+      Alcotest.(check int) (name "control bytes") control
+        r.Cluster.control_bytes;
+      Alcotest.(check int) (name "answer bytes") answer r.Cluster.answer_bytes;
+      Alcotest.(check int) (name "tree bytes") tree r.Cluster.tree_bytes;
+      Alcotest.(check (list int))
+        (name "logical messages per kind")
+        per_kind (logical_per_kind cl))
+    golden_traffic
 
 let () =
   Alcotest.run "dist"
@@ -109,4 +235,6 @@ let () =
           Alcotest.test_case "reset" `Quick test_reset;
         ] );
       ("measure", [ Alcotest.test_case "byte estimates" `Quick test_measures ]);
+      ( "traffic",
+        [ Alcotest.test_case "golden table" `Quick test_golden_traffic ] );
     ]

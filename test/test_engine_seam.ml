@@ -74,7 +74,7 @@ let direct_xpath ~annotations runner ~ename cl text =
     let q = Query.of_string text in
     let r : Run_result.t = runner ~annotations cl q in
     obs ~keys:r.Run_result.answer_ids ~report:r.Run_result.report
-      ~trace:r.Run_result.trace
+      ~trace:(Some r.Run_result.trace)
       ~audit:
         (Pax_core.Guarantee.audit ~engine:ename ~ftree:(Cluster.ftree cl) r)
   with

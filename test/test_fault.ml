@@ -47,7 +47,7 @@ let test_drop_stage1_vectors () =
          c.Fault.m_kind = Trace.Vectors && c.Fault.m_round = 0));
   let r2 = Pax_core.Pax2.run cl q in
   check_ids "PaX2 under dropped vectors" oracle r2;
-  let tr = Run_result.trace_exn r2 in
+  let tr = r2.Run_result.trace in
   Alcotest.(check bool) "vectors were dropped" true
     (events_with
        (function
@@ -61,7 +61,7 @@ let test_drop_stage1_vectors () =
   let r3 = Pax_core.Pax3.run cl q in
   check_ids "PaX3 under dropped vectors" oracle r3;
   Alcotest.(check bool) "PaX3 logical visits <= 3" true
-    (Trace.max_logical_visits (Run_result.trace_exn r3) <= 3)
+    (Trace.max_logical_visits r3.Run_result.trace <= 3)
 
 (* S2 crashes when stage 2 first knocks, restarts two attempts later;
    the visit is re-delivered and the run completes correctly. *)
@@ -70,7 +70,7 @@ let test_crash_mid_stage2 () =
   Cluster.set_fault cl (Fault.crash_site ~down_for:2 ~site:2 ~round:1 ());
   let r = Pax_core.Pax2.run cl q in
   check_ids "PaX2 with S2 crashing mid-stage-2" oracle r;
-  let tr = Run_result.trace_exn r in
+  let tr = r.Run_result.trace in
   Alcotest.(check bool) "crash recorded" true
     (events_with
        (function Trace.Site_down { site = 2; _ } -> true | _ -> false)
@@ -107,7 +107,7 @@ let test_duplicate_resolution () =
     (Fault.duplicate_message (fun c -> c.Fault.m_kind = Trace.Resolution));
   let r = Pax_core.Pax2.run cl q in
   check_ids "PaX2 under duplicated resolutions" oracle r;
-  let tr = Run_result.trace_exn r in
+  let tr = r.Run_result.trace in
   Alcotest.(check bool) "duplicate recorded" true
     (events_with
        (function
@@ -128,7 +128,7 @@ let test_lost_reply_replay () =
   Cluster.set_fault cl (Fault.lose_reply ~times:2 ~site:2 ~round:0 ());
   let r = Pax_core.Pax2.run cl q in
   check_ids "PaX2 under lost stage-1 replies" oracle r;
-  let tr = Run_result.trace_exn r in
+  let tr = r.Run_result.trace in
   (* stage 1: attempts 1 and 2 execute and lose their reply, attempt 3
      succeeds; stage 2 adds one more execution. *)
   Alcotest.(check int) "S2 executed four times" 4
@@ -166,7 +166,7 @@ let test_lost_reply_replay () =
         (name ^ ": replays don't double-count work")
         clean.Run_result.report.Cluster.total_ops
         r.Run_result.report.Cluster.total_ops;
-      let tr = Run_result.trace_exn r in
+      let tr = r.Run_result.trace in
       for round = 0 to n_rounds - 1 do
         Alcotest.(check bool)
           (Printf.sprintf "%s: round %d replayed" name round)
@@ -200,12 +200,12 @@ let test_lost_reply_replay () =
 let test_duplicated_accounting () =
   let cl, q, oracle = setup () in
   let clean = Pax_core.Pax2.run cl q in
-  let clean_tr = Run_result.trace_exn clean in
+  let clean_tr = clean.Run_result.trace in
   Cluster.set_fault cl
     (Fault.duplicate_message (fun c -> c.Fault.m_kind = Trace.Resolution));
   let r = Pax_core.Pax2.run cl q in
   check_ids "answers unchanged" oracle r;
-  let tr = Run_result.trace_exn r in
+  let tr = r.Run_result.trace in
   let dups =
     List.length
       (List.filter
@@ -237,7 +237,7 @@ let test_delayed_accounting () =
          c.Fault.m_kind = Trace.Vectors));
   let r = Pax_core.Pax2.run cl q in
   check_ids "answers unchanged under delays" oracle r;
-  let tr = Run_result.trace_exn r in
+  let tr = r.Run_result.trace in
   Alcotest.(check bool) "delays recorded" true
     (events_with
        (function
@@ -259,11 +259,11 @@ let test_delayed_accounting () =
 let test_replay_accounting () =
   let cl, q, oracle = setup () in
   let clean = Pax_core.Pax2.run cl q in
-  let clean_tr = Run_result.trace_exn clean in
+  let clean_tr = clean.Run_result.trace in
   Cluster.set_fault cl (Fault.lose_reply ~times:2 ~site:2 ~round:0 ());
   let r = Pax_core.Pax2.run cl q in
   check_ids "answers unchanged under replays" oracle r;
-  let tr = Run_result.trace_exn r in
+  let tr = r.Run_result.trace in
   Alcotest.(check bool) "the replay really happened" true
     (Trace.physical_visits tr ~site:2 > Trace.logical_visits tr ~site:2);
   Alcotest.(check int) "logical visits match the clean run"

@@ -201,6 +201,59 @@ let sample_msgs =
                  Wire.Final_answers { answers = []; ops = 0 };
                ]);
       };
+    (* Count: a wrapped stage call, answered with counts. *)
+    Wire.Visit_request
+      {
+        run = 12;
+        round = 0;
+        site = 1;
+        epoch = 0;
+        label = "stage1";
+        parent = None;
+        call =
+          Wire.Count
+            (Wire.Pax2_stage1
+               {
+                 query = "//a[b]";
+                 frags =
+                   [ { Wire.fe_fid = 1; fe_is_root = false; fe_init = None } ];
+               });
+      };
+    Wire.Visit_reply
+      {
+        run = 12;
+        round = 0;
+        reply =
+          Ok
+            (Wire.Counted
+               {
+                 reply =
+                   Wire.Frag_results
+                     [
+                       {
+                         Wire.fr_fid = 1;
+                         fr_vec = Some sample_vec;
+                         fr_ctxs = [ (4, sample_vec) ];
+                         fr_answers = [];
+                         fr_cands = 2;
+                         fr_ops = 31;
+                       };
+                     ];
+                 counts = [ 300 ];
+               });
+      };
+    Wire.Visit_reply
+      {
+        run = 12;
+        round = 1;
+        reply =
+          Ok
+            (Wire.Counted
+               {
+                 reply = Wire.Final_answers { answers = []; ops = 5 };
+                 counts = [ 2 ];
+               });
+      };
     (* NaiveCentralized's ship call. *)
     Wire.Visit_request
       {
@@ -346,6 +399,9 @@ let test_tally_frames () =
   Alcotest.(check bool) "Calls = sum of its calls" true
     (Wire.tally (req (Wire.Calls calls))
     = sum (List.map (fun c -> Wire.tally (req c)) calls));
+  let call = List.hd calls in
+  Alcotest.(check bool) "Count = its call" true
+    (Wire.tally (req (Wire.Count call)) = Wire.tally (req call));
   Alcotest.(check bool) "Ship: one fragment entry per fid, no section" true
     (Wire.tally (req (Wire.Ship { fids = [ 1; 4 ] }))
     = { Wire.sections = 0; section_bytes = 0; frag_entries = 2 });
@@ -377,10 +433,42 @@ let test_nested_calls () =
     Wire.Visit_reply
       { run = 1; round = 0; reply = Ok (Wire.Replies [ Wire.Replies [] ]) }
   in
-  match Wire.decode (Wire.encode nested_reply) with
+  (match Wire.decode (Wire.encode nested_reply) with
   | Error (Wire.Corrupt _) -> ()
   | Ok _ -> Alcotest.fail "a nested reply list must not decode"
-  | Error e -> Alcotest.failf "expected Corrupt, got %a" Wire.pp_error e
+  | Error e -> Alcotest.failf "expected Corrupt, got %a" Wire.pp_error e);
+  (* [Count] is a wrapper too: inside itself or a call list, either
+     way round, and likewise its [Counted] reply. *)
+  let req call =
+    Wire.Visit_request
+      {
+        run = 1;
+        round = 0;
+        site = 0;
+        epoch = 0;
+        label = "l";
+        parent = None;
+        call;
+      }
+  in
+  let reply r = Wire.Visit_reply { run = 1; round = 0; reply = Ok r } in
+  let ship = Wire.Ship { fids = [ 1 ] } in
+  let counted r = Wire.Counted { reply = r; counts = [] } in
+  List.iter
+    (fun (what, msg) ->
+      match Wire.decode (Wire.encode msg) with
+      | Error (Wire.Corrupt _) -> ()
+      | Ok _ -> Alcotest.failf "%s must not decode" what
+      | Error e ->
+          Alcotest.failf "%s: expected Corrupt, got %a" what Wire.pp_error e)
+    [
+      ("Count in Count", req (Wire.Count (Wire.Count ship)));
+      ("Count in Calls", req (Wire.Calls [ Wire.Count ship ]));
+      ("Calls in Count", req (Wire.Count (Wire.Calls [ ship ])));
+      ("Counted in Counted", reply (counted (counted (Wire.Images []))));
+      ("Counted in Replies", reply (Wire.Replies [ counted (Wire.Images []) ]));
+      ("Replies in Counted", reply (counted (Wire.Replies [])));
+    ]
 
 (* Protocol v2: the correlation id is an envelope field — stamped on a
    request, echoed on its reply, invisible to the v1-shaped API. *)
@@ -440,17 +528,57 @@ let test_decode_errors () =
   | Error (Wire.Bad_version 0xee) -> ()
   | _ -> Alcotest.fail "wrong version byte must be Bad_version"
 
-let test_section_bytes_match_measure () =
-  let q = Query.of_string "//person[profile/education]/name" in
-  Alcotest.(check int) "query section = Measure.query"
-    (Pax_dist.Measure.query q)
-    (Wire.query_section_bytes q.Query.source);
-  Alcotest.(check int) "vector section = Measure.formula_array"
-    (Pax_dist.Measure.formula_array sample_vec)
-    (Wire.vectors_section_bytes sample_vec);
-  Alcotest.(check int) "bools section = Measure.bool_array"
-    (Pax_dist.Measure.bool_array [| true; false |])
-    (Wire.resolution_section_bytes [| true; false |])
+(* Accounting sizes every section from its payload's size function; for
+   every kind that must be the encoded section's length, header
+   included. *)
+let gen_section : Wire.section QCheck.Gen.t =
+  let open QCheck.Gen in
+  let str = string_size ~gen:printable (int_range 0 40) in
+  let formula =
+    fix (fun self depth ->
+        let leaf =
+          oneof
+            [
+              return Formula.true_;
+              return Formula.false_;
+              map2 (fun f e -> Formula.var (Var.Qual (f, e))) nat small_nat;
+              map2 (fun f e -> Formula.var (Var.Sel_ctx (f, e))) nat small_nat;
+            ]
+        in
+        if depth = 0 then leaf
+        else
+          frequency
+            [
+              (2, leaf);
+              (1, map Formula.not_ (self (depth - 1)));
+              (1, map2 Formula.conj (self (depth - 1)) (self (depth - 1)));
+              (1, map2 Formula.disj (self (depth - 1)) (self (depth - 1)));
+            ])
+  in
+  let answer =
+    map4
+      (fun a_id a_tag a_text a_attrs -> { Wire.a_id; a_tag; a_text; a_attrs })
+      (oneof [ small_nat; nat; int_range 0 (1 lsl 40) ])
+      str (opt str)
+      (list_size (int_range 0 3) (pair str str))
+  in
+  oneof
+    [
+      map (fun q -> Wire.Query q) str;
+      map (fun fs -> Wire.Vectors fs) (array_size (int_range 0 12) (formula 3));
+      map (fun bs -> Wire.Resolution bs) (array_size (int_range 0 200) bool);
+      map (fun a -> Wire.Answers a) (list_size (int_range 0 6) answer);
+      map (fun x -> Wire.Tree_data x) str;
+      map
+        (fun (d : Tree.doc) -> Wire.Frag_flat (Pax_xml.Flat.of_tree d.Tree.root))
+        (Test_helpers.Gen.doc ~max_nodes:30);
+    ]
+
+let prop_section_sizes =
+  QCheck.Test.make ~name:"section sizes = 4 + payload"
+    ~count:300
+    (QCheck.make gen_section) (fun sec ->
+      Wire.section_bytes sec = String.length (Wire.section_to_string sec))
 
 let test_addr_parse () =
   let ok s expected =
@@ -538,6 +666,36 @@ let with_servers ?service_delay ft ~n_sites f =
 let accounted (r : Cluster.report) =
   r.Cluster.control_bytes + r.Cluster.answer_bytes + r.Cluster.tree_bytes
 
+(* Byte honesty: the sections that crossed the sockets this run are
+   exactly the accounted bytes, and the measured bytes stay within the
+   documented framing overhead of them. *)
+let check_bytes name cl_net rep_n =
+  let stats =
+    match Cluster.net_stats cl_net with
+    | Some s -> s
+    | None -> Alcotest.fail (name "net_stats missing")
+  in
+  let measured = stats.Transport.sent_bytes + stats.Transport.received_bytes in
+  Alcotest.(check (option int))
+    (name "report.measured_bytes")
+    (Some measured) rep_n.Cluster.measured_bytes;
+  let acct = accounted rep_n in
+  Alcotest.(check int)
+    (name "section bytes = accounted bytes")
+    acct stats.Transport.section_bytes;
+  if measured < acct then
+    Alcotest.failf "%s: measured %d < accounted %d" (name "lower bound")
+      measured acct;
+  let bound =
+    acct
+    + (stats.Transport.frames * Wire.frame_overhead)
+    + (stats.Transport.frag_entries * Wire.frag_overhead)
+    + (stats.Transport.sections * Wire.section_overhead)
+  in
+  if measured > bound then
+    Alcotest.failf "%s: measured %d > accounted %d + overhead %d"
+      (name "upper bound") measured acct (bound - acct)
+
 let check_differential engine_name engine () =
   with_timeout 120 (fun () ->
       let _, ft = make_setup () in
@@ -575,35 +733,43 @@ let check_differential engine_name engine () =
               Alcotest.(check int)
                 (name "total ops")
                 rep_c.Cluster.total_ops rep_n.Cluster.total_ops;
-              (* Byte honesty: what crossed the sockets this run. *)
-              let stats =
-                match Cluster.net_stats cl_net with
-                | Some s -> s
-                | None -> Alcotest.fail (name "net_stats missing")
-              in
-              let measured =
-                stats.Transport.sent_bytes + stats.Transport.received_bytes
-              in
-              Alcotest.(check (option int))
-                (name "report.measured_bytes")
-                (Some measured) rep_n.Cluster.measured_bytes;
-              let acct = accounted rep_n in
-              Alcotest.(check int)
-                (name "section bytes = accounted bytes")
-                acct stats.Transport.section_bytes;
-              if measured < acct then
-                Alcotest.failf "%s: measured %d < accounted %d"
-                  (name "lower bound") measured acct;
-              let bound =
-                acct
-                + (stats.Transport.frames * Wire.frame_overhead)
-                + (stats.Transport.frag_entries * Wire.frag_overhead)
-                + (stats.Transport.sections * Wire.section_overhead)
-              in
-              if measured > bound then
-                Alcotest.failf "%s: measured %d > accounted %d + overhead %d"
-                  (name "upper bound") measured acct (bound - acct))
+              check_bytes name cl_net rep_n)
             queries))
+
+(* Count over site servers: its calls travel wrapped, and the replies
+   carry counts where PaX2's carry answer elements, so the sections on
+   the wire are exactly what it accounts — no answer bytes at all. *)
+let test_count_over_sockets () =
+  with_timeout 120 (fun () ->
+      let _, ft = make_setup () in
+      let n_sites = 3 in
+      let cl_ctrl = Pax_dist.Placement.cluster_round_robin ft ~n_sites in
+      with_servers ft ~n_sites (fun cl_net _client _pids _addrs ->
+          List.iter
+            (fun (qs, annotations) ->
+              let q = Query.of_string qs in
+              let name what =
+                Printf.sprintf "count %s (annotations=%b): %s" qs annotations
+                  what
+              in
+              let n_ctrl, rep_c = Pax_core.Count.run ~annotations cl_ctrl q in
+              let n_net, rep_n = Pax_core.Count.run ~annotations cl_net q in
+              let pax2 = Pax_core.Pax2.run ~annotations cl_ctrl q in
+              Alcotest.(check int) (name "count = |PaX2 answers|")
+                (List.length pax2.Pax_core.Run_result.answer_ids)
+                n_ctrl;
+              Alcotest.(check int) (name "answers") n_ctrl n_net;
+              Alcotest.(check (array int))
+                (name "visits") rep_c.Cluster.visits rep_n.Cluster.visits;
+              Alcotest.(check int)
+                (name "total ops") rep_c.Cluster.total_ops
+                rep_n.Cluster.total_ops;
+              Alcotest.(check int) (name "no answer bytes") 0
+                rep_n.Cluster.answer_bytes;
+              (* Annotated calls carry uncharged init vectors. *)
+              if not annotations then check_bytes name cl_net rep_n)
+            (List.map (fun qs -> (qs, false)) queries
+            @ [ ("//person[profile/education]", true) ])))
 
 (* Annotated runs ship explicit init vectors; answers must still agree
    (byte parity is not asserted here — fe_init is extra wire payload
@@ -749,7 +915,7 @@ let test_lost_reply_deliveries () =
           let r =
             Pax_core.Pax2.run cl (Query.of_string "//person[profile/education]")
           in
-          let tr = Pax_core.Run_result.trace_exn r in
+          let tr = r.Pax_core.Run_result.trace in
           let physical = Pax_dist.Trace.physical_visits tr ~site in
           Alcotest.(check int) "two replays on top of the logical visits"
             (Pax_dist.Trace.logical_visits tr ~site + 2)
@@ -870,8 +1036,7 @@ let () =
           Alcotest.test_case "correlation ids" `Quick test_corr_roundtrip;
           Alcotest.test_case "decode is total" `Quick test_decode_total;
           Alcotest.test_case "decode errors" `Quick test_decode_errors;
-          Alcotest.test_case "sections = Measure" `Quick
-            test_section_bytes_match_measure;
+          QCheck_alcotest.to_alcotest prop_section_sizes;
           Alcotest.test_case "addresses" `Quick test_addr_parse;
         ] );
       ( "differential",
@@ -885,6 +1050,8 @@ let () =
           Alcotest.test_case "pruned qualifier" `Quick test_pruned_qualifier;
           Alcotest.test_case "every engine over sockets" `Quick
             test_every_engine;
+          Alcotest.test_case "count over sockets" `Quick
+            test_count_over_sockets;
           Alcotest.test_case "one delivery per lost reply" `Quick
             test_lost_reply_deliveries;
         ] );

@@ -172,8 +172,8 @@ let differential ((s : H.Gen.scenario), seed) =
                  (List.map string_of_int r4.Run_result.answer_ids))
           else begin
             check_same_report name r1.Run_result.report r4.Run_result.report;
-            check_same_trace name (Run_result.trace_exn r1)
-              (Run_result.trace_exn r4);
+            check_same_trace name r1.Run_result.trace
+              r4.Run_result.trace;
             true
           end
       | Error e1, Error e4 when e1 = e4 ->

@@ -33,7 +33,7 @@ let max_visits run annotations qs =
   let cl = cluster () in
   let r : Run_result.t = run ~annotations cl (Query.of_string qs) in
   let from_report = r.Run_result.report.Cluster.max_visits in
-  let from_trace = Trace.max_logical_visits (Run_result.trace_exn r) in
+  let from_trace = Trace.max_logical_visits r.Run_result.trace in
   Alcotest.(check int)
     (Printf.sprintf "trace agrees with counter on %s" qs)
     from_report from_trace;
@@ -121,7 +121,7 @@ let test_bound_survives_retries () =
              Fault.crash_site ~down_for:1 ~site:2 ~round:0 ();
            ]);
       let r : Run_result.t = run cl (Query.of_string Xmark.q1) in
-      let tr = Run_result.trace_exn r in
+      let tr = r.Run_result.trace in
       Alcotest.(check bool)
         (name ^ ": replays happened") true
         (Trace.physical_visits tr ~site:1 > Trace.logical_visits tr ~site:1);
@@ -144,7 +144,7 @@ let test_traffic_bound () =
       let q = Query.of_string Xmark.q3 in
       let cl = cluster () in
       let r : Run_result.t = run cl q in
-      let tr = Run_result.trace_exn r in
+      let tr = r.Run_result.trace in
       let budget =
         200 * Query.size q
         * Fragment.n_fragments (Cluster.ftree cl)
@@ -161,7 +161,7 @@ let test_traffic_bound () =
       Cluster.set_fault cl
         (Fault.drop_message (fun c -> c.Fault.m_kind = Trace.Vectors));
       let r' : Run_result.t = run cl q in
-      let tr' = Run_result.trace_exn r' in
+      let tr' = r'.Run_result.trace in
       Alcotest.(check int)
         (name ^ ": logical traffic unchanged by retries") clean_logical
         (Trace.logical_control_bytes tr');
