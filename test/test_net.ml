@@ -580,6 +580,22 @@ let prop_section_sizes =
     (QCheck.make gen_section) (fun sec ->
       Wire.section_bytes sec = String.length (Wire.section_to_string sec))
 
+(* The fixed samples behind the property: the query, vector and bools
+   sections accounting charges, each sized as it is measured on the wire.
+   The case keeps its name from when a separate Measure module held the
+   accounting sizes. *)
+let test_sections_measured () =
+  let q = Query.of_string "//person[profile/education]/name" in
+  let measured sec = String.length (Wire.section_to_string sec) in
+  List.iter
+    (fun (name, sec) ->
+      Alcotest.(check int) name (measured sec) (Wire.section_bytes sec))
+    [
+      ("query section", Wire.Query q.Query.source);
+      ("vector section", Wire.Vectors sample_vec);
+      ("bools section", Wire.Resolution [| true; false |]);
+    ]
+
 let test_addr_parse () =
   let ok s expected =
     match Sockio.addr_of_string s with
@@ -1036,6 +1052,8 @@ let () =
           Alcotest.test_case "correlation ids" `Quick test_corr_roundtrip;
           Alcotest.test_case "decode is total" `Quick test_decode_total;
           Alcotest.test_case "decode errors" `Quick test_decode_errors;
+          Alcotest.test_case "sections = Measure" `Quick
+            test_sections_measured;
           QCheck_alcotest.to_alcotest prop_section_sizes;
           Alcotest.test_case "addresses" `Quick test_addr_parse;
         ] );
