@@ -22,23 +22,19 @@ let run ?annotations (cl : Cluster.t) (queries : Query.t list) : t =
         (List.filter (fun fid -> List.exists (fun r -> needed r fid) runs) fids)
     in
     let rms = List.map stage runs in
-    let results =
-      Cluster.run_round cl ~label ~sites
-        {
-          Cluster.build =
-            (fun site ->
-              Wire.Calls (List.map (fun rm -> rm.Cluster.build site) rms));
-          parse =
-            (fun site reply ->
-              match reply with
-              | Wire.Replies replies when List.compare_lengths replies rms = 0
-                ->
-                  List.map2 (fun rm reply -> rm.Cluster.parse site reply) rms
-                    replies
-              | _ -> invalid_arg "Batch: unexpected reply");
-        }
-    in
-    results
+    Cluster.run_round cl ~label ~sites
+      {
+        Cluster.build =
+          (fun site ->
+            Wire.Calls (List.map (fun rm -> rm.Cluster.build site) rms));
+        parse =
+          (fun site reply ->
+            match reply with
+            | Wire.Replies replies when List.compare_lengths replies rms = 0 ->
+                List.map2 (fun rm reply -> rm.Cluster.parse site reply) rms
+                  replies
+            | _ -> invalid_arg "Batch: unexpected reply");
+      }
   in
   ignore
     (shared_round ~label:"stage1" ~needed:Pax2.relevant (fun r -> Pax2.stage1 r));

@@ -16,7 +16,7 @@ type stages = {
   analysis : Annot.analysis option;
   (* Per-fragment stage-1 views, filled by parsing site replies (or
      from the stage cache: [cached]) — everything downstream
-     (accounting, unification, answer assembly) reads only these, so
+     (unification, answer assembly) reads only these, so
      both backends are observably identical.  A site keeps its
      candidates to itself until stage 2; only their number comes
      back. *)

@@ -330,9 +330,9 @@ type 'a remote = {
    site's simulated attempts so both share one budget — here the
    backoff is physically slept, since a restarting server needs the
    wall-clock time.  Each site's call is built once and reused for
-   every delivery.  After the parse barrier, the round's traffic is
-   accounted from the calls and replies, on the calling thread, in
-   input site order. *)
+   every delivery.  Returns the parsed results and, in input site
+   order, each site's call and reply, from which [run_round] accounts
+   the round's traffic. *)
 let deliver t r ~round ~label ~sites (rm : 'a remote) =
   let tr =
     match t.transport with
@@ -379,28 +379,33 @@ let deliver t r ~round ~label ~sites (rm : 'a remote) =
         replies
     else Array.map (fun (site, reply, _) -> rm.parse site reply) replies
   in
-  List.iteri
-    (fun i (site, call) ->
-      let _, reply, _ = replies.(i) in
-      account t ~site ~call ~reply)
-    calls;
-  List.mapi
-    (fun i (site, _, secs) ->
-      r.seconds.(site) <- r.seconds.(site) +. secs;
-      (* Spans are synthesized at merge time from the site-side
-         duration: the interval ends "now" and lasted [secs]. *)
-      if enabled t then begin
-        let t1 = Pax_obs.Clock.now () in
-        Pax_obs.Sink.record t.sink ~cat:"visit" ~track:(site_track site)
-          ~args:
-            [
-              ("round", string_of_int round);
-              ("remote", string_of_bool (Option.is_some t.transport));
-            ]
-          label ~t0:(t1 -. secs) ~t1
-      end;
-      (site, parsed.(i)))
-    (Array.to_list replies)
+  let results =
+    List.mapi
+      (fun i (site, _, secs) ->
+        r.seconds.(site) <- r.seconds.(site) +. secs;
+        (* Spans are synthesized at merge time from the site-side
+           duration: the interval ends "now" and lasted [secs]. *)
+        if enabled t then begin
+          let t1 = Pax_obs.Clock.now () in
+          Pax_obs.Sink.record t.sink ~cat:"visit" ~track:(site_track site)
+            ~args:
+              [
+                ("round", string_of_int round);
+                ("remote", string_of_bool (Option.is_some t.transport));
+              ]
+            label ~t0:(t1 -. secs) ~t1
+        end;
+        (site, parsed.(i)))
+      (Array.to_list replies)
+  in
+  let traffic =
+    List.mapi
+      (fun i (site, call) ->
+        let _, reply, _ = replies.(i) in
+        (site, call, reply))
+      calls
+  in
+  (results, traffic)
 
 let run_round t ~label ~sites rm =
   let round = t.round_no in
@@ -428,7 +433,7 @@ let run_round t ~label ~sites rm =
       sites
   in
   let dispatch () = deliver t r ~round ~label ~sites rm in
-  let results =
+  let results, traffic =
     if not (enabled t) then dispatch ()
     else begin
       Pax_obs.Sink.count t.sink "pax_rounds_total";
@@ -461,6 +466,9 @@ let run_round t ~label ~sites rm =
   in
   t.current <- None;
   t.rounds_rev <- r :: t.rounds_rev;
+  (* Accounted once the round is recorded, as the engines' own sends
+     once were: a message given up on leaves the round in the report. *)
+  List.iter (fun (site, call, reply) -> account t ~site ~call ~reply) traffic;
   results
 
 let coord t ~label f =
@@ -507,7 +515,7 @@ let messages t =
     (function
       | Trace.Message { src; dst; kind; bytes; label; status; _ } ->
           let m = { src; dst; kind; bytes; label } in
-          if status = Trace.Duplicated then [ m; m ] else [ m ]
+          List.init (Trace.physical_of_status status) (fun _ -> m)
       | _ -> [])
     (Trace.events t.trace)
 

@@ -266,7 +266,7 @@ type 'a remote = {
     built once, and each site's reply is parsed once.  A handler's
     exception propagates from the first failing site in input order.
 
-    {b Traffic.}  After the parse, the round's messages are {!send}s
+    {b Traffic.}  Once the round is recorded, its messages are {!send}s
     derived from the wire ({!Pax_wire.Wire.call_sections},
     {!Pax_wire.Wire.reply_sections}): site by site in input order, one
     message per section of the site's call (coordinator to site), then
@@ -275,7 +275,8 @@ type 'a remote = {
     call's [Vectors] (the annotation-pruned initial vectors) and
     [Frag_flat] images (Naive sends its fragments' [Tree_data] itself).
     Visit counts, trace events and accounted messages are therefore
-    identical across backends. *)
+    identical across backends.  A message given up on raises
+    {!Site_unreachable} with the round already in the report. *)
 val run_round : t -> label:string -> sites:int list -> 'a remote -> (int * 'a) list
 
 (** [coord t ~label f] runs coordinator-side work (e.g. [evalFT]),

@@ -88,6 +88,10 @@ val logical_messages : t -> int
     for its spurious second copy. *)
 val physical_messages : t -> int
 
+(** Copies one [Message] record put on the wire: 2 for a [Duplicated]
+    delivery, else 1 (the rule {!physical_messages} counts by). *)
+val physical_of_status : delivery -> int
+
 (** Bytes of the given kind that crossed the wire, weighting each
     record by its transmission count (see {!physical_messages}). *)
 val physical_bytes : t -> kind:msg_kind -> int

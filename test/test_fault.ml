@@ -286,6 +286,22 @@ let test_message_retry_exhaustion () =
       Alcotest.(check int) "failed at the reduced budget" 3 attempts);
   Cluster.set_retry cl Retry.default
 
+(* A message given up on is accounted after its round is recorded: the
+   report still lists every round the run started. *)
+let test_message_give_up_keeps_round () =
+  let cl, q, _oracle = setup () in
+  Cluster.set_fault cl
+    (Fault.drop_message ~times:max_int (fun c ->
+         c.Fault.m_kind = Trace.Vectors));
+  Cluster.set_retry cl { Retry.default with Retry.max_attempts = 3 };
+  (match Pax_core.Pax3.run cl q with
+  | _ -> Alcotest.fail "undeliverable vectors must not yield answers"
+  | exception Cluster.Site_unreachable _ -> ());
+  Alcotest.(check int) "every started round is in the report"
+    (Trace.rounds (Cluster.trace cl))
+    (List.length (Cluster.report cl).Cluster.rounds);
+  Cluster.set_retry cl Retry.default
+
 (* ------------------------------------------------------------------ *)
 (* Visit accounting under retries (the sites_holding / visits audit)  *)
 (* ------------------------------------------------------------------ *)
@@ -352,6 +368,8 @@ let () =
           Alcotest.test_case "lost reply replay" `Quick test_lost_reply_replay;
           Alcotest.test_case "message retry exhaustion" `Quick
             test_message_retry_exhaustion;
+          Alcotest.test_case "message give-up keeps its round" `Quick
+            test_message_give_up_keeps_round;
         ] );
       ( "accounting",
         [

@@ -787,6 +787,68 @@ let test_count_over_sockets () =
             (List.map (fun qs -> (qs, false)) queries
             @ [ ("//person[profile/education]", true) ])))
 
+(* PaX2 over site servers with a stage cache: a hot run's stage-1 call
+   leaves out the fragments the cache answers, so their vectors and
+   answers neither travel nor get accounted, and the sections on the
+   wire are still exactly what the run accounts. *)
+let test_pax2_cached_over_sockets () =
+  with_timeout 120 (fun () ->
+      let _, ft = make_setup () in
+      with_servers ft ~n_sites:3 (fun cl_net _client _pids _addrs ->
+          let entries = Hashtbl.create 16 in
+          let hits = ref [] in
+          Cluster.set_stage_cache cl_net
+            {
+              Pax_dist.Stage_cache.describe = "test";
+              lookup =
+                (fun ~qkey ~fid ->
+                  let e = Hashtbl.find_opt entries (qkey, fid) in
+                  if Option.is_some e then hits := fid :: !hits;
+                  e);
+              store = (fun ~qkey ~fid fr -> Hashtbl.replace entries (qkey, fid) fr);
+            };
+          let total_hits = ref 0 in
+          List.iter
+            (fun qs ->
+              let q = Query.of_string qs in
+              let name what = Printf.sprintf "cached pax2 %s: %s" qs what in
+              let cold = Pax_core.Pax2.run cl_net q in
+              hits := [];
+              let hot = Pax_core.Pax2.run cl_net q in
+              let cached = !hits in
+              total_hits := !total_hits + List.length cached;
+              Alcotest.(check (list int))
+                (name "hot answers = cold answers")
+                cold.Pax_core.Run_result.answer_ids
+                hot.Pax_core.Run_result.answer_ids;
+              let rep_hot = hot.Pax_core.Run_result.report in
+              check_bytes name cl_net rep_hot;
+              if accounted rep_hot > accounted cold.Pax_core.Run_result.report
+              then Alcotest.fail (name "hot run accounts more than cold");
+              (* Stage 1's messages follow its round start, up to the
+                 next round's. *)
+              let rec stage1 in_round = function
+                | [] -> []
+                | Pax_dist.Trace.Round_start { label; _ } :: rest ->
+                    stage1 (label = "stage1") rest
+                | Pax_dist.Trace.Message { label; _ } :: rest when in_round ->
+                    label :: stage1 in_round rest
+                | _ :: rest -> stage1 in_round rest
+              in
+              let labels = stage1 false (Pax_dist.Trace.events hot.trace) in
+              List.iter
+                (fun fid ->
+                  List.iter
+                    (fun l ->
+                      if List.mem l labels then
+                        Alcotest.failf "%s" (name ("stage 1 carries cached " ^ l)))
+                    [
+                      Printf.sprintf "QV(F%d)" fid; Printf.sprintf "ans(F%d)" fid;
+                    ])
+                cached)
+            queries;
+          Alcotest.(check bool) "the cache was hit" true (!total_hits > 0)))
+
 (* Annotated runs ship explicit init vectors; answers must still agree
    (byte parity is not asserted here — fe_init is extra wire payload
    the simulator's model does not charge for). *)
@@ -1070,6 +1132,8 @@ let () =
             test_every_engine;
           Alcotest.test_case "count over sockets" `Quick
             test_count_over_sockets;
+          Alcotest.test_case "cached pax2 over sockets" `Quick
+            test_pax2_cached_over_sockets;
           Alcotest.test_case "one delivery per lost reply" `Quick
             test_lost_reply_deliveries;
         ] );

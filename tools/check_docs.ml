@@ -6,10 +6,7 @@
        must resolve to an existing file or directory;
      - every inline-code reference that looks like a repo path
        (`lib/net/wire.ml`, `bench/throughput.ml`, `docs/SERVING.md:12`)
-       must name something that exists — stale paths are how docs rot
-       (except in a page carrying the line
-       `<!-- check_docs: names deleted paths -->`, such as a change
-       request naming the files a change deletes);
+       must name something that exists — stale paths are how docs rot;
      - every inline-code `Module.name` reference in docs/, README.md
        and DESIGN.md whose module is a repo source file must name a
        [let], [val], [type] or record field of that file (.ml or .mli;
@@ -475,14 +472,12 @@ let () =
             if not (Sys.file_exists resolved) then
               err "%s:%d: broken link (%s)" file ln raw)
         links;
-      if not (contains (read_file file) "<!-- check_docs: names deleted paths -->")
-      then
-        List.iter
-          (fun (ln, code) ->
-            let tok = strip_line_suffix (String.trim code) in
-            if looks_like_path tok && not (Sys.file_exists tok) then
-              err "%s:%d: stale code reference `%s`" file ln code)
-          codes)
+      List.iter
+        (fun (ln, code) ->
+          let tok = strip_line_suffix (String.trim code) in
+          if looks_like_path tok && not (Sys.file_exists tok) then
+            err "%s:%d: stale code reference `%s`" file ln code)
+        codes)
     all_md;
   List.iter
     (fun d ->
