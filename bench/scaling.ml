@@ -174,13 +174,13 @@ let audit_json (a : Pax_obs.Audit.report) : J.t =
                J.Obj
                  [
                    ("name", J.Str b.b_name);
-                   ("formula", J.Str b.b_formula);
+                   ("formula", J.Str (Pax_obs.Audit.formula_text b.b_formula));
                    ("actual", J.Num b.b_actual);
                    ("limit", J.Num b.b_limit);
-                   ("pass", J.Bool b.b_pass);
-                   ("margin", J.Num b.b_margin);
+                   ("pass", J.Bool (Pax_obs.Audit.passes b));
+                   ("margin", J.Num (Pax_obs.Audit.margin b));
                  ])
-             a.Pax_obs.Audit.bounds) );
+             (Pax_obs.Audit.bounds a)) );
     ]
 
 let json ~size_mb (rows : qrow list) : J.t =

@@ -366,17 +366,20 @@ let query_cmd =
                                     J.Obj
                                       [
                                         ("name", J.Str b.b_name);
-                                        ("formula", J.Str b.b_formula);
+                                        ("formula",
+                                          J.Str
+                                            (Pax_obs.Audit.formula_text
+                                               b.b_formula));
                                         ("predicted_limit", J.Num b.b_limit);
                                         ("actual", J.Num b.b_actual);
                                         ( "ratio",
                                           if b.b_limit > 0. then
                                             J.Num (b.b_actual /. b.b_limit)
                                           else J.Null );
-                                        ("margin", J.Num b.b_margin);
-                                        ("pass", J.Bool b.b_pass);
+                                        ("margin", J.Num (Pax_obs.Audit.margin b));
+                                        ("pass", J.Bool (Pax_obs.Audit.passes b));
                                       ])
-                                  audit.Pax_obs.Audit.bounds) );
+                                  (Pax_obs.Audit.bounds audit)) );
                          ] );
                    ])
           | None -> ());

@@ -15,9 +15,9 @@
    indexed by depth and allocated once per call, so a slot off the
    spine allocates nothing.  test/test_passes.ml holds each kernel to
    its pointer reference on random fragmentations.  PaX2's combined
-   pass alone skips the off-spine subtrees whose entries nothing reads
-   and where no selection state can reach an answer, and charges only
-   the slots it walks.
+   pass alone skips, child by child, the off-spine subtrees whose
+   entries nothing reads and where no selection state can reach an
+   answer, and charges only the slots it walks.
 
    Slots are the only way the kernels name a node: answers and
    candidates leave as slot indices, and the caller builds shipped
@@ -373,45 +373,58 @@ let row r d =
    tagged [tagc] by the entries of its own vector that demanded entries
    read, and puts the entries of its children's vectors that they read
    in [kdem].  A step entry whose tag test fails is [False] whatever
-   the children hold, so it reads nothing.  Answers [0] when nothing is
-   demanded, [1] when the children owe nothing, [2] otherwise. *)
-let close plan ~tagc (dem : int array) (kdem : int array) =
+   the children hold, so it reads nothing; a children's step entry
+   whose tag has no bit in the slot's tag mask [mask] is [False] at
+   every child, so it is not demanded.  Answers whether a demanded
+   entry passes its test, that is whether the slot computes a vector,
+   and sets [owed] to the tag bits of the tests the kids-demand owes:
+   all ones when it owes an untested entry. *)
+let close plan ~tagc ~mask ~owed (dem : int array) (kdem : int array) =
   let any = ref 0 in
   for j = 0 to Array.length dem - 1 do
     any := !any lor dem.(j);
     kdem.(j) <- 0
   done;
-  if !any = 0 then 0
-  else begin
+  owed := 0;
+  let holds = ref false in
+  if !any <> 0 then begin
     let order = plan.q_order in
     for k = 0 to Array.length order - 1 do
       let e = order.(k) in
       let t = plan.q_test.(e) in
       if bit dem e && (t = -2 || t = tagc) then begin
+        holds := true;
         let own = plan.q_own.(e) and kids = plan.q_kids.(e) in
         for m = 0 to Array.length own - 1 do
           put dem own.(m) true
         done;
         for m = 0 to Array.length kids - 1 do
-          put kdem kids.(m) true
+          let s = kids.(m) in
+          let ts = plan.q_test.(s) in
+          let b =
+            if ts = -2 then -1 else if ts = -1 then 0 else 1 lsl (ts mod 63)
+          in
+          if b land mask <> 0 then begin
+            put kdem s true;
+            owed := !owed lor b
+          end
         done
       end
-    done;
-    let owed = ref 0 in
-    for j = 0 to Array.length kdem - 1 do
-      owed := !owed lor kdem.(j)
-    done;
-    if !owed = 0 then 1 else 2
-  end
+    done
+  end;
+  !holds
 
 (* One post-order qualifier walk, shared by [qual_run] and
    [combined_run].  [pre i d vfid tagc dem] runs on slot [i] at depth
    [d] before its children — [vfid] is its virtual fragment id ([-1]
    for an element), [tagc] an element's tag code — adds the entries the
    slot reads of itself to its demand [dem], and answers whether [post]
-   wants the slot's vector.  [descend i d] answers whether an
-   off-spine slot's children must be walked although none of their
-   entries is demanded. *)
+   wants the slot's vector.  [descend mask d] answers whether a child
+   at depth [d] of an off-spine slot, its subtree's tag mask [mask],
+   must be walked although it can pass no test the kids-demand owes.
+   It is asked per child, after one ask with the slot's own mask, a
+   superset of every child's: when that answers no, so would every
+   child. *)
 type walk = {
   w_plan : plan;
   w_flat : Flat.t;
@@ -422,6 +435,7 @@ type walk = {
   fkids : Formula.t rows;  (* the same OR, under a spine slot *)
   dem : int rows;  (* depth d: entries demanded of the slot open there *)
   kdem : int rows;  (* depth d: entries it demands of its children *)
+  owed : int ref;  (* the tag bits [close] last found the kids-demand owes *)
   pre : int -> int -> int -> int -> int array -> bool;
   descend : int -> int -> bool;
   post : int -> Formula.t array -> unit;
@@ -440,6 +454,7 @@ let walk plan flat ~virtual_ops ~pre ~descend ~post =
     fkids = rows n_qual Formula.false_;
     dem = rows w 0;
     kdem = rows w 0;
+    owed = ref 0;
     pre;
     descend;
     post;
@@ -451,12 +466,13 @@ let demand_all (dem : int array) = Array.fill dem 0 (Array.length dem) (-1)
 (* Slot [i]'s qualifier vector, charged as the pointer passes charge
    the work done: [virtual_ops] per virtual slot, [n_qual * (1 +
    children walked)] per element whose vector is computed.  Off the
-   spine the vector is computed only when demanded, into [own] at depth
-   [d], and the children are walked only when they owe demanded entries
-   or [descend] asks for them; [[||]] is returned.  On the spine every
-   entry is demanded and every child walked, and the vector is returned
-   as formulas, from the {!feval_entries} step, with each off-spine
-   child entering as [Formula.bool] of its bits. *)
+   spine the vector is computed into [own] at depth [d] only when a
+   demanded entry can pass its test, and is all [False] otherwise; a
+   child is walked only when its tag can pass a test the kids-demand
+   owes or [descend] asks for it; [[||]] is returned.  On the spine
+   every entry is demanded and every child walked, and the vector is
+   returned as formulas, from the {!feval_entries} step, with each
+   off-spine child entering as [Formula.bool] of its bits. *)
 let rec qwalk w i d =
   let flat = w.w_flat in
   let n_qual = w.w_plan.compiled.Compile.n_qual in
@@ -465,32 +481,44 @@ let rec qwalk w i d =
     let dem = row w.dem d and kdem = row w.kdem d and kids = row w.kids d in
     if d = 0 then demand_all dem;
     let want = w.pre i d (-1) tagc dem in
-    let demand = close w.w_plan ~tagc dem kdem in
+    let mask = Flat.tag_mask flat (max i 0) in
+    let holds = close w.w_plan ~tagc ~mask ~owed:w.owed dem kdem in
+    let owed = !(w.owed) in
     for j = 0 to Array.length kids - 1 do
       kids.(j) <- 0
     done;
     let n_kids = ref 0 in
-    if demand = 2 || w.descend i d then begin
+    let c = ref (first_child flat i) in
+    if !c >= 0 && (owed <> 0 || w.descend mask (d + 1)) then begin
       let bits = row w.own (d + 1) and cdem = row w.dem (d + 1) in
-      let c = ref (first_child flat i) in
       while !c >= 0 do
-        (* Each child starts from the kids-demand. *)
-        for j = 0 to Array.length kdem - 1 do
-          cdem.(j) <- kdem.(j)
-        done;
-        ignore (qwalk w !c (d + 1) : Formula.t array);
-        for j = 0 to Array.length kids - 1 do
-          kids.(j) <- kids.(j) lor bits.(j)
-        done;
-        incr n_kids;
-        c := Flat.next_sibling flat !c
+        let ci = !c in
+        if
+          (1 lsl (Flat.tag_code flat ci mod 63)) land owed <> 0
+          || w.descend (Flat.tag_mask flat ci) (d + 1)
+        then begin
+          (* Each walked child starts from the kids-demand. *)
+          for j = 0 to Array.length kdem - 1 do
+            cdem.(j) <- kdem.(j)
+          done;
+          ignore (qwalk w ci (d + 1) : Formula.t array);
+          for j = 0 to Array.length kids - 1 do
+            kids.(j) <- kids.(j) lor bits.(j)
+          done;
+          incr n_kids
+        end;
+        c := Flat.next_sibling flat ci
       done
     end;
     let own = row w.own d in
-    if demand > 0 then begin
+    if holds then begin
       w.ops := !(w.ops) + (n_qual * (1 + !n_kids));
       ground_entries w.w_plan flat i ~tagc ~kids ~own
-    end;
+    end
+    else
+      for j = 0 to Array.length own - 1 do
+        own.(j) <- 0
+      done;
     if want then w.post i (formulas_of_bits n_qual own);
     [||]
   end
@@ -508,7 +536,7 @@ let rec qwalk w i d =
       let dem = row w.dem d and kdem = row w.kdem d in
       demand_all dem;
       let want = w.pre i d (-1) tagc dem in
-      ignore (close w.w_plan ~tagc dem kdem : int);
+      ignore (close w.w_plan ~tagc ~mask:(-1) ~owed:w.owed dem kdem : bool);
       let acc = row w.fkids d and cdem = row w.dem (d + 1) in
       for e = 0 to n_qual - 1 do
         acc.(e) <- Formula.false_
@@ -683,10 +711,10 @@ type combined_outcome = {
   ops : int;
 }
 
-(* Is some selection state the children of a slot read from [sv] both
+(* Is some selection state a child reads from its parent's [sv] both
    non-[False] and able to finish the path, every label move after it
-   having its bit in the slot's tag mask [mask]?  Collisions mod 63 only
-   answer yes more often. *)
+   having its bit in the child's tag mask [mask]?  Collisions mod 63
+   only answer yes more often. *)
 let live plan (sv : Formula.t array) mask =
   let watch = plan.s_watch in
   let k = ref 0 in
@@ -708,9 +736,9 @@ let live plan (sv : Formula.t array) mask =
    unification).  Only nodes that issued a placeholder get a sigma
    entry: their whole qualifier vector, keyed by node id, of which only
    the issued entries are read.  Off the spine a slot owes the entries
-   it issued and those its parent reads, and its subtree is skipped
-   when its children owe nothing and [live] finds no selection state
-   for them ({!qwalk}). *)
+   it issued and those its parent reads, and a child is skipped when
+   its tag passes no test the kids-demand owes and [live] finds no
+   selection state for it ({!qwalk}). *)
 let combined_run plan flat ~init ~is_root : combined_outcome =
   let compiled = plan.compiled in
   let n_sel = compiled.Compile.n_sel in
@@ -750,10 +778,10 @@ let combined_run plan flat ~init ~is_root : combined_outcome =
       !issued
     end
   in
-  (* Below an off-spine slot only selection vectors can add answers:
-     its children are walked for them while a state they read can still
-     reach the end of the path within the slot's tags. *)
-  let descend i d = live plan (row sel d) (Flat.tag_mask flat (max i 0)) in
+  (* Below an off-spine slot only selection vectors can add answers: a
+     child is walked for them while a state it reads from its parent's
+     vector can still reach the end of the path within its own tags. *)
+  let descend mask d = live plan (row sel (d - 1)) mask in
   let post i vec = Hashtbl.replace sigma (node_id flat i) vec in
   (* PaX2's pass charges nothing for a virtual slot's vector. *)
   let w = walk plan flat ~virtual_ops:0 ~pre ~descend ~post in

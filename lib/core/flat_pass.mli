@@ -108,13 +108,17 @@ type combined_outcome = {
     of [root_is_context] and selects [#document] wrapping for absolute
     queries.
 
-    Demand-driven: the pass walks an off-spine slot's children only
-    while one of them owes a qualifier entry that something reads (a
-    placeholder, the parent's vector, the root vector), or while a
-    selection state they read is live and every label move after it
-    is in the slot's {!Pax_xml.Flat.tag_mask}.  Spine slots and the
-    evaluation root compute every entry, so [root_qvec], [contexts],
-    answers and candidates are exactly the two passes' (test/test_flat.ml).
+    Demand-driven, per child: the pass walks a child of an off-spine
+    slot only when the child's tag can pass a test that the
+    qualifier entries read of the children owe (entries read by a
+    placeholder, the parent's vector or the root vector; a test whose
+    tag is missing from the slot's {!Pax_xml.Flat.tag_mask} is owed by
+    no child), or when a selection state the child reads is live and
+    every label move after it is in the child's own tag mask.  A slot
+    whose demanded entries all fail their tests on its own tag
+    computes no vector.  Spine slots and the evaluation root compute
+    every entry, so [root_qvec], [contexts], answers and candidates
+    are exactly the two passes' (test/test_flat.ml).
     [ops] charges the work done: [n_sel] per slot whose selection step
     ran, [n_qual * (1 + children walked)] per slot whose vector was
     computed, one per pending entry — never more than a walk of every

@@ -21,21 +21,52 @@ type input = {
   total_ops : int;  (** coordinator + site operations *)
 }
 
+(** A bound's formula as the numbers it is instantiated with; its text
+    is rendered only when printed ({!formula_text}). *)
+type formula =
+  | Visits of { limit : int; engine : string }
+      (** max logical visits per site [<= limit] *)
+  | Comm of { c : float; q : int; ft : int; ans : int }
+      (** control + answer bytes [<= c·|Q|·|FT| + |ans|] *)
+  | Comp of { c : float; q : int; t : int }  (** total ops [<= c·|Q|·|T|] *)
+  | Text of string  (** an engine-specific formula, as given *)
+
 type bound = {
   b_name : string;  (** ["visits"], ["comm"] or ["comp"] *)
-  b_formula : string;  (** instantiated human-readable formula *)
+  b_formula : formula;
   b_actual : float;
   b_limit : float;
-  b_pass : bool;
-  b_margin : float;  (** [(limit - actual) / limit]; negative = violated *)
 }
 
-type report = { bounds : bound list; pass : bool }
+(** A report keeps plain data only — the serving tier keeps every run's
+    outcome — so the paper's bounds are kept as the input they are
+    computed from and derived by {!bounds}.  [pass] is computed when the
+    report is built. *)
+type report = { checks : checks; pass : bool }
+
+and checks =
+  | Paper of { input : input; c_comm : float; c_comp : float }
+      (** {!evaluate}'s three bounds *)
+  | Given of bound list  (** {!of_bounds} *)
 
 val default_c_comm : float
 val default_c_comp : float
 
 val evaluate : ?c_comm:float -> ?c_comp:float -> input -> report
+
+(** The report's bounds, in order: visits (when the engine promises a
+    visit limit), comm, comp for {!evaluate}'s. *)
+val bounds : report -> bound list
+
+(** [passes b] — [b_actual <= b_limit]. *)
+val passes : bound -> bool
+
+(** [margin b] — [(limit - actual) / limit]; negative means violated. *)
+val margin : bound -> float
+
+(** The instantiated formula as text, e.g.
+    ["total ops <= 32*|Q|*|T| = 32*10*655"]. *)
+val formula_text : formula -> string
 
 (** {1 Engine-specific bound sets}
 
@@ -45,8 +76,8 @@ val evaluate : ?c_comm:float -> ?c_comp:float -> input -> report
     [O(|Vf|²)] over boundary nodes) builds its bounds directly and
     shares only the pass/margin/report machinery. *)
 
-(** [bound ~name ~formula ~actual ~limit] — one checked bound;
-    [b_pass] and [b_margin] are derived. *)
+(** [bound ~name ~formula ~actual ~limit] — one checked bound, its
+    formula given as text. *)
 val bound :
   name:string -> formula:string -> actual:float -> limit:float -> bound
 

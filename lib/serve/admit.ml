@@ -58,7 +58,7 @@ let comp_ops (report : Pax_obs.Audit.report) =
     (fun (b : Pax_obs.Audit.bound) ->
       if b.Pax_obs.Audit.b_name = "comp" then Some b.Pax_obs.Audit.b_limit
       else None)
-    report.Pax_obs.Audit.bounds
+    (Pax_obs.Audit.bounds report)
 
 let ewma ~alpha ~first old x = if first then x else (alpha *. x) +. ((1. -. alpha) *. old)
 

@@ -145,12 +145,12 @@ let arbitrary_scenario = QCheck.make ~print:print_scenario scenario
 
 (* The documents above draw from four tags, so every subtree's tag mask
    holds nearly all of them and no mask wraps mod 63.  This variant has
-   more than 63 tag names, deep child-only chains, and queries whose
-   steps name tags the data lacks ([zz]) or holds only here and there,
-   often under [//].  The [w*] tags sit on one child-only chain, the
-   root's first child, which is never cut: a store interns tags in
-   document order, so the chain takes codes 1 to 70 and the four common
-   tags wrap mod 63. *)
+   more than 63 tag names, deep child-only chains, nodes with up to
+   eight children of mixed tags, and queries whose steps name tags the
+   data lacks ([zz]) or holds only here and there, often under [//].
+   The [w*] tags sit on one child-only chain, the root's first child,
+   which is never cut: a store interns tags in document order, so the
+   chain takes codes 1 to 70 and the four common tags wrap mod 63. *)
 let wide_tags = Array.init 70 (fun i -> "w" ^ string_of_int i)
 
 let deep_label st =
@@ -171,16 +171,15 @@ let deep_doc : Tree.doc G.t =
     let txt = text_opt st in
     let children =
       if depth > 24 || !budget <= 0 then []
-      else if G.int_range 0 2 st = 0 then begin
-        (* a child-only link *)
-        decr budget;
-        [ build (depth + 1) ]
-      end
-      else begin
-        let want = G.int_range 0 (min 3 !budget) st in
-        budget := !budget - want;
-        List.init want (fun _ -> build (depth + 1))
-      end
+      else
+        let kids want =
+          budget := !budget - want;
+          List.init want (fun _ -> build (depth + 1))
+        in
+        match G.int_range 0 5 st with
+        | 0 | 1 -> kids 1 (* a child-only link *)
+        | 2 -> kids (G.int_range (min 4 !budget) (min 8 !budget) st)
+        | _ -> kids (G.int_range 0 (min 3 !budget) st)
     in
     let attrs = attrs_gen st in
     match txt with

@@ -263,6 +263,50 @@ let test_golden_matrix () =
         true o.Pe.audit.Pax_obs.Audit.pass)
     cases
 
+(* A serving tier keeps each run's outcome (the benchmark keeps every
+   read's, for its oracle), so an outcome holds plain data: the audit
+   keeps the numbers its bounds are computed from and renders their
+   formulas only when printed.  FT2 as in the paper's Experiment 2 (13
+   units, ten fragments on four sites), under Q3. *)
+let test_outcome_words () =
+  let u x = 13 * Xmark.nodes_per_mb * x / 104 in
+  let b = Tree.builder () in
+  let rng = Pax_xmark.Rng.create ~seed:2013 in
+  let plain nodes = Xmark.site b (Pax_xmark.Rng.split rng) ~nodes in
+  let skewed ~closed_u =
+    Xmark.site_custom b (Pax_xmark.Rng.split rng) ~regions:(u 12)
+      ~categories:(u 1) ~people:(u 3) ~open_auctions:(u 12)
+      ~closed_auctions:(u closed_u)
+  in
+  let site1 = plain (u 5) in
+  let site2 = skewed ~closed_u:8 in
+  let site3 = skewed ~closed_u:28 in
+  let site4 = plain (u 5) in
+  let doc =
+    Tree.doc_of_root (Tree.elem b "sites" [ site1; site2; site3; site4 ])
+  in
+  let section (site : Tree.node) tag =
+    (List.find (fun (c : Tree.node) -> c.Tree.tag = tag) site.Tree.children)
+      .Tree.id
+  in
+  let cuts =
+    [ site2.Tree.id; site3.Tree.id; site4.Tree.id ]
+    @ List.concat_map
+        (fun site ->
+          List.map (section site)
+            [ "regions"; "open_auctions"; "closed_auctions" ])
+        [ site2; site3 ]
+  in
+  let ft = Fragment.fragmentize doc ~cuts in
+  Alcotest.(check int) "fragments" 10 (Fragment.n_fragments ft);
+  let placement = [| 0; 1; 2; 3; 1; 2; 2; 0; 1; 3 |] in
+  let pe = Engines.pax2 ft ~n_sites:4 ~assign:(fun fid -> placement.(fid)) in
+  let o = Pe.run_text pe Xmark.q3 in
+  Alcotest.(check bool) "audit passes" true o.Pe.audit.Pax_obs.Audit.pass;
+  let words = Obj.reachable_words (Obj.repr o) in
+  if words > 110 then
+    Alcotest.failf "an FT2 Q3 outcome holds %d words, not at most 110" words
+
 let qtest name ~count:n prop =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name ~count:(count n) arbitrary_faulty prop)
@@ -276,6 +320,8 @@ let () =
             test_validate;
           Alcotest.test_case "FT1 golden visit matrix through Pe" `Quick
             test_golden_matrix;
+          Alcotest.test_case "an FT2 Q3 outcome holds at most 110 words"
+            `Quick test_outcome_words;
           qtest "Pe = direct, bit for bit (clean)" ~count:100 (seam ~fault:false);
           qtest "Pe = direct, bit for bit (faults)" ~count:150 (seam ~fault:true);
         ] );

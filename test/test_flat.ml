@@ -350,11 +350,8 @@ let prop_combined (s : H.Gen.scenario) =
 
 (* Skipping on the data it is for: an XMark tree cut like the paper's
    FT2, where every site but the first is a fragment, and so is each
-   of its regions and auction sections.  Q1 reaches only the people
-   sections, so its combined pass must charge under 5% of a walk over
-   every slot (n_sel per element, Q1 having no qualifier), and still
-   agree with the two passes. *)
-let test_xmark_q1_skips () =
+   of its regions and auction sections. *)
+let xmark_ft2 () =
   let doc = Pax_xmark.Xmark.doc ~seed:42 ~total_nodes:3000 ~n_sites:3 in
   let sections = [ "regions"; "open_auctions"; "closed_auctions" ] in
   let cuts =
@@ -369,7 +366,13 @@ let test_xmark_q1_skips () =
   in
   let ft = Fragment.fragmentize doc ~cuts in
   Alcotest.(check int) "fragments" 9 (Fragment.n_fragments ft);
-  let compiled = (Query.of_string Pax_xmark.Xmark.q1).Query.compiled in
+  ft
+
+(* The combined pass's ops on every fragment of [ft], and what a walk
+   of every slot would charge ([n_sel + n_qual] per element); checks
+   the pass still agrees with the two passes. *)
+let combined_share ft query =
+  let compiled = (Query.of_string query).Query.compiled in
   let plan = Flat_pass.make_plan compiled (Fragment.intern ft) in
   let ops = ref 0 and full = ref 0 in
   List.iter
@@ -381,14 +384,35 @@ let test_xmark_q1_skips () =
       ops := !ops + oc.Flat_pass.ops;
       for i = 0 to Flat.length fl - 1 do
         if not (Flat.is_virtual fl i) then
-          full := !full + compiled.Compile.n_sel
+          full := !full + compiled.Compile.n_sel + compiled.Compile.n_qual
       done)
     (Fragment.top_down ft);
-  if !ops * 20 >= !full then
-    Alcotest.failf "Q1 charged %d ops, not under 5%% of %d" !ops !full;
   Alcotest.(check bool)
     "= two passes" true
-    (combined_matches_two_pass compiled ft)
+    (combined_matches_two_pass compiled ft);
+  (!ops, !full)
+
+(* [name]'s combined pass is charged under [pct]% of a walk of every
+   slot. *)
+let check_share ft name query ~pct =
+  let ops, full = combined_share ft query in
+  if ops * 100 >= full * pct then
+    Alcotest.failf "%s charged %d ops, not under %d%% of %d" name ops pct full
+
+(* Q1 reaches only the people sections and has no qualifier. *)
+let test_xmark_q1_skips () =
+  check_share (xmark_ft2 ()) "Q1" Pax_xmark.Xmark.q1 ~pct:5
+
+(* Q2 reaches annotations below the open auctions only: a child of an
+   auction is walked when an annotation is below it.  Q3 and Q4 demand
+   every qualifier entry of each fragment root, but a child is walked
+   only when its tag can pass a test that demand owes: a
+   [closed_auctions] root walks none of its auctions. *)
+let test_xmark_q2_q4_skip () =
+  let ft = xmark_ft2 () in
+  check_share ft "Q2" Pax_xmark.Xmark.q2 ~pct:10;
+  check_share ft "Q3" Pax_xmark.Xmark.q3 ~pct:25;
+  check_share ft "Q4" Pax_xmark.Xmark.q4 ~pct:25
 
 (* The flat qualifier and selection passes against their pointer
    references, per fragment and per entry (test/test_passes.ml's
@@ -509,5 +533,7 @@ let () =
                ~count:(count 300) H.Gen.arbitrary_deep_scenario prop_combined);
           Alcotest.test_case "XMark Q1 walks under 5% of the slots" `Quick
             test_xmark_q1_skips;
+          Alcotest.test_case "XMark Q2-Q4 walk under 10%, 25%, 25%" `Quick
+            test_xmark_q2_q4_skip;
         ] );
     ]

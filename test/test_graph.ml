@@ -137,7 +137,7 @@ let test_audit_chain () =
         Pax_obs.Audit.pp ppf a)
       ();
   Alcotest.(check int) "three bounds" 3
-    (List.length a.Pax_obs.Audit.bounds)
+    (List.length (Pax_obs.Audit.bounds a))
 
 (* The oracle, in-process: distributed answer = centralized BFS, and
    the audit passes, on every random scenario. *)

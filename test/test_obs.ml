@@ -315,17 +315,17 @@ let sample_input =
 let test_audit_pass () =
   let r = Audit.evaluate sample_input in
   Alcotest.(check bool) "passes" true r.Audit.pass;
-  Alcotest.(check int) "three bounds" 3 (List.length r.Audit.bounds);
+  Alcotest.(check int) "three bounds" 3 (List.length (Audit.bounds r));
   List.iter
     (fun (b : Audit.bound) ->
-      Alcotest.(check bool) (b.Audit.b_name ^ " passes") true b.Audit.b_pass;
-      if b.Audit.b_margin < 0. then
+      Alcotest.(check bool) (b.Audit.b_name ^ " passes") true (Audit.passes b);
+      if Audit.margin b < 0. then
         Alcotest.failf "%s: negative margin on a passing bound" b.Audit.b_name)
-    r.Audit.bounds;
+    (Audit.bounds r);
   (* No visits bound when the engine promises none. *)
   let r' = Audit.evaluate { sample_input with Audit.visit_limit = None } in
   Alcotest.(check int) "two bounds without a visit promise" 2
-    (List.length r'.Audit.bounds)
+    (List.length (Audit.bounds r'))
 
 (* The acceptance criterion's deliberate violation: a 4-visit run under
    a <= 2 promise must report failure, with a negative margin. *)
@@ -334,10 +334,10 @@ let test_audit_violation () =
   Alcotest.(check bool) "fails" false r.Audit.pass;
   let visits =
     List.find (fun (b : Audit.bound) -> b.Audit.b_name = "visits")
-      r.Audit.bounds
+      (Audit.bounds r)
   in
-  Alcotest.(check bool) "visits bound failed" false visits.Audit.b_pass;
-  Alcotest.(check bool) "negative margin" true (visits.Audit.b_margin < 0.);
+  Alcotest.(check bool) "visits bound failed" false (Audit.passes visits);
+  Alcotest.(check bool) "negative margin" true (Audit.margin visits < 0.);
   Alcotest.(check (float 0.)) "actual is 4" 4. visits.Audit.b_actual;
   (* The other two bounds fail on inflated actuals too. *)
   let r_comm =
@@ -390,9 +390,9 @@ let check_audit_pass ~what ~engine ~ftree r =
       (Format.asprintf "%a" Audit.pp rep);
   List.iter
     (fun (b : Audit.bound) ->
-      if b.Audit.b_margin < 0. then
+      if Audit.margin b < 0. then
         Alcotest.failf "%s: %s margin negative" what b.Audit.b_name)
-    rep.Audit.bounds
+    (Audit.bounds rep)
 
 let test_audit_example_suite () =
   (* The Fig. 2 clientele example... *)
@@ -1100,7 +1100,7 @@ let test_cost_ledger () =
         (b.Audit.b_name ^ ": actual recorded")
         (Some b.Audit.b_actual)
         (v "pax_cost_actual" b.Audit.b_name))
-    report.Audit.bounds;
+    (Audit.bounds report);
   Alcotest.(check (option (float 0.))) "no violations counted" None
     (v "pax_cost_violations_total" "visits");
   (* A violated bound is counted. *)

@@ -11,15 +11,20 @@ module Cluster = Pax_dist.Cluster
 module H = Test_helpers
 module Run_result = Pax_core.Run_result
 
-let scenario_test name ~count f =
+let count n =
+  match Sys.getenv_opt "PAX_QCHECK_COUNT" with
+  | Some s -> (try int_of_string s with _ -> n)
+  | None -> n
+
+let scenario_test ?(arb = H.Gen.arbitrary_scenario) name ~count:n f =
   QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~name ~count H.Gen.arbitrary_scenario f)
+    (QCheck.Test.make ~name ~count:(count n) arb f)
 
 let oracle (s : H.Gen.scenario) =
   Semantics.eval_ids s.H.Gen.s_query s.H.Gen.s_doc.Tree.root
 
-let agrees name run =
-  scenario_test name ~count:400 (fun s ->
+let agrees ?arb name run =
+  scenario_test ?arb name ~count:400 (fun s ->
       let q = Query.of_ast s.H.Gen.s_query in
       let expected = oracle s in
       let result : Run_result.t = run s.H.Gen.s_cluster q in
@@ -59,6 +64,8 @@ let no_tree_data name run =
       let result : Run_result.t = run s.H.Gen.s_cluster q in
       result.Run_result.report.Cluster.tree_bytes = 0)
 
+let deep = H.Gen.arbitrary_deep_scenario
+
 let () =
   Alcotest.run "properties"
     [
@@ -72,6 +79,19 @@ let () =
           agrees "PaX2-XA = semantics" (fun cl q ->
               Pax_core.Pax2.run ~annotations:true cl q);
           agrees "Naive = semantics" (fun cl q -> Pax_core.Naive.run cl q);
+        ] );
+      (* The scenarios on which PaX2's combined pass skips most: more
+         than 63 tags, deep chains, wide nodes of mixed tags. *)
+      ( "skipping",
+        [
+          agrees ~arb:deep "PaX3-NA = semantics, deep" (fun cl q ->
+              Pax_core.Pax3.run cl q);
+          agrees ~arb:deep "PaX3-XA = semantics, deep" (fun cl q ->
+              Pax_core.Pax3.run ~annotations:true cl q);
+          agrees ~arb:deep "PaX2-NA = semantics, deep" (fun cl q ->
+              Pax_core.Pax2.run cl q);
+          agrees ~arb:deep "PaX2-XA = semantics, deep" (fun cl q ->
+              Pax_core.Pax2.run ~annotations:true cl q);
         ] );
       ( "guarantees",
         [
