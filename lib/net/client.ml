@@ -71,15 +71,28 @@ let fresh_corr () = Atomic.fetch_and_add corr_counter 1 land ((1 lsl 55) - 1)
 (* The multiplexer                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* The thread that posts requests and then waits for their replies:
+   one engine round's collector, or one control-plane call.  It sleeps
+   on a condition of its own, so a reply wakes only the thread that
+   asked for it, and that thread only once: when [w_open] falls to 0,
+   or when a result is an error and [w_failed] is set. *)
+type waiter = {
+  w_cond : Condition.t;
+  mutable w_open : int;  (** its requests with no result yet *)
+  mutable w_failed : bool;  (** an error result it has not collected *)
+}
+
 (* One request in flight: registered under [lock] before its frame is
    written, filled exactly once — by the site's receiver thread (reply,
-   deadline expiry or connection death) — and collected by the thread
-   that sent it.  [int] alongside the message is the frame length, for
-   the collector's byte accounting. *)
+   deadline expiry or connection death) — and collected by its
+   waiter's thread.  [int] alongside the message is the frame length,
+   for the collector's byte accounting. *)
 type pending = {
   p_site : int;
   p_deadline : float;
+  p_waiter : waiter;
   mutable p_result : (Wire.msg * int, exn) result option;
+  mutable p_at : float;  (** when [p_result] was written *)
 }
 
 type conn = { c_fd : Unix.file_descr; c_rd : Sockio.reader; c_gen : int }
@@ -87,11 +100,10 @@ type conn = { c_fd : Unix.file_descr; c_rd : Sockio.reader; c_gen : int }
 type t = {
   addrs : Sockio.addr array;
   timeout : float;
-  lock : Mutex.t;  (** guards [conns], [pending], [gen], signals [cond] *)
-  cond : Condition.t;
+  lock : Mutex.t;  (** guards [conns], [pending], [gen] and every waiter *)
   conns : conn option array;
   send_locks : Mutex.t array;  (** one writer at a time per socket *)
-  pending : (int, pending) Hashtbl.t;  (** corr -> waiter *)
+  pending : (int, pending) Hashtbl.t;  (** corr -> request *)
   mutable gen : int;
   mutable sink : Pax_obs.Sink.t;
   mutable default_handle : handle option;
@@ -128,9 +140,10 @@ and handle = {
   mutable frames : int;
 }
 
-(* How often an idle receiver re-checks deadlines.  A frame arriving
-   wakes the poll immediately; this only bounds how stale an expired
-   deadline can go unnoticed. *)
+(* How often a receiver checks its requests' deadlines, whether or not
+   frames arrive: a site that keeps answering other requests on the
+   connection cannot keep an unanswered one waiting past its deadline
+   by more than this. *)
 let poll_interval = 0.05
 
 let create ?(timeout = 30.) ~addrs () =
@@ -138,7 +151,6 @@ let create ?(timeout = 30.) ~addrs () =
     addrs;
     timeout;
     lock = Mutex.create ();
-    cond = Condition.create ();
     conns = Array.make (Array.length addrs) None;
     send_locks = Array.init (Array.length addrs) (fun _ -> Mutex.create ());
     pending = Hashtbl.create 32;
@@ -155,15 +167,28 @@ let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-(* Fail every waiter of [site] that has no result yet.  Idempotent:
-   results are written at most once, so a racing deadline expiry or a
-   second failure sweep cannot overwrite a delivered reply. *)
+let new_waiter () =
+  { w_cond = Condition.create (); w_open = 0; w_failed = false }
+
+(* Caller holds [t.lock].  Results are written at most once, so a
+   racing deadline expiry or a second failure sweep cannot overwrite a
+   delivered reply. *)
+let settle_locked p r =
+  if p.p_result = None then begin
+    p.p_result <- Some r;
+    p.p_at <- Pax_obs.Clock.now ();
+    let w = p.p_waiter in
+    w.w_open <- w.w_open - 1;
+    let failed = Result.is_error r in
+    if failed then w.w_failed <- true;
+    if failed || w.w_open = 0 then Condition.signal w.w_cond
+  end
+
+(* Fail every request of [site] that has no result yet. *)
 let fail_waiters_locked t site e =
   Hashtbl.iter
-    (fun _ p ->
-      if p.p_site = site && p.p_result = None then p.p_result <- Some (Error e))
-    t.pending;
-  Condition.broadcast t.cond
+    (fun _ p -> if p.p_site = site then settle_locked p (Error e))
+    t.pending
 
 (* Retire a site's connection (requested by a sender that saw a delivery
    failure).  Shut down, not closed: the receiver may be inside a select
@@ -196,37 +221,34 @@ let deposit t site payload =
   | Ok (corr, msg) ->
       locked t (fun () ->
           match Hashtbl.find_opt t.pending corr with
-          | Some p when p.p_site = site && p.p_result = None ->
-              p.p_result <- Some (Ok (msg, 4 + String.length payload));
-              Condition.broadcast t.cond
+          | Some p when p.p_site = site ->
+              settle_locked p (Ok (msg, 4 + String.length payload))
           | Some _ | None ->
               (* A reply to a request nobody waits for any more (resend
                  after timeout, abandoned run): drop it. *)
-              ())
-      |> fun () -> Ok ()
+              ());
+      Ok ()
   | Error err -> Error (Failure (Format.asprintf "%a" Wire.pp_error err))
 
 let expire_due t site =
   locked t (fun () ->
       let now = Pax_obs.Clock.now () in
-      let fired = ref false in
       Hashtbl.iter
         (fun _ p ->
-          if p.p_site = site && p.p_result = None && p.p_deadline <= now then begin
-            p.p_result <- Some (Error Sockio.Timeout);
-            fired := true
-          end)
-        t.pending;
-      if !fired then Condition.broadcast t.cond)
+          if p.p_site = site && p.p_deadline <= now then
+            settle_locked p (Error Sockio.Timeout))
+        t.pending)
 
 (* The per-connection receiver: the only thread that reads this socket.
-   It polls (so a per-request deadline can never abandon a half-read
-   frame and desynchronize the stream) and commits to a full frame read
-   only once bytes are available; a mid-frame stall longer than the
-   client timeout means the stream is broken and kills the connection.
-   On any exit path the connection's in-flight waiters are failed (here,
-   or by [drop] if it retired the connection first) — no sender can be
-   left waiting on a dead connection — and the descriptor is closed. *)
+   It reads through the connection's buffered reader, which waits only
+   when no whole frame is buffered, and a read timeout loses nothing (a
+   partial frame stays buffered), so the wait can be cut at the next
+   deadline check: due every [poll_interval], frames or not.  A stalled
+   peer fails no one by itself; its requests expire, and their senders
+   drop the connection.  On any exit path the connection's in-flight
+   requests are failed (here, or by [drop] if it retired the
+   connection first) — no sender can be left waiting on a dead
+   connection — and the descriptor is closed. *)
 let receiver t site (c : conn) =
   let alive () =
     locked t (fun () ->
@@ -242,24 +264,27 @@ let receiver t site (c : conn) =
             fail_waiters_locked t site e
         | _ -> ())
   in
-  let rec loop () =
+  let rec loop check_at =
     if alive () then begin
-      match Sockio.poll_readable c.c_fd poll_interval with
-      | false ->
+      let now = Pax_obs.Clock.now () in
+      let check_at =
+        if now >= check_at then begin
           expire_due t site;
-          loop ()
-      | true -> (
-          match Sockio.read_frame_r ~timeout:t.timeout c.c_rd with
-          | None -> fail (Failure "connection closed by site server")
-          | Some payload -> (
-              match deposit t site payload with
-              | Ok () -> loop ()
-              | Error e -> fail e)
-          | exception e -> fail e)
+          now +. poll_interval
+        end
+        else check_at
+      in
+      match Sockio.read_frame ~timeout:(check_at -. now) c.c_rd with
+      | None -> fail (Failure "connection closed by site server")
+      | Some payload -> (
+          match deposit t site payload with
+          | Ok () -> loop check_at
+          | Error e -> fail e)
+      | exception Sockio.Timeout -> loop check_at
       | exception e -> fail e
     end
   in
-  loop ();
+  loop (Pax_obs.Clock.now () +. poll_interval);
   try Unix.close c.c_fd with _ -> ()
 
 let ensure_conn t site =
@@ -284,19 +309,23 @@ let ensure_conn t site =
           ignore (Thread.create (fun () -> receiver t site c) ());
           c)
 
-(* Register the waiter *before* writing: whatever kills the connection
-   after the write — even before this thread reaches [await] — sweeps
-   the waiter and wakes us with the error. *)
-let post t site msg =
+(* Register the request *before* writing: whatever kills the
+   connection after the write — even before this thread waits — sweeps
+   the request and wakes its waiter with the error. *)
+let post t w site msg =
   let corr = fresh_corr () in
   let p =
     {
       p_site = site;
       p_deadline = Pax_obs.Clock.now () +. t.timeout;
+      p_waiter = w;
       p_result = None;
+      p_at = 0.;
     }
   in
-  locked t (fun () -> Hashtbl.replace t.pending corr p);
+  locked t (fun () ->
+      w.w_open <- w.w_open + 1;
+      Hashtbl.replace t.pending corr p);
   let payload = Wire.encode_payload ~corr msg in
   (match
      let c = ensure_conn t site in
@@ -307,22 +336,26 @@ let post t site msg =
    with
   | () -> ()
   | exception e ->
-      locked t (fun () -> Hashtbl.remove t.pending corr);
+      locked t (fun () ->
+          Hashtbl.remove t.pending corr;
+          if p.p_result = None then w.w_open <- w.w_open - 1);
       raise e);
   (corr, p, 4 + String.length payload)
 
+(* Caller holds [t.lock].  Sleep until every request of [w] has a
+   result or one has failed. *)
+let wait_locked t w =
+  while w.w_open > 0 && not w.w_failed do
+    Condition.wait w.w_cond t.lock
+  done;
+  w.w_failed <- false
+
+(* One request's result, for a waiter that posted only that one. *)
 let await t corr p =
   locked t (fun () ->
-      let rec wait () =
-        match p.p_result with
-        | Some r ->
-            Hashtbl.remove t.pending corr;
-            r
-        | None ->
-            Condition.wait t.cond t.lock;
-            wait ()
-      in
-      wait ())
+      wait_locked t p.p_waiter;
+      Hashtbl.remove t.pending corr;
+      Option.get p.p_result)
 
 let close t =
   Array.iteri (fun site _ -> drop t site) t.conns
@@ -359,7 +392,7 @@ let shutdown_sites t =
    socket) but deliberately skips every byte counter: fetching stats
    must not disturb the numbers being fetched. *)
 let fetch_stats t site =
-  let corr, p, _ = post t site Wire.Stats_request in
+  let corr, p, _ = post t (new_waiter ()) site Wire.Stats_request in
   match await t corr p with
   | Ok (Wire.Stats_reply pairs, _) -> pairs
   | Ok _ -> failwith "unexpected reply to a stats request"
@@ -381,7 +414,7 @@ let estimate_offset ~t0 ~t1 ~server_now = server_now -. ((t0 +. t1) /. 2.)
    multi-process Perfetto merge subtracts from the site's track. *)
 let fetch_spans t site =
   let t0 = Pax_obs.Clock.now () in
-  let corr, p, _ = post t site Wire.Spans_fetch in
+  let corr, p, _ = post t (new_waiter ()) site Wire.Spans_fetch in
   match await t corr p with
   | Ok (Wire.Spans_reply { server_now; spans }, _) ->
       let t1 = Pax_obs.Clock.now () in
@@ -400,7 +433,7 @@ let fetch_spans t site =
    to it (one flow arrow per migration step in the merged trace). *)
 let admin_rpc t name ~site msg collect =
   let parent = Pax_obs.Sink.alloc t.sink in
-  let corr, p, _ = post t site (msg ~parent) in
+  let corr, p, _ = post t (new_waiter ()) site (msg ~parent) in
   Pax_obs.Sink.span t.sink ~cat:"admin" ?id:parent
     ~args:(fun () -> [ ("site", string_of_int site) ])
     name
@@ -521,15 +554,17 @@ let frame_obs h ~dir msg ~frame_len =
     | _ -> ()
 
 (* Send all requests first (sites start working in parallel), then
-   collect replies in input order.  Any delivery failure drops the
-   site's connection and reports to [retry] — which raises once the
-   budget is gone — then reconnects and resends under a fresh
-   correlation id; the server's per-round reply memo makes the resend
-   safe, and a late reply to the abandoned id is dropped by the
-   receiver.  Replies are matched by correlation id, so frames of other
-   runs interleaved on the same socket are invisible here. *)
+   sleep until every reply is in, or until the first failure.  Any
+   delivery failure drops the site's connection and reports to [retry]
+   — which raises once the budget is gone — then reconnects and resends
+   under a fresh correlation id; the server's per-round reply memo makes
+   the resend safe, and a late reply to the abandoned id is dropped by
+   the receiver.  Replies are matched by correlation id, so frames of
+   other runs interleaved on the same socket are invisible here, and
+   they wake other threads only. *)
 let visit_round h ~round ~label ~retry reqs =
   let t = h.h_mux in
+  let w = new_waiter () in
   let attempts = Hashtbl.create 8 in
   let next_attempt site =
     let a = Option.value (Hashtbl.find_opt attempts site) ~default:1 in
@@ -552,6 +587,7 @@ let visit_round h ~round ~label ~retry reqs =
      pre-tracing builds), stamps it on the frame as trace context, and
      the collector below records the rpc span under that id once the
      reply lands — the site's visit span parent-links to it. *)
+  let corrs = ref [] in
   let rec send site call =
     let rpc_id = Pax_obs.Sink.alloc (sink_of h) in
     let msg = request site call ~parent:rpc_id in
@@ -559,9 +595,10 @@ let visit_round h ~round ~label ~retry reqs =
       Pax_obs.Sink.span (sink_of h) ~cat:"wire" ?parent:rpc_id
         ~args:(fun () -> [ ("site", string_of_int site) ])
         "send frame"
-        (fun () -> post t site msg)
+        (fun () -> post t w site msg)
     with
     | corr, p, frame_len ->
+        corrs := corr :: !corrs;
         h.sent_bytes <- h.sent_bytes + frame_len;
         h.h_touched.(site) <- true;
         frame_obs h ~dir:"sent" msg ~frame_len;
@@ -571,29 +608,40 @@ let visit_round h ~round ~label ~retry reqs =
         failed site e;
         send site call
   in
-  let started = Hashtbl.create 8 in
-  let posted =
-    List.map
-      (fun (site, call) ->
-        Hashtbl.replace started site (Pax_obs.Clock.now ());
-        (site, call, ref (send site call)))
-      reqs
-  in
-  let rec recv site call waiter =
-    let corr, p, rpc_id = !waiter in
-    match
-      Pax_obs.Sink.span (sink_of h) ~cat:"wire" ?parent:rpc_id
-        ~args:(fun () -> [ ("site", string_of_int site) ])
-        "recv frame"
-        (fun () -> await t corr p)
-    with
+  let replies = Array.make (List.length reqs) None in
+  (* One result taken from the mux at [taken]: a reply is kept with its
+     rpc span; a stale epoch, a mismatched body or a delivery failure is
+     charged to the budget and resent. *)
+  let collect i ~taken (site, call, t0, sent) result =
+    let _, p, rpc_id = !sent in
+    let sink = sink_of h in
+    (* From the receiver's deposit to this thread taking the result. *)
+    if sink.Pax_obs.Sink.enabled then
+      Pax_obs.Sink.record sink ~cat:"wire" ?parent:rpc_id
+        ~args:[ ("site", string_of_int site) ]
+        "recv frame" ~t0:p.p_at ~t1:taken;
+    match result with
     | Ok ((Wire.Visit_reply { run; round = r; reply } as msg), frame_len)
       when run = h.h_run && r = round -> (
         h.received_bytes <- h.received_bytes + frame_len;
         frame_obs h ~dir:"recv" msg ~frame_len;
         tally_msg h msg;
         match reply with
-        | Ok rep -> rep
+        | Ok rep ->
+            (* The rpc span of the attempt that got the reply, up to
+               its arrival: the remote parent of the site's visit span
+               in the merged trace. *)
+            Option.iter
+              (fun id ->
+                Pax_obs.Sink.record sink ~cat:"rpc" ~id
+                  ~args:
+                    [
+                      ("site", string_of_int site);
+                      ("round", string_of_int round);
+                    ]
+                  label ~t0 ~t1:p.p_at)
+              rpc_id;
+            replies.(i) <- Some (site, rep, p.p_at -. t0)
         | Error message when Wire.is_stale_epoch message ->
             (* The site fenced a fragment we routed to it: placement
                metadata is converging (a migration just landed).  The
@@ -602,37 +650,53 @@ let visit_round h ~round ~label ~retry reqs =
                stale the budget runs out as the typed
                [Site_unreachable]. *)
             charge site (Failure message);
-            waiter := send site call;
-            recv site call waiter
+            sent := send site call
         | Error message -> raise (Transport.Remote_failure { site; message }))
     | Ok _ ->
         (* The server echoed our correlation id on the wrong body:
            protocol violation — drop the connection and retry. *)
         failed site (Failure "correlated reply does not match its request");
-        waiter := send site call;
-        recv site call waiter
+        sent := send site call
     | Error ((Unix.Unix_error _ | Failure _ | Sockio.Timeout) as e) ->
         failed site e;
-        waiter := send site call;
-        recv site call waiter
+        sent := send site call
     | Error e -> raise e
   in
-  List.map
-    (fun (site, call, waiter) ->
-      let reply = recv site call waiter in
-      let t1 = Pax_obs.Clock.now () in
-      let t0 = Option.value (Hashtbl.find_opt started site) ~default:t1 in
-      (* The rpc span of the attempt that got the reply: the remote
-         parent of the site's visit span in the merged trace. *)
-      (match !waiter with
-      | _, _, Some id ->
-          Pax_obs.Sink.record (sink_of h) ~cat:"rpc" ~id
-            ~args:
-              [ ("site", string_of_int site); ("round", string_of_int round) ]
-            label ~t0 ~t1
-      | _ -> ());
-      (site, reply, t1 -. t0))
-    posted
+  (* Take every result that is in, under one lock hold, then handle
+     them in input order; resends rejoin the same waiter. *)
+  let rec gather posted =
+    let results =
+      locked t (fun () ->
+          wait_locked t w;
+          Array.mapi
+            (fun i (_, _, _, sent) ->
+              let corr, p, _ = !sent in
+              match (replies.(i), p.p_result) with
+              | None, Some r ->
+                  Hashtbl.remove t.pending corr;
+                  Some r
+              | _ -> None)
+            posted)
+    in
+    let taken = Pax_obs.Clock.now () in
+    Array.iteri
+      (fun i r -> Option.iter (collect i ~taken posted.(i)) r)
+      results;
+    if Array.exists Option.is_none replies then gather posted
+  in
+  (* A round that raises leaves requests in flight: unregister them, so
+     their late replies are dropped like any abandoned request's. *)
+  Fun.protect
+    ~finally:(fun () ->
+      locked t (fun () -> List.iter (Hashtbl.remove t.pending) !corrs))
+    (fun () ->
+      gather
+        (Array.of_list
+           (List.map
+              (fun (site, call) ->
+                (site, call, Pax_obs.Clock.now (), ref (send site call)))
+              reqs)));
+  Array.to_list (Array.map Option.get replies)
 
 let handle_transport h =
   let t = h.h_mux in

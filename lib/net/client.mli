@@ -6,9 +6,12 @@
     server echoes on the reply, so many in-flight runs share a socket:
     a dedicated receiver thread per connection reads every frame and
     deposits it into the per-request mailbox its correlation id names
-    (docs/SERVING.md).  A {!handle} is one run's view of the shared
-    connections — its own run id, byte counters and telemetry sink —
-    and [visit_round]s of different handles interleave freely.
+    (docs/SERVING.md).  The thread that sent a round sleeps on a
+    condition of its own and is woken once: when the round's last
+    reply is in, or at its first failure.  A {!handle} is one run's
+    view of the shared connections — its own run id, byte counters and
+    telemetry sink — and [visit_round]s of different handles interleave
+    freely.
 
     Failure semantics match the simulated cluster's: every failed
     delivery attempt (connect refusal, timeout, EOF, reset) goes
@@ -31,8 +34,9 @@ type handle
     one engine run at a time; create one per concurrent query. *)
 
 (** [create ~addrs] — a client for sites [0 .. n-1] at the given
-    addresses.  [timeout] (seconds, default 30) bounds each wait for a
-    reply frame, enforced by the receiver threads. *)
+    addresses.  [timeout] (seconds, default 30) is each request's
+    deadline for its reply; the receiver threads check deadlines every
+    50 ms, whether or not frames arrive. *)
 val create : ?timeout:float -> addrs:Sockio.addr array -> unit -> t
 
 (** Number of site servers this client multiplexes over. *)

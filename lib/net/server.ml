@@ -372,7 +372,7 @@ let serve t fd =
   in
   let fid_arg fid () = [ ("fid", string_of_int fid) ] in
   let rec conn_loop (c : conn_entry) rd =
-    match Sockio.read_frame_r rd with
+    match Sockio.read_frame rd with
     | None -> `Eof
     | Some payload -> (
         let td0 = Pax_obs.Clock.now () in

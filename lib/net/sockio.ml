@@ -72,105 +72,122 @@ let max_frame = 64 * 1024 * 1024
 (* Deadlines are computed on the monotonic clock, so a wall-clock step
    (NTP, VM migration) can neither fire a timeout early nor postpone it
    indefinitely. *)
-let wait_readable fd deadline =
+let rec wait_readable fd deadline =
   match deadline with
   | None -> ()
-  | Some dl ->
+  | Some dl -> (
       let remaining = dl -. Pax_obs.Clock.now () in
-      if remaining <= 0. then raise Timeout
-      else
-        let r, _, _ = Unix.select [ fd ] [] [] remaining in
-        if r = [] then raise Timeout
+      if remaining <= 0. then raise Timeout;
+      match Unix.select [ fd ] [] [] remaining with
+      | [], _, _ -> raise Timeout
+      | _ -> ()
+      | exception Unix.Unix_error (Unix.EINTR, _, _) ->
+          wait_readable fd deadline)
 
-(* Wait until [fd] is readable for at most [timeout] seconds; [false]
-   on timeout, with nothing consumed from the stream — unlike a
-   mid-frame [read_frame] timeout, a [false] here is always safe to
-   retry.  The demultiplexing client's receiver loops on this so its
-   per-request deadlines never desynchronize the shared stream. *)
 let poll_readable fd timeout =
   match Unix.select [ fd ] [] [] timeout with
   | [], _, _ -> false
   | _ -> true
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
 
-(* EINTR-safe exact read into [b.[0..n-1]]; [false] iff EOF at offset 0
-   and [eof_ok].  Writing into a caller-owned buffer lets a connection
-   reuse its header buffer across frames instead of allocating one per
-   read. *)
-let read_into ~deadline fd b n ~eof_ok =
-  let rec go off =
-    if off = n then true
-    else begin
-      wait_readable fd deadline;
-      match Unix.read fd b off (n - off) with
-      | 0 ->
-          if off = 0 && eof_ok then false
-          else failwith "Sockio: connection closed mid-frame"
-      | k -> go (off + k)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-    end
-  in
-  go 0
+(* Per-connection read state: bytes read from the socket but not yet
+   returned live in [rd_buf.[rd_pos .. rd_len - 1]].  One [read] takes
+   whatever the kernel holds, so a burst of replies costs one syscall,
+   and every complete frame already buffered is returned without one.
+   The buffer starts at [initial_buffer] bytes, grows to fit a frame
+   larger than that (a fragment image), and drops back once it is
+   drained, so an idle connection holds a few KiB whatever it carried
+   last.  Each payload is copied out once: the {!Wire} decoders bound
+   everything by [String.length], so they cannot read a slice of the
+   shared buffer. *)
+type reader = {
+  rd_fd : Unix.file_descr;
+  mutable rd_buf : Bytes.t;
+  mutable rd_pos : int;
+  mutable rd_len : int;
+}
 
-(* Per-connection read state: the 4-byte length-header buffer, reused
-   for every frame on the connection.  The payload buffer is still
-   allocated per frame at exactly the payload size and frozen with
-   [unsafe_to_string] (single allocation, no copy): the {!Wire} decoders
-   bound everything by [String.length], so handing them a slice of a
-   larger reused buffer is not an option. *)
-type reader = { rd_fd : Unix.file_descr; rd_hdr : Bytes.t }
+let initial_buffer = 4096
 
-let reader fd = { rd_fd = fd; rd_hdr = Bytes.create 4 }
+let reader fd =
+  { rd_fd = fd; rd_buf = Bytes.create initial_buffer; rd_pos = 0; rd_len = 0 }
 
-let read_frame_r ?timeout r =
-  let deadline = Option.map (fun t -> Pax_obs.Clock.now () +. t) timeout in
-  let fd = r.rd_fd in
-  if not (read_into ~deadline fd r.rd_hdr 4 ~eof_ok:true) then None
-  else begin
-    let hdr = r.rd_hdr in
+(* The frame at [rd_pos], if it is complete; an over-long length is
+   refused as soon as its header is in, before anything is sized by
+   it.  Otherwise the number of bytes the frame needs from [rd_pos]. *)
+let buffered r =
+  let avail = r.rd_len - r.rd_pos in
+  if avail < 4 then Error 4
+  else
     let n =
-      (Char.code (Bytes.get hdr 0) lsl 24)
-      lor (Char.code (Bytes.get hdr 1) lsl 16)
-      lor (Char.code (Bytes.get hdr 2) lsl 8)
-      lor Char.code (Bytes.get hdr 3)
+      Int32.to_int (Bytes.get_int32_be r.rd_buf r.rd_pos) land 0xFFFF_FFFF
     in
     if n > max_frame then failwith "Sockio: oversized frame"
+    else if avail < 4 + n then Error (4 + n)
     else begin
-      let b = Bytes.create n in
-      ignore (read_into ~deadline fd b n ~eof_ok:false : bool);
-      Some (Bytes.unsafe_to_string b)
+      let payload = Bytes.sub_string r.rd_buf (r.rd_pos + 4) n in
+      r.rd_pos <- r.rd_pos + 4 + n;
+      Ok payload
     end
+
+(* Make room after [rd_len] for the [need] bytes the frame at [rd_pos]
+   needs: restart a drained buffer at offset 0 and at its initial size,
+   then slide a partial frame to the front, growing the buffer if the
+   frame is larger than it. *)
+let make_room r need =
+  let live = r.rd_len - r.rd_pos in
+  if live = 0 then begin
+    if Bytes.length r.rd_buf > initial_buffer then
+      r.rd_buf <- Bytes.create initial_buffer;
+    r.rd_pos <- 0;
+    r.rd_len <- 0
+  end;
+  if r.rd_pos + need > Bytes.length r.rd_buf then begin
+    let b =
+      if need > Bytes.length r.rd_buf then
+        Bytes.create (max need (2 * Bytes.length r.rd_buf))
+      else r.rd_buf
+    in
+    Bytes.blit r.rd_buf r.rd_pos b 0 live;
+    r.rd_buf <- b;
+    r.rd_pos <- 0;
+    r.rd_len <- live
   end
 
-let read_frame ?timeout fd = read_frame_r ?timeout (reader fd)
-
-(* Zero-copy frame write: the 4-byte header from a small scratch
-   buffer, then the payload written straight from the string — no
-   [n + 4] assembly copy.  Two writes on a stream socket are safe here
-   because every writer of a shared connection already serializes whole
-   frames (the client's per-site send lock, the server's per-connection
-   loop). *)
-let write_all fd b off len =
-  let stop = off + len in
-  let rec go off =
-    if off < stop then
-      match Unix.write fd b off (stop - off) with
-      | k -> go (off + k)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
+let read_frame ?timeout r =
+  let deadline = Option.map (fun t -> Pax_obs.Clock.now () +. t) timeout in
+  let rec go () =
+    match buffered r with
+    | Ok payload -> Some payload
+    | Error need -> (
+        make_room r need;
+        wait_readable r.rd_fd deadline;
+        match
+          Unix.read r.rd_fd r.rd_buf r.rd_len (Bytes.length r.rd_buf - r.rd_len)
+        with
+        | 0 ->
+            if r.rd_len = r.rd_pos then None
+            else failwith "Sockio: connection closed mid-frame"
+        | k ->
+            r.rd_len <- r.rd_len + k;
+            go ()
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ())
   in
-  go 0
+  go ()
 
+(* One write per frame: the header and a copy of the payload in one
+   buffer, since copying a payload of a few KiB costs less than a
+   second syscall.  Every writer of a shared connection serializes
+   whole frames (the client's per-site send lock, the server's
+   per-connection write lock). *)
 let write_frame fd payload =
   let n = String.length payload in
-  let hdr = Bytes.create 4 in
-  Bytes.set hdr 0 (Char.chr ((n lsr 24) land 0xFF));
-  Bytes.set hdr 1 (Char.chr ((n lsr 16) land 0xFF));
-  Bytes.set hdr 2 (Char.chr ((n lsr 8) land 0xFF));
-  Bytes.set hdr 3 (Char.chr (n land 0xFF));
-  write_all fd hdr 0 4;
+  let b = Bytes.create (4 + n) in
+  Bytes.set_int32_be b 0 (Int32.of_int n);
+  Bytes.blit_string payload 0 b 4 n;
   let rec go off =
-    if off < n then
-      match Unix.write_substring fd payload off (n - off) with
+    if off < 4 + n then
+      match Unix.write fd b off (4 + n - off) with
       | k -> go (off + k)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
   in

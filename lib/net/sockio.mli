@@ -18,39 +18,45 @@ val listen : ?backlog:int -> addr -> Unix.file_descr
 
 val connect : addr -> Unix.file_descr
 
-(** Raised by {!read_frame} when [timeout] elapses without a frame. *)
+(** Raised by {!read_frame} when [timeout] elapses without a whole
+    frame.  Nothing is lost: bytes of a partly received frame stay in
+    the {!reader}, and the next call resumes it. *)
 exception Timeout
 
+(** Frames longer than this (64 MiB) are refused. *)
+val max_frame : int
+
 (** [poll_readable fd t] waits at most [t] seconds for [fd] to become
-    readable; [false] on timeout.  Nothing is consumed from the stream,
-    so — unlike a mid-frame {!read_frame} timeout — a [false] is always
-    safe to retry.  The demultiplexing {!Client} receiver polls with
-    this before committing to a frame read. *)
+    readable; [false] on timeout.  The site server's accept loop polls
+    its listening socket with this. *)
 val poll_readable : Unix.file_descr -> float -> bool
 
-(** Per-connection read state: reuses the 4-byte length-header buffer
-    across frames (the payload is still one exact-size allocation,
-    frozen in place — never copied). *)
+(** A buffered per-connection reader.  Each [read] takes whatever the
+    kernel holds, so several frames that arrive together cost one
+    syscall; frames already buffered are returned without one.  The
+    buffer starts at a few KiB, grows to fit a larger frame and shrinks
+    back once drained.  A connection has exactly one reader: bytes it
+    buffered past one frame belong to the next. *)
 type reader
 
 val reader : Unix.file_descr -> reader
 
-(** [read_frame_r ?timeout r] reads one length-prefixed frame payload;
-    [None] on orderly EOF before a frame starts.
+(** [read_frame ?timeout r] returns the next frame's payload (copied
+    once out of the buffer); [None] on orderly EOF between frames.  It
+    waits ([select]) only when no complete frame is buffered, and with
+    no [timeout] it blocks in [read] alone.
     @raise Unix.Unix_error on connection errors
     @raise Timeout after [timeout] seconds (default: none)
-    @raise Failure on an over-long or short frame *)
-val read_frame_r : ?timeout:float -> reader -> string option
+    @raise Failure on EOF inside a frame, or on a length above
+    {!max_frame} (as soon as its header is in, before anything is
+    allocated for it) *)
+val read_frame : ?timeout:float -> reader -> string option
 
-(** One-shot {!read_frame_r} with a transient {!reader}; long-lived
-    connections (the server's accept loop, the client's receiver) hold
-    a [reader] instead. *)
-val read_frame : ?timeout:float -> Unix.file_descr -> string option
-
-(** [write_frame fd payload] writes the length prefix and then the
-    payload directly from the string — no frame-assembly copy.  Callers
+(** [write_frame fd payload] writes the length prefix and the payload
+    with one [write]: both are copied into one buffer first.  Callers
     sharing a connection must serialize whole frames (they do: the
-    client's per-site send lock, the server's per-connection loop).
+    client's per-site send lock, the server's per-connection write
+    lock).
     @raise Unix.Unix_error on connection errors (EPIPE included;
     [SIGPIPE] is disabled process-wide on first use of this module) *)
 val write_frame : Unix.file_descr -> string -> unit

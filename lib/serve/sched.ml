@@ -192,9 +192,9 @@ let worker t =
         Pax_obs.Sink.observe t.sink "pax_serve_latency_seconds"
           (Pax_obs.Clock.now () -. job.j_submitted);
         Pax_obs.Sink.count t.sink "pax_serve_completed_total";
-        locked t (fun () ->
-            t.inflight <- t.inflight - 1;
-            Condition.broadcast t.cond);
+        (* No one waits for [inflight] to fall: [t.cond] only wakes
+           idle workers once [queued > 0]. *)
+        locked t (fun () -> t.inflight <- t.inflight - 1);
         loop ()
   in
   loop ()

@@ -615,6 +615,153 @@ let test_addr_parse () =
     [ ""; "host:"; "host:0"; "host:99999"; "unix:"; "noport" ]
 
 (* ------------------------------------------------------------------ *)
+(* Framing: one buffered reader, any write boundaries                 *)
+(* ------------------------------------------------------------------ *)
+
+let qcheck_count n =
+  match Sys.getenv_opt "PAX_QCHECK_COUNT" with
+  | Some s -> ( try int_of_string s with _ -> n)
+  | None -> n
+
+let frame_header n =
+  let b = Bytes.create 4 in
+  Bytes.set_int32_be b 0 (Int32.of_int n);
+  Bytes.to_string b
+
+let write_all fd s =
+  let rec go off =
+    if off < String.length s then
+      go (off + Unix.write_substring fd s off (String.length s - off))
+  in
+  go 0
+
+(* Payloads of 0 B to 100 KiB (the reader starts at a few KiB), and the
+   chunk sizes a writer cuts their frames into, cycled: chunks of a few
+   bytes split headers, large ones carry several frames at once. *)
+let gen_framing =
+  let open QCheck.Gen in
+  let payload =
+    frequency
+      [
+        (3, int_range 0 64);
+        (3, int_range 65 6000);
+        (1, int_range 6001 102_400);
+      ]
+    >>= fun n ->
+    map
+      (fun seed ->
+        String.init n (fun i -> Char.chr ((seed + (i * 7919)) land 255)))
+      (int_bound 255)
+  in
+  let chunk =
+    frequency
+      [ (3, int_range 1 7); (3, int_range 8 5000); (1, int_range 5001 200_000) ]
+  in
+  pair (list_size (int_range 0 8) payload) (list_size (int_range 1 8) chunk)
+
+let print_framing (payloads, chunks) =
+  let ints l = String.concat "," (List.map string_of_int l) in
+  Printf.sprintf "payload sizes [%s], chunk sizes [%s]"
+    (ints (List.map String.length payloads))
+    (ints chunks)
+
+let prop_framing =
+  QCheck.Test.make ~name:"reader = frames written"
+    ~count:(qcheck_count 100)
+    (QCheck.make ~print:print_framing gen_framing)
+    (fun (payloads, chunks) ->
+      Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+      let stream =
+        String.concat ""
+          (List.concat_map
+             (fun p -> [ frame_header (String.length p); p ])
+             payloads)
+      in
+      let rfd, wfd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      let writer =
+        Thread.create
+          (fun () ->
+            let chunks = Array.of_list chunks in
+            let rec go off i =
+              if off < String.length stream then begin
+                let n =
+                  min
+                    chunks.(i mod Array.length chunks)
+                    (String.length stream - off)
+                in
+                write_all wfd (String.sub stream off n);
+                go (off + n) (i + 1)
+              end
+            in
+            (try go 0 0 with Unix.Unix_error _ -> ());
+            Unix.close wfd)
+          ()
+      in
+      let rd = Sockio.reader rfd in
+      let rec drain acc =
+        match Sockio.read_frame ~timeout:10. rd with
+        | Some p -> drain (p :: acc)
+        | None -> List.rev acc
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          Unix.close rfd;
+          Thread.join writer)
+        (fun () -> drain [] = payloads))
+
+(* A reader over a fresh socket pair; [w] is the writing end. *)
+let with_reader f =
+  let rfd, w = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close rfd;
+      Unix.close w)
+    (fun () -> f (Sockio.reader rfd) w)
+
+let test_framing_edges () =
+  let expect_failure name rd =
+    match Sockio.read_frame ~timeout:5. rd with
+    | exception Failure _ -> ()
+    | _ -> Alcotest.failf "%s: expected Failure" name
+  in
+  let frame = Alcotest.(option string) in
+  with_reader (fun rd w ->
+      write_all w (frame_header 3 ^ "abc");
+      Unix.shutdown w Unix.SHUTDOWN_SEND;
+      Alcotest.check frame "the frame" (Some "abc") (Sockio.read_frame rd);
+      Alcotest.check frame "EOF between frames" None (Sockio.read_frame rd));
+  with_reader (fun rd w ->
+      write_all w "\000\000";
+      Unix.shutdown w Unix.SHUTDOWN_SEND;
+      expect_failure "EOF inside a header" rd);
+  with_reader (fun rd w ->
+      write_all w (frame_header 10 ^ "abcde");
+      Unix.shutdown w Unix.SHUTDOWN_SEND;
+      expect_failure "EOF inside a payload" rd);
+  (* The stream stays open: the length alone must be refused, before a
+     buffer is sized by it. *)
+  List.iter
+    (fun n ->
+      with_reader (fun rd w ->
+          write_all w (frame_header n);
+          let before = Gc.allocated_bytes () in
+          expect_failure (Printf.sprintf "a header of %d" n) rd;
+          let grew = Gc.allocated_bytes () -. before in
+          if grew > 1048576. then
+            Alcotest.failf "refusing a header of %d allocated %.0f bytes" n
+              grew))
+    [ Sockio.max_frame + 1; 0xFFFF_FFFF ];
+  (* A timeout inside a frame loses nothing: the next read resumes it. *)
+  with_reader (fun rd w ->
+      write_all w (frame_header 6 ^ "abc");
+      (match Sockio.read_frame ~timeout:0.05 rd with
+      | exception Sockio.Timeout -> ()
+      | _ -> Alcotest.fail "half a frame must time out");
+      write_all w "def";
+      Alcotest.check frame "the resumed frame" (Some "abcdef")
+        (Sockio.read_frame ~timeout:5. rd))
+
+(* ------------------------------------------------------------------ *)
 (* Differential: sockets vs in-process                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -1099,6 +1246,87 @@ let test_refused_connection () =
       | exception Cluster.Site_unreachable { attempts; _ } ->
           Alcotest.(check int) "budget spent" 2 attempts)
 
+(* A site that answers [Stats_request] but never a visit.  Stats
+   replies keep arriving on the connection every ~10 ms, yet the visit
+   must still expire at the client's 0.3 s deadline and spend the retry
+   budget: deadlines are checked whether or not frames arrive. *)
+let test_busy_connection () =
+  with_timeout 30 (fun () ->
+      let _, ft = make_setup () in
+      let cl = Pax_dist.Placement.cluster_round_robin ft ~n_sites:1 in
+      let path =
+        Filename.concat (Filename.get_temp_dir_name ())
+          (Printf.sprintf "pax_net_busy_%d.sock" (Unix.getpid ()))
+      in
+      let addr = Sockio.Unix_path path in
+      let lfd = Sockio.listen addr in
+      let stop = Atomic.make false in
+      let site fd =
+        let rd = Sockio.reader fd in
+        let rec loop () =
+          match Sockio.read_frame rd with
+          | None -> ()
+          | Some payload ->
+              (match Wire.decode_payload_corr payload with
+              | Ok (corr, Wire.Stats_request) ->
+                  Sockio.write_frame fd
+                    (Wire.encode_payload ~corr (Wire.Stats_reply []))
+              | _ -> ());
+              loop ()
+        in
+        (try loop () with _ -> ());
+        Unix.close fd
+      in
+      let acceptor =
+        Thread.create
+          (fun () ->
+            while not (Atomic.get stop) do
+              if Sockio.poll_readable lfd 0.05 then
+                ignore (Thread.create site (fst (Unix.accept lfd)))
+            done)
+          ()
+      in
+      let client = Client.create ~timeout:0.3 ~addrs:[| addr |] () in
+      (* Polls for at most 10 s, so a client that never expires the
+         visit still ends the run (late) instead of hanging. *)
+      let poller =
+        Thread.create
+          (fun () ->
+            let until = Unix.gettimeofday () +. 10. in
+            while (not (Atomic.get stop)) && Unix.gettimeofday () < until do
+              (try ignore (Client.fetch_stats client 0)
+               with Failure _ | Unix.Unix_error _ | Sockio.Timeout -> ());
+              Thread.delay 0.01
+            done)
+          ()
+      in
+      Cluster.set_transport cl (Some (Client.transport client));
+      Cluster.set_retry cl
+        {
+          Pax_dist.Retry.max_attempts = 2;
+          base_delay = 0.01;
+          multiplier = 1.0;
+          max_delay = 0.01;
+        };
+      Fun.protect
+        ~finally:(fun () ->
+          Atomic.set stop true;
+          Thread.join poller;
+          Thread.join acceptor;
+          Client.close client;
+          Unix.close lfd;
+          try Sys.remove path with _ -> ())
+        (fun () ->
+          let t0 = Unix.gettimeofday () in
+          match Pax_core.Pax2.run cl (Query.of_string "//person") with
+          | _ -> Alcotest.fail "a visit nobody answers cannot succeed"
+          | exception Cluster.Site_unreachable { attempts; _ } ->
+              Alcotest.(check int) "budget spent" 2 attempts;
+              let took = Unix.gettimeofday () -. t0 in
+              if took > 5. then
+                Alcotest.failf "the visit expired after %.1f s, not ~0.3 s"
+                  took))
+
 let () =
   Random.self_init ();
   Alcotest.run "net"
@@ -1118,6 +1346,11 @@ let () =
             test_sections_measured;
           QCheck_alcotest.to_alcotest prop_section_sizes;
           Alcotest.test_case "addresses" `Quick test_addr_parse;
+        ] );
+      ( "framing",
+        [
+          QCheck_alcotest.to_alcotest prop_framing;
+          Alcotest.test_case "reader edges" `Quick test_framing_edges;
         ] );
       ( "differential",
         [
@@ -1143,5 +1376,6 @@ let () =
           Alcotest.test_case "restarted server" `Quick test_restarted_server;
           Alcotest.test_case "refused connection" `Quick
             test_refused_connection;
+          Alcotest.test_case "busy connection" `Quick test_busy_connection;
         ] );
     ]

@@ -384,9 +384,10 @@ let test_server_memo_bound () =
           (try Unix.close lfd with _ -> ());
           (try Sys.remove path with _ -> ()))
         (fun () ->
+          let rd = Sockio.reader fd in
           let rpc msg =
             Sockio.write_frame fd (Wire.encode_payload msg);
-            match Sockio.read_frame ~timeout:10. fd with
+            match Sockio.read_frame ~timeout:10. rd with
             | Some payload -> Result.get_ok (Wire.decode_payload payload)
             | None -> Alcotest.fail "server closed the connection"
           in
