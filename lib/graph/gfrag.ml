@@ -1,3 +1,4 @@
+module Codec = Pax_bool.Codec
 module Formula = Pax_bool.Formula
 module Var = Pax_bool.Var
 
@@ -133,75 +134,27 @@ let parse_query text =
 (* Wire image                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Self-contained codec so a fragment can travel inside a
-   [Wire.frag_image] (pax_wire cannot depend on this library, so the
-   image is an opaque string at the wire layer).  All fields are
-   non-negative ints; LEB128-style varints, a 4-byte magic up front.
-   The decoder is total and revalidates the sortedness invariants the
-   binary searches above rely on. *)
+(* A fragment travels inside a [Wire.frag_image] (pax_wire cannot
+   depend on this library, so the image is an opaque string at the wire
+   layer): a 4-byte magic, then the fields as varints and counted
+   arrays.  The decoder is total and revalidates the sortedness
+   invariants the binary searches above rely on. *)
 
 let magic = "pgf1"
 
-let enc_varint buf n =
-  let n = ref n in
-  let continue = ref true in
-  while !continue do
-    let b = !n land 0x7F in
-    n := !n lsr 7;
-    if !n = 0 then (
-      Buffer.add_char buf (Char.chr b);
-      continue := false)
-    else Buffer.add_char buf (Char.chr (b lor 0x80))
-  done
+let image =
+  let ints = Codec.(array varint) in
+  Codec.(
+    map
+      (fun ((), (gf_id, gf_nodes, gf_adj), (gf_entries, gf_ext)) ->
+        { gf_id; gf_nodes; gf_adj; gf_entries; gf_ext })
+      (fun f ->
+        ((), (f.gf_id, f.gf_nodes, f.gf_adj), (f.gf_entries, f.gf_ext)))
+      (triple (literal magic)
+         (triple varint ints (array (pair varint ints)))
+         (pair ints (array (pair varint (pair varint varint))))))
 
-exception Bad_image
-
-let dec_varint s pos =
-  let n = ref 0 and shift = ref 0 and pos = ref pos and fin = ref false in
-  while not !fin do
-    if !pos >= String.length s || !shift > 62 then raise Bad_image;
-    let b = Char.code s.[!pos] in
-    incr pos;
-    n := !n lor ((b land 0x7F) lsl !shift);
-    shift := !shift + 7;
-    if b land 0x80 = 0 then fin := true
-  done;
-  (!n, !pos)
-
-let enc_array buf enc a =
-  enc_varint buf (Array.length a);
-  Array.iter (enc buf) a
-
-let dec_array s pos dec =
-  let len, pos = dec_varint s pos in
-  if len > String.length s - pos then raise Bad_image;
-  let pos = ref pos in
-  let a =
-    Array.init len (fun _ ->
-        let v, p = dec s !pos in
-        pos := p;
-        v)
-  in
-  (a, !pos)
-
-let encode frag =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf magic;
-  enc_varint buf frag.gf_id;
-  enc_array buf enc_varint frag.gf_nodes;
-  enc_array buf
-    (fun buf (u, succs) ->
-      enc_varint buf u;
-      enc_array buf enc_varint succs)
-    frag.gf_adj;
-  enc_array buf enc_varint frag.gf_entries;
-  enc_array buf
-    (fun buf (v, (fid, slot)) ->
-      enc_varint buf v;
-      enc_varint buf fid;
-      enc_varint buf slot)
-    frag.gf_ext;
-  Buffer.contents buf
+let encode frag = Codec.to_string image frag
 
 let ascending key a =
   let ok = ref true in
@@ -211,43 +164,17 @@ let ascending key a =
   !ok
 
 let decode s =
-  match
-    if
-      String.length s < String.length magic
-      || String.sub s 0 (String.length magic) <> magic
-    then raise Bad_image;
-    let pos = String.length magic in
-    let gf_id, pos = dec_varint s pos in
-    let gf_nodes, pos = dec_array s pos dec_varint in
-    let gf_adj, pos =
-      dec_array s pos (fun s pos ->
-          let u, pos = dec_varint s pos in
-          let succs, pos = dec_array s pos dec_varint in
-          ((u, succs), pos))
-    in
-    let gf_entries, pos = dec_array s pos dec_varint in
-    let gf_ext, pos =
-      dec_array s pos (fun s pos ->
-          let v, pos = dec_varint s pos in
-          let fid, pos = dec_varint s pos in
-          let slot, pos = dec_varint s pos in
-          ((v, (fid, slot)), pos))
-    in
-    if pos <> String.length s then raise Bad_image;
-    let frag = { gf_id; gf_nodes; gf_adj; gf_entries; gf_ext } in
-    if
-      ascending Fun.id gf_nodes
-      && ascending fst gf_adj
-      && ascending Fun.id gf_entries
-      && ascending fst gf_ext
-      && Array.for_all
-           (fun (_, succs) -> Array.length succs > 0 && ascending Fun.id succs)
-           gf_adj
-    then frag
-    else raise Bad_image
-  with
-  | frag -> Some frag
-  | exception Bad_image -> None
+  match Codec.of_string_opt image s with
+  | Some frag
+    when ascending Fun.id frag.gf_nodes
+         && ascending fst frag.gf_adj
+         && ascending Fun.id frag.gf_entries
+         && ascending fst frag.gf_ext
+         && Array.for_all
+              (fun (_, succs) -> Array.length succs > 0 && ascending Fun.id succs)
+              frag.gf_adj ->
+      Some frag
+  | _ -> None
 
 let owns frag v = mem_sorted frag.gf_nodes v
 

@@ -1,9 +1,10 @@
 module Codec = Pax_bool.Codec
 module Formula = Pax_bool.Formula
+module Flat = Pax_xml.Flat
+module Span = Pax_obs.Span
 module Tree = Pax_xml.Tree
 
 let version = 2
-let max_section = 0xFFFFFF
 
 type answer = {
   a_id : int;
@@ -133,637 +134,373 @@ type msg =
   | Gen_fetch of { kind : frag_kind; parent : int option }
   | Gen_reply of { kind : frag_kind; gens : (int * int) list }
 
-type error = Truncated | Bad_version of int | Corrupt of string
+type error = Bad_version of int | Corrupt of string
 
 let pp_error ppf = function
-  | Truncated -> Format.fprintf ppf "truncated frame"
   | Bad_version v -> Format.fprintf ppf "unsupported protocol version %d" v
   | Corrupt msg -> Format.fprintf ppf "corrupt frame: %s" msg
 
 (* ------------------------------------------------------------------ *)
-(* primitives                                                         *)
+(* codecs: one description per shipped type                           *)
 (* ------------------------------------------------------------------ *)
 
-exception Bad of string
+open Codec
 
-let fail msg = raise (Bad msg)
-let add_u8 buf n = Buffer.add_char buf (Char.chr (n land 0xFF))
-let add_varint = Codec.encode_varint
+let bit b set = if set then b else 0
 
-let add_str buf s =
-  add_varint buf (String.length s);
-  Buffer.add_string buf s
+let answer =
+  map
+    (fun (a_id, (a_tag, a_text, a_attrs)) -> { a_id; a_tag; a_text; a_attrs })
+    (fun a -> (a.a_id, (a.a_tag, a.a_text, a.a_attrs)))
+    (pair varint (triple string (option string) (list (pair string string))))
 
-let get_u8 s ~pos =
-  if pos >= String.length s then fail "truncated byte";
-  (Char.code s.[pos], pos + 1)
+(* Flat's column image keeps its own format and size function (pax_xml
+   cannot see pax_bool); its section carries it as the rest of the
+   section's bounds. *)
+let flat =
+  {
+    size = Flat.encoded_bytes;
+    write = (fun w fl -> rest.write w (Flat.encode fl));
+    read =
+      (fun r ->
+        match Flat.decode (rest.read r) with
+        | Some fl -> fl
+        | None -> fail r "bad flat-fragment payload");
+  }
 
-let get_varint s ~pos =
-  match Codec.decode_varint s ~pos with
-  | v -> v
-  | exception Codec.Decode_error m -> fail m
+(* A section is a kind byte, then its payload under a u24 length:
+   exactly 4 + payload bytes. *)
+let k_query = case 1 (sized rest) (fun q -> Query q)
+let k_vectors = case 2 (sized formulas) (fun fs -> Vectors fs)
+let k_resolution = case 3 (sized bools) (fun bs -> Resolution bs)
+let k_answers = case 4 (sized (list answer)) (fun a -> Answers a)
+let k_tree = case 5 (sized rest) (fun xml -> Tree_data xml)
+let k_flat = case 6 (sized flat) (fun fl -> Frag_flat fl)
 
-let get_str s ~pos =
-  let n, pos = get_varint s ~pos in
-  if n < 0 || n > String.length s - pos then fail "truncated string";
-  (String.sub s pos n, pos + n)
+let section =
+  union "section kind"
+    [
+      Case k_query; Case k_vectors; Case k_resolution; Case k_answers;
+      Case k_tree; Case k_flat;
+    ]
+    (function
+      | Query q -> View (k_query, q)
+      | Vectors fs -> View (k_vectors, fs)
+      | Resolution bs -> View (k_resolution, bs)
+      | Answers a -> View (k_answers, a)
+      | Tree_data xml -> View (k_tree, xml)
+      | Frag_flat fl -> View (k_flat, fl))
 
-(* ------------------------------------------------------------------ *)
-(* sections                                                           *)
-(* ------------------------------------------------------------------ *)
+let section_bytes = size section
 
-let k_query = 1
-let k_vectors = 2
-let k_resolution = 3
-let k_answers = 4
-let k_tree = 5
-let k_flat = 6
+(* Where a call or reply holds one kind of section, any other is
+   corrupt. *)
+let query = expect "a query section" k_query
+let vectors = expect "a vectors section" k_vectors
+let resolution = expect "a resolution section" k_resolution
+let answers = expect "an answers section" k_answers
+let flat_section = expect "a flat-fragment section" k_flat
 
-let answer_payload_bytes a =
-  Codec.varint_bytes a.a_id
-  + Codec.varint_bytes (String.length a.a_tag)
-  + String.length a.a_tag + 1
-  + (match a.a_text with
-    | None -> 0
-    | Some t -> Codec.varint_bytes (String.length t) + String.length t)
-  + Codec.varint_bytes (List.length a.a_attrs)
-  + List.fold_left
-      (fun acc (k, v) ->
-        acc
-        + Codec.varint_bytes (String.length k)
-        + String.length k
-        + Codec.varint_bytes (String.length v)
-        + String.length v)
-      0 a.a_attrs
-
-let answers_payload_bytes answers =
-  List.fold_left
-    (fun acc a -> acc + answer_payload_bytes a)
-    (Codec.varint_bytes (List.length answers))
-    answers
-
-let add_answer buf a =
-  add_varint buf a.a_id;
-  add_str buf a.a_tag;
-  (match a.a_text with
-  | None -> add_u8 buf 0
-  | Some t ->
-      add_u8 buf 1;
-      add_str buf t);
-  add_varint buf (List.length a.a_attrs);
-  List.iter
-    (fun (k, v) ->
-      add_str buf k;
-      add_str buf v)
-    a.a_attrs
-
-let get_answer s ~pos =
-  let a_id, pos = get_varint s ~pos in
-  let a_tag, pos = get_str s ~pos in
-  let flag, pos = get_u8 s ~pos in
-  let a_text, pos =
-    if flag = 0 then (None, pos)
-    else
-      let t, pos = get_str s ~pos in
-      (Some t, pos)
-  in
-  let n, pos = get_varint s ~pos in
-  if n > String.length s - pos then fail "bad attr count";
-  let rec attrs k pos acc =
-    if k = 0 then (List.rev acc, pos)
-    else
-      let key, pos = get_str s ~pos in
-      let v, pos = get_str s ~pos in
-      attrs (k - 1) pos ((key, v) :: acc)
-  in
-  let a_attrs, pos = attrs n pos [] in
-  ({ a_id; a_tag; a_text; a_attrs }, pos)
-
-let section_payload = function
-  | Query q -> q
-  | Vectors fs -> Codec.formula_array_to_string fs
-  | Resolution bs -> Codec.bool_array_to_string bs
-  | Answers answers ->
-      let buf = Buffer.create 128 in
-      add_varint buf (List.length answers);
-      List.iter (add_answer buf) answers;
-      Buffer.contents buf
-  | Tree_data xml -> xml
-  | Frag_flat fl -> Pax_xml.Flat.encode fl
-
-let section_kind = function
-  | Query _ -> k_query
-  | Vectors _ -> k_vectors
-  | Resolution _ -> k_resolution
-  | Answers _ -> k_answers
-  | Tree_data _ -> k_tree
-  | Frag_flat _ -> k_flat
-
-(* A section costs exactly 4 + payload bytes: kind byte + u24 length. *)
-let add_section buf sec =
-  let payload = section_payload sec in
-  let n = String.length payload in
-  if n > max_section then invalid_arg "Wire: section exceeds 16 MiB";
-  add_u8 buf (section_kind sec);
-  add_u8 buf (n lsr 16);
-  add_u8 buf (n lsr 8);
-  add_u8 buf n;
-  Buffer.add_string buf payload
-
-let get_section s ~pos =
-  let kind, pos = get_u8 s ~pos in
-  let b2, pos = get_u8 s ~pos in
-  let b1, pos = get_u8 s ~pos in
-  let b0, pos = get_u8 s ~pos in
-  let n = (b2 lsl 16) lor (b1 lsl 8) lor b0 in
-  if n > String.length s - pos then fail "truncated section";
-  let payload = String.sub s pos n in
-  let pos = pos + n in
-  let sec =
-    if kind = k_query then Query payload
-    else if kind = k_vectors then
-      match Codec.formula_array_of_string_opt payload with
-      | Some fs -> Vectors fs
-      | None -> fail "bad vectors payload"
-    else if kind = k_resolution then
-      match Codec.bool_array_of_string_opt payload with
-      | Some bs -> Resolution bs
-      | None -> fail "bad resolution payload"
-    else if kind = k_answers then begin
-      let n, p = get_varint payload ~pos:0 in
-      if n > String.length payload - p then fail "bad answer count";
-      let rec go k p acc =
-        if k = 0 then
-          if p = String.length payload then List.rev acc
-          else fail "trailing answer bytes"
-        else
-          let a, p = get_answer payload ~pos:p in
-          go (k - 1) p (a :: acc)
-      in
-      Answers (go n p [])
-    end
-    else if kind = k_tree then Tree_data payload
-    else if kind = k_flat then
-      match Pax_xml.Flat.decode payload with
-      | Some fl -> Frag_flat fl
-      | None -> fail "bad flat-fragment payload"
-    else fail "unknown section kind"
-  in
-  (sec, pos)
-
-let expect_vectors s ~pos =
-  match get_section s ~pos with
-  | Vectors fs, pos -> (fs, pos)
-  | _ -> fail "expected a vectors section"
-
-let expect_resolution s ~pos =
-  match get_section s ~pos with
-  | Resolution bs, pos -> (bs, pos)
-  | _ -> fail "expected a resolution section"
-
-let expect_query s ~pos =
-  match get_section s ~pos with
-  | Query q, pos -> (q, pos)
-  | _ -> fail "expected a query section"
-
-let expect_answers s ~pos =
-  match get_section s ~pos with
-  | Answers a, pos -> (a, pos)
-  | _ -> fail "expected an answers section"
-
-(* Sized from the payload's own size function, never by encoding it. *)
-let section_bytes sec =
-  4
-  +
-  match sec with
-  | Query s | Tree_data s -> String.length s
-  | Vectors fs -> Codec.formula_array_bytes fs
-  | Resolution bs -> Codec.bool_array_bytes bs
-  | Answers answers -> answers_payload_bytes answers
-  | Frag_flat fl -> Pax_xml.Flat.encoded_bytes fl
-
-let tree_to_section n = Tree_data (Pax_xml.Printer.to_string n)
-
-let tree_of_section = function
-  | Tree_data xml -> (
-      match Pax_xml.Parser.parse_string xml with
-      | doc -> Some doc.Tree.root
-      | exception Pax_xml.Parser.Parse_error _ -> None)
-  | _ -> None
-
-let section_to_string sec =
-  let buf = Buffer.create 128 in
-  add_section buf sec;
-  Buffer.contents buf
-
-let section_of_string s =
-  match get_section s ~pos:0 with
-  | sec, pos -> if pos = String.length s then Some sec else None
-  | exception Bad _ -> None
-  | exception Codec.Decode_error _ -> None
+(* An answer list that ships only when non-empty, under a flag. *)
+let answers_if set = if set then answers else const []
 
 (* ------------------------------------------------------------------ *)
 (* calls                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let c_pax2_stage1 = 1
-let c_pax2_stage2 = 2
-let c_pax3_stage1 = 3
-let c_pax3_stage2 = 4
-let c_pax3_stage3 = 5
-let c_reach_stage1 = 6
-let c_calls = 7
-let c_ship = 8
-let c_count = 9
+let fids = list varint
+let subs = list (pair varint resolution)
 
-let add_counted buf xs add =
-  add_varint buf (List.length xs);
-  List.iter (add buf) xs
+let frag_eval =
+  map
+    (fun (fe_fid, (fe_is_root, fe_init)) -> { fe_fid; fe_is_root; fe_init })
+    (fun fe -> (fe.fe_fid, (fe.fe_is_root, fe.fe_init)))
+    (pair varint
+       (flags "frag-eval flags" ~bits:2
+          (fun (root, init) -> bit 1 root lor bit 2 (Option.is_some init))
+          (fun f ->
+            pair (const (f land 1 <> 0)) (if_set (f land 2 <> 0) vectors))))
 
-let get_counted s ~pos get =
-  let n, pos = get_varint s ~pos in
-  if n > String.length s - pos then fail "bad list count";
-  let rec go k pos acc =
-    if k = 0 then (List.rev acc, pos)
-    else
-      let x, pos = get s ~pos in
-      go (k - 1) pos (x :: acc)
-  in
-  go n pos []
+let c_pax2_stage1 =
+  case 1 (pair query (list frag_eval)) (fun (query, frags) ->
+      Pax2_stage1 { query; frags })
 
-let add_frag_eval buf fe =
-  add_varint buf fe.fe_fid;
-  add_u8 buf
-    ((if fe.fe_is_root then 1 else 0)
-    lor match fe.fe_init with Some _ -> 2 | None -> 0);
-  match fe.fe_init with Some init -> add_section buf (Vectors init) | None -> ()
+let c_pax2_stage2 =
+  case 2 (list (triple varint resolution subs)) (fun frags ->
+      Pax2_stage2 { frags })
 
-let get_frag_eval s ~pos =
-  let fe_fid, pos = get_varint s ~pos in
-  let flags, pos = get_u8 s ~pos in
-  let fe_init, pos =
-    if flags land 2 <> 0 then
-      let fs, pos = expect_vectors s ~pos in
-      (Some fs, pos)
-    else (None, pos)
-  in
-  ({ fe_fid; fe_is_root = flags land 1 <> 0; fe_init }, pos)
+let c_pax3_stage1 =
+  case 3 (pair query fids) (fun (query, fids) -> Pax3_stage1 { query; fids })
 
-let add_subs buf (subs : sub_resolution) =
-  add_counted buf subs (fun buf (sub, bs) ->
-      add_varint buf sub;
-      add_section buf (Resolution bs))
+let c_pax3_stage2 =
+  case 4 (pair query (list (pair frag_eval subs))) (fun (query, frags) ->
+      Pax3_stage2 { query; frags })
 
-let get_subs s ~pos : sub_resolution * int =
-  get_counted s ~pos (fun s ~pos ->
-      let sub, pos = get_varint s ~pos in
-      let bs, pos = expect_resolution s ~pos in
-      ((sub, bs), pos))
+let c_pax3_stage3 =
+  case 5 (list (pair varint resolution)) (fun frags -> Pax3_stage3 { frags })
 
-let rec add_call buf = function
-  | Pax2_stage1 { query; frags } ->
-      add_u8 buf c_pax2_stage1;
-      add_section buf (Query query);
-      add_counted buf frags add_frag_eval
-  | Pax2_stage2 { frags } ->
-      add_u8 buf c_pax2_stage2;
-      add_counted buf frags (fun buf (fid, ctx, subs) ->
-          add_varint buf fid;
-          add_section buf (Resolution ctx);
-          add_subs buf subs)
-  | Pax3_stage1 { query; fids } ->
-      add_u8 buf c_pax3_stage1;
-      add_section buf (Query query);
-      add_counted buf fids (fun buf fid -> add_varint buf fid)
-  | Pax3_stage2 { query; frags } ->
-      add_u8 buf c_pax3_stage2;
-      add_section buf (Query query);
-      add_counted buf frags (fun buf (fe, subs) ->
-          add_frag_eval buf fe;
-          add_subs buf subs)
-  | Pax3_stage3 { frags } ->
-      add_u8 buf c_pax3_stage3;
-      add_counted buf frags (fun buf (fid, ctx) ->
-          add_varint buf fid;
-          add_section buf (Resolution ctx))
-  | Reach_stage1 { query; fids } ->
-      add_u8 buf c_reach_stage1;
-      add_section buf (Query query);
-      add_counted buf fids (fun buf fid -> add_varint buf fid)
-  | Calls calls ->
-      add_u8 buf c_calls;
-      add_counted buf calls add_call
-  | Count call ->
-      add_u8 buf c_count;
-      add_call buf call
-  | Ship { fids } ->
-      add_u8 buf c_ship;
-      add_counted buf fids (fun buf fid -> add_varint buf fid)
+let c_reach_stage1 =
+  case 6 (pair query fids) (fun (query, fids) -> Reach_stage1 { query; fids })
 
-(* [Calls] and [Count] wrap plain calls only: a frame cannot nest
-   wrappers, so a hostile one cannot make the decoder recurse. *)
-let rec get_call ?(nested = false) s ~pos =
-  let tag, pos = get_u8 s ~pos in
-  if tag = c_pax2_stage1 then
-    let query, pos = expect_query s ~pos in
-    let frags, pos = get_counted s ~pos get_frag_eval in
-    (Pax2_stage1 { query; frags }, pos)
-  else if tag = c_pax2_stage2 then
-    let frags, pos =
-      get_counted s ~pos (fun s ~pos ->
-          let fid, pos = get_varint s ~pos in
-          let ctx, pos = expect_resolution s ~pos in
-          let subs, pos = get_subs s ~pos in
-          ((fid, ctx, subs), pos))
-    in
-    (Pax2_stage2 { frags }, pos)
-  else if tag = c_pax3_stage1 then
-    let query, pos = expect_query s ~pos in
-    let fids, pos = get_counted s ~pos (fun s ~pos -> get_varint s ~pos) in
-    (Pax3_stage1 { query; fids }, pos)
-  else if tag = c_pax3_stage2 then
-    let query, pos = expect_query s ~pos in
-    let frags, pos =
-      get_counted s ~pos (fun s ~pos ->
-          let fe, pos = get_frag_eval s ~pos in
-          let subs, pos = get_subs s ~pos in
-          ((fe, subs), pos))
-    in
-    (Pax3_stage2 { query; frags }, pos)
-  else if tag = c_pax3_stage3 then
-    let frags, pos =
-      get_counted s ~pos (fun s ~pos ->
-          let fid, pos = get_varint s ~pos in
-          let ctx, pos = expect_resolution s ~pos in
-          ((fid, ctx), pos))
-    in
-    (Pax3_stage3 { frags }, pos)
-  else if tag = c_reach_stage1 then
-    let query, pos = expect_query s ~pos in
-    let fids, pos = get_counted s ~pos (fun s ~pos -> get_varint s ~pos) in
-    (Reach_stage1 { query; fids }, pos)
-  else if tag = c_calls then
-    if nested then fail "nested call list"
-    else
-      let calls, pos = get_counted s ~pos (get_call ~nested:true) in
-      (Calls calls, pos)
-  else if tag = c_count then
-    if nested then fail "nested count call"
-    else
-      let call, pos = get_call ~nested:true s ~pos in
-      (Count call, pos)
-  else if tag = c_ship then
-    let fids, pos = get_counted s ~pos (fun s ~pos -> get_varint s ~pos) in
-    (Ship { fids }, pos)
-  else fail "unknown call tag"
+let c_ship = case 8 fids (fun fids -> Ship { fids })
+
+let plain_calls =
+  [
+    Case c_pax2_stage1; Case c_pax2_stage2; Case c_pax3_stage1;
+    Case c_pax3_stage2; Case c_pax3_stage3; Case c_reach_stage1; Case c_ship;
+  ]
+
+let plain_call_view = function
+  | Pax2_stage1 { query; frags } -> View (c_pax2_stage1, (query, frags))
+  | Pax2_stage2 { frags } -> View (c_pax2_stage2, frags)
+  | Pax3_stage1 { query; fids } -> View (c_pax3_stage1, (query, fids))
+  | Pax3_stage2 { query; frags } -> View (c_pax3_stage2, (query, frags))
+  | Pax3_stage3 { frags } -> View (c_pax3_stage3, frags)
+  | Reach_stage1 { query; fids } -> View (c_reach_stage1, (query, fids))
+  | Ship { fids } -> View (c_ship, fids)
+  | Calls _ | Count _ -> invalid_arg "Wire: a call wrapper inside a wrapper"
+
+(* [Calls] and [Count] wrap plain calls only, so no frame nests
+   wrappers and a hostile one cannot make the decoder recurse. *)
+let plain_call = union "wrapped call tag" plain_calls plain_call_view
+let c_calls = case 7 (list plain_call) (fun calls -> Calls calls)
+let c_count = case 9 plain_call (fun call -> Count call)
+
+let call =
+  union "call tag"
+    (Case c_calls :: Case c_count :: plain_calls)
+    (function
+      | Calls calls -> View (c_calls, calls)
+      | Count call -> View (c_count, call)
+      | call -> plain_call_view call)
 
 (* ------------------------------------------------------------------ *)
 (* replies                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let r_frag_results = 1
-let r_final = 2
-let r_replies = 3
-let r_images = 4
-let r_counted = 5
+let frag_result =
+  map
+    (fun (fr_fid, ((fr_vec, fr_ctxs, fr_answers), (fr_cands, fr_ops))) ->
+      { fr_fid; fr_vec; fr_ctxs; fr_answers; fr_cands; fr_ops })
+    (fun fr ->
+      ( fr.fr_fid,
+        ((fr.fr_vec, fr.fr_ctxs, fr.fr_answers), (fr.fr_cands, fr.fr_ops)) ))
+    (pair varint
+       (flags "frag-result flags" ~bits:2
+          (fun ((vec, _, answers), _) ->
+            bit 1 (Option.is_some vec) lor bit 2 (answers <> []))
+          (fun f ->
+            pair
+              (triple
+                 (if_set (f land 1 <> 0) vectors)
+                 (list (pair varint vectors))
+                 (answers_if (f land 2 <> 0)))
+              (pair varint varint))))
 
-let add_frag_result buf fr =
-  add_varint buf fr.fr_fid;
-  add_u8 buf
-    ((match fr.fr_vec with Some _ -> 1 | None -> 0)
-    lor if fr.fr_answers <> [] then 2 else 0);
-  (match fr.fr_vec with Some vec -> add_section buf (Vectors vec) | None -> ());
-  add_counted buf fr.fr_ctxs (fun buf (sub, vec) ->
-      add_varint buf sub;
-      add_section buf (Vectors vec));
-  if fr.fr_answers <> [] then add_section buf (Answers fr.fr_answers);
-  add_varint buf fr.fr_cands;
-  add_varint buf fr.fr_ops
+let r_frag_results = case 1 (list frag_result) (fun frs -> Frag_results frs)
 
-let get_frag_result s ~pos =
-  let fr_fid, pos = get_varint s ~pos in
-  let flags, pos = get_u8 s ~pos in
-  let fr_vec, pos =
-    if flags land 1 <> 0 then
-      let fs, pos = expect_vectors s ~pos in
-      (Some fs, pos)
-    else (None, pos)
-  in
-  let fr_ctxs, pos =
-    get_counted s ~pos (fun s ~pos ->
-        let sub, pos = get_varint s ~pos in
-        let vec, pos = expect_vectors s ~pos in
-        ((sub, vec), pos))
-  in
-  let fr_answers, pos =
-    if flags land 2 <> 0 then expect_answers s ~pos else ([], pos)
-  in
-  let fr_cands, pos = get_varint s ~pos in
-  let fr_ops, pos = get_varint s ~pos in
-  ({ fr_fid; fr_vec; fr_ctxs; fr_answers; fr_cands; fr_ops }, pos)
+let r_final =
+  case 2
+    (pair
+       (flags "final-answers flag" ~bits:1
+          (fun answers -> bit 1 (answers <> []))
+          (fun f -> answers_if (f = 1)))
+       varint)
+    (fun (answers, ops) -> Final_answers { answers; ops })
 
-let rec add_reply buf = function
-  | Frag_results frs ->
-      add_u8 buf r_frag_results;
-      add_counted buf frs add_frag_result
-  | Final_answers { answers; ops } ->
-      add_u8 buf r_final;
-      if answers <> [] then begin
-        add_u8 buf 1;
-        add_section buf (Answers answers)
-      end
-      else add_u8 buf 0;
-      add_varint buf ops
-  | Replies replies ->
-      add_u8 buf r_replies;
-      add_counted buf replies add_reply
-  | Counted { reply; counts } ->
-      add_u8 buf r_counted;
-      add_reply buf reply;
-      add_counted buf counts add_varint
-  | Images images ->
-      add_u8 buf r_images;
-      add_counted buf images (fun buf (fid, fl) ->
-          add_varint buf fid;
-          add_section buf (Frag_flat fl))
+let r_images =
+  case 4 (list (pair varint flat_section)) (fun images -> Images images)
 
-let rec get_reply ?(nested = false) s ~pos =
-  let tag, pos = get_u8 s ~pos in
-  if tag = r_frag_results then
-    let frs, pos = get_counted s ~pos get_frag_result in
-    (Frag_results frs, pos)
-  else if tag = r_final then begin
-    let flag, pos = get_u8 s ~pos in
-    let answers, pos = if flag = 1 then expect_answers s ~pos else ([], pos) in
-    let ops, pos = get_varint s ~pos in
-    (Final_answers { answers; ops }, pos)
-  end
-  else if tag = r_replies then
-    if nested then fail "nested reply list"
-    else
-      let replies, pos = get_counted s ~pos (get_reply ~nested:true) in
-      (Replies replies, pos)
-  else if tag = r_counted then
-    if nested then fail "nested counted reply"
-    else
-      let reply, pos = get_reply ~nested:true s ~pos in
-      let counts, pos = get_counted s ~pos (fun s ~pos -> get_varint s ~pos) in
-      (Counted { reply; counts }, pos)
-  else if tag = r_images then
-    let images, pos =
-      get_counted s ~pos (fun s ~pos ->
-          let fid, pos = get_varint s ~pos in
-          match get_section s ~pos with
-          | Frag_flat fl, pos -> ((fid, fl), pos)
-          | _ -> fail "expected a flat-fragment section")
-    in
-    (Images images, pos)
-  else fail "unknown reply tag"
+let plain_replies = [ Case r_frag_results; Case r_final; Case r_images ]
+
+let plain_reply_view = function
+  | Frag_results frs -> View (r_frag_results, frs)
+  | Final_answers { answers; ops } -> View (r_final, (answers, ops))
+  | Images images -> View (r_images, images)
+  | Replies _ | Counted _ -> invalid_arg "Wire: a reply wrapper inside a wrapper"
+
+let plain_reply = union "wrapped reply tag" plain_replies plain_reply_view
+let r_replies = case 3 (list plain_reply) (fun replies -> Replies replies)
+
+let r_counted =
+  case 5 (pair plain_reply (list varint)) (fun (reply, counts) ->
+      Counted { reply; counts })
+
+let reply =
+  union "reply tag"
+    (Case r_replies :: Case r_counted :: plain_replies)
+    (function
+      | Replies replies -> View (r_replies, replies)
+      | Counted { reply; counts } -> View (r_counted, (reply, counts))
+      | reply -> plain_reply_view reply)
 
 (* ------------------------------------------------------------------ *)
 (* messages                                                           *)
 (* ------------------------------------------------------------------ *)
-
-let m_request = 1
-let m_reply = 2
-let m_ping = 3
-let m_pong = 4
-let m_shutdown = 5
-let m_stats_request = 6
-let m_stats_reply = 7
-let m_run_done = 8
-let m_frag_fetch = 9
-let m_frag_image = 10
-let m_frag_install = 11
-let m_frag_retire = 12
-let m_admin_reply = 13
-let m_spans_request = 14
-let m_spans_reply = 15
-let m_gen_publish = 16
-let m_gen_event = 17
-let m_gen_fetch = 18
-let m_gen_reply = 19
 
 (* Fragment images are opaque byte strings at this layer: tree images
    are {!Pax_xml.Flat.encode} output (total-decoding, intern-remapping
    at the receiver), graph images are [Gfrag.encode] output.  pax_wire
    cannot depend on pax_graph, so validation happens at install time,
    not decode time. *)
-let kind_code = function Tree_frag -> 1 | Graph_frag -> 2
+let kind =
+  let tree = case 1 unit (fun () -> Tree_frag)
+  and graph = case 2 unit (fun () -> Graph_frag) in
+  union "fragment kind" [ Case tree; Case graph ] (function
+    | Tree_frag -> View (tree, ())
+    | Graph_frag -> View (graph, ()))
 
-let get_kind s ~pos =
-  let k, pos = get_u8 s ~pos in
-  match k with
-  | 1 -> (Tree_frag, pos)
-  | 2 -> (Graph_frag, pos)
-  | _ -> fail "unknown fragment kind"
-
-let add_image buf { fi_kind; fi_bytes } =
-  add_u8 buf (kind_code fi_kind);
-  add_str buf fi_bytes
-
-let get_image s ~pos =
-  let fi_kind, pos = get_kind s ~pos in
-  let fi_bytes, pos = get_str s ~pos in
-  ({ fi_kind; fi_bytes }, pos)
-
-(* Metric values travel as IEEE-754 bits, big-endian, so the reply is
-   byte-exact (counters compare with [=] across the wire). *)
-let add_f64 buf f =
-  let bits = Int64.bits_of_float f in
-  for i = 7 downto 0 do
-    add_u8 buf (Int64.to_int (Int64.shift_right_logical bits (8 * i)) land 0xFF)
-  done
-
-let get_f64 s ~pos =
-  if pos + 8 > String.length s then fail "truncated f64";
-  let bits = ref 0L in
-  for i = 0 to 7 do
-    bits :=
-      Int64.logor (Int64.shift_left !bits 8)
-        (Int64.of_int (Char.code s.[pos + i]))
-  done;
-  (Int64.float_of_bits !bits, pos + 8)
+let frag_image =
+  map
+    (fun (fi_kind, fi_bytes) -> { fi_kind; fi_bytes })
+    (fun i -> (i.fi_kind, i.fi_bytes))
+    (pair kind string)
 
 (* Harvested spans (Spans_reply).  Pure telemetry like stats traffic —
    no sections, excluded from accounted traffic — but the clock
    readings must survive byte-exactly for offset alignment, hence
    IEEE-754 bits like metric values. *)
-let add_span buf (sp : Pax_obs.Span.span) =
-  add_str buf sp.Pax_obs.Span.sp_name;
-  add_str buf sp.Pax_obs.Span.sp_cat;
-  add_str buf sp.Pax_obs.Span.sp_track;
-  add_f64 buf sp.Pax_obs.Span.sp_begin;
-  add_f64 buf sp.Pax_obs.Span.sp_dur;
-  add_varint buf sp.Pax_obs.Span.sp_seq;
-  add_varint buf sp.Pax_obs.Span.sp_id;
-  (match sp.Pax_obs.Span.sp_parent with
-  | None -> add_u8 buf 0
-  | Some p ->
-      add_u8 buf 1;
-      add_varint buf p);
-  add_varint buf (List.length sp.Pax_obs.Span.sp_args);
-  List.iter
-    (fun (k, v) ->
-      add_str buf k;
-      add_str buf v)
-    sp.Pax_obs.Span.sp_args
+let span =
+  map
+    (fun ( (sp_name, sp_cat, sp_track),
+           ((sp_begin, sp_dur), (sp_seq, sp_id, sp_parent), sp_args) ) ->
+      {
+        Span.sp_name;
+        sp_cat;
+        sp_track;
+        sp_begin;
+        sp_dur;
+        sp_args;
+        sp_seq;
+        sp_id;
+        sp_parent;
+      })
+    (fun (sp : Span.span) ->
+      ( (sp.sp_name, sp.sp_cat, sp.sp_track),
+        ( (sp.sp_begin, sp.sp_dur),
+          (sp.sp_seq, sp.sp_id, sp.sp_parent),
+          sp.sp_args ) ))
+    (pair
+       (triple string string string)
+       (triple
+          (pair
+             (guard "bad span begin" (fun b -> not (Float.is_nan b)) float)
+             (guard "bad span duration" (fun d -> d >= 0.) float))
+          (triple varint varint (option varint))
+          (list (pair string string))))
 
-let get_span s ~pos =
-  let sp_name, pos = get_str s ~pos in
-  let sp_cat, pos = get_str s ~pos in
-  let sp_track, pos = get_str s ~pos in
-  let sp_begin, pos = get_f64 s ~pos in
-  let sp_dur, pos = get_f64 s ~pos in
-  if Float.is_nan sp_begin then fail "bad span begin";
-  if not (sp_dur >= 0.) then fail "bad span duration";
-  let sp_seq, pos = get_varint s ~pos in
-  let sp_id, pos = get_varint s ~pos in
-  let flag, pos = get_u8 s ~pos in
-  let sp_parent, pos =
-    if flag = 0 then (None, pos)
-    else if flag = 1 then
-      let p, pos = get_varint s ~pos in
-      (Some p, pos)
-    else fail "bad span parent flag"
-  in
-  let n, pos = get_varint s ~pos in
-  if n > String.length s - pos then fail "bad span arg count";
-  let rec args k pos acc =
-    if k = 0 then (List.rev acc, pos)
-    else
-      let key, pos = get_str s ~pos in
-      let v, pos = get_str s ~pos in
-      args (k - 1) pos ((key, v) :: acc)
-  in
-  let sp_args, pos = args n pos [] in
-  ( {
-      Pax_obs.Span.sp_name;
-      sp_cat;
-      sp_track;
-      sp_begin;
-      sp_dur;
-      sp_args;
-      sp_seq;
-      sp_id;
-      sp_parent;
-    },
-    pos )
+(* Generation vectors: (fid, generation) pairs; receivers max-merge, so
+   replay and reordering are harmless (docs/SERVING.md). *)
+let gens = list (pair varint varint)
 
-(* The optional trace-context extension: a single trailing varint
-   (the coordinator-side parent span id) appended to the body of visit
-   and migration requests when the sender is tracing.  Absent when
-   tracing is off — those frames are byte-identical to pre-extension
-   builds — and decoders accept both forms, so the extension is a
-   pure control-plane add-on: it never enters [tally], only the
-   per-frame overhead allowance. *)
-let add_parent buf = function None -> () | Some p -> add_varint buf p
+(* The optional trace-context extension: a single trailing varint (the
+   coordinator-side parent span id) appended to the body of visit,
+   migration and publish requests when the sender is tracing.  Absent
+   when tracing is off — those frames are byte-identical to
+   pre-extension builds — and decoders accept both forms, so the
+   extension is a pure control-plane add-on: it never enters [tally],
+   only the per-frame overhead allowance. *)
+let parent = trailing varint
 
-let get_parent s ~pos =
-  if pos < String.length s then
-    let p, pos = get_varint s ~pos in
-    (Some p, pos)
-  else (None, pos)
+let m_request =
+  case 1
+    (triple (triple varint varint varint) (triple varint string call) parent)
+    (fun ((run, round, site), (epoch, label, call), parent) ->
+      Visit_request { run; round; site; epoch; label; call; parent })
+
+(* An error reply's text runs to the end of the frame. *)
+let m_reply =
+  case 2 (triple varint varint (result reply rest)) (fun (run, round, reply) ->
+      Visit_reply { run; round; reply })
+
+let m_ping = case 3 unit (fun () -> Ping)
+let m_pong = case 4 unit (fun () -> Pong)
+let m_shutdown = case 5 unit (fun () -> Shutdown)
+let m_stats_request = case 6 unit (fun () -> Stats_request)
+
+(* Metric values travel as IEEE-754 bits, so counters compare with [=]
+   across the wire. *)
+let m_stats_reply =
+  case 7 (list (pair string float)) (fun pairs -> Stats_reply pairs)
+
+let m_run_done = case 8 varint (fun run -> Run_done { run })
+
+let m_frag_fetch =
+  case 9 (triple varint kind parent) (fun (fid, kind, parent) ->
+      Frag_fetch { fid; kind; parent })
+
+let m_frag_image =
+  case 10 (pair varint (result frag_image rest)) (fun (fid, image) ->
+      Frag_image { fid; image })
+
+let m_frag_install =
+  case 11 (pair (triple varint varint frag_image) parent)
+    (fun ((fid, epoch, image), parent) ->
+      Frag_install { fid; epoch; image; parent })
+
+let m_frag_retire =
+  case 12 (pair (triple varint varint kind) parent)
+    (fun ((fid, epoch, kind), parent) ->
+      Frag_retire { fid; epoch; kind; parent })
+
+let m_admin_reply =
+  case 13 (result rest rest) (fun reply -> Admin_reply { reply })
+
+let m_spans_fetch = case 14 unit (fun () -> Spans_fetch)
+
+let m_spans_reply =
+  case 15 (pair float (list span)) (fun (server_now, spans) ->
+      Spans_reply { server_now; spans })
+
+let m_gen_publish =
+  case 16 (triple kind gens parent) (fun (kind, gens, parent) ->
+      Gen_publish { kind; gens; parent })
+
+let m_gen_event =
+  case 17 (pair kind gens) (fun (kind, gens) -> Gen_event { kind; gens })
+
+let m_gen_fetch =
+  case 18 (pair kind parent) (fun (kind, parent) -> Gen_fetch { kind; parent })
+
+let m_gen_reply =
+  case 19 (pair kind gens) (fun (kind, gens) -> Gen_reply { kind; gens })
+
+let msg =
+  union "message tag"
+    [
+      Case m_request; Case m_reply; Case m_ping; Case m_pong; Case m_shutdown;
+      Case m_stats_request; Case m_stats_reply; Case m_run_done;
+      Case m_frag_fetch; Case m_frag_image; Case m_frag_install;
+      Case m_frag_retire; Case m_admin_reply; Case m_spans_fetch;
+      Case m_spans_reply; Case m_gen_publish; Case m_gen_event;
+      Case m_gen_fetch; Case m_gen_reply;
+    ]
+    (function
+      | Visit_request { run; round; site; epoch; label; call; parent } ->
+          View (m_request, ((run, round, site), (epoch, label, call), parent))
+      | Visit_reply { run; round; reply } -> View (m_reply, (run, round, reply))
+      | Ping -> View (m_ping, ())
+      | Pong -> View (m_pong, ())
+      | Shutdown -> View (m_shutdown, ())
+      | Stats_request -> View (m_stats_request, ())
+      | Stats_reply pairs -> View (m_stats_reply, pairs)
+      | Run_done { run } -> View (m_run_done, run)
+      | Frag_fetch { fid; kind; parent } ->
+          View (m_frag_fetch, (fid, kind, parent))
+      | Frag_image { fid; image } -> View (m_frag_image, (fid, image))
+      | Frag_install { fid; epoch; image; parent } ->
+          View (m_frag_install, ((fid, epoch, image), parent))
+      | Frag_retire { fid; epoch; kind; parent } ->
+          View (m_frag_retire, ((fid, epoch, kind), parent))
+      | Admin_reply { reply } -> View (m_admin_reply, reply)
+      | Spans_fetch -> View (m_spans_fetch, ())
+      | Spans_reply { server_now; spans } ->
+          View (m_spans_reply, (server_now, spans))
+      | Gen_publish { kind; gens; parent } ->
+          View (m_gen_publish, (kind, gens, parent))
+      | Gen_event { kind; gens } -> View (m_gen_event, (kind, gens))
+      | Gen_fetch { kind; parent } -> View (m_gen_fetch, (kind, parent))
+      | Gen_reply { kind; gens } -> View (m_gen_reply, (kind, gens)))
 
 (* The v2 envelope carries a correlation id right after the version
    byte, on every message: the coordinator stamps each request with a
@@ -773,284 +510,17 @@ let get_parent s ~pos =
    enters [tally], only the per-frame framing-overhead allowance
    ({!frame_overhead}).  0 means "uncorrelated" (pings, shutdowns,
    unsolicited frames). *)
-let encode_payload ?(corr = 0) msg =
-  let buf = Buffer.create 256 in
-  add_u8 buf version;
-  add_varint buf corr;
-  (match msg with
-  | Visit_request { run; round; site; epoch; label; call; parent } ->
-      add_u8 buf m_request;
-      add_varint buf run;
-      add_varint buf round;
-      add_varint buf site;
-      add_varint buf epoch;
-      add_str buf label;
-      add_call buf call;
-      add_parent buf parent
-  | Visit_reply { run; round; reply } ->
-      add_u8 buf m_reply;
-      add_varint buf run;
-      add_varint buf round;
-      (match reply with
-      | Ok r ->
-          add_u8 buf 0;
-          add_reply buf r
-      | Error e ->
-          add_u8 buf 1;
-          Buffer.add_string buf e)
-  | Ping -> add_u8 buf m_ping
-  | Pong -> add_u8 buf m_pong
-  | Shutdown -> add_u8 buf m_shutdown
-  | Stats_request -> add_u8 buf m_stats_request
-  | Stats_reply pairs ->
-      add_u8 buf m_stats_reply;
-      add_varint buf (List.length pairs);
-      List.iter
-        (fun (name, v) ->
-          add_str buf name;
-          add_f64 buf v)
-        pairs
-  | Run_done { run } ->
-      add_u8 buf m_run_done;
-      add_varint buf run
-  | Frag_fetch { fid; kind; parent } ->
-      add_u8 buf m_frag_fetch;
-      add_varint buf fid;
-      add_u8 buf (kind_code kind);
-      add_parent buf parent
-  | Frag_image { fid; image } ->
-      add_u8 buf m_frag_image;
-      add_varint buf fid;
-      (match image with
-      | Ok img ->
-          add_u8 buf 0;
-          add_image buf img
-      | Error e ->
-          add_u8 buf 1;
-          Buffer.add_string buf e)
-  | Frag_install { fid; epoch; image; parent } ->
-      add_u8 buf m_frag_install;
-      add_varint buf fid;
-      add_varint buf epoch;
-      add_image buf image;
-      add_parent buf parent
-  | Frag_retire { fid; epoch; kind; parent } ->
-      add_u8 buf m_frag_retire;
-      add_varint buf fid;
-      add_varint buf epoch;
-      add_u8 buf (kind_code kind);
-      add_parent buf parent
-  | Admin_reply { reply } ->
-      (add_u8 buf m_admin_reply;
-       match reply with
-       | Ok detail ->
-           add_u8 buf 0;
-           Buffer.add_string buf detail
-       | Error e ->
-           add_u8 buf 1;
-           Buffer.add_string buf e)
-  | Spans_fetch -> add_u8 buf m_spans_request
-  | Spans_reply { server_now; spans } ->
-      add_u8 buf m_spans_reply;
-      add_f64 buf server_now;
-      add_varint buf (List.length spans);
-      List.iter (add_span buf) spans
-  (* Generation-vector coherence frames (docs/SERVING.md): each entry
-     is a (fid, generation) pair; receivers max-merge, so replay and
-     reordering are harmless. *)
-  | Gen_publish { kind; gens; parent } ->
-      add_u8 buf m_gen_publish;
-      add_u8 buf (kind_code kind);
-      add_counted buf gens (fun buf (fid, gen) ->
-          add_varint buf fid;
-          add_varint buf gen);
-      add_parent buf parent
-  | Gen_event { kind; gens } ->
-      add_u8 buf m_gen_event;
-      add_u8 buf (kind_code kind);
-      add_counted buf gens (fun buf (fid, gen) ->
-          add_varint buf fid;
-          add_varint buf gen)
-  | Gen_fetch { kind; parent } ->
-      add_u8 buf m_gen_fetch;
-      add_u8 buf (kind_code kind);
-      add_parent buf parent
-  | Gen_reply { kind; gens } ->
-      add_u8 buf m_gen_reply;
-      add_u8 buf (kind_code kind);
-      add_counted buf gens (fun buf (fid, gen) ->
-          add_varint buf fid;
-          add_varint buf gen));
-  Buffer.contents buf
-
-let encode ?corr msg =
-  let payload = encode_payload ?corr msg in
-  let n = String.length payload in
-  let buf = Buffer.create (n + 4) in
-  add_u8 buf (n lsr 24);
-  add_u8 buf (n lsr 16);
-  add_u8 buf (n lsr 8);
-  add_u8 buf n;
-  Buffer.add_string buf payload;
-  Buffer.contents buf
+let envelope = triple u8 varint msg
+let encode_payload ?(corr = 0) m = to_string envelope (version, corr, m)
 
 let decode_payload_corr s =
-  match
-    let ver, pos = get_u8 s ~pos:0 in
-    if ver <> version then Error (Bad_version ver)
-    else
-      let corr, pos = get_varint s ~pos in
-      if corr < 0 then Error (Corrupt "negative correlation id")
-      else
-        let tag, pos = get_u8 s ~pos in
-        let finish msg pos =
-          if pos = String.length s then Ok (corr, msg)
-          else Error (Corrupt "trailing bytes")
-        in
-        if tag = m_ping then finish Ping pos
-        else if tag = m_pong then finish Pong pos
-        else if tag = m_shutdown then finish Shutdown pos
-        else if tag = m_stats_request then finish Stats_request pos
-        else if tag = m_stats_reply then begin
-          let pairs, pos =
-            get_counted s ~pos (fun s ~pos ->
-                let name, pos = get_str s ~pos in
-                let v, pos = get_f64 s ~pos in
-                ((name, v), pos))
-          in
-          finish (Stats_reply pairs) pos
-        end
-        else if tag = m_run_done then begin
-          let run, pos = get_varint s ~pos in
-          finish (Run_done { run }) pos
-        end
-        else if tag = m_request then begin
-          let run, pos = get_varint s ~pos in
-          let round, pos = get_varint s ~pos in
-          let site, pos = get_varint s ~pos in
-          let epoch, pos = get_varint s ~pos in
-          let label, pos = get_str s ~pos in
-          let call, pos = get_call s ~pos in
-          let parent, pos = get_parent s ~pos in
-          finish
-            (Visit_request { run; round; site; epoch; label; call; parent })
-            pos
-        end
-        else if tag = m_frag_fetch then begin
-          let fid, pos = get_varint s ~pos in
-          let kind, pos = get_kind s ~pos in
-          let parent, pos = get_parent s ~pos in
-          finish (Frag_fetch { fid; kind; parent }) pos
-        end
-        else if tag = m_frag_image then begin
-          let fid, pos = get_varint s ~pos in
-          let status, pos = get_u8 s ~pos in
-          if status = 0 then
-            let image, pos = get_image s ~pos in
-            finish (Frag_image { fid; image = Ok image }) pos
-          else if status = 1 then
-            let e = String.sub s pos (String.length s - pos) in
-            Ok (corr, Frag_image { fid; image = Error e })
-          else Error (Corrupt "bad fragment-image status")
-        end
-        else if tag = m_frag_install then begin
-          let fid, pos = get_varint s ~pos in
-          let epoch, pos = get_varint s ~pos in
-          let image, pos = get_image s ~pos in
-          let parent, pos = get_parent s ~pos in
-          finish (Frag_install { fid; epoch; image; parent }) pos
-        end
-        else if tag = m_frag_retire then begin
-          let fid, pos = get_varint s ~pos in
-          let epoch, pos = get_varint s ~pos in
-          let kind, pos = get_kind s ~pos in
-          let parent, pos = get_parent s ~pos in
-          finish (Frag_retire { fid; epoch; kind; parent }) pos
-        end
-        else if tag = m_admin_reply then begin
-          let status, pos = get_u8 s ~pos in
-          let rest = String.sub s pos (String.length s - pos) in
-          if status = 0 then Ok (corr, Admin_reply { reply = Ok rest })
-          else if status = 1 then Ok (corr, Admin_reply { reply = Error rest })
-          else Error (Corrupt "bad admin-reply status")
-        end
-        else if tag = m_gen_publish then begin
-          let kind, pos = get_kind s ~pos in
-          let gens, pos =
-            get_counted s ~pos (fun s ~pos ->
-                let fid, pos = get_varint s ~pos in
-                let gen, pos = get_varint s ~pos in
-                ((fid, gen), pos))
-          in
-          let parent, pos = get_parent s ~pos in
-          finish (Gen_publish { kind; gens; parent }) pos
-        end
-        else if tag = m_gen_event then begin
-          let kind, pos = get_kind s ~pos in
-          let gens, pos =
-            get_counted s ~pos (fun s ~pos ->
-                let fid, pos = get_varint s ~pos in
-                let gen, pos = get_varint s ~pos in
-                ((fid, gen), pos))
-          in
-          finish (Gen_event { kind; gens }) pos
-        end
-        else if tag = m_gen_fetch then begin
-          let kind, pos = get_kind s ~pos in
-          let parent, pos = get_parent s ~pos in
-          finish (Gen_fetch { kind; parent }) pos
-        end
-        else if tag = m_gen_reply then begin
-          let kind, pos = get_kind s ~pos in
-          let gens, pos =
-            get_counted s ~pos (fun s ~pos ->
-                let fid, pos = get_varint s ~pos in
-                let gen, pos = get_varint s ~pos in
-                ((fid, gen), pos))
-          in
-          finish (Gen_reply { kind; gens }) pos
-        end
-        else if tag = m_spans_request then finish Spans_fetch pos
-        else if tag = m_spans_reply then begin
-          let server_now, pos = get_f64 s ~pos in
-          let spans, pos = get_counted s ~pos get_span in
-          finish (Spans_reply { server_now; spans }) pos
-        end
-        else if tag = m_reply then begin
-          let run, pos = get_varint s ~pos in
-          let round, pos = get_varint s ~pos in
-          let status, pos = get_u8 s ~pos in
-          if status = 0 then
-            let reply, pos = get_reply s ~pos in
-            finish (Visit_reply { run; round; reply = Ok reply }) pos
-          else if status = 1 then
-            let e = String.sub s pos (String.length s - pos) in
-            Ok (corr, Visit_reply { run; round; reply = Error e })
-          else Error (Corrupt "bad reply status")
-        end
-        else Error (Corrupt "unknown message tag")
-  with
-  | result -> result
-  | exception Bad m -> Error (Corrupt m)
-  | exception Codec.Decode_error m -> Error (Corrupt m)
-
-let decode_payload s = Result.map snd (decode_payload_corr s)
-
-let decode_frame s =
-  if String.length s < 4 then Error Truncated
+  if s <> "" && Char.code s.[0] <> version then
+    Error (Bad_version (Char.code s.[0]))
   else
-    let n =
-      (Char.code s.[0] lsl 24)
-      lor (Char.code s.[1] lsl 16)
-      lor (Char.code s.[2] lsl 8)
-      lor Char.code s.[3]
-    in
-    if String.length s - 4 < n then Error Truncated
-    else if String.length s - 4 > n then Error (Corrupt "bytes beyond frame")
-    else Ok (String.sub s 4 n)
-
-let decode s = Result.join (Result.map decode_payload (decode_frame s))
-let decode_corr s = Result.join (Result.map decode_payload_corr (decode_frame s))
+    match of_string envelope s with
+    | _, corr, m -> Ok (corr, m)
+    | exception Decode_error { pos; reason } ->
+        Error (Corrupt (Printf.sprintf "%s at byte %d" reason pos))
 
 (* ------------------------------------------------------------------ *)
 (* accounting                                                         *)

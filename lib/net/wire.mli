@@ -2,13 +2,14 @@
     servers (docs/NETWORK.md).
 
     A {e frame} is a big-endian [u32] payload length followed by the
-    payload; a payload is a version byte, a varint {e correlation id},
-    a message tag and a tag-specific body.  The correlation id (new in
-    protocol v2, see docs/SERVING.md) is stamped on requests and echoed
-    on replies so many in-flight runs can share one socket; [0] means
-    uncorrelated.  Inside bodies, every quantity the simulator's
-    cost model charges for travels as a {e section}: a kind byte (one
-    per {!Pax_dist.Cluster.msg_kind}), a [u24] payload length and the
+    payload ({!Pax_net.Sockio} reads and writes frames); a payload is a
+    version byte, a varint {e correlation id}, a message tag and a
+    tag-specific body.  The correlation id (new in protocol v2, see
+    docs/SERVING.md) is stamped on requests and echoed on replies so
+    many in-flight runs can share one socket; [0] means uncorrelated.
+    Inside bodies, every quantity the simulator's cost model charges
+    for travels as a {e section}: a kind byte (one per
+    {!Pax_dist.Cluster.msg_kind}), a [u24] payload length and the
     payload — exactly [4 + payload] bytes.  The cluster accounts a
     round's traffic from the sections of its calls and replies
     ({!call_sections}, {!reply_sections}), so summed section bytes of a
@@ -17,8 +18,10 @@
     {e framing overhead}, bounded by {!frame_overhead},
     {!frag_overhead} and {!section_overhead}.
 
-    {!decode} is total: truncated or corrupt input yields [Error _],
-    never an exception. *)
+    Every type is described once, as a {!Pax_bool.Codec} value that
+    sizes, writes and reads it, so accounted bytes are encoded bytes by
+    construction.  {!decode_payload_corr} is total: corrupt input
+    yields [Error _], never an exception. *)
 
 module Formula = Pax_bool.Formula
 module Tree = Pax_xml.Tree
@@ -69,23 +72,13 @@ type section =
           between processes.  NaiveCentralized's [Ship] reply carries
           one per fragment; no other engine stage ships one. *)
 
+(** The section codec: a kind byte, then the payload under a [u24]
+    length, written in place. *)
+val section : section Pax_bool.Codec.t
+
 (** Serialized size of a section including its 4-byte header — the
-    byte count accounting charges.  Computed from the payload's size
-    function ({!Pax_bool.Codec.formula_array_bytes},
-    {!Pax_xml.Flat.encoded_bytes}, …), never by encoding it. *)
+    byte count accounting charges: {!section}'s [size]. *)
 val section_bytes : section -> int
-
-(** Print / parse a subtree for [Tree_data] sections (node ids are
-    reassigned on parse, as with {!Pax_frag.Store} round trips). *)
-val tree_to_section : Tree.node -> section
-
-val tree_of_section : section -> Tree.node option
-
-(** Standalone section round trip (used by fuzz tests; the envelope
-    codecs embed sections with the same representation). *)
-val section_to_string : section -> string
-
-val section_of_string : string -> section option
 
 (** {1 Visit calls}
 
@@ -123,8 +116,9 @@ type call =
   | Count of call
       (** the wrapped call, answered with its answer elements counted,
           not shipped (Count): the reply is [Counted].  [Calls] and
-          [Count] are wrappers, and a wrapper inside a wrapper is
-          [Corrupt] *)
+          [Count] are wrappers over plain calls: a wrapper inside a
+          wrapper is [Corrupt] on decode and [Invalid_argument] on
+          encode *)
   | Ship of { fids : int list }
       (** ship the listed fragments whole (NaiveCentralized); the reply
           is [Images] *)
@@ -286,29 +280,19 @@ type msg =
           generation *)
 
 type error =
-  | Truncated
   | Bad_version of int
-  | Corrupt of string
+  | Corrupt of string  (** the reason and the payload offset it names *)
 
 val pp_error : Format.formatter -> error -> unit
 
-(** Encode a full frame (length prefix included).  [corr] defaults to
-    [0] (uncorrelated). *)
-val encode : ?corr:int -> msg -> string
-
-(** Payload only — what travels after the [u32] length prefix. *)
+(** A payload — what travels after the [u32] length prefix.  [corr]
+    defaults to [0] (uncorrelated). *)
 val encode_payload : ?corr:int -> msg -> string
 
-(** Total decoder over a complete frame.  Never raises: short input is
-    [Error Truncated], anything malformed [Error (Corrupt _)]. *)
-val decode : string -> (msg, error) result
-
-val decode_payload : string -> (msg, error) result
-
-(** Like {!decode}/{!decode_payload} but also return the envelope
-    correlation id — what the demultiplexing client reads first. *)
-val decode_corr : string -> (int * msg, error) result
-
+(** Total decoder of a payload, with its envelope correlation id — what
+    the demultiplexing client reads first.  Never raises: a wrong
+    version byte is [Bad_version], anything malformed (truncated
+    included) [Corrupt]. *)
 val decode_payload_corr : string -> (int * msg, error) result
 
 (** {1 Accounting}

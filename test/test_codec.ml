@@ -4,6 +4,12 @@ module F = Pax_bool.Formula
 module Var = Pax_bool.Var
 module Codec = Pax_bool.Codec
 
+(* Random-case counts scale with PAX_QCHECK_COUNT (the @slow suites). *)
+let qcheck_count n =
+  match Sys.getenv_opt "PAX_QCHECK_COUNT" with
+  | Some s -> ( try int_of_string s with _ -> n)
+  | None -> n
+
 (* Reuse the formula generator shape from test_formula. *)
 let gen_formula : F.t QCheck.Gen.t =
   let open QCheck.Gen in
@@ -26,30 +32,31 @@ let gen_formula : F.t QCheck.Gen.t =
 
 let arbitrary_formula = QCheck.make ~print:F.to_string gen_formula
 
+let round_trip c x = Codec.of_string c (Codec.to_string c x)
+let encoded_length c x = String.length (Codec.to_string c x) = Codec.size c x
+
 let props =
   [
-    QCheck.Test.make ~name:"formula round trip" ~count:1000 arbitrary_formula
-      (fun f -> F.equal (Codec.formula_of_string (Codec.formula_to_string f)) f);
-    QCheck.Test.make ~name:"encoded length matches formula_bytes" ~count:500
-      arbitrary_formula (fun f ->
-        String.length (Codec.formula_to_string f) = Codec.formula_bytes f);
-    QCheck.Test.make ~name:"vector round trip" ~count:300
+    QCheck.Test.make ~name:"formula round trip" ~count:(qcheck_count 1000)
+      arbitrary_formula (fun f -> F.equal (round_trip Codec.formula f) f);
+    QCheck.Test.make ~name:"encoded length matches formula_bytes"
+      ~count:(qcheck_count 500) arbitrary_formula (encoded_length Codec.formula);
+    QCheck.Test.make ~name:"vector round trip" ~count:(qcheck_count 300)
       (QCheck.make
          QCheck.Gen.(list_size (int_range 0 12) gen_formula))
       (fun fs ->
         let a = Array.of_list fs in
-        let b = Codec.formula_array_of_string (Codec.formula_array_to_string a) in
+        let b = round_trip Codec.formulas a in
         Array.length a = Array.length b
         && Array.for_all2 F.equal a b);
-    QCheck.Test.make ~name:"bool array round trip" ~count:300
+    QCheck.Test.make ~name:"bool array round trip" ~count:(qcheck_count 300)
       QCheck.(list bool)
       (fun bs ->
         let a = Array.of_list bs in
-        Codec.bool_array_of_string (Codec.bool_array_to_string a) = a);
-    QCheck.Test.make ~name:"bool array length" ~count:300 QCheck.(list bool)
-      (fun bs ->
-        let a = Array.of_list bs in
-        String.length (Codec.bool_array_to_string a) = Codec.bool_array_bytes a);
+        round_trip Codec.bools a = a);
+    QCheck.Test.make ~name:"bool array length" ~count:(qcheck_count 300)
+      QCheck.(list bool)
+      (fun bs -> encoded_length Codec.bools (Array.of_list bs));
   ]
 
 (* Totality fuzz: mutate valid encodings (byte flips, truncation,
@@ -85,17 +92,21 @@ let total_after_mutation (type a) name count gen encode
 
 let fuzz =
   [
-    total_after_mutation "mutated formula never raises" 2000 gen_formula
-      Codec.formula_to_string Codec.formula_of_string_opt;
-    total_after_mutation "mutated vector never raises" 1000
+    total_after_mutation "mutated formula never raises" (qcheck_count 2000)
+      gen_formula
+      (Codec.to_string Codec.formula)
+      (Codec.of_string_opt Codec.formula);
+    total_after_mutation "mutated vector never raises" (qcheck_count 1000)
       QCheck.Gen.(map Array.of_list (list_size (int_range 0 12) gen_formula))
-      Codec.formula_array_to_string Codec.formula_array_of_string_opt;
-    total_after_mutation "mutated bool array never raises" 1000
+      (Codec.to_string Codec.formulas)
+      (Codec.of_string_opt Codec.formulas);
+    total_after_mutation "mutated bool array never raises" (qcheck_count 1000)
       QCheck.Gen.(map Array.of_list (list bool))
-      Codec.bool_array_to_string Codec.bool_array_of_string_opt;
-    QCheck.Test.make ~name:"opt agrees with raising decoder" ~count:500
-      arbitrary_formula (fun f ->
-        match Codec.formula_of_string_opt (Codec.formula_to_string f) with
+      (Codec.to_string Codec.bools)
+      (Codec.of_string_opt Codec.bools);
+    QCheck.Test.make ~name:"opt agrees with raising decoder"
+      ~count:(qcheck_count 500) arbitrary_formula (fun f ->
+        match Codec.(of_string_opt formula (to_string formula f)) with
         | Some g -> F.equal f g
         | None -> false);
   ]
@@ -104,26 +115,30 @@ let test_compactness () =
   (* A ground vector of 64 entries costs ~65 bytes, not 64 words. *)
   let vec = Array.make 64 F.true_ in
   Alcotest.(check bool) "ground vectors are tiny" true
-    (Codec.formula_array_bytes vec <= 66);
+    (Codec.size Codec.formulas vec <= 66);
   (* Variables with small ids: 3 bytes. *)
   Alcotest.(check int) "small var" 3
-    (Codec.formula_bytes (F.var (Var.Qual (1, 2))));
+    (Codec.size Codec.formula (F.var (Var.Qual (1, 2))));
   (* Large ids grow gently (varint). *)
   Alcotest.(check bool) "large var still small" true
-    (Codec.formula_bytes (F.var (Var.Qual_at (1_000_000, 200))) <= 6)
+    (Codec.size Codec.formula (F.var (Var.Qual_at (1_000_000, 200))) <= 6)
 
+(* Each error names the offset where reading failed. *)
 let test_decode_errors () =
-  let fails s =
-    match Codec.formula_of_string s with
-    | exception Codec.Decode_error _ -> ()
+  let fails ~at s =
+    match Codec.of_string Codec.formula s with
+    | exception Codec.Decode_error { pos; _ } ->
+        Alcotest.(check int) (Printf.sprintf "offset in %S" s) at pos
     | _ -> Alcotest.fail "should not decode"
   in
-  fails "";
-  fails "\xff";
-  fails "\x02" (* Not without operand *);
-  fails "\x00\x00" (* trailing bytes *);
-  match Codec.bool_array_of_string "\x20" with
-  | exception Codec.Decode_error _ -> ()
+  fails ~at:0 "";
+  fails ~at:0 "\xff" (* unknown tag *);
+  fails ~at:1 "\x02" (* Not without operand *);
+  fails ~at:1 "\x00\x00" (* trailing bytes *);
+  fails ~at:1 "\x03\x05\x00" (* a count beyond the bytes left *);
+  fails ~at:9 ("\x05" ^ String.make 8 '\x80') (* a varint over 56 bits *);
+  match Codec.of_string Codec.bools "\x20" with
+  | exception Codec.Decode_error { pos = 1; _ } -> ()
   | _ -> Alcotest.fail "truncated bools must fail"
 
 let () =

@@ -231,7 +231,10 @@ let prop_wire (ft : Fragment.t) =
           if Flat.encode fl2 <> s then fail "encode (decode s) <> s");
       (* Through a Wire section: kind survives and the payload decodes
          to the same image. *)
-      (match Wire.section_of_string (Wire.section_to_string (Wire.Frag_flat fl)) with
+      (match
+         Pax_bool.Codec.(
+           of_string_opt Wire.section (to_string Wire.section (Wire.Frag_flat fl)))
+       with
       | Some (Wire.Frag_flat fl2) -> ignore (check_image fl2 root : bool)
       | _ -> fail "Frag_flat section did not survive");
       true)

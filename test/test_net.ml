@@ -14,6 +14,7 @@ module Var = Pax_bool.Var
 module Fragment = Pax_frag.Fragment
 module Cluster = Pax_dist.Cluster
 module Transport = Pax_dist.Transport
+module Codec = Pax_bool.Codec
 module Wire = Pax_wire.Wire
 module Sockio = Pax_net.Sockio
 module Server = Pax_net.Server
@@ -33,6 +34,12 @@ let with_timeout secs f =
       ignore (Unix.alarm 0);
       Sys.set_signal Sys.sigalrm old)
     f
+
+(* Random-case counts scale with PAX_QCHECK_COUNT (the @slow suites). *)
+let qcheck_count n =
+  match Sys.getenv_opt "PAX_QCHECK_COUNT" with
+  | Some s -> ( try int_of_string s with _ -> n)
+  | None -> n
 
 (* ------------------------------------------------------------------ *)
 (* Wire codec units                                                   *)
@@ -328,10 +335,13 @@ let sample_msgs =
       };
   ]
 
+(* A payload's message, its correlation id dropped. *)
+let decode s = Result.map snd (Wire.decode_payload_corr s)
+
 let test_roundtrip () =
   List.iter
     (fun msg ->
-      match Wire.decode (Wire.encode msg) with
+      match decode (Wire.encode_payload msg) with
       | Ok msg' ->
           Alcotest.(check bool) "encode/decode round trip" true (msg = msg')
       | Error e -> Alcotest.failf "decode failed: %a" Wire.pp_error e)
@@ -365,10 +375,10 @@ let image_msgs =
 let test_image_roundtrip () =
   List.iter
     (fun msg ->
-      match Wire.decode (Wire.encode msg) with
+      match decode (Wire.encode_payload msg) with
       | Ok msg' ->
-          Alcotest.(check string) "re-encoding is identical" (Wire.encode msg)
-            (Wire.encode msg')
+          Alcotest.(check string) "re-encoding is identical"
+            (Wire.encode_payload msg) (Wire.encode_payload msg')
       | Error e -> Alcotest.failf "decode failed: %a" Wire.pp_error e)
     image_msgs
 
@@ -410,84 +420,83 @@ let test_tally_frames () =
     (Wire.tally (List.hd image_msgs)
     = { Wire.sections = 2; section_bytes = 2 * img; frag_entries = 2 })
 
-(* A call list inside a call list is refused by the decoder, so a
-   hostile frame cannot make it recurse. *)
+(* A wrapper inside a wrapper is refused by the decoder, so a hostile
+   frame cannot make it recurse; the encoder cannot build one, so such
+   frames are spliced by hand: a request or reply whose body ends in an
+   empty [Ship] call or [Images] reply (a tag and a zero count) gets
+   that body replaced. *)
 let test_nested_calls () =
-  let nested =
-    Wire.Visit_request
-      {
-        run = 1;
-        round = 0;
-        site = 0;
-        epoch = 0;
-        label = "l";
-        parent = None;
-        call = Wire.Calls [ Wire.Calls [ Wire.Ship { fids = [ 1 ] } ] ];
-      }
-  in
-  (match Wire.decode (Wire.encode nested) with
-  | Error (Wire.Corrupt _) -> ()
-  | Ok _ -> Alcotest.fail "a nested call list must not decode"
-  | Error e -> Alcotest.failf "expected Corrupt, got %a" Wire.pp_error e);
-  let nested_reply =
-    Wire.Visit_reply
-      { run = 1; round = 0; reply = Ok (Wire.Replies [ Wire.Replies [] ]) }
-  in
-  (match Wire.decode (Wire.encode nested_reply) with
-  | Error (Wire.Corrupt _) -> ()
-  | Ok _ -> Alcotest.fail "a nested reply list must not decode"
-  | Error e -> Alcotest.failf "expected Corrupt, got %a" Wire.pp_error e);
-  (* [Count] is a wrapper too: inside itself or a call list, either
-     way round, and likewise its [Counted] reply. *)
   let req call =
     Wire.Visit_request
-      {
-        run = 1;
-        round = 0;
-        site = 0;
-        epoch = 0;
-        label = "l";
-        parent = None;
-        call;
-      }
+      { run = 1; round = 0; site = 0; epoch = 0; label = "l"; parent = None; call }
   in
   let reply r = Wire.Visit_reply { run = 1; round = 0; reply = Ok r } in
-  let ship = Wire.Ship { fids = [ 1 ] } in
-  let counted r = Wire.Counted { reply = r; counts = [] } in
+  let splice msg body =
+    let s = Wire.encode_payload msg in
+    String.sub s 0 (String.length s - 2) ^ body
+  in
+  let call_with = splice (req (Wire.Ship { fids = [] }))
+  and reply_with = splice (reply (Wire.Images [])) in
+  (* Wrapper tags: Calls 7, Count 9, Replies 3, Counted 5; a plain
+     [Ship {fids = [1]}] is "\x08\x01\x01", [Images []] "\x04\x00". *)
+  let ship = "\x08\x01\x01" and images = "\x04\x00" in
+  let ship_1 = Wire.Ship { fids = [ 1 ] } and no_images = Wire.Images [] in
+  Alcotest.(check bool) "the splice point holds, one wrapper deep" true
+    (decode (call_with ship) = Ok (req ship_1)
+    && decode (call_with ("\x07\x01" ^ ship)) = Ok (req (Wire.Calls [ ship_1 ]))
+    && decode (call_with ("\x09" ^ ship)) = Ok (req (Wire.Count ship_1))
+    && decode (reply_with images) = Ok (reply no_images)
+    && decode (reply_with ("\x03\x01" ^ images))
+       = Ok (reply (Wire.Replies [ no_images ]))
+    && decode (reply_with ("\x05" ^ images ^ "\x00"))
+       = Ok (reply (Wire.Counted { reply = no_images; counts = [] })));
   List.iter
-    (fun (what, msg) ->
-      match Wire.decode (Wire.encode msg) with
+    (fun (what, payload) ->
+      match decode payload with
       | Error (Wire.Corrupt _) -> ()
       | Ok _ -> Alcotest.failf "%s must not decode" what
       | Error e ->
           Alcotest.failf "%s: expected Corrupt, got %a" what Wire.pp_error e)
     [
+      ("Calls in Calls", call_with ("\x07\x01\x07\x01" ^ ship));
+      ("Count in Count", call_with ("\x09\x09" ^ ship));
+      ("Count in Calls", call_with ("\x07\x01\x09" ^ ship));
+      ("Calls in Count", call_with ("\x09\x07\x01" ^ ship));
+      ("Replies in Replies", reply_with "\x03\x01\x03\x00");
+      ("Counted in Counted", reply_with ("\x05\x05" ^ images ^ "\x00\x00"));
+      ("Counted in Replies", reply_with ("\x03\x01\x05" ^ images ^ "\x00"));
+      ("Replies in Counted", reply_with "\x05\x03\x00\x00");
+    ];
+  (* Nor does the encoder build one. *)
+  let ship = ship_1 and counted r = Wire.Counted { reply = r; counts = [] } in
+  List.iter
+    (fun (what, msg) ->
+      match Wire.encode_payload msg with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "%s must not encode" what)
+    [
+      ("Calls in Calls", req (Wire.Calls [ Wire.Calls [ ship ] ]));
       ("Count in Count", req (Wire.Count (Wire.Count ship)));
-      ("Count in Calls", req (Wire.Calls [ Wire.Count ship ]));
       ("Calls in Count", req (Wire.Count (Wire.Calls [ ship ])));
-      ("Counted in Counted", reply (counted (counted (Wire.Images []))));
-      ("Counted in Replies", reply (Wire.Replies [ counted (Wire.Images []) ]));
+      ("Replies in Replies", reply (Wire.Replies [ Wire.Replies [] ]));
+      ("Counted in Replies", reply (Wire.Replies [ counted no_images ]));
       ("Replies in Counted", reply (counted (Wire.Replies [])));
     ]
 
 (* Protocol v2: the correlation id is an envelope field — stamped on a
-   request, echoed on its reply, invisible to the v1-shaped API. *)
+   request, echoed on its reply. *)
 let test_corr_roundtrip () =
   List.iter
     (fun msg ->
       List.iter
         (fun corr ->
-          match Wire.decode_corr (Wire.encode ~corr msg) with
+          match Wire.decode_payload_corr (Wire.encode_payload ~corr msg) with
           | Ok (corr', msg') ->
               Alcotest.(check int) "correlation id echoes" corr corr';
               Alcotest.(check bool) "message round trips" true (msg = msg')
-          | Error e -> Alcotest.failf "decode_corr failed: %a" Wire.pp_error e)
-        [ 0; 1; 255; 123_456; (1 lsl 54) + 3 ];
-      (* The corr-blind decoder still accepts every frame. *)
-      match Wire.decode (Wire.encode ~corr:99 msg) with
-      | Ok msg' ->
-          Alcotest.(check bool) "decode drops the corr" true (msg = msg')
-      | Error e -> Alcotest.failf "corr-blind decode failed: %a" Wire.pp_error e)
+          | Error e ->
+              Alcotest.failf "decode_payload_corr failed: %a" Wire.pp_error e)
+        [ 0; 1; 255; 123_456; (1 lsl 54) + 3 ])
     sample_msgs
 
 let test_decode_total () =
@@ -496,79 +505,108 @@ let test_decode_total () =
      damaged frame as a longer-than-input value. *)
   List.iter
     (fun msg ->
-      let s = Wire.encode msg in
+      let s = Wire.encode_payload msg in
       for cut = 0 to String.length s - 1 do
-        match Wire.decode (String.sub s 0 cut) with
+        match decode (String.sub s 0 cut) with
         | Ok _ | Error _ -> ()
       done;
       for pos = 0 to String.length s - 1 do
         for byte = 0 to 255 do
           let b = Bytes.of_string s in
           Bytes.set b pos (Char.chr byte);
-          match Wire.decode (Bytes.to_string b) with
+          match decode (Bytes.to_string b) with
           | Ok _ | Error _ -> ()
         done
       done)
     (sample_msgs @ image_msgs)
 
 let test_decode_errors () =
-  (match Wire.decode "" with
-  | Error Wire.Truncated -> ()
-  | _ -> Alcotest.fail "empty input must be Truncated");
-  (match Wire.decode "\x00\x00" with
-  | Error Wire.Truncated -> ()
-  | _ -> Alcotest.fail "short header must be Truncated");
-  let good = Wire.encode Wire.Ping in
-  (match Wire.decode (good ^ "junk") with
+  let good = Wire.encode_payload Wire.Ping in
+  (match decode (good ^ "junk") with
   | Error (Wire.Corrupt _) -> ()
-  | _ -> Alcotest.fail "bytes beyond the frame must be Corrupt");
+  | _ -> Alcotest.fail "bytes beyond the message must be Corrupt");
+  (* A section's payload must fill its u24 length exactly: a Vectors
+     section of length 1 holds the empty vector; one of length 2 with a
+     spare byte is corrupt. *)
+  Alcotest.(check bool) "a section is read within its length" true
+    (Codec.of_string_opt Wire.section "\x02\x00\x00\x01\x00"
+     = Some (Wire.Vectors [||])
+    && Codec.of_string_opt Wire.section "\x02\x00\x00\x02\x00\x00" = None);
   let bad_version = Bytes.of_string good in
-  Bytes.set bad_version 4 '\xee';
-  match Wire.decode (Bytes.to_string bad_version) with
+  Bytes.set bad_version 0 '\xee';
+  (match decode (Bytes.to_string bad_version) with
   | Error (Wire.Bad_version 0xee) -> ()
-  | _ -> Alcotest.fail "wrong version byte must be Bad_version"
+  | _ -> Alcotest.fail "wrong version byte must be Bad_version");
+  (* The error names the offset: version, corr, tag, run, round, site
+     and epoch take a byte each and the label "l" two, so the call's
+     tag is byte 9. *)
+  let req =
+    Wire.encode_payload
+      (Wire.Visit_request
+         {
+           run = 1;
+           round = 0;
+           site = 0;
+           epoch = 0;
+           label = "l";
+           parent = None;
+           call = Wire.Ship { fids = [] };
+         })
+  in
+  let b = Bytes.of_string req in
+  Bytes.set b 9 '\xff';
+  match decode (Bytes.to_string b) with
+  | Error (Wire.Corrupt m) ->
+      Alcotest.(check string)
+        "unknown call tag" "unknown call tag 255 at byte 9" m
+  | _ -> Alcotest.fail "an unknown call tag must be Corrupt"
 
 (* Accounting sizes every section from its payload's size function; for
    every kind that must be the encoded section's length, header
    included. *)
+let gen_str = QCheck.Gen.(string_size ~gen:printable (int_range 0 40))
+
+let gen_formula =
+  let open QCheck.Gen in
+  fix (fun self depth ->
+      let leaf =
+        oneof
+          [
+            return Formula.true_;
+            return Formula.false_;
+            map2 (fun f e -> Formula.var (Var.Qual (f, e))) nat small_nat;
+            map2 (fun f e -> Formula.var (Var.Sel_ctx (f, e))) nat small_nat;
+          ]
+      in
+      if depth = 0 then leaf
+      else
+        frequency
+          [
+            (2, leaf);
+            (1, map Formula.not_ (self (depth - 1)));
+            (1, map2 Formula.conj (self (depth - 1)) (self (depth - 1)));
+            (1, map2 Formula.disj (self (depth - 1)) (self (depth - 1)));
+          ])
+
+let gen_answer =
+  let open QCheck.Gen in
+  map4
+    (fun a_id a_tag a_text a_attrs -> { Wire.a_id; a_tag; a_text; a_attrs })
+    (oneof [ small_nat; nat; int_range 0 (1 lsl 40) ])
+    gen_str (opt gen_str)
+    (list_size (int_range 0 3) (pair gen_str gen_str))
+
 let gen_section : Wire.section QCheck.Gen.t =
   let open QCheck.Gen in
-  let str = string_size ~gen:printable (int_range 0 40) in
-  let formula =
-    fix (fun self depth ->
-        let leaf =
-          oneof
-            [
-              return Formula.true_;
-              return Formula.false_;
-              map2 (fun f e -> Formula.var (Var.Qual (f, e))) nat small_nat;
-              map2 (fun f e -> Formula.var (Var.Sel_ctx (f, e))) nat small_nat;
-            ]
-        in
-        if depth = 0 then leaf
-        else
-          frequency
-            [
-              (2, leaf);
-              (1, map Formula.not_ (self (depth - 1)));
-              (1, map2 Formula.conj (self (depth - 1)) (self (depth - 1)));
-              (1, map2 Formula.disj (self (depth - 1)) (self (depth - 1)));
-            ])
-  in
-  let answer =
-    map4
-      (fun a_id a_tag a_text a_attrs -> { Wire.a_id; a_tag; a_text; a_attrs })
-      (oneof [ small_nat; nat; int_range 0 (1 lsl 40) ])
-      str (opt str)
-      (list_size (int_range 0 3) (pair str str))
-  in
   oneof
     [
-      map (fun q -> Wire.Query q) str;
-      map (fun fs -> Wire.Vectors fs) (array_size (int_range 0 12) (formula 3));
+      map (fun q -> Wire.Query q) gen_str;
+      map
+        (fun fs -> Wire.Vectors fs)
+        (array_size (int_range 0 12) (gen_formula 3));
       map (fun bs -> Wire.Resolution bs) (array_size (int_range 0 200) bool);
-      map (fun a -> Wire.Answers a) (list_size (int_range 0 6) answer);
-      map (fun x -> Wire.Tree_data x) str;
+      map (fun a -> Wire.Answers a) (list_size (int_range 0 6) gen_answer);
+      map (fun x -> Wire.Tree_data x) gen_str;
       map
         (fun (d : Tree.doc) -> Wire.Frag_flat (Pax_xml.Flat.of_tree d.Tree.root))
         (Test_helpers.Gen.doc ~max_nodes:30);
@@ -578,7 +616,206 @@ let prop_section_sizes =
   QCheck.Test.make ~name:"section sizes = 4 + payload"
     ~count:300
     (QCheck.make gen_section) (fun sec ->
-      Wire.section_bytes sec = String.length (Wire.section_to_string sec))
+      Wire.section_bytes sec = String.length (Codec.to_string Wire.section sec))
+
+(* Random messages of every constructor: wrappers and their replies,
+   error replies, control frames, with and without a trace parent. *)
+let gen_msg : Wire.msg QCheck.Gen.t =
+  let open QCheck.Gen in
+  (* Varints carry up to 56 bits. *)
+  let id =
+    oneof [ small_nat; int_range 0 (1 lsl 20); int_range 0 ((1 lsl 56) - 1) ]
+  in
+  let bytes = string_size ~gen:char (int_range 0 12) in
+  let few g = list_size (int_range 0 3) g in
+  let vec = array_size (int_range 0 4) (gen_formula 2) in
+  let bools = array_size (int_range 0 20) bool in
+  let frag_eval =
+    map3
+      (fun fe_fid fe_is_root fe_init -> { Wire.fe_fid; fe_is_root; fe_init })
+      id bool (opt vec)
+  in
+  let subs = few (pair id bools) and fids = few id in
+  let plain_call =
+    oneof
+      [
+        map2
+          (fun query frags -> Wire.Pax2_stage1 { query; frags })
+          gen_str (few frag_eval);
+        map (fun frags -> Wire.Pax2_stage2 { frags }) (few (triple id bools subs));
+        map2 (fun query fids -> Wire.Pax3_stage1 { query; fids }) gen_str fids;
+        map2
+          (fun query frags -> Wire.Pax3_stage2 { query; frags })
+          gen_str (few (pair frag_eval subs));
+        map (fun frags -> Wire.Pax3_stage3 { frags }) (few (pair id bools));
+        map2 (fun query fids -> Wire.Reach_stage1 { query; fids }) gen_str fids;
+        map (fun fids -> Wire.Ship { fids }) fids;
+      ]
+  in
+  let call =
+    frequency
+      [
+        (4, plain_call);
+        (1, map (fun calls -> Wire.Calls calls) (few plain_call));
+        (1, map (fun call -> Wire.Count call) plain_call);
+      ]
+  in
+  let answers = few gen_answer in
+  let frag_result =
+    map2
+      (fun (fr_fid, fr_vec, fr_ctxs) (fr_answers, fr_cands, fr_ops) ->
+        { Wire.fr_fid; fr_vec; fr_ctxs; fr_answers; fr_cands; fr_ops })
+      (triple id (opt vec) (few (pair id vec)))
+      (triple answers id id)
+  in
+  let image =
+    map
+      (fun (d : Tree.doc) -> Pax_xml.Flat.of_tree d.Tree.root)
+      (Test_helpers.Gen.doc ~max_nodes:8)
+  in
+  let plain_reply =
+    frequency
+      [
+        (3, map (fun frs -> Wire.Frag_results frs) (few frag_result));
+        ( 3,
+          map2
+            (fun answers ops -> Wire.Final_answers { answers; ops })
+            answers id );
+        (1, map (fun images -> Wire.Images images) (few (pair id image)));
+      ]
+  in
+  let reply =
+    frequency
+      [
+        (4, plain_reply);
+        (1, map (fun replies -> Wire.Replies replies) (few plain_reply));
+        ( 1,
+          map2
+            (fun reply counts -> Wire.Counted { reply; counts })
+            plain_reply (few id) );
+      ]
+  in
+  let result ok = oneof [ map Result.ok ok; map Result.error bytes ] in
+  let parent = opt id in
+  let kind = oneofl [ Wire.Tree_frag; Wire.Graph_frag ] in
+  let frag_image =
+    map2 (fun fi_kind fi_bytes -> { Wire.fi_kind; fi_bytes }) kind bytes
+  in
+  let gens = few (pair id id) in
+  let reading = oneof [ float_range (-1e9) 1e9; return 0.; return infinity ] in
+  let span =
+    map3
+      (fun (sp_name, sp_cat, sp_track) (sp_begin, sp_dur, sp_args)
+           (sp_seq, sp_id, sp_parent) ->
+        {
+          Pax_obs.Span.sp_name;
+          sp_cat;
+          sp_track;
+          sp_begin;
+          sp_dur;
+          sp_args;
+          sp_seq;
+          sp_id;
+          sp_parent;
+        })
+      (triple bytes bytes bytes)
+      (triple reading (float_range 0. 1e3) (few (pair bytes bytes)))
+      (triple id id (opt id))
+  in
+  oneof
+    [
+      map3
+        (fun (run, round, site) (epoch, label) (call, parent) ->
+          Wire.Visit_request { run; round; site; epoch; label; call; parent })
+        (triple id id id) (pair id bytes) (pair call parent);
+      map3
+        (fun run round reply -> Wire.Visit_reply { run; round; reply })
+        id id (result reply);
+      oneofl
+        [
+          Wire.Ping; Wire.Pong; Wire.Shutdown; Wire.Stats_request; Wire.Spans_fetch;
+        ];
+      map (fun pairs -> Wire.Stats_reply pairs) (few (pair bytes reading));
+      map (fun run -> Wire.Run_done { run }) id;
+      map3
+        (fun fid kind parent -> Wire.Frag_fetch { fid; kind; parent })
+        id kind parent;
+      map2
+        (fun fid image -> Wire.Frag_image { fid; image })
+        id (result frag_image);
+      map4
+        (fun fid epoch image parent ->
+          Wire.Frag_install { fid; epoch; image; parent })
+        id id frag_image parent;
+      map4
+        (fun fid epoch kind parent ->
+          Wire.Frag_retire { fid; epoch; kind; parent })
+        id id kind parent;
+      map (fun reply -> Wire.Admin_reply { reply }) (result bytes);
+      map2
+        (fun server_now spans -> Wire.Spans_reply { server_now; spans })
+        reading (few span);
+      map3
+        (fun kind gens parent -> Wire.Gen_publish { kind; gens; parent })
+        kind gens parent;
+      map2 (fun kind gens -> Wire.Gen_event { kind; gens }) kind gens;
+      map2 (fun kind parent -> Wire.Gen_fetch { kind; parent }) kind parent;
+      map2 (fun kind gens -> Wire.Gen_reply { kind; gens }) kind gens;
+    ]
+
+(* Flat images hold a lock and an intern table, so messages carrying
+   them compare by their encoding only. *)
+let rec reply_has_images = function
+  | Wire.Images _ -> true
+  | Wire.Replies rs -> List.exists reply_has_images rs
+  | Wire.Counted { reply; _ } -> reply_has_images reply
+  | Wire.Frag_results _ | Wire.Final_answers _ -> false
+
+(* Frames that end in an optional trace parent or in an error or admin
+   text are open-ended: cutting that last field off leaves a shorter,
+   valid frame. *)
+let open_ended = function
+  | Wire.Visit_request { parent = Some _; _ }
+  | Wire.Frag_fetch { parent = Some _; _ }
+  | Wire.Frag_install { parent = Some _; _ }
+  | Wire.Frag_retire { parent = Some _; _ }
+  | Wire.Gen_publish { parent = Some _; _ }
+  | Wire.Gen_fetch { parent = Some _; _ }
+  | Wire.Visit_reply { reply = Error _; _ }
+  | Wire.Frag_image { image = Error _; _ }
+  | Wire.Admin_reply _ ->
+      true
+  | _ -> false
+
+(* The payload round-trips exactly and re-encodes to the same bytes,
+   and every proper prefix is an error — except that a prefix of an
+   open-ended frame may decode, and then only to the message whose
+   encoding is exactly that prefix. *)
+let prop_random_msgs =
+  QCheck.Test.make ~name:"random messages round-trip; prefixes are errors"
+    ~count:(qcheck_count 300)
+    (QCheck.make gen_msg) (fun msg ->
+      let corr = Hashtbl.hash msg land 0xFFFF in
+      let s = Wire.encode_payload ~corr msg in
+      let exact =
+        match Wire.decode_payload_corr s with
+        | Ok (corr', msg') ->
+            corr' = corr
+            && Wire.encode_payload ~corr msg' = s
+            &&
+            (match msg with
+            | Wire.Visit_reply { reply = Ok r; _ } when reply_has_images r -> true
+            | _ -> msg' = msg)
+        | Error _ -> false
+      in
+      let prefix_ok cut =
+        let p = String.sub s 0 cut in
+        match Wire.decode_payload_corr p with
+        | Error _ -> true
+        | Ok (corr', msg') ->
+            open_ended msg && Wire.encode_payload ~corr:corr' msg' = p
+      in
+      exact && List.for_all prefix_ok (List.init (String.length s) Fun.id))
 
 (* The fixed samples behind the property: the query, vector and bools
    sections accounting charges, each sized as it is measured on the wire.
@@ -586,7 +823,7 @@ let prop_section_sizes =
    accounting sizes. *)
 let test_sections_measured () =
   let q = Query.of_string "//person[profile/education]/name" in
-  let measured sec = String.length (Wire.section_to_string sec) in
+  let measured sec = String.length (Codec.to_string Wire.section sec) in
   List.iter
     (fun (name, sec) ->
       Alcotest.(check int) name (measured sec) (Wire.section_bytes sec))
@@ -595,6 +832,99 @@ let test_sections_measured () =
       ("vector section", Wire.Vectors sample_vec);
       ("bools section", Wire.Resolution [| true; false |]);
     ]
+
+(* Byte pins: MD5 digests of fixed encodings, generated once and never
+   regenerated, so no codec change can alter a byte on the wire
+   unnoticed.  The frames are every sample above plus a graph
+   fragment's migration frame, each encoded with correlation id 7;
+   then one section of each kind on its own. *)
+let pinned_graph_install =
+  let g =
+    Pax_graph.Gfrag.partition ~n:9
+      ~edges:[ (0, 1); (1, 4); (2, 7); (4, 0); (5, 8); (7, 3); (8, 4) ]
+      ~owner:(Array.init 9 (fun v -> v mod 3))
+  in
+  Wire.Frag_install
+    {
+      fid = 1;
+      epoch = 5;
+      image =
+        {
+          Wire.fi_kind = Wire.Graph_frag;
+          fi_bytes = Pax_graph.Gfrag.encode (Pax_graph.Gfrag.fragment g 1);
+        };
+      parent = Some 300;
+    }
+
+let pinned_sections =
+  [
+    Wire.Query "//person[profile/education]/name";
+    Wire.Vectors sample_vec;
+    Wire.Resolution
+      [| true; false; true; true; false; false; true; false; true |];
+    Wire.Answers
+      [ sample_answer; { sample_answer with a_text = None; a_attrs = [] } ];
+    Wire.Tree_data "<a x=\"1\"><b>t</b></a>";
+    Wire.Frag_flat sample_image;
+  ]
+
+let pinned_digests =
+  [
+    "3391ea453f619575be4fff42b3957fa8";
+    "bf7aeb877e2194ce64d0263c6fe862a3";
+    "e65efeacca321cf35d92571cde8dea93";
+    "c246561fa5c8a9071a4a6262e31b89da";
+    "42e933b71562a60dc35fa830c3f42ff3";
+    "96f38e362e4bd40177c9eced7324084a";
+    "18fdea1d98095f685969ff41e68b3c9b";
+    "54655b47716382d3e0c8611954a5b1ae";
+    "380bc571e2ae82cfdba1b2103be55bdf";
+    "0787339397a6140dd987a32a7ea4f876";
+    "3b84254729baf9fd5219cea7def810b0";
+    "109a45b89f6ce1bd8b71c583d3244d89";
+    "b729243b0bb8afb2b05b573e91cb4234";
+    "b8ac4623a94670a9fdb607c644cfbe91";
+    "00963fa573f357639d21a79310c4a4b9";
+    "44cc83557943807cc1db6ef4004b1134";
+    "29798ff6a82107db17f5956ccef0f9c8";
+    "066858618b356a50d2a1a85bbc032985";
+    "b0919edcbf3f2b7058f8c52c9e200817";
+    "af909f37bedaa4449d72ba3d80b461f2";
+    "e59d873f769a18fa285b51cd0646caa3";
+    "771df35651e53cf13443950af96feb01";
+    "2da9e6f6536d590758a2f4954b27f907";
+    "21d6ea93e64f44552ebeb1be959e511c";
+    "26bb5d2a6f0fbb91ab5a02fc6bf8ad24";
+    "492af5a9dc222f3d170515384c3993f4";
+    "e31304a5d42056b5634b33f7b6b7600e";
+    "57bb420c342da6101ca257d7aac4decf";
+    "cb15fba0a6621db17c2ae08ea6a6f846";
+    "b77c2fb6d134de96c93fb1d91e4d837b";
+    "0aa0694f429b7caa746a566c1b3ff478";
+    "0c3ff20edfc67c6ce00bf57e9c214f0c";
+    "9508eba1213a139c86ab99d551f5d826";
+    "944869a73df198bbba63f5fa722a7cce";
+    "bcfe0ac459aedc5cbe849b0044ced190";
+    "5ffef5a4c56859034f2e3f7583c62247";
+    "0e753a0302184323e08aefb3754dfcec";
+    "3c68ba29c8dd4447bfd2ac1d0e771c38";
+    "77e9a97b9df3d9a7eacfa3ca565d8d4b";
+    "27b5a69a38378fdb98c789626dc83ee4";
+    "006bb5525aa176516b5e3a421fd48224";
+  ]
+
+let test_byte_pins () =
+  let frames =
+    List.map
+      (fun m -> Wire.encode_payload ~corr:7 m)
+      (sample_msgs @ image_msgs @ [ pinned_graph_install ])
+  in
+  let sections = List.map (Codec.to_string Wire.section) pinned_sections in
+  let got =
+    List.map (fun s -> Digest.to_hex (Digest.string s)) (frames @ sections)
+  in
+  Alcotest.(check (list string))
+    "digests of pinned encodings" pinned_digests got
 
 let test_addr_parse () =
   let ok s expected =
@@ -617,11 +947,6 @@ let test_addr_parse () =
 (* ------------------------------------------------------------------ *)
 (* Framing: one buffered reader, any write boundaries                 *)
 (* ------------------------------------------------------------------ *)
-
-let qcheck_count n =
-  match Sys.getenv_opt "PAX_QCHECK_COUNT" with
-  | Some s -> ( try int_of_string s with _ -> n)
-  | None -> n
 
 let frame_header n =
   let b = Bytes.create 4 in
@@ -1345,6 +1670,8 @@ let () =
           Alcotest.test_case "sections = Measure" `Quick
             test_sections_measured;
           QCheck_alcotest.to_alcotest prop_section_sizes;
+          QCheck_alcotest.to_alcotest prop_random_msgs;
+          Alcotest.test_case "byte pins" `Quick test_byte_pins;
           Alcotest.test_case "addresses" `Quick test_addr_parse;
         ] );
       ( "framing",

@@ -388,7 +388,7 @@ let test_server_memo_bound () =
           let rpc msg =
             Sockio.write_frame fd (Wire.encode_payload msg);
             match Sockio.read_frame ~timeout:10. rd with
-            | Some payload -> Result.get_ok (Wire.decode_payload payload)
+            | Some payload -> snd (Result.get_ok (Wire.decode_payload_corr payload))
             | None -> Alcotest.fail "server closed the connection"
           in
           let visit run =

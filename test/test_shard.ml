@@ -194,6 +194,10 @@ let test_gfrag_total () =
     (Gfrag.decode ("x" ^ String.sub s 1 (String.length s - 1)));
   Alcotest.(check (option reject)) "truncated image" None
     (Gfrag.decode (String.sub s 0 (String.length s - 1)));
+  (* A node count whose varint runs to a ninth byte: read with a 63-bit
+     shift it would turn negative and reach [Array.init]. *)
+  Alcotest.(check (option reject)) "overlong count varint" None
+    (Gfrag.decode ("pgf1\x00" ^ String.make 8 '\x80' ^ "\x40"));
   (* Totality: flipping any single byte must never raise; if the
      mutant still decodes, the codec's invariants vetted it. *)
   for i = 0 to String.length s - 1 do
