@@ -242,3 +242,25 @@ let as_list = function List xs -> Some xs | _ -> None
 let as_num = function Num f -> Some f | _ -> None
 let as_str = function Str s -> Some s | _ -> None
 let as_bool = function Bool b -> Some b | _ -> None
+
+(* ---------------- writing a result -------------------------------- *)
+
+(* Where a harness writes its result: [PAX_BENCH_OUT] when set, else
+   [name] inside [bench-results/] under the working directory.  That
+   directory is ignored by git, so a rerun never overwrites a committed
+   BENCH_*.json; committing a result is a deliberate copy. *)
+let results_dir = "bench-results"
+
+let write name v =
+  let path =
+    match Sys.getenv_opt "PAX_BENCH_OUT" with
+    | Some p -> p
+    | None ->
+        if not (Sys.file_exists results_dir) then Sys.mkdir results_dir 0o755;
+        Filename.concat results_dir name
+  in
+  let oc = open_out path in
+  output_string oc (to_string v);
+  output_char oc '\n';
+  close_out oc;
+  path

@@ -3,7 +3,7 @@
      dune exec bench/flat_main.exe               full sweep
      PAX_BENCH_QUICK=1 dune exec ...             smoke scale
      PAX_BENCH_OUT=path ...                      where the JSON goes
-                                                 (default BENCH_PR7.json)
+                                 (default bench-results/BENCH_PR7.json)
 
    Each row times one stage loop — the bottom-up qualifier pass or the
    top-down selection pass — over the same single-fragment XMark
@@ -33,7 +33,6 @@ module Flat_pass = Pax_core.Flat_pass
 module J = Bench_json
 
 let quick = Sys.getenv_opt "PAX_BENCH_QUICK" <> None
-let out = Option.value (Sys.getenv_opt "PAX_BENCH_OUT") ~default:"BENCH_PR7.json"
 let nodes = if quick then 8_000 else 120_000
 let repeats = if quick then 3 else 7
 
@@ -138,8 +137,6 @@ let () =
         ("results", J.List (List.rev !rows));
       ]
   in
-  let oc = open_out out in
-  output_string oc (J.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote %s (flat image build: %.4fs)\n" out build_s
+  Printf.printf "wrote %s (flat image build: %.4fs)\n"
+    (J.write "BENCH_PR7.json" json)
+    build_s

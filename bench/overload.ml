@@ -22,7 +22,7 @@
       its placement snapshot ([Ptable.load] + [Migrate.replay]); the
       remaining queries must still match (restart_recovered).
 
-   Emits BENCH_PR10.json (see validate_bench.ml, "overload"). *)
+   Emits bench-results/BENCH_PR10.json (see validate_bench.ml, "overload"). *)
 
 module Query = Pax_xpath.Query
 module Fragment = Pax_frag.Fragment
@@ -365,11 +365,6 @@ let identity ~proto ~ft ~mux ~dir () =
 (* ---------------- reporting ---------------------------------------- *)
 
 let emit ~sat ~over ~identical ~restart_recovered =
-  let out =
-    match Sys.getenv_opt "PAX_BENCH_OUT" with
-    | Some p -> p
-    | None -> "BENCH_PR10.json"
-  in
   let shed = over.ph_shed_overloaded + over.ph_shed_deadline in
   let j =
     J.Obj
@@ -407,11 +402,7 @@ let emit ~sat ~over ~identical ~restart_recovered =
         ("restart_recovered", J.Bool restart_recovered);
       ]
   in
-  let oc = open_out out in
-  output_string oc (J.to_string j);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "\nwrote %s\n%!" out
+  Printf.printf "\nwrote %s\n%!" (J.write "BENCH_PR10.json" j)
 
 let main () =
   Printf.printf

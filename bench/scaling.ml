@@ -14,7 +14,7 @@
    combination.
 
    Results are printed as a table and emitted as machine-readable JSON
-   (default BENCH_PR2.json; override with PAX_BENCH_OUT) whose schema is
+   (bench-results/BENCH_PR2.json; see Bench_json.write) whose schema is
    checked by bench/validate_bench.ml under the @bench-smoke alias. *)
 
 module Cluster = Pax_dist.Cluster
@@ -23,7 +23,6 @@ module Run_result = Pax_core.Run_result
 module J = Bench_json
 
 let degrees = [ 1; 2; 4; 8 ]
-let out_path () = Option.value ~default:"BENCH_PR2.json" (Sys.getenv_opt "PAX_BENCH_OUT")
 
 (* Q1/Q2 exercise PaX3's three stages, Q3/Q4 also make sense under
    PaX2's two; PaX3-NA covers all four and is the paper's headline
@@ -235,8 +234,4 @@ let run () =
        (Domain.recommended_domain_count ()));
   let rows = List.map (sweep_query ~size_mb) [ "Q1"; "Q2"; "Q3"; "Q4" ] in
   List.iter print_row rows;
-  let path = out_path () in
-  let oc = open_out path in
-  output_string oc (J.to_string (json ~size_mb rows));
-  close_out oc;
-  Printf.printf "\nwrote %s\n" path
+  Printf.printf "\nwrote %s\n" (J.write "BENCH_PR2.json" (json ~size_mb rows))

@@ -12,7 +12,7 @@
    paper's one-machine-per-site network.  The delay is what the skew
    serializes — all visits queue behind one socket pre-rebalance and
    spread over four servers post — so p99 drops even though compute
-   shares a core.  Emits BENCH_PR8.json (see validate_bench.ml): the
+   shares a core.  Emits bench-results/BENCH_PR8.json (see validate_bench.ml): the
    committed artifact must show post-rebalance p99 <= pre, at least one
    executed move, a strictly lower max per-site visit load, and every
    audit passing in both phases. *)
@@ -218,11 +218,6 @@ let json_of_move (o : Migrate.outcome) =
     ]
 
 let emit ~n_frags ~pre ~post ~moves ~epoch ~max_pre ~max_post =
-  let out =
-    match Sys.getenv_opt "PAX_BENCH_OUT" with
-    | Some p -> p
-    | None -> "BENCH_PR8.json"
-  in
   let j =
     J.Obj
       [
@@ -251,11 +246,7 @@ let emit ~n_frags ~pre ~post ~moves ~epoch ~max_pre ~max_post =
         ("post", json_of_phase post);
       ]
   in
-  let oc = open_out out in
-  output_string oc (J.to_string j);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "\nwrote %s\n%!" out
+  Printf.printf "\nwrote %s\n%!" (J.write "BENCH_PR8.json" j)
 
 let main () =
   Printf.printf

@@ -5,7 +5,7 @@
    the previous one returns.  Reports queries/sec and p50/p99 latency
    at concurrency 1/4/16 with the cross-query cache off and on, audits
    every single run against the paper's guarantees, and emits
-   BENCH_PR5.json (see validate_bench.ml for the schema).
+   bench-results/BENCH_PR5.json (see validate_bench.ml for the schema).
 
    The machine model, recorded in the artifact: everything here shares
    one core, and loopback sockets have no network latency, so a purely
@@ -224,11 +224,6 @@ let json_of_combo c =
     ]
 
 let emit combos =
-  let out =
-    match Sys.getenv_opt "PAX_BENCH_OUT" with
-    | Some p -> p
-    | None -> "BENCH_PR5.json"
-  in
   let j =
     J.Obj
       [
@@ -248,11 +243,7 @@ let emit combos =
         ("results", J.List (List.map json_of_combo combos));
       ]
   in
-  let oc = open_out out in
-  output_string oc (J.to_string j);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "\nwrote %s\n%!" out
+  Printf.printf "\nwrote %s\n%!" (J.write "BENCH_PR5.json" j)
 
 let print_table combos =
   Printf.printf "\n%-6s %-6s %10s %10s %10s %10s %7s\n" "conc" "cache"

@@ -435,30 +435,20 @@ let formula =
 let formulas = array formula
 
 (* A count, then the bits packed eight to a byte, least significant
-   first. *)
+   first: {!Bits}' own layout, so both directions copy bytes.  Reading
+   keeps the bits packed: a section of [k] bytes costs [k] bytes, not a
+   word per bit. *)
 let bools =
   let bytes n = (n + 7) / 8 in
   {
-    size = (fun bs -> varint_size (Array.length bs) + bytes (Array.length bs));
+    size = (fun bs -> varint_size (Bits.length bs) + bytes (Bits.length bs));
     write =
       (fun w bs ->
-        varint.write w (Array.length bs);
-        let byte = ref 0 in
-        Array.iteri
-          (fun i b ->
-            if b then byte := !byte lor (1 lsl (i mod 8));
-            if i mod 8 = 7 then begin
-              u8.write w !byte;
-              byte := 0
-            end)
-          bs;
-        if Array.length bs mod 8 <> 0 then u8.write w !byte);
+        varint.write w (Bits.length bs);
+        blit w (Bits.bytes bs));
     read =
       (fun r ->
         let n = varint.read r in
         if bytes n > r.lim - r.at then fail r "truncated bools";
-        let start = r.at in
-        r.at <- start + bytes n;
-        Array.init n (fun i ->
-            Char.code r.src.[start + (i / 8)] land (1 lsl (i mod 8)) <> 0));
+        Bits.of_bytes n (take r (bytes n)));
   }

@@ -141,5 +141,6 @@ val formula : Formula.t t
 
 val formulas : Formula.t array t
 
-(** A varint count, then the bits packed eight to a byte. *)
-val bools : bool array t
+(** A varint count, then the bits packed eight to a byte, least
+    significant first.  Decoded vectors stay packed ({!Bits}). *)
+val bools : Bits.t t

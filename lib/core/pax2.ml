@@ -2,6 +2,7 @@ module Tree = Pax_xml.Tree
 module Query = Pax_xpath.Query
 module Compile = Pax_xpath.Compile
 module Formula = Pax_bool.Formula
+module Bits = Pax_bool.Bits
 module Fragment = Pax_frag.Fragment
 module Cluster = Pax_dist.Cluster
 module Wire = Pax_wire.Wire
@@ -140,9 +141,9 @@ let stage2 r =
                   if has_candidates r fid then
                     Some
                       ( fid,
-                        r.ctx.(fid),
+                        Bits.of_array r.ctx.(fid),
                         List.map
-                          (fun sub -> (sub, r.quals.(sub)))
+                          (fun sub -> (sub, Bits.of_array r.quals.(sub)))
                           r.ft.Fragment.children.(fid) )
                   else None)
                 (Cluster.fragments_on r.cl site);

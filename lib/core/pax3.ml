@@ -2,6 +2,7 @@ module Tree = Pax_xml.Tree
 module Query = Pax_xpath.Query
 module Compile = Pax_xpath.Compile
 module Formula = Pax_bool.Formula
+module Bits = Pax_bool.Bits
 module Fragment = Pax_frag.Fragment
 module Cluster = Pax_dist.Cluster
 module Wire = Pax_wire.Wire
@@ -98,7 +99,7 @@ let run ?(annotations = false) (cl : Cluster.t) (q : Query.t) : Run_result.t =
                           match resolved_quals with
                           | Some r ->
                               List.map
-                                (fun sub -> (sub, r.(sub)))
+                                (fun sub -> (sub, Bits.of_array r.(sub)))
                                 ft.Fragment.children.(fid)
                           | None -> [] )
                     else None)
@@ -153,7 +154,8 @@ let run ?(annotations = false) (cl : Cluster.t) (q : Query.t) : Run_result.t =
               frags =
                 List.filter_map
                   (fun fid ->
-                    if has_candidates fid then Some (fid, resolved_ctx.(fid))
+                    if has_candidates fid then
+                      Some (fid, Bits.of_array resolved_ctx.(fid))
                     else None)
                   (Cluster.fragments_on cl site);
             });

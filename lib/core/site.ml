@@ -3,6 +3,7 @@ module Flat = Pax_xml.Flat
 module Query = Pax_xpath.Query
 module Compile = Pax_xpath.Compile
 module Formula = Pax_bool.Formula
+module Bits = Pax_bool.Bits
 module Var = Pax_bool.Var
 module Fragment = Pax_frag.Fragment
 module Cluster = Pax_dist.Cluster
@@ -70,9 +71,7 @@ let init_of compiled ~fid ~is_root = function
    vector and reads as false, as in [Eval_ft.qual_lookup]. *)
 let lookup_of ~ctxs ~quals =
   let read tbl f i =
-    Option.map
-      (fun (a : bool array) -> Formula.bool (i < Array.length a && a.(i)))
-      (Hashtbl.find_opt tbl f)
+    Option.map (fun bits -> Formula.bool (Bits.get bits i)) (Hashtbl.find_opt tbl f)
   in
   function
   | Var.Sel_ctx (f, i) -> read ctxs f i

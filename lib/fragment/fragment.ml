@@ -8,11 +8,30 @@ type fragment = {
   ann : string list;
 }
 
-(* Per-fragment flat image, stamped with the generation it was built
-   at.  The pair travels in one [Atomic] cell so a concurrent reader
+(* Per-fragment flat image, stamped with the generation counter it was
+   filled at ([built]) and with the version of its content: the
+   generation and writer of the edit that produced it, (0, 0) for the
+   image built at construction.  A cell also records the edit that
+   produced the image, with the version it was applied to — what
+   {!Pax_serve.Feed} ships to the site holding the fragment.  The cell
+   is replaced whole through one [Atomic], so a concurrent reader
    (serve-layer scheduler threads, worker domains) sees either the old
-   or the new (stamp, image) — never a torn mix. *)
-type flat_cache = (int * Pax_xml.Flat.t) option Atomic.t array
+   or the new image, never a torn mix. *)
+type version = int * int
+
+type cell = {
+  built : int;
+  image : Pax_xml.Flat.t;
+  version : version;
+  edit : (version * Pax_xml.Flat.edit) option;
+}
+
+(* [writer] names this store in the versions of the images its edits
+   produce, so two stores that edit one fragment concurrently never
+   claim one version for different content.  It is drawn at random,
+   in [2^48, 2^49): fixed width on the wire, and never 0, the writer
+   of the images built at construction. *)
+type flat_cache = { cells : cell Atomic.t array; writer : int }
 
 type t = {
   fragments : fragment array;
@@ -29,10 +48,18 @@ type t = {
 let make ~fragments ~children ~doc_node_count : t =
   let n = Array.length fragments in
   let intern = Pax_xml.Intern.create () in
-  let flat_images =
+  let cells =
     Array.init n (fun fid ->
         Atomic.make
-          (Some (0, Pax_xml.Flat.of_tree ~intern fragments.(fid).root)))
+          {
+            built = 0;
+            image = Pax_xml.Flat.of_tree ~intern fragments.(fid).root;
+            version = (0, 0);
+            edit = None;
+          })
+  in
+  let writer =
+    (1 lsl 48) lor Random.State.full_int (Random.State.make_self_init ()) (1 lsl 48)
   in
   {
     fragments;
@@ -40,22 +67,29 @@ let make ~fragments ~children ~doc_node_count : t =
     doc_node_count;
     generations = Array.make n 0;
     intern;
-    flat_images;
+    flat_images = { cells; writer };
   }
 
 let intern t = t.intern
 
-(* The flat image of a fragment at its current generation, rebuilding
-   lazily after an update bumped the generation.  Two racing rebuilds
-   both produce equivalent images; last write wins. *)
-let flat t fid =
+(* The flat image of a fragment at its current generation.  An edit
+   leaves its image in the cell ({!commit_edit}); a generation bumped
+   without one (a migration, another coordinator's update merged in)
+   rebuilds the image from the tree on first use.  The tree holds the
+   same content, so the rebuild keeps the cell's version and edit.  A
+   rebuild that loses the race to a newer cell is dropped. *)
+let rec flat t fid =
   let gen = t.generations.(fid) in
-  match Atomic.get t.flat_images.(fid) with
-  | Some (g, f) when g = gen -> f
-  | _ ->
-      let f = Pax_xml.Flat.of_tree ~intern:t.intern t.fragments.(fid).root in
-      Atomic.set t.flat_images.(fid) (Some (gen, f));
-      f
+  let cell = t.flat_images.cells.(fid) in
+  let c = Atomic.get cell in
+  if c.built = gen then c.image
+  else
+    let image = Pax_xml.Flat.of_tree ~intern:t.intern t.fragments.(fid).root in
+    if Atomic.compare_and_set cell c { c with built = gen; image } then image
+    else flat t fid
+
+let version t fid = (Atomic.get t.flat_images.cells.(fid)).version
+let last_edit t fid = (Atomic.get t.flat_images.cells.(fid)).edit
 
 type pending = {
   p_fid : int;
@@ -138,6 +172,19 @@ let n_fragments t = Array.length t.fragments
 let root_fragment t = t.fragments.(0)
 let generation t fid = t.generations.(fid)
 let bump_generation t fid = t.generations.(fid) <- t.generations.(fid) + 1
+
+let commit_edit t fid edit image =
+  let cell = t.flat_images.cells.(fid) in
+  let base = (Atomic.get cell).version in
+  bump_generation t fid;
+  let gen = t.generations.(fid) in
+  Atomic.set cell
+    {
+      built = gen;
+      image;
+      version = (gen, t.flat_images.writer);
+      edit = Some (base, edit);
+    }
 
 let merge_generation t fid gen =
   if gen > t.generations.(fid) then t.generations.(fid) <- gen

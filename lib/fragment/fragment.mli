@@ -25,7 +25,7 @@ type fragment = {
 }
 
 (** Per-fragment generation-stamped {!Pax_xml.Flat} images; opaque —
-    read through {!flat}. *)
+    read through {!flat}, {!version} and {!last_edit}. *)
 type flat_cache
 
 type t = {
@@ -87,6 +87,13 @@ val generation : t -> int -> int
     successful operation, so callers normally never need to. *)
 val bump_generation : t -> int -> unit
 
+(** [commit_edit t fid edit image] — what {!Update.apply} does after
+    changing fragment [fid]'s tree: bump its generation, make [image]
+    (the current image patched with [edit]) the fragment's image, and
+    record [edit] as its last edit, with the version of the image it
+    was applied to. *)
+val commit_edit : t -> int -> Pax_xml.Flat.edit -> Pax_xml.Flat.t -> unit
+
 (** [merge_generation t fid gen] raises the fragment's generation to
     [gen] if it is behind (monotone max; a no-op otherwise).  How a
     coordinator learns about {e another} coordinator's updates: the
@@ -99,9 +106,26 @@ val merge_generation : t -> int -> int -> unit
 val intern : t -> Pax_xml.Intern.t
 
 (** [flat t fid] — the fragment's flat image at its current
-    generation, rebuilt lazily after an update.  Safe from any domain
-    (the stamped image is published atomically). *)
+    generation.  An update leaves the patched image here
+    ({!commit_edit}); a generation bumped without an edit rebuilds it
+    from the tree on first use.  Safe from any domain (the stamped
+    image is published atomically). *)
 val flat : t -> int -> Pax_xml.Flat.t
+
+(** The identity of an image's content, [(generation, writer)]: the
+    generation of the update that produced it and the store that made
+    that update, [(0, 0)] for the image built at construction.  Every
+    store draws its own random writer, so two stores never give one
+    version to different content.  A site server holds the version of
+    each image it was sent (docs/SERVING.md). *)
+type version = int * int
+
+val version : t -> int -> version
+
+(** The update that produced fragment [fid]'s current image, with the
+    version of the image it was applied to; [None] for the image built
+    at construction. *)
+val last_edit : t -> int -> (version * Pax_xml.Flat.edit) option
 
 (** [spine t fid] is the tag path from the document's root element
     (inclusive) down to [root(fid)] (inclusive) — the concatenation of

@@ -62,21 +62,35 @@ let spans_fragments (n : Tree.node) =
   Tree.iter (fun m -> if Tree.is_virtual m then spans := true) n;
   !spans
 
-let existing_ids (ft : Fragment.t) =
-  let ids = Hashtbl.create 1024 in
-  Array.iter
-    (fun (f : Fragment.fragment) ->
-      Tree.iter (fun n -> Hashtbl.replace ids n.Tree.id ()) f.Fragment.root)
-    ft.Fragment.fragments;
-  ids
+(* An id any fragment's image already holds, virtual slots included:
+   an id-table probe per fragment, not a tree scan. *)
+let clashing_id (ft : Fragment.t) subtree =
+  let held id =
+    let rec go fid =
+      fid < Fragment.n_fragments ft
+      && (Option.is_some (Flat.find_index (Fragment.flat ft fid) id)
+         || go (fid + 1))
+    in
+    go 0
+  in
+  let clash = ref None in
+  Tree.iter
+    (fun n -> if !clash = None && held n.Tree.id then clash := Some n.Tree.id)
+    subtree;
+  !clash
 
-let apply_op (ft : Fragment.t) (op : op) : (int, error) result =
+(* An accepted operation, checked before anything changes: the touched
+   fragment, the same update in image terms, and the tree mutation. *)
+let plan (ft : Fragment.t) (op : op) =
   match op with
   | Set_text (node_id, text) -> (
       match find ft node_id with
       | Some (fid, _, n) ->
-          n.Tree.text <- (if text = "" then None else Some text);
-          Ok fid
+          let text = if text = "" then None else Some text in
+          Ok
+            ( fid,
+              Flat.Set_text (node_id, text),
+              fun () -> n.Tree.text <- text )
       | None -> Error (Node_not_found node_id))
   | Insert (parent_id, subtree) -> (
       if spans_fragments subtree then
@@ -85,45 +99,51 @@ let apply_op (ft : Fragment.t) (op : op) : (int, error) result =
         match find ft parent_id with
         | None -> Error (Node_not_found parent_id)
         | Some (fid, _, parent) -> (
-            let ids = existing_ids ft in
-            let clash = ref None in
-            Tree.iter
-              (fun n ->
-                if !clash = None && Hashtbl.mem ids n.Tree.id then
-                  clash := Some n.Tree.id)
-              subtree;
-            match !clash with
+            match clashing_id ft subtree with
             | Some id -> Error (Duplicate_ids id)
             | None ->
-                parent.Tree.children <- parent.Tree.children @ [ subtree ];
-                Ok fid))
+                let image = Flat.of_tree ~intern:(Fragment.intern ft) subtree in
+                Ok
+                  ( fid,
+                    Flat.Insert (parent_id, image),
+                    fun () ->
+                      parent.Tree.children <- parent.Tree.children @ [ subtree ]
+                  )))
   | Delete node_id -> (
       match find ft node_id with
       | None -> Error (Node_not_found node_id)
       | Some (_, None, _) -> Error (Is_fragment_root node_id)
       | Some (fid, Some parent, n) ->
           if spans_fragments n then Error (Would_detach_fragments node_id)
-          else begin
-            parent.Tree.children <-
-              List.filter
-                (fun (c : Tree.node) -> c.Tree.id <> node_id)
-                parent.Tree.children;
-            Ok fid
-          end)
+          else
+            Ok
+              ( fid,
+                Flat.Delete node_id,
+                fun () ->
+                  parent.Tree.children <-
+                    List.filter
+                      (fun (c : Tree.node) -> c.Tree.id <> node_id)
+                      parent.Tree.children ))
 
-(* Every successful mutation advances the touched fragment's update
-   generation, so caches keyed by (fragment, generation) are invalidated
-   by exactly the fragments an update touched.  The fragment's flat image
-   is rebuilt here rather than on first use: that interns any tag the
-   edit introduced, and engines lower a query against the intern table
-   once, before a run visits any fragment. *)
+(* Every successful update advances the touched fragment's generation,
+   so caches keyed by (fragment, generation) are invalidated by exactly
+   the fragments an update touched.  The fragment's image is patched
+   here, not rebuilt ({!Flat.edit}), and the edit is recorded for the
+   site holding the fragment.  Patching here also interns any tag an
+   inserted subtree brings, and engines lower a query against the
+   intern table once, before a run visits any fragment. *)
 let apply (ft : Fragment.t) (op : op) : (int, error) result =
-  match apply_op ft op with
-  | Ok fid ->
-      Fragment.bump_generation ft fid;
-      ignore (Fragment.flat ft fid : Flat.t);
-      Ok fid
+  match plan ft op with
   | Error _ as e -> e
+  | Ok (fid, edit, mutate) -> (
+      match Flat.edit (Fragment.flat ft fid) edit with
+      | None ->
+          (* [plan] refuses everything [Flat.edit] refuses. *)
+          invalid_arg "Update.apply: the image refused a checked edit"
+      | Some image ->
+          mutate ();
+          Fragment.commit_edit ft fid edit image;
+          Ok fid)
 
 let node_count (ft : Fragment.t) =
   Array.fold_left

@@ -18,7 +18,9 @@
     - [Set_text (node_id, text)] — replace the character data.
 
     All operations mutate the fragment store in place and return the
-    fragment id that was touched. *)
+    fragment id that was touched.  The fragment's flat image is patched
+    copy-on-write ({!Pax_xml.Flat.edit}), not rebuilt, and the edit is
+    recorded for the site holding the fragment ({!Fragment.last_edit}). *)
 
 type op =
   | Insert of int * Pax_xml.Tree.node

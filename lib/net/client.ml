@@ -463,18 +463,47 @@ let frag_retire t ~site ~fid ~epoch ~kind =
       | Wire.Admin_reply { reply } -> reply
       | _ -> failwith "unexpected reply to a fragment retire")
 
+let frag_update t ~site ~fid ~epoch ~version change =
+  admin_rpc t "frag update" ~site
+    (fun ~parent -> Wire.Frag_update { fid; epoch; version; change; parent })
+    (function
+      | Wire.Admin_reply { reply } -> reply
+      | _ -> failwith "unexpected reply to a fragment update")
+
 (* Generation coherence (docs/SERVING.md): same control-plane shape as
    the migration RPCs.  [on_gen_event] is the receiving side of the
    feed — the hook runs on receiver threads, once per [Gen_event]
    pushed by any site. *)
 let on_gen_event t f = locked t (fun () -> t.on_gen <- Some f)
 
-let publish_gens t ~site ~kind gens =
-  admin_rpc t "gen publish" ~site
-    (fun ~parent -> Wire.Gen_publish { kind; gens; parent })
-    (function
-      | Wire.Admin_reply { reply } -> reply
-      | _ -> failwith "unexpected reply to a generation publish")
+(* One round: the frame goes to every site before any reply is
+   awaited.  A site that cannot be reached or does not answer in time
+   gets [Error], and the others are unaffected. *)
+let publish_gens t ~kind gens =
+  let parent = Pax_obs.Sink.alloc t.sink in
+  let w = new_waiter () in
+  Pax_obs.Sink.span t.sink ~cat:"admin" ?id:parent "gen publish" (fun () ->
+      let posted =
+        List.init (n_sites t) (fun site ->
+            match post t w site (Wire.Gen_publish { kind; gens; parent }) with
+            | corr, p, _ -> Ok (corr, p)
+            | exception e -> Error (Printexc.to_string e))
+      in
+      locked t (fun () ->
+          while w.w_open > 0 do
+            Condition.wait w.w_cond t.lock
+          done;
+          List.map
+            (Result.map (fun (corr, p) ->
+                 Hashtbl.remove t.pending corr;
+                 p.p_result))
+            posted)
+      |> List.map (function
+           | Ok (Some (Ok (Wire.Admin_reply { reply }, _))) -> reply
+           | Ok (Some (Ok _)) -> Error "unexpected reply to a generation publish"
+           | Ok (Some (Error e)) -> Error (Printexc.to_string e)
+           | Ok None -> Error "no reply"
+           | Error e -> Error e))
 
 let fetch_gens t ~site ~kind =
   admin_rpc t "gen fetch" ~site

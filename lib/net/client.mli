@@ -103,6 +103,20 @@ val frag_install :
   image:Pax_wire.Wire.frag_image ->
   (string, string) result
 
+(** Push an update of fragment [fid] to [site] ([Frag_update]): an
+    edit against the site's image at its base version, or the whole
+    image.  [version] becomes the site's version of the image.  An edit
+    the site cannot apply comes back as [Error] carrying
+    {!Pax_wire.Wire.stale_base_prefix}. *)
+val frag_update :
+  t ->
+  site:int ->
+  fid:int ->
+  epoch:int ->
+  version:Pax_wire.Wire.version ->
+  Pax_wire.Wire.frag_change ->
+  (string, string) result
+
 (** Fence fragment [fid] at [site]: visits stamped [>= epoch] get the
     typed stale-epoch error; retained data keeps serving older runs. *)
 val frag_retire :
@@ -129,15 +143,14 @@ val frag_retire :
 val on_gen_event :
   t -> (Pax_wire.Wire.frag_kind -> (int * int) list -> unit) -> unit
 
-(** Announce [(fid, generation)] pairs to [site]; the site max-merges,
-    acknowledges, and fans the event out to every live connection
-    (publisher included — its own merge is a no-op). *)
+(** Announce [(fid, generation)] pairs to every site, in one round:
+    the frame goes to all sites before any reply is awaited.  Each
+    site max-merges, acknowledges, and fans the event out to every
+    live connection (publisher included — its own merge is a no-op).
+    One result per site, in site order; an unreachable or silent site
+    gets [Error] and delays no other. *)
 val publish_gens :
-  t ->
-  site:int ->
-  kind:Pax_wire.Wire.frag_kind ->
-  (int * int) list ->
-  (string, string) result
+  t -> kind:Pax_wire.Wire.frag_kind -> (int * int) list -> (string, string) result list
 
 (** Pull [site]'s full generation vector (every fragment it has seen a
     nonzero generation for) — startup sync for a coordinator joining

@@ -21,6 +21,11 @@ type t = {
      slots ([Wire.answer_of_slot]). *)
   intern : Pax_xml.Intern.t;
   flat_imgs : (int, Flat.t) Hashtbl.t;
+  (* The version of each held tree image ({!Wire.version}): (0, 0) for
+     the images built here at creation, the pushed version after a
+     [Frag_update], none after a [Frag_install].  A pushed edit applies
+     only to the version it names (docs/SERVING.md). *)
+  versions : (int, Wire.version) Hashtbl.t;
   (* Graph fragments for the reachability engine (docs/ENGINES.md).  A
      site may hold tree fragments, graph fragments or both — the
      mixed-workload serving tests run XPath and reachability through
@@ -90,14 +95,16 @@ let create ?(max_runs = default_max_runs) ?(service_delay = 0.) ?(gfrags = [])
   let gtbl = Hashtbl.create 8 in
   List.iter (fun (fid, frag) -> Hashtbl.replace gtbl fid frag) gfrags;
   let intern = Pax_xml.Intern.create () in
-  let flat_imgs = Hashtbl.create 8 in
+  let flat_imgs = Hashtbl.create 8 and versions = Hashtbl.create 8 in
   List.iter
     (fun (fid, root) ->
-      Hashtbl.replace flat_imgs fid (Flat.of_tree ~intern root))
+      Hashtbl.replace flat_imgs fid (Flat.of_tree ~intern root);
+      Hashtbl.replace versions fid (0, 0))
     frags;
   {
     intern;
     flat_imgs;
+    versions;
     gfrags = gtbl;
     retired = Hashtbl.create 8;
     states = Hashtbl.create 16;
@@ -264,6 +271,7 @@ let install_image t ~fid ~epoch (image : Wire.frag_image) =
       | None -> Error (Printf.sprintf "corrupt flat image for fragment %d" fid)
       | Some fl ->
           Hashtbl.replace t.flat_imgs fid fl;
+          Hashtbl.remove t.versions fid;
           Hashtbl.remove t.retired (Wire.Tree_frag, fid);
           Ok (Printf.sprintf "installed fragment %d at epoch %d" fid epoch))
   | Wire.Graph_frag -> (
@@ -274,6 +282,45 @@ let install_image t ~fid ~epoch (image : Wire.frag_image) =
           Hashtbl.remove t.retired (Wire.Graph_frag, fid);
           Ok
             (Printf.sprintf "installed graph fragment %d at epoch %d" fid epoch))
+
+(* A pushed update swaps in a new image like an install does, and
+   records its version.  An edit patches the held image copy-on-write
+   ([Flat.edit]), so in-flight runs keep the image they started on; it
+   applies only when the held image is at the edit's base version, and
+   otherwise is refused with the typed stale-base error, never
+   applied to other content. *)
+let update_frag t ~fid ~epoch ~version change =
+  let count form =
+    Pax_obs.Sink.count t.obs
+      ~labels:[ ("change", form) ]
+      "pax_srv_frag_updates_total"
+  in
+  let swap form fl =
+    count form;
+    Hashtbl.replace t.flat_imgs fid fl;
+    Hashtbl.replace t.versions fid version;
+    Hashtbl.remove t.retired (Wire.Tree_frag, fid);
+    Ok
+      (Printf.sprintf "%s fragment %d at version (%d, %d), epoch %d" form fid
+         (fst version) (snd version) epoch)
+  in
+  match change with
+  | Wire.Image bytes -> (
+      match Flat.decode ~intern:t.intern bytes with
+      | Some fl -> swap "image" fl
+      | None -> Error (Printf.sprintf "corrupt flat image for fragment %d" fid))
+  | Wire.Edit { base; edit } -> (
+      let held = Hashtbl.find_opt t.versions fid in
+      let patched =
+        match (held, Hashtbl.find_opt t.flat_imgs fid) with
+        | Some v, Some fl when v = base -> Flat.edit fl edit
+        | _ -> None
+      in
+      match patched with
+      | Some fl -> swap "edit" fl
+      | None ->
+          count "stale_base";
+          Error (Wire.stale_base_error ~fid ~held ~base))
 
 let retire_frag t ~fid ~epoch ~kind =
   let key = (kind, fid) in
@@ -464,6 +511,13 @@ let serve t fd =
             admin c ~payload ~corr ?parent ~args:(fid_arg fid) "frag install"
               (fun () ->
                 Wire.Admin_reply { reply = install_image t ~fid ~epoch image });
+            conn_loop c rd
+        | Ok (corr, Wire.Frag_update { fid; epoch; version; change; parent })
+          ->
+            admin c ~payload ~corr ?parent ~args:(fid_arg fid) "frag update"
+              (fun () ->
+                Wire.Admin_reply
+                  { reply = update_frag t ~fid ~epoch ~version change });
             conn_loop c rd
         | Ok (corr, Wire.Frag_retire { fid; epoch; kind; parent }) ->
             admin c ~payload ~corr ?parent ~args:(fid_arg fid) "frag retire"

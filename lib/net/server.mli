@@ -44,8 +44,8 @@ val default_max_runs : int
     space.
 
     Tree fragments are flattened once, here, into images sharing one
-    site-wide intern table (docs/FLATTREE.md); every visit evaluates
-    over those images. *)
+    site-wide intern table (docs/FLATTREE.md), each at version [(0, 0)];
+    every visit evaluates over those images. *)
 val create :
   ?max_runs:int ->
   ?service_delay:float ->
@@ -83,6 +83,21 @@ val install_image :
   fid:int ->
   epoch:int ->
   Pax_wire.Wire.frag_image ->
+  (string, string) result
+
+(** Apply an update pushed by a coordinator ([Frag_update]): patch the
+    held tree image with an edit, or replace it with a whole image;
+    record [version] as the image's version and clear the fragment's
+    retirement fence.  An edit whose base version the server does not
+    hold, or that does not apply, is refused with
+    {!Pax_wire.Wire.stale_base_error} and changes nothing.  Counted as
+    [pax_srv_frag_updates_total{change="edit"|"image"|"stale_base"}]. *)
+val update_frag :
+  t ->
+  fid:int ->
+  epoch:int ->
+  version:Pax_wire.Wire.version ->
+  Pax_wire.Wire.frag_change ->
   (string, string) result
 
 (** Fence the fragment at [epoch]: later visits stamped with an epoch

@@ -43,7 +43,7 @@ let node_of_answer a : Tree.node =
 type section =
   | Query of string
   | Vectors of Formula.t array
-  | Resolution of bool array
+  | Resolution of Pax_bool.Bits.t
   | Answers of answer list
   | Tree_data of string
   | Frag_flat of Pax_xml.Flat.t
@@ -54,14 +54,14 @@ type frag_eval = {
   fe_init : Formula.t array option;
 }
 
-type sub_resolution = (int * bool array) list
+type sub_resolution = (int * Pax_bool.Bits.t) list
 
 type call =
   | Pax2_stage1 of { query : string; frags : frag_eval list }
-  | Pax2_stage2 of { frags : (int * bool array * sub_resolution) list }
+  | Pax2_stage2 of { frags : (int * Pax_bool.Bits.t * sub_resolution) list }
   | Pax3_stage1 of { query : string; fids : int list }
   | Pax3_stage2 of { query : string; frags : (frag_eval * sub_resolution) list }
-  | Pax3_stage3 of { frags : (int * bool array) list }
+  | Pax3_stage3 of { frags : (int * Pax_bool.Bits.t) list }
   | Reach_stage1 of { query : string; fids : int list }
   | Calls of call list
   | Count of call
@@ -97,9 +97,25 @@ let stale_epoch_error ~fid ~retired ~epoch =
   Printf.sprintf "%s fragment %d retired at epoch %d (request epoch %d)"
     stale_epoch_prefix fid retired epoch
 
-let is_stale_epoch m =
-  String.length m >= String.length stale_epoch_prefix
-  && String.sub m 0 (String.length stale_epoch_prefix) = stale_epoch_prefix
+let is_stale_epoch m = String.starts_with ~prefix:stale_epoch_prefix m
+
+type version = int * int
+
+type frag_change =
+  | Edit of { base : version; edit : Flat.edit }
+  | Image of string
+
+let stale_base_prefix = "stale-base:"
+
+let stale_base_error ~fid ~held ~base =
+  let show = function
+    | None -> "no version"
+    | Some (g, w) -> Printf.sprintf "version (%d, %d)" g w
+  in
+  Printf.sprintf "%s fragment %d holds %s, the edit needs %s"
+    stale_base_prefix fid (show held) (show (Some base))
+
+let is_stale_base m = String.starts_with ~prefix:stale_base_prefix m
 
 type msg =
   | Visit_request of {
@@ -133,6 +149,13 @@ type msg =
   | Gen_event of { kind : frag_kind; gens : (int * int) list }
   | Gen_fetch of { kind : frag_kind; parent : int option }
   | Gen_reply of { kind : frag_kind; gens : (int * int) list }
+  | Frag_update of {
+      fid : int;
+      epoch : int;
+      version : version;
+      change : frag_change;
+      parent : int option;
+    }
 
 type error = Bad_version of int | Corrupt of string
 
@@ -465,6 +488,36 @@ let m_gen_fetch =
 let m_gen_reply =
   case 19 (pair kind gens) (fun (kind, gens) -> Gen_reply { kind; gens })
 
+(* An update pushed to the site holding the fragment: the edit, named
+   against the version it patches, or the whole image.  An inserted
+   subtree travels as its flat image, under a u24 length. *)
+let frag_version = pair varint varint
+
+let edit =
+  let set_text =
+    case 1 (pair varint (option string)) (fun (id, text) ->
+        Flat.Set_text (id, text))
+  and insert =
+    case 2 (pair varint (sized flat)) (fun (id, sub) -> Flat.Insert (id, sub))
+  and delete = case 3 varint (fun id -> Flat.Delete id) in
+  union "edit kind" [ Case set_text; Case insert; Case delete ] (function
+    | Flat.Set_text (id, text) -> View (set_text, (id, text))
+    | Flat.Insert (id, sub) -> View (insert, (id, sub))
+    | Flat.Delete id -> View (delete, id))
+
+let change =
+  let edit = case 1 (pair frag_version edit) (fun (base, edit) -> Edit { base; edit })
+  and image = case 2 string (fun bytes -> Image bytes) in
+  union "fragment change" [ Case edit; Case image ] (function
+    | Edit { base; edit = e } -> View (edit, (base, e))
+    | Image bytes -> View (image, bytes))
+
+let m_frag_update =
+  case 20
+    (pair (triple varint varint frag_version) (pair change parent))
+    (fun ((fid, epoch, version), (change, parent)) ->
+      Frag_update { fid; epoch; version; change; parent })
+
 let msg =
   union "message tag"
     [
@@ -473,7 +526,7 @@ let msg =
       Case m_frag_fetch; Case m_frag_image; Case m_frag_install;
       Case m_frag_retire; Case m_admin_reply; Case m_spans_fetch;
       Case m_spans_reply; Case m_gen_publish; Case m_gen_event;
-      Case m_gen_fetch; Case m_gen_reply;
+      Case m_gen_fetch; Case m_gen_reply; Case m_frag_update;
     ]
     (function
       | Visit_request { run; round; site; epoch; label; call; parent } ->
@@ -500,7 +553,9 @@ let msg =
           View (m_gen_publish, (kind, gens, parent))
       | Gen_event { kind; gens } -> View (m_gen_event, (kind, gens))
       | Gen_fetch { kind; parent } -> View (m_gen_fetch, (kind, parent))
-      | Gen_reply { kind; gens } -> View (m_gen_reply, (kind, gens)))
+      | Gen_reply { kind; gens } -> View (m_gen_reply, (kind, gens))
+      | Frag_update { fid; epoch; version; change; parent } ->
+          View (m_frag_update, ((fid, epoch, version), (change, parent))))
 
 (* The v2 envelope carries a correlation id right after the version
    byte, on every message: the coordinator stamps each request with a
@@ -630,6 +685,8 @@ let tally msg =
      surfaced through pax_obs counters instead (docs/SHARDING.md). *)
   | Frag_fetch _ | Frag_image _ | Frag_install _ | Frag_retire _
   | Admin_reply _
+  (* So is an update pushed to a site: it belongs to no run either. *)
+  | Frag_update _
   (* Cache-coherence traffic is likewise control plane: generation
      vectors belong to no run, so they never enter per-query guarantee
      accounting (docs/SERVING.md). *)

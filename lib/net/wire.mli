@@ -63,7 +63,7 @@ val node_of_answer : answer -> Tree.node
 type section =
   | Query of string  (** query source text *)
   | Vectors of Formula.t array  (** residual-formula vectors *)
-  | Resolution of bool array  (** unified ground vectors *)
+  | Resolution of Pax_bool.Bits.t  (** unified ground vectors *)
   | Answers of answer list  (** shipped answer elements *)
   | Tree_data of string  (** a printed XML (sub)document *)
   | Frag_flat of Pax_xml.Flat.t
@@ -95,14 +95,14 @@ type frag_eval = {
 }
 
 (** Unified qualifier values for a fragment's sub-fragments. *)
-type sub_resolution = (int * bool array) list
+type sub_resolution = (int * Pax_bool.Bits.t) list
 
 type call =
   | Pax2_stage1 of { query : string; frags : frag_eval list }
-  | Pax2_stage2 of { frags : (int * bool array * sub_resolution) list }
+  | Pax2_stage2 of { frags : (int * Pax_bool.Bits.t * sub_resolution) list }
   | Pax3_stage1 of { query : string; fids : int list }
   | Pax3_stage2 of { query : string; frags : (frag_eval * sub_resolution) list }
-  | Pax3_stage3 of { frags : (int * bool array) list }
+  | Pax3_stage3 of { frags : (int * Pax_bool.Bits.t) list }
   | Reach_stage1 of { query : string; fids : int list }
       (** distributed graph reachability ([lib/graph/]): one local
           partial evaluation per listed graph fragment; the reply is
@@ -169,6 +169,31 @@ val stale_epoch_prefix : string
 
 val stale_epoch_error : fid:int -> retired:int -> epoch:int -> string
 val is_stale_epoch : string -> bool
+
+(** {1 Pushed updates}
+
+    After an update, the coordinator pushes it to the site holding the
+    fragment, as the edit alone or as the whole image.  A [version] is
+    the content identity [(generation, writer)] of
+    {!Pax_frag.Fragment.version}. *)
+
+type version = int * int
+
+type frag_change =
+  | Edit of { base : version; edit : Pax_xml.Flat.edit }
+      (** patch the held image, which must be at version [base] *)
+  | Image of string
+      (** replace the held image with this {!Pax_xml.Flat.encode}
+          image, decoded over the site's intern table *)
+
+(** Prefix of the typed refusal a site answers an [Edit] with when it
+    cannot show it holds the edit's base: it holds another version, no
+    version (after a restart or a [Frag_install]), or an image the
+    edit does not apply to.  The sender then pushes the whole image. *)
+val stale_base_prefix : string
+
+val stale_base_error : fid:int -> held:version option -> base:version -> string
+val is_stale_base : string -> bool
 
 (** {1 Messages} *)
 
@@ -278,6 +303,21 @@ type msg =
   | Gen_reply of { kind : frag_kind; gens : (int * int) list }
       (** every [(fid, generation)] the site knows with a nonzero
           generation *)
+  | Frag_update of {
+      fid : int;
+      epoch : int;
+      version : version;
+      change : frag_change;
+      parent : int option;
+    }
+      (** an update of tree fragment [fid], pushed by the coordinator
+          that made it: the site patches ([Edit]) or replaces
+          ([Image]) the image it holds, records [version] as its
+          version and clears [fid]'s retirement fence, as
+          [Frag_install] does at placement [epoch]; answered by
+          [Admin_reply], an [Edit] whose base the site cannot show with
+          the typed stale-base error.  Control plane: empty tally,
+          [parent] is the trace-context extension. *)
 
 type error =
   | Bad_version of int

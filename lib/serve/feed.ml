@@ -9,7 +9,9 @@
    Update.apply or migration, [publish] announces the touched
    fragments' generations to every site; each site acknowledges,
    max-merges, and fans a [Gen_event] back out to every live
-   connection — including other coordinators', which is the point. *)
+   connection — including other coordinators', which is the point.
+   Data side: [push_fragment] ships an update to the site holding the
+   fragment, as the edit alone when the site holds its base. *)
 
 module Wire = Pax_wire.Wire
 module Client = Pax_net.Client
@@ -60,9 +62,10 @@ let attach ?(sink = Pax_obs.Sink.noop) ~mux ft =
 (* Announce to every site (any one would relay to all connected
    coordinators, but coordinators connect to all sites, and a site
    down for one publish must still learn the generation for its own
-   [Gen_fetch] answers).  Best-effort per site: an unreachable site
-   misses the publish; its next [Gen_fetch] from any coordinator that
-   heard it resyncs nothing — the publisher's own ft stays the
+   [Gen_fetch] answers), in one round: every site gets the frame
+   before any reply is awaited.  Best-effort per site: an unreachable
+   site misses the publish; its next [Gen_fetch] from any coordinator
+   that heard it resyncs nothing — the publisher's own ft stays the
    authority and re-publishing is idempotent (max-merge). *)
 let publish t ~fids =
   let gens =
@@ -75,10 +78,7 @@ let publish t ~fids =
   in
   if gens <> [] then begin
     Pax_obs.Sink.count t.sink "pax_feed_publishes_total";
-    for site = 0 to Client.n_sites t.mux - 1 do
-      try ignore (Client.publish_gens t.mux ~site ~kind:Wire.Tree_frag gens)
-      with _ -> ()
-    done
+    ignore (Client.publish_gens t.mux ~kind:Wire.Tree_frag gens)
   end
 
 let publish_all t =
@@ -99,16 +99,27 @@ let sync t =
   done
 
 (* Update propagation for replicated stores: after a local
-   Update.apply, push the fragment's new image to the site that owns
-   it (the servers evaluate stages on their own copy — without this
-   they would keep answering from pre-update data).  Reuses the
-   migration install at the current placement epoch: idempotent, and
-   it clears no fence it shouldn't (install only clears [fid]'s). *)
+   Update.apply, push the update to the site that owns the fragment
+   (the servers evaluate stages on their own copy — without this they
+   would keep answering from pre-update data).  The fragment's last
+   edit travels alone, named against the version it patched.  A site
+   that cannot show that version (restarted, installed by a migration,
+   pushed to by another coordinator, or two edits behind) refuses it
+   with the typed stale-base error, and the whole image follows at the
+   fragment's version: the one recovery path.  So does an update with
+   no recorded edit.  Either form clears [fid]'s retirement fence, as
+   the migration install does at [epoch]. *)
 let push_fragment t ~site ~fid ~epoch =
-  let image =
-    {
-      Wire.fi_kind = Wire.Tree_frag;
-      fi_bytes = Pax_xml.Flat.encode (Fragment.flat t.ft fid);
-    }
+  let version = Fragment.version t.ft fid in
+  let push change = Client.frag_update t.mux ~site ~fid ~epoch ~version change in
+  let whole () =
+    push (Wire.Image (Pax_xml.Flat.encode (Fragment.flat t.ft fid)))
   in
-  Client.frag_install t.mux ~site ~fid ~epoch ~image
+  match Fragment.last_edit t.ft fid with
+  | None -> whole ()
+  | Some (base, edit) -> (
+      match push (Wire.Edit { base; edit }) with
+      | Error e when Wire.is_stale_base e ->
+          Pax_obs.Sink.count t.sink "pax_feed_full_pushes_total";
+          whole ()
+      | reply -> reply)

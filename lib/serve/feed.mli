@@ -12,7 +12,8 @@
     to every live connection.
 
     With an enabled sink: counters [pax_feed_events_total],
-    [pax_feed_invalidations_total], [pax_feed_publishes_total]. *)
+    [pax_feed_invalidations_total], [pax_feed_publishes_total],
+    [pax_feed_full_pushes_total]. *)
 
 type t
 
@@ -35,9 +36,14 @@ val publish_all : t -> unit
     a coordinator joining after updates have happened. *)
 val sync : t -> unit
 
-(** Push fragment [fid]'s current local image to [site] at placement
-    [epoch] (the migration install, reused): how an updating
+(** Push fragment [fid]'s last update to [site]: how an updating
     coordinator propagates post-[Update.apply] {e data} (not just
-    invalidation) to the server that evaluates stages on it. *)
+    invalidation) to the server that evaluates stages on it.  The edit
+    travels alone ([Frag_update] with [Edit]) when the site holds the
+    version it patched; otherwise the site answers with the typed
+    stale-base error and the whole image follows at the fragment's
+    version (counted as [pax_feed_full_pushes_total]).  Either form
+    clears the site's retirement fence for [fid], as the migration
+    install at placement [epoch] does. *)
 val push_fragment :
   t -> site:int -> fid:int -> epoch:int -> (string, string) result

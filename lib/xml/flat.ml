@@ -16,9 +16,13 @@
    image holds exactly what it evaluates, and an answer is built from
    the columns of its slot.
 
-   Updates never mutate an image: {!Pax_frag.Fragment} rebuilds the
-   fragment's image under a generation bump (the same invalidation
-   that covers the stage cache). *)
+   Updates never mutate an image either.  {!edit} applies one update
+   copy-on-write: it returns a new image with exactly the layout
+   [of_tree] builds from the updated tree, sharing every column the
+   edit leaves alone (a [Set_text] shares the structure and the id
+   index).  {!Pax_frag.Update.apply} patches the coordinator's image
+   this way, and a site server patches the image it holds with the
+   same function when a pushed edit arrives. *)
 
 type t = {
   n : int;  (* number of slots (preorder positions), >= 1 *)
@@ -59,6 +63,7 @@ let virtual_fid t i = t.vfid.(i)
 let is_virtual t i = t.vfid.(i) >= 0
 let on_spine t i = t.spine.(i)
 let tag_mask t i = t.mask.(i)
+let n_attrs t = t.attr_start.(t.n - 1) + t.attr_count.(t.n - 1)
 
 (* ------------------------------------------------------------------ *)
 (* construction                                                       *)
@@ -101,22 +106,38 @@ let spine_column ~n ~subtree_size ~vfid =
    [subtree_size] through [i + 1, i + subtree_size i).  The hop only
    needs [subtree_size >= 1], which [decode] has checked, so it
    terminates on any accepted image. *)
+let element_mask ~mask ~subtree_size ~tag i =
+  let m = ref (1 lsl (tag.(i) mod 63)) in
+  let stop = i + subtree_size.(i) in
+  let c = ref (i + 1) in
+  while !c < stop do
+    m := !m lor mask.(!c);
+    c := !c + subtree_size.(!c)
+  done;
+  !m
+
 let mask_column ~n ~subtree_size ~tag ~vfid =
   let mask = Array.make n 0 in
   for i = n - 1 downto 0 do
-    if vfid.(i) >= 0 then mask.(i) <- -1
-    else begin
-      let m = ref (1 lsl (tag.(i) mod 63)) in
-      let stop = i + subtree_size.(i) in
-      let c = ref (i + 1) in
-      while !c < stop do
-        m := !m lor mask.(!c);
-        c := !c + subtree_size.(!c)
-      done;
-      mask.(i) <- !m
-    end
+    mask.(i) <-
+      (if vfid.(i) >= 0 then -1
+       else element_mask ~mask ~subtree_size ~tag i)
   done;
   mask
+
+(* An image whose shipped columns are set, with its derived ones
+   computed from them. *)
+let derive r =
+  let num_some, num_val =
+    num_columns ~n:r.n ~text_off:r.text_off ~text_len:r.text_len r.buf
+  in
+  {
+    r with
+    num_some;
+    num_val;
+    spine = spine_column ~n:r.n ~subtree_size:r.subtree_size ~vfid:r.vfid;
+    mask = mask_column ~n:r.n ~subtree_size:r.subtree_size ~tag:r.tag ~vfid:r.vfid;
+  }
 
 let of_tree ?(intern = Intern.create ()) (root : Tree.node) =
   let n = Tree.size root in
@@ -177,35 +198,32 @@ let of_tree ?(intern = Intern.create ()) (root : Tree.node) =
     i
   in
   ignore (go (-1) root);
-  let buf = Buffer.to_bytes bbuf in
-  let num_some, num_val = num_columns ~n ~text_off ~text_len buf in
-  let spine = spine_column ~n ~subtree_size ~vfid in
-  let mask = mask_column ~n ~subtree_size ~tag ~vfid in
-  {
-    n;
-    ids;
-    parent;
-    first_child;
-    next_sibling;
-    subtree_size;
-    tag;
-    vfid;
-    text_off;
-    text_len;
-    attr_start;
-    attr_count;
-    attr_key;
-    attr_off;
-    attr_len;
-    buf;
-    num_some;
-    num_val;
-    spine;
-    mask;
-    intern;
-    by_id = Atomic.make None;
-    by_id_lock = Mutex.create ();
-  }
+  derive
+    {
+      n;
+      ids;
+      parent;
+      first_child;
+      next_sibling;
+      subtree_size;
+      tag;
+      vfid;
+      text_off;
+      text_len;
+      attr_start;
+      attr_count;
+      attr_key;
+      attr_off;
+      attr_len;
+      buf = Buffer.to_bytes bbuf;
+      num_some = [||];
+      num_val = [||];
+      spine = [||];
+      mask = [||];
+      intern;
+      by_id = Atomic.make None;
+      by_id_lock = Mutex.create ();
+    }
 
 (* ------------------------------------------------------------------ *)
 (* content accessors (allocation-free comparisons)                    *)
@@ -295,6 +313,324 @@ let index t =
 let find_index t id = Hashtbl.find_opt (index t) id
 
 (* ------------------------------------------------------------------ *)
+(* structural sanity                                                  *)
+(* ------------------------------------------------------------------ *)
+
+exception Corrupt
+
+(* Every slot reference in range, every offset inside the buffer, so
+   accessors cannot escape their arrays.  [decode] runs it on every
+   wire image, and [edit] on every image it builds, so neither a
+   hostile image nor a hostile edit yields an unsafe one. *)
+let check t =
+  let n = t.n and n_attrs = n_attrs t in
+  if
+    n_attrs > Array.length t.attr_key
+    || n_attrs > Array.length t.attr_off
+    || n_attrs > Array.length t.attr_len
+  then raise Corrupt;
+  let buf_len = Bytes.length t.buf in
+  let slot_ok v = v >= -1 && v < n in
+  for i = 0 to n - 1 do
+    if
+      not
+        (slot_ok t.parent.(i) && slot_ok t.first_child.(i)
+        && slot_ok t.next_sibling.(i))
+    then raise Corrupt;
+    let size = t.subtree_size.(i) in
+    if size < 1 || i + size > n then raise Corrupt;
+    let off = t.text_off.(i) and len = t.text_len.(i) in
+    if off < -1 || len < 0 || (off >= 0 && off + len > buf_len) then
+      raise Corrupt;
+    let start = t.attr_start.(i) and count = t.attr_count.(i) in
+    if start < 0 || count < 0 || start + count > n_attrs then raise Corrupt
+  done;
+  for j = 0 to n_attrs - 1 do
+    let off = t.attr_off.(j) and len = t.attr_len.(j) in
+    if off < 0 || len < 0 || off + len > buf_len then raise Corrupt
+  done
+
+(* ------------------------------------------------------------------ *)
+(* copy-on-write edits                                                *)
+(* ------------------------------------------------------------------ *)
+
+type edit =
+  | Set_text of int * string option
+  | Insert of int * t
+  | Delete of int
+
+(* Where slot [i]'s bytes begin in [buf]: [of_tree] appends each slot's
+   text and then its attribute values in preorder, so this is the first
+   offset recorded at or after slot [i], or the buffer's end. *)
+let content_start t i =
+  let rec go j =
+    if j >= t.n then Bytes.length t.buf
+    else if t.text_off.(j) >= 0 then t.text_off.(j)
+    else if t.attr_count.(j) > 0 then t.attr_off.(t.attr_start.(j))
+    else go (j + 1)
+  in
+  go i
+
+(* [buf] with [del] bytes at [at] replaced by [ins]. *)
+let splice_bytes buf ~at ~del ins =
+  let len = Bytes.length buf and m = Bytes.length ins in
+  let r = Bytes.create (len - del + m) in
+  Bytes.blit buf 0 r 0 at;
+  Bytes.blit ins 0 r at m;
+  Bytes.blit buf (at + del) r (at + m) (len - at - del);
+  r
+
+(* Apply [f] to every proper ancestor of slot [i], from its parent up
+   to the root.  Preorder puts a parent before its child; an image
+   where it does not is refused rather than walked. *)
+let rec up parent i f =
+  let a = parent.(i) in
+  if a >= i then raise Corrupt;
+  if a >= 0 then begin
+    f a;
+    up parent a f
+  end
+
+(* The last of [p]'s children before [stop] ([-1] for the last child
+   of all): a sibling chain only moves forward. *)
+let sibling_before ~first_child ~next_sibling p stop =
+  let rec go c =
+    let nx = next_sibling.(c) in
+    if nx = stop then c else if nx <= c then raise Corrupt else go nx
+  in
+  go first_child.(p)
+
+(* Only slot [i]'s text changes: a copy of the buffer holds the new
+   bytes in place of the old, the offsets recorded after them (later slots' texts, and slot [i]'s own
+   attribute values onward) move by the length difference, and the
+   structure, the derived spine and mask, and the id index are shared. *)
+let set_text t i text =
+  let s = Option.value text ~default:"" in
+  let old = t.text_len.(i) in
+  let at = if t.text_off.(i) >= 0 then t.text_off.(i) else content_start t i in
+  let delta = String.length s - old in
+  let buf = splice_bytes t.buf ~at ~del:old (Bytes.unsafe_of_string s) in
+  let text_off =
+    Array.mapi (fun j o -> if j > i && o >= 0 then o + delta else o) t.text_off
+  in
+  text_off.(i) <- (if text = None then -1 else at);
+  let text_len = Array.copy t.text_len in
+  text_len.(i) <- String.length s;
+  let first_row = t.attr_start.(i) and n_rows = n_attrs t in
+  let attr_off =
+    Array.mapi
+      (fun r o -> if r >= first_row && r < n_rows then o + delta else o)
+      t.attr_off
+  in
+  let num_some = Array.copy t.num_some and num_val = Array.copy t.num_val in
+  (match Option.bind text Tree.number_of_text with
+  | Some f ->
+      num_some.(i) <- true;
+      num_val.(i) <- f
+  | None ->
+      num_some.(i) <- false;
+      num_val.(i) <- 0.);
+  { t with text_off; text_len; attr_off; buf; num_some; num_val }
+
+(* Slots [i, i + s) go: later slots move down by [s], and the bytes and
+   attribute rows of the subtree are cut out.  The subtree holds no
+   virtual slot, so every ancestor keeps its spine bit; their sizes
+   shrink and their masks are recomputed from their children. *)
+let delete t i =
+  let s = t.subtree_size.(i) in
+  let e = i + s and n = t.n - s in
+  let src j = if j < i then j else j + s in
+  let col a = Array.init n (fun j -> a.(src j)) in
+  let slot v = if v >= e then v - s else v in
+  let slots a = Array.init n (fun j -> slot a.(src j)) in
+  let first_row = t.attr_start.(i) and n_rows = n_attrs t in
+  let rows = (if e < t.n then t.attr_start.(e) else n_rows) - first_row in
+  let at = content_start t i in
+  let bytes = content_start t e - at in
+  let parent = slots t.parent
+  and first_child = slots t.first_child
+  and next_sibling = slots t.next_sibling
+  and subtree_size = col t.subtree_size
+  and tag = col t.tag
+  and mask = col t.mask in
+  let p = t.parent.(i) and next = slot t.next_sibling.(i) in
+  if p < 0 || p >= i then raise Corrupt;
+  if first_child.(p) = i then first_child.(p) <- next
+  else next_sibling.(sibling_before ~first_child ~next_sibling p i) <- next;
+  subtree_size.(p) <- subtree_size.(p) - s;
+  up parent p (fun a -> subtree_size.(a) <- subtree_size.(a) - s);
+  mask.(p) <- element_mask ~mask ~subtree_size ~tag p;
+  up parent p (fun a -> mask.(a) <- element_mask ~mask ~subtree_size ~tag a);
+  let n_rows' = n_rows - rows in
+  let row_col shift a =
+    Array.init (max n_rows' 1) (fun r ->
+        if r >= n_rows' then 0
+        else if r < first_row then a.(r)
+        else a.(r + rows) - shift)
+  in
+  {
+    t with
+    n;
+    ids = col t.ids;
+    parent;
+    first_child;
+    next_sibling;
+    subtree_size;
+    tag;
+    vfid = col t.vfid;
+    text_off =
+      Array.init n (fun j ->
+          let o = t.text_off.(src j) in
+          if j >= i && o >= 0 then o - bytes else o);
+    text_len = col t.text_len;
+    attr_start =
+      Array.init n (fun j ->
+          let a = t.attr_start.(src j) in
+          if j >= i then a - rows else a);
+    attr_count = col t.attr_count;
+    attr_key = row_col 0 t.attr_key;
+    attr_off = row_col bytes t.attr_off;
+    attr_len = row_col 0 t.attr_len;
+    buf = splice_bytes t.buf ~at ~del:bytes Bytes.empty;
+    num_some = col t.num_some;
+    num_val = col t.num_val;
+    spine = col t.spine;
+    mask;
+    by_id = Atomic.make None;
+    by_id_lock = Mutex.create ();
+  }
+
+(* [u]'s slots become the last child subtree of slot [p]: they land at
+   [q], the end of [p]'s subtree, with their bytes and attribute rows
+   at the matching place in [t]'s buffer and rows, and every later slot
+   moves up by [u]'s length.  [u] holds no virtual slot, so spine bits
+   stay; [p] and its ancestors grow and OR in [u]'s mask.  Codes are
+   renamed into [t]'s intern table when [u] was built over another. *)
+let insert t p u =
+  let m = u.n in
+  let q = p + t.subtree_size.(p) and n = t.n + m in
+  let code =
+    if u.intern == t.intern then Fun.id
+    else fun c -> Intern.intern t.intern (Intern.name u.intern c)
+  in
+  let utag = Array.map code u.tag in
+  let umask =
+    if u.intern == t.intern then u.mask
+    else mask_column ~n:m ~subtree_size:u.subtree_size ~tag:utag ~vfid:u.vfid
+  in
+  let n_rows = n_attrs t and u_rows = n_attrs u in
+  let first_row = if q < t.n then t.attr_start.(q) else n_rows in
+  let at = content_start t q and bytes = Bytes.length u.buf in
+  (* result slot [j]: [t]'s slot [j] before [q], [u]'s slot [j - q],
+     then [t]'s slot [j - m] *)
+  let pick old fresh =
+    Array.init n (fun j ->
+        if j < q then old j else if j < q + m then fresh (j - q) else old (j - m))
+  in
+  let col a b = pick (Array.get a) (Array.get b) in
+  let slot v = if v >= q then v + m else v in
+  let uslot v = if v >= 0 then v + q else v in
+  let parent =
+    pick
+      (fun k -> slot t.parent.(k))
+      (fun k -> if k = 0 then p else uslot u.parent.(k))
+  and first_child =
+    pick (fun k -> slot t.first_child.(k)) (fun k -> uslot u.first_child.(k))
+  and next_sibling =
+    pick
+      (fun k -> slot t.next_sibling.(k))
+      (fun k -> if k = 0 then -1 else uslot u.next_sibling.(k))
+  and subtree_size = col t.subtree_size u.subtree_size
+  and mask = col t.mask umask in
+  if first_child.(p) < 0 then first_child.(p) <- q
+  else next_sibling.(sibling_before ~first_child ~next_sibling p (-1)) <- q;
+  let grow a =
+    subtree_size.(a) <- subtree_size.(a) + m;
+    mask.(a) <- mask.(a) lor umask.(0)
+  in
+  grow p;
+  up parent p grow;
+  let n_rows' = n_rows + u_rows in
+  let row_col old fresh =
+    Array.init (max n_rows' 1) (fun r ->
+        if r >= n_rows' then 0
+        else if r < first_row then old r
+        else if r < first_row + u_rows then fresh (r - first_row)
+        else old (r - u_rows))
+  in
+  let shifted a j = if j >= q && a.(j) >= 0 then a.(j) + bytes else a.(j) in
+  {
+    t with
+    n;
+    ids = col t.ids u.ids;
+    parent;
+    first_child;
+    next_sibling;
+    subtree_size;
+    tag = col t.tag utag;
+    vfid = col t.vfid u.vfid;
+    text_off =
+      pick (shifted t.text_off) (fun k ->
+          let o = u.text_off.(k) in
+          if o >= 0 then o + at else o);
+    text_len = col t.text_len u.text_len;
+    attr_start =
+      pick
+        (fun k -> if k >= q then t.attr_start.(k) + u_rows else t.attr_start.(k))
+        (fun k -> u.attr_start.(k) + first_row);
+    attr_count = col t.attr_count u.attr_count;
+    attr_key = row_col (Array.get t.attr_key) (fun r -> code u.attr_key.(r));
+    attr_off =
+      row_col
+        (fun r -> if r >= first_row then t.attr_off.(r) + bytes else t.attr_off.(r))
+        (fun r -> u.attr_off.(r) + at);
+    attr_len = row_col (Array.get t.attr_len) (Array.get u.attr_len);
+    buf = splice_bytes t.buf ~at ~del:0 u.buf;
+    num_some = col t.num_some u.num_some;
+    num_val = col t.num_val u.num_val;
+    spine = col t.spine u.spine;
+    mask;
+    by_id = Atomic.make None;
+    by_id_lock = Mutex.create ();
+  }
+
+(* The element slot holding node [id]. *)
+let element_slot t id =
+  match find_index t id with
+  | Some i when not (is_virtual t i) -> Some i
+  | _ -> None
+
+(* Total on any image [decode] accepts: an edit that names no element
+   slot, would cut a virtual slot out, or meets a malformed structure
+   is refused, and every result passes [decode]'s checks. *)
+let edit t e =
+  let edited () =
+    match e with
+    | Set_text (id, text) ->
+        Option.map (fun i -> set_text t i text) (element_slot t id)
+    | Delete id -> (
+        match element_slot t id with
+        | Some i when i > 0 && not t.spine.(i) -> Some (delete t i)
+        | _ -> None)
+    | Insert (id, u) -> (
+        let rec fresh k =
+          k = u.n || (Option.is_none (find_index t u.ids.(k)) && fresh (k + 1))
+        in
+        match element_slot t id with
+        | Some p when u.subtree_size.(0) = u.n && (not u.spine.(0)) && fresh 0
+          ->
+            Some (insert t p u)
+        | _ -> None)
+  in
+  let checked r =
+    check r;
+    r
+  in
+  match Option.map checked (edited ()) with
+  | r -> r
+  | exception (Corrupt | Invalid_argument _) -> None
+
+(* ------------------------------------------------------------------ *)
 (* wire image                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -323,8 +659,6 @@ let used_codes t ~n_attrs =
     Hashtbl.replace used t.attr_key.(j) ()
   done;
   List.sort compare (Hashtbl.fold (fun c () l -> c :: l) used [])
-
-let n_attrs t = t.attr_start.(t.n - 1) + t.attr_count.(t.n - 1)
 
 (* Header, dictionary entries, 11 node columns, 3 attribute columns and
    the byte buffer, as [encode] writes them. *)
@@ -366,8 +700,6 @@ let encode t =
   add_col b t.attr_len n_attrs;
   Buffer.add_bytes b t.buf;
   Buffer.contents b
-
-exception Corrupt
 
 let decode ?(intern = Intern.create ()) s =
   let pos = ref 0 in
@@ -429,54 +761,36 @@ let decode ?(intern = Intern.create ()) s =
     let attr_len = get_col n_attrs in
     if !pos + buf_len <> len then raise Corrupt;
     let buf = Bytes.of_string (String.sub s !pos buf_len) in
-    (* structural sanity: every slot reference in range, offsets in
-       the buffer, so accessors cannot escape their arrays *)
-    let slot_ok v = v >= -1 && v < n in
-    Array.iter (fun v -> if not (slot_ok v) then raise Corrupt) parent;
-    Array.iter (fun v -> if not (slot_ok v) then raise Corrupt) first_child;
-    Array.iter (fun v -> if not (slot_ok v) then raise Corrupt) next_sibling;
-    for i = 0 to n - 1 do
-      if subtree_size.(i) < 1 || i + subtree_size.(i) > n then raise Corrupt;
-      if text_off.(i) < -1 || text_len.(i) < 0 then raise Corrupt;
-      if text_off.(i) >= 0 && text_off.(i) + text_len.(i) > buf_len then
-        raise Corrupt;
-      if
-        attr_start.(i) < 0 || attr_count.(i) < 0
-        || attr_start.(i) + attr_count.(i) > n_attrs
-      then raise Corrupt
-    done;
-    for j = 0 to n_attrs - 1 do
-      if attr_off.(j) < 0 || attr_len.(j) < 0 then raise Corrupt;
-      if attr_off.(j) + attr_len.(j) > buf_len then raise Corrupt
-    done;
-    let num_some, num_val = num_columns ~n ~text_off ~text_len buf in
-    let spine = spine_column ~n ~subtree_size ~vfid in
-    let mask = mask_column ~n ~subtree_size ~tag ~vfid in
-    {
-      n;
-      ids;
-      parent;
-      first_child;
-      next_sibling;
-      subtree_size;
-      tag;
-      vfid;
-      text_off;
-      text_len;
-      attr_start;
-      attr_count;
-      attr_key;
-      attr_off;
-      attr_len;
-      buf;
-      num_some;
-      num_val;
-      spine;
-      mask;
-      intern;
-      by_id = Atomic.make None;
-      by_id_lock = Mutex.create ();
-    }
+    let r =
+      {
+        n;
+        ids;
+        parent;
+        first_child;
+        next_sibling;
+        subtree_size;
+        tag;
+        vfid;
+        text_off;
+        text_len;
+        attr_start;
+        attr_count;
+        attr_key;
+        attr_off;
+        attr_len;
+        buf;
+        num_some = [||];
+        num_val = [||];
+        spine = [||];
+        mask = [||];
+        intern;
+        by_id = Atomic.make None;
+        by_id_lock = Mutex.create ();
+      }
+    in
+    (* The derived columns walk [subtree_size]: checked first. *)
+    check r;
+    derive r
   with
   | t -> Some t
   | exception Corrupt -> None

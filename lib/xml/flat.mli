@@ -5,8 +5,9 @@
     character data and attribute values as offsets into one shared
     byte buffer, and virtual-node slots carrying their fragment id.
 
-    Built once from the pointer tree, immutable afterwards, and
-    therefore shareable across OCaml 5 domains without copying; stage
+    Built from the pointer tree, or from another image by a
+    copy-on-write {!edit}, and never mutated, therefore shareable
+    across OCaml 5 domains without copying; stage
     passes traverse it as tight loops over int reads.  An image holds
     columns only, no pointer node: a site evaluates, ships answers
     from, and decodes exactly these columns.  Layout, invariants and
@@ -92,6 +93,36 @@ val attrs : t -> int -> (string * string) list
     atomically. *)
 
 val find_index : t -> int -> int option
+
+(** {1 Edits}
+
+    An image is never mutated.  An update is applied copy-on-write: the
+    result is a new image with exactly the columns {!of_tree} builds
+    from the updated tree, over the same intern table, and it shares
+    every column the edit leaves alone.  The coordinator patches its
+    image with {!edit} ({!Pax_frag.Update.apply}), and a site server
+    patches the image it holds with the same function when the edit is
+    pushed to it (docs/FLATTREE.md). *)
+
+(** One update, in the image's terms: nodes are named by document id.
+    [Set_text (id, text)] replaces node [id]'s character data;
+    [Insert (id, sub)] appends [sub], the image of a subtree holding no
+    virtual node, as node [id]'s last child; [Delete id] removes node
+    [id]'s subtree, which must hold no virtual node and must not be
+    the fragment's root. *)
+type edit =
+  | Set_text of int * string option
+  | Insert of int * t
+  | Delete of int
+
+(** [edit t e] — the edited image, or [None] when [e] does not apply:
+    it names no element slot, would cut out a virtual slot or the
+    root, inserts a subtree holding a virtual slot or an id [t]
+    already holds, or meets a malformed image.  Total on every image
+    {!decode} accepts.  Tags of an inserted image built over another
+    intern table are renamed into [t]'s.  The id index is shared when
+    no slot moves ([Set_text]). *)
+val edit : t -> edit -> t option
 
 (** {1 Wire image}
 

@@ -3,6 +3,7 @@
 module F = Pax_bool.Formula
 module Var = Pax_bool.Var
 module Codec = Pax_bool.Codec
+module Bits = Pax_bool.Bits
 
 (* Random-case counts scale with PAX_QCHECK_COUNT (the @slow suites). *)
 let qcheck_count n =
@@ -53,10 +54,10 @@ let props =
       QCheck.(list bool)
       (fun bs ->
         let a = Array.of_list bs in
-        round_trip Codec.bools a = a);
+        round_trip Codec.bools (Bits.of_array a) = Bits.of_array a);
     QCheck.Test.make ~name:"bool array length" ~count:(qcheck_count 300)
       QCheck.(list bool)
-      (fun bs -> encoded_length Codec.bools (Array.of_list bs));
+      (fun bs -> encoded_length Codec.bools (Bits.of_array (Array.of_list bs)));
   ]
 
 (* Totality fuzz: mutate valid encodings (byte flips, truncation,
@@ -101,7 +102,7 @@ let fuzz =
       (Codec.to_string Codec.formulas)
       (Codec.of_string_opt Codec.formulas);
     total_after_mutation "mutated bool array never raises" (qcheck_count 1000)
-      QCheck.Gen.(map Array.of_list (list bool))
+      QCheck.Gen.(map (fun bs -> Bits.of_array (Array.of_list bs)) (list bool))
       (Codec.to_string Codec.bools)
       (Codec.of_string_opt Codec.bools);
     QCheck.Test.make ~name:"opt agrees with raising decoder"
@@ -141,6 +142,32 @@ let test_decode_errors () =
   | exception Codec.Decode_error { pos = 1; _ } -> ()
   | _ -> Alcotest.fail "truncated bools must fail"
 
+(* A Resolution section's bits stay packed when decoded: one byte per
+   eight bits, not a word per bit (which made a 1 MiB section allocate
+   67 MB), however many bits the count claims.  Padding bits past the
+   count are cleared, so equal vectors compare equal. *)
+let test_bools_allocation () =
+  let payload = 1 lsl 22 in
+  let bits = Bits.of_bytes (8 * payload) (String.make payload '\xA5') in
+  let s = Codec.to_string (Codec.sized Codec.bools) bits in
+  let before = Gc.allocated_bytes () in
+  let decoded = Codec.of_string (Codec.sized Codec.bools) s in
+  let allocated = Gc.allocated_bytes () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f bytes allocated for a %d-byte section" allocated
+       (String.length s))
+    true
+    (allocated < 1.1 *. float_of_int payload);
+  Alcotest.(check bool) "the bits survive" true
+    (Bits.length decoded = 8 * payload
+    && Bits.get decoded 0
+    && (not (Bits.get decoded 1))
+    && Bits.get decoded ((8 * payload) - 1)
+    && not (Bits.get decoded (8 * payload)));
+  let padded = Codec.of_string Codec.bools "\x03\xFF" in
+  Alcotest.(check bool) "padding cleared" true
+    (padded = Bits.of_array [| true; true; true |])
+
 let () =
   Alcotest.run "codec"
     [
@@ -148,6 +175,7 @@ let () =
         [
           Alcotest.test_case "compactness" `Quick test_compactness;
           Alcotest.test_case "decode errors" `Quick test_decode_errors;
+          Alcotest.test_case "bools stay packed" `Quick test_bools_allocation;
         ] );
       ("roundtrip", List.map QCheck_alcotest.to_alcotest props);
       ("fuzz", List.map QCheck_alcotest.to_alcotest fuzz);

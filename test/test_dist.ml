@@ -94,7 +94,7 @@ let test_measures () =
        (Wire.Vectors [| Formula.true_; Formula.var (Var.Qual (1, 2)) |])
     > 0);
   Alcotest.(check int) "bool array bytes: header + varint + 2 bytes" 7
-    (Wire.section_bytes (Wire.Resolution (Array.make 16 true)));
+    (Wire.section_bytes (Wire.Resolution (Bits.of_array (Array.make 16 true))));
   let b = Tree.builder () in
   Alcotest.(check bool) "answers bytes" true
     (Wire.section_bytes

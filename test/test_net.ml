@@ -45,6 +45,8 @@ let qcheck_count n =
 (* Wire codec units                                                   *)
 (* ------------------------------------------------------------------ *)
 
+let bits = Pax_bool.Bits.of_array
+
 let sample_vec =
   [|
     Formula.true_;
@@ -95,7 +97,7 @@ let sample_msgs =
           Wire.Pax2_stage2
             {
               frags =
-                [ (1, [| true; false; true |], [ (2, [| false |]); (3, [||]) ]) ];
+                [ (1, bits [| true; false; true |], [ (2, bits [| false |]); (3, bits [||]) ]) ];
             };
       };
     Wire.Visit_request
@@ -123,7 +125,7 @@ let sample_msgs =
               frags =
                 [
                   ( { Wire.fe_fid = 2; fe_is_root = false; fe_init = None },
-                    [ (4, [| true; true |]) ] );
+                    [ (4, bits [| true; true |]) ] );
                 ];
             };
       };
@@ -135,7 +137,7 @@ let sample_msgs =
         epoch = 7;
         label = "stage3";
         parent = Some 4194304;
-        call = Wire.Pax3_stage3 { frags = [ (2, [| false; true |]) ] };
+        call = Wire.Pax3_stage3 { frags = [ (2, bits [| false; true |]) ] };
       };
     Wire.Visit_reply
       {
@@ -183,7 +185,7 @@ let sample_msgs =
                     [ { Wire.fe_fid = 1; fe_is_root = false; fe_init = None } ];
                 };
               Wire.Pax2_stage1 { query = "//c"; frags = [] };
-              Wire.Pax3_stage3 { frags = [ (1, [| true |]) ] };
+              Wire.Pax3_stage3 { frags = [ (1, bits [| true |]) ] };
             ];
       };
     Wire.Visit_request
@@ -372,6 +374,48 @@ let image_msgs =
       };
   ]
 
+(* Pushed updates: each edit kind, the whole-image fallback, with and
+   without a trace parent.  An inserted subtree travels as a flat
+   image, so these too compare by their encoding. *)
+let writer = (1 lsl 48) + 77
+
+let update_msgs =
+  let update ?parent ?(epoch = 0) fid version change =
+    Wire.Frag_update { fid; epoch; version; change; parent }
+  in
+  let edit gen edit = Wire.Edit { base = (gen - 1, writer); edit } in
+  [
+    update 3 (5, writer) (edit 5 (Pax_xml.Flat.Set_text (1234, Some "42")));
+    update ~parent:300 ~epoch:2 3 (6, writer)
+      (edit 6 (Pax_xml.Flat.Set_text (12, None)));
+    update 0 (7, writer) (edit 7 (Pax_xml.Flat.Delete 17));
+    update 1 (2, writer) (edit 2 (Pax_xml.Flat.Insert (2, sample_image)));
+    update ~parent:9 1 (3, writer)
+      (Wire.Image (Pax_xml.Flat.encode sample_image));
+  ]
+
+(* What a write ships: a one-field Set_text on a large fragment, at
+   generations and node ids of a long-running store, is a frame of a
+   few dozen bytes, not the fragment's image. *)
+let test_edit_frame_size () =
+  let version = (100_000, writer) and base = (99_999, writer) in
+  let edit = Pax_xml.Flat.Set_text (1_000_000, Some "Moldova, Republic Of") in
+  let frame =
+    Wire.encode_payload ~corr:(1 lsl 40)
+      (Wire.Frag_update
+         {
+           fid = 3;
+           epoch = 12;
+           version;
+           change = Wire.Edit { base; edit };
+           parent = Some (1 lsl 40);
+         })
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d + 4 bytes < 100" (String.length frame))
+    true
+    (4 + String.length frame < 100)
+
 let test_image_roundtrip () =
   List.iter
     (fun msg ->
@@ -380,7 +424,7 @@ let test_image_roundtrip () =
           Alcotest.(check string) "re-encoding is identical"
             (Wire.encode_payload msg) (Wire.encode_payload msg')
       | Error e -> Alcotest.failf "decode failed: %a" Wire.pp_error e)
-    image_msgs
+    (image_msgs @ update_msgs)
 
 (* The new frames' accounted bytes: a call list tallies as its calls, a
    ship reply as one flat-image section per fragment. *)
@@ -403,7 +447,7 @@ let test_tally_frames () =
   let calls =
     [
       Wire.Pax3_stage1 { query = "a[b]//c"; fids = [ 0; 2 ] };
-      Wire.Pax3_stage3 { frags = [ (2, [| false; true |]) ] };
+      Wire.Pax3_stage3 { frags = [ (2, bits [| false; true |]) ] };
     ]
   in
   Alcotest.(check bool) "Calls = sum of its calls" true
@@ -518,7 +562,7 @@ let test_decode_total () =
           | Ok _ | Error _ -> ()
         done
       done)
-    (sample_msgs @ image_msgs)
+    (sample_msgs @ image_msgs @ update_msgs)
 
 let test_decode_errors () =
   let good = Wire.encode_payload Wire.Ping in
@@ -604,7 +648,7 @@ let gen_section : Wire.section QCheck.Gen.t =
       map
         (fun fs -> Wire.Vectors fs)
         (array_size (int_range 0 12) (gen_formula 3));
-      map (fun bs -> Wire.Resolution bs) (array_size (int_range 0 200) bool);
+      map (fun bs -> Wire.Resolution (bits bs)) (array_size (int_range 0 200) bool);
       map (fun a -> Wire.Answers a) (list_size (int_range 0 6) gen_answer);
       map (fun x -> Wire.Tree_data x) gen_str;
       map
@@ -629,7 +673,7 @@ let gen_msg : Wire.msg QCheck.Gen.t =
   let bytes = string_size ~gen:char (int_range 0 12) in
   let few g = list_size (int_range 0 3) g in
   let vec = array_size (int_range 0 4) (gen_formula 2) in
-  let bools = array_size (int_range 0 20) bool in
+  let bools = map bits (array_size (int_range 0 20) bool) in
   let frag_eval =
     map3
       (fun fe_fid fe_is_root fe_init -> { Wire.fe_fid; fe_is_root; fe_init })
@@ -761,6 +805,26 @@ let gen_msg : Wire.msg QCheck.Gen.t =
       map2 (fun kind gens -> Wire.Gen_event { kind; gens }) kind gens;
       map2 (fun kind parent -> Wire.Gen_fetch { kind; parent }) kind parent;
       map2 (fun kind gens -> Wire.Gen_reply { kind; gens }) kind gens;
+      map3
+        (fun (fid, epoch, version) change parent ->
+          Wire.Frag_update { fid; epoch; version; change; parent })
+        (triple id id (pair id id))
+        (oneof
+           [
+             map2
+               (fun base edit -> Wire.Edit { base; edit })
+               (pair id id)
+               (oneof
+                  [
+                    map2
+                      (fun id text -> Pax_xml.Flat.Set_text (id, text))
+                      id (opt bytes);
+                    map2 (fun id sub -> Pax_xml.Flat.Insert (id, sub)) id image;
+                    map (fun id -> Pax_xml.Flat.Delete id) id;
+                  ]);
+             map (fun bytes -> Wire.Image bytes) bytes;
+           ])
+        parent;
     ]
 
 (* Flat images hold a lock and an intern table, so messages carrying
@@ -770,6 +834,13 @@ let rec reply_has_images = function
   | Wire.Replies rs -> List.exists reply_has_images rs
   | Wire.Counted { reply; _ } -> reply_has_images reply
   | Wire.Frag_results _ | Wire.Final_answers _ -> false
+
+let has_images = function
+  | Wire.Visit_reply { reply = Ok r; _ } -> reply_has_images r
+  | Wire.Frag_update
+      { change = Wire.Edit { edit = Pax_xml.Flat.Insert _; _ }; _ } ->
+      true
+  | _ -> false
 
 (* Frames that end in an optional trace parent or in an error or admin
    text are open-ended: cutting that last field off leaves a shorter,
@@ -781,6 +852,7 @@ let open_ended = function
   | Wire.Frag_retire { parent = Some _; _ }
   | Wire.Gen_publish { parent = Some _; _ }
   | Wire.Gen_fetch { parent = Some _; _ }
+  | Wire.Frag_update { parent = Some _; _ }
   | Wire.Visit_reply { reply = Error _; _ }
   | Wire.Frag_image { image = Error _; _ }
   | Wire.Admin_reply _ ->
@@ -803,9 +875,7 @@ let prop_random_msgs =
             corr' = corr
             && Wire.encode_payload ~corr msg' = s
             &&
-            (match msg with
-            | Wire.Visit_reply { reply = Ok r; _ } when reply_has_images r -> true
-            | _ -> msg' = msg)
+            (has_images msg || msg' = msg)
         | Error _ -> false
       in
       let prefix_ok cut =
@@ -830,14 +900,15 @@ let test_sections_measured () =
     [
       ("query section", Wire.Query q.Query.source);
       ("vector section", Wire.Vectors sample_vec);
-      ("bools section", Wire.Resolution [| true; false |]);
+      ("bools section", Wire.Resolution (bits [| true; false |]));
     ]
 
 (* Byte pins: MD5 digests of fixed encodings, generated once and never
    regenerated, so no codec change can alter a byte on the wire
    unnoticed.  The frames are every sample above plus a graph
    fragment's migration frame, each encoded with correlation id 7;
-   then one section of each kind on its own. *)
+   then one section of each kind on its own; then the pushed updates,
+   also with correlation id 7. *)
 let pinned_graph_install =
   let g =
     Pax_graph.Gfrag.partition ~n:9
@@ -861,7 +932,7 @@ let pinned_sections =
     Wire.Query "//person[profile/education]/name";
     Wire.Vectors sample_vec;
     Wire.Resolution
-      [| true; false; true; true; false; false; true; false; true |];
+      (bits [| true; false; true; true; false; false; true; false; true |]);
     Wire.Answers
       [ sample_answer; { sample_answer with a_text = None; a_attrs = [] } ];
     Wire.Tree_data "<a x=\"1\"><b>t</b></a>";
@@ -911,6 +982,11 @@ let pinned_digests =
     "77e9a97b9df3d9a7eacfa3ca565d8d4b";
     "27b5a69a38378fdb98c789626dc83ee4";
     "006bb5525aa176516b5e3a421fd48224";
+    "674b03019adaa22d4cffbd76ae035be0";
+    "56ab9c7c5b025adbdc8148dabb7c2879";
+    "d569a914a096685a54ca9e63a9fb1046";
+    "fc50ca718429da8811abe9d4e4775a16";
+    "0023543f623e2b14366a8cd5475c9a2e";
   ]
 
 let test_byte_pins () =
@@ -920,8 +996,11 @@ let test_byte_pins () =
       (sample_msgs @ image_msgs @ [ pinned_graph_install ])
   in
   let sections = List.map (Codec.to_string Wire.section) pinned_sections in
+  let updates = List.map (fun m -> Wire.encode_payload ~corr:7 m) update_msgs in
   let got =
-    List.map (fun s -> Digest.to_hex (Digest.string s)) (frames @ sections)
+    List.map
+      (fun s -> Digest.to_hex (Digest.string s))
+      (frames @ sections @ updates)
   in
   Alcotest.(check (list string))
     "digests of pinned encodings" pinned_digests got
@@ -1673,6 +1752,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_random_msgs;
           Alcotest.test_case "byte pins" `Quick test_byte_pins;
           Alcotest.test_case "addresses" `Quick test_addr_parse;
+          Alcotest.test_case "an edit frame is small" `Quick
+            test_edit_frame_size;
         ] );
       ( "framing",
         [

@@ -841,6 +841,98 @@ let test_gen_coherence ~fault () =
           Coordinator.close coordB;
           Coordinator.close coordC))
 
+(* A write after another coordinator's whole-image push.  Coordinator
+   A updates E*trade's fragment twice before pushing, so the site holds
+   neither edit's base and A's push ships the whole image.  Coordinator
+   B, whose replica never saw A's data, then inserts into the same
+   fragment: its edit names the construction image as its base, the
+   site holds A's image, so the edit is refused with the typed
+   stale-base error and B's whole image replaces A's.  B's edit is
+   never applied to A's content: B's answers equal a cold in-process
+   coordinator whose replica saw B's write alone. *)
+let test_write_after_other_push () =
+  with_timeout 120 (fun () ->
+      let cA = H.Data.clientele () and cB = H.Data.clientele () in
+      let cC = H.Data.clientele () in
+      let ftA = H.Data.clientele_ftree cA and ftB = H.Data.clientele_ftree cB in
+      let ftC = H.Data.clientele_ftree cC in
+      let n_sites = 3 in
+      with_servers ftA ~n_sites (fun ~mux:muxA ~proto ~addrs () ->
+          let assign fid = Cluster.site_of proto fid in
+          let muxB = Client.create ~timeout:20. ~addrs () in
+          let sinkA = Pax_obs.Sink.create () and sinkB = Pax_obs.Sink.create () in
+          let feedA = Feed.attach ~sink:sinkA ~mux:muxA ftA in
+          let feedB = Feed.attach ~sink:sinkB ~mux:muxB ftB in
+          let coordB =
+            Coordinator.create ~max_inflight:2 ~cache:(Cache.create ftB)
+              (Coordinator.Sockets muxB)
+              [ Coordinator.mount (Engines.pax2 ftB ~n_sites ~assign) ]
+          in
+          let coordC =
+            Coordinator.create ~max_inflight:1 Coordinator.In_process
+              [ Coordinator.mount (Engines.pax2 ftC ~n_sites ~assign) ]
+          in
+          let run coord q =
+            match Coordinator.run coord q with
+            | Ok o ->
+                Alcotest.(check bool) "audit passes" true
+                  o.Pe.audit.Pax_obs.Audit.pass;
+                o.Pe.answer_keys
+            | Error e -> Alcotest.failf "%s: %s" q (Coordinator.error_message e)
+          in
+          let apply ft op =
+            match Update.apply ft op with
+            | Ok fid -> fid
+            | Error e -> Alcotest.fail (Update.error_to_string e)
+          in
+          let push feed fid =
+            (match Feed.push_fragment feed ~site:(assign fid) ~fid ~epoch:0 with
+            | Ok _ -> ()
+            | Error e -> Alcotest.failf "push_fragment: %s" e);
+            Feed.publish feed ~fids:[ fid ]
+          in
+          let qa = "//broker[name/text() = \"E*trade\"]" in
+          let qs = [ qa; "//broker[rating]/name"; "//client/name" ] in
+          Alcotest.(check int) "E*trade found before any write" 1
+            (Array.length (run coordB qa));
+          let fid = apply ftA (Update.Set_text (cA.H.Data.etrade_name, "Etrade")) in
+          ignore (apply ftA (Update.Set_text (cA.H.Data.etrade_name, "E-trade")));
+          push feedA fid;
+          Alcotest.(check (float 0.)) "two edits behind: A pushed the image" 1.
+            (counter_value sinkA "pax_feed_full_pushes_total");
+          spin_until (fun () ->
+              Fragment.generation ftB fid = Fragment.generation ftA fid);
+          Alcotest.(check int) "B sees A's data" 0 (Array.length (run coordB qa));
+          let rating () =
+            let b = Pax_xml.Tree.builder_from 70_000 in
+            Pax_xml.Tree.leaf b "rating" "AAA"
+          in
+          Alcotest.(check int) "B writes the same fragment" fid
+            (apply ftB (Update.Insert (cB.H.Data.etrade_broker, rating ())));
+          ignore (apply ftC (Update.Insert (cC.H.Data.etrade_broker, rating ())));
+          push feedB fid;
+          Alcotest.(check (float 0.)) "B's edit was refused, its image pushed" 1.
+            (counter_value sinkB "pax_feed_full_pushes_total");
+          let site_counter change =
+            Option.value ~default:0.
+              (List.assoc_opt
+                 (Printf.sprintf "pax_srv_frag_updates_total{change=%S}" change)
+                 (Client.fetch_stats muxA (assign fid)))
+          in
+          Alcotest.(check (list (float 0.)))
+            "at the site: no edit applied, two refused, two images"
+            [ 0.; 2.; 2. ]
+            (List.map site_counter [ "edit"; "stale_base"; "image" ]);
+          List.iter
+            (fun q ->
+              Alcotest.(check (array int)) (q ^ ": B = cold reference")
+                (run coordC q) (run coordB q))
+            qs;
+          Alcotest.(check int) "B's own data, not A's, at the site" 1
+            (Array.length (run coordB qa));
+          Coordinator.close coordB;
+          Coordinator.close coordC))
+
 (* ------------------------------------------------------------------ *)
 (* qcheck: concurrent = sequential under fault plans (in-process)     *)
 (* ------------------------------------------------------------------ *)
@@ -1031,5 +1123,7 @@ let () =
             (test_gen_coherence ~fault:false);
           Alcotest.test_case "two coordinators, one update (flaky)" `Quick
             (test_gen_coherence ~fault:true);
+          Alcotest.test_case "a write after another's image push" `Quick
+            test_write_after_other_push;
         ] );
     ]

@@ -10,6 +10,9 @@
      stamped with the new epoch burns its retry budget and fails with
      the typed [Cluster.Site_unreachable], while a run stamped with an
      older epoch keeps being served from retained data (drain-free);
+   - writes around a move: a pushed edit applies at the site that
+     holds its base, and after the move the new holder refuses it with
+     the typed stale-base error and receives the whole image;
    - the rebalancer: greedy move-or-split planning and its cooldown. *)
 
 module Wire = Pax_wire.Wire
@@ -26,6 +29,9 @@ module Coordinator = Pax_serve.Coordinator
 module Engines = Pax_core.Engines
 module Pe = Pax_engine.Pe
 module Query = Pax_xpath.Query
+module Update = Pax_frag.Update
+module Feed = Pax_serve.Feed
+module Tree = Pax_xml.Tree
 
 exception Timed_out
 
@@ -465,6 +471,99 @@ let test_stale_epoch_fence () =
           Alcotest.(check (list int)) "pre-move epochs keep being served"
             baseline (run_at_epoch 0)))
 
+(* A site server's counter, summed over its series with this name and
+   labels. *)
+let site_counter mux site series =
+  List.fold_left
+    (fun acc (k, v) -> if k = series then acc +. v else acc)
+    0. (Client.fetch_stats mux site)
+
+let updates change = Printf.sprintf "pax_srv_frag_updates_total{change=%S}" change
+
+(* A write before a move travels as an edit.  After the move, the
+   fragment's new holder got it by [Frag_install], which carries no
+   version, so the next write's edit is refused there with the typed
+   stale-base error and the whole image follows; the stale edit is
+   never applied.  Answers through the moved placement equal a cold
+   in-process coordinator over a replica that saw the same writes. *)
+let test_write_after_move () =
+  with_timeout 120 (fun () ->
+      let ft = make_ft () and ft_ref = make_ft () in
+      let n_frags = Fragment.n_fragments ft in
+      let table =
+        Ptable.create ~n_frags ~n_sites ~assign:(fun fid -> fid mod n_sites) ()
+      in
+      (* A fragment with two education nodes, and their ids. *)
+      let educations fid =
+        Tree.fold
+          (fun acc n -> if n.Tree.tag = "education" then n.Tree.id :: acc else acc)
+          [] (Fragment.fragment ft fid).Fragment.root
+      in
+      let fid, e1, e2 =
+        match
+          List.find_map
+            (fun fid ->
+              match educations fid with
+              | a :: b :: _ when fid > 0 -> Some (fid, a, b)
+              | _ -> None)
+            (List.init n_frags Fun.id)
+        with
+        | Some x -> x
+        | None -> Alcotest.fail "no fragment with two education nodes"
+      in
+      with_servers ft ~assign:(Ptable.assign table) (fun mux ->
+          let feed = Feed.attach ~mux ft in
+          let write node =
+            List.iter
+              (fun ft ->
+                match Update.apply ft (Update.Delete node) with
+                | Ok f -> Alcotest.(check int) "the chosen fragment" fid f
+                | Error e -> Alcotest.fail (Update.error_to_string e))
+              [ ft; ft_ref ];
+            (match
+               Feed.push_fragment feed ~site:(Ptable.site_of table fid) ~fid
+                 ~epoch:(Ptable.epoch table)
+             with
+            | Ok _ -> ()
+            | Error e -> Alcotest.failf "push: %s" e);
+            Feed.publish feed ~fids:[ fid ]
+          in
+          let src = Ptable.site_of table fid in
+          let dst = (src + 1) mod n_sites in
+          write e1;
+          Alcotest.(check (float 0.)) "the first write is an edit" 1.
+            (site_counter mux src (updates "edit"));
+          (match Migrate.move ~mux ~ft ~table ~fid ~dst () with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "migration failed: %s" e);
+          write e2;
+          Alcotest.(check (list (float 0.)))
+            "after the move: edit refused, whole image installed" [ 0.; 1.; 1. ]
+            (List.map
+               (fun c -> site_counter mux dst (updates c))
+               [ "edit"; "stale_base"; "image" ]);
+          let coord =
+            Coordinator.create ~max_inflight:2 (Coordinator.Sockets mux)
+              [
+                Coordinator.mount ~table
+                  (Engines.pax2 ft ~n_sites ~assign:(Ptable.assign table));
+              ]
+          in
+          let cold =
+            Coordinator.create ~max_inflight:1 Coordinator.In_process
+              [
+                Coordinator.mount
+                  (Engines.pax2 ft_ref ~n_sites ~assign:(fun f -> f mod n_sites));
+              ]
+          in
+          List.iter
+            (fun q ->
+              Alcotest.(check (list int)) (q ^ " = cold reference")
+                (run_coord cold q) (run_coord coord q))
+            [ query; "//person/profile/education"; "//person/name" ];
+          Coordinator.close coord;
+          Coordinator.close cold))
+
 let () =
   Random.self_init ();
   Alcotest.run "shard"
@@ -499,5 +598,7 @@ let () =
             test_socket_migrate;
           Alcotest.test_case "stale-epoch fence is typed" `Quick
             test_stale_epoch_fence;
+          Alcotest.test_case "a write after a move ships the image" `Quick
+            test_write_after_move;
         ] );
     ]

@@ -161,6 +161,180 @@ let test_new_tag_after_insert () =
         ])
     [ "//rating"; "//market[rating/text() = \"AAA\"]/name" ]
 
+(* ------------------------------------------------------------------ *)
+(* image edits = rebuilt images                                       *)
+(* ------------------------------------------------------------------ *)
+
+module Flat = Pax_xml.Flat
+module G = QCheck.Gen
+
+(* Random-case counts scale with PAX_QCHECK_COUNT (the @slow suites). *)
+let qcheck_count n =
+  match Sys.getenv_opt "PAX_QCHECK_COUNT" with
+  | Some s -> ( try int_of_string s with _ -> n)
+  | None -> n
+
+(* Every id the fragments hold, virtual placeholders included, and one
+   no fragment holds: targets for accepted and refused operations
+   alike. *)
+let all_ids ft =
+  let ids = ref [ -7 ] in
+  for fid = 0 to Fragment.n_fragments ft - 1 do
+    Tree.iter
+      (fun n -> ids := n.Tree.id :: !ids)
+      (Fragment.fragment ft fid).Fragment.root
+  done;
+  Array.of_list !ids
+
+(* A random subtree with fresh ids from [next], or, one time in six,
+   one reusing an id the document holds (refused as a clash).  Tags
+   include two no document carries, so inserts intern new codes. *)
+let gen_subtree next st =
+  let b =
+    if G.int_bound 5 st = 0 then Tree.builder () else Tree.builder_from !next
+  in
+  let tags = [| "a"; "b"; "e"; "zz" |] in
+  let rec build depth =
+    let kids = if depth > 2 then 0 else G.int_bound 2 st in
+    let children = List.init kids (fun _ -> build (depth + 1)) in
+    let attrs = H.Gen.attrs_gen st in
+    match H.Gen.text_opt st with
+    | Some t -> Tree.elem b ~text:t ~attrs (G.oneofa tags st) children
+    | None -> Tree.elem b ~attrs (G.oneofa tags st) children
+  in
+  let sub = build 0 in
+  Tree.iter (fun n -> next := max !next (n.Tree.id + 1)) sub;
+  sub
+
+let gen_op ft next st =
+  let ids = all_ids ft in
+  let id = G.oneofa ids st in
+  match G.int_bound 2 st with
+  | 0 ->
+      Update.Set_text
+        (id, G.oneofa [| ""; "x"; "10"; "a longer text, 2.5"; "7" |] st)
+  | 1 -> Update.Insert (id, gen_subtree next st)
+  | _ -> Update.Delete id
+
+(* Every fragment's image (the patched one the store holds) must equal,
+   byte for byte, the image [of_tree] builds from the updated tree over
+   the same intern table, with the derived columns and the id index
+   agreeing slot by slot.  [site] holds a copy decoded over an intern
+   table of its own, patched with each recorded edit as a site server
+   patches it (an inserted subtree crossing the wire as its image): it
+   must hold the same content. *)
+let images_agree ft site =
+  let ok = ref true in
+  for fid = 0 to Fragment.n_fragments ft - 1 do
+    let fl = Fragment.flat ft fid in
+    let ref_ =
+      Flat.of_tree ~intern:(Fragment.intern ft) (Fragment.fragment ft fid).Fragment.root
+    in
+    if Flat.encode fl <> Flat.encode ref_ then ok := false
+    else
+      for i = 0 to Flat.length fl - 1 do
+        if
+          Flat.on_spine fl i <> Flat.on_spine ref_ i
+          || Flat.tag_mask fl i <> Flat.tag_mask ref_ i
+          || Flat.num fl i <> Flat.num ref_ i
+          || Flat.find_index fl (Flat.node_id fl i) <> Some i
+        then ok := false
+      done;
+    let sfl = site.(fid) in
+    let expect = Flat.decode ~intern:(Flat.intern sfl) (Flat.encode fl) in
+    if Option.map Flat.encode expect <> Some (Flat.encode sfl) then ok := false
+  done;
+  !ok
+
+let prop_edit_equals_rebuild =
+  QCheck.Test.make ~name:"edited image = of_tree of the updated tree"
+    ~count:(qcheck_count 200)
+    (QCheck.make ~print:H.Gen.print_scenario H.Gen.scenario)
+    (fun sc ->
+      let doc = sc.H.Gen.s_doc in
+      let st = Random.State.make [| Tree.size doc.Tree.root |] in
+      let ft =
+        Fragment.fragmentize doc ~cuts:(H.Gen.cuts ~p:0.25 doc st)
+      in
+      let site_intern = Pax_xml.Intern.create () in
+      let site =
+        Array.init (Fragment.n_fragments ft) (fun fid ->
+            Option.get
+              (Flat.decode ~intern:site_intern
+                 (Flat.encode (Fragment.flat ft fid))))
+      in
+      let next = ref (2 * (doc.Tree.node_count + Fragment.n_fragments ft) + 100) in
+      let over_wire = function
+        | Flat.Insert (id, sub) ->
+            Flat.Insert (id, Option.get (Flat.decode (Flat.encode sub)))
+        | e -> e
+      in
+      List.for_all
+        (fun _ ->
+          let op = gen_op ft next st in
+          (match Update.apply ft op with
+          | Ok fid -> (
+              match Fragment.last_edit ft fid with
+              | Some (_, e) -> (
+                  match Flat.edit site.(fid) (over_wire e) with
+                  | Some fl -> site.(fid) <- fl
+                  | None -> QCheck.Test.fail_report "the site refused an edit")
+              | None -> QCheck.Test.fail_report "no edit recorded")
+          | Error _ -> ());
+          images_agree ft site
+          || QCheck.Test.fail_reportf "images disagree after %s"
+               (match op with
+               | Update.Set_text (id, _) -> Printf.sprintf "Set_text %d" id
+               | Update.Insert (id, _) -> Printf.sprintf "Insert under %d" id
+               | Update.Delete id -> Printf.sprintf "Delete %d" id))
+        (List.init (1 + Random.State.int st 8) Fun.id))
+
+(* Each accepted update records its edit against the version it
+   patched, and the store's version moves to the new generation; a
+   refused one changes neither. *)
+let test_versions () =
+  let c, ft = setup () in
+  let fid =
+    match Update.locate ft c.H.Data.etrade_name with
+    | Some (fid, _) -> fid
+    | None -> Alcotest.fail "node not found"
+  in
+  Alcotest.(check (pair int int)) "built at construction" (0, 0)
+    (Fragment.version ft fid);
+  Alcotest.(check bool) "no edit yet" true (Fragment.last_edit ft fid = None);
+  let set text =
+    match Update.apply ft (Update.Set_text (c.H.Data.etrade_name, text)) with
+    | Ok _ -> ()
+    | Error e -> Alcotest.fail (Update.error_to_string e)
+  in
+  set "Etrade";
+  let v1 = Fragment.version ft fid in
+  Alcotest.(check int) "version at the new generation" 1 (fst v1);
+  Alcotest.(check bool) "a writer of its own" true (snd v1 <> 0);
+  (match Fragment.last_edit ft fid with
+  | Some (base, Flat.Set_text (id, Some "Etrade")) ->
+      Alcotest.(check (pair int int)) "based on the built image" (0, 0) base;
+      Alcotest.(check int) "names the node" c.H.Data.etrade_name id
+  | _ -> Alcotest.fail "the Set_text must be recorded");
+  set "E-trade";
+  (match Fragment.last_edit ft fid with
+  | Some (base, _) ->
+      Alcotest.(check (pair int int)) "based on the first edit" v1 base
+  | None -> Alcotest.fail "edit recorded");
+  let v2 = Fragment.version ft fid in
+  (match Update.apply ft (Update.Delete c.H.Data.etrade_name) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail (Update.error_to_string e));
+  (match Update.apply ft (Update.Delete c.H.Data.etrade_name) with
+  | Error (Update.Node_not_found _) -> ()
+  | _ -> Alcotest.fail "a second delete must be refused");
+  Alcotest.(check int) "a refused update keeps the version" 3
+    (fst (Fragment.version ft fid));
+  match Fragment.last_edit ft fid with
+  | Some (base, Flat.Delete _) ->
+      Alcotest.(check (pair int int)) "delete based on the second edit" v2 base
+  | _ -> Alcotest.fail "the delete must be recorded"
+
 let () =
   Alcotest.run "update"
     [
@@ -183,5 +357,10 @@ let () =
             test_queries_after_updates;
           Alcotest.test_case "new tag after insert" `Quick
             test_new_tag_after_insert;
+        ] );
+      ( "image edits",
+        [
+          Alcotest.test_case "versions and last edits" `Quick test_versions;
+          QCheck_alcotest.to_alcotest prop_edit_equals_rebuild;
         ] );
     ]
