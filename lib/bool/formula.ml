@@ -17,20 +17,35 @@ let not_ = function
   | Not f -> f
   | (Var _ | And _ | Or _) as f -> Not f
 
+(* Structural equality, typed: the stage kernels build formulas on
+   every slot, and a polymorphic [=] there goes through the runtime's
+   generic [compare_val]. *)
+let rec equal a b =
+  a == b
+  ||
+  match (a, b) with
+  | Var x, Var y -> Var.equal x y
+  | Not f, Not g -> equal f g
+  | And fs, And gs | Or fs, Or gs -> List.equal equal fs gs
+  | (True | False | Var _ | Not _ | And _ | Or _), _ -> false
+
+let rec mem f = function [] -> false | g :: gs -> equal f g || mem f gs
+
 (* [gather] flattens nested nodes of the same connective, folds the
    [absorb] constant, drops the [unit] constant and removes structural
    duplicates.  Worst-case quadratic in the conjunct count, but residual
-   functions stay small (one literal per unresolved boundary variable). *)
+   functions stay small (one literal per unresolved boundary variable).
+   [unit] and [absorb] are the constants, which [==] tells apart. *)
 let gather ~unit ~absorb fs =
   let rec go acc = function
     | [] -> Some (List.rev acc)
     | f :: rest -> (
         match f with
-        | f when f = absorb -> None
-        | f when f = unit -> go acc rest
-        | And gs when unit = True -> go acc (gs @ rest)
-        | Or gs when unit = False -> go acc (gs @ rest)
-        | f -> if List.mem f acc then go acc rest else go (f :: acc) rest)
+        | f when f == absorb -> None
+        | f when f == unit -> go acc rest
+        | And gs when unit == True -> go acc (gs @ rest)
+        | Or gs when unit == False -> go acc (gs @ rest)
+        | f -> if mem f acc then go acc rest else go (f :: acc) rest)
   in
   go [] fs
 
@@ -101,7 +116,6 @@ let rec byte_size = function
   | Not f -> 1 + byte_size f
   | And fs | Or fs -> List.fold_left (fun n f -> n + byte_size f) 2 fs
 
-let equal (a : t) (b : t) = a = b
 let compare (a : t) (b : t) = Stdlib.compare a b
 
 let rec pp ppf = function

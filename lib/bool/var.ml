@@ -3,8 +3,28 @@ type t =
   | Sel_ctx of int * int
   | Qual_at of int * int
 
-let equal (a : t) (b : t) = a = b
-let compare (a : t) (b : t) = Stdlib.compare a b
+(* Typed, so that no comparison goes through the runtime's generic
+   [compare_val]: [compare] orders as [Stdlib.compare] does, by
+   constructor and then field by field. *)
+let equal a b =
+  match (a, b) with
+  | Qual (f, e), Qual (f', e')
+  | Sel_ctx (f, e), Sel_ctx (f', e')
+  | Qual_at (f, e), Qual_at (f', e') ->
+      Int.equal f f' && Int.equal e e'
+  | (Qual _ | Sel_ctx _ | Qual_at _), _ -> false
+
+let rank = function Qual _ -> 0 | Sel_ctx _ -> 1 | Qual_at _ -> 2
+
+let compare a b =
+  match (a, b) with
+  | Qual (f, e), Qual (f', e')
+  | Sel_ctx (f, e), Sel_ctx (f', e')
+  | Qual_at (f, e), Qual_at (f', e') ->
+      let c = Int.compare f f' in
+      if c <> 0 then c else Int.compare e e'
+  | (Qual _ | Sel_ctx _ | Qual_at _), _ -> Int.compare (rank a) (rank b)
+
 let hash (v : t) = Hashtbl.hash v
 
 let fragment = function

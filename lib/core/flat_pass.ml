@@ -11,13 +11,23 @@
    pointers.  Off the spine a slot's qualifier vector is ground, so the
    kernels step it as a bitset and build no formula there; every
    formula they do build (spine slots, selection vectors, results) is
-   built in the pointer passes' construction order.  Scratch is
-   indexed by depth and allocated once per call, so a slot off the
-   spine allocates nothing.  test/test_passes.ml holds each kernel to
-   its pointer reference on random fragmentations.  PaX2's combined
-   pass alone skips, child by child, the off-spine subtrees whose
-   entries nothing reads and where no selection state can reach an
-   answer, and charges only the slots it walks.
+   built in the pointer passes' construction order.  test/test_passes.ml
+   holds each kernel to its pointer reference on random
+   fragmentations.  PaX2's combined pass alone skips, child by child,
+   the off-spine subtrees whose entries nothing reads and where no
+   selection state can reach an answer, and charges only the slots it
+   walks.
+
+   Every serving read runs the combined pass on every fragment, so the
+   per-slot loop does only the work its ops count charges.  It reads
+   the image's columns ({!Flat.columns}) as arrays: the dev build's
+   [-opaque] keeps a call to a [Flat] accessor from ever being inlined.
+   Its scratch is int and formula buffers, one row per depth, sized
+   once per call from the image's depth, so a slot off the spine
+   allocates nothing.  Liveness is computed once per parent whose
+   children are walked, not once per child.  Comparisons are int-typed
+   (shadowed below) and the placeholder table is int-keyed, so no slot
+   goes through the runtime's generic compare or hash.
 
    Slots are the only way the kernels name a node: answers and
    candidates leave as slot indices, and the caller builds shipped
@@ -31,6 +41,20 @@ module Compile = Pax_xpath.Compile
 module Ast = Pax_xpath.Ast
 module Formula = Pax_bool.Formula
 module Var = Pax_bool.Var
+
+(* Int-typed comparisons.  The kernels compare nothing but ints, and a
+   polymorphic comparison goes through the runtime's generic
+   [compare_val]; shadowing Stdlib's keeps one from coming back
+   unnoticed: it no longer type-checks on anything but ints. *)
+let ( = ) (a : int) b = a = b
+let ( <> ) (a : int) b = a <> b
+let ( < ) (a : int) b = a < b
+let ( > ) (a : int) b = a > b
+let ( <= ) (a : int) b = a <= b
+let ( >= ) (a : int) b = a >= b
+let[@warning "-32"] compare (a : int) b = Stdlib.compare a b
+let[@warning "-32"] min (a : int) b = if a <= b then a else b
+let max (a : int) b = if a >= b then a else b
 
 (* ------------------------------------------------------------------ *)
 (* plans: the compiled query lowered against a store's intern table   *)
@@ -194,18 +218,30 @@ let make_plan (compiled : Compile.t) intern : plan =
    wrapper: slot -1, the parent of slot 0.  No XPath label can spell its
    tag, so only wildcard tests match it ([-3] is neither a tag code nor
    the never-interned [-1]).  It has no text (reads as [""]), no number,
-   no attributes, and node id -1.  The kernels read slots through these
-   accessors, so the wrapper runs the same per-slot code as every other
-   slot; [next_sibling] is only asked of real slots. *)
+   no attributes, and node id -1; its subtree is the whole fragment, so
+   its spine bit and tag mask are slot 0's.  The kernels read slots
+   through these accessors, so the wrapper runs the same per-slot code
+   as every other slot; [next_sibling] is only asked of real slots.
+   The structural ones read the image's columns ({!Flat.columns}). *)
 let node_id flat i = if i < 0 then -1 else Flat.node_id flat i
-let tag_code flat i = if i < 0 then -3 else Flat.tag_code flat i
-let first_child flat i = if i < 0 then 0 else Flat.first_child flat i
-let virtual_fid flat i = if i < 0 then -1 else Flat.virtual_fid flat i
-let text_equals flat i s = if i < 0 then s = "" else Flat.text_equals flat i s
+
+let text_equals flat i s =
+  if i < 0 then String.equal s "" else Flat.text_equals flat i s
+
 let num flat i = if i < 0 then None else Flat.num flat i
 
 let attr_test flat i ~key ~expected =
   i >= 0 && Flat.attr_test flat i ~key ~expected
+
+let[@inline] id_at (c : Flat.columns) i = if i < 0 then -1 else c.ids.(i)
+let[@inline] tag_at (c : Flat.columns) i = if i < 0 then -3 else c.tag.(i)
+
+let[@inline] first_child_at (c : Flat.columns) i =
+  if i < 0 then 0 else c.first_child.(i)
+
+let[@inline] vfid_at (c : Flat.columns) i = if i < 0 then -1 else c.vfid.(i)
+let[@inline] spine_at (c : Flat.columns) i = c.spine.(max i 0)
+let[@inline] mask_at (c : Flat.columns) i = c.mask.(max i 0)
 
 (* Where a fragment's evaluation starts: the wrapper for the root
    fragment of an absolute query, the fragment root otherwise. *)
@@ -235,10 +271,11 @@ let rec fsat flat i entry = function
   | FOr (a, b) -> Formula.disj (fsat flat i entry a) (fsat flat i entry b)
 
 (* Mirror of the pointer pass's [eval_entries]: one element slot's qualifier
-   vector, path by path, suffix-position descending.  [kids.(e)] is the
-   disjunction of entry [e] over the slot's children, folded left in
+   vector, path by path, suffix-position descending.  [kids.(ko + e)] is
+   the disjunction of entry [e] over the slot's children, folded left in
    child order as the pointer pass folds it. *)
-let feval_entries plan flat i ~tagc (kids : Formula.t array) : Formula.t array =
+let feval_entries plan flat i ~tagc (kids : Formula.t array) ko :
+    Formula.t array =
   let vec = Array.make plan.compiled.Compile.n_qual Formula.false_ in
   let own _ e = vec.(e) in
   Array.iter
@@ -252,13 +289,13 @@ let feval_entries plan flat i ~tagc (kids : Formula.t array) : Formula.t array =
         | FMove code ->
             vec.(p.fstep.(j)) <-
               (if code = -2 || code = tagc then a_next else Formula.false_);
-            vec.(p.fsat.(j)) <- kids.(p.fstep.(j))
+            vec.(p.fsat.(j)) <- kids.(ko + p.fstep.(j))
         | FDos ->
             let d =
               if j + 1 = k then Formula.true_
               else begin
                 let e = p.fdesc.(j + 1) in
-                vec.(e) <- Formula.disj a_next kids.(e);
+                vec.(e) <- Formula.disj a_next kids.(ko + e);
                 vec.(e)
               end
             in
@@ -275,128 +312,174 @@ let feval_entries plan flat i ~tagc (kids : Formula.t array) : Formula.t array =
 (* ground qualifier vectors: bitsets off the spine                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Off the spine ({!Flat.on_spine}) a slot's subtree holds no virtual
+(* Off the spine ([spine] in {!Flat.columns}) a slot's subtree holds no virtual
    slot, so every entry of its qualifier vector is [True] or [False]:
    the kernels hold it as a bitset of 63-bit words and step it with
    word operations.  [ground_entries] is [feval_entries] with bits for
    formulas — [conj]/[disj] of constants are [&&]/[||] — and
-   [ground_sat] is [fsat] on the slot's own bits. *)
+   [ground_sat] is [fsat] on the slot's own bits.
+
+   A bitset is a row of a per-depth buffer ({!walk}): [bit a o e] and
+   [put a o e b] read and write entry [e] of the row at offset [o]. *)
 
 let words n_qual = (n_qual + 62) / 63
-let bit (a : int array) e = (a.(e / 63) lsr (e mod 63)) land 1 = 1
 
-let put (a : int array) e b =
-  let j = e / 63 and m = 1 lsl (e mod 63) in
+let[@inline] bit (a : int array) o e =
+  (a.(o + (e / 63)) lsr (e mod 63)) land 1 <> 0
+
+let[@inline] put (a : int array) o e b =
+  let j = o + (e / 63) and m = 1 lsl (e mod 63) in
   a.(j) <- (if b then a.(j) lor m else a.(j) land lnot m)
 
-let rec ground_sat flat own i = function
+let rec ground_sat flat own oo i = function
   | FSat_empty -> true
-  | FSat e -> bit own e
+  | FSat e -> bit own oo e
   | FText_eq s -> text_equals flat i s
   | FVal_cmp (op, n) -> (
       match num flat i with Some f -> Ast.compare_num op f n | None -> false)
   | FAttr_test (key, expected) -> attr_test flat i ~key ~expected
-  | FNot q -> not (ground_sat flat own i q)
-  | FAnd (a, b) -> ground_sat flat own i a && ground_sat flat own i b
-  | FOr (a, b) -> ground_sat flat own i a || ground_sat flat own i b
+  | FNot q -> not (ground_sat flat own oo i q)
+  | FAnd (a, b) -> ground_sat flat own oo i a && ground_sat flat own oo i b
+  | FOr (a, b) -> ground_sat flat own oo i a || ground_sat flat own oo i b
 
-(* Slot [i]'s ground vector into [own], from its children's OR [kids]. *)
-let ground_entries plan flat i ~tagc ~(kids : int array) ~(own : int array) =
-  for j = 0 to Array.length own - 1 do
-    own.(j) <- 0
+(* Slot [i]'s ground vector into the row at [o] of [own], from its
+   children's OR, the row at [o] of [kids]; rows are [width] words. *)
+let ground_entries plan flat i ~tagc ~width ~(kids : int array)
+    ~(own : int array) o =
+  for j = 0 to width - 1 do
+    own.(o + j) <- 0
   done;
   let paths = plan.fpaths in
   for pi = 0 to Array.length paths - 1 do
     let p = paths.(pi) in
     let k = Array.length p.fitems in
     for j = k - 1 downto 0 do
-      let a_next = j + 1 = k || bit own p.fsat.(j + 1) in
+      let a_next = j + 1 = k || bit own o p.fsat.(j + 1) in
       match p.fitems.(j) with
       | FMove code ->
-          put own p.fstep.(j) ((code = -2 || code = tagc) && a_next);
-          put own p.fsat.(j) (bit kids p.fstep.(j))
+          put own o p.fstep.(j) ((code = -2 || code = tagc) && a_next);
+          put own o p.fsat.(j) (bit kids o p.fstep.(j))
       | FDos ->
           let d =
             j + 1 = k
             ||
             let e = p.fdesc.(j + 1) in
-            let b = a_next || bit kids e in
-            put own e b;
+            let b = a_next || bit kids o e in
+            put own o e b;
             b
           in
-          put own p.fsat.(j) d
-      | FFilter q -> put own p.fsat.(j) (a_next && ground_sat flat own i q)
+          put own o p.fsat.(j) d
+      | FFilter q -> put own o p.fsat.(j) (a_next && ground_sat flat own o i q)
     done
   done
 
-(* A ground vector as the formulas it stands for, at a kernel's edge.
-   A qualifier-free query's vectors are all [[||]], which needs no
-   [Array.make] (a C call) per slot. *)
-let formulas_of_bits n_qual bits =
+(* A ground vector, the row at [o] of [bits], as the formulas it
+   stands for, at a kernel's edge.  A qualifier-free query's vectors
+   are all [[||]], which needs no [Array.make] (a C call) per slot. *)
+let formulas_of_bits n_qual bits o =
   if n_qual = 0 then [||]
   else begin
     let vec = Array.make n_qual Formula.false_ in
     for e = 0 to n_qual - 1 do
-      if bit bits e then vec.(e) <- Formula.true_
+      if bit bits o e then vec.(e) <- Formula.true_
     done;
     vec
   end
 
-(* The wrapper's subtree is the whole fragment. *)
-let on_spine flat i = Flat.on_spine flat (max i 0)
+(* One post-order qualifier walk, shared by [qual_run] and
+   [combined_run].  [pre i d vfid tagc] runs on slot [i] at depth [d]
+   before its children — [vfid] is its virtual fragment id ([-1] for an
+   element), [tagc] an element's tag code — and answers whether [post]
+   wants the slot's vector; the entries it issued as placeholders, in
+   [asked], join the slot's demand.  [qual_run] walks [every] child and
+   demands every entry.  [combined_run] walks a child of an off-spine
+   slot only when its tag can pass a test the kids-demand owes, or when
+   a selection state it reads from its parent's vector, the row of
+   [sel] at the parent's depth, is live for it ({!live_needs}).
 
-(* Depth-indexed scratch rows: the row for depth [d] is allocated on
-   first use and reused by every slot at that depth for the rest of one
-   kernel call.  Each call owns its rows, so pooled domains share
-   nothing. *)
-type 'a rows = { mutable rows : 'a array array; width : int; fill : 'a }
+   Scratch is sized once per call from the image's depth
+   ({!Flat.columns}): row [d] of a [k]-wide buffer is
+   [d * k .. d * k + k - 1], reused by every slot at depth [d] for the
+   rest of the call, so a slot off the spine allocates nothing.  Each
+   call owns its buffers, so pooled domains share nothing. *)
+type walk = {
+  w_plan : plan;
+  w_flat : Flat.t;
+  cols : Flat.columns;
+  n_qual : int;
+  width : int;  (* words of a bitset row *)
+  mutable ops : int;
+  virtual_ops : int;  (* charged per virtual slot *)
+  own : int array;  (* row d: ground vector of the slot last done there *)
+  kids : int array;  (* row d: OR of the open slot's children, ground *)
+  fkids : Formula.t array;  (* the same OR under a spine slot, [n_qual] wide *)
+  dem : int array;  (* row d: entries demanded of the slot open there *)
+  kdem : int array;  (* row d: entries it demands of its children *)
+  mutable owed : int;  (* tag bits [close] last found the kids-demand owes *)
+  asked : int array;  (* entries [pre] issued as placeholders, one row *)
+  every : bool;  (* walk every child, demand every entry: [qual_run] *)
+  sel : Formula.t array;  (* row d: selection vector, [n_sel] wide *)
+  needs : int array;  (* row d: live states' tag needs, [s_watch] wide *)
+  pre : int -> int -> int -> int -> bool;
+  post : int -> Formula.t array -> unit;
+}
 
-let rows width fill = { rows = [||]; width; fill }
-
-let grow r d =
-  if d >= Array.length r.rows then begin
-    let b = Array.make (max 16 (2 * (d + 1))) [||] in
-    Array.blit r.rows 0 b 0 (Array.length r.rows);
-    r.rows <- b
-  end;
-  let a = Array.make r.width r.fill in
-  r.rows.(d) <- a;
-  a
-
-let row r d =
-  if d < Array.length r.rows && Array.length r.rows.(d) = r.width then
-    r.rows.(d)
-  else grow r d
+let walk plan flat cols ~every ~sel ~asked ~virtual_ops ~pre ~post =
+  let n_qual = plan.compiled.Compile.n_qual in
+  let width = words n_qual and depths = cols.Flat.levels + 1 in
+  let ints k = Array.make (depths * k) 0 in
+  {
+    w_plan = plan;
+    w_flat = flat;
+    cols;
+    n_qual;
+    width;
+    ops = 0;
+    virtual_ops;
+    own = ints width;
+    kids = ints width;
+    fkids = Array.make (depths * n_qual) Formula.false_;
+    dem = ints width;
+    kdem = ints width;
+    owed = 0;
+    asked;
+    every;
+    sel;
+    needs = (if every then [||] else ints (Array.length plan.s_watch));
+    pre;
+    post;
+  }
 
 (* Demand (docs/FLATTREE.md): the qualifier entries of a slot's vector
-   that something reads.  [close] extends the demand [dem] of a slot
-   tagged [tagc] by the entries of its own vector that demanded entries
-   read, and puts the entries of its children's vectors that they read
-   in [kdem].  A step entry whose tag test fails is [False] whatever
-   the children hold, so it reads nothing; a children's step entry
-   whose tag has no bit in the slot's tag mask [mask] is [False] at
-   every child, so it is not demanded.  Answers whether a demanded
-   entry passes its test, that is whether the slot computes a vector,
-   and sets [owed] to the tag bits of the tests the kids-demand owes:
-   all ones when it owes an untested entry. *)
-let close plan ~tagc ~mask ~owed (dem : int array) (kdem : int array) =
+   that something reads.  [close] extends the demand, row [o] of
+   [w.dem], of a slot tagged [tagc] by the entries of its own vector
+   that demanded entries read, and puts the entries of its children's
+   vectors that they read in row [o] of [w.kdem].  A step entry whose
+   tag test fails is [False] whatever the children hold, so it reads
+   nothing; a children's step entry whose tag has no bit in the slot's
+   tag mask [mask] is [False] at every child, so it is not demanded.
+   Answers whether a demanded entry passes its test, that is whether
+   the slot computes a vector, and sets [w.owed] to the tag bits of the
+   tests the kids-demand owes: all ones when it owes an untested
+   entry. *)
+let close w ~tagc ~mask o =
+  let plan = w.w_plan and dem = w.dem and kdem = w.kdem in
   let any = ref 0 in
-  for j = 0 to Array.length dem - 1 do
-    any := !any lor dem.(j);
-    kdem.(j) <- 0
+  for j = 0 to w.width - 1 do
+    any := !any lor dem.(o + j);
+    kdem.(o + j) <- 0
   done;
-  owed := 0;
-  let holds = ref false in
+  let owed = ref 0 and holds = ref false in
   if !any <> 0 then begin
     let order = plan.q_order in
     for k = 0 to Array.length order - 1 do
       let e = order.(k) in
       let t = plan.q_test.(e) in
-      if bit dem e && (t = -2 || t = tagc) then begin
+      if bit dem o e && (t = -2 || t = tagc) then begin
         holds := true;
         let own = plan.q_own.(e) and kids = plan.q_kids.(e) in
         for m = 0 to Array.length own - 1 do
-          put dem own.(m) true
+          put dem o own.(m) true
         done;
         for m = 0 to Array.length kids - 1 do
           let s = kids.(m) in
@@ -405,163 +488,172 @@ let close plan ~tagc ~mask ~owed (dem : int array) (kdem : int array) =
             if ts = -2 then -1 else if ts = -1 then 0 else 1 lsl (ts mod 63)
           in
           if b land mask <> 0 then begin
-            put kdem s true;
+            put kdem o s true;
             owed := !owed lor b
           end
         done
       end
     done
   end;
+  w.owed <- !owed;
   !holds
 
-(* One post-order qualifier walk, shared by [qual_run] and
-   [combined_run].  [pre i d vfid tagc dem] runs on slot [i] at depth
-   [d] before its children — [vfid] is its virtual fragment id ([-1]
-   for an element), [tagc] an element's tag code — adds the entries the
-   slot reads of itself to its demand [dem], and answers whether [post]
-   wants the slot's vector.  [descend mask d] answers whether a child
-   at depth [d] of an off-spine slot, its subtree's tag mask [mask],
-   must be walked although it can pass no test the kids-demand owes.
-   It is asked per child, after one ask with the slot's own mask, a
-   superset of every child's: when that answers no, so would every
-   child. *)
-type walk = {
-  w_plan : plan;
-  w_flat : Flat.t;
-  ops : int ref;
-  virtual_ops : int;  (* charged per virtual slot *)
-  own : int rows;  (* depth d: ground vector of the slot last done there *)
-  kids : int rows;  (* depth d: OR of the open slot's children, ground *)
-  fkids : Formula.t rows;  (* the same OR, under a spine slot *)
-  dem : int rows;  (* depth d: entries demanded of the slot open there *)
-  kdem : int rows;  (* depth d: entries it demands of its children *)
-  owed : int ref;  (* the tag bits [close] last found the kids-demand owes *)
-  pre : int -> int -> int -> int -> int array -> bool;
-  descend : int -> int -> bool;
-  post : int -> Formula.t array -> unit;
-}
-
-let walk plan flat ~virtual_ops ~pre ~descend ~post =
-  let n_qual = plan.compiled.Compile.n_qual in
-  let w = words n_qual in
-  {
-    w_plan = plan;
-    w_flat = flat;
-    ops = ref 0;
-    virtual_ops;
-    own = rows w 0;
-    kids = rows w 0;
-    fkids = rows n_qual Formula.false_;
-    dem = rows w 0;
-    kdem = rows w 0;
-    owed = ref 0;
-    pre;
-    descend;
-    post;
-  }
-
 (* Every entry, demanded of the walk's first slot and of spine slots. *)
-let demand_all (dem : int array) = Array.fill dem 0 (Array.length dem) (-1)
+let demand_all w o =
+  for j = 0 to w.width - 1 do
+    w.dem.(o + j) <- -1
+  done
+
+(* The placeholders [pre] just issued join the demand, row [o]. *)
+let absorb_asked w o =
+  let asked = w.asked in
+  for j = 0 to w.width - 1 do
+    w.dem.(o + j) <- w.dem.(o + j) lor asked.(j);
+    asked.(j) <- 0
+  done
+
+(* Liveness, once per parent whose children are about to be walked.
+   A child reads a watched state of its parent's selection vector, the
+   row at depth [d] of [w.sel]; the state is live for the child when it
+   is not [False] and every label move after it has its bit in the
+   child's tag mask.  A child's mask is a subset of its parent's [mask],
+   so row [d] of [w.needs] lists the tag needs of the states that are
+   not [False] and fit [mask], and a child is live when one of them
+   fits its own mask ({!fits}).  Answers how many are listed.
+   Collisions mod 63 only answer yes more often. *)
+let live_needs w d mask =
+  let plan = w.w_plan in
+  let watch = plan.s_watch and sel = w.sel and needs = w.needs in
+  let n_watch = Array.length watch in
+  let so = d * plan.compiled.Compile.n_sel and no = d * n_watch in
+  let k = ref 0 in
+  for j = 0 to n_watch - 1 do
+    let ix = watch.(j) in
+    let need = plan.s_need.(ix) in
+    if sel.(so + ix) != Formula.false_ && need land mask = need then begin
+      needs.(no + !k) <- need;
+      incr k
+    end
+  done;
+  !k
+
+(* Does one of the [k] needs at offset [o] of [needs] fit [mask]? *)
+let[@inline] fits (needs : int array) o k mask =
+  let j = ref 0 in
+  while
+    !j < k
+    &&
+    let need = needs.(o + !j) in
+    need land mask <> need
+  do
+    incr j
+  done;
+  !j < k
 
 (* Slot [i]'s qualifier vector, charged as the pointer passes charge
    the work done: [virtual_ops] per virtual slot, [n_qual * (1 +
    children walked)] per element whose vector is computed.  Off the
-   spine the vector is computed into [own] at depth [d] only when a
+   spine the vector is computed into row [d] of [own] only when a
    demanded entry can pass its test, and is all [False] otherwise; a
    child is walked only when its tag can pass a test the kids-demand
-   owes or [descend] asks for it; [[||]] is returned.  On the spine
-   every entry is demanded and every child walked, and the vector is
-   returned as formulas, from the {!feval_entries} step, with each
-   off-spine child entering as [Formula.bool] of its bits. *)
+   owes or a selection state is live for it (or [every]); [[||]] is
+   returned.  On the spine every entry is demanded and every child
+   walked, and the vector is returned as formulas, from the
+   {!feval_entries} step, with each off-spine child entering as
+   [Formula.bool] of its bits. *)
 let rec qwalk w i d =
-  let flat = w.w_flat in
-  let n_qual = w.w_plan.compiled.Compile.n_qual in
-  if not (on_spine flat i) then begin
-    let tagc = tag_code flat i in
-    let dem = row w.dem d and kdem = row w.kdem d and kids = row w.kids d in
-    if d = 0 then demand_all dem;
-    let want = w.pre i d (-1) tagc dem in
-    let mask = Flat.tag_mask flat (max i 0) in
-    let holds = close w.w_plan ~tagc ~mask ~owed:w.owed dem kdem in
-    let owed = !(w.owed) in
-    for j = 0 to Array.length kids - 1 do
-      kids.(j) <- 0
+  let c = w.cols and width = w.width in
+  let o = d * width in
+  if not (spine_at c i) then begin
+    let tagc = tag_at c i in
+    let want = w.pre i d (-1) tagc in
+    if want && not w.every then absorb_asked w o;
+    if w.every || d = 0 then demand_all w o;
+    let mask = mask_at c i in
+    let holds = close w ~tagc ~mask o in
+    let owed = w.owed and kids = w.kids in
+    for j = 0 to width - 1 do
+      kids.(o + j) <- 0
     done;
     let n_kids = ref 0 in
-    let c = ref (first_child flat i) in
-    if !c >= 0 && (owed <> 0 || w.descend mask (d + 1)) then begin
-      let bits = row w.own (d + 1) and cdem = row w.dem (d + 1) in
-      while !c >= 0 do
-        let ci = !c in
-        if
-          (1 lsl (Flat.tag_code flat ci mod 63)) land owed <> 0
-          || w.descend (Flat.tag_mask flat ci) (d + 1)
-        then begin
-          (* Each walked child starts from the kids-demand. *)
-          for j = 0 to Array.length kdem - 1 do
-            cdem.(j) <- kdem.(j)
-          done;
-          ignore (qwalk w ci (d + 1) : Formula.t array);
-          for j = 0 to Array.length kids - 1 do
-            kids.(j) <- kids.(j) lor bits.(j)
-          done;
-          incr n_kids
-        end;
-        c := Flat.next_sibling flat ci
-      done
+    let first = first_child_at c i in
+    if first >= 0 then begin
+      let n_live = if w.every then 0 else live_needs w d mask in
+      if w.every || owed <> 0 || n_live > 0 then begin
+        let co = o + width and no = d * Array.length w.w_plan.s_watch in
+        let ch = ref first in
+        while !ch >= 0 do
+          let ci = !ch in
+          if
+            w.every
+            || (1 lsl (c.tag.(ci) mod 63)) land owed <> 0
+            || fits w.needs no n_live c.mask.(ci)
+          then begin
+            (* Each walked child starts from the kids-demand. *)
+            for j = 0 to width - 1 do
+              w.dem.(co + j) <- w.kdem.(o + j)
+            done;
+            ignore (qwalk w ci (d + 1) : Formula.t array);
+            for j = 0 to width - 1 do
+              kids.(o + j) <- kids.(o + j) lor w.own.(co + j)
+            done;
+            incr n_kids
+          end;
+          ch := c.next_sibling.(ci)
+        done
+      end
     end;
-    let own = row w.own d in
     if holds then begin
-      w.ops := !(w.ops) + (n_qual * (1 + !n_kids));
-      ground_entries w.w_plan flat i ~tagc ~kids ~own
+      w.ops <- w.ops + (w.n_qual * (1 + !n_kids));
+      ground_entries w.w_plan w.w_flat i ~tagc ~width ~kids ~own:w.own o
     end
     else
-      for j = 0 to Array.length own - 1 do
-        own.(j) <- 0
+      for j = 0 to width - 1 do
+        w.own.(o + j) <- 0
       done;
-    if want then w.post i (formulas_of_bits n_qual own);
+    if want then w.post i (formulas_of_bits w.n_qual w.own o);
     [||]
   end
   else
-    let vfid = virtual_fid flat i in
+    let vfid = vfid_at c i in
     if vfid >= 0 then begin
-      let want = w.pre i d vfid (-1) (row w.dem d) in
-      w.ops := !(w.ops) + w.virtual_ops;
+      let want = w.pre i d vfid (-1) in
+      w.ops <- w.ops + w.virtual_ops;
       let vec = Qual_pass.virtual_vec w.w_plan.compiled vfid in
       if want then w.post i vec;
       vec
     end
     else begin
-      let tagc = tag_code flat i in
-      let dem = row w.dem d and kdem = row w.kdem d in
-      demand_all dem;
-      let want = w.pre i d (-1) tagc dem in
-      ignore (close w.w_plan ~tagc ~mask:(-1) ~owed:w.owed dem kdem : bool);
-      let acc = row w.fkids d and cdem = row w.dem (d + 1) in
+      let tagc = tag_at c i and n_qual = w.n_qual in
+      let want = w.pre i d (-1) tagc in
+      if want && not w.every then absorb_asked w o;
+      demand_all w o;
+      ignore (close w ~tagc ~mask:(-1) o : bool);
+      let acc = w.fkids and ao = d * n_qual and co = o + width in
       for e = 0 to n_qual - 1 do
-        acc.(e) <- Formula.false_
+        acc.(ao + e) <- Formula.false_
       done;
-      let c = ref (first_child flat i) and n_kids = ref 0 in
-      while !c >= 0 do
-        for j = 0 to Array.length kdem - 1 do
-          cdem.(j) <- kdem.(j)
+      let ch = ref (first_child_at c i) and n_kids = ref 0 in
+      while !ch >= 0 do
+        let ci = !ch in
+        for j = 0 to width - 1 do
+          w.dem.(co + j) <- w.kdem.(o + j)
         done;
-        let cv = qwalk w !c (d + 1) in
-        if Flat.on_spine flat !c then
+        let cv = qwalk w ci (d + 1) in
+        if c.spine.(ci) then
           for e = 0 to n_qual - 1 do
-            acc.(e) <- Formula.disj acc.(e) cv.(e)
+            acc.(ao + e) <- Formula.disj acc.(ao + e) cv.(e)
           done
-        else begin
-          let bits = row w.own (d + 1) in
+        else
           for e = 0 to n_qual - 1 do
-            acc.(e) <- Formula.disj acc.(e) (Formula.bool (bit bits e))
-          done
-        end;
+            acc.(ao + e) <-
+              Formula.disj acc.(ao + e) (Formula.bool (bit w.own co e))
+          done;
         incr n_kids;
-        c := Flat.next_sibling flat !c
+        ch := c.next_sibling.(ci)
       done;
-      w.ops := !(w.ops) + (n_qual * (1 + !n_kids));
-      let vec = feval_entries w.w_plan flat i ~tagc acc in
+      w.ops <- w.ops + (n_qual * (1 + !n_kids));
+      let vec = feval_entries w.w_plan w.w_flat i ~tagc acc ao in
       if want then w.post i vec;
       vec
     end
@@ -589,11 +681,10 @@ let qual_run plan flat ~is_root : qual =
   let wrap = ref None in
   let post i vec = if i >= 0 then vecs.(i) <- vec else wrap := Some vec in
   let w =
-    walk plan flat ~virtual_ops:plan.compiled.Compile.n_qual
-      ~pre:(fun _ _ _ _ dem ->
-        demand_all dem;
-        true)
-      ~descend:(fun _ _ -> true) ~post
+    walk plan flat (Flat.columns flat) ~every:true ~sel:[||] ~asked:[||]
+      ~virtual_ops:plan.compiled.Compile.n_qual
+      ~pre:(fun _ _ _ _ -> true)
+      ~post
   in
   let s = start plan ~is_root in
   ignore (qwalk w s 0 : Formula.t array);
@@ -602,7 +693,7 @@ let qual_run plan flat ~is_root : qual =
     q_vecs = vecs;
     q_wrap = !wrap;
     q_root_vec = (if s >= 0 then vecs.(s) else Option.get !wrap);
-    q_ops = !(w.ops);
+    q_ops = w.ops;
   }
 
 (* Mirror of {!Qual_pass.resolve}: substitute in place, counting every
@@ -631,37 +722,58 @@ type sel_outcome = {
 (* A buffer entry is rewritten only when it changes: most entries stay
    [False] from one slot to the next, and skipping the store skips the
    write barrier. *)
-let set (a : Formula.t array) i v = if a.(i) != v then a.(i) <- v
+let[@inline] set (a : Formula.t array) i v = if a.(i) != v then a.(i) <- v
+
+(* Selection vectors live in one buffer of [n_sel]-wide rows per call,
+   one row per depth ({!walk}): a slot at depth [d] writes row [d],
+   which its children read as their parent's; the slot at depth 0 reads
+   [init]. *)
+let sel_rows plan (cols : Flat.columns) =
+  Array.make ((cols.levels + 1) * plan.compiled.Compile.n_sel) Formula.false_
+
+(* The parent's vector of a slot at depth [d], copied for a context. *)
+let parent_vec ~init sel n d =
+  if d = 0 then Array.copy init else Array.sub sel ((d - 1) * n) n
 
 (* The pre-order selection step of {!Sel_pass} on element slot [i]:
-   writes its vector into [sv] from its parent's [sv_p], charged
-   [n_sel] by the caller.  Filters read qualifier entries through
-   [entry] ({!fsat}). *)
-let sel_step plan flat entry i ~tagc ~is_context (sv_p : Formula.t array)
-    (sv : Formula.t array) =
-  set sv 0 (if is_context then Formula.true_ else Formula.false_);
+   writes its vector at offset [o] of [sv] from its parent's, at
+   offset [po] of [pv], charged [n_sel] by the caller.  Filters read
+   qualifier entries through [entry] ({!fsat}). *)
+let sel_step plan flat entry i ~tagc ~is_context (pv : Formula.t array) po
+    (sv : Formula.t array) o =
+  set sv o (if is_context then Formula.true_ else Formula.false_);
   let fsel = plan.fsel in
   for ix = 1 to Array.length fsel do
-    set sv ix
+    set sv (o + ix)
       (match fsel.(ix - 1) with
       | FMove code ->
-          if code = -2 || code = tagc then sv_p.(ix - 1) else Formula.false_
-      | FDos -> Formula.disj sv_p.(ix) sv.(ix - 1)
+          if code = -2 || code = tagc then pv.(po + ix - 1) else Formula.false_
+      | FDos -> Formula.disj pv.(po + ix) sv.(o + ix - 1)
       | FFilter q ->
-          let prev = sv.(ix - 1) in
+          let prev = sv.(o + ix - 1) in
           if prev == Formula.false_ then Formula.false_
           else Formula.conj prev (fsat flat i entry q))
   done
 
+(* [sel_step] on slot [i] at depth [d], the wrapper (when there is one)
+   being the context node itself. *)
+let sel_step_at plan flat entry i ~tagc ~init ~is_root sel d =
+  let n = plan.compiled.Compile.n_sel in
+  if d = 0 then
+    sel_step plan flat entry i ~tagc ~is_context:is_root init 0 sel 0
+  else
+    sel_step plan flat entry i ~tagc ~is_context:false sel
+      ((d - 1) * n)
+      sel (d * n)
+
 (* Mirror of {!Sel_pass.run} on [eval_root fid], with qualifier
    satisfaction read from a resolved flat qualifier pass ([qual]), or
-   trivially (empty vectors) when the query has no qualifier entries.
-   A slot's selection vector lives in the row of its depth, which its
-   children read as their parent's. *)
+   trivially (empty vectors) when the query has no qualifier entries. *)
 let sel_run plan flat ~init ~is_root ~(qual : qual option) : sel_outcome =
   let n = plan.compiled.Compile.n_sel in
   let last = n - 1 in
-  let sel = rows n Formula.false_ in
+  let cols = Flat.columns flat in
+  let sel = sel_rows plan cols in
   let ops = ref 0 in
   let answers = ref [] in
   let candidates = ref [] in
@@ -672,22 +784,18 @@ let sel_run plan flat ~init ~is_root ~(qual : qual option) : sel_outcome =
     | None -> invalid_arg "Flat_pass.sel_run: a filter read a qualifier entry"
   in
   let rec go i d =
-    let sv_p = if d = 0 then init else row sel (d - 1) in
-    let vfid = virtual_fid flat i in
-    if vfid >= 0 then contexts := (vfid, Array.copy sv_p) :: !contexts
+    let vfid = vfid_at cols i in
+    if vfid >= 0 then contexts := (vfid, parent_vec ~init sel n d) :: !contexts
     else begin
       ops := !ops + n;
-      let sv = row sel d in
-      (* The wrapper, when there is one, is the context node itself. *)
-      sel_step plan flat entry i ~tagc:(tag_code flat i)
-        ~is_context:(d = 0 && is_root) sv_p sv;
-      let f = sv.(last) in
+      sel_step_at plan flat entry i ~tagc:(tag_at cols i) ~init ~is_root sel d;
+      let f = sel.((d * n) + last) in
       if f == Formula.true_ then answers := i :: !answers
       else if f != Formula.false_ then candidates := (i, f) :: !candidates;
-      let c = ref (first_child flat i) in
+      let c = ref (first_child_at cols i) in
       while !c >= 0 do
         go !c (d + 1);
-        c := Flat.next_sibling flat !c
+        c := cols.next_sibling.(!c)
       done
     end
   in
@@ -711,23 +819,13 @@ type combined_outcome = {
   ops : int;
 }
 
-(* Is some selection state a child reads from its parent's [sv] both
-   non-[False] and able to finish the path, every label move after it
-   having its bit in the child's tag mask [mask]?  Collisions mod 63
-   only answer yes more often. *)
-let live plan (sv : Formula.t array) mask =
-  let watch = plan.s_watch in
-  let k = ref 0 in
-  while
-    !k < Array.length watch
-    &&
-    let ix = watch.(!k) in
-    let need = plan.s_need.(ix) in
-    sv.(ix) == Formula.false_ || need land mask <> need
-  do
-    incr k
-  done;
-  !k < Array.length watch
+(* Node id -> qualifier vector, with int hashing and equality. *)
+module Sigma = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+  let hash (a : int) = a land max_int
+end)
 
 (* PaX2's single traversal: pre-order selection entries with
    placeholder variables for qualifier values not yet computed,
@@ -737,14 +835,15 @@ let live plan (sv : Formula.t array) mask =
    entry: their whole qualifier vector, keyed by node id, of which only
    the issued entries are read.  Off the spine a slot owes the entries
    it issued and those its parent reads, and a child is skipped when
-   its tag passes no test the kids-demand owes and [live] finds no
-   selection state for it ({!qwalk}). *)
+   its tag passes no test the kids-demand owes and no selection state
+   it reads is live for it ({!qwalk}). *)
 let combined_run plan flat ~init ~is_root : combined_outcome =
   let compiled = plan.compiled in
   let n_sel = compiled.Compile.n_sel in
   let last = n_sel - 1 in
-  let sel = rows n_sel Formula.false_ in
-  let sigma : (int, Formula.t array) Hashtbl.t = Hashtbl.create 16 in
+  let cols = Flat.columns flat in
+  let sel = sel_rows plan cols in
+  let sigma : Formula.t array Sigma.t = Sigma.create 16 in
   let issued = ref false in
   let pending = ref [] in
   let contexts = ref [] in
@@ -754,49 +853,42 @@ let combined_run plan flat ~init ~is_root : combined_outcome =
      satisfactions become placeholders, which the slot's vector owes. *)
   let entry i e =
     issued := true;
-    put asked e true;
-    Formula.var (Var.Qual_at (node_id flat i, e))
+    put asked 0 e true;
+    Formula.var (Var.Qual_at (id_at cols i, e))
   in
-  let pre i d vfid tagc slot_dem =
-    let sv_p = if d = 0 then init else row sel (d - 1) in
+  let pre i d vfid tagc =
     if vfid >= 0 then begin
-      contexts := (vfid, Array.copy sv_p) :: !contexts;
+      contexts := (vfid, parent_vec ~init sel n_sel d) :: !contexts;
       false
     end
     else begin
       sel_ops := !sel_ops + n_sel;
-      let sv = row sel d in
       issued := false;
-      sel_step plan flat entry i ~tagc ~is_context:(d = 0 && is_root) sv_p sv;
-      let f = sv.(last) in
+      sel_step_at plan flat entry i ~tagc ~init ~is_root sel d;
+      let f = sel.((d * n_sel) + last) in
       if f != Formula.false_ then pending := (i, f) :: !pending;
-      if !issued then
-        for j = 0 to Array.length asked - 1 do
-          slot_dem.(j) <- slot_dem.(j) lor asked.(j);
-          asked.(j) <- 0
-        done;
       !issued
     end
   in
-  (* Below an off-spine slot only selection vectors can add answers: a
-     child is walked for them while a state it reads from its parent's
-     vector can still reach the end of the path within its own tags. *)
-  let descend mask d = live plan (row sel (d - 1)) mask in
-  let post i vec = Hashtbl.replace sigma (node_id flat i) vec in
+  let post i vec = Sigma.replace sigma (id_at cols i) vec in
   (* PaX2's pass charges nothing for a virtual slot's vector. *)
-  let w = walk plan flat ~virtual_ops:0 ~pre ~descend ~post in
+  let w =
+    walk plan flat cols ~every:false ~sel ~asked ~virtual_ops:0 ~pre ~post
+  in
   let s = start plan ~is_root in
   let vec = qwalk w s 0 in
   let root_qvec =
-    if on_spine flat s then vec
-    else formulas_of_bits compiled.Compile.n_qual (row w.own 0)
+    if spine_at cols s then vec
+    else formulas_of_bits compiled.Compile.n_qual w.own 0
   in
   let sigma_lookup = function
-    | Var.Qual_at (nid, e) ->
-        Option.map (fun vec -> vec.(e)) (Hashtbl.find_opt sigma nid)
+    | Var.Qual_at (nid, e) -> (
+        match Sigma.find_opt sigma nid with
+        | Some vec -> Some vec.(e)
+        | None -> None)
     | Var.Qual _ | Var.Sel_ctx _ -> None
   in
-  let ops = ref (!sel_ops + !(w.ops)) in
+  let ops = ref (!sel_ops + w.ops) in
   let answers = ref [] in
   let candidates = ref [] in
   List.iter

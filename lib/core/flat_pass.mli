@@ -8,7 +8,7 @@
     representation changes: tag tests compare interned int codes,
     text/attribute tests read the shared byte buffer in place,
     traversal follows int vectors.  Off the spine
-    ({!Pax_xml.Flat.on_spine}) a qualifier vector is ground and held as
+    ([spine] in {!Pax_xml.Flat.columns}) a qualifier vector is ground and held as
     a bitset, so no formula is built there; every formula the kernels
     do build — on spine slots, in selection vectors, and in every
     result they return — is built in the pointer passes' construction
@@ -112,7 +112,8 @@ type combined_outcome = {
     slot only when the child's tag can pass a test that the
     qualifier entries read of the children owe (entries read by a
     placeholder, the parent's vector or the root vector; a test whose
-    tag is missing from the slot's {!Pax_xml.Flat.tag_mask} is owed by
+    tag is missing from the slot's tag mask ([mask] in
+    {!Pax_xml.Flat.columns}) is owed by
     no child), or when a selection state the child reads is live and
     every label move after it is in the child's own tag mask.  A slot
     whose demanded entries all fail their tests on its own tag

@@ -24,6 +24,19 @@
    this way, and a site server patches the image it holds with the
    same function when a pushed edit arrives. *)
 
+(* The structural columns the stage kernels read in their inner loops
+   (see [columns] below); the same arrays as [t]'s, never copied. *)
+type columns = {
+  ids : int array;
+  first_child : int array;
+  next_sibling : int array;
+  tag : int array;
+  vfid : int array;
+  spine : bool array;
+  mask : int array;
+  levels : int;
+}
+
 type t = {
   n : int;  (* number of slots (preorder positions), >= 1 *)
   ids : int array;  (* slot -> document node id *)
@@ -45,6 +58,7 @@ type t = {
   num_val : float array;
   spine : bool array;  (* slot -> its subtree holds a virtual slot *)
   mask : int array;  (* slot -> OR of [1 lsl (code mod 63)] over its subtree *)
+  levels : int;  (* 1 + the largest slot depth, the root at depth 0 *)
   intern : Intern.t;
   by_id : (int, int) Hashtbl.t option Atomic.t;  (* lazy id -> slot *)
   by_id_lock : Mutex.t;
@@ -54,16 +68,22 @@ let length t = t.n
 let intern t = t.intern
 let node_id t i = t.ids.(i)
 let parent t i = t.parent.(i)
-let first_child t i = t.first_child.(i)
-let next_sibling t i = t.next_sibling.(i)
 let subtree_size t i = t.subtree_size.(i)
-let tag_code t i = t.tag.(i)
 let tag_name t i = Intern.name t.intern t.tag.(i)
-let virtual_fid t i = t.vfid.(i)
 let is_virtual t i = t.vfid.(i) >= 0
-let on_spine t i = t.spine.(i)
-let tag_mask t i = t.mask.(i)
 let n_attrs t = t.attr_start.(t.n - 1) + t.attr_count.(t.n - 1)
+
+let columns (t : t) : columns =
+  {
+    ids = t.ids;
+    first_child = t.first_child;
+    next_sibling = t.next_sibling;
+    tag = t.tag;
+    vfid = t.vfid;
+    spine = t.spine;
+    mask = t.mask;
+    levels = t.levels;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* construction                                                       *)
@@ -125,6 +145,17 @@ let mask_column ~n ~subtree_size ~tag ~vfid =
   done;
   mask
 
+(* The number of depths the image spans: [parent] precedes its child
+   in preorder, so one forward sweep finds every slot's depth. *)
+let levels_of ~n ~parent =
+  let depth = Array.make n 0 and levels = ref 1 in
+  for i = 1 to n - 1 do
+    let d = depth.(parent.(i)) + 1 in
+    depth.(i) <- d;
+    if d >= !levels then levels := d + 1
+  done;
+  !levels
+
 (* An image whose shipped columns are set, with its derived ones
    computed from them. *)
 let derive r =
@@ -137,6 +168,7 @@ let derive r =
     num_val;
     spine = spine_column ~n:r.n ~subtree_size:r.subtree_size ~vfid:r.vfid;
     mask = mask_column ~n:r.n ~subtree_size:r.subtree_size ~tag:r.tag ~vfid:r.vfid;
+    levels = levels_of ~n:r.n ~parent:r.parent;
   }
 
 let of_tree ?(intern = Intern.create ()) (root : Tree.node) =
@@ -220,6 +252,7 @@ let of_tree ?(intern = Intern.create ()) (root : Tree.node) =
       num_val = [||];
       spine = [||];
       mask = [||];
+      levels = 0;
       intern;
       by_id = Atomic.make None;
       by_id_lock = Mutex.create ();
@@ -319,9 +352,14 @@ let find_index t id = Hashtbl.find_opt (index t) id
 exception Corrupt
 
 (* Every slot reference in range, every offset inside the buffer, so
-   accessors cannot escape their arrays.  [decode] runs it on every
-   wire image, and [edit] on every image it builds, so neither a
-   hostile image nor a hostile edit yields an unsafe one. *)
+   accessors cannot escape their arrays, and one tree in preorder: slot
+   0 spans every slot, a slot's first child is the next slot, and a
+   child's next sibling starts where its subtree ends, inside its
+   parent's.  So the [first_child]/[next_sibling] walk the kernels make
+   visits each slot once, at the depth [parent] gives it ([levels]).
+   [decode] runs it on every wire image, and [edit] on every image it
+   builds, so neither a hostile image nor a hostile edit yields an
+   unsafe one. *)
 let check t =
   let n = t.n and n_attrs = n_attrs t in
   if
@@ -344,6 +382,25 @@ let check t =
       raise Corrupt;
     let start = t.attr_start.(i) and count = t.attr_count.(i) in
     if start < 0 || count < 0 || start + count > n_attrs then raise Corrupt
+  done;
+  if t.parent.(0) <> -1 || t.next_sibling.(0) <> -1 || t.subtree_size.(0) <> n
+  then raise Corrupt;
+  for i = 0 to n - 1 do
+    let stop = i + t.subtree_size.(i) in
+    if stop > i + 1 then begin
+      if t.first_child.(i) <> i + 1 || t.parent.(i + 1) <> i then raise Corrupt
+    end
+    else if t.first_child.(i) <> -1 then raise Corrupt;
+    if i > 0 then begin
+      let p = t.parent.(i) in
+      if p < 0 || p >= i then raise Corrupt;
+      let p_stop = p + t.subtree_size.(p) in
+      if stop > p_stop then raise Corrupt;
+      if stop < p_stop then begin
+        if t.next_sibling.(i) <> stop || t.parent.(stop) <> p then raise Corrupt
+      end
+      else if t.next_sibling.(i) <> -1 then raise Corrupt
+    end
   done;
   for j = 0 to n_attrs - 1 do
     let off = t.attr_off.(j) and len = t.attr_len.(j) in
@@ -496,6 +553,7 @@ let delete t i =
     num_val = col t.num_val;
     spine = col t.spine;
     mask;
+    levels = levels_of ~n ~parent;
     by_id = Atomic.make None;
     by_id_lock = Mutex.create ();
   }
@@ -590,6 +648,7 @@ let insert t p u =
     num_val = col t.num_val u.num_val;
     spine = col t.spine u.spine;
     mask;
+    levels = levels_of ~n ~parent;
     by_id = Atomic.make None;
     by_id_lock = Mutex.create ();
   }
@@ -783,6 +842,7 @@ let decode ?(intern = Intern.create ()) s =
         num_val = [||];
         spine = [||];
         mask = [||];
+        levels = 0;
         intern;
         by_id = Atomic.make None;
         by_id_lock = Mutex.create ();

@@ -34,33 +34,49 @@ val intern : t -> Intern.t
 val node_id : t -> int -> int
 val parent : t -> int -> int  (** [-1] at the root *)
 
-val first_child : t -> int -> int  (** [-1] for a leaf *)
-
-val next_sibling : t -> int -> int  (** [-1] for a last child *)
-
 val subtree_size : t -> int -> int
-val tag_code : t -> int -> int
 val tag_name : t -> int -> string
-val virtual_fid : t -> int -> int  (** [-1] for elements *)
-
 val is_virtual : t -> int -> bool
 
-(** [on_spine t i] — does slot [i]'s subtree (itself included) hold a
-    virtual slot?  Off this spine every qualifier vector is ground, so
-    the stage kernels evaluate such slots on bits without building a
-    formula.  Derived from [subtree_size] and the virtual slots when
-    the image is built or decoded; not part of the wire image. *)
-val on_spine : t -> int -> bool
+(** {1 Columns}
 
-(** [tag_mask t i] — the tags in slot [i]'s subtree (itself included)
-    as one word: bit [code mod 63] for each tag code, all ones at a
-    virtual slot, whose subtree lives in another fragment.  A superset
-    test: a label whose bit is clear occurs nowhere below [i], while a
-    set bit may come from another code of the same residue.  PaX2's
-    combined pass ([Flat_pass.combined_run]) skips the
-    subtrees where the rest of a selection path cannot match.  Derived
-    like {!on_spine}; not part of the wire image. *)
-val tag_mask : t -> int -> int
+    The structural columns themselves, indexed by slot, for the stage
+    kernels' inner loops ([Flat_pass]).  The build compiles with
+    [-opaque] (dune's dev profile), so a call to an accessor from
+    another library is never inlined; a kernel that reads these arrays
+    does an array read where it would make a call.  The arrays are the
+    image's own, not copies: a reader must never write to them. *)
+
+type columns = private {
+  ids : int array;  (** {!node_id} *)
+  first_child : int array;  (** [-1] for a leaf *)
+  next_sibling : int array;  (** [-1] for a last child *)
+  tag : int array;  (** the interned tag code ({!tag_name}) *)
+  vfid : int array;  (** the fragment id, [-1] for elements *)
+  spine : bool array;
+      (** [spine.(i)] — does slot [i]'s subtree (itself included) hold
+          a virtual slot?  Off this spine every qualifier vector is
+          ground, so the stage kernels evaluate such slots on bits
+          without building a formula.  Derived from [subtree_size] and
+          the virtual slots when the image is built or decoded; not
+          part of the wire image. *)
+  mask : int array;
+      (** [mask.(i)] — the tags in slot [i]'s subtree (itself
+          included) as one word: bit [code mod 63] for each tag code,
+          all ones at a virtual slot, whose subtree lives in another
+          fragment.  A superset test: a label whose bit is clear occurs
+          nowhere below [i], while a set bit may come from another code
+          of the same residue.  PaX2's combined pass
+          ([Flat_pass.combined_run]) skips the subtrees where the rest
+          of a selection path cannot match.  Derived like [spine]; not
+          part of the wire image. *)
+  levels : int;
+      (** the depths the image spans: 1 + the largest slot depth, the
+          root at depth 0.  A walk of the image from its root never
+          goes deeper, so a kernel sizes its per-depth scratch once. *)
+}
+
+val columns : t -> columns
 
 (** {1 Content}
 
@@ -130,7 +146,8 @@ val edit : t -> edit -> t option
     this fragment uses, the int columns as little-endian [u32] rows
     and one blit of the byte buffer.  {!decode} remaps codes through
     the receiver's intern table and validates every slot reference and
-    buffer offset; [None] on corrupt input. *)
+    buffer offset, and that the structure columns describe one tree in
+    preorder; [None] on corrupt input. *)
 
 val encode : t -> string
 

@@ -72,11 +72,12 @@ let check_accessors fl root =
   Array.iteri (fun i (n : Tree.node) -> Hashtbl.replace index_of_id n.Tree.id i) nodes;
   Array.iteri
     (fun i (n : Tree.node) ->
+      let c = Flat.columns fl in
       if Flat.node_id fl i <> n.Tree.id then
         fail "slot %d: id %d <> %d" i (Flat.node_id fl i) n.Tree.id;
       (match n.Tree.kind with
       | Tree.Virtual fid ->
-          if not (Flat.is_virtual fl i) || Flat.virtual_fid fl i <> fid then
+          if not (Flat.is_virtual fl i) || c.Flat.vfid.(i) <> fid then
             fail "slot %d: virtual fid %d lost" i fid
       | Tree.Element ->
           if Flat.is_virtual fl i then fail "slot %d: spurious virtual" i;
@@ -103,20 +104,20 @@ let check_accessors fl root =
         fail "slot %d: key -1 matched" i;
       (* Structure links, against the pointer tree's child lists. *)
       (match n.Tree.children with
-      | [] -> if Flat.first_child fl i <> -1 then fail "slot %d: leaf child" i
-      | c :: _ ->
-          if Flat.first_child fl i <> Hashtbl.find index_of_id c.Tree.id then
+      | [] -> if c.Flat.first_child.(i) <> -1 then fail "slot %d: leaf child" i
+      | k :: _ ->
+          if c.Flat.first_child.(i) <> Hashtbl.find index_of_id k.Tree.id then
             fail "slot %d: first_child" i);
       let rec check_kids = function
         | a :: (b : Tree.node) :: rest ->
             let ia = Hashtbl.find index_of_id a.Tree.id in
-            if Flat.next_sibling fl ia <> Hashtbl.find index_of_id b.Tree.id
+            if c.Flat.next_sibling.(ia) <> Hashtbl.find index_of_id b.Tree.id
             then fail "slot %d: next_sibling" ia;
             if Flat.parent fl ia <> i then fail "slot %d: parent" ia;
             check_kids (b :: rest)
         | [ (a : Tree.node) ] ->
             let ia = Hashtbl.find index_of_id a.Tree.id in
-            if Flat.next_sibling fl ia <> -1 then fail "slot %d: last sibling" ia;
+            if c.Flat.next_sibling.(ia) <> -1 then fail "slot %d: last sibling" ia;
             if Flat.parent fl ia <> i then fail "slot %d: parent" ia
         | [] -> ()
       in
@@ -150,11 +151,12 @@ let check_image fl root =
    [check_accessors] pins to the pointer tree: some virtual slot in
    [i, i + subtree_size i). *)
 let check_spine fl =
+  let c = Flat.columns fl in
   for i = 0 to Flat.length fl - 1 do
     let rec any j =
       j < i + Flat.subtree_size fl i && (Flat.is_virtual fl j || any (j + 1))
     in
-    if Flat.on_spine fl i <> any i then fail "slot %d: on_spine" i
+    if c.Flat.spine.(i) <> any i then fail "slot %d: on_spine" i
   done;
   true
 
@@ -169,19 +171,44 @@ let prop_spine (ft : Fragment.t) =
       | None -> fail "decode (encode fl) = None")
     ft.Fragment.fragments
 
+(* [levels] against its definition: 1 + the largest depth of a slot,
+   following [parent] up to the root. *)
+let check_levels fl =
+  let rec depth i =
+    if Flat.parent fl i < 0 then 0 else 1 + depth (Flat.parent fl i)
+  in
+  let deepest = ref 0 in
+  for i = 0 to Flat.length fl - 1 do
+    deepest := max !deepest (depth i)
+  done;
+  if (Flat.columns fl).Flat.levels <> !deepest + 1 then fail "levels";
+  true
+
+let prop_levels (ft : Fragment.t) =
+  Array.for_all
+    (fun (fr : Fragment.fragment) ->
+      let fl = Fragment.flat ft fr.Fragment.fid in
+      check_levels fl
+      &&
+      match Flat.decode (Flat.encode fl) with
+      | Some fl2 -> check_levels fl2
+      | None -> fail "decode (encode fl) = None")
+    ft.Fragment.fragments
+
 (* The tag mask column against its definition: the OR over
    [i, i + subtree_size i) of bit [code mod 63], all ones for a virtual
    slot. *)
 let check_mask fl =
+  let c = Flat.columns fl in
   for i = 0 to Flat.length fl - 1 do
     let m = ref 0 in
     for j = i to i + Flat.subtree_size fl i - 1 do
       let bits =
-        if Flat.is_virtual fl j then -1 else 1 lsl (Flat.tag_code fl j mod 63)
+        if Flat.is_virtual fl j then -1 else 1 lsl (c.Flat.tag.(j) mod 63)
       in
       m := !m lor bits
     done;
-    if Flat.tag_mask fl i <> !m then fail "slot %d: tag_mask" i
+    if c.Flat.mask.(i) <> !m then fail "slot %d: tag_mask" i
   done;
   true
 
@@ -288,6 +315,27 @@ let test_answer_attrs () =
   | Some fl2 -> Alcotest.(check bool) "decoded" true (check_image fl2 root)
   | None -> Alcotest.fail "decode (encode fl) = None"
 
+(* Directed: the structure columns must describe one tree in preorder,
+   or the kernels' walk could loop or go deeper than [levels]: a next
+   sibling pointing back at its slot, and a first child that skips a
+   slot, are refused although every reference is in range. *)
+let test_decode_checks_tree () =
+  let b = Tree.builder () in
+  let root = Tree.elem b "a" [ Tree.elem b "b" []; Tree.elem b "c" [] ] in
+  let ft = Fragment.trivial (Tree.doc_of_root root) in
+  let s = Flat.encode (Fragment.flat ft 0) in
+  (* No text or attribute: the 11 node columns of 3 slots end the image. *)
+  let column k = String.length s - (4 * 3 * (11 - k)) in
+  let with_slot k slot v =
+    let b = Bytes.of_string s in
+    Bytes.set_int32_le b (column k + (4 * slot)) (Int32.of_int v);
+    Flat.decode (Bytes.unsafe_to_string b)
+  in
+  Alcotest.(check bool) "valid" true (Flat.decode s <> None);
+  Alcotest.(check bool) "unchanged rewrite" true (with_slot 3 1 2 <> None);
+  Alcotest.(check bool) "next_sibling loop" true (with_slot 3 1 1 = None);
+  Alcotest.(check bool) "first_child skips" true (with_slot 2 0 2 = None)
+
 let test_empty_and_garbage () =
   Alcotest.(check bool) "empty" true (Flat.decode "" = None);
   Alcotest.(check bool)
@@ -354,8 +402,8 @@ let prop_combined (s : H.Gen.scenario) =
 (* Skipping on the data it is for: an XMark tree cut like the paper's
    FT2, where every site but the first is a fragment, and so is each
    of its regions and auction sections. *)
-let xmark_ft2 () =
-  let doc = Pax_xmark.Xmark.doc ~seed:42 ~total_nodes:3000 ~n_sites:3 in
+let xmark_ft2 ?(total_nodes = 3000) () =
+  let doc = Pax_xmark.Xmark.doc ~seed:42 ~total_nodes ~n_sites:3 in
   let sections = [ "regions"; "open_auctions"; "closed_auctions" ] in
   let cuts =
     List.concat_map
@@ -416,6 +464,173 @@ let test_xmark_q2_q4_skip () =
   check_share ft "Q2" Pax_xmark.Xmark.q2 ~pct:10;
   check_share ft "Q3" Pax_xmark.Xmark.q3 ~pct:25;
   check_share ft "Q4" Pax_xmark.Xmark.q4 ~pct:25
+
+(* The kernels' counts on XMark FT2 cuts of 3,000 and 12,000 nodes,
+   pinned so that a faster kernel cannot change what it charges or
+   returns.  Per (nodes, query, fragment): [combined_run]'s ops and its
+   numbers of answers, candidates and contexts, then [qual_run]'s ops
+   and the ops of [sel_run] over the resolved qualifier pass. *)
+let golden_kernel_counts =
+  [
+    (3000, 1, 0, (152, 22, 0, 2), 0, 5280);
+    (3000, 1, 1, (171, 0, 26, 3), 0, 1785);
+    (3000, 1, 2, (189, 0, 29, 3), 0, 1795);
+    (3000, 1, 3, (5, 0, 0, 0), 0, 1170);
+    (3000, 1, 4, (5, 0, 0, 0), 0, 1580);
+    (3000, 1, 5, (5, 0, 0, 0), 0, 810);
+    (3000, 1, 6, (5, 0, 0, 0), 0, 1170);
+    (3000, 1, 7, (5, 0, 0, 0), 0, 1580);
+    (3000, 1, 8, (5, 0, 0, 0), 0, 765);
+    (3000, 2, 0, (219, 15, 0, 2), 0, 6336);
+    (3000, 2, 1, (18, 0, 0, 3), 0, 2142);
+    (3000, 2, 2, (18, 0, 0, 3), 0, 2154);
+    (3000, 2, 3, (6, 0, 0, 0), 0, 1404);
+    (3000, 2, 4, (201, 0, 15, 0), 0, 1896);
+    (3000, 2, 5, (71, 0, 5, 0), 0, 972);
+    (3000, 2, 6, (6, 0, 0, 0), 0, 1404);
+    (3000, 2, 7, (175, 0, 13, 0), 0, 1896);
+    (3000, 2, 8, (110, 0, 8, 0), 0, 918);
+    (3000, 3, 0, (2465, 5, 0, 2), 21150, 7392);
+    (3000, 3, 1, (2409, 0, 3, 3), 7190, 2499);
+    (3000, 3, 2, (1926, 0, 4, 3), 7230, 2513);
+    (3000, 3, 3, (17, 0, 0, 0), 4670, 1638);
+    (3000, 3, 4, (17, 0, 0, 0), 6310, 2212);
+    (3000, 3, 5, (17, 0, 0, 0), 3230, 1134);
+    (3000, 3, 6, (17, 0, 0, 0), 4670, 1638);
+    (3000, 3, 7, (17, 0, 0, 0), 6310, 2212);
+    (3000, 3, 8, (17, 0, 0, 0), 3050, 1071);
+    (3000, 4, 0, (2465, 5, 0, 2), 21150, 7392);
+    (3000, 4, 1, (2409, 0, 3, 3), 7190, 2499);
+    (3000, 4, 2, (1926, 0, 4, 3), 7230, 2513);
+    (3000, 4, 3, (17, 0, 0, 0), 4670, 1638);
+    (3000, 4, 4, (17, 0, 0, 0), 6310, 2212);
+    (3000, 4, 5, (17, 0, 0, 0), 3230, 1134);
+    (3000, 4, 6, (17, 0, 0, 0), 4670, 1638);
+    (3000, 4, 7, (17, 0, 0, 0), 6310, 2212);
+    (3000, 4, 8, (17, 0, 0, 0), 3050, 1071);
+    (12000, 1, 0, (590, 95, 0, 2), 0, 19825);
+    (12000, 1, 1, (627, 0, 102, 3), 0, 7065);
+    (12000, 1, 2, (633, 0, 103, 3), 0, 7065);
+    (12000, 1, 3, (5, 0, 0, 0), 0, 3720);
+    (12000, 1, 4, (5, 0, 0, 0), 0, 6055);
+    (12000, 1, 5, (5, 0, 0, 0), 0, 3045);
+    (12000, 1, 6, (5, 0, 0, 0), 0, 3790);
+    (12000, 1, 7, (5, 0, 0, 0), 0, 6080);
+    (12000, 1, 8, (5, 0, 0, 0), 0, 3025);
+    (12000, 2, 0, (739, 55, 0, 2), 0, 23790);
+    (12000, 2, 1, (18, 0, 0, 3), 0, 8478);
+    (12000, 2, 2, (18, 0, 0, 3), 0, 8478);
+    (12000, 2, 3, (6, 0, 0, 0), 0, 4464);
+    (12000, 2, 4, (695, 0, 53, 0), 0, 7266);
+    (12000, 2, 5, (422, 0, 32, 0), 0, 3654);
+    (12000, 2, 6, (6, 0, 0, 0), 0, 4548);
+    (12000, 2, 7, (708, 0, 54, 0), 0, 7296);
+    (12000, 2, 8, (370, 0, 28, 0), 0, 3630);
+    (12000, 3, 0, (8991, 13, 0, 2), 79330, 27755);
+    (12000, 3, 1, (8004, 0, 11, 3), 28310, 9891);
+    (12000, 3, 2, (8182, 0, 12, 3), 28310, 9891);
+    (12000, 3, 3, (17, 0, 0, 0), 14870, 5208);
+    (12000, 3, 4, (17, 0, 0, 0), 24210, 8477);
+    (12000, 3, 5, (17, 0, 0, 0), 12170, 4263);
+    (12000, 3, 6, (17, 0, 0, 0), 15150, 5306);
+    (12000, 3, 7, (17, 0, 0, 0), 24310, 8512);
+    (12000, 3, 8, (17, 0, 0, 0), 12090, 4235);
+    (12000, 4, 0, (8991, 13, 0, 2), 79330, 27755);
+    (12000, 4, 1, (8004, 0, 11, 3), 28310, 9891);
+    (12000, 4, 2, (8182, 0, 12, 3), 28310, 9891);
+    (12000, 4, 3, (17, 0, 0, 0), 14870, 5208);
+    (12000, 4, 4, (17, 0, 0, 0), 24210, 8477);
+    (12000, 4, 5, (17, 0, 0, 0), 12170, 4263);
+    (12000, 4, 6, (17, 0, 0, 0), 15150, 5306);
+    (12000, 4, 7, (17, 0, 0, 0), 24310, 8512);
+    (12000, 4, 8, (17, 0, 0, 0), 12090, 4235);
+  ]
+
+(* [Gc.minor_words] of one [combined_run] per fragment, after one
+   warm-up run, summed over the fragments, per (nodes, query): the
+   kernel allocates no more than these. *)
+let golden_combined_words =
+  [
+    ((3000, 1), 3836);
+    ((3000, 2), 4541);
+    ((3000, 3), 12846);
+    ((3000, 4), 12846);
+    ((12000, 1), 7631);
+    ((12000, 2), 10016);
+    ((12000, 3), 34544);
+    ((12000, 4), 34544);
+  ]
+
+let golden_queries = Pax_xmark.Xmark.[| q1; q2; q3; q4 |]
+
+(* [f ()] for every (nodes, query, fragment) of the golden tables, with
+   the fragment's plan, image and initial selection vector. *)
+let over_golden_cases f =
+  List.iter
+    (fun total_nodes ->
+      let ft = xmark_ft2 ~total_nodes () in
+      Array.iteri
+        (fun qi query ->
+          let compiled = (Query.of_string query).Query.compiled in
+          let plan = Flat_pass.make_plan compiled (Fragment.intern ft) in
+          List.iter
+            (fun fid ->
+              let is_root = fid = 0 in
+              let fl = Fragment.flat ft fid in
+              let init = init_for compiled ~fid ~is_root in
+              f (total_nodes, qi + 1, fid) plan fl ~init ~is_root)
+            (Fragment.top_down ft))
+        golden_queries)
+    [ 3000; 12000 ]
+
+let test_golden_counts () =
+  let seen = ref [] in
+  over_golden_cases (fun key plan fl ~init ~is_root ->
+      let oc = Flat_pass.combined_run plan fl ~init ~is_root in
+      let fq = Flat_pass.qual_run plan fl ~is_root in
+      ignore (Flat_pass.qual_resolve fq fake_lookup : int);
+      let os = Flat_pass.sel_run plan fl ~init ~is_root ~qual:(Some fq) in
+      let nodes, q, fid = key in
+      seen :=
+        ( nodes,
+          q,
+          fid,
+          ( oc.Flat_pass.ops,
+            List.length oc.Flat_pass.answers,
+            List.length oc.Flat_pass.candidates,
+            List.length oc.Flat_pass.contexts ),
+          fq.Flat_pass.q_ops,
+          os.Flat_pass.ops )
+        :: !seen);
+  let row (nodes, q, fid, (ops, a, c, x), qops, sops) =
+    Printf.sprintf
+      "%d nodes, Q%d, F%d: combined %d ops, %d answers, %d candidates, %d \
+       contexts; qual %d ops; sel %d ops"
+      nodes q fid ops a c x qops sops
+  in
+  Alcotest.(check (list string))
+    "kernel counts" (List.map row golden_kernel_counts)
+    (List.rev_map row !seen)
+
+let test_golden_words () =
+  let words = Hashtbl.create 8 in
+  over_golden_cases (fun (nodes, q, _) plan fl ~init ~is_root ->
+      let run () = Flat_pass.combined_run plan fl ~init ~is_root in
+      ignore (Sys.opaque_identity (run ()));
+      let before = Gc.minor_words () in
+      let oc = run () in
+      let after = Gc.minor_words () in
+      ignore (Sys.opaque_identity oc);
+      let w = Option.value (Hashtbl.find_opt words (nodes, q)) ~default:0. in
+      Hashtbl.replace words (nodes, q) (w +. (after -. before)));
+  List.iter
+    (fun ((nodes, q), limit) ->
+      let w = int_of_float (Hashtbl.find words (nodes, q)) in
+      if w > limit then
+        Alcotest.failf
+          "%d nodes, Q%d: combined pass allocated %d minor words, over %d"
+          nodes q w limit)
+    golden_combined_words
 
 (* The flat qualifier and selection passes against their pointer
    references, per fragment and per entry (test/test_passes.ml's
@@ -518,6 +733,9 @@ let () =
           QCheck_alcotest.to_alcotest
             (QCheck.Test.make ~name:"tag_mask = subtree tag OR, decoded"
                ~count:(count 200) arbitrary_wide_store prop_mask);
+          qtest "levels = 1 + deepest slot, decoded" ~count:200 prop_levels;
+          Alcotest.test_case "decode rejects a mis-linked tree" `Quick
+            test_decode_checks_tree;
         ] );
       (* Alcotest pads every row to the longest group name and cuts
          test names to fit the terminal: group names stay at four
@@ -538,5 +756,9 @@ let () =
             test_xmark_q1_skips;
           Alcotest.test_case "XMark Q2-Q4 walk under 10%, 25%, 25%" `Quick
             test_xmark_q2_q4_skip;
+          Alcotest.test_case "XMark golden kernel counts" `Quick
+            test_golden_counts;
+          Alcotest.test_case "XMark combined pass allocates no more" `Quick
+            test_golden_words;
         ] );
     ]

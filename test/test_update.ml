@@ -231,15 +231,17 @@ let images_agree ft site =
       Flat.of_tree ~intern:(Fragment.intern ft) (Fragment.fragment ft fid).Fragment.root
     in
     if Flat.encode fl <> Flat.encode ref_ then ok := false
-    else
+    else begin
+      let c = Flat.columns fl and r = Flat.columns ref_ in
       for i = 0 to Flat.length fl - 1 do
         if
-          Flat.on_spine fl i <> Flat.on_spine ref_ i
-          || Flat.tag_mask fl i <> Flat.tag_mask ref_ i
+          c.Flat.spine.(i) <> r.Flat.spine.(i)
+          || c.Flat.mask.(i) <> r.Flat.mask.(i)
           || Flat.num fl i <> Flat.num ref_ i
           || Flat.find_index fl (Flat.node_id fl i) <> Some i
         then ok := false
-      done;
+      done
+    end;
     let sfl = site.(fid) in
     let expect = Flat.decode ~intern:(Flat.intern sfl) (Flat.encode fl) in
     if Option.map Flat.encode expect <> Some (Flat.encode sfl) then ok := false
