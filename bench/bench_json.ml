@@ -1,45 +1,12 @@
-(* A deliberately small JSON library for the bench harness: enough to
-   emit BENCH_PR2-style result files and to parse them back for schema
-   validation in the @bench-smoke alias.  No external dependencies (the
-   tree stays in stdlib-land), no streaming, no unicode escapes beyond
-   pass-through — bench files are ASCII and machine-written. *)
+(* The bench harness's JSON: [Pax_obs.Json]'s values, strict parser
+   and accessors, plus the printer result files are written with and
+   [write]. *)
 
-type t =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | List of t list
-  | Obj of (string * t) list
-
-let int n = Num (float_of_int n)
-
-(* ---------------- printing ---------------------------------------- *)
-
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let num_repr f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.6g" f
+include Pax_obs.Json
 
 (* Two-space indented, keys in insertion order: stable diffs when the
    file is committed. *)
-let to_string (v : t) : string =
+let to_string_indented (v : t) : string =
   let b = Buffer.create 1024 in
   let pad n = Buffer.add_string b (String.make n ' ') in
   let rec go ind = function
@@ -82,166 +49,11 @@ let to_string (v : t) : string =
   Buffer.add_char b '\n';
   Buffer.contents b
 
-(* ---------------- parsing ----------------------------------------- *)
-
-exception Parse_error of string
-
-let parse (s : string) : t =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (Printf.sprintf "at %d: %s" !pos msg)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %c" c)
-  in
-  let literal word v =
-    if !pos + String.length word <= n && String.sub s !pos (String.length word) = word
-    then begin
-      pos := !pos + String.length word;
-      v
-    end
-    else fail ("expected " ^ word)
-  in
-  let string_lit () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-          advance ();
-          match peek () with
-          | Some '"' -> Buffer.add_char b '"'; advance (); go ()
-          | Some '\\' -> Buffer.add_char b '\\'; advance (); go ()
-          | Some '/' -> Buffer.add_char b '/'; advance (); go ()
-          | Some 'n' -> Buffer.add_char b '\n'; advance (); go ()
-          | Some 't' -> Buffer.add_char b '\t'; advance (); go ()
-          | Some 'r' -> Buffer.add_char b '\r'; advance (); go ()
-          | Some 'u' ->
-              advance ();
-              if !pos + 4 > n then fail "bad \\u escape";
-              let hex = String.sub s !pos 4 in
-              pos := !pos + 4;
-              (match int_of_string_opt ("0x" ^ hex) with
-              | Some code when code < 128 -> Buffer.add_char b (Char.chr code)
-              | Some _ -> Buffer.add_char b '?'
-              | None -> fail "bad \\u escape");
-              go ()
-          | _ -> fail "bad escape")
-      | Some c ->
-          Buffer.add_char b c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let number () =
-    let start = !pos in
-    let is_num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c -> is_num_char c | None -> false) do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> Num f
-    | None -> fail "bad number"
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '"' -> Str (string_lit ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          List []
-        end
-        else begin
-          let rec items acc =
-            let v = value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                items (v :: acc)
-            | Some ']' ->
-                advance ();
-                List.rev (v :: acc)
-            | _ -> fail "expected , or ]"
-          in
-          List (items [])
-        end
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else begin
-          let member () =
-            skip_ws ();
-            let k = string_lit () in
-            skip_ws ();
-            expect ':';
-            let v = value () in
-            (k, v)
-          in
-          let rec members acc =
-            let kv = member () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members (kv :: acc)
-            | Some '}' ->
-                advance ();
-                List.rev (kv :: acc)
-            | _ -> fail "expected , or }"
-          in
-          Obj (members [])
-        end
-    | Some _ -> number ()
-  in
-  let v = value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
 let parse_file path =
   let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
+  let s = really_input_string ic (in_channel_length ic) in
   close_in ic;
-  parse s
-
-(* ---------------- accessors (for validation) ----------------------- *)
-
-let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
-
-let as_list = function List xs -> Some xs | _ -> None
-let as_num = function Num f -> Some f | _ -> None
-let as_str = function Str s -> Some s | _ -> None
-let as_bool = function Bool b -> Some b | _ -> None
+  parse_exn s
 
 (* ---------------- writing a result -------------------------------- *)
 
@@ -260,7 +72,7 @@ let write name v =
         Filename.concat results_dir name
   in
   let oc = open_out path in
-  output_string oc (to_string v);
+  output_string oc (to_string_indented v);
   output_char oc '\n';
   close_out oc;
   path

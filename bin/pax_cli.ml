@@ -467,7 +467,7 @@ let query_cmd =
     Arg.(required & pos 1 (some string) None & info [] ~docv:"QUERY")
   in
   let algo =
-    Arg.(value & opt algo_conv Pax2 & info [ "algo" ] ~doc:"pax2, pax3, naive or centralized.")
+    Arg.(value & opt algo_conv Pax2 & info [ "algo" ] ~doc:"pax2, pax3, naive, centralized or stream.")
   in
   let annotations =
     Arg.(value & flag & info [ "annotations"; "xa" ] ~doc:"Use XPath-annotations.")

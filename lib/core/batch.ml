@@ -12,7 +12,9 @@ type t = {
 let run ?annotations (cl : Cluster.t) (queries : Query.t list) : t =
   Cluster.reset ~handler:(Site.handler (Site.batch cl queries)) cl;
   let fids = Fragment.top_down (Cluster.ftree cl) in
-  let runs = List.map (Pax2.prepare ?annotations cl) queries in
+  let runs =
+    List.map (Stages.prepare ?annotations Stages.Two_stage cl) queries
+  in
   (* Each round visits a site once, for every query: one [Calls] call
      carries a PaX2 stage call per query, and the site answers each
      against that query's state. *)
@@ -37,15 +39,16 @@ let run ?annotations (cl : Cluster.t) (queries : Query.t list) : t =
       }
   in
   ignore
-    (shared_round ~label:"stage1" ~needed:Pax2.relevant (fun r -> Pax2.stage1 r));
+    (shared_round ~label:"stage1" ~needed:Stages.selects (fun r ->
+         Stages.select r));
   Cluster.coord cl ~label:"evalFT" (fun () ->
       List.iter
         (fun r ->
-          Pax2.unify_quals r;
-          Pax2.unify_contexts r)
+          Stages.unify_quals r;
+          Stages.unify_contexts r)
         runs);
   let late =
-    shared_round ~label:"stage2" ~needed:Pax2.has_candidates Pax2.stage2
+    shared_round ~label:"stage2" ~needed:Stages.has_candidates Stages.resolve
   in
   let results =
     List.mapi
@@ -56,7 +59,7 @@ let run ?annotations (cl : Cluster.t) (queries : Query.t list) : t =
         let all =
           List.sort_uniq
             (fun (a : Tree.node) (b : Tree.node) -> compare a.Tree.id b.Tree.id)
-            (Pax2.certain_answers r @ List.concat_map snd late)
+            (Stages.certain_answers r @ List.concat_map snd late)
         in
         (q, all))
       (List.combine queries runs)

@@ -6,7 +6,7 @@
     every site is still visited at most twice {e in total}, and the
     communication stays [O(Σ|Qᵢ| |FT| + Σ|ansᵢ|)].
 
-    Each query runs PaX2's own stages ({!Pax2.stages}), with its own
+    Each query runs PaX2's own stages ({!Stages}, [Two_stage]), with its own
     site states, in process; a batch of one charges exactly what a
     PaX2 run charges. *)
 

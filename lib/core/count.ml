@@ -1,4 +1,3 @@
-module Fragment = Pax_frag.Fragment
 module Cluster = Pax_dist.Cluster
 module Wire = Pax_wire.Wire
 
@@ -18,25 +17,18 @@ let counted (rm : 'a Cluster.remote) : (int * 'a) Cluster.remote =
 
 let run ?annotations (cl : Cluster.t) q : int * Cluster.report =
   Cluster.reset ~handler:(Site.handler (Site.states cl q)) cl;
-  let r = Pax2.prepare ?annotations cl q in
-  let fids = Fragment.top_down (Cluster.ftree cl) in
+  let r = Stages.prepare ?annotations Stages.Two_stage cl q in
   let total results =
     List.fold_left (fun acc (_, (n, _)) -> acc + n) 0 results
   in
-  let stage1_sites =
-    Cluster.sites_holding cl (List.filter (Pax2.relevant r) fids)
-  in
   let certain =
-    Cluster.run_round cl ~label:"stage1" ~sites:stage1_sites
-      (counted (Pax2.stage1 r))
+    Stages.round r ~label:"stage1" ~needed:(Stages.selects r)
+      (counted (Stages.select r))
   in
-  Cluster.coord cl ~label:"evalFT:quals" (fun () -> Pax2.unify_quals r);
-  Cluster.coord cl ~label:"evalFT:contexts" (fun () -> Pax2.unify_contexts r);
-  let stage2_sites =
-    Cluster.sites_holding cl (List.filter (Pax2.has_candidates r) fids)
-  in
+  Cluster.coord cl ~label:"evalFT:quals" (fun () -> Stages.unify_quals r);
+  Cluster.coord cl ~label:"evalFT:contexts" (fun () -> Stages.unify_contexts r);
   let late =
-    Cluster.run_round cl ~label:"stage2" ~sites:stage2_sites
-      (counted (Pax2.stage2 r))
+    Stages.round r ~label:"stage2" ~needed:(Stages.has_candidates r)
+      (counted (Stages.resolve r))
   in
   (total certain + total late, Cluster.report cl)

@@ -6,7 +6,7 @@
     total communication is [O(|Q| |FT|)] — independent of both the tree
     {e and} the answer size.
 
-    It runs PaX2's own stages ({!Pax2.stages}), each call wrapped in
+    It runs PaX2's own stages ({!Stages}, [Two_stage]), each call wrapped in
     {!Pax_wire.Wire.Count}: a site answers with its answer lists
     emptied and their lengths beside them.  Visits and ops equal a PaX2
     run's; only the answers' elements stay home. *)

@@ -25,12 +25,11 @@
     context is fully ground produce no candidates, removing their
     Stage 3 visit. *)
 
-(** Each stage is described once, as a {!Pax_dist.Cluster.remote}: the
-    wire call a site gets and how its reply fills the coordinator's
-    views.  With a socket transport the call travels to a site server;
-    without one, the in-process transport hands it to the same site
-    handler ({!Site.handler}: {!Flat_pass.qual_run} in stage 1,
-    {!Flat_pass.qual_resolve} and {!Flat_pass.sel_run} in stage 2,
-    candidate resolution in stage 3). *)
+(** [run] is its rounds in order, each a stage of {!Stages}: a
+    ["stage1"] round of {!Stages.qualify} ({!Flat_pass.qual_run} at the
+    site) and {!Stages.unify_quals}, both skipped without qualifiers; a
+    ["stage2"] round of {!Stages.select} ({!Flat_pass.qual_resolve} and
+    {!Flat_pass.sel_run}) and {!Stages.unify_contexts}; and a
+    ["stage3"] round of {!Stages.resolve} (candidate resolution). *)
 val run :
   ?annotations:bool -> Pax_dist.Cluster.t -> Pax_xpath.Query.t -> Run_result.t

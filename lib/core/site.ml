@@ -8,6 +8,13 @@ module Var = Pax_bool.Var
 module Fragment = Pax_frag.Fragment
 module Cluster = Pax_dist.Cluster
 
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+  let hash (a : int) = a land max_int
+end)
+
 type t = {
   intern : Pax_xml.Intern.t;
   image : int -> Flat.t;
@@ -17,9 +24,9 @@ type t = {
   (* Candidates a fragment keeps for the run's final stage (PaX2 stage
      2, PaX3 stage 3), with the image whose slots they name: an install
      between stages swaps the held image, not this one. *)
-  cands : (int, Flat.t * (int * Formula.t) list) Hashtbl.t;
-  quals : (int, Flat_pass.qual) Hashtbl.t;
-  replies : (int, Wire.reply) Hashtbl.t;  (* round -> reply *)
+  cands : (Flat.t * (int * Formula.t) list) Int_tbl.t;
+  quals : Flat_pass.qual Int_tbl.t;
+  replies : Wire.reply Int_tbl.t;  (* round -> reply *)
   (* Per-query states for [Calls] (Batch): element [i] of a call list
      runs against [subs.(i)], created on first use. *)
   mutable subs : t array;
@@ -33,9 +40,9 @@ let create ?query intern ~image =
       Option.map
         (fun ((q : Query.t), plan) -> (q.Query.source, q.Query.compiled, plan))
         query;
-    cands = Hashtbl.create 8;
-    quals = Hashtbl.create 8;
-    replies = Hashtbl.create 4;
+    cands = Int_tbl.create 8;
+    quals = Int_tbl.create 8;
+    replies = Int_tbl.create 4;
     subs = [||];
   }
 
@@ -58,11 +65,12 @@ let query_of t source =
       t.query <- Some (source, compiled, plan);
       (compiled, plan)
 
-let init_of compiled ~fid ~is_root = function
+let init_of compiled (fe : Wire.frag_eval) =
+  match fe.Wire.fe_init with
   | Some vec -> vec
   | None ->
-      if is_root then Sel_pass.blank_init compiled
-      else Sel_pass.symbolic_init compiled ~fid
+      if fe.Wire.fe_is_root then Sel_pass.blank_init compiled
+      else Sel_pass.symbolic_init compiled ~fid:fe.Wire.fe_fid
 
 (* A candidate formula of fragment [fid] only mentions
    [Sel_ctx (fid, _)] and [Qual (sub, _)] for direct sub-fragments, so
@@ -70,8 +78,14 @@ let init_of compiled ~fid ~is_root = function
    source.  A sub-fragment pruned by the annotations ships an empty
    vector and reads as false, as in [Eval_ft.qual_lookup]. *)
 let lookup_of ~ctxs ~quals =
+  let table pairs =
+    let tbl = Int_tbl.create 8 in
+    List.iter (fun (fid, bits) -> Int_tbl.replace tbl fid bits) pairs;
+    tbl
+  in
+  let ctxs = table ctxs and quals = table quals in
   let read tbl f i =
-    Option.map (fun bits -> Formula.bool (Bits.get bits i)) (Hashtbl.find_opt tbl f)
+    Option.map (fun bits -> Formula.bool (Bits.get bits i)) (Int_tbl.find_opt tbl f)
   in
   function
   | Var.Sel_ctx (f, i) -> read ctxs f i
@@ -85,7 +99,7 @@ let final_answers t fids lookup ~stage =
   let answers =
     List.concat_map
       (fun fid ->
-        match Hashtbl.find_opt t.cands fid with
+        match Int_tbl.find_opt t.cands fid with
         | Some (fl, cands) ->
             let slots, n = Flat_pass.resolve_candidates cands lookup in
             ops := !ops + n;
@@ -118,6 +132,20 @@ let counted reply =
   in
   Wire.Counted { reply; counts = List.rev !counts }
 
+(* A selection pass's result for one fragment, run on image [fl]: the
+   candidates stay here for the final stage; only their number
+   travels. *)
+let selected t fid fl ~vec ~answers ~candidates ~contexts ~ops =
+  Int_tbl.replace t.cands fid (fl, candidates);
+  {
+    Wire.fr_fid = fid;
+    fr_vec = vec;
+    fr_ctxs = contexts;
+    fr_answers = Wire.answers_of_slots fl answers;
+    fr_cands = List.length candidates;
+    fr_ops = ops;
+  }
+
 let rec handle t call =
   match call with
   | Wire.Pax2_stage1 { query; frags } ->
@@ -126,33 +154,27 @@ let rec handle t call =
         (List.map
            (fun (fe : Wire.frag_eval) ->
              let fid = fe.Wire.fe_fid in
-             let is_root = fe.Wire.fe_is_root in
-             let init = init_of compiled ~fid ~is_root fe.Wire.fe_init in
              let fl = t.image fid in
-             let oc = Flat_pass.combined_run plan fl ~init ~is_root in
-             Hashtbl.replace t.cands fid (fl, oc.Flat_pass.candidates);
-             {
-               Wire.fr_fid = fid;
-               fr_vec =
+             let oc =
+               Flat_pass.combined_run plan fl ~init:(init_of compiled fe)
+                 ~is_root:fe.Wire.fe_is_root
+             in
+             selected t fid fl
+               ~vec:
                  (if compiled.Compile.n_qual > 0 then
                     Some oc.Flat_pass.root_qvec
-                  else None);
-               fr_ctxs = oc.Flat_pass.contexts;
-               fr_answers = Wire.answers_of_slots fl oc.Flat_pass.answers;
-               fr_cands = List.length oc.Flat_pass.candidates;
-               fr_ops = oc.Flat_pass.ops;
-             })
+                  else None)
+               ~answers:oc.Flat_pass.answers
+               ~candidates:oc.Flat_pass.candidates
+               ~contexts:oc.Flat_pass.contexts ~ops:oc.Flat_pass.ops)
            frags)
   | Wire.Pax2_stage2 { frags } ->
-      let ctxs = Hashtbl.create 8 and quals = Hashtbl.create 8 in
-      List.iter
-        (fun (fid, ctx, subs) ->
-          Hashtbl.replace ctxs fid ctx;
-          List.iter (fun (sub, vec) -> Hashtbl.replace quals sub vec) subs)
-        frags;
       final_answers t
         (List.map (fun (fid, _, _) -> fid) frags)
-        (lookup_of ~ctxs ~quals) ~stage:"stage-1"
+        (lookup_of
+           ~ctxs:(List.map (fun (fid, ctx, _) -> (fid, ctx)) frags)
+           ~quals:(List.concat_map (fun (_, _, subs) -> subs) frags))
+        ~stage:"stage-1"
   | Wire.Pax3_stage1 { query; fids } ->
       let _, plan = query_of t query in
       Wire.Frag_results
@@ -161,7 +183,7 @@ let rec handle t call =
              let fq =
                Flat_pass.qual_run plan (t.image fid) ~is_root:(fid = 0)
              in
-             Hashtbl.replace t.quals fid fq;
+             Int_tbl.replace t.quals fid fq;
              {
                Wire.fr_fid = fid;
                fr_vec = Some fq.Flat_pass.q_root_vec;
@@ -177,36 +199,28 @@ let rec handle t call =
         (List.map
            (fun ((fe : Wire.frag_eval), subs) ->
              let fid = fe.Wire.fe_fid in
-             let is_root = fe.Wire.fe_is_root in
-             let quals = Hashtbl.create 4 in
-             List.iter (fun (sub, vec) -> Hashtbl.replace quals sub vec) subs;
-             let lookup = lookup_of ~ctxs:(Hashtbl.create 1) ~quals in
-             let init = init_of compiled ~fid ~is_root fe.Wire.fe_init in
-             let fq = Hashtbl.find_opt t.quals fid in
+             let fq = Int_tbl.find_opt t.quals fid in
              (* The image stage 1 ran on: its slots index the resolved
                 qualifier vectors. *)
              let fl, resolve_ops =
                match fq with
                | Some fq ->
+                   let lookup = lookup_of ~ctxs:[] ~quals:subs in
                    (fq.Flat_pass.q_flat, Flat_pass.qual_resolve fq lookup)
                | None -> (t.image fid, 0)
              in
-             let oc = Flat_pass.sel_run plan fl ~init ~is_root ~qual:fq in
-             Hashtbl.replace t.cands fid (fl, oc.Flat_pass.candidates);
-             {
-               Wire.fr_fid = fid;
-               fr_vec = None;
-               fr_ctxs = oc.Flat_pass.contexts;
-               fr_answers = Wire.answers_of_slots fl oc.Flat_pass.answers;
-               fr_cands = List.length oc.Flat_pass.candidates;
-               fr_ops = resolve_ops + oc.Flat_pass.ops;
-             })
+             let oc =
+               Flat_pass.sel_run plan fl ~init:(init_of compiled fe)
+                 ~is_root:fe.Wire.fe_is_root ~qual:fq
+             in
+             selected t fid fl ~vec:None ~answers:oc.Flat_pass.answers
+               ~candidates:oc.Flat_pass.candidates
+               ~contexts:oc.Flat_pass.contexts
+               ~ops:(resolve_ops + oc.Flat_pass.ops))
            frags)
   | Wire.Pax3_stage3 { frags } ->
-      let ctxs = Hashtbl.create 8 in
-      List.iter (fun (fid, ctx) -> Hashtbl.replace ctxs fid ctx) frags;
       final_answers t (List.map fst frags)
-        (lookup_of ~ctxs ~quals:(Hashtbl.create 1))
+        (lookup_of ~ctxs:frags ~quals:[])
         ~stage:"stage-2"
   | Wire.Calls calls ->
       Wire.Replies
@@ -225,8 +239,8 @@ let rec handle t call =
   | Wire.Reach_stage1 _ ->
       invalid_arg "Site.handle: reachability calls run on graph fragments"
 
-let replay t ~round = Hashtbl.find_opt t.replies round
-let record t ~round reply = Hashtbl.replace t.replies round reply
+let replay t ~round = Int_tbl.find_opt t.replies round
+let record t ~round reply = Int_tbl.replace t.replies round reply
 
 let visit t ~round call =
   match replay t ~round with

@@ -18,6 +18,10 @@
 
 module Wire = Pax_wire.Wire
 
+(** Tables keyed by an int (a fragment or round id), hashed and
+    compared as ints. *)
+module Int_tbl : Hashtbl.S with type key = int
+
 (** One run's state at one site: the run's query and plan, the
     candidates each fragment keeps for the final stage (with the image
     their slots index), PaX3's qualifier states, and the reply memo. *)

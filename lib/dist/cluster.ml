@@ -162,7 +162,7 @@ let sites_holding t fids =
           ~labels:[ ("fid", string_of_int fid) ]
           "pax_site_fragment_visits_total")
     fids;
-  List.sort_uniq compare (List.map (fun fid -> t.frag_site.(fid)) fids)
+  List.sort_uniq Int.compare (List.map (fun fid -> t.frag_site.(fid)) fids)
 
 let frag_touches t = Array.copy t.frag_touches
 let epoch t = t.epoch

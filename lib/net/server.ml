@@ -1,6 +1,13 @@
 module Wire = Pax_wire.Wire
 module Flat = Pax_xml.Flat
 module Site = Pax_core.Site
+module Int_tbl = Site.Int_tbl
+
+(* One fid-keyed table per fragment kind. *)
+type 'a per_kind = { tree : 'a Int_tbl.t; graph : 'a Int_tbl.t }
+
+let per_kind () = { tree = Int_tbl.create 8; graph = Int_tbl.create 8 }
+let of_kind p = function Wire.Tree_frag -> p.tree | Wire.Graph_frag -> p.graph
 
 (* Per-run visit state: the site handler's state for the run (stage-1
    results for the later stages, and the reply memo that answers a
@@ -20,25 +27,25 @@ type t = {
      A site holds columns only: answers ship straight from an image's
      slots ([Wire.answer_of_slot]). *)
   intern : Pax_xml.Intern.t;
-  flat_imgs : (int, Flat.t) Hashtbl.t;
+  flat_imgs : Flat.t Int_tbl.t;
   (* The version of each held tree image ({!Wire.version}): (0, 0) for
      the images built here at creation, the pushed version after a
      [Frag_update], none after a [Frag_install].  A pushed edit applies
      only to the version it names (docs/SERVING.md). *)
-  versions : (int, Wire.version) Hashtbl.t;
+  versions : Wire.version Int_tbl.t;
   (* Graph fragments for the reachability engine (docs/ENGINES.md).  A
      site may hold tree fragments, graph fragments or both — the
      mixed-workload serving tests run XPath and reachability through
      the same servers. *)
-  gfrags : (int, Pax_graph.Gfrag.fragment) Hashtbl.t;
+  gfrags : Pax_graph.Gfrag.fragment Int_tbl.t;
   (* Elastic sharding (docs/SHARDING.md): a migrated-away fragment is
-     fenced, not deleted — [(kind, fid) → epoch] records the placement
+     fenced, not deleted — [fid → epoch], per kind, records the placement
      epoch at which it was retired.  Visits stamped with that epoch or
      later are refused with the typed stale-epoch error; older
      in-flight runs keep being served from the retained data, which is
      immutable, so the migration window is drain-free.  [Frag_install]
      clears the fence. *)
-  retired : (Wire.frag_kind * int, int) Hashtbl.t;
+  retired : int per_kind;
   (* Many runs interleave on one multiplexed connection, so state is a
      table keyed by run id, not a single slot.  Its size is bounded two
      ways: the coordinator announces finished runs ([Run_done] →
@@ -49,7 +56,7 @@ type t = {
      evicted state fail as typed [Error] replies and the client run
      fails over its retry budget) but [max_runs] should comfortably
      exceed the coordinator's max in-flight runs. *)
-  states : (int, run_state) Hashtbl.t;
+  states : run_state Int_tbl.t;
   max_runs : int;
   (* Simulated per-visit service latency.  Loopback sockets have no
      network delay, so a bench or test that wants the paper's setting —
@@ -75,13 +82,13 @@ type t = {
      the tables below; the [service_delay] sleep and all socket IO
      happen outside it. *)
   lock : Mutex.t;
-  conns : (int, conn_entry) Hashtbl.t;
+  conns : conn_entry Int_tbl.t;
   mutable conn_seq : int;
   (* Fragment generation counters, max-merged from [Gen_publish]
      frames and fanned back out as [Gen_event] — the relay that makes
      one coordinator's update invalidate every coordinator's stage
      cache (docs/SERVING.md). *)
-  gens : (Wire.frag_kind * int, int) Hashtbl.t;
+  gens : int per_kind;
   mutable stopping : bool;
 }
 
@@ -92,30 +99,30 @@ let create ?(max_runs = default_max_runs) ?(service_delay = 0.) ?(gfrags = [])
   if max_runs < 1 then invalid_arg "Server.create: need max_runs >= 1";
   if service_delay < 0. then
     invalid_arg "Server.create: negative service_delay";
-  let gtbl = Hashtbl.create 8 in
-  List.iter (fun (fid, frag) -> Hashtbl.replace gtbl fid frag) gfrags;
+  let gtbl = Int_tbl.create 8 in
+  List.iter (fun (fid, frag) -> Int_tbl.replace gtbl fid frag) gfrags;
   let intern = Pax_xml.Intern.create () in
-  let flat_imgs = Hashtbl.create 8 and versions = Hashtbl.create 8 in
+  let flat_imgs = Int_tbl.create 8 and versions = Int_tbl.create 8 in
   List.iter
     (fun (fid, root) ->
-      Hashtbl.replace flat_imgs fid (Flat.of_tree ~intern root);
-      Hashtbl.replace versions fid (0, 0))
+      Int_tbl.replace flat_imgs fid (Flat.of_tree ~intern root);
+      Int_tbl.replace versions fid (0, 0))
     frags;
   {
     intern;
     flat_imgs;
     versions;
     gfrags = gtbl;
-    retired = Hashtbl.create 8;
-    states = Hashtbl.create 16;
+    retired = per_kind ();
+    states = Int_tbl.create 16;
     max_runs;
     service_delay;
     clock = 0;
     obs = Pax_obs.Sink.create ();
     lock = Mutex.create ();
-    conns = Hashtbl.create 8;
+    conns = Int_tbl.create 8;
     conn_seq = 0;
-    gens = Hashtbl.create 16;
+    gens = per_kind ();
     stopping = false;
   }
 
@@ -123,12 +130,12 @@ let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let n_run_states t = Hashtbl.length t.states
-let evict_run t run = Hashtbl.remove t.states run
+let n_run_states t = Int_tbl.length t.states
+let evict_run t run = Int_tbl.remove t.states run
 
 let evict_lru t =
   let victim = ref None in
-  Hashtbl.iter
+  Int_tbl.iter
     (fun run st ->
       match !victim with
       | Some (_, touch) when touch <= st.rs_touch -> ()
@@ -141,12 +148,12 @@ let evict_lru t =
   | None -> ()
 
 let frag_flat t fid =
-  match Hashtbl.find_opt t.flat_imgs fid with
+  match Int_tbl.find_opt t.flat_imgs fid with
   | Some fl -> fl
   | None -> failwith (Printf.sprintf "site server holds no fragment %d" fid)
 
 let gfrag_of t fid =
-  match Hashtbl.find_opt t.gfrags fid with
+  match Int_tbl.find_opt t.gfrags fid with
   | Some frag -> frag
   | None ->
       failwith (Printf.sprintf "site server holds no graph fragment %d" fid)
@@ -154,14 +161,14 @@ let gfrag_of t fid =
 let state_for t run =
   t.clock <- t.clock + 1;
   let st =
-    match Hashtbl.find_opt t.states run with
+    match Int_tbl.find_opt t.states run with
     | Some st -> st
     | None ->
-        if Hashtbl.length t.states >= t.max_runs then evict_lru t;
+        if Int_tbl.length t.states >= t.max_runs then evict_lru t;
         let st =
           { rs_site = Site.create t.intern ~image:(frag_flat t); rs_touch = 0 }
         in
-        Hashtbl.replace t.states run st;
+        Int_tbl.replace t.states run st;
         st
   in
   st.rs_touch <- t.clock;
@@ -191,8 +198,8 @@ let rec call_frags = function
 
 let stale_frag t ~epoch call =
   List.find_map
-    (fun ((_, fid) as key) ->
-      match Hashtbl.find_opt t.retired key with
+    (fun (kind, fid) ->
+      match Int_tbl.find_opt (of_kind t.retired kind) fid with
       | Some retired when epoch >= retired -> Some (fid, retired)
       | _ -> None)
     (call_frags call)
@@ -248,12 +255,12 @@ let handle_request t ~run ~round ~epoch ?parent call =
 let fetch_image t ~fid ~kind =
   match kind with
   | Wire.Tree_frag -> (
-      match Hashtbl.find_opt t.flat_imgs fid with
+      match Int_tbl.find_opt t.flat_imgs fid with
       | None -> Error (Printf.sprintf "site server holds no fragment %d" fid)
       | Some fl ->
           Ok { Wire.fi_kind = kind; fi_bytes = Flat.encode fl })
   | Wire.Graph_frag -> (
-      match Hashtbl.find_opt t.gfrags fid with
+      match Int_tbl.find_opt t.gfrags fid with
       | None ->
           Error (Printf.sprintf "site server holds no graph fragment %d" fid)
       | Some frag ->
@@ -270,16 +277,16 @@ let install_image t ~fid ~epoch (image : Wire.frag_image) =
       match Flat.decode ~intern:t.intern image.Wire.fi_bytes with
       | None -> Error (Printf.sprintf "corrupt flat image for fragment %d" fid)
       | Some fl ->
-          Hashtbl.replace t.flat_imgs fid fl;
-          Hashtbl.remove t.versions fid;
-          Hashtbl.remove t.retired (Wire.Tree_frag, fid);
+          Int_tbl.replace t.flat_imgs fid fl;
+          Int_tbl.remove t.versions fid;
+          Int_tbl.remove t.retired.tree fid;
           Ok (Printf.sprintf "installed fragment %d at epoch %d" fid epoch))
   | Wire.Graph_frag -> (
       match Pax_graph.Gfrag.decode image.Wire.fi_bytes with
       | None -> Error (Printf.sprintf "corrupt graph image for fragment %d" fid)
       | Some frag ->
-          Hashtbl.replace t.gfrags fid frag;
-          Hashtbl.remove t.retired (Wire.Graph_frag, fid);
+          Int_tbl.replace t.gfrags fid frag;
+          Int_tbl.remove t.retired.graph fid;
           Ok
             (Printf.sprintf "installed graph fragment %d at epoch %d" fid epoch))
 
@@ -297,9 +304,9 @@ let update_frag t ~fid ~epoch ~version change =
   in
   let swap form fl =
     count form;
-    Hashtbl.replace t.flat_imgs fid fl;
-    Hashtbl.replace t.versions fid version;
-    Hashtbl.remove t.retired (Wire.Tree_frag, fid);
+    Int_tbl.replace t.flat_imgs fid fl;
+    Int_tbl.replace t.versions fid version;
+    Int_tbl.remove t.retired.tree fid;
     Ok
       (Printf.sprintf "%s fragment %d at version (%d, %d), epoch %d" form fid
          (fst version) (snd version) epoch)
@@ -310,9 +317,9 @@ let update_frag t ~fid ~epoch ~version change =
       | Some fl -> swap "image" fl
       | None -> Error (Printf.sprintf "corrupt flat image for fragment %d" fid))
   | Wire.Edit { base; edit } -> (
-      let held = Hashtbl.find_opt t.versions fid in
+      let held = Int_tbl.find_opt t.versions fid in
       let patched =
-        match (held, Hashtbl.find_opt t.flat_imgs fid) with
+        match (held, Int_tbl.find_opt t.flat_imgs fid) with
         | Some v, Some fl when v = base -> Flat.edit fl edit
         | _ -> None
       in
@@ -323,10 +330,10 @@ let update_frag t ~fid ~epoch ~version change =
           Error (Wire.stale_base_error ~fid ~held ~base))
 
 let retire_frag t ~fid ~epoch ~kind =
-  let key = (kind, fid) in
-  (match Hashtbl.find_opt t.retired key with
+  let fences = of_kind t.retired kind in
+  (match Int_tbl.find_opt fences fid with
   | Some e when e > epoch -> ()  (* keep the newer fence *)
-  | _ -> Hashtbl.replace t.retired key epoch);
+  | _ -> Int_tbl.replace fences fid epoch);
   Ok (Printf.sprintf "retired fragment %d at epoch %d" fid epoch)
 
 let count_visit_frame t ~dir ~frame_len =
@@ -352,18 +359,16 @@ let count_admin_frame t ~dir ~frame_len =
 (* Caller holds [t.lock].  Max-merge makes replayed or reordered
    publishes harmless: generations only move forward. *)
 let merge_gen_locked t kind fid gen =
-  let key = (kind, fid) in
-  let cur = Option.value (Hashtbl.find_opt t.gens key) ~default:0 in
+  let gens = of_kind t.gens kind in
+  let cur = Option.value (Int_tbl.find_opt gens fid) ~default:0 in
   if gen > cur then begin
-    Hashtbl.replace t.gens key gen;
+    Int_tbl.replace gens fid gen;
     Pax_obs.Sink.count t.obs "pax_srv_gen_merges_total"
   end
 
 let gens_locked t kind =
-  List.sort compare
-    (Hashtbl.fold
-       (fun (k, fid) gen acc -> if k = kind then (fid, gen) :: acc else acc)
-       t.gens [])
+  Int_tbl.fold (fun fid gen acc -> (fid, gen) :: acc) (of_kind t.gens kind) []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
 let write_conn (c : conn_entry) payload =
   Mutex.lock c.c_wlock;
@@ -377,7 +382,7 @@ let write_conn (c : conn_entry) payload =
 let broadcast_gens t kind gens =
   let out = Wire.encode_payload ~corr:0 (Wire.Gen_event { kind; gens }) in
   let targets =
-    locked t (fun () -> Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [])
+    locked t (fun () -> Int_tbl.fold (fun _ c acc -> c :: acc) t.conns [])
   in
   List.iter
     (fun c ->
@@ -561,7 +566,7 @@ let serve t fd =
   let conn_thread c =
     let outcome = try conn_loop c (Sockio.reader c.c_fd) with _ -> `Eof in
     locked t (fun () ->
-        Hashtbl.remove t.conns c.c_id;
+        Int_tbl.remove t.conns c.c_id;
         if outcome = `Shutdown then t.stopping <- true);
     try Unix.close c.c_fd with _ -> ()
   in
@@ -577,7 +582,7 @@ let serve t fd =
                 let c =
                   { c_id = t.conn_seq; c_fd = conn; c_wlock = Mutex.create () }
                 in
-                Hashtbl.replace t.conns c.c_id c;
+                Int_tbl.replace t.conns c.c_id c;
                 c)
           in
           ignore (Thread.create conn_thread c);

@@ -1,7 +1,7 @@
-(* Minimal JSON for the exporters and their schema checks: emit with
-   stable key order, parse back for tests.  Kept inside pax_obs so the
-   telemetry layer stays zero-dependency (bench/ has its own copy for
-   the same reason; neither is a public JSON library). *)
+(* Minimal JSON for the exporters, the bench harness and their schema
+   checks: emit with stable key order, parse back for tests.  Kept
+   inside pax_obs so the telemetry layer stays zero-dependency; not a
+   public JSON library. *)
 
 type t =
   | Null

@@ -18,6 +18,13 @@ val int : int -> t
 val to_string : t -> string
 (** Compact single-line rendering with keys in the order given. *)
 
+val escape : string -> string
+(** A string's body as {!to_string} writes it, without the quotes. *)
+
+val num_repr : float -> string
+(** A number as {!to_string} writes it: integers without a fraction,
+    anything else to six significant digits. *)
+
 exception Parse_error of string
 
 val parse_exn : string -> t

@@ -222,6 +222,54 @@ let test_golden_traffic () =
         per_kind (logical_per_kind cl))
     golden_traffic
 
+(* Cost next to traffic: for every XPath row above but naive's, the
+   run's round labels, per-site visits, total ops and parallel ops. *)
+let golden_cost =
+  [
+    ("pax2", "//stock/code", [ "stage1"; "stage2" ], [ 1; 1; 2; 2 ], 149, 88);
+    ("pax2-xa", "//stock/code", [ "stage1"; "stage2" ], [ 1; 1; 1; 1 ], 145, 85);
+    ("pax3", "//stock/code", [ "stage2"; "stage3" ], [ 1; 1; 2; 2 ], 204, 99);
+    ("pax3-xa", "//stock/code", [ "stage2"; "stage3" ], [ 1; 1; 1; 1 ], 200, 96);
+    ("pax2", "client[country/text() = \"US\"]//stock/qt", [ "stage1"; "stage2" ], [ 1; 1; 2; 2 ], 327, 208);
+    ("pax2-xa", "client[country/text() = \"US\"]//stock/qt", [ "stage1"; "stage2" ], [ 1; 1; 2; 2 ], 327, 208);
+    ("pax3", "client[country/text() = \"US\"]//stock/qt", [ "stage1"; "stage2"; "stage3" ], [ 2; 2; 3; 3 ], 730, 342);
+    ("pax3-xa", "client[country/text() = \"US\"]//stock/qt", [ "stage1"; "stage2"; "stage3" ], [ 2; 2; 3; 3 ], 730, 342);
+    ("pax2", "//broker[//stock/code/text() = \"GOOG\"]/name", [ "stage1"; "stage2" ], [ 2; 2; 1; 2 ], 914, 437);
+    ("pax2-xa", "//broker[//stock/code/text() = \"GOOG\"]/name", [ "stage1"; "stage2" ], [ 2; 2; 1; 1 ], 913, 437);
+    ("pax3", "//broker[//stock/code/text() = \"GOOG\"]/name", [ "stage1"; "stage2"; "stage3" ], [ 2; 3; 2; 3 ], 1281, 611);
+    ("pax3-xa", "//broker[//stock/code/text() = \"GOOG\"]/name", [ "stage1"; "stage2"; "stage3" ], [ 2; 2; 2; 2 ], 1279, 610);
+    ("pax2", "client/name", [ "stage1"; "stage2" ], [ 1; 1; 1; 1 ], 72, 57);
+    ("pax2-xa", "client/name", [ "stage1"; "stage2" ], [ 1; 0; 0; 0 ], 57, 57);
+    ("pax3", "client/name", [ "stage2"; "stage3" ], [ 1; 1; 1; 1 ], 147, 69);
+    ("pax3-xa", "client/name", [ "stage2"; "stage3" ], [ 1; 0; 0; 0 ], 69, 69);
+    ("pax2", "//*", [ "stage1"; "stage2" ], [ 1; 2; 2; 2 ], 220, 106);
+    ("pax2-xa", "//*", [ "stage1"; "stage2" ], [ 1; 1; 1; 1 ], 194, 90);
+    ("pax3", "//*", [ "stage2"; "stage3" ], [ 1; 2; 2; 2 ], 176, 88);
+    ("pax3-xa", "//*", [ "stage2"; "stage3" ], [ 1; 1; 1; 1 ], 150, 72);
+    ("pax2", "//nothing", [ "stage1"; "stage2" ], [ 1; 1; 1; 1 ], 72, 57);
+    ("pax2-xa", "//nothing", [ "stage1"; "stage2" ], [ 1; 1; 1; 1 ], 72, 57);
+    ("pax3", "//nothing", [ "stage2"; "stage3" ], [ 1; 1; 1; 1 ], 150, 72);
+    ("pax3-xa", "//nothing", [ "stage2"; "stage3" ], [ 1; 1; 1; 1 ], 150, 72);
+    ("parbox", "//stock/code/text() = \"GOOG\"", [ "parbox" ], [ 1; 1; 1; 1 ], 672, 322);
+    ("parbox", "client[country/text() = \"US\"]", [ "parbox" ], [ 1; 1; 1; 1 ], 576, 276);
+    ("parbox", "//nothing", [ "parbox" ], [ 1; 1; 1; 1 ], 384, 184);
+    ("batch", "*", [ "stage1"; "stage2" ], [ 2; 2; 2; 2 ], 1754, 952);
+    ("batch-xa", "*", [ "stage1"; "stage2" ], [ 2; 2; 2; 2 ], 1708, 933);
+  ]
+
+let test_golden_cost () =
+  List.iter
+    (fun (engine, q, rounds, visits, total, parallel) ->
+      let _, r = run_golden engine q in
+      let name what = Printf.sprintf "%s %s: %s" engine q what in
+      Alcotest.(check (list string)) (name "rounds") rounds r.Cluster.rounds;
+      Alcotest.(check (list int))
+        (name "visits per site") visits
+        (Array.to_list r.Cluster.visits);
+      Alcotest.(check int) (name "total ops") total r.Cluster.total_ops;
+      Alcotest.(check int) (name "parallel ops") parallel r.Cluster.parallel_ops)
+    golden_cost
+
 let () =
   Alcotest.run "dist"
     [
@@ -236,5 +284,8 @@ let () =
         ] );
       ("measure", [ Alcotest.test_case "byte estimates" `Quick test_measures ]);
       ( "traffic",
-        [ Alcotest.test_case "golden table" `Quick test_golden_traffic ] );
+        [
+          Alcotest.test_case "golden table" `Quick test_golden_traffic;
+          Alcotest.test_case "golden cost table" `Quick test_golden_cost;
+        ] );
     ]
