@@ -6,8 +6,9 @@
    scaling runs of BENCH_PR2-style files), "throughput" (the serving
    benchmark of bench/throughput.ml), "flat" (the pointer-vs-flat
    stage kernels of bench/flat_main.ml), "skew" (the hot-shard
-   rebalance runs of bench/skew.ml) or "overload" (the deadline/QoS
-   shedding storms of bench/overload.ml).  Exits 0 when every file is
+   rebalance runs of bench/skew.ml), "overload" (the deadline/QoS
+   shedding storms of bench/overload.ml) or "pairs" (the alternating
+   base/head runs of tools/pairs.py).  Exits 0 when every file is
    well-formed and carries the fields later PRs' perf tracking relies
    on; prints what is wrong and exits 1 otherwise.  Used by the
    @bench-smoke and @check dune aliases so a perf-harness regression
@@ -535,6 +536,132 @@ let check_overload (v : J.t) =
     | _ -> ()
   end
 
+(* The alternating-pairs comparison of tools/pairs.py: per workload and
+   metric, both sides' runs with their median and quartiles, the head's
+   wins and a verdict.  The summaries must match the runs they
+   summarize, every run must have been correct, and a committed claim
+   carries the per-operation costs of the process tree beside the
+   end-to-end metrics. *)
+let check_pairs v =
+  List.iter (fun k -> ignore (need_str v "top" k)) [ "label" ];
+  List.iter
+    (fun side ->
+      match J.member side v with
+      | Some o ->
+          ignore (need_str o ("top/" ^ side) "rev");
+          ignore (need_str o ("top/" ^ side) "commit")
+      | None -> err "top: missing %S" side)
+    [ "base"; "head" ];
+  ignore (need_num v "top" "seed");
+  (match need_num v "top" "seconds" with
+  | Some s when s <= 0. -> err "top: non-positive \"seconds\""
+  | _ -> ());
+  let pairs =
+    match need_num v "top" "pairs" with
+    | Some n when n >= 1. && Float.is_integer n -> int_of_float n
+    | Some _ ->
+        err "top: \"pairs\" must be a positive integer";
+        0
+    | None -> 0
+  in
+  (match J.member "host" v with
+  | Some h -> (
+      ignore (need_str h "top/host" "cpu_model");
+      match need_num h "top/host" "cpus" with
+      | Some c when c < 1. -> err "top/host: bad \"cpus\""
+      | _ -> ())
+  | None -> err "top: missing \"host\"");
+  let median l =
+    let a = Array.of_list (List.sort compare l) in
+    let n = Array.length a in
+    if n = 0 then nan
+    else if n mod 2 = 1 then a.(n / 2)
+    else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
+  in
+  let check_side ctx o =
+    let num k = need_num o ctx k in
+    (match (num "q1", num "median", num "q3", num "iqr") with
+    | Some q1, Some m, Some q3, Some iqr ->
+        if not (q1 <= m && m <= q3) then err "%s: quartiles out of order" ctx;
+        if Float.abs (q3 -. q1 -. iqr) > 1e-9 *. Float.max 1. (Float.abs iqr)
+        then err "%s: iqr is not q3 - q1" ctx;
+        (match need_list o ctx "runs" with
+        | Some runs ->
+            let xs = List.filter_map J.as_num runs in
+            if List.length xs <> List.length runs then
+              err "%s: non-number run" ctx;
+            if List.length xs <> pairs then
+              err "%s: %d runs for %d pairs" ctx (List.length xs) pairs;
+            let m' = median xs in
+            if Float.abs (m -. m') > 1e-9 *. Float.max 1. (Float.abs m) then
+              err "%s: median %g is not the runs' median %g" ctx m m'
+        | None -> ())
+    | _ -> ())
+  in
+  match need_list v "top" "workloads" with
+  | Some [] -> err "top: no workloads"
+  | Some wls ->
+      List.iteri
+        (fun i wl ->
+          let ctx =
+            Printf.sprintf "workloads[%d] (%s)" i
+              (Option.value ~default:"?"
+                 (Option.bind (J.member "name" wl) J.as_str))
+          in
+          ignore (need_str wl ctx "name");
+          (match Option.bind (J.member "correct" wl) J.as_bool with
+          | Some true -> ()
+          | Some false -> err "%s: a run was not correct" ctx
+          | None -> err "%s: missing or non-bool \"correct\"" ctx);
+          (match Option.bind (J.member "stall_free" wl) J.as_bool with
+          | Some _ -> ()
+          | None -> err "%s: missing or non-bool \"stall_free\"" ctx);
+          match need_list wl ctx "metrics" with
+          | Some ms ->
+              let names =
+                List.filter_map
+                  (fun m -> Option.bind (J.member "name" m) J.as_str)
+                  ms
+              in
+              List.iter
+                (fun k ->
+                  if not (List.mem k names) then err "%s: no %S metric" ctx k)
+                [ "qps"; "p50_ms"; "p95_ms"; "setup_s"; "rss_mb";
+                  "user_ms_per_op"; "sys_ms_per_op"; "vcsw_per_op" ];
+              List.iter
+                (fun m ->
+                  let mctx =
+                    Printf.sprintf "%s/%s" ctx
+                      (Option.value ~default:"?"
+                         (Option.bind (J.member "name" m) J.as_str))
+                  in
+                  ignore (need_str m mctx "unit");
+                  (match Option.bind (J.member "better" m) J.as_str with
+                  | Some ("higher" | "lower") -> ()
+                  | _ -> err "%s: \"better\" must be higher or lower" mctx);
+                  (match Option.bind (J.member "verdict" m) J.as_str with
+                  | Some ("better" | "worse" | "unchanged" | "unresolved") -> ()
+                  | _ -> err "%s: missing or unknown \"verdict\"" mctx);
+                  (match (need_num m mctx "wins", need_num m mctx "losses") with
+                  | Some w, Some l ->
+                      if
+                        w < 0. || l < 0.
+                        || (not (Float.is_integer w))
+                        || (not (Float.is_integer l))
+                        || w +. l > float_of_int pairs
+                      then err "%s: bad win/loss counts" mctx
+                  | _ -> ());
+                  List.iter
+                    (fun side ->
+                      match J.member side m with
+                      | Some o -> check_side (mctx ^ "/" ^ side) o
+                      | None -> err "%s: missing %S" mctx side)
+                    [ "base"; "head" ])
+                ms
+          | None -> ())
+        wls
+  | None -> ()
+
 let check (v : J.t) =
   match Option.bind (J.member "bench" v) J.as_str with
   | Some "scaling" ->
@@ -552,6 +679,9 @@ let check (v : J.t) =
   | Some "overload" ->
       check_overload v;
       "overload"
+  | Some "pairs" ->
+      check_pairs v;
+      "pairs"
   | Some other ->
       err "top: unknown bench kind %S" other;
       "?"

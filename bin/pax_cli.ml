@@ -585,6 +585,7 @@ let serve_cmd =
       Printf.printf "site S%d: %d fragment(s), listening on %s\n%!" site
         (List.length frags)
         (Pax_net.Sockio.addr_to_string addr);
+      Pax_net.Server.tune_gc ();
       Pax_net.Server.serve (Pax_net.Server.create ~frags ()) fd;
       Unix.close fd
     with

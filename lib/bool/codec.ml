@@ -1,12 +1,18 @@
 exception Decode_error of { pos : int; reason : string }
 
 (* A growing buffer: encoding is one pass, and [size] serves accounting
-   without encoding anything. *)
-type writer = { mutable buf : Bytes.t; mutable pos : int }
+   without encoding anything.  [wc] holds what {!counted} tallies: empty
+   unless the run asked for counts. *)
+type writer = { mutable buf : Bytes.t; mutable pos : int; wc : int array }
 
 (* [lim] is the end of the innermost bounds: the input's end, or the end
    of the u24-length section being read. *)
-type reader = { src : string; mutable at : int; mutable lim : int }
+type reader = {
+  src : string;
+  mutable at : int;
+  mutable lim : int;
+  rc : int array;
+}
 
 type 'a t = {
   size : 'a -> int;
@@ -378,21 +384,65 @@ let sized c =
   }
 
 (* ------------------------------------------------------------------ *)
+(* counting                                                           *)
+(* ------------------------------------------------------------------ *)
+
+let counters = 2
+
+(* Counter [i]'s values go to slot [2i], their bytes to slot [2i + 1];
+   a run that asked for no counts has no slots, and pays one test. *)
+let counted i c =
+  if i < 0 || i >= counters then invalid_arg "Codec.counted: no such counter";
+  let bump counts start stop =
+    if Array.length counts > 0 then begin
+      counts.(2 * i) <- counts.(2 * i) + 1;
+      counts.((2 * i) + 1) <- counts.((2 * i) + 1) + stop - start
+    end
+  in
+  {
+    size = c.size;
+    write =
+      (fun w x ->
+        let start = w.pos in
+        c.write w x;
+        bump w.wc start w.pos);
+    read =
+      (fun r ->
+        let start = r.at in
+        let x = c.read r in
+        bump r.rc start r.at;
+        x);
+  }
+
+(* ------------------------------------------------------------------ *)
 (* running a codec                                                    *)
 (* ------------------------------------------------------------------ *)
 
 let size c x = c.size x
 
-let to_string c x =
-  let w = { buf = Bytes.create 256; pos = 0 } in
+let encode c x wc =
+  let w = { buf = Bytes.create 256; pos = 0; wc } in
   c.write w x;
   Bytes.sub_string w.buf 0 w.pos
 
-let of_string c s =
-  let r = { src = s; at = 0; lim = String.length s } in
+let decode c s rc =
+  let r = { src = s; at = 0; lim = String.length s; rc } in
   let x = c.read r in
   if r.at <> r.lim then fail r "trailing bytes";
   x
+
+let to_string c x = encode c x [||]
+let of_string c s = decode c s [||]
+
+let to_string_counted c x =
+  let counts = Array.make (2 * counters) 0 in
+  let s = encode c x counts in
+  (s, counts)
+
+let of_string_counted c s =
+  let counts = Array.make (2 * counters) 0 in
+  let x = decode c s counts in
+  (x, counts)
 
 let of_string_opt c s =
   match of_string c s with x -> Some x | exception Decode_error _ -> None

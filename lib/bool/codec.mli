@@ -42,6 +42,27 @@ val of_string : 'a t -> string -> 'a
 
 val of_string_opt : 'a t -> string -> 'a option
 
+(** {1 Counting}
+
+    A value can be counted as it is written or read, so a caller learns
+    how many of some part a message holds, and their bytes, from the
+    one pass that encodes or decodes it. *)
+
+(** The number of counters (2). *)
+val counters : int
+
+(** [counted i c] writes and reads exactly as [c].  Under
+    {!to_string_counted} and {!of_string_counted} each value also adds
+    one to count [2i] and its encoded length to count [2i + 1].
+    @raise Invalid_argument unless [0 <= i < counters] *)
+val counted : int -> 'a t -> 'a t
+
+(** {!to_string}, with the counts ([2 * counters] slots). *)
+val to_string_counted : 'a t -> 'a -> string * int array
+
+(** {!of_string}, with the counts ([2 * counters] slots). *)
+val of_string_counted : 'a t -> string -> 'a * int array
+
 (** {1 Primitives} *)
 
 val u8 : int t

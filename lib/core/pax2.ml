@@ -7,15 +7,18 @@ let spf = Printf.sprintf
 let run ?(annotations = false) (cl : Cluster.t) (q : Query.t) : Run_result.t =
   Cluster.reset ~handler:(Site.handler (Site.states cl q)) cl;
   let r = Stages.prepare ~annotations Stages.Two_stage cl q in
-  (* Cross-query cache (socket path only; Stage_cache.noop unless a
-     serving layer installed one).  A hit prefills the stage-1 view and
+  (* Cross-query cache (socket path only, and only when a serving layer
+     installed one: with [Stage_cache.noop] no key is built and nothing
+     is looked up or stored).  A hit prefills the stage-1 view and
      elides the fragment from the round — no visit, no vector/answer
      traffic, no site ops, exactly as if the wire reply from the run
      that warmed the cache were replayed.  Only fully-resolved results
      (fr_cands = 0) are cached: a fragment retaining candidates has
      site-side state stage 2 must revisit. *)
   let cache = Cluster.stage_cache cl in
-  let use_cache = Cluster.transport_active cl in
+  let use_cache =
+    Cluster.transport_active cl && cache != Pax_dist.Stage_cache.noop
+  in
   let qkey =
     if use_cache then
       spf "%s|annot=%b" (Pax_xpath.Normal.to_string q.Query.normal) annotations

@@ -71,44 +71,71 @@ let fresh_corr () = Atomic.fetch_and_add corr_counter 1 land ((1 lsl 55) - 1)
 (* The multiplexer                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* The thread that posts requests and then waits for their replies:
-   one engine round's collector, or one control-plane call.  It sleeps
-   on a condition of its own, so a reply wakes only the thread that
-   asked for it, and that thread only once: when [w_open] falls to 0,
-   or when a result is an error and [w_failed] is set. *)
+(* No thread is dedicated to a socket.  A thread waiting for replies
+   reads the sockets they will arrive on itself: a leader/follower mux,
+   in which at most one thread holds a socket's read turn at a time.
+   The holder decodes every frame it reads, settles whichever waiter
+   owns it and, once it needs the socket no more, hands the turn to a
+   waiter that still has a request pending there.  Sockets no one waits
+   on are read by the mux's one idle reader, so unsolicited [Gen_event]
+   pushes still arrive (docs/NETWORK.md). *)
+
+(* A thread that posts requests and then waits for their results: one
+   engine round's collector, one control-plane call, or the idle
+   reader.  It sleeps in [select] on its wake pipe and on the sockets
+   whose read turn it holds, so another thread wakes it with one byte:
+   when it settles the waiter's last request or its first error, or
+   hands it a turn. *)
 type waiter = {
-  w_cond : Condition.t;
+  w_rfd : Unix.file_descr;  (** the wake pipe's read end *)
+  w_wfd : Unix.file_descr;
+  mutable w_poked : bool;  (** a wake byte is in the pipe *)
   mutable w_open : int;  (** its requests with no result yet *)
   mutable w_failed : bool;  (** an error result it has not collected *)
+  mutable w_reqs : pending list;  (** what it posted since it was taken *)
+  mutable w_held : conn list;  (** the read turns it holds *)
 }
 
 (* One request in flight: registered under [lock] before its frame is
-   written, filled exactly once — by the site's receiver thread (reply,
-   deadline expiry or connection death) — and collected by its
-   waiter's thread.  [int] alongside the message is the frame length,
-   for the collector's byte accounting. *)
-type pending = {
+   written, filled exactly once — by whichever thread reads its reply,
+   by its waiter at the deadline, or by the sweep of a dead connection
+   — and collected by its waiter's thread.  Alongside the message: the
+   frame's length and tally, for the collector's byte accounting. *)
+and pending = {
   p_site : int;
   p_deadline : float;
   p_waiter : waiter;
-  mutable p_result : (Wire.msg * int, exn) result option;
+  mutable p_result : (Wire.msg * int * Wire.tally, exn) result option;
   mutable p_at : float;  (** when [p_result] was written *)
 }
 
-type conn = { c_fd : Unix.file_descr; c_rd : Sockio.reader; c_gen : int }
+and conn = {
+  c_site : int;
+  c_fd : Unix.file_descr;
+  c_rd : Sockio.reader;
+  mutable c_reader : waiter option;  (** who holds the read turn *)
+  mutable c_retired : bool;  (** dropped; closed once no one reads it *)
+  mutable c_used : bool;  (** written to since the idle reader's last tick *)
+  mutable c_deferred : string list;
+      (** [Run_done] payloads for the next write, newest first *)
+}
 
 type t = {
   addrs : Sockio.addr array;
   timeout : float;
-  lock : Mutex.t;  (** guards [conns], [pending], [gen] and every waiter *)
+  lock : Mutex.t;
+      (** guards [conns], [pending], [spare], [idle], [closing]
+          and the mutable fields of every waiter and connection *)
   conns : conn option array;
   send_locks : Mutex.t array;  (** one writer at a time per socket *)
   pending : (int, pending) Hashtbl.t;  (** corr -> request *)
-  mutable gen : int;
+  mutable spare : waiter list;  (** waiters between waits *)
+  mutable idle : waiter option;  (** the idle reader's, while it runs *)
+  mutable closing : conn list;  (** retired, unread, still open *)
   mutable sink : Pax_obs.Sink.t;
   mutable default_handle : handle option;
-  (* The cache-coherence hook (docs/SERVING.md): called by receiver
-     threads for every unsolicited [Gen_event] push.  Typically
+  (* The cache-coherence hook (docs/SERVING.md): called by whichever
+     thread reads an unsolicited [Gen_event] push.  Typically
      [Feed.attach] installs a max-merge into the coordinator's local
      fragment tree, which the stage cache's generation check then
      treats as invalidation. *)
@@ -140,11 +167,17 @@ and handle = {
   mutable frames : int;
 }
 
-(* How often a receiver checks its requests' deadlines, whether or not
-   frames arrive: a site that keeps answering other requests on the
+(* How often a waiter checks its requests' deadlines, whether or not
+   frames arrive — a site that keeps answering other requests on the
    connection cannot keep an unanswered one waiting past its deadline
-   by more than this. *)
+   by more than this — and how often the idle reader adopts free
+   sockets and flushes deferred [Run_done] frames. *)
 let poll_interval = 0.05
+
+(* Deferred [Run_done] frames a connection holds before they are
+   written on their own: well under the servers' LRU bound on run
+   states. *)
+let max_deferred = 8
 
 let create ?(timeout = 30.) ~addrs () =
   {
@@ -154,7 +187,9 @@ let create ?(timeout = 30.) ~addrs () =
     conns = Array.make (Array.length addrs) None;
     send_locks = Array.init (Array.length addrs) (fun _ -> Mutex.create ());
     pending = Hashtbl.create 32;
-    gen = 0;
+    spare = [];
+    idle = None;
+    closing = [];
     sink = Pax_obs.Sink.noop;
     default_handle = None;
     on_gen = None;
@@ -168,12 +203,44 @@ let locked t f =
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
 let new_waiter () =
-  { w_cond = Condition.create (); w_open = 0; w_failed = false }
+  let r, w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock r;
+  Unix.set_nonblock w;
+  {
+    w_rfd = r;
+    w_wfd = w;
+    w_poked = false;
+    w_open = 0;
+    w_failed = false;
+    w_reqs = [];
+    w_held = [];
+  }
+
+let close_waiter w =
+  (try Unix.close w.w_rfd with _ -> ());
+  try Unix.close w.w_wfd with _ -> ()
+
+(* Caller holds [t.lock].  At most one byte is ever in the pipe, so
+   the write cannot block. *)
+let rec poke w =
+  if not w.w_poked then
+    match Unix.single_write_substring w.w_wfd "!" 0 1 with
+    | _ -> w.w_poked <- true
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> poke w
+    | exception Unix.Unix_error _ -> ()
+
+let unpoke w =
+  if w.w_poked then begin
+    w.w_poked <- false;
+    try ignore (Unix.read w.w_rfd (Bytes.create 1) 0 1)
+    with Unix.Unix_error _ -> ()
+  end
 
 (* Caller holds [t.lock].  Results are written at most once, so a
    racing deadline expiry or a second failure sweep cannot overwrite a
-   delivered reply. *)
-let settle_locked p r =
+   delivered reply.  [by] is the settling thread's own waiter, which
+   needs no wake-up. *)
+let settle_locked ?by p r =
   if p.p_result = None then begin
     p.p_result <- Some r;
     p.p_at <- Pax_obs.Clock.now ();
@@ -181,133 +248,382 @@ let settle_locked p r =
     w.w_open <- w.w_open - 1;
     let failed = Result.is_error r in
     if failed then w.w_failed <- true;
-    if failed || w.w_open = 0 then Condition.signal w.w_cond
+    match by with
+    | Some b when b == w -> ()
+    | _ -> if failed || w.w_open = 0 then poke w
   end
 
-(* Fail every request of [site] that has no result yet. *)
-let fail_waiters_locked t site e =
-  Hashtbl.iter
-    (fun _ p -> if p.p_site = site then settle_locked p (Error e))
-    t.pending
+let has_open w site =
+  List.exists (fun p -> p.p_site = site && p.p_result = None) w.w_reqs
 
-(* Retire a site's connection (requested by a sender that saw a delivery
-   failure).  Shut down, not closed: the receiver may be inside a select
-   or read on the descriptor, and only the receiver closes it, on exit —
-   a closed number could be reused by the reconnect and read by both
-   threads.  The shutdown wakes the receiver; in-flight waiters are
-   failed here so their senders retry without waiting for it. *)
+(* Caller holds [t.lock].  A waiter, other than [except], with a
+   request pending on [site]. *)
+let waiter_on ?except t site =
+  let found = ref None in
+  (try
+     Hashtbl.iter
+       (fun _ p ->
+         if
+           p.p_site = site && p.p_result = None
+           && match except with Some w -> p.p_waiter != w | None -> true
+         then begin
+           found := Some p.p_waiter;
+           raise Exit
+         end)
+       t.pending
+   with Exit -> ());
+  !found
+
+(* Read turns; callers hold [t.lock]. *)
+let hold w c =
+  c.c_reader <- Some w;
+  w.w_held <- c :: w.w_held
+
+(* [w] gives up [c]'s read turn: to a waiter with a request pending
+   there, woken to read it — so no reply lies unread while its waiter
+   sleeps — or to no one.  A retired connection is closed instead. *)
+let release t w c =
+  w.w_held <- List.filter (fun c' -> c' != c) w.w_held;
+  c.c_reader <- None;
+  if c.c_retired then t.closing <- c :: t.closing
+  else
+    match waiter_on ~except:w t c.c_site with
+    | Some w' ->
+        hold w' c;
+        poke w'
+    | None -> ()
+
+(* Caller holds [t.lock].  Retire [c]: it leaves [conns] and its
+   requests fail.  Its descriptor is shut down at once, which wakes a
+   thread selecting on it, but closed only once no thread holds its
+   read turn ([reap]): a closed number could be reused by the
+   reconnect and read by two threads. *)
+let retire_locked t c e =
+  if not c.c_retired then begin
+    c.c_retired <- true;
+    (try Unix.shutdown c.c_fd Unix.SHUTDOWN_ALL with _ -> ());
+    (match t.conns.(c.c_site) with
+    | Some c' when c' == c -> t.conns.(c.c_site) <- None
+    | _ -> ());
+    if c.c_reader = None then t.closing <- c :: t.closing;
+    Hashtbl.iter
+      (fun _ p -> if p.p_site = c.c_site then settle_locked p (Error e))
+      t.pending
+  end
+
+(* Close the retired descriptors no one reads any more, each under its
+   site's send lock, so that no sender writes to a reused number. *)
+let reap t =
+  if t.closing <> [] then
+    List.iter
+      (fun c ->
+        Mutex.lock t.send_locks.(c.c_site);
+        (try Unix.close c.c_fd with _ -> ());
+        Mutex.unlock t.send_locks.(c.c_site))
+      (locked t (fun () ->
+           let cs = t.closing in
+           t.closing <- [];
+           cs))
+
+(* Retire a site's connection (requested by a sender that saw a
+   delivery failure).  In-flight waiters are failed, so their senders
+   retry at once. *)
 let drop t site =
   locked t (fun () ->
-      match t.conns.(site) with
-      | Some c ->
-          (try Unix.shutdown c.c_fd Unix.SHUTDOWN_ALL with _ -> ());
-          t.conns.(site) <- None;
-          fail_waiters_locked t site
-            (Failure "connection to site server lost")
-      | None -> ())
+      Option.iter
+        (fun c -> retire_locked t c (Failure "connection to site server lost"))
+        t.conns.(site));
+  reap t
 
-let deposit t site payload =
-  match Wire.decode_payload_corr payload with
-  | Ok (_, Wire.Gen_event { kind; gens }) ->
-      (* Unsolicited server push (correlation id 0 — never a waiter's
-         id; the counter starts at 1): the streamed cache-invalidation
-         feed.  Read the hook under the lock, run it outside — it
-         merges into a fragment tree, not into mux state. *)
-      let cb = locked t (fun () -> t.on_gen) in
-      (match cb with
-      | Some f -> ( try f kind gens with _ -> ())
-      | None -> ());
-      Ok ()
-  | Ok (corr, msg) ->
+(* Caller holds [t.lock].  Settle what one read of [c] by [w] brought:
+   each correlated reply goes to its request, if someone still waits
+   for it; each [Gen_event] push is added to [hooks], to run outside
+   the lock.  A dead or corrupt connection is retired.  Returns the
+   hooks, and whether a reply arrived. *)
+let deliver_locked t w c read hooks =
+  let corrupt err =
+    retire_locked t c (Failure (Format.asprintf "%a" Wire.pp_error err))
+  in
+  let rec go hooks replied = function
+    | [] -> (hooks, replied)
+    | (_, Ok (_, Wire.Gen_event { kind; gens }, _)) :: rest ->
+        (* Unsolicited server push (correlation id 0 — never a
+           waiter's id; the counter starts at 1): the streamed
+           cache-invalidation feed. *)
+        let hooks =
+          match t.on_gen with Some f -> (f, kind, gens) :: hooks | None -> hooks
+        in
+        go hooks replied rest
+    | (len, Ok (corr, msg, tally)) :: rest ->
+        (match Hashtbl.find_opt t.pending corr with
+        | Some p when p.p_site = c.c_site ->
+            settle_locked ~by:w p (Ok (msg, 4 + len, tally))
+        | Some _ | None ->
+            (* A reply to a request nobody waits for any more (resend
+               after timeout, abandoned run): drop it. *)
+            ());
+        go hooks true rest
+    | (_, Error err) :: _ ->
+        corrupt err;
+        (hooks, replied)
+  in
+  let result =
+    match read with
+    | Ok frames -> go hooks false frames
+    | Error e ->
+        retire_locked t c e;
+        (hooks, false)
+  in
+  if c.c_retired then release t w c;
+  result
+
+(* One turn of reading thread [w], called without [t.lock]: wait at
+   most [timeout] seconds in [select] on its wake pipe and on [held],
+   the sockets whose read turn it holds; read what they hold; settle
+   it.  Returns the sockets a reply arrived on. *)
+let read_step t w held ~timeout =
+  let fds = w.w_rfd :: List.map (fun c -> c.c_fd) held in
+  let ready =
+    match Unix.select fds [] [] (Float.max 0. timeout) with
+    | r, _, _ -> r
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
+  in
+  let reads =
+    List.filter_map
+      (fun c ->
+        if not (List.mem c.c_fd ready) then None
+        else
+          Some
+            ( c,
+              match Sockio.read_available c.c_rd with
+              | Some frames ->
+                  Ok
+                    (List.map
+                       (fun s -> (String.length s, Wire.decode_tallied s))
+                       frames)
+              | None -> Error (Failure "connection closed by site server")
+              | exception e -> Error e ))
+      held
+  in
+  let hooks, replied =
+    locked t (fun () ->
+        unpoke w;
+        List.fold_left
+          (fun (hooks, replied) (c, read) ->
+            let hooks, r = deliver_locked t w c read hooks in
+            (hooks, if r then c :: replied else replied))
+          ([], []) reads)
+  in
+  List.iter (fun (f, kind, gens) -> try f kind gens with _ -> ()) (List.rev hooks);
+  replied
+
+(* Until every request of [w] has a result, or one has failed: hold the
+   read turn of each socket its requests are on whenever that turn is
+   free, read them, and sleep otherwise until another reader settles
+   the requests or hands [w] a turn.  Deadlines are checked every
+   [poll_interval], frames or not: a stalled peer fails no one by
+   itself; its requests expire, and their senders drop the connection.
+   Returns holding no turn. *)
+let wait t w =
+  let check_at = ref (Pax_obs.Clock.now () +. poll_interval) in
+  let rec loop () =
+    let now = Pax_obs.Clock.now () in
+    let step =
       locked t (fun () ->
-          match Hashtbl.find_opt t.pending corr with
-          | Some p when p.p_site = site ->
-              settle_locked p (Ok (msg, 4 + String.length payload))
-          | Some _ | None ->
-              (* A reply to a request nobody waits for any more (resend
-                 after timeout, abandoned run): drop it. *)
-              ());
-      Ok ()
-  | Error err -> Error (Failure (Format.asprintf "%a" Wire.pp_error err))
+          if now >= !check_at then begin
+            List.iter
+              (fun p ->
+                if p.p_result = None && p.p_deadline <= now then
+                  settle_locked ~by:w p (Error Sockio.Timeout))
+              w.w_reqs;
+            check_at := now +. poll_interval
+          end;
+          List.iter
+            (fun c -> if not (has_open w c.c_site) then release t w c)
+            w.w_held;
+          if w.w_open = 0 || w.w_failed then begin
+            List.iter (release t w) w.w_held;
+            w.w_failed <- false;
+            None
+          end
+          else begin
+            List.iter
+              (fun p ->
+                if p.p_result = None then
+                  match t.conns.(p.p_site) with
+                  | Some c when c.c_reader = None -> hold w c
+                  | _ -> ())
+              w.w_reqs;
+            Some w.w_held
+          end)
+    in
+    reap t;
+    match step with
+    | None -> ()
+    | Some held ->
+        ignore (read_step t w held ~timeout:(!check_at -. now));
+        loop ()
+  in
+  match loop () with
+  | () -> ()
+  | exception e ->
+      locked t (fun () -> List.iter (release t w) w.w_held);
+      reap t;
+      raise e
 
-let expire_due t site =
+(* Waiters, with their pipes, are reused across waits.  One goes back
+   holding no turn: a turn handed to it after its last wait is passed
+   on. *)
+let take_waiter t =
+  match
+    locked t (fun () ->
+        match t.spare with
+        | w :: rest ->
+            t.spare <- rest;
+            Some w
+        | [] -> None)
+  with
+  | Some w -> w
+  | None -> new_waiter ()
+
+let put_waiter t w =
   locked t (fun () ->
-      let now = Pax_obs.Clock.now () in
-      Hashtbl.iter
-        (fun _ p ->
-          if p.p_site = site && p.p_deadline <= now then
-            settle_locked p (Error Sockio.Timeout))
-        t.pending)
+      List.iter (release t w) w.w_held;
+      unpoke w;
+      w.w_open <- 0;
+      w.w_failed <- false;
+      w.w_reqs <- [];
+      t.spare <- w :: t.spare);
+  reap t
 
-(* The per-connection receiver: the only thread that reads this socket.
-   It reads through the connection's buffered reader, which waits only
-   when no whole frame is buffered, and a read timeout loses nothing (a
-   partial frame stays buffered), so the wait can be cut at the next
-   deadline check: due every [poll_interval], frames or not.  A stalled
-   peer fails no one by itself; its requests expire, and their senders
-   drop the connection.  On any exit path the connection's in-flight
-   requests are failed (here, or by [drop] if it retired the
-   connection first) — no sender can be left waiting on a dead
-   connection — and the descriptor is closed. *)
-let receiver t site (c : conn) =
-  let alive () =
-    locked t (fun () ->
-        match t.conns.(site) with
-        | Some c' -> c'.c_gen = c.c_gen
-        | None -> false)
+let with_waiter t f =
+  let w = take_waiter t in
+  Fun.protect ~finally:(fun () -> put_waiter t w) (fun () -> f w)
+
+(* Write the [Run_done] frames deferred on [c], alone.  Best-effort: a
+   failed write leaves the dead connection to its reader. *)
+let flush_deferred t c =
+  Mutex.lock t.send_locks.(c.c_site);
+  Fun.protect
+    ~finally:(fun () -> Mutex.unlock t.send_locks.(c.c_site))
+    (fun () ->
+      match
+        locked t (fun () ->
+            let q = c.c_deferred in
+            c.c_deferred <- [];
+            if c.c_retired then [] else q)
+      with
+      | [] -> ()
+      | q -> ( try Sockio.write_frames c.c_fd (List.rev q) with _ -> ()))
+
+(* The idle reader: one thread per mux while it has connections.  Every
+   [poll_interval] it adopts each socket that is idle — its turn free,
+   no one waiting on it, and nothing written to it since the last tick
+   — so an unsolicited [Gen_event] push is read whatever the load, and
+   it flushes the deferred [Run_done] frames, so an idle connection's
+   queue still reaches its server.  It gives a socket up as soon as a
+   reply arrives there or a waiter posts to it: the waiters read their
+   own replies.  On a busy socket a push waits for the next waiter to
+   read it, within a tick of the socket going idle at worst. *)
+let idle_loop t w =
+  let rec loop tick_at =
+    let now = Pax_obs.Clock.now () in
+    let tick = now >= tick_at in
+    let step =
+      locked t (fun () ->
+          List.iter
+            (fun c -> if waiter_on t c.c_site <> None then release t w c)
+            w.w_held;
+          if Array.for_all Option.is_none t.conns then begin
+            List.iter (release t w) w.w_held;
+            t.idle <- None;
+            None
+          end
+          else if not tick then Some (w.w_held, [])
+          else begin
+            Array.iter
+              (function
+                | Some c ->
+                    if
+                      c.c_reader = None && (not c.c_used)
+                      && waiter_on t c.c_site = None
+                    then hold w c;
+                    c.c_used <- false
+                | None -> ())
+              t.conns;
+            Some
+              ( w.w_held,
+                Array.fold_left
+                  (fun acc -> function
+                    | Some c when c.c_deferred <> [] -> c :: acc | _ -> acc)
+                  [] t.conns )
+          end)
+    in
+    reap t;
+    match step with
+    | None -> close_waiter w
+    | Some (held, deferred) ->
+        List.iter (flush_deferred t) deferred;
+        let tick_at = if tick then now +. poll_interval else tick_at in
+        let replied = read_step t w held ~timeout:(tick_at -. now) in
+        if replied <> [] then
+          locked t (fun () ->
+              List.iter
+                (fun c -> if List.memq c w.w_held then release t w c)
+                replied);
+        loop tick_at
   in
-  let fail e =
-    locked t (fun () ->
-        match t.conns.(site) with
-        | Some c' when c'.c_gen = c.c_gen ->
-            t.conns.(site) <- None;
-            fail_waiters_locked t site e
-        | _ -> ())
-  in
-  let rec loop check_at =
-    if alive () then begin
-      let now = Pax_obs.Clock.now () in
-      let check_at =
-        if now >= check_at then begin
-          expire_due t site;
-          now +. poll_interval
-        end
-        else check_at
-      in
-      match Sockio.read_frame ~timeout:(check_at -. now) c.c_rd with
-      | None -> fail (Failure "connection closed by site server")
-      | Some payload -> (
-          match deposit t site payload with
-          | Ok () -> loop check_at
-          | Error e -> fail e)
-      | exception Sockio.Timeout -> loop check_at
-      | exception e -> fail e
-    end
-  in
-  loop (Pax_obs.Clock.now () +. poll_interval);
-  try Unix.close c.c_fd with _ -> ()
+  loop 0.
 
 let ensure_conn t site =
   match locked t (fun () -> t.conns.(site)) with
   | Some c -> c
-  | None -> (
+  | None ->
       let fd = Sockio.connect t.addrs.(site) in
-      match
+      let c, fresh =
         locked t (fun () ->
             match t.conns.(site) with
-            | Some c -> `Existing c
+            | Some c -> (c, false)
             | None ->
-                t.gen <- t.gen + 1;
-                let c = { c_fd = fd; c_rd = Sockio.reader fd; c_gen = t.gen } in
+                let c =
+                  {
+                    c_site = site;
+                    c_fd = fd;
+                    c_rd = Sockio.reader fd;
+                    c_reader = None;
+                    c_retired = false;
+                    c_used = true;
+                    c_deferred = [];
+                  }
+                in
                 t.conns.(site) <- Some c;
-                `Fresh c)
-      with
-      | `Existing c ->
-          (try Unix.close fd with _ -> ());
-          c
-      | `Fresh c ->
-          ignore (Thread.create (fun () -> receiver t site c) ());
-          c)
+                if t.idle = None then begin
+                  let w = new_waiter () in
+                  t.idle <- Some w;
+                  ignore (Thread.create (idle_loop t) w)
+                end;
+                (c, true))
+      in
+      if not fresh then (try Unix.close fd with _ -> ());
+      c
+
+(* Write [payload] to [site], behind the [Run_done] frames deferred on
+   its connection, all in one write. *)
+let send t site payload =
+  let c = ensure_conn t site in
+  Mutex.lock t.send_locks.(site);
+  Fun.protect
+    ~finally:(fun () -> Mutex.unlock t.send_locks.(site))
+    (fun () ->
+      let deferred =
+        locked t (fun () ->
+            if c.c_retired then failwith "connection to site server lost";
+            c.c_used <- true;
+            let q = c.c_deferred in
+            c.c_deferred <- [];
+            q)
+      in
+      Sockio.write_frames c.c_fd (List.rev_append deferred [ payload ]))
 
 (* Register the request *before* writing: whatever kills the
    connection after the write — even before this thread waits — sweeps
@@ -325,76 +641,60 @@ let post t w site msg =
   in
   locked t (fun () ->
       w.w_open <- w.w_open + 1;
+      w.w_reqs <- p :: w.w_reqs;
       Hashtbl.replace t.pending corr p);
-  let payload = Wire.encode_payload ~corr msg in
-  (match
-     let c = ensure_conn t site in
-     Mutex.lock t.send_locks.(site);
-     Fun.protect
-       ~finally:(fun () -> Mutex.unlock t.send_locks.(site))
-       (fun () -> Sockio.write_frame c.c_fd payload)
-   with
+  let payload, tally = Wire.encode_tallied ~corr msg in
+  (match send t site payload with
   | () -> ()
   | exception e ->
       locked t (fun () ->
           Hashtbl.remove t.pending corr;
+          w.w_reqs <- List.filter (fun p' -> p' != p) w.w_reqs;
           if p.p_result = None then w.w_open <- w.w_open - 1);
       raise e);
-  (corr, p, 4 + String.length payload)
-
-(* Caller holds [t.lock].  Sleep until every request of [w] has a
-   result or one has failed. *)
-let wait_locked t w =
-  while w.w_open > 0 && not w.w_failed do
-    Condition.wait w.w_cond t.lock
-  done;
-  w.w_failed <- false
+  (corr, p, 4 + String.length payload, tally)
 
 (* One request's result, for a waiter that posted only that one. *)
 let await t corr p =
-  locked t (fun () ->
-      wait_locked t p.p_waiter;
-      Hashtbl.remove t.pending corr;
-      Option.get p.p_result)
+  wait t p.p_waiter;
+  locked t (fun () -> Hashtbl.remove t.pending corr);
+  Option.get p.p_result
 
+let rpc t site msg =
+  with_waiter t (fun w ->
+      let corr, p, _, _ = post t w site msg in
+      await t corr p)
+
+(* Flush each connection's deferred [Run_done] frames, then retire it.
+   The idle reader is woken to exit at once, rather than at its next
+   tick, and spare waiters' pipes are closed. *)
 let close t =
-  Array.iteri (fun site _ -> drop t site) t.conns
-
-(* Best-effort, uncorrelated, uncounted control frame on an *existing*
-   connection (Run_done, Shutdown): session control is not accounted
-   traffic, and a site we have no connection to has no state to shed. *)
-let post_control t site msg =
-  match locked t (fun () -> t.conns.(site)) with
-  | None -> ()
-  | Some c -> (
-      let payload = Wire.encode_payload msg in
-      Mutex.lock t.send_locks.(site);
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock t.send_locks.(site))
-        (fun () -> try Sockio.write_frame c.c_fd payload with _ -> ()))
+  Array.iteri
+    (fun site _ ->
+      Option.iter (flush_deferred t) (locked t (fun () -> t.conns.(site)));
+      drop t site)
+    t.conns;
+  List.iter close_waiter
+    (locked t (fun () ->
+         Option.iter poke t.idle;
+         let ws = t.spare in
+         t.spare <- [];
+         ws))
 
 let shutdown_sites t =
   Array.iteri
     (fun site _ ->
-      (try
-         let c = ensure_conn t site in
-         Mutex.lock t.send_locks.(site);
-         Fun.protect
-           ~finally:(fun () -> Mutex.unlock t.send_locks.(site))
-           (fun () ->
-             Sockio.write_frame c.c_fd (Wire.encode_payload Wire.Shutdown))
-       with _ -> ());
+      (try send t site (Wire.encode_payload Wire.Shutdown) with _ -> ());
       drop t site)
-    t.conns
+    t.conns;
+  close t
 
 (* Ask one site server for its telemetry counters.  The request flows
-   through the multiplexer like any other (the receiver owns the
-   socket) but deliberately skips every byte counter: fetching stats
+   through the multiplexer like any other but deliberately skips every byte counter: fetching stats
    must not disturb the numbers being fetched. *)
 let fetch_stats t site =
-  let corr, p, _ = post t (new_waiter ()) site Wire.Stats_request in
-  match await t corr p with
-  | Ok (Wire.Stats_reply pairs, _) -> pairs
+  match rpc t site Wire.Stats_request with
+  | Ok (Wire.Stats_reply pairs, _, _) -> pairs
   | Ok _ -> failwith "unexpected reply to a stats request"
   | Error e -> raise e
 
@@ -414,17 +714,15 @@ let estimate_offset ~t0 ~t1 ~server_now = server_now -. ((t0 +. t1) /. 2.)
    multi-process Perfetto merge subtracts from the site's track. *)
 let fetch_spans t site =
   let t0 = Pax_obs.Clock.now () in
-  let corr, p, _ = post t (new_waiter ()) site Wire.Spans_fetch in
-  match await t corr p with
-  | Ok (Wire.Spans_reply { server_now; spans }, _) ->
+  match rpc t site Wire.Spans_fetch with
+  | Ok (Wire.Spans_reply { server_now; spans }, _, _) ->
       let t1 = Pax_obs.Clock.now () in
       (estimate_offset ~t0 ~t1 ~server_now, spans)
   | Ok _ -> failwith "unexpected reply to a spans fetch"
   | Error e -> raise e
 
 (* Migration RPCs (docs/SHARDING.md).  Control plane like stats: they
-   flow through the multiplexer (the receiver owns each socket, admin
-   frames interleave freely with visit traffic — the drain-free
+   flow through the multiplexer (admin frames interleave freely with visit traffic — the drain-free
    window) but touch no per-run byte counters; servers ledger their
    volume under [pax_net_admin_*] instead. *)
 (* Each carries the optional trace-context extension: when the mux has
@@ -433,13 +731,12 @@ let fetch_spans t site =
    to it (one flow arrow per migration step in the merged trace). *)
 let admin_rpc t name ~site msg collect =
   let parent = Pax_obs.Sink.alloc t.sink in
-  let corr, p, _ = post t (new_waiter ()) site (msg ~parent) in
   Pax_obs.Sink.span t.sink ~cat:"admin" ?id:parent
     ~args:(fun () -> [ ("site", string_of_int site) ])
     name
     (fun () ->
-      match await t corr p with
-      | Ok (reply, _) -> collect reply
+      match rpc t site (msg ~parent) with
+      | Ok (reply, _, _) -> collect reply
       | Error e -> raise e)
 
 let frag_fetch t ~site ~fid ~kind =
@@ -472,8 +769,8 @@ let frag_update t ~site ~fid ~epoch ~version change =
 
 (* Generation coherence (docs/SERVING.md): same control-plane shape as
    the migration RPCs.  [on_gen_event] is the receiving side of the
-   feed — the hook runs on receiver threads, once per [Gen_event]
-   pushed by any site. *)
+   feed — the hook runs on whichever thread reads the push, once per
+   [Gen_event] pushed by any site. *)
 let on_gen_event t f = locked t (fun () -> t.on_gen <- Some f)
 
 (* One round: the frame goes to every site before any reply is
@@ -481,25 +778,25 @@ let on_gen_event t f = locked t (fun () -> t.on_gen <- Some f)
    gets [Error], and the others are unaffected. *)
 let publish_gens t ~kind gens =
   let parent = Pax_obs.Sink.alloc t.sink in
-  let w = new_waiter () in
   Pax_obs.Sink.span t.sink ~cat:"admin" ?id:parent "gen publish" (fun () ->
-      let posted =
-        List.init (n_sites t) (fun site ->
-            match post t w site (Wire.Gen_publish { kind; gens; parent }) with
-            | corr, p, _ -> Ok (corr, p)
-            | exception e -> Error (Printexc.to_string e))
-      in
-      locked t (fun () ->
-          while w.w_open > 0 do
-            Condition.wait w.w_cond t.lock
+      with_waiter t (fun w ->
+          let posted =
+            List.init (n_sites t) (fun site ->
+                match post t w site (Wire.Gen_publish { kind; gens; parent }) with
+                | corr, p, _, _ -> Ok (corr, p)
+                | exception e -> Error (Printexc.to_string e))
+          in
+          while locked t (fun () -> w.w_open > 0) do
+            wait t w
           done;
-          List.map
-            (Result.map (fun (corr, p) ->
-                 Hashtbl.remove t.pending corr;
-                 p.p_result))
-            posted)
+          locked t (fun () ->
+              List.map
+                (Result.map (fun (corr, p) ->
+                     Hashtbl.remove t.pending corr;
+                     p.p_result))
+                posted))
       |> List.map (function
-           | Ok (Some (Ok (Wire.Admin_reply { reply }, _))) -> reply
+           | Ok (Some (Ok (Wire.Admin_reply { reply }, _, _))) -> reply
            | Ok (Some (Ok _)) -> Error "unexpected reply to a generation publish"
            | Ok (Some (Error e)) -> Error (Printexc.to_string e)
            | Ok None -> Error "no reply"
@@ -546,14 +843,32 @@ let stats h =
   }
 
 (* Tell every site the current run touched that its state can go
-   (docs/SERVING.md: the reply-memo eviction protocol).  Losing the
-   frame only delays eviction until the server's LRU bound. *)
+   (docs/SERVING.md: the reply-memo eviction protocol).  The frame is
+   deferred: it rides in the same write as the next frame to the site,
+   or goes alone at the idle reader's next tick, or once [max_deferred]
+   are queued.  Session control is not accounted traffic, and a site
+   with no connection has no state to shed.  Losing the frame only
+   delays eviction until the server's LRU bound. *)
+let defer_run_done t site run =
+  let payload = Wire.encode_payload (Wire.Run_done { run }) in
+  let full =
+    locked t (fun () ->
+        match t.conns.(site) with
+        | Some c ->
+            c.c_deferred <- payload :: c.c_deferred;
+            if List.compare_length_with c.c_deferred max_deferred >= 0 then
+              Some c
+            else None
+        | None -> None)
+  in
+  Option.iter (flush_deferred t) full
+
 let finish_run h =
   Array.iteri
     (fun site touched ->
       if touched then begin
         h.h_touched.(site) <- false;
-        post_control h.h_mux site (Wire.Run_done { run = h.h_run })
+        defer_run_done h.h_mux site h.h_run
       end)
     h.h_touched
 
@@ -561,8 +876,7 @@ let reset_run h =
   finish_run h;
   h.h_run <- fresh_run_id ()
 
-let tally_msg h msg =
-  let y = Wire.tally msg in
+let tally_msg h (y : Wire.tally) =
   h.section_bytes <- h.section_bytes + y.Wire.section_bytes;
   h.sections <- h.sections + y.Wire.sections;
   h.frag_entries <- h.frag_entries + y.Wire.frag_entries;
@@ -588,12 +902,12 @@ let frame_obs h ~dir msg ~frame_len =
    — which raises once the budget is gone — then reconnects and resends
    under a fresh correlation id; the server's per-round reply memo makes
    the resend safe, and a late reply to the abandoned id is dropped by
-   the receiver.  Replies are matched by correlation id, so frames of
-   other runs interleaved on the same socket are invisible here, and
-   they wake other threads only. *)
+   whichever thread reads it.  Replies are matched by correlation id,
+   so frames of other runs interleaved on the same socket are invisible
+   here: this thread may read them, but only settles them. *)
 let visit_round h ~round ~label ~retry reqs =
   let t = h.h_mux in
-  let w = new_waiter () in
+  with_waiter t @@ fun w ->
   let attempts = Hashtbl.create 8 in
   let next_attempt site =
     let a = Option.value (Hashtbl.find_opt attempts site) ~default:1 in
@@ -626,12 +940,12 @@ let visit_round h ~round ~label ~retry reqs =
         "send frame"
         (fun () -> post t w site msg)
     with
-    | corr, p, frame_len ->
+    | corr, p, frame_len, tally ->
         corrs := corr :: !corrs;
         h.sent_bytes <- h.sent_bytes + frame_len;
         h.h_touched.(site) <- true;
         frame_obs h ~dir:"sent" msg ~frame_len;
-        tally_msg h msg;
+        tally_msg h tally;
         (corr, p, rpc_id)
     | exception ((Unix.Unix_error _ | Failure _) as e) ->
         failed site e;
@@ -644,17 +958,17 @@ let visit_round h ~round ~label ~retry reqs =
   let collect i ~taken (site, call, t0, sent) result =
     let _, p, rpc_id = !sent in
     let sink = sink_of h in
-    (* From the receiver's deposit to this thread taking the result. *)
+    (* From the reader's deposit to this thread taking the result. *)
     if sink.Pax_obs.Sink.enabled then
       Pax_obs.Sink.record sink ~cat:"wire" ?parent:rpc_id
         ~args:[ ("site", string_of_int site) ]
         "recv frame" ~t0:p.p_at ~t1:taken;
     match result with
-    | Ok ((Wire.Visit_reply { run; round = r; reply } as msg), frame_len)
+    | Ok ((Wire.Visit_reply { run; round = r; reply } as msg), frame_len, tally)
       when run = h.h_run && r = round -> (
         h.received_bytes <- h.received_bytes + frame_len;
         frame_obs h ~dir:"recv" msg ~frame_len;
-        tally_msg h msg;
+        tally_msg h tally;
         match reply with
         | Ok rep ->
             (* The rpc span of the attempt that got the reply, up to
@@ -694,9 +1008,9 @@ let visit_round h ~round ~label ~retry reqs =
   (* Take every result that is in, under one lock hold, then handle
      them in input order; resends rejoin the same waiter. *)
   let rec gather posted =
+    wait t w;
     let results =
       locked t (fun () ->
-          wait_locked t w;
           Array.mapi
             (fun i (_, _, _, sent) ->
               let corr, p, _ = !sent in

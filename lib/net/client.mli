@@ -3,12 +3,16 @@
     every run in the process.
 
     Protocol v2 stamps each request with a correlation id that the
-    server echoes on the reply, so many in-flight runs share a socket:
-    a dedicated receiver thread per connection reads every frame and
-    deposits it into the per-request mailbox its correlation id names
-    (docs/SERVING.md).  The thread that sent a round sleeps on a
-    condition of its own and is woken once: when the round's last
-    reply is in, or at its first failure.  A {!handle} is one run's
+    server echoes on the reply, so many in-flight runs share a socket.
+    No thread is dedicated to a socket: the thread waiting for a round
+    reads the sockets its requests went out on itself, at most one
+    thread holding a socket's read turn at a time, and settles every
+    frame it reads into the request its correlation id names.  It hands
+    the turn to another waiter with a request pending there before it
+    stops reading; a waiter whose sockets others are reading sleeps and
+    is woken once: when the round's last reply is in, at its first
+    failure, or when it is handed a turn.  One idle reader per client
+    reads the sockets no one waits on (docs/SERVING.md).  A {!handle} is one run's
     view of the shared connections — its own run id, byte counters and
     telemetry sink — and [visit_round]s of different handles interleave
     freely.
@@ -22,7 +26,7 @@
     {!Pax_dist.Transport.Remote_failure} instead — retrying cannot
     help.  Reconnect-and-resend is safe because servers memoize replies
     per (run, round), and a late reply to an abandoned correlation id
-    is dropped by the receiver.  Dropping a site's connection fails the
+    is dropped by whichever thread reads it.  Dropping a site's connection fails the
     other runs' requests in flight on it; they retry under their own
     budgets. *)
 
@@ -35,8 +39,8 @@ type handle
 
 (** [create ~addrs] — a client for sites [0 .. n-1] at the given
     addresses.  [timeout] (seconds, default 30) is each request's
-    deadline for its reply; the receiver threads check deadlines every
-    50 ms, whether or not frames arrive. *)
+    deadline for its reply; the waiting thread checks it every 50 ms,
+    whether or not frames arrive. *)
 val create : ?timeout:float -> addrs:Sockio.addr array -> unit -> t
 
 (** Number of site servers this client multiplexes over. *)
@@ -136,7 +140,8 @@ val frag_retire :
     so every coordinator's stage cache sees the invalidation.  Same
     control-plane accounting as the migration RPCs. *)
 
-(** Install the hook run (on receiver threads) for every unsolicited
+(** Install the hook run (on whichever thread reads the frame: a
+    waiter or the idle reader) for every unsolicited
     [Gen_event] push — typically [Pax_serve.Feed.attach]'s max-merge
     into the coordinator's local fragment tree.  At most one hook;
     installing again replaces it. *)
@@ -181,14 +186,17 @@ val set_handle_sink : handle -> Pax_obs.Sink.t -> unit
 val set_epoch : handle -> int -> unit
 
 (** The {!Pax_dist.Transport.t} view of one handle.  Its [reset_run]
-    sends best-effort [Run_done] for the finished run (servers evict
-    that run's state) before drawing a fresh run id; its [close] sends
+    queues best-effort [Run_done] for the finished run (servers evict
+    that run's state) before drawing a fresh run id; its [close] queues
     [Run_done] without consuming the handle. *)
 val handle_transport : handle -> Pax_dist.Transport.t
 
 (** Best-effort [Run_done] for the handle's current run to every site
     it contacted — servers drop the run's stage state and reply memos.
-    Idempotent; called by [handle_transport]'s [close] and [reset_run]. *)
+    Each frame is queued on the site's connection and written with the
+    next frame to that site, or alone within about 50 ms if none
+    follows, or at once when 8 are queued.  Idempotent; called by
+    [handle_transport]'s [close] and [reset_run]. *)
 val finish_run : handle -> unit
 
 (** {1 Process-global ids} *)
@@ -202,11 +210,12 @@ val fresh_run_id : unit -> int
 
 (** {1 Teardown} *)
 
-(** Best-effort [Shutdown] to every site (ignores delivery failures);
-    then closes the connections. *)
+(** Best-effort [Shutdown] to every site (ignores delivery failures),
+    behind any queued [Run_done] frames; then {!close}s. *)
 val shutdown_sites : t -> unit
 
-(** Close all connections (receiver threads exit, in-flight requests
-    fail over to their retry budgets, servers see EOF and await
-    reconnection). *)
+(** Write each connection's queued [Run_done] frames, then close all
+    connections (in-flight requests fail over to their retry budgets,
+    servers see EOF and await reconnection, the idle reader exits).
+    The client stays usable: the next request reconnects. *)
 val close : t -> unit

@@ -123,6 +123,12 @@ val retire_frag :
     offending connection. *)
 val serve : t -> Unix.file_descr -> unit
 
+(** Set the garbage collector for a process that is a site server: a
+    lower space overhead than the runtime's default, which bounds the
+    major heap near twice the live fragment images.  [spawn]'s child
+    and [pax serve] call it. *)
+val tune_gc : unit -> unit
+
 (** [spawn ~addr ~frags ()] — fork a child serving [frags] on [addr];
     the socket is bound and listening before [spawn] returns, so a
     client may connect immediately.  Returns the child pid (the child

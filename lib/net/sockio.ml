@@ -175,20 +175,53 @@ let read_frame ?timeout r =
   in
   go ()
 
-(* One write per frame: the header and a copy of the payload in one
-   buffer, since copying a payload of a few KiB costs less than a
-   second syscall.  Every writer of a shared connection serializes
-   whole frames (the client's per-site send lock, the server's
-   per-connection write lock). *)
-let write_frame fd payload =
-  let n = String.length payload in
-  let b = Bytes.create (4 + n) in
-  Bytes.set_int32_be b 0 (Int32.of_int n);
-  Bytes.blit_string payload 0 b 4 n;
+(* The frames already buffered, in order, and the bytes the one at
+   [rd_pos] still needs. *)
+let rec take_buffered r acc =
+  match buffered r with
+  | Ok payload -> take_buffered r (payload :: acc)
+  | Error need -> (List.rev acc, need)
+
+let read_available r =
+  match take_buffered r [] with
+  | (_ :: _ as frames), _ -> Some frames
+  | [], need -> (
+      make_room r need;
+      match
+        Unix.read r.rd_fd r.rd_buf r.rd_len (Bytes.length r.rd_buf - r.rd_len)
+      with
+      | 0 ->
+          if r.rd_len = r.rd_pos then None
+          else failwith "Sockio: connection closed mid-frame"
+      | k ->
+          r.rd_len <- r.rd_len + k;
+          Some (fst (take_buffered r []))
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> Some [])
+
+(* One write for any number of frames: the headers and copies of the
+   payloads in one buffer, since copying payloads of a few KiB costs
+   less than a second syscall.  Every writer of a shared connection
+   serializes whole writes (the client's per-site send lock, the
+   server's per-connection write lock). *)
+let write_frames fd payloads =
+  let total =
+    List.fold_left (fun n p -> n + 4 + String.length p) 0 payloads
+  in
+  let b = Bytes.create total in
+  ignore
+    (List.fold_left
+       (fun off p ->
+         let n = String.length p in
+         Bytes.set_int32_be b off (Int32.of_int n);
+         Bytes.blit_string p 0 b (off + 4) n;
+         off + 4 + n)
+       0 payloads);
   let rec go off =
-    if off < 4 + n then
-      match Unix.write fd b off (4 + n - off) with
+    if off < total then
+      match Unix.write fd b off (total - off) with
       | k -> go (off + k)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
   in
   go 0
+
+let write_frame fd payload = write_frames fd [ payload ]

@@ -52,11 +52,22 @@ val reader : Unix.file_descr -> reader
     allocated for it) *)
 val read_frame : ?timeout:float -> reader -> string option
 
-(** [write_frame fd payload] writes the length prefix and the payload
-    with one [write]: both are copied into one buffer first.  Callers
-    sharing a connection must serialize whole frames (they do: the
-    client's per-site send lock, the server's per-connection write
-    lock).
+(** [read_available r] — for a caller that knows the socket is
+    readable: the frames already buffered if there are any, else the
+    frames completed by one [read] (possibly none, when only part of a
+    frame came in).  [None] on orderly EOF between frames.
+    @raise Unix.Unix_error on connection errors
+    @raise Failure as {!read_frame} does *)
+val read_available : reader -> string list option
+
+(** [write_frames fd payloads] writes each payload under its length
+    prefix, all with one [write]: everything is copied into one buffer
+    first.  Callers sharing a connection must serialize whole writes
+    (they do: the client's per-site send lock, the server's
+    per-connection write lock).
     @raise Unix.Unix_error on connection errors (EPIPE included;
     [SIGPIPE] is disabled process-wide on first use of this module) *)
+val write_frames : Unix.file_descr -> string list -> unit
+
+(** [write_frame fd payload] is [write_frames fd [payload]]. *)
 val write_frame : Unix.file_descr -> string -> unit

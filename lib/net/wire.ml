@@ -217,12 +217,18 @@ let section =
 let section_bytes = size section
 
 (* Where a call or reply holds one kind of section, any other is
-   corrupt. *)
-let query = expect "a query section" k_query
-let vectors = expect "a vectors section" k_vectors
-let resolution = expect "a resolution section" k_resolution
-let answers = expect "an answers section" k_answers
-let flat_section = expect "a flat-fragment section" k_flat
+   corrupt.  Every section a call or reply holds, and every fragment
+   entry, goes through a counter, so encoding or decoding a frame
+   tallies it in the same pass ({!tally}). *)
+let section_counter = 0
+let entry_counter = 1
+let counted_section what k = counted section_counter (expect what k)
+let entry c = counted entry_counter c
+let query = counted_section "a query section" k_query
+let vectors = counted_section "a vectors section" k_vectors
+let resolution = counted_section "a resolution section" k_resolution
+let answers = counted_section "an answers section" k_answers
+let flat_section = counted_section "a flat-fragment section" k_flat
 
 (* An answer list that ships only when non-empty, under a flag. *)
 let answers_if set = if set then answers else const []
@@ -231,7 +237,7 @@ let answers_if set = if set then answers else const []
 (* calls                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let fids = list varint
+let fids = list (entry varint)
 let subs = list (pair varint resolution)
 
 let frag_eval =
@@ -245,22 +251,24 @@ let frag_eval =
             pair (const (f land 1 <> 0)) (if_set (f land 2 <> 0) vectors))))
 
 let c_pax2_stage1 =
-  case 1 (pair query (list frag_eval)) (fun (query, frags) ->
+  case 1 (pair query (list (entry frag_eval))) (fun (query, frags) ->
       Pax2_stage1 { query; frags })
 
 let c_pax2_stage2 =
-  case 2 (list (triple varint resolution subs)) (fun frags ->
+  case 2 (list (entry (triple varint resolution subs))) (fun frags ->
       Pax2_stage2 { frags })
 
 let c_pax3_stage1 =
   case 3 (pair query fids) (fun (query, fids) -> Pax3_stage1 { query; fids })
 
 let c_pax3_stage2 =
-  case 4 (pair query (list (pair frag_eval subs))) (fun (query, frags) ->
+  case 4 (pair query (list (entry (pair frag_eval subs))))
+    (fun (query, frags) ->
       Pax3_stage2 { query; frags })
 
 let c_pax3_stage3 =
-  case 5 (list (pair varint resolution)) (fun frags -> Pax3_stage3 { frags })
+  case 5 (list (entry (pair varint resolution))) (fun frags ->
+      Pax3_stage3 { frags })
 
 let c_reach_stage1 =
   case 6 (pair query fids) (fun (query, fids) -> Reach_stage1 { query; fids })
@@ -320,7 +328,8 @@ let frag_result =
                  (answers_if (f land 2 <> 0)))
               (pair varint varint))))
 
-let r_frag_results = case 1 (list frag_result) (fun frs -> Frag_results frs)
+let r_frag_results =
+  case 1 (list (entry frag_result)) (fun frs -> Frag_results frs)
 
 let r_final =
   case 2
@@ -332,7 +341,8 @@ let r_final =
     (fun (answers, ops) -> Final_answers { answers; ops })
 
 let r_images =
-  case 4 (list (pair varint flat_section)) (fun images -> Images images)
+  case 4 (list (entry (pair varint flat_section))) (fun images ->
+      Images images)
 
 let plain_replies = [ Case r_frag_results; Case r_final; Case r_images ]
 
@@ -566,20 +576,50 @@ let msg =
    ({!frame_overhead}).  0 means "uncorrelated" (pings, shutdowns,
    unsolicited frames). *)
 let envelope = triple u8 varint msg
-let encode_payload ?(corr = 0) m = to_string envelope (version, corr, m)
-
-let decode_payload_corr s =
-  if s <> "" && Char.code s.[0] <> version then
-    Error (Bad_version (Char.code s.[0]))
-  else
-    match of_string envelope s with
-    | _, corr, m -> Ok (corr, m)
-    | exception Decode_error { pos; reason } ->
-        Error (Corrupt (Printf.sprintf "%s at byte %d" reason pos))
 
 (* ------------------------------------------------------------------ *)
 (* accounting                                                         *)
 (* ------------------------------------------------------------------ *)
+
+type tally = { sections : int; section_bytes : int; frag_entries : int }
+
+(* Only visit calls and replies hold counted sections and entries.
+   Session control (Run_done), telemetry (stats, spans), migration,
+   updates and the generation feed carry none: they belong to no run,
+   so they never enter per-query guarantee accounting, and an error
+   reply carries none either.  Their frames still cross the wire,
+   covered by the per-frame overhead allowance. *)
+let tally_of counts =
+  {
+    sections = counts.(2 * section_counter);
+    section_bytes = counts.((2 * section_counter) + 1);
+    frag_entries = counts.(2 * entry_counter);
+  }
+
+let encode_payload ?(corr = 0) m = to_string envelope (version, corr, m)
+
+let encode_tallied ?(corr = 0) m =
+  let s, counts = to_string_counted envelope (version, corr, m) in
+  (s, tally_of counts)
+
+let tally m = snd (encode_tallied m)
+
+let decode_with of_string s =
+  if s <> "" && Char.code s.[0] <> version then
+    Error (Bad_version (Char.code s.[0]))
+  else
+    match of_string envelope s with
+    | x -> Ok x
+    | exception Decode_error { pos; reason } ->
+        Error (Corrupt (Printf.sprintf "%s at byte %d" reason pos))
+
+let decode_payload_corr s =
+  Result.map (fun (_, corr, m) -> (corr, m)) (decode_with of_string s)
+
+let decode_tallied s =
+  Result.map
+    (fun ((_, corr, m), counts) -> (corr, m, tally_of counts))
+    (decode_with of_string_counted s)
 
 (* [lbl "QV" 3] is "QV(F3)". *)
 let lbl name fid = name ^ "(F" ^ string_of_int fid ^ ")"
@@ -591,49 +631,36 @@ let walk_subs ~sec subs =
   List.iter (fun (sub, bs) -> sec (lbl "QV*" sub) (Resolution bs)) subs
 
 (* The one walk over a call's or reply's sections, in wire order, with
-   the label accounting gives each: [frag] once per fragment entry,
-   [sec label section] once per section. *)
-let rec walk_call ~frag ~sec = function
+   the label accounting gives each. *)
+let rec call_sections sec = function
   | Pax2_stage1 { query; frags } ->
       sec "Q" (Query query);
-      List.iter
-        (fun fe ->
-          frag ();
-          walk_init ~sec fe)
-        frags
+      List.iter (walk_init ~sec) frags
   | Pax2_stage2 { frags } ->
       List.iter
         (fun (fid, ctx, subs) ->
-          frag ();
           sec (lbl "SV*" fid) (Resolution ctx);
           walk_subs ~sec subs)
         frags
-  | Pax3_stage1 { query; fids } | Reach_stage1 { query; fids } ->
-      sec "Q" (Query query);
-      List.iter (fun _ -> frag ()) fids
+  | Pax3_stage1 { query; fids = _ } | Reach_stage1 { query; fids = _ } ->
+      sec "Q" (Query query)
   | Pax3_stage2 { query; frags } ->
       sec "Q" (Query query);
       List.iter
         (fun (fe, subs) ->
-          frag ();
           walk_init ~sec fe;
           walk_subs ~sec subs)
         frags
   | Pax3_stage3 { frags } ->
-      List.iter
-        (fun (fid, ctx) ->
-          frag ();
-          sec (lbl "SV*" fid) (Resolution ctx))
-        frags
-  | Calls calls -> List.iter (walk_call ~frag ~sec) calls
-  | Count call -> walk_call ~frag ~sec call
-  | Ship { fids } -> List.iter (fun _ -> frag ()) fids
+      List.iter (fun (fid, ctx) -> sec (lbl "SV*" fid) (Resolution ctx)) frags
+  | Calls calls -> List.iter (call_sections sec) calls
+  | Count call -> call_sections sec call
+  | Ship { fids = _ } -> ()
 
-let rec walk_reply ~frag ~sec = function
+let rec reply_sections sec = function
   | Frag_results frs ->
       List.iter
         (fun fr ->
-          frag ();
           Option.iter
             (fun vec -> sec (lbl "QV" fr.fr_fid) (Vectors vec))
             fr.fr_vec;
@@ -645,53 +672,12 @@ let rec walk_reply ~frag ~sec = function
         frs
   | Final_answers { answers; ops = _ } ->
       if answers <> [] then sec "ans" (Answers answers)
-  | Replies replies -> List.iter (walk_reply ~frag ~sec) replies
-  | Counted { reply; counts = _ } -> walk_reply ~frag ~sec reply
+  | Replies replies -> List.iter (reply_sections sec) replies
+  | Counted { reply; counts = _ } -> reply_sections sec reply
   | Images images ->
       List.iter
-        (fun (fid, fl) ->
-          frag ();
-          sec ("F" ^ string_of_int fid) (Frag_flat fl))
+        (fun (fid, fl) -> sec ("F" ^ string_of_int fid) (Frag_flat fl))
         images
-
-let call_sections f call = walk_call ~frag:ignore ~sec:f call
-let reply_sections f reply = walk_reply ~frag:ignore ~sec:f reply
-
-type tally = { sections : int; section_bytes : int; frag_entries : int }
-
-let tally msg =
-  let sections = ref 0 and bytes = ref 0 and frags = ref 0 in
-  let frag () = incr frags in
-  let sec _ s =
-    incr sections;
-    bytes := !bytes + section_bytes s
-  in
-  (match msg with
-  | Visit_request { call; _ } -> walk_call ~frag ~sec call
-  | Visit_reply { reply = Ok r; _ } -> walk_reply ~frag ~sec r
-  | Visit_reply { reply = Error _; _ }
-  | Ping | Pong | Shutdown
-  (* Run_done is session control (server-side state eviction); like
-     stats traffic it carries no sections.  Its frame still crosses the
-     wire, covered by the per-frame overhead allowance. *)
-  | Run_done _
-  (* Stats and span-harvest traffic is telemetry, not query
-     evaluation: it carries no sections and is excluded from accounted
-     traffic entirely. *)
-  | Stats_request | Stats_reply _ | Spans_fetch | Spans_reply _
-  (* Migration traffic is control plane, not query evaluation: a
-     fragment image crossing the wire belongs to no run, so it never
-     enters per-query guarantee accounting.  The admin byte volume is
-     surfaced through pax_obs counters instead (docs/SHARDING.md). *)
-  | Frag_fetch _ | Frag_image _ | Frag_install _ | Frag_retire _
-  | Admin_reply _
-  (* So is an update pushed to a site: it belongs to no run either. *)
-  | Frag_update _
-  (* Cache-coherence traffic is likewise control plane: generation
-     vectors belong to no run, so they never enter per-query guarantee
-     accounting (docs/SERVING.md). *)
-  | Gen_publish _ | Gen_event _ | Gen_fetch _ | Gen_reply _ -> ());
-  { sections = !sections; section_bytes = !bytes; frag_entries = !frags }
 
 (* Worst-case structure bytes (docs/NETWORK.md derives these): frame
    header + version + correlation id + tags + envelope varints and

@@ -350,12 +350,20 @@ val decode_payload_corr : string -> (int * msg, error) result
 val call_sections : (string -> section -> unit) -> call -> unit
 val reply_sections : (string -> section -> unit) -> reply -> unit
 
-(** [tally] splits a message into accounted section bytes and counts
-    of the structures that generate framing overhead; it walks the same
-    sections. *)
-
+(** A frame's accounted section bytes and the counts of the structures
+    that generate framing overhead: the sections {!call_sections} and
+    {!reply_sections} yield, and the fragment entries.  Counted by the
+    encoder or decoder as it passes them, so tallying costs no second
+    walk.  Only visit calls and replies hold any. *)
 type tally = { sections : int; section_bytes : int; frag_entries : int }
 
+(** {!encode_payload}, with the frame's tally. *)
+val encode_tallied : ?corr:int -> msg -> string * tally
+
+(** {!decode_payload_corr}, with the frame's tally. *)
+val decode_tallied : string -> (int * msg * tally, error) result
+
+(** [tally m] is [snd (encode_tallied m)]. *)
 val tally : msg -> tally
 
 (** Worst-case framing overhead (structure bytes outside sections):

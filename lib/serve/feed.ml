@@ -21,7 +21,7 @@ type t = {
   mux : Client.t;
   ft : Fragment.t;
   lock : Mutex.t;
-      (* receiver threads of different sites may deliver events
+      (* threads reading different sites may deliver events
          concurrently; the fragment tree's generation array is plain
          mutable state, so the read-modify-write max is serialized *)
   sink : Pax_obs.Sink.t;

@@ -19,7 +19,7 @@ type t
 
 (** Hook the mux's [Gen_event] stream (replacing any previous hook)
     and merge every delivered tree-fragment generation into [ft].  The
-    hook runs on the mux's receiver threads. *)
+    hook runs on whichever mux thread reads the push. *)
 val attach :
   ?sink:Pax_obs.Sink.t -> mux:Pax_net.Client.t -> Pax_frag.Fragment.t -> t
 

@@ -1731,6 +1731,364 @@ let test_busy_connection () =
                 Alcotest.failf "the visit expired after %.1f s, not ~0.3 s"
                   took))
 
+(* ------------------------------------------------------------------ *)
+(* The multiplexer: waiters read their own replies                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Scripted sites: [serve site fd] runs on a thread of its own for each
+   connection accepted at site [site]'s socket. *)
+let with_scripted_sites n serve f =
+  let dir = Filename.get_temp_dir_name () in
+  let tag = Random.int 1_000_000 in
+  let paths =
+    Array.init n (fun i ->
+        Filename.concat dir
+          (Printf.sprintf "pax_net_mux_%d_%d_%d.sock" (Unix.getpid ()) tag i))
+  in
+  let addrs = Array.map (fun p -> Sockio.Unix_path p) paths in
+  let lfds = Array.map Sockio.listen addrs in
+  let stop = Atomic.make false in
+  let acceptors =
+    Array.mapi
+      (fun site lfd ->
+        Thread.create
+          (fun () ->
+            while not (Atomic.get stop) do
+              if Sockio.poll_readable lfd 0.05 then begin
+                let fd, _ = Unix.accept lfd in
+                ignore
+                  (Thread.create
+                     (fun () ->
+                       (try serve site fd with _ -> ());
+                       try Unix.close fd with _ -> ())
+                     ())
+              end
+            done)
+          ())
+      lfds
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Array.iter Thread.join acceptors;
+      Array.iter Unix.close lfds;
+      Array.iter (fun p -> try Sys.remove p with _ -> ()) paths)
+    (fun () -> f addrs)
+
+(* The next visit request on a scripted site's connection, skipping
+   session control ([Run_done]); [None] at EOF. *)
+let rec next_visit rd =
+  match Sockio.read_frame rd with
+  | None -> None
+  | Some p -> (
+      match Wire.decode_payload_corr p with
+      | Ok ((_, Wire.Visit_request _) as v) -> Some v
+      | _ -> next_visit rd)
+
+let no_retry ~site ~attempt:_ ~reason =
+  Alcotest.failf "site %d: unexpected delivery failure: %s" site reason
+
+(* Two handles run rounds over the same two connections at once.  Each
+   site holds a pair of requests and answers the later one first, a
+   few ms apart, so whichever thread reads a socket reads the other
+   round's reply before its own.  The reply's ops name the request's
+   run, round and site: each round must get exactly its own replies. *)
+let test_mux_interleaved () =
+  with_timeout 60 (fun () ->
+      let serve site fd =
+        let rd = Sockio.reader fd in
+        let reply (corr, msg) =
+          match msg with
+          | Wire.Visit_request { run; round; _ } ->
+              Sockio.write_frame fd
+                (Wire.encode_payload ~corr
+                   (Wire.Visit_reply
+                      {
+                        run;
+                        round;
+                        reply =
+                          Ok
+                            (Wire.Final_answers
+                               {
+                                 answers = [];
+                                 ops =
+                                   ((run land 0xFFFFF) * 10_000) + (round * 10)
+                                   + site;
+                               });
+                      }))
+          | _ -> ()
+        in
+        let rec loop () =
+          match next_visit rd with
+          | None -> ()
+          | Some a -> (
+              match next_visit rd with
+              | None -> ()
+              | Some b ->
+                  reply b;
+                  Thread.delay 0.003;
+                  reply a;
+                  loop ())
+        in
+        loop ()
+      in
+      with_scripted_sites 2 serve (fun addrs ->
+          let client = Client.create ~timeout:10. ~addrs () in
+          let rounds = 20 in
+          let drive () =
+            let tr = Client.handle_transport (Client.handle client) in
+            List.init rounds (fun round ->
+                tr.Transport.visit_round ~round ~label:"r" ~retry:no_retry
+                  [ (0, Wire.Ship { fids = [] }); (1, Wire.Ship { fids = [] }) ]
+                |> List.map (fun (site, reply, _) ->
+                       match reply with
+                       | Wire.Final_answers { ops; _ } ->
+                           Alcotest.(check int) "reply of this round and site"
+                             ((round * 10) + site) (ops mod 10_000);
+                           ops / 10_000
+                       | _ -> Alcotest.fail "unexpected reply body"))
+          in
+          let other = ref [] in
+          let th = Thread.create (fun () -> other := drive ()) () in
+          let mine = drive () in
+          Thread.join th;
+          Client.close client;
+          let runs l = List.sort_uniq compare (List.concat l) in
+          Alcotest.(check int) "one run's replies in each round" 1
+            (List.length (runs mine));
+          Alcotest.(check int) "all the other's rounds came back" rounds
+            (List.length !other);
+          Alcotest.(check int) "one run's replies in the other's rounds" 1
+            (List.length (runs !other));
+          Alcotest.(check bool) "each round got its own run's replies" true
+            (runs mine <> runs !other)))
+
+(* The hand-off rule.  Handle A posts and starts reading the one
+   connection; handle B posts 2 ms later and, finding the read turn
+   taken, sleeps.  The site answers A at once and B 10 ms later.  When A
+   has its reply it must hand the turn to B: if it did not, no one would
+   read B's reply until B's 50 ms deadline poll. *)
+let test_mux_hand_off () =
+  with_timeout 60 (fun () ->
+      let serve _site fd =
+        let rd = Sockio.reader fd in
+        let reply (corr, msg) =
+          match msg with
+          | Wire.Visit_request { run; round; _ } ->
+              Sockio.write_frame fd
+                (Wire.encode_payload ~corr
+                   (Wire.Visit_reply
+                      {
+                        run;
+                        round;
+                        reply = Ok (Wire.Final_answers { answers = []; ops = 0 });
+                      }))
+          | _ -> ()
+        in
+        let rec loop () =
+          match next_visit rd with
+          | None -> ()
+          | Some a -> (
+              match next_visit rd with
+              | None -> ()
+              | Some b ->
+                  reply a;
+                  Thread.delay 0.01;
+                  reply b;
+                  loop ())
+        in
+        loop ()
+      in
+      with_scripted_sites 1 serve (fun addrs ->
+          let client = Client.create ~timeout:10. ~addrs () in
+          let rounds = 20 in
+          (* Both start each round together, so A, done first, waits
+             here instead of reading B's reply with its next round. *)
+          let m = Mutex.create () and cv = Condition.create () in
+          let arrived = ref 0 in
+          let barrier round =
+            Mutex.lock m;
+            incr arrived;
+            Condition.broadcast cv;
+            while !arrived < 2 * (round + 1) do
+              Condition.wait cv m
+            done;
+            Mutex.unlock m
+          in
+          let drive ~lag () =
+            let tr = Client.handle_transport (Client.handle client) in
+            for round = 0 to rounds - 1 do
+              barrier round;
+              if lag then Thread.delay 0.002;
+              ignore
+                (tr.Transport.visit_round ~round ~label:"r" ~retry:no_retry
+                   [ (0, Wire.Ship { fids = [] }) ])
+            done
+          in
+          let t0 = Unix.gettimeofday () in
+          let b = Thread.create (drive ~lag:true) () in
+          drive ~lag:false ();
+          Thread.join b;
+          let took = Unix.gettimeofday () -. t0 in
+          Client.close client;
+          (* About 12 ms a round with the hand-off, 52 ms without. *)
+          if took > float_of_int rounds *. 0.03 then
+            Alcotest.failf "%d rounds took %.2f s: the read turn was not handed on"
+              rounds took))
+
+(* A [Gen_event] pushed on a connection no one waits on still reaches
+   the hook: the idle reader reads it. *)
+let test_mux_idle_push () =
+  with_timeout 30 (fun () ->
+      let serve _site fd =
+        let rd = Sockio.reader fd in
+        let rec loop () =
+          match Sockio.read_frame rd with
+          | None -> ()
+          | Some p ->
+              (match Wire.decode_payload_corr p with
+              | Ok (corr, Wire.Stats_request) ->
+                  Sockio.write_frame fd
+                    (Wire.encode_payload ~corr (Wire.Stats_reply []));
+                  Thread.delay 0.1;
+                  Sockio.write_frame fd
+                    (Wire.encode_payload
+                       (Wire.Gen_event
+                          { kind = Wire.Tree_frag; gens = [ (3, 7) ] }))
+              | _ -> ());
+              loop ()
+        in
+        loop ()
+      in
+      with_scripted_sites 1 serve (fun addrs ->
+          let client = Client.create ~timeout:10. ~addrs () in
+          let got = Atomic.make None in
+          Client.on_gen_event client (fun _ gens -> Atomic.set got (Some gens));
+          Alcotest.(check (list (pair string (float 0.)))) "stats" []
+            (Client.fetch_stats client 0);
+          let until = Unix.gettimeofday () +. 5. in
+          while Atomic.get got = None && Unix.gettimeofday () < until do
+            Thread.delay 0.01
+          done;
+          Client.close client;
+          Alcotest.(check (option (list (pair int int))))
+            "the push reached the hook" (Some [ (3, 7) ]) (Atomic.get got)))
+
+(* Each query in [queries] run [per_thread] times by each of [threads]
+   threads, each run on a handle of its own over [client]; checks the
+   answers against the in-process run.  Returns the rounds run. *)
+let concurrent_runs ~threads ~per_thread ft client ~n_sites =
+  let cl_ctrl = Pax_dist.Placement.cluster_round_robin ft ~n_sites in
+  let expected =
+    List.map
+      (fun qs ->
+        (qs, (Pax_core.Pax2.run cl_ctrl (Query.of_string qs)).Pax_core.Run_result.answer_ids))
+      queries
+  in
+  let rounds = Atomic.make 0 in
+  let worker i () =
+    let cl = Pax_dist.Placement.cluster_round_robin ft ~n_sites in
+    for k = 0 to per_thread - 1 do
+      let qs, answers = List.nth expected ((i + k) mod List.length expected) in
+      let h = Client.handle client in
+      Cluster.set_transport cl (Some (Client.handle_transport h));
+      let r = Pax_core.Pax2.run cl (Query.of_string qs) in
+      Client.finish_run h;
+      if r.Pax_core.Run_result.answer_ids <> answers then
+        Alcotest.failf "%s: answers differ from the in-process run" qs;
+      ignore
+        (Atomic.fetch_and_add rounds
+           (List.length r.Pax_core.Run_result.report.Cluster.rounds))
+    done
+  in
+  let ths = List.init threads (fun i -> Thread.create (worker i) ()) in
+  List.iter Thread.join ths;
+  Atomic.get rounds
+
+(* Concurrent handles run many rounds against real servers with no
+   service delay.  A reply left unread while its waiter sleeps waits for
+   the 50 ms deadline poll, so lost hand-offs would show as a run time
+   near rounds x 50 ms; the whole load must take a small part of it. *)
+let test_mux_no_stall () =
+  with_timeout 120 (fun () ->
+      let _, ft = make_setup () in
+      let n_sites = 3 in
+      with_servers ft ~n_sites (fun _cl client _pids _addrs ->
+          let t0 = Unix.gettimeofday () in
+          let rounds = concurrent_runs ~threads:4 ~per_thread:30 ft client ~n_sites in
+          let took = Unix.gettimeofday () -. t0 in
+          if took > float_of_int rounds *. 0.05 /. 5. then
+            Alcotest.failf "%d rounds took %.2f s: rounds wait for the poll"
+              rounds took))
+
+(* Deferred [Run_done] still sheds each finished run's state: under a
+   stream of concurrent runs a site holds about as many run states as
+   there are runs in flight, far from its LRU cap; and once the stream
+   stops, the frames still queued on the idle connections reach their
+   servers, which then hold none. *)
+let test_mux_run_done () =
+  with_timeout 120 (fun () ->
+      let _, ft = make_setup () in
+      let n_sites = 3 in
+      let cl = Pax_dist.Placement.cluster_round_robin ft ~n_sites in
+      let dir = Filename.get_temp_dir_name () in
+      let tag = Random.int 1_000_000 in
+      let servers =
+        Array.init n_sites (fun site ->
+            let path =
+              Filename.concat dir
+                (Printf.sprintf "pax_net_done_%d_%d_%d.sock" (Unix.getpid ())
+                   tag site)
+            in
+            let addr = Sockio.Unix_path path in
+            let lfd = Sockio.listen addr in
+            let srv = Server.create ~frags:(site_frags cl ft site) () in
+            (path, addr, lfd, srv, Thread.create (fun () -> Server.serve srv lfd) ()))
+      in
+      let client =
+        Client.create ~timeout:20.
+          ~addrs:(Array.map (fun (_, a, _, _, _) -> a) servers)
+          ()
+      in
+      let states () =
+        Array.fold_left
+          (fun m (_, _, _, srv, _) -> max m (Server.n_run_states srv))
+          0 servers
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          Client.shutdown_sites client;
+          Array.iter
+            (fun (path, _, lfd, _, th) ->
+              Thread.join th;
+              Unix.close lfd;
+              try Sys.remove path with _ -> ())
+            servers)
+        (fun () ->
+          let threads = 2 in
+          let peak = ref 0 and stop = Atomic.make false in
+          let sampler =
+            Thread.create
+              (fun () ->
+                while not (Atomic.get stop) do
+                  peak := max !peak (states ());
+                  Thread.delay 0.0005
+                done)
+              ()
+          in
+          ignore (concurrent_runs ~threads ~per_thread:40 ft client ~n_sites);
+          Atomic.set stop true;
+          Thread.join sampler;
+          if !peak > (2 * threads) + 2 then
+            Alcotest.failf "a site held %d run states with %d runs in flight"
+              !peak threads;
+          let until = Unix.gettimeofday () +. 5. in
+          while states () > 0 && Unix.gettimeofday () < until do
+            Thread.delay 0.01
+          done;
+          Alcotest.(check int) "idle connections' Run_done reached their sites"
+            0 (states ())))
+
 let () =
   Random.self_init ();
   Alcotest.run "net"
@@ -1785,5 +2143,18 @@ let () =
           Alcotest.test_case "refused connection" `Quick
             test_refused_connection;
           Alcotest.test_case "busy connection" `Quick test_busy_connection;
+        ] );
+      ( "mux",
+        [
+          Alcotest.test_case "interleaved rounds, replies out of order" `Quick
+            test_mux_interleaved;
+          Alcotest.test_case "the read turn is handed on" `Quick
+            test_mux_hand_off;
+          Alcotest.test_case "a push with no waiter reaches the hook" `Quick
+            test_mux_idle_push;
+          Alcotest.test_case "no stalls under concurrent rounds" `Quick
+            test_mux_no_stall;
+          Alcotest.test_case "deferred Run_done bounds run states" `Quick
+            test_mux_run_done;
         ] );
     ]
