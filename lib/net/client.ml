@@ -472,8 +472,9 @@ let wait t w =
       raise e
 
 (* Waiters, with their pipes, are reused across waits.  One goes back
-   holding no turn: a turn handed to it after its last wait is passed
-   on. *)
+   holding no turn, a turn handed to it after its last wait is passed
+   on, and no request of its own is left pending, so none is handed to
+   it while it is spare. *)
 let take_waiter t =
   match
     locked t (fun () ->
@@ -488,6 +489,11 @@ let take_waiter t =
 
 let put_waiter t w =
   locked t (fun () ->
+      List.iter
+        (fun p ->
+          if p.p_result = None then
+            p.p_result <- Some (Error (Failure "request abandoned")))
+        w.w_reqs;
       List.iter (release t w) w.w_held;
       unpoke w;
       w.w_open <- 0;
