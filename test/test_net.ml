@@ -1932,7 +1932,7 @@ let test_mux_hand_off () =
           let took = Unix.gettimeofday () -. t0 in
           Client.close client;
           (* About 12 ms a round with the hand-off, 52 ms without. *)
-          if took > float_of_int rounds *. 0.03 then
+          if took > float_of_int rounds *. 0.04 then
             Alcotest.failf "%d rounds took %.2f s: the read turn was not handed on"
               rounds took))
 
