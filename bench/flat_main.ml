@@ -8,8 +8,8 @@
    Each row times one stage loop — the bottom-up qualifier pass or the
    top-down selection pass — over the same single-fragment XMark
    document, once through the pointer reference kernels
-   (Pax_core.Qual_pass, Pax_core.Sel_pass) and once through the flat
-   image (Pax_core.Flat_pass, the engines' only path), best-of-N wall
+   (test/helpers/pointer.ml) and once through the flat image
+   (Pax_core.Flat_pass, every evaluator's only path), best-of-N wall
    time.  The queries are the relative forms of the XMark workload so
    both sides run the pure in-fragment loop with the root as context
    and no #document wrapper.  Outcomes are cross-checked for
@@ -27,8 +27,8 @@ module Flat = Pax_xml.Flat
 module Query = Pax_xpath.Query
 module Fragment = Pax_frag.Fragment
 module Formula = Pax_bool.Formula
-module Qual_pass = Pax_core.Qual_pass
-module Sel_pass = Pax_core.Sel_pass
+module Qual_pass = Test_helpers.Pointer.Qual_pass
+module Sel_pass = Test_helpers.Pointer.Sel_pass
 module Flat_pass = Pax_core.Flat_pass
 module J = Bench_json
 

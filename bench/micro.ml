@@ -1,6 +1,7 @@
-(* Bechamel micro-benchmarks of the evaluation kernels: the bottom-up
-   qualifier pass, the top-down selection pass, PaX2's combined
-   traversal, query compilation and formula operations. *)
+(* Bechamel micro-benchmarks of the evaluation kernels every evaluator
+   runs (the flat bottom-up qualifier pass, top-down selection pass and
+   PaX2's combined traversal), the centralized and streaming
+   evaluators, query compilation and formula operations. *)
 
 open Bechamel
 open Toolkit
@@ -13,13 +14,6 @@ module Var = Pax_bool.Var
 let doc = Pax_xmark.Xmark.doc ~seed:5 ~total_nodes:8_000 ~n_sites:1
 let q3 = Query.of_string Pax_xmark.Xmark.q3
 let compiled = q3.Query.compiled
-
-let ground_sat =
-  let qp = Pax_core.Qual_pass.run compiled doc.Tree.root in
-  fun (v : Tree.node) filter ->
-    Pax_core.Qual_pass.sat compiled
-      (Hashtbl.find qp.Pax_core.Qual_pass.vectors v.Tree.id)
-      v filter
 
 let q1 = Query.of_string Pax_xmark.Xmark.q1
 
@@ -42,25 +36,18 @@ let residual =
 let tests =
   Test.make_grouped ~name:"kernels"
     [
-      Test.make ~name:"qualifier-pass (8k nodes)"
-        (Staged.stage (fun () -> Pax_core.Qual_pass.run compiled doc.Tree.root));
       Test.make ~name:"qualifier-pass flat (8k nodes)"
         (Staged.stage (fun () ->
              Pax_core.Flat_pass.qual_run fplan fl ~is_root:false));
-      Test.make ~name:"selection-pass (8k nodes)"
-        (Staged.stage (fun () ->
-             Pax_core.Sel_pass.run compiled
-               ~init:(Pax_core.Sel_pass.blank_init compiled)
-               ~root_is_context:true ~sat:ground_sat doc.Tree.root));
       Test.make ~name:"selection-pass flat (8k nodes)"
         (Staged.stage (fun () ->
              Pax_core.Flat_pass.sel_run fplan fl
-               ~init:(Pax_core.Sel_pass.blank_init compiled)
+               ~init:(Pax_core.Flat_pass.blank_init compiled)
                ~is_root:true ~qual:(Some fq)));
       Test.make ~name:"combined-pass flat (8k nodes)"
         (Staged.stage (fun () ->
              Pax_core.Flat_pass.combined_run fplan fl
-               ~init:(Pax_core.Sel_pass.blank_init compiled)
+               ~init:(Pax_core.Flat_pass.blank_init compiled)
                ~is_root:true));
       Test.make ~name:"centralized Q3 (8k nodes)"
         (Staged.stage (fun () -> Pax_core.Centralized.run q3 doc.Tree.root));

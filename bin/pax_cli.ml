@@ -229,10 +229,12 @@ let query_cmd =
       in
       (match result with
       | `Stream r ->
-          Printf.printf "%d answer(s) at pre-order indices: %s\n"
-            (List.length r.Pax_core.Stream_eval.matches)
-            (String.concat ", "
-               (List.map string_of_int r.Pax_core.Stream_eval.matches));
+          Printf.printf "%d answer(s)\n" (List.length r.Pax_core.Stream_eval.matches);
+          (* The stream names matches by pre-order position, not node id. *)
+          if not quiet then
+            Printf.printf "pre-order positions: %s\n"
+              (String.concat ", "
+                 (List.map string_of_int r.Pax_core.Stream_eval.matches));
           if stats then
             Printf.printf
               "elements: %d | max depth: %d | peak pending: %d\n"

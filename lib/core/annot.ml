@@ -206,5 +206,5 @@ let init_of_ctx compiled ~fid ctx3 =
 let shipped_init compiled analysis fid =
   match analysis with
   | None -> None
-  | Some _ when fid = 0 -> Some (Sel_pass.blank_init compiled)
+  | Some _ when fid = 0 -> Some (Flat_pass.blank_init compiled)
   | Some a -> Some (init_of_ctx compiled ~fid a.ctx.(fid))

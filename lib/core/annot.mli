@@ -44,8 +44,8 @@ val init_of_ctx :
 
 (** [shipped_init compiled analysis fid] — the initial vector a
     coordinator ships with fragment [fid]'s selection visit: [None]
-    without an analysis (the site derives it: {!Sel_pass.blank_init} at
-    the root, {!Sel_pass.symbolic_init} elsewhere), else the
+    without an analysis (the site derives it: {!Flat_pass.blank_init} at
+    the root, {!Flat_pass.symbolic_init} elsewhere), else the
     annotation-derived vector (blank at the root). *)
 val shipped_init :
   Pax_xpath.Compile.t -> analysis option -> int ->

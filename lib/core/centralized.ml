@@ -1,7 +1,7 @@
 module Tree = Pax_xml.Tree
+module Flat = Pax_xml.Flat
 module Query = Pax_xpath.Query
 module Compile = Pax_xpath.Compile
-module Formula = Pax_bool.Formula
 
 type result = {
   answers : Tree.node list;
@@ -11,42 +11,41 @@ type result = {
 }
 
 let run (q : Query.t) (root : Tree.node) : result =
-  Tree.iter
-    (fun n ->
-      if Tree.is_virtual n then
-        invalid_arg "Centralized.run: tree contains virtual nodes")
-    root;
-  let compiled = q.Query.compiled in
-  let eval_root, root_is_context = Sel_pass.context_root compiled root in
-  let qp, qual_ops =
-    if Compile.no_qualifiers compiled then (None, 0)
-    else begin
-      let qp = Qual_pass.run compiled eval_root in
-      (Some qp, qp.Qual_pass.ops)
-    end
+  (* Slots are pre-order positions, so the pre-order node list maps a
+     slot back to its node. *)
+  let nodes =
+    Array.of_list
+      (List.rev
+         (Tree.fold
+            (fun acc n ->
+              if Tree.is_virtual n then
+                invalid_arg "Centralized.run: tree contains virtual nodes";
+              n :: acc)
+            [] root))
   in
-  let sat v filter =
-    match qp with
-    | None -> Qual_pass.sat compiled [||] v filter
-    | Some qp ->
-        Qual_pass.sat compiled
-          (Hashtbl.find qp.Qual_pass.vectors v.Tree.id)
-          v filter
+  let compiled = q.Query.compiled in
+  let flat = Flat.of_tree root in
+  let plan = Flat_pass.make_plan compiled (Flat.intern flat) in
+  let qual =
+    if Compile.no_qualifiers compiled then None
+    else Some (Flat_pass.qual_run plan flat ~is_root:true)
   in
   let outcome =
-    Sel_pass.run compiled ~init:(Sel_pass.blank_init compiled)
-      ~root_is_context ~sat eval_root
+    Flat_pass.sel_run plan flat ~init:(Flat_pass.blank_init compiled)
+      ~is_root:true ~qual
   in
-  assert (outcome.Sel_pass.candidates = []);
-  (* The document node is never an answer. *)
+  assert (outcome.Flat_pass.candidates = []);
+  (* The #document wrapper (slot -1) is never an answer. *)
   let answers =
-    List.filter (fun (n : Tree.node) -> n.id >= 0) outcome.Sel_pass.answers
+    List.filter_map
+      (fun i -> if i >= 0 then Some nodes.(i) else None)
+      outcome.Flat_pass.answers
   in
   {
     answers;
     answer_ids = List.sort compare (List.map (fun (n : Tree.node) -> n.id) answers);
-    qual_ops;
-    sel_ops = outcome.Sel_pass.ops;
+    qual_ops = (match qual with Some qp -> qp.Flat_pass.q_ops | None -> 0);
+    sel_ops = outcome.Flat_pass.ops;
   }
 
 let eval_ids q root = (run q root).answer_ids

@@ -3,6 +3,12 @@
     (Gottlob et al. style: one bottom-up qualifier pass, one top-down
     selection pass).
 
+    It builds one flat image of the whole tree and runs the engines'
+    kernels on it: {!Flat_pass.qual_run} (skipped for a query without
+    qualifiers), then {!Flat_pass.sel_run}.  Both passes visit every
+    node, so [qual_ops] and [sel_ops] are the full two-pass cost; PaX2's
+    combined pass, which skips subtrees, is not the baseline.
+
     This is the engine {!Naive} runs after shipping and reassembling all
     fragments, and the single-site special case of PaX. *)
 

@@ -63,6 +63,16 @@ let resolve_contexts ft ~root_ctx ~ctx_of ~qual_lookup =
   done;
   resolved
 
+let unify_contexts ft ~n_sel ~contexts ~qual_lookup =
+  let raw = Array.make (Fragment.n_fragments ft) None in
+  Array.iter
+    (List.iter (fun (sub, vec) -> raw.(sub) <- Some vec))
+    contexts;
+  resolve_contexts ft
+    ~root_ctx:(Array.make n_sel false)
+    ~ctx_of:(fun fid -> raw.(fid))
+    ~qual_lookup
+
 let full_lookup ~quals ~ctxs v =
   match v with
   | Var.Qual _ -> qual_lookup quals v

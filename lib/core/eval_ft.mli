@@ -43,6 +43,19 @@ val resolve_contexts :
   qual_lookup:(Pax_bool.Var.t -> Formula.t option) ->
   bool array array
 
+(** [unify_contexts ft ~n_sel ~contexts ~qual_lookup] — the top-down
+    unification as every evaluator runs it: [contexts.(fid)] lists the
+    [(sub, ctx)] pairs fragment [fid]'s selection pass shipped, one per
+    sub-fragment ([[]] if the pass did not run), and the root
+    fragment's context is all-[false] ([n_sel] entries).  Gathers the
+    raw contexts and {!resolve_contexts} them. *)
+val unify_contexts :
+  Pax_frag.Fragment.t ->
+  n_sel:int ->
+  contexts:(int * Formula.t array) list array ->
+  qual_lookup:(Pax_bool.Var.t -> Formula.t option) ->
+  bool array array
+
 (** Substitution source for [Var.Sel_ctx] variables. *)
 val ctx_lookup : bool array array -> Pax_bool.Var.t -> Formula.t option
 

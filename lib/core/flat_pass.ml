@@ -1,19 +1,19 @@
-(* The engines' stage kernels over flat fragment images
-   (docs/FLATTREE.md): every engine and site server evaluates a
-   fragment through these three passes.
+(* The stage kernels over flat fragment images (docs/FLATTREE.md):
+   every evaluator — the engines, the site servers, Centralized and
+   Paging — evaluates a fragment or a whole document through these
+   three passes.
 
-   The qualifier and selection passes are {!Qual_pass} and {!Sel_pass}
-   — same recurrences, same evaluation order, same operation counting —
-   re-expressed over {!Pax_xml.Flat} slots: tag tests compare interned
-   int codes, text and attribute tests compare against the shared byte
-   buffer in place, and traversal follows the
-   [first_child]/[next_sibling] int vectors instead of chasing node
-   pointers.  Off the spine a slot's qualifier vector is ground, so the
-   kernels step it as a bitset and build no formula there; every
-   formula they do build (spine slots, selection vectors, results) is
-   built in the pointer passes' construction order.  test/test_passes.ml
-   holds each kernel to its pointer reference on random
-   fragmentations.  PaX2's combined pass alone skips, child by child,
+   The qualifier and selection passes are the paper's bottom-up and
+   top-down recurrences over {!Pax_xml.Flat} slots: tag tests compare
+   interned int codes, text and attribute tests compare against the
+   shared byte buffer in place, and traversal follows the
+   [first_child]/[next_sibling] int vectors.  Off the spine a slot's
+   qualifier vector is ground, so the kernels step it as a bitset and
+   build no formula there; every formula they do build (spine slots,
+   selection vectors, results) is built in the order a recursive walk
+   of the pointer tree builds it.  That walk is kept as the reference
+   in test/helpers/pointer.ml: test/test_passes.ml holds each kernel
+   to it, op for op and entry for entry, on random fragmentations.  PaX2's combined pass alone skips, child by child,
    the off-spine subtrees whose entries nothing reads and where no
    selection state can reach an answer, and charges only the slots it
    walks.
@@ -252,7 +252,7 @@ let start plan ~is_root =
 (* qualifier satisfaction over a slot                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Mirror of the pointer pass's [sat_view] with the lowered tests:
+(* Mirror of {!Qual_pass.sat_view} with the lowered tests:
    [entry i e] reads qualifier entry [e] of slot [i] — the slot's own
    vector in the qualifier step, the resolved vector in [sel_run], a
    placeholder in [combined_run]. *)
@@ -270,10 +270,10 @@ let rec fsat flat i entry = function
   | FAnd (a, b) -> Formula.conj (fsat flat i entry a) (fsat flat i entry b)
   | FOr (a, b) -> Formula.disj (fsat flat i entry a) (fsat flat i entry b)
 
-(* Mirror of the pointer pass's [eval_entries]: one element slot's qualifier
+(* Mirror of {!Qual_pass.eval_entries}: one element slot's qualifier
    vector, path by path, suffix-position descending.  [kids.(ko + e)] is
    the disjunction of entry [e] over the slot's children, folded left in
-   child order as the pointer pass folds it. *)
+   child order as the pointer reference folds it. *)
 let feval_entries plan flat i ~tagc (kids : Formula.t array) ko :
     Formula.t array =
   let vec = Array.make plan.compiled.Compile.n_qual Formula.false_ in
@@ -550,7 +550,7 @@ let[@inline] fits (needs : int array) o k mask =
   done;
   !j < k
 
-(* Slot [i]'s qualifier vector, charged as the pointer passes charge
+(* Slot [i]'s qualifier vector, charged as the pointer reference charges
    the work done: [virtual_ops] per virtual slot, [n_qual * (1 +
    children walked)] per element whose vector is computed.  Off the
    spine the vector is computed into row [d] of [own] only when a
@@ -673,9 +673,10 @@ type qual = {
 let qual_vec_at q i =
   if i >= 0 then q.q_vecs.(i) else Option.value q.q_wrap ~default:[||]
 
-(* Mirror of {!Qual_pass.run} on [eval_root fid].  Every slot's vector
-   is materialized as formulas at the edge: PaX3 stage 2 resolves them
-   in place ([qual_resolve]) and reads them per slot ([sel_run]). *)
+(* The bottom-up qualifier pass from the fragment's root (its wrapper
+   for fragment 0 of an absolute query).  Every slot's vector is
+   materialized as formulas at the edge: PaX3 stage 2 resolves them in
+   place ([qual_resolve]) and reads them per slot ([sel_run]). *)
 let qual_run plan flat ~is_root : qual =
   let vecs = Array.make (Flat.length flat) [||] in
   let wrap = ref None in
@@ -696,8 +697,8 @@ let qual_run plan flat ~is_root : qual =
     q_ops = w.ops;
   }
 
-(* Mirror of {!Qual_pass.resolve}: substitute in place, counting every
-   entry of every stored vector (virtual slots and wrapper included). *)
+(* Substitute in place, counting every entry of every stored vector
+   (virtual slots and wrapper included). *)
 let qual_resolve q lookup =
   let n = ref 0 in
   let resolve vec =
@@ -719,6 +720,12 @@ type sel_outcome = {
   ops : int;
 }
 
+let blank_init compiled = Array.make compiled.Compile.n_sel Formula.false_
+
+let symbolic_init compiled ~fid =
+  Array.init compiled.Compile.n_sel (fun i ->
+      Formula.var (Var.Sel_ctx (fid, i)))
+
 (* A buffer entry is rewritten only when it changes: most entries stay
    [False] from one slot to the next, and skipping the store skips the
    write barrier. *)
@@ -735,10 +742,10 @@ let sel_rows plan (cols : Flat.columns) =
 let parent_vec ~init sel n d =
   if d = 0 then Array.copy init else Array.sub sel ((d - 1) * n) n
 
-(* The pre-order selection step of {!Sel_pass} on element slot [i]:
-   writes its vector at offset [o] of [sv] from its parent's, at
-   offset [po] of [pv], charged [n_sel] by the caller.  Filters read
-   qualifier entries through [entry] ({!fsat}). *)
+(* The pre-order selection step on element slot [i]: writes its
+   vector at offset [o] of [sv] from its parent's, at offset [po] of
+   [pv], charged [n_sel] by the caller.  Filters read qualifier entries
+   through [entry] ({!fsat}). *)
 let sel_step plan flat entry i ~tagc ~is_context (pv : Formula.t array) po
     (sv : Formula.t array) o =
   set sv o (if is_context then Formula.true_ else Formula.false_);
@@ -766,9 +773,10 @@ let sel_step_at plan flat entry i ~tagc ~init ~is_root sel d =
       ((d - 1) * n)
       sel (d * n)
 
-(* Mirror of {!Sel_pass.run} on [eval_root fid], with qualifier
-   satisfaction read from a resolved flat qualifier pass ([qual]), or
-   trivially (empty vectors) when the query has no qualifier entries. *)
+(* The top-down selection pass from the fragment's root (its wrapper
+   for fragment 0 of an absolute query), with qualifier satisfaction
+   read from a resolved qualifier pass ([qual]), or trivially when the
+   query has no qualifier entries. *)
 let sel_run plan flat ~init ~is_root ~(qual : qual option) : sel_outcome =
   let n = plan.compiled.Compile.n_sel in
   let last = n - 1 in

@@ -1,22 +1,24 @@
-(** The engines' stage kernels: the qualifier pass, the selection pass
-    and PaX2's combined traversal over flat fragment images
-    ({!Pax_xml.Flat}, docs/FLATTREE.md).  PaX2, PaX3, ParBoX, Count,
-    Batch, Paging and the site servers all evaluate fragments here.
+(** The stage kernels: the qualifier pass, the selection pass and
+    PaX2's combined traversal over flat images ({!Pax_xml.Flat},
+    docs/FLATTREE.md).  Every evaluator runs them: PaX2, PaX3, ParBoX,
+    Count, Batch and the site servers on each fragment, {!Paging} on
+    each fragment it swaps in, and {!Centralized} on one image of the
+    whole document.
 
-    The qualifier and selection passes keep {!Qual_pass} and
-    {!Sel_pass}'s recurrences and operation counting — only the node
-    representation changes: tag tests compare interned int codes,
-    text/attribute tests read the shared byte buffer in place,
-    traversal follows int vectors.  Off the spine
-    ([spine] in {!Pax_xml.Flat.columns}) a qualifier vector is ground and held as
-    a bitset, so no formula is built there; every formula the kernels
-    do build — on spine slots, in selection vectors, and in every
-    result they return — is built in the pointer passes' construction
-    order.  Those pointer passes are the kernel-level reference
-    (test/test_passes.ml checks parity per fragment, test/test_flat.ml
-    the combined pass against the two passes); the engines are checked
-    end to end against the centralized evaluator and the set-based
-    semantics.
+    The qualifier and selection passes are the paper's bottom-up
+    ({!Qual_pass.eval_entries} per node) and top-down recurrences, with
+    its operation counting, over flat slots: tag tests compare interned
+    int codes, text/attribute tests read the shared byte buffer in
+    place, traversal follows int vectors.  Off the spine ([spine] in
+    {!Pax_xml.Flat.columns}) a qualifier vector is ground and held as a
+    bitset, so no formula is built there; every formula the kernels do
+    build — on spine slots, in selection vectors, and in every result
+    they return — is built in the order a recursive walk of the pointer
+    tree builds it.  That walk, test/helpers/pointer.ml, is the
+    kernel-level reference (test/test_passes.ml checks parity per
+    fragment, test/test_flat.ml the combined pass against the two
+    passes); the engines are checked end to end against it and against
+    the set-based semantics.
 
     Nodes are named by slot only: answers and candidates are slot
     indices of the image passed in, and the caller builds what it ships
@@ -43,7 +45,7 @@ val make_plan : Pax_xpath.Compile.t -> Pax_xml.Intern.t -> plan
     wrapper slot [-1]. *)
 val node_id : Pax_xml.Flat.t -> int -> int
 
-(** {1 Qualifier pass} — {!Qual_pass.run} over a flat image. *)
+(** {1 Qualifier pass} — bottom-up, every slot's vector. *)
 
 type qual = {
   q_flat : Pax_xml.Flat.t;
@@ -61,17 +63,28 @@ val qual_run : plan -> Pax_xml.Flat.t -> is_root:bool -> qual
 
 (** [qual_resolve q lookup] substitutes boundary variables in every
     stored vector in place (wrapper included), returning the operation
-    count — same as {!Qual_pass.resolve}. *)
+    count: one per entry of every stored vector.  Used at the start of
+    the selection pass, once the coordinator has unified the boundary
+    values. *)
 val qual_resolve : qual -> (Pax_bool.Var.t -> Formula.t option) -> int
 
-(** {1 Selection pass} — {!Sel_pass.run} over a flat image. *)
+(** {1 Selection pass} — top-down, procedure [topDown] (paper §3.2). *)
 
-(** One fragment's selection-pass result, as {!Sel_pass.outcome} with
-    slots for nodes. *)
+(** All-false parent vector: the selection pass's [init] at the
+    document's root. *)
+val blank_init : Pax_xpath.Compile.t -> Formula.t array
+
+(** Symbolic [init] for fragment [fid]: [Sel_ctx (fid, i)] variables,
+    which the coordinator's context unification later grounds. *)
+val symbolic_init : Pax_xpath.Compile.t -> fid:int -> Formula.t array
+
+(** One fragment's selection-pass result: certain answers, candidates
+    whose last entry is residual, and for every virtual slot the vector
+    of its parent (the paper's [returnSet]). *)
 type sel_outcome = {
   answers : int list;
-      (** certain slots, the wrapper included as {!Sel_pass} includes
-          the document node; {!Pax_wire.Wire.answers_of_slots} drops it *)
+      (** certain slots in pre-order, the wrapper included;
+          {!Pax_wire.Wire.answers_of_slots} drops it *)
   candidates : (int * Formula.t) list;
   contexts : (int * Formula.t array) list;  (** sub-fragment fid → ctx *)
   ops : int;

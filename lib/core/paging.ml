@@ -1,7 +1,6 @@
 module Tree = Pax_xml.Tree
 module Query = Pax_xpath.Query
 module Compile = Pax_xpath.Compile
-module Formula = Pax_bool.Formula
 module Fragment = Pax_frag.Fragment
 module Flat = Pax_xml.Flat
 
@@ -23,13 +22,9 @@ let fragment_setup ~memory_budget (doc : Tree.doc) =
   in
   (ft, peak)
 
-let eval_root compiled ft fid =
-  let root = (Fragment.fragment ft fid).Fragment.root in
-  if fid = 0 then fst (Sel_pass.context_root compiled root) else root
-
 let init_for compiled fid =
-  if fid = 0 then Sel_pass.blank_init compiled
-  else Sel_pass.symbolic_init compiled ~fid
+  if fid = 0 then Flat_pass.blank_init compiled
+  else Flat_pass.symbolic_init compiled ~fid
 
 let finish ~answers ~swaps ~bytes ~ft ~peak =
   {
@@ -68,21 +63,13 @@ let run ~memory_budget (q : Query.t) (doc : Tree.doc) : result =
     Eval_ft.resolve_quals ft ~root_vecs:(fun fid ->
         Option.map (fun (_, oc) -> oc.Flat_pass.root_qvec) outcomes.(fid))
   in
-  let qual_lookup = Eval_ft.qual_lookup resolved_quals in
-  let raw_ctx = Array.make n None in
-  Array.iter
-    (function
-      | Some (_, oc) ->
-          List.iter
-            (fun (sub, vec) -> raw_ctx.(sub) <- Some vec)
-            oc.Flat_pass.contexts
-      | None -> ())
-    outcomes;
   let resolved_ctx =
-    Eval_ft.resolve_contexts ft
-      ~root_ctx:(Array.make compiled.Compile.n_sel false)
-      ~ctx_of:(fun fid -> raw_ctx.(fid))
-      ~qual_lookup
+    Eval_ft.unify_contexts ft ~n_sel:compiled.Compile.n_sel
+      ~contexts:
+        (Array.map
+           (function Some (_, oc) -> oc.Flat_pass.contexts | None -> [])
+           outcomes)
+      ~qual_lookup:(Eval_ft.qual_lookup resolved_quals)
   in
   let lookup = Eval_ft.full_lookup ~quals:resolved_quals ~ctxs:resolved_ctx in
   let answers =
@@ -102,17 +89,19 @@ let run_two_pass ~memory_budget (q : Query.t) (doc : Tree.doc) : result =
   let ft, peak = fragment_setup ~memory_budget doc in
   let n = Fragment.n_fragments ft in
   let swaps = ref 0 and bytes = ref 0 in
+  let plan = Flat_pass.make_plan compiled (Fragment.intern ft) in
   (* Pass 1: qualifiers — every fragment paged in once. *)
-  let qp_store = Array.make n None in
+  let quals = Array.make n None in
   if not (Compile.no_qualifiers compiled) then
     List.iter
       (fun fid ->
         load (swaps, bytes) ft fid;
-        qp_store.(fid) <- Some (Qual_pass.run compiled (eval_root compiled ft fid)))
+        quals.(fid) <-
+          Some (Flat_pass.qual_run plan (Fragment.flat ft fid) ~is_root:(fid = 0)))
       (Fragment.bottom_up ft);
   let resolved_quals =
     Eval_ft.resolve_quals ft ~root_vecs:(fun fid ->
-        Option.map (fun qp -> qp.Qual_pass.root_vec) qp_store.(fid))
+        Option.map (fun qp -> qp.Flat_pass.q_root_vec) quals.(fid))
   in
   let qual_lookup = Eval_ft.qual_lookup resolved_quals in
   (* Pass 2: selection — every fragment paged in again. *)
@@ -120,57 +109,38 @@ let run_two_pass ~memory_budget (q : Query.t) (doc : Tree.doc) : result =
   List.iter
     (fun fid ->
       load (swaps, bytes) ft fid;
-      (match qp_store.(fid) with
-      | Some qp -> ignore (Qual_pass.resolve qp qual_lookup)
-      | None -> ());
-      let sat v filter =
-        match qp_store.(fid) with
-        | Some qp ->
-            Qual_pass.sat compiled
-              (Hashtbl.find qp.Qual_pass.vectors v.Tree.id)
-              v filter
-        | None -> Qual_pass.sat compiled [||] v filter
-      in
+      Option.iter
+        (fun qp -> ignore (Flat_pass.qual_resolve qp qual_lookup : int))
+        quals.(fid);
+      let fl = Fragment.flat ft fid in
       outcomes.(fid) <-
         Some
-          (Sel_pass.run compiled ~init:(init_for compiled fid)
-             ~root_is_context:(fid = 0) ~sat (eval_root compiled ft fid)))
+          ( fl,
+            Flat_pass.sel_run plan fl ~init:(init_for compiled fid)
+              ~is_root:(fid = 0) ~qual:quals.(fid) ))
     (Fragment.top_down ft);
-  let raw_ctx = Array.make n None in
-  Array.iter
-    (function
-      | Some oc ->
-          List.iter (fun (sub, vec) -> raw_ctx.(sub) <- Some vec) oc.Sel_pass.contexts
-      | None -> ())
-    outcomes;
   let resolved_ctx =
-    Eval_ft.resolve_contexts ft
-      ~root_ctx:(Array.make compiled.Compile.n_sel false)
-      ~ctx_of:(fun fid -> raw_ctx.(fid))
+    Eval_ft.unify_contexts ft ~n_sel:compiled.Compile.n_sel
+      ~contexts:
+        (Array.map
+           (function
+             | Some (_, (oc : Flat_pass.sel_outcome)) -> oc.contexts
+             | None -> [])
+           outcomes)
       ~qual_lookup
   in
   let ctx_lookup = Eval_ft.ctx_lookup resolved_ctx in
   (* Pass 3: fragments with candidates are paged in a third time. *)
   let answers = ref [] in
   Array.iteri
-    (fun fid oc ->
-      match oc with
-      | Some oc ->
+    (fun fid -> function
+      | Some (fl, (oc : Flat_pass.sel_outcome)) ->
+          if oc.candidates <> [] then load (swaps, bytes) ft fid;
+          let late, _ = Flat_pass.resolve_candidates oc.candidates ctx_lookup in
+          (* The #document wrapper (slot -1) is never an answer. *)
           List.iter
-            (fun (v : Tree.node) ->
-              if v.Tree.id >= 0 then answers := v.Tree.id :: !answers)
-            oc.Sel_pass.answers;
-          if oc.Sel_pass.candidates <> [] then begin
-            load (swaps, bytes) ft fid;
-            List.iter
-              (fun ((v : Tree.node), f) ->
-                match Formula.to_bool (Formula.subst ctx_lookup f) with
-                | Some true when v.Tree.id >= 0 ->
-                    answers := v.Tree.id :: !answers
-                | Some _ -> ()
-                | None -> invalid_arg "Paging.run_two_pass: unresolved candidate")
-              oc.Sel_pass.candidates
-          end
+            (fun i -> if i >= 0 then answers := Flat.node_id fl i :: !answers)
+            (oc.answers @ late)
       | None -> ())
     outcomes;
   finish ~answers:!answers ~swaps:!swaps ~bytes:!bytes ~ft ~peak

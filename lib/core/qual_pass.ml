@@ -3,14 +3,8 @@ module Compile = Pax_xpath.Compile
 module Formula = Pax_bool.Formula
 module Var = Pax_bool.Var
 
-type t = {
-  vectors : (int, Formula.t array) Hashtbl.t;
-  root_vec : Formula.t array;
-  ops : int;
-}
-
-(* The kernel is defined over an abstract node view so that both the
-   tree passes and the streaming engine share it. *)
+(* The recurrence is defined over an abstract node view, so that the
+   streaming engine and a check on a tree node share it. *)
 type view = {
   vtag : string;
   vtext : string;
@@ -94,40 +88,3 @@ let eval_entries compiled (v : view) ~exists_child : Formula.t array =
 
 let virtual_vec compiled fid =
   Array.init compiled.Compile.n_qual (fun e -> Formula.var (Var.Qual (fid, e)))
-
-let eval_node compiled ~ops (v : Tree.node) (child_vecs : Formula.t array list) :
-    Formula.t array =
-  let n_qual = compiled.Compile.n_qual in
-  match v.kind with
-  | Tree.Virtual fid ->
-      ops := !ops + n_qual;
-      virtual_vec compiled fid
-  | Tree.Element ->
-      ops := !ops + (n_qual * (1 + List.length child_vecs));
-      let exists_child e =
-        List.fold_left
-          (fun acc cv -> Formula.disj acc cv.(e))
-          Formula.false_ child_vecs
-      in
-      eval_entries compiled (view_of_node v) ~exists_child
-
-let run compiled (root : Tree.node) : t =
-  let vectors = Hashtbl.create 256 in
-  let ops = ref 0 in
-  let rec go v =
-    let child_vecs = List.map go v.Tree.children in
-    let vec = eval_node compiled ~ops v child_vecs in
-    Hashtbl.replace vectors v.Tree.id vec;
-    vec
-  in
-  let root_vec = go root in
-  { vectors; root_vec; ops = !ops }
-
-let resolve t lookup =
-  let n = ref 0 in
-  Hashtbl.iter
-    (fun _ vec ->
-      n := !n + Array.length vec;
-      Array.iteri (fun i f -> vec.(i) <- Formula.subst lookup f) vec)
-    t.vectors;
-  !n

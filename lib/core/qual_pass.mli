@@ -1,45 +1,20 @@
-(** Bottom-up qualifier evaluation over one fragment — the extension of
-    ParBoX that forms Stage 1 of PaX3 (paper §3.1) and the post-order
-    half of PaX2's combined traversal.
+(** The qualifier recurrence over one node (paper §3.1), written over
+    an abstract node view.
 
-    One pass computes, for every node of the fragment, its qualifier
-    vector (the [A]/[B]/[D] entries of {!Pax_xpath.Compile}).  At a
-    virtual node every entry is a fresh variable [Var.Qual (fid, e)];
-    those variables flow into the vectors of the node's ancestors, making
-    them residual Boolean formulas that the coordinator later unifies. *)
+    A node's qualifier vector holds the [A]/[B]/[D] entries of
+    {!Pax_xpath.Compile}; at a virtual node every entry is a fresh
+    variable [Var.Qual (fid, e)], which flows into the vectors of the
+    node's ancestors and makes them residual Boolean formulas that the
+    coordinator later unifies.  The engines run this recurrence over
+    flat images ({!Flat_pass}); the streaming engine ({!Stream_eval})
+    runs it here, over the elements it has open, and ParBoX's root
+    check reads {!sat} on the root node. *)
 
 module Formula = Pax_bool.Formula
 
-type t = {
-  vectors : (int, Formula.t array) Hashtbl.t;  (** node id → vector *)
-  root_vec : Formula.t array;  (** the fragment root's vector, shipped *)
-  ops : int;  (** vector-entry operations performed *)
-}
-
-(** [run compiled root] evaluates all qualifier entries bottom-up.
-    Returns empty vectors when the query has no qualifier entries. *)
-val run : Pax_xpath.Compile.t -> Pax_xml.Tree.node -> t
-
-(** One node's vector from its children's vectors — the post-order step,
-    exposed so PaX2's combined traversal can interleave it with the
-    pre-order selection step. *)
-val eval_node :
-  Pax_xpath.Compile.t -> ops:int ref -> Pax_xml.Tree.node ->
-  Formula.t array list -> Formula.t array
-
-(** [sat compiled vec node q] — satisfaction of a filter at [node] given
-    the node's qualifier vector.  Ground when the vector is ground. *)
-val sat :
-  Pax_xpath.Compile.t -> Formula.t array -> Pax_xml.Tree.node ->
-  Pax_xpath.Compile.qual -> Formula.t
-
-(** {1 Kernel over abstract node views}
-
-    The recurrence itself does not need a built tree — only a
-    node's tag, text, numeric value and attributes, plus the
-    child-disjunction of each entry.  The streaming engine
-    ({!Stream_eval}) reuses it through this interface. *)
-
+(** The recurrence needs no built tree, only a node's tag, text,
+    numeric value and attributes, plus the child-disjunction of each
+    entry. *)
 type view = {
   vtag : string;
   vtext : string;
@@ -49,9 +24,17 @@ type view = {
 
 val view_of_node : Pax_xml.Tree.node -> view
 
+(** [sat_view compiled vec view q] — satisfaction of a filter at a node
+    given the node's qualifier vector.  Ground when the vector is
+    ground. *)
 val sat_view :
   Pax_xpath.Compile.t -> Formula.t array -> view -> Pax_xpath.Compile.qual ->
   Formula.t
+
+(** {!sat_view} on a tree node. *)
+val sat :
+  Pax_xpath.Compile.t -> Formula.t array -> Pax_xml.Tree.node ->
+  Pax_xpath.Compile.qual -> Formula.t
 
 (** [eval_entries compiled view ~exists_child] — one node's vector,
     where [exists_child e] is the OR of entry [e] over its children. *)
@@ -61,8 +44,3 @@ val eval_entries :
 
 (** The all-variables vector of a virtual node for fragment [fid]. *)
 val virtual_vec : Pax_xpath.Compile.t -> int -> Formula.t array
-
-(** [resolve t lookup] substitutes boundary variables in every stored
-    vector (in place), returning the operation count.  Used at the start
-    of Stage 2, once the coordinator has shipped the unified values. *)
-val resolve : t -> (Pax_bool.Var.t -> Formula.t option) -> int

@@ -69,8 +69,8 @@ let init_of compiled (fe : Wire.frag_eval) =
   match fe.Wire.fe_init with
   | Some vec -> vec
   | None ->
-      if fe.Wire.fe_is_root then Sel_pass.blank_init compiled
-      else Sel_pass.symbolic_init compiled ~fid:fe.Wire.fe_fid
+      if fe.Wire.fe_is_root then Flat_pass.blank_init compiled
+      else Flat_pass.symbolic_init compiled ~fid:fe.Wire.fe_fid
 
 (* A candidate formula of fragment [fid] only mentions
    [Sel_ctx (fid, _)] and [Qual (sub, _)] for direct sub-fragments, so

@@ -157,16 +157,10 @@ let unify_quals r =
 let unify_contexts r =
   let n_frag = Fragment.n_fragments r.ft in
   Cluster.add_ops r.cl ~site:(-1) (n_frag * r.compiled.Compile.n_sel);
-  let raw_ctx = Array.make n_frag None in
-  Array.iteri
-    (fun fid ctxs ->
-      if r.seen.(fid) then
-        List.iter (fun (sub, vec) -> raw_ctx.(sub) <- Some vec) ctxs)
-    r.ctxs;
+  (* A fragment's contexts stay [[]] until its reply is seen. *)
   r.ctx <-
-    Eval_ft.resolve_contexts r.ft
-      ~root_ctx:(Array.make r.compiled.Compile.n_sel false)
-      ~ctx_of:(fun fid -> raw_ctx.(fid))
+    Eval_ft.unify_contexts r.ft ~n_sel:r.compiled.Compile.n_sel
+      ~contexts:r.ctxs
       ~qual_lookup:(Eval_ft.qual_lookup r.quals)
 
 let resolve r =

@@ -65,6 +65,27 @@ let test_ops_linear () =
   Alcotest.(check bool) "ops within O(|Q| |T|)" true
     (r.Pax_core.Centralized.qual_ops + r.Pax_core.Centralized.sel_ops <= budget)
 
+let count n =
+  match Sys.getenv_opt "PAX_QCHECK_COUNT" with
+  | Some s -> (try int_of_string s with _ -> n)
+  | None -> n
+
+(* Centralized runs the flat kernels on one image of the document; the
+   pointer reference runs the two passes on the tree.  Same answers in
+   the same order, same ops. *)
+let prop_matches_pointer =
+  QCheck.Test.make ~name:"centralized = pointer reference" ~count:(count 300)
+    H.Gen.arbitrary_scenario (fun (s : H.Gen.scenario) ->
+      let q = Query.of_ast s.H.Gen.s_query in
+      let root = s.H.Gen.s_doc.Tree.root in
+      let got = Pax_core.Centralized.run q root in
+      let want = H.Pointer.run q root in
+      let ids = List.map (fun (n : Tree.node) -> n.Tree.id) in
+      ids got.Pax_core.Centralized.answers = ids want.Pax_core.Centralized.answers
+      && got.Pax_core.Centralized.answer_ids = want.Pax_core.Centralized.answer_ids
+      && got.Pax_core.Centralized.qual_ops = want.Pax_core.Centralized.qual_ops
+      && got.Pax_core.Centralized.sel_ops = want.Pax_core.Centralized.sel_ops)
+
 let () =
   Alcotest.run "centralized"
     [
@@ -75,5 +96,6 @@ let () =
           Alcotest.test_case "no-qualifier fast path" `Quick test_no_qualifier_skips_pass;
           Alcotest.test_case "virtual nodes rejected" `Quick test_rejects_virtual_nodes;
           Alcotest.test_case "ops linear" `Quick test_ops_linear;
+          QCheck_alcotest.to_alcotest prop_matches_pointer;
         ] );
     ]

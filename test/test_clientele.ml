@@ -29,6 +29,10 @@ let run_all_algorithms query_text =
     (Printf.sprintf "centralized agrees on %s" query_text)
     oracle
     (Pax_core.Centralized.eval_ids q c.doc.Tree.root);
+  ids
+    (Printf.sprintf "pointer reference agrees on %s" query_text)
+    oracle
+    (Test_helpers.Pointer.eval_ids q c.doc.Tree.root);
   oracle
 
 (* Q' of the introduction: brokers through which GOOG is traded. *)

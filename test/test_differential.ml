@@ -104,7 +104,7 @@ let differential ~fault (s, seed) =
   let delay = if fault && seed mod 2 = 0 then 0.001 else 0. in
   Cluster.set_service_delay cl delay;
   let q = Query.of_ast s.H.Gen.s_query in
-  let expected = Pax_core.Centralized.eval_ids q s.H.Gen.s_doc.Tree.root in
+  let expected = H.Pointer.eval_ids q s.H.Gen.s_doc.Tree.root in
   List.for_all
     (fun (name, run, bound) ->
       check_engine ~fault ~delay ~expected name run bound cl q)

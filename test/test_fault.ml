@@ -25,7 +25,7 @@ let setup () =
   let c = H.Data.clientele () in
   let cl = H.Data.clientele_cluster c in
   let q = Query.of_string qs in
-  let oracle = Pax_core.Centralized.eval_ids q c.H.Data.doc.Tree.root in
+  let oracle = H.Pointer.eval_ids q c.H.Data.doc.Tree.root in
   Alcotest.(check bool) "query matches something" true (oracle <> []);
   (cl, q, oracle)
 

@@ -29,8 +29,8 @@ module Compile = Pax_xpath.Compile
 module Ast = Pax_xpath.Ast
 module Formula = Pax_bool.Formula
 module Var = Pax_bool.Var
-module Qual_pass = Pax_core.Qual_pass
-module Sel_pass = Pax_core.Sel_pass
+module Qual_pass = Test_helpers.Pointer.Qual_pass
+module Sel_pass = Test_helpers.Pointer.Sel_pass
 module Flat_pass = Pax_core.Flat_pass
 module H = Test_helpers
 module G = QCheck.Gen

@@ -1448,7 +1448,7 @@ let test_pruned_qualifier () =
           let qs = "client[not(country/text() = \"US\")]/name" in
           let q = Query.of_string qs in
           let root = c.Test_helpers.Data.doc.Pax_xml.Tree.root in
-          let expected = Pax_core.Centralized.eval_ids q root in
+          let expected = Test_helpers.Pointer.eval_ids q root in
           let r_ctrl = Pax_core.Pax2.run ~annotations:true cl_ctrl q in
           let r_net = Pax_core.Pax2.run ~annotations:true cl_net q in
           Alcotest.(check (list int)) "in process" expected

@@ -12,8 +12,8 @@ module Parse = Pax_xpath.Parse
 module Formula = Pax_bool.Formula
 module Var = Pax_bool.Var
 module Fragment = Pax_frag.Fragment
-module Qual_pass = Pax_core.Qual_pass
-module Sel_pass = Pax_core.Sel_pass
+module Qual_pass = Test_helpers.Pointer.Qual_pass
+module Sel_pass = Test_helpers.Pointer.Sel_pass
 module Flat_pass = Pax_core.Flat_pass
 module Eval_ft = Pax_core.Eval_ft
 module H = Test_helpers
@@ -308,6 +308,48 @@ let test_resolve_contexts_chain () =
       | None -> ())
     resolved
 
+(* The shared top-down step gathers each fragment's shipped (sub, ctx)
+   pairs and resolves them from an all-false root context; a fragment
+   whose parent shipped nothing (its pass did not run) resolves to
+   [||]. *)
+let test_unify_contexts_gathers () =
+  let c = H.Data.clientele () in
+  let ft = H.Data.clientele_ftree c in
+  let n = Fragment.n_fragments ft in
+  let ctx p =
+    [|
+      Formula.not_ (Formula.var (Var.Sel_ctx (p, 0)));
+      Formula.var (Var.Sel_ctx (p, 0));
+    |]
+  in
+  let parent fid = (Fragment.fragment ft fid).Fragment.parent in
+  let shipped p = List.map (fun k -> (k, ctx p)) ft.Fragment.children.(p) in
+  let none _ = None in
+  let resolved =
+    Eval_ft.resolve_contexts ft ~root_ctx:[| false; false |]
+      ~ctx_of:(fun fid -> Option.map ctx (parent fid))
+      ~qual_lookup:none
+  in
+  Alcotest.(check bool) "every fragment's contexts shipped" true
+    (Eval_ft.unify_contexts ft ~n_sel:2 ~contexts:(Array.init n shipped)
+       ~qual_lookup:none
+    = resolved);
+  (* Only the root fragment's pass ran. *)
+  let unified =
+    Eval_ft.unify_contexts ft ~n_sel:2
+      ~contexts:(Array.init n (fun p -> if p = 0 then shipped 0 else []))
+      ~qual_lookup:none
+  in
+  Array.iteri
+    (fun fid vec ->
+      let expected =
+        match parent fid with
+        | None | Some 0 -> resolved.(fid)
+        | Some _ -> [||]
+      in
+      Alcotest.(check (array bool)) (Printf.sprintf "F%d" fid) expected vec)
+    unified
+
 let test_pruned_fragments_read_false () =
   let c = H.Data.clientele () in
   let ft = H.Data.clientele_ftree c in
@@ -344,6 +386,8 @@ let () =
         [
           Alcotest.test_case "qualifier chain" `Quick test_resolve_quals_chain;
           Alcotest.test_case "context chain" `Quick test_resolve_contexts_chain;
+          Alcotest.test_case "shipped contexts gathered" `Quick
+            test_unify_contexts_gathers;
           Alcotest.test_case "pruned defaults" `Quick
             test_pruned_fragments_read_false;
         ] );

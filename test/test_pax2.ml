@@ -9,7 +9,6 @@ module Fragment = Pax_frag.Fragment
 module Cluster = Pax_dist.Cluster
 module Run_result = Pax_core.Run_result
 module Flat_pass = Pax_core.Flat_pass
-module Sel_pass = Pax_core.Sel_pass
 module H = Test_helpers
 
 let c = H.Data.clientele ()
@@ -44,7 +43,7 @@ let test_combined_on_whole_tree () =
     Flat_pass.combined_run
       (Flat_pass.make_plan compiled (Fragment.intern ft))
       (Fragment.flat ft 0)
-      ~init:(Sel_pass.blank_init compiled)
+      ~init:(Flat_pass.blank_init compiled)
       ~is_root:true
   in
   Alcotest.(check int) "no candidates on a complete tree" 0
@@ -65,7 +64,7 @@ let test_combined_placeholders_resolve_locally () =
     Flat_pass.combined_run
       (Flat_pass.make_plan compiled (Fragment.intern ft))
       (Fragment.flat ft 0)
-      ~init:(Sel_pass.blank_init compiled)
+      ~init:(Flat_pass.blank_init compiled)
       ~is_root:true
   in
   let no_placeholder f =
