@@ -1,7 +1,8 @@
 (* Bechamel micro-benchmarks of the evaluation kernels every evaluator
    runs (the flat bottom-up qualifier pass, top-down selection pass and
    PaX2's combined traversal), the centralized and streaming
-   evaluators, query compilation and formula operations. *)
+   evaluators, query compilation and formula operations; then the wire
+   codec on a stage-1 reply, in microseconds and minor words. *)
 
 open Bechamel
 open Toolkit
@@ -68,6 +69,80 @@ let tests =
                residual));
     ]
 
+(* A stage-1 reply as a site ships it: one fragment's root qualifier
+   vector, one context vector and 100 answers (the first [name]
+   elements of the 8k-node document, as [Wire.answer_of_slot] builds
+   them), in a [Visit_reply] frame. *)
+module Wire = Pax_wire.Wire
+module Codec = Pax_bool.Codec
+
+let stage1_reply =
+  let fl = Pax_frag.Fragment.flat ft 0 in
+  let names =
+    List.filter
+      (fun i -> Pax_xml.Flat.tag_name fl i = "name")
+      (List.init (Pax_xml.Flat.length fl) Fun.id)
+  in
+  let vec =
+    Array.init 6 (fun i ->
+        if i mod 2 = 0 then Formula.var (Var.Qual (1, i)) else Formula.true_)
+  in
+  Wire.Frag_results
+    [
+      {
+        Wire.fr_fid = 3;
+        fr_vec = Some vec;
+        fr_ctxs = [ (4, vec) ];
+        fr_answers =
+          Wire.answers_of_slots fl (List.filteri (fun i _ -> i < 100) names);
+        fr_cands = 0;
+        fr_ops = 1234;
+      };
+    ]
+
+(* Microseconds and minor words per operation, over [n] runs after a
+   warm-up run. *)
+let per_op n f =
+  ignore (Sys.opaque_identity (f ()));
+  let w0 = Gc.minor_words () and t0 = Unix.gettimeofday () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  let t1 = Unix.gettimeofday () and w1 = Gc.minor_words () in
+  ((t1 -. t0) *. 1e6 /. float_of_int n, (w1 -. w0) /. float_of_int n)
+
+let codec_rows () =
+  let msg =
+    Wire.Visit_reply { run = 123_456_789; round = 1; reply = Ok stage1_reply }
+  in
+  let w = Codec.writer () in
+  let encode () =
+    Codec.clear w;
+    Wire.encode_frame w ~corr:7 msg
+  in
+  ignore (encode ());
+  let frame = Bytes.sub (Codec.buffer w) 0 (Codec.length w) in
+  let decode () = Wire.decode_slice frame 4 (Bytes.length frame - 4) in
+  let size () =
+    let n = ref 0 in
+    Wire.reply_sections (fun _ sec -> n := !n + Wire.section_bytes sec)
+      stage1_reply;
+    !n
+  in
+  let n = if Setup.quick then 2_000 else 50_000 in
+  Printf.printf "\n%-42s %10s %12s\n"
+    (Printf.sprintf "codec, stage-1 reply (%d B frame)" (Bytes.length frame))
+    "us/op" "words/op";
+  List.iter
+    (fun (name, f) ->
+      let us, words = per_op n f in
+      Printf.printf "%-42s %10.2f %12.0f\n" name us words)
+    [
+      ("encode into the connection's writer", fun () -> ignore (encode ()));
+      ("decode in place", fun () -> ignore (decode ()));
+      ("size its sections (accounting)", fun () -> ignore (size ()));
+    ]
+
 let run () =
   Setup.header "Micro-benchmarks (Bechamel, monotonic clock)";
   let ols =
@@ -88,4 +163,5 @@ let run () =
       match Analyze.OLS.estimates ols with
       | Some [ est ] -> Printf.printf "%-42s %15.0f\n" name est
       | Some _ | None -> Printf.printf "%-42s %15s\n" name "-")
-    (List.sort compare rows)
+    (List.sort compare rows);
+  codec_rows ()

@@ -10,7 +10,7 @@ type t = {
 }
 
 let run ?annotations (cl : Cluster.t) (queries : Query.t list) : t =
-  Cluster.reset ~handler:(Site.handler (Site.batch cl queries)) cl;
+  Cluster.reset ~handler:(Site.handler (fun () -> Site.batch cl queries)) cl;
   let fids = Fragment.top_down (Cluster.ftree cl) in
   let runs =
     List.map (Stages.prepare ?annotations Stages.Two_stage cl) queries

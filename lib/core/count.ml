@@ -16,7 +16,7 @@ let counted (rm : 'a Cluster.remote) : (int * 'a) Cluster.remote =
   }
 
 let run ?annotations (cl : Cluster.t) q : int * Cluster.report =
-  Cluster.reset ~handler:(Site.handler (Site.states cl q)) cl;
+  Cluster.reset ~handler:(Site.handler (fun () -> Site.states cl q)) cl;
   let r = Stages.prepare ?annotations Stages.Two_stage cl q in
   let total results =
     List.fold_left (fun acc (_, (n, _)) -> acc + n) 0 results

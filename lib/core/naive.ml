@@ -3,7 +3,7 @@ module Cluster = Pax_dist.Cluster
 module Wire = Pax_wire.Wire
 
 let run (cl : Cluster.t) (q : Pax_xpath.Query.t) : Run_result.t =
-  Cluster.reset ~handler:(Site.handler (Site.states cl q)) cl;
+  Cluster.reset ~handler:(Site.handler (fun () -> Site.states cl q)) cl;
   let ft = Cluster.ftree cl in
   let fids = Fragment.top_down ft in
   (* Every remote site ships its fragments; the root fragment is already

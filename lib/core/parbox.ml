@@ -13,7 +13,7 @@ let eval (cl : Cluster.t) (qual : Ast.qual) : bool * Cluster.report =
     Query.of_ast { Ast.absolute = false; path = Ast.Qualified (Ast.Empty, qual) }
   in
   let compiled = q.Query.compiled in
-  Cluster.reset ~handler:(Site.handler (Site.states cl q)) cl;
+  Cluster.reset ~handler:(Site.handler (fun () -> Site.states cl q)) cl;
   let r = Stages.prepare Stages.Three_stage cl q in
   (* PaX3's stage 1: the qualifier pass over every fragment. *)
   ignore

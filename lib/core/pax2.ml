@@ -5,7 +5,7 @@ module Wire = Pax_wire.Wire
 let spf = Printf.sprintf
 
 let run ?(annotations = false) (cl : Cluster.t) (q : Query.t) : Run_result.t =
-  Cluster.reset ~handler:(Site.handler (Site.states cl q)) cl;
+  Cluster.reset ~handler:(Site.handler (fun () -> Site.states cl q)) cl;
   let r = Stages.prepare ~annotations Stages.Two_stage cl q in
   (* Cross-query cache (socket path only, and only when a serving layer
      installed one: with [Stage_cache.noop] no key is built and nothing

@@ -3,7 +3,7 @@ module Compile = Pax_xpath.Compile
 module Cluster = Pax_dist.Cluster
 
 let run ?annotations (cl : Cluster.t) (q : Query.t) : Run_result.t =
-  Cluster.reset ~handler:(Site.handler (Site.states cl q)) cl;
+  Cluster.reset ~handler:(Site.handler (fun () -> Site.states cl q)) cl;
   let r = Stages.prepare ?annotations Stages.Three_stage cl q in
   (* ---------------- Stage 1: qualifiers, all sites ---------------- *)
   if not (Compile.no_qualifiers q.Query.compiled) then begin

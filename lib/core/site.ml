@@ -265,4 +265,21 @@ let batch cl qs =
       t.subs <- Array.of_list (List.map (fun st -> st.(site)) per_query);
       t)
 
-let handler states site = visit states.(site)
+(* Over sockets the handler never runs, so the states are built at its
+   first call, not before.  In process the pool calls it from several
+   domains at once: the first build happens under a lock, once. *)
+let handler build =
+  let built = Atomic.make None and lock = Mutex.create () in
+  let states () =
+    match Atomic.get built with
+    | Some states -> states
+    | None ->
+        Mutex.protect lock (fun () ->
+            match Atomic.get built with
+            | Some states -> states
+            | None ->
+                let states = build () in
+                Atomic.set built (Some states);
+                states)
+  in
+  fun site ~round call -> visit (states ()).(site) ~round call

@@ -76,7 +76,8 @@ val states : Pax_dist.Cluster.t -> Pax_xpath.Query.t -> t array
     [Calls] visits go to. *)
 val batch : Pax_dist.Cluster.t -> Pax_xpath.Query.t list -> t array
 
-(** [handler states] — the run's site procedure for
+(** [handler build] — the run's site procedure for
     {!Pax_dist.Cluster.reset}: site [s] answers through {!visit} on
-    [states.(s)]. *)
-val handler : t array -> Pax_dist.Transport.handler
+    [(build ()).(s)], the states built once, at the first call (a run
+    over sockets never calls it, so builds none). *)
+val handler : (unit -> t array) -> Pax_dist.Transport.handler

@@ -298,10 +298,10 @@ let charged ~down : Pax_wire.Wire.section -> msg_kind option = function
    its reply (site to coordinator). *)
 let account t ~site ~call ~reply =
   let section ~src ~dst ~down label sec =
-    Option.iter
-      (fun kind ->
-        send t ~src ~dst ~kind ~bytes:(Pax_wire.Wire.section_bytes sec) ~label)
-      (charged ~down sec)
+    match charged ~down sec with
+    | Some kind ->
+        send t ~src ~dst ~kind ~bytes:(Pax_wire.Wire.section_bytes sec) ~label
+    | None -> ()
   in
   Pax_wire.Wire.call_sections
     (section ~src:Coordinator ~dst:(Site site) ~down:true)

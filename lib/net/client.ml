@@ -116,8 +116,11 @@ and conn = {
   mutable c_reader : waiter option;  (** who holds the read turn *)
   mutable c_retired : bool;  (** dropped; closed once no one reads it *)
   mutable c_used : bool;  (** written to since the idle reader's last tick *)
-  mutable c_deferred : string list;
-      (** [Run_done] payloads for the next write, newest first *)
+  mutable c_deferred : int list;
+      (** runs whose [Run_done] goes with the next write, newest first *)
+  c_w : Pax_bool.Codec.writer;
+      (** the frames of the next write, encoded in place; guarded by the
+          site's send lock *)
 }
 
 type t = {
@@ -395,12 +398,11 @@ let read_step t w held ~timeout =
         else
           Some
             ( c,
-              match Sockio.read_available c.c_rd with
-              | Some frames ->
-                  Ok
-                    (List.map
-                       (fun s -> (String.length s, Wire.decode_tallied s))
-                       frames)
+              match
+                Sockio.read_available c.c_rd (fun b off len ->
+                    (len, Wire.decode_slice b off len))
+              with
+              | Some frames -> Ok frames
               | None -> Error (Failure "connection closed by site server")
               | exception e -> Error e ))
       held
@@ -506,6 +508,14 @@ let with_waiter t f =
   let w = take_waiter t in
   Fun.protect ~finally:(fun () -> put_waiter t w) (fun () -> f w)
 
+(* Caller holds [c]'s send lock.  Start [c]'s next write with the
+   [Run_done] frames deferred there, oldest first. *)
+let start_write c deferred =
+  Pax_bool.Codec.clear c.c_w;
+  List.iter
+    (fun run -> ignore (Wire.encode_frame c.c_w (Wire.Run_done { run })))
+    (List.rev deferred)
+
 (* Write the [Run_done] frames deferred on [c], alone.  Best-effort: a
    failed write leaves the dead connection to its reader. *)
 let flush_deferred t c =
@@ -520,7 +530,13 @@ let flush_deferred t c =
             if c.c_retired then [] else q)
       with
       | [] -> ()
-      | q -> ( try Sockio.write_frames c.c_fd (List.rev q) with _ -> ()))
+      | q -> (
+          start_write c q;
+          let w = c.c_w in
+          try
+            Sockio.write_bytes c.c_fd (Pax_bool.Codec.buffer w)
+              (Pax_bool.Codec.length w)
+          with _ -> ()))
 
 (* The idle reader: one thread per mux while it has connections.  Every
    [poll_interval] it adopts each socket that is idle — its turn free,
@@ -600,6 +616,7 @@ let ensure_conn t site =
                     c_retired = false;
                     c_used = true;
                     c_deferred = [];
+                    c_w = Pax_bool.Codec.writer ();
                   }
                 in
                 t.conns.(site) <- Some c;
@@ -613,9 +630,10 @@ let ensure_conn t site =
       if not fresh then (try Unix.close fd with _ -> ());
       c
 
-(* Write [payload] to [site], behind the [Run_done] frames deferred on
-   its connection, all in one write. *)
-let send t site payload =
+(* Encode [msg] into [site]'s connection buffer, behind the [Run_done]
+   frames deferred there, and write them all in one write.  Returns the
+   frame's length and tally. *)
+let send t site ?corr msg =
   let c = ensure_conn t site in
   Mutex.lock t.send_locks.(site);
   Fun.protect
@@ -629,7 +647,13 @@ let send t site payload =
             c.c_deferred <- [];
             q)
       in
-      Sockio.write_frames c.c_fd (List.rev_append deferred [ payload ]))
+      start_write c deferred;
+      let w = c.c_w in
+      let start = Pax_bool.Codec.length w in
+      let tally = Wire.encode_frame w ?corr msg in
+      let len = Pax_bool.Codec.length w in
+      Sockio.write_bytes c.c_fd (Pax_bool.Codec.buffer w) len;
+      (len - start, tally))
 
 (* Register the request *before* writing: whatever kills the
    connection after the write — even before this thread waits — sweeps
@@ -649,16 +673,14 @@ let post t w site msg =
       w.w_open <- w.w_open + 1;
       w.w_reqs <- p :: w.w_reqs;
       Hashtbl.replace t.pending corr p);
-  let payload, tally = Wire.encode_tallied ~corr msg in
-  (match send t site payload with
-  | () -> ()
+  match send t site ~corr msg with
+  | frame_len, tally -> (corr, p, frame_len, tally)
   | exception e ->
       locked t (fun () ->
           Hashtbl.remove t.pending corr;
           w.w_reqs <- List.filter (fun p' -> p' != p) w.w_reqs;
           if p.p_result = None then w.w_open <- w.w_open - 1);
-      raise e);
-  (corr, p, 4 + String.length payload, tally)
+      raise e
 
 (* One request's result, for a waiter that posted only that one. *)
 let await t corr p =
@@ -690,7 +712,7 @@ let close t =
 let shutdown_sites t =
   Array.iteri
     (fun site _ ->
-      (try send t site (Wire.encode_payload Wire.Shutdown) with _ -> ());
+      (try ignore (send t site Wire.Shutdown) with _ -> ());
       drop t site)
     t.conns;
   close t
@@ -856,12 +878,11 @@ let stats h =
    with no connection has no state to shed.  Losing the frame only
    delays eviction until the server's LRU bound. *)
 let defer_run_done t site run =
-  let payload = Wire.encode_payload (Wire.Run_done { run }) in
   let full =
     locked t (fun () ->
         match t.conns.(site) with
         | Some c ->
-            c.c_deferred <- payload :: c.c_deferred;
+            c.c_deferred <- run :: c.c_deferred;
             if List.compare_length_with c.c_deferred max_deferred >= 0 then
               Some c
             else None

@@ -15,10 +15,16 @@ let of_kind p = function Wire.Tree_frag -> p.tree | Wire.Graph_frag -> p.graph
    recency stamp for LRU eviction. *)
 type run_state = { rs_site : Site.t; mutable rs_touch : int }
 
-(* A live accepted connection: its socket plus the write lock that
+(* A live accepted connection: its socket, the write lock that
    serializes reply frames with unsolicited [Gen_event] pushes sharing
-   the same socket. *)
-type conn_entry = { c_id : int; c_fd : Unix.file_descr; c_wlock : Mutex.t }
+   the same socket, and the buffer a reply is encoded into, under that
+   lock, and written from. *)
+type conn_entry = {
+  c_id : int;
+  c_fd : Unix.file_descr;
+  c_wlock : Mutex.t;
+  c_w : Pax_bool.Codec.writer;
+}
 
 type t = {
   (* One site-wide intern table and one flat image per held fragment
@@ -370,11 +376,28 @@ let gens_locked t kind =
   Int_tbl.fold (fun fid gen acc -> (fid, gen) :: acc) (of_kind t.gens kind) []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
-let write_conn (c : conn_entry) payload =
+let with_wlock (c : conn_entry) f =
   Mutex.lock c.c_wlock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock c.c_wlock)
-    (fun () -> Sockio.write_frame c.c_fd payload)
+  Fun.protect ~finally:(fun () -> Mutex.unlock c.c_wlock) f
+
+let write_conn c payload =
+  with_wlock c (fun () -> Sockio.write_frame c.c_fd payload)
+
+(* Encode [msg] into [c]'s buffer and write it from there: the frame's
+   length, and the clock readings around the encoding and the write. *)
+let send_timed (c : conn_entry) ~corr msg =
+  with_wlock c (fun () ->
+      let te0 = Pax_obs.Clock.now () in
+      Pax_bool.Codec.clear c.c_w;
+      ignore (Wire.encode_frame c.c_w ~corr msg : Wire.tally);
+      let len = Pax_bool.Codec.length c.c_w in
+      let te1 = Pax_obs.Clock.now () in
+      Sockio.write_bytes c.c_fd (Pax_bool.Codec.buffer c.c_w) len;
+      (len, te0, te1, Pax_obs.Clock.now ()))
+
+let send_conn c ~corr msg =
+  let len, _, _, _ = send_timed c ~corr msg in
+  len
 
 (* Best-effort fan-out of a generation event to every live connection,
    the publisher included (its own merge is a no-op).  Correlation id
@@ -409,35 +432,34 @@ let serve t fd =
   (* One control-plane exchange: count the admin frame received, build
      the reply under [t.lock] inside an [admin] span, encode and write
      it, count the frame sent. *)
-  let admin c ~payload ~corr ?parent ?args name reply =
+  let admin c ~frame_len ~corr ?parent ?args name reply =
     let out =
       locked t (fun () ->
-          count_admin_frame t ~dir:"recv"
-            ~frame_len:(4 + String.length payload);
-          Wire.encode_payload ~corr
-            (Pax_obs.Sink.span (spans_for t parent) ~cat:"admin" ?parent ?args
-               name reply))
+          count_admin_frame t ~dir:"recv" ~frame_len;
+          Pax_obs.Sink.span (spans_for t parent) ~cat:"admin" ?parent ?args
+            name reply)
     in
-    write_conn c out;
-    locked t (fun () ->
-        count_admin_frame t ~dir:"sent" ~frame_len:(4 + String.length out))
+    let frame_len = send_conn c ~corr out in
+    locked t (fun () -> count_admin_frame t ~dir:"sent" ~frame_len)
   in
   let fid_arg fid () = [ ("fid", string_of_int fid) ] in
+  (* Each frame is decoded where it lies in the reader's buffer. *)
+  let decode b off len =
+    let td0 = Pax_obs.Clock.now () in
+    let decoded = Wire.decode_slice b off len in
+    (4 + len, td0, Pax_obs.Clock.now (), decoded)
+  in
   let rec conn_loop (c : conn_entry) rd =
-    match Sockio.read_frame rd with
+    match Sockio.read_frame_with rd decode with
     | None -> `Eof
-    | Some payload -> (
-        let td0 = Pax_obs.Clock.now () in
-        let decoded = Wire.decode_payload_corr payload in
-        let td1 = Pax_obs.Clock.now () in
+    | Some (frame_len, td0, td1, decoded) -> (
         match decoded with
         | Ok
             ( corr,
               Wire.Visit_request
-                { run; round; site = _; epoch; label; call; parent } ) ->
-            locked t (fun () ->
-                count_visit_frame t ~dir:"recv"
-                  ~frame_len:(4 + String.length payload));
+                { run; round; site = _; epoch; label; call; parent },
+              _ ) ->
+            locked t (fun () -> count_visit_frame t ~dir:"recv" ~frame_len);
             if t.service_delay > 0. then Thread.delay t.service_delay;
             (* The visit span carries the coordinator's rpc-span id as
                its parent (the cross-process flow arrow); decode, memo,
@@ -445,48 +467,41 @@ let serve t fd =
                untraced frame records none of them. *)
             let spans = spans_for t parent in
             let vid = Pax_obs.Sink.alloc spans in
-            let out =
+            let reply =
               locked t (fun () ->
                   Pax_obs.Sink.record spans ~cat:"wire" ?parent:vid
                     "decode request" ~t0:td0 ~t1:td1;
-                  let reply =
-                    Pax_obs.Sink.span spans ~cat:"visit" ?id:vid ?parent
-                      ~args:(fun () ->
-                        [
-                          ("run", string_of_int run);
-                          ("round", string_of_int round);
-                        ])
-                      label
-                      (fun () ->
-                        handle_request t ~run ~round ~epoch ?parent:vid call)
-                  in
-                  Pax_obs.Sink.span spans ~cat:"wire" ?parent:vid
-                    "encode reply" (fun () ->
-                      Wire.encode_payload ~corr
-                        (Wire.Visit_reply { run; round; reply })))
+                  Pax_obs.Sink.span spans ~cat:"visit" ?id:vid ?parent
+                    ~args:(fun () ->
+                      [
+                        ("run", string_of_int run); ("round", string_of_int round);
+                      ])
+                    label
+                    (fun () ->
+                      handle_request t ~run ~round ~epoch ?parent:vid call))
             in
-            let ts0 = Pax_obs.Clock.now () in
-            write_conn c out;
-            let ts1 = Pax_obs.Clock.now () in
+            let frame_len, te0, te1, ts1 =
+              send_timed c ~corr (Wire.Visit_reply { run; round; reply })
+            in
             locked t (fun () ->
+                Pax_obs.Sink.record spans ~cat:"wire" ?parent:vid
+                  "encode reply" ~t0:te0 ~t1:te1;
                 Pax_obs.Sink.record spans ~cat:"wire" ?parent:vid "send frame"
-                  ~t0:ts0 ~t1:ts1;
-                count_visit_frame t ~dir:"sent"
-                  ~frame_len:(4 + String.length out));
+                  ~t0:te1 ~t1:ts1;
+                count_visit_frame t ~dir:"sent" ~frame_len);
             conn_loop c rd
-        | Ok (corr, Wire.Ping) ->
-            write_conn c (Wire.encode_payload ~corr Wire.Pong);
+        | Ok (corr, Wire.Ping, _) ->
+            ignore (send_conn c ~corr Wire.Pong);
             conn_loop c rd
-        | Ok (corr, Wire.Stats_request) ->
+        | Ok (corr, Wire.Stats_request, _) ->
             let out =
               locked t (fun () ->
-                  Wire.encode_payload ~corr
-                    (Wire.Stats_reply
-                       (Pax_obs.Metrics.pairs t.obs.Pax_obs.Sink.metrics)))
+                  Wire.Stats_reply
+                    (Pax_obs.Metrics.pairs t.obs.Pax_obs.Sink.metrics))
             in
-            write_conn c out;
+            ignore (send_conn c ~corr out);
             conn_loop c rd
-        | Ok (corr, Wire.Spans_fetch) ->
+        | Ok (corr, Wire.Spans_fetch, _) ->
             (* Drain the ring (atomically — concurrent visits keep
                recording) and stamp our clock while building the
                reply: the coordinator pairs the stamp with its own
@@ -495,43 +510,41 @@ let serve t fd =
             let out =
               locked t (fun () ->
                   let spans = Pax_obs.Span.drain t.obs.Pax_obs.Sink.spans in
-                  Wire.encode_payload ~corr
-                    (Wire.Spans_reply
-                       { server_now = Pax_obs.Clock.now (); spans }))
+                  Wire.Spans_reply { server_now = Pax_obs.Clock.now (); spans })
             in
-            write_conn c out;
+            ignore (send_conn c ~corr out);
             conn_loop c rd
-        | Ok (_, Wire.Run_done { run }) ->
+        | Ok (_, Wire.Run_done { run }, _) ->
             (* The coordinator is done with this run: shed its stage
                state and reply memos (the bounded-memory contract of
                docs/SERVING.md).  No reply. *)
             locked t (fun () -> evict_run t run);
             conn_loop c rd
-        | Ok (corr, Wire.Frag_fetch { fid; kind; parent }) ->
-            admin c ~payload ~corr ?parent ~args:(fid_arg fid) "frag fetch"
+        | Ok (corr, Wire.Frag_fetch { fid; kind; parent }, _) ->
+            admin c ~frame_len ~corr ?parent ~args:(fid_arg fid) "frag fetch"
               (fun () ->
                 Wire.Frag_image { fid; image = fetch_image t ~fid ~kind });
             conn_loop c rd
-        | Ok (corr, Wire.Frag_install { fid; epoch; image; parent }) ->
-            admin c ~payload ~corr ?parent ~args:(fid_arg fid) "frag install"
+        | Ok (corr, Wire.Frag_install { fid; epoch; image; parent }, _) ->
+            admin c ~frame_len ~corr ?parent ~args:(fid_arg fid) "frag install"
               (fun () ->
                 Wire.Admin_reply { reply = install_image t ~fid ~epoch image });
             conn_loop c rd
-        | Ok (corr, Wire.Frag_update { fid; epoch; version; change; parent })
+        | Ok (corr, Wire.Frag_update { fid; epoch; version; change; parent }, _)
           ->
-            admin c ~payload ~corr ?parent ~args:(fid_arg fid) "frag update"
+            admin c ~frame_len ~corr ?parent ~args:(fid_arg fid) "frag update"
               (fun () ->
                 Wire.Admin_reply
                   { reply = update_frag t ~fid ~epoch ~version change });
             conn_loop c rd
-        | Ok (corr, Wire.Frag_retire { fid; epoch; kind; parent }) ->
-            admin c ~payload ~corr ?parent ~args:(fid_arg fid) "frag retire"
+        | Ok (corr, Wire.Frag_retire { fid; epoch; kind; parent }, _) ->
+            admin c ~frame_len ~corr ?parent ~args:(fid_arg fid) "frag retire"
               (fun () ->
                 Wire.Admin_reply { reply = retire_frag t ~fid ~epoch ~kind });
             conn_loop c rd
-        | Ok (corr, Wire.Gen_publish { kind; gens; parent }) ->
+        | Ok (corr, Wire.Gen_publish { kind; gens; parent }, _) ->
             let n = List.length gens in
-            admin c ~payload ~corr ?parent
+            admin c ~frame_len ~corr ?parent
               ~args:(fun () -> [ ("n", string_of_int n) ])
               "gen publish"
               (fun () ->
@@ -542,16 +555,17 @@ let serve t fd =
                   { reply = Ok (Printf.sprintf "merged %d generation(s)" n) });
             broadcast_gens t kind gens;
             conn_loop c rd
-        | Ok (corr, Wire.Gen_fetch { kind; parent }) ->
-            admin c ~payload ~corr ?parent "gen fetch" (fun () ->
+        | Ok (corr, Wire.Gen_fetch { kind; parent }, _) ->
+            admin c ~frame_len ~corr ?parent "gen fetch" (fun () ->
                 Wire.Gen_reply { kind; gens = gens_locked t kind });
             conn_loop c rd
-        | Ok (_, Wire.Shutdown) -> `Shutdown
+        | Ok (_, Wire.Shutdown, _) -> `Shutdown
         | Ok
             ( _,
               ( Wire.Visit_reply _ | Wire.Pong | Wire.Stats_reply _
               | Wire.Frag_image _ | Wire.Admin_reply _ | Wire.Spans_reply _
-              | Wire.Gen_event _ | Wire.Gen_reply _ ) ) ->
+              | Wire.Gen_event _ | Wire.Gen_reply _ ),
+              _ ) ->
             (* Not ours to receive; ignore. *)
             conn_loop c rd
         | Error err ->
@@ -580,7 +594,12 @@ let serve t fd =
             locked t (fun () ->
                 t.conn_seq <- t.conn_seq + 1;
                 let c =
-                  { c_id = t.conn_seq; c_fd = conn; c_wlock = Mutex.create () }
+                  {
+                    c_id = t.conn_seq;
+                    c_fd = conn;
+                    c_wlock = Mutex.create ();
+                    c_w = Pax_bool.Codec.writer ();
+                  }
                 in
                 Int_tbl.replace t.conns c.c_id c;
                 c)

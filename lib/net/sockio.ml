@@ -97,9 +97,10 @@ let poll_readable fd timeout =
    The buffer starts at [initial_buffer] bytes, grows to fit a frame
    larger than that (a fragment image), and drops back once it is
    drained, so an idle connection holds a few KiB whatever it carried
-   last.  Each payload is copied out once: the {!Wire} decoders bound
-   everything by [String.length], so they cannot read a slice of the
-   shared buffer. *)
+   last.  A payload is handed to its decoder as a slice of the buffer,
+   before the buffer is refilled: the codec reads within its own
+   bounds and copies out every string it returns, so nothing decoded
+   aliases the buffer and no payload is copied. *)
 type reader = {
   rd_fd : Unix.file_descr;
   mutable rd_buf : Bytes.t;
@@ -112,23 +113,24 @@ let initial_buffer = 4096
 let reader fd =
   { rd_fd = fd; rd_buf = Bytes.create initial_buffer; rd_pos = 0; rd_len = 0 }
 
-(* The frame at [rd_pos], if it is complete; an over-long length is
-   refused as soon as its header is in, before anything is sized by
-   it.  Otherwise the number of bytes the frame needs from [rd_pos]. *)
-let buffered r =
-  let avail = r.rd_len - r.rd_pos in
-  if avail < 4 then Error 4
+(* The bytes the frame at [rd_pos] needs from [rd_pos], its header
+   included: the frame is complete when that many are buffered.  An
+   over-long length is refused as soon as its header is in, before
+   anything is sized by it. *)
+let frame_need r =
+  if r.rd_len - r.rd_pos < 4 then 4
   else
     let n =
       Int32.to_int (Bytes.get_int32_be r.rd_buf r.rd_pos) land 0xFFFF_FFFF
     in
-    if n > max_frame then failwith "Sockio: oversized frame"
-    else if avail < 4 + n then Error (4 + n)
-    else begin
-      let payload = Bytes.sub_string r.rd_buf (r.rd_pos + 4) n in
-      r.rd_pos <- r.rd_pos + 4 + n;
-      Ok payload
-    end
+    if n > max_frame then failwith "Sockio: oversized frame" else 4 + n
+
+(* Step past the complete frame at [rd_pos], [need] bytes, and decode
+   its payload where it lies. *)
+let take_frame r decode need =
+  let off = r.rd_pos + 4 in
+  r.rd_pos <- r.rd_pos + need;
+  decode r.rd_buf off (need - 4)
 
 (* Make room after [rd_len] for the [need] bytes the frame at [rd_pos]
    needs: restart a drained buffer at offset 0 and at its initial size,
@@ -154,36 +156,40 @@ let make_room r need =
     r.rd_len <- live
   end
 
-let read_frame ?timeout r =
+let read_frame_with ?timeout r decode =
   let deadline = Option.map (fun t -> Pax_obs.Clock.now () +. t) timeout in
   let rec go () =
-    match buffered r with
-    | Ok payload -> Some payload
-    | Error need -> (
-        make_room r need;
-        wait_readable r.rd_fd deadline;
-        match
-          Unix.read r.rd_fd r.rd_buf r.rd_len (Bytes.length r.rd_buf - r.rd_len)
-        with
-        | 0 ->
-            if r.rd_len = r.rd_pos then None
-            else failwith "Sockio: connection closed mid-frame"
-        | k ->
-            r.rd_len <- r.rd_len + k;
-            go ()
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ())
+    let need = frame_need r in
+    if need <= r.rd_len - r.rd_pos then Some (take_frame r decode need)
+    else begin
+      make_room r need;
+      wait_readable r.rd_fd deadline;
+      match
+        Unix.read r.rd_fd r.rd_buf r.rd_len (Bytes.length r.rd_buf - r.rd_len)
+      with
+      | 0 ->
+          if r.rd_len = r.rd_pos then None
+          else failwith "Sockio: connection closed mid-frame"
+      | k ->
+          r.rd_len <- r.rd_len + k;
+          go ()
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+    end
   in
   go ()
 
-(* The frames already buffered, in order, and the bytes the one at
-   [rd_pos] still needs. *)
-let rec take_buffered r acc =
-  match buffered r with
-  | Ok payload -> take_buffered r (payload :: acc)
-  | Error need -> (List.rev acc, need)
+let read_frame ?timeout r = read_frame_with ?timeout r Bytes.sub_string
 
-let read_available r =
-  match take_buffered r [] with
+(* The frames already buffered, decoded in order, and the bytes the one
+   at [rd_pos] still needs. *)
+let rec take_buffered r decode acc =
+  let need = frame_need r in
+  if need <= r.rd_len - r.rd_pos then
+    take_buffered r decode (take_frame r decode need :: acc)
+  else (List.rev acc, need)
+
+let read_available r decode =
+  match take_buffered r decode [] with
   | (_ :: _ as frames), _ -> Some frames
   | [], need -> (
       make_room r need;
@@ -195,33 +201,24 @@ let read_available r =
           else failwith "Sockio: connection closed mid-frame"
       | k ->
           r.rd_len <- r.rd_len + k;
-          Some (fst (take_buffered r []))
+          Some (fst (take_buffered r decode []))
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> Some [])
 
-(* One write for any number of frames: the headers and copies of the
-   payloads in one buffer, since copying payloads of a few KiB costs
-   less than a second syscall.  Every writer of a shared connection
-   serializes whole writes (the client's per-site send lock, the
-   server's per-connection write lock). *)
-let write_frames fd payloads =
-  let total =
-    List.fold_left (fun n p -> n + 4 + String.length p) 0 payloads
-  in
-  let b = Bytes.create total in
-  ignore
-    (List.fold_left
-       (fun off p ->
-         let n = String.length p in
-         Bytes.set_int32_be b off (Int32.of_int n);
-         Bytes.blit_string p 0 b (off + 4) n;
-         off + 4 + n)
-       0 payloads);
+(* Every writer of a shared connection serializes whole writes (the
+   client's per-site send lock, the server's per-connection write
+   lock). *)
+let write_bytes fd b len =
   let rec go off =
-    if off < total then
-      match Unix.write fd b off (total - off) with
+    if off < len then
+      match Unix.write fd b off (len - off) with
       | k -> go (off + k)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
   in
   go 0
 
-let write_frame fd payload = write_frames fd [ payload ]
+let write_frame fd payload =
+  let n = String.length payload in
+  let b = Bytes.create (4 + n) in
+  Bytes.set_int32_be b 0 (Int32.of_int n);
+  Bytes.blit_string payload 0 b 4 n;
+  write_bytes fd b (4 + n)

@@ -36,13 +36,18 @@ val poll_readable : Unix.file_descr -> float -> bool
     syscall; frames already buffered are returned without one.  The
     buffer starts at a few KiB, grows to fit a larger frame and shrinks
     back once drained.  A connection has exactly one reader: bytes it
-    buffered past one frame belong to the next. *)
+    buffered past one frame belong to the next.
+
+    A frame's payload is handed to a [decode] function as a slice of
+    the buffer, [decode buf off len], before the buffer is refilled:
+    [decode] must not keep [buf], and what it returns must not alias it
+    ({!Pax_bool.Codec.of_slice_counted} copies out every string). *)
 type reader
 
 val reader : Unix.file_descr -> reader
 
-(** [read_frame ?timeout r] returns the next frame's payload (copied
-    once out of the buffer); [None] on orderly EOF between frames.  It
+(** [read_frame_with ?timeout r decode] decodes the next frame's
+    payload where it lies; [None] on orderly EOF between frames.  It
     waits ([select]) only when no complete frame is buffered, and with
     no [timeout] it blocks in [read] alone.
     @raise Unix.Unix_error on connection errors
@@ -50,24 +55,31 @@ val reader : Unix.file_descr -> reader
     @raise Failure on EOF inside a frame, or on a length above
     {!max_frame} (as soon as its header is in, before anything is
     allocated for it) *)
+val read_frame_with :
+  ?timeout:float -> reader -> (Bytes.t -> int -> int -> 'a) -> 'a option
+
+(** {!read_frame_with}, returning a copy of the payload. *)
 val read_frame : ?timeout:float -> reader -> string option
 
-(** [read_available r] — for a caller that knows the socket is
+(** [read_available r decode] — for a caller that knows the socket is
     readable: the frames already buffered if there are any, else the
     frames completed by one [read] (possibly none, when only part of a
-    frame came in).  [None] on orderly EOF between frames.
+    frame came in), each decoded in order.  [None] on orderly EOF
+    between frames.
     @raise Unix.Unix_error on connection errors
-    @raise Failure as {!read_frame} does *)
-val read_available : reader -> string list option
+    @raise Failure as {!read_frame_with} does *)
+val read_available : reader -> (Bytes.t -> int -> int -> 'a) -> 'a list option
 
-(** [write_frames fd payloads] writes each payload under its length
-    prefix, all with one [write]: everything is copied into one buffer
-    first.  Callers sharing a connection must serialize whole writes
-    (they do: the client's per-site send lock, the server's
-    per-connection write lock).
+(** [write_bytes fd b len] writes the first [len] bytes of [b], as
+    frames a caller encoded there ({!Pax_wire.Wire.encode_frame}),
+    with one [write] unless the kernel takes them in parts.  Callers
+    sharing a connection must serialize whole writes (they do: the
+    client's per-site send lock, the server's per-connection write
+    lock).
     @raise Unix.Unix_error on connection errors (EPIPE included;
     [SIGPIPE] is disabled process-wide on first use of this module) *)
-val write_frames : Unix.file_descr -> string list -> unit
+val write_bytes : Unix.file_descr -> Bytes.t -> int -> unit
 
-(** [write_frame fd payload] is [write_frames fd [payload]]. *)
+(** [write_frame fd payload] writes one payload under its length
+    prefix, with one [write]. *)
 val write_frame : Unix.file_descr -> string -> unit

@@ -171,11 +171,15 @@ open Codec
 
 let bit b set = if set then b else 0
 
-let answer =
-  map
-    (fun (a_id, (a_tag, a_text, a_attrs)) -> { a_id; a_tag; a_text; a_attrs })
-    (fun a -> (a.a_id, (a.a_tag, a.a_text, a.a_attrs)))
-    (pair varint (triple string (option string) (list (pair string string))))
+(* Answer lists are most of a read's reply bytes: a count, then per
+   answer its id, tag, optional text and attributes, by one tight loop. *)
+let answer_list =
+  element_list
+    ~id:(fun a -> a.a_id)
+    ~tag:(fun a -> a.a_tag)
+    ~text:(fun a -> a.a_text)
+    ~attrs:(fun a -> a.a_attrs)
+    (fun a_id a_tag a_text a_attrs -> { a_id; a_tag; a_text; a_attrs })
 
 (* Flat's column image keeps its own format and size function (pax_xml
    cannot see pax_bool); its section carries it as the rest of the
@@ -193,12 +197,35 @@ let flat =
 
 (* A section is a kind byte, then its payload under a u24 length:
    exactly 4 + payload bytes. *)
-let k_query = case 1 (sized rest) (fun q -> Query q)
-let k_vectors = case 2 (sized formulas) (fun fs -> Vectors fs)
-let k_resolution = case 3 (sized bools) (fun bs -> Resolution bs)
-let k_answers = case 4 (sized (list answer)) (fun a -> Answers a)
-let k_tree = case 5 (sized rest) (fun xml -> Tree_data xml)
-let k_flat = case 6 (sized flat) (fun fl -> Frag_flat fl)
+let k_query =
+  case 1 (sized rest) (fun q -> Query q) (function
+    | Query q -> q
+    | _ -> assert false)
+
+let k_vectors =
+  case 2 (sized formulas) (fun fs -> Vectors fs) (function
+    | Vectors fs -> fs
+    | _ -> assert false)
+
+let k_resolution =
+  case 3 (sized bools) (fun bs -> Resolution bs) (function
+    | Resolution bs -> bs
+    | _ -> assert false)
+
+let k_answers =
+  case 4 (sized answer_list) (fun a -> Answers a) (function
+    | Answers a -> a
+    | _ -> assert false)
+
+let k_tree =
+  case 5 (sized rest) (fun xml -> Tree_data xml) (function
+    | Tree_data xml -> xml
+    | _ -> assert false)
+
+let k_flat =
+  case 6 (sized flat) (fun fl -> Frag_flat fl) (function
+    | Frag_flat fl -> fl
+    | _ -> assert false)
 
 let section =
   union "section kind"
@@ -207,12 +234,12 @@ let section =
       Case k_tree; Case k_flat;
     ]
     (function
-      | Query q -> View (k_query, q)
-      | Vectors fs -> View (k_vectors, fs)
-      | Resolution bs -> View (k_resolution, bs)
-      | Answers a -> View (k_answers, a)
-      | Tree_data xml -> View (k_tree, xml)
-      | Frag_flat fl -> View (k_flat, fl))
+      | Query _ -> Case k_query
+      | Vectors _ -> Case k_vectors
+      | Resolution _ -> Case k_resolution
+      | Answers _ -> Case k_answers
+      | Tree_data _ -> Case k_tree
+      | Frag_flat _ -> Case k_flat)
 
 let section_bytes = size section
 
@@ -230,9 +257,6 @@ let resolution = counted_section "a resolution section" k_resolution
 let answers = counted_section "an answers section" k_answers
 let flat_section = counted_section "a flat-fragment section" k_flat
 
-(* An answer list that ships only when non-empty, under a flag. *)
-let answers_if set = if set then answers else const []
-
 (* ------------------------------------------------------------------ *)
 (* calls                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -240,40 +264,59 @@ let answers_if set = if set then answers else const []
 let fids = list (entry varint)
 let subs = list (pair varint resolution)
 
+(* The fragment id, then a flags byte: bit 1 the root flag, bit 2 an
+   initial vector that follows. *)
 let frag_eval =
-  map
-    (fun (fe_fid, (fe_is_root, fe_init)) -> { fe_fid; fe_is_root; fe_init })
-    (fun fe -> (fe.fe_fid, (fe.fe_is_root, fe.fe_init)))
-    (pair varint
-       (flags "frag-eval flags" ~bits:2
-          (fun (root, init) -> bit 1 root lor bit 2 (Option.is_some init))
-          (fun f ->
-            pair (const (f land 1 <> 0)) (if_set (f land 2 <> 0) vectors))))
+  record4
+    (field (fun fe -> fe.fe_fid) varint)
+    (field
+       (fun fe -> bit 1 fe.fe_is_root lor bit 2 (Option.is_some fe.fe_init))
+       (flags "frag-eval flags" ~bits:2))
+    (field (fun fe -> fe.fe_is_root) (flag 1))
+    (field (fun fe -> fe.fe_init) (if_flag 2 vectors))
+    (fun fe_fid _ fe_is_root fe_init -> { fe_fid; fe_is_root; fe_init })
 
 let c_pax2_stage1 =
-  case 1 (pair query (list (entry frag_eval))) (fun (query, frags) ->
-      Pax2_stage1 { query; frags })
+  case 1
+    (pair query (list (entry frag_eval)))
+    (fun (query, frags) -> Pax2_stage1 { query; frags })
+    (function
+      | Pax2_stage1 { query; frags } -> (query, frags) | _ -> assert false)
 
 let c_pax2_stage2 =
-  case 2 (list (entry (triple varint resolution subs))) (fun frags ->
-      Pax2_stage2 { frags })
+  case 2
+    (list (entry (triple varint resolution subs)))
+    (fun frags -> Pax2_stage2 { frags })
+    (function Pax2_stage2 { frags } -> frags | _ -> assert false)
 
 let c_pax3_stage1 =
-  case 3 (pair query fids) (fun (query, fids) -> Pax3_stage1 { query; fids })
+  case 3 (pair query fids)
+    (fun (query, fids) -> Pax3_stage1 { query; fids })
+    (function Pax3_stage1 { query; fids } -> (query, fids) | _ -> assert false)
 
 let c_pax3_stage2 =
-  case 4 (pair query (list (entry (pair frag_eval subs))))
-    (fun (query, frags) ->
-      Pax3_stage2 { query; frags })
+  case 4
+    (pair query (list (entry (pair frag_eval subs))))
+    (fun (query, frags) -> Pax3_stage2 { query; frags })
+    (function
+      | Pax3_stage2 { query; frags } -> (query, frags) | _ -> assert false)
 
 let c_pax3_stage3 =
-  case 5 (list (entry (pair varint resolution))) (fun frags ->
-      Pax3_stage3 { frags })
+  case 5
+    (list (entry (pair varint resolution)))
+    (fun frags -> Pax3_stage3 { frags })
+    (function Pax3_stage3 { frags } -> frags | _ -> assert false)
 
 let c_reach_stage1 =
-  case 6 (pair query fids) (fun (query, fids) -> Reach_stage1 { query; fids })
+  case 6 (pair query fids)
+    (fun (query, fids) -> Reach_stage1 { query; fids })
+    (function
+      | Reach_stage1 { query; fids } -> (query, fids) | _ -> assert false)
 
-let c_ship = case 8 fids (fun fids -> Ship { fids })
+let c_ship =
+  case 8 fids
+    (fun fids -> Ship { fids })
+    (function Ship { fids } -> fids | _ -> assert false)
 
 let plain_calls =
   [
@@ -281,91 +324,112 @@ let plain_calls =
     Case c_pax3_stage2; Case c_pax3_stage3; Case c_reach_stage1; Case c_ship;
   ]
 
-let plain_call_view = function
-  | Pax2_stage1 { query; frags } -> View (c_pax2_stage1, (query, frags))
-  | Pax2_stage2 { frags } -> View (c_pax2_stage2, frags)
-  | Pax3_stage1 { query; fids } -> View (c_pax3_stage1, (query, fids))
-  | Pax3_stage2 { query; frags } -> View (c_pax3_stage2, (query, frags))
-  | Pax3_stage3 { frags } -> View (c_pax3_stage3, frags)
-  | Reach_stage1 { query; fids } -> View (c_reach_stage1, (query, fids))
-  | Ship { fids } -> View (c_ship, fids)
+let plain_call_case = function
+  | Pax2_stage1 _ -> Case c_pax2_stage1
+  | Pax2_stage2 _ -> Case c_pax2_stage2
+  | Pax3_stage1 _ -> Case c_pax3_stage1
+  | Pax3_stage2 _ -> Case c_pax3_stage2
+  | Pax3_stage3 _ -> Case c_pax3_stage3
+  | Reach_stage1 _ -> Case c_reach_stage1
+  | Ship _ -> Case c_ship
   | Calls _ | Count _ -> invalid_arg "Wire: a call wrapper inside a wrapper"
 
 (* [Calls] and [Count] wrap plain calls only, so no frame nests
    wrappers and a hostile one cannot make the decoder recurse. *)
-let plain_call = union "wrapped call tag" plain_calls plain_call_view
-let c_calls = case 7 (list plain_call) (fun calls -> Calls calls)
-let c_count = case 9 plain_call (fun call -> Count call)
+let plain_call = union "wrapped call tag" plain_calls plain_call_case
+
+let c_calls =
+  case 7 (list plain_call)
+    (fun calls -> Calls calls)
+    (function Calls calls -> calls | _ -> assert false)
+
+let c_count =
+  case 9 plain_call
+    (fun call -> Count call)
+    (function Count call -> call | _ -> assert false)
 
 let call =
   union "call tag"
     (Case c_calls :: Case c_count :: plain_calls)
     (function
-      | Calls calls -> View (c_calls, calls)
-      | Count call -> View (c_count, call)
-      | call -> plain_call_view call)
+      | Calls _ -> Case c_calls
+      | Count _ -> Case c_count
+      | call -> plain_call_case call)
 
 (* ------------------------------------------------------------------ *)
 (* replies                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* The fragment id, then a flags byte: bit 1 a root vector that
+   follows, bit 2 an answers section after the context vectors. *)
 let frag_result =
-  map
-    (fun (fr_fid, ((fr_vec, fr_ctxs, fr_answers), (fr_cands, fr_ops))) ->
+  record7
+    (field (fun fr -> fr.fr_fid) varint)
+    (field
+       (fun fr -> bit 1 (Option.is_some fr.fr_vec) lor bit 2 (fr.fr_answers <> []))
+       (flags "frag-result flags" ~bits:2))
+    (field (fun fr -> fr.fr_vec) (if_flag 1 vectors))
+    (field (fun fr -> fr.fr_ctxs) (list (pair varint vectors)))
+    (field (fun fr -> fr.fr_answers) (nonempty 2 answers))
+    (field (fun fr -> fr.fr_cands) varint)
+    (field (fun fr -> fr.fr_ops) varint)
+    (fun fr_fid _ fr_vec fr_ctxs fr_answers fr_cands fr_ops ->
       { fr_fid; fr_vec; fr_ctxs; fr_answers; fr_cands; fr_ops })
-    (fun fr ->
-      ( fr.fr_fid,
-        ((fr.fr_vec, fr.fr_ctxs, fr.fr_answers), (fr.fr_cands, fr.fr_ops)) ))
-    (pair varint
-       (flags "frag-result flags" ~bits:2
-          (fun ((vec, _, answers), _) ->
-            bit 1 (Option.is_some vec) lor bit 2 (answers <> []))
-          (fun f ->
-            pair
-              (triple
-                 (if_set (f land 1 <> 0) vectors)
-                 (list (pair varint vectors))
-                 (answers_if (f land 2 <> 0)))
-              (pair varint varint))))
 
 let r_frag_results =
-  case 1 (list (entry frag_result)) (fun frs -> Frag_results frs)
+  case 1
+    (list (entry frag_result))
+    (fun frs -> Frag_results frs)
+    (function Frag_results frs -> frs | _ -> assert false)
 
+(* A flags byte, 1 when an answers section follows, then the ops. *)
 let r_final =
   case 2
     (pair
-       (flags "final-answers flag" ~bits:1
-          (fun answers -> bit 1 (answers <> []))
-          (fun f -> answers_if (f = 1)))
+       (record2
+          (field (fun answers -> bit 1 (answers <> []))
+             (flags "final-answers flag" ~bits:1))
+          (field Fun.id (nonempty 1 answers))
+          (fun _ answers -> answers))
        varint)
     (fun (answers, ops) -> Final_answers { answers; ops })
+    (function
+      | Final_answers { answers; ops } -> (answers, ops) | _ -> assert false)
 
 let r_images =
-  case 4 (list (entry (pair varint flat_section))) (fun images ->
-      Images images)
+  case 4
+    (list (entry (pair varint flat_section)))
+    (fun images -> Images images)
+    (function Images images -> images | _ -> assert false)
 
 let plain_replies = [ Case r_frag_results; Case r_final; Case r_images ]
 
-let plain_reply_view = function
-  | Frag_results frs -> View (r_frag_results, frs)
-  | Final_answers { answers; ops } -> View (r_final, (answers, ops))
-  | Images images -> View (r_images, images)
+let plain_reply_case = function
+  | Frag_results _ -> Case r_frag_results
+  | Final_answers _ -> Case r_final
+  | Images _ -> Case r_images
   | Replies _ | Counted _ -> invalid_arg "Wire: a reply wrapper inside a wrapper"
 
-let plain_reply = union "wrapped reply tag" plain_replies plain_reply_view
-let r_replies = case 3 (list plain_reply) (fun replies -> Replies replies)
+let plain_reply = union "wrapped reply tag" plain_replies plain_reply_case
+
+let r_replies =
+  case 3 (list plain_reply)
+    (fun replies -> Replies replies)
+    (function Replies replies -> replies | _ -> assert false)
 
 let r_counted =
-  case 5 (pair plain_reply (list varint)) (fun (reply, counts) ->
-      Counted { reply; counts })
+  case 5
+    (pair plain_reply (list varint))
+    (fun (reply, counts) -> Counted { reply; counts })
+    (function Counted { reply; counts } -> (reply, counts) | _ -> assert false)
 
 let reply =
   union "reply tag"
     (Case r_replies :: Case r_counted :: plain_replies)
     (function
-      | Replies replies -> View (r_replies, replies)
-      | Counted { reply; counts } -> View (r_counted, (reply, counts))
-      | reply -> plain_reply_view reply)
+      | Replies _ -> Case r_replies
+      | Counted _ -> Case r_counted
+      | reply -> plain_reply_case reply)
 
 (* ------------------------------------------------------------------ *)
 (* messages                                                           *)
@@ -377,17 +441,17 @@ let reply =
    cannot depend on pax_graph, so validation happens at install time,
    not decode time. *)
 let kind =
-  let tree = case 1 unit (fun () -> Tree_frag)
-  and graph = case 2 unit (fun () -> Graph_frag) in
+  let tree = case 1 unit (fun () -> Tree_frag) (fun _ -> ())
+  and graph = case 2 unit (fun () -> Graph_frag) (fun _ -> ()) in
   union "fragment kind" [ Case tree; Case graph ] (function
-    | Tree_frag -> View (tree, ())
-    | Graph_frag -> View (graph, ()))
+    | Tree_frag -> Case tree
+    | Graph_frag -> Case graph)
 
 let frag_image =
-  map
-    (fun (fi_kind, fi_bytes) -> { fi_kind; fi_bytes })
-    (fun i -> (i.fi_kind, i.fi_bytes))
-    (pair kind string)
+  record2
+    (field (fun i -> i.fi_kind) kind)
+    (field (fun i -> i.fi_bytes) string)
+    (fun fi_kind fi_bytes -> { fi_kind; fi_bytes })
 
 (* Harvested spans (Spans_reply).  Pure telemetry like stats traffic —
    no sections, excluded from accounted traffic — but the clock
@@ -440,63 +504,107 @@ let m_request =
     (triple (triple varint varint varint) (triple varint string call) parent)
     (fun ((run, round, site), (epoch, label, call), parent) ->
       Visit_request { run; round; site; epoch; label; call; parent })
+    (function
+      | Visit_request { run; round; site; epoch; label; call; parent } ->
+          ((run, round, site), (epoch, label, call), parent)
+      | _ -> assert false)
 
 (* An error reply's text runs to the end of the frame. *)
 let m_reply =
-  case 2 (triple varint varint (result reply rest)) (fun (run, round, reply) ->
-      Visit_reply { run; round; reply })
+  case 2
+    (triple varint varint (result reply rest))
+    (fun (run, round, reply) -> Visit_reply { run; round; reply })
+    (function
+      | Visit_reply { run; round; reply } -> (run, round, reply)
+      | _ -> assert false)
 
-let m_ping = case 3 unit (fun () -> Ping)
-let m_pong = case 4 unit (fun () -> Pong)
-let m_shutdown = case 5 unit (fun () -> Shutdown)
-let m_stats_request = case 6 unit (fun () -> Stats_request)
+let bare tag m = case tag unit (fun () -> m) (fun _ -> ())
+let m_ping = bare 3 Ping
+let m_pong = bare 4 Pong
+let m_shutdown = bare 5 Shutdown
+let m_stats_request = bare 6 Stats_request
 
 (* Metric values travel as IEEE-754 bits, so counters compare with [=]
    across the wire. *)
 let m_stats_reply =
-  case 7 (list (pair string float)) (fun pairs -> Stats_reply pairs)
+  case 7
+    (list (pair string float))
+    (fun pairs -> Stats_reply pairs)
+    (function Stats_reply pairs -> pairs | _ -> assert false)
 
-let m_run_done = case 8 varint (fun run -> Run_done { run })
+let m_run_done =
+  case 8 varint
+    (fun run -> Run_done { run })
+    (function Run_done { run } -> run | _ -> assert false)
 
 let m_frag_fetch =
-  case 9 (triple varint kind parent) (fun (fid, kind, parent) ->
-      Frag_fetch { fid; kind; parent })
+  case 9 (triple varint kind parent)
+    (fun (fid, kind, parent) -> Frag_fetch { fid; kind; parent })
+    (function
+      | Frag_fetch { fid; kind; parent } -> (fid, kind, parent)
+      | _ -> assert false)
 
 let m_frag_image =
-  case 10 (pair varint (result frag_image rest)) (fun (fid, image) ->
-      Frag_image { fid; image })
+  case 10
+    (pair varint (result frag_image rest))
+    (fun (fid, image) -> Frag_image { fid; image })
+    (function Frag_image { fid; image } -> (fid, image) | _ -> assert false)
 
 let m_frag_install =
-  case 11 (pair (triple varint varint frag_image) parent)
+  case 11
+    (pair (triple varint varint frag_image) parent)
     (fun ((fid, epoch, image), parent) ->
       Frag_install { fid; epoch; image; parent })
+    (function
+      | Frag_install { fid; epoch; image; parent } ->
+          ((fid, epoch, image), parent)
+      | _ -> assert false)
 
 let m_frag_retire =
-  case 12 (pair (triple varint varint kind) parent)
+  case 12
+    (pair (triple varint varint kind) parent)
     (fun ((fid, epoch, kind), parent) ->
       Frag_retire { fid; epoch; kind; parent })
+    (function
+      | Frag_retire { fid; epoch; kind; parent } -> ((fid, epoch, kind), parent)
+      | _ -> assert false)
 
 let m_admin_reply =
-  case 13 (result rest rest) (fun reply -> Admin_reply { reply })
+  case 13 (result rest rest)
+    (fun reply -> Admin_reply { reply })
+    (function Admin_reply { reply } -> reply | _ -> assert false)
 
-let m_spans_fetch = case 14 unit (fun () -> Spans_fetch)
+let m_spans_fetch = bare 14 Spans_fetch
 
 let m_spans_reply =
-  case 15 (pair float (list span)) (fun (server_now, spans) ->
-      Spans_reply { server_now; spans })
+  case 15
+    (pair float (list span))
+    (fun (server_now, spans) -> Spans_reply { server_now; spans })
+    (function
+      | Spans_reply { server_now; spans } -> (server_now, spans)
+      | _ -> assert false)
 
 let m_gen_publish =
-  case 16 (triple kind gens parent) (fun (kind, gens, parent) ->
-      Gen_publish { kind; gens; parent })
+  case 16 (triple kind gens parent)
+    (fun (kind, gens, parent) -> Gen_publish { kind; gens; parent })
+    (function
+      | Gen_publish { kind; gens; parent } -> (kind, gens, parent)
+      | _ -> assert false)
 
 let m_gen_event =
-  case 17 (pair kind gens) (fun (kind, gens) -> Gen_event { kind; gens })
+  case 17 (pair kind gens)
+    (fun (kind, gens) -> Gen_event { kind; gens })
+    (function Gen_event { kind; gens } -> (kind, gens) | _ -> assert false)
 
 let m_gen_fetch =
-  case 18 (pair kind parent) (fun (kind, parent) -> Gen_fetch { kind; parent })
+  case 18 (pair kind parent)
+    (fun (kind, parent) -> Gen_fetch { kind; parent })
+    (function Gen_fetch { kind; parent } -> (kind, parent) | _ -> assert false)
 
 let m_gen_reply =
-  case 19 (pair kind gens) (fun (kind, gens) -> Gen_reply { kind; gens })
+  case 19 (pair kind gens)
+    (fun (kind, gens) -> Gen_reply { kind; gens })
+    (function Gen_reply { kind; gens } -> (kind, gens) | _ -> assert false)
 
 (* An update pushed to the site holding the fragment: the edit, named
    against the version it patches, or the whole image.  An inserted
@@ -505,28 +613,48 @@ let frag_version = pair varint varint
 
 let edit =
   let set_text =
-    case 1 (pair varint (option string)) (fun (id, text) ->
-        Flat.Set_text (id, text))
+    case 1
+      (pair varint (option string))
+      (fun (id, text) -> Flat.Set_text (id, text))
+      (function Flat.Set_text (id, text) -> (id, text) | _ -> assert false)
   and insert =
-    case 2 (pair varint (sized flat)) (fun (id, sub) -> Flat.Insert (id, sub))
-  and delete = case 3 varint (fun id -> Flat.Delete id) in
+    case 2
+      (pair varint (sized flat))
+      (fun (id, sub) -> Flat.Insert (id, sub))
+      (function Flat.Insert (id, sub) -> (id, sub) | _ -> assert false)
+  and delete =
+    case 3 varint
+      (fun id -> Flat.Delete id)
+      (function Flat.Delete id -> id | _ -> assert false)
+  in
   union "edit kind" [ Case set_text; Case insert; Case delete ] (function
-    | Flat.Set_text (id, text) -> View (set_text, (id, text))
-    | Flat.Insert (id, sub) -> View (insert, (id, sub))
-    | Flat.Delete id -> View (delete, id))
+    | Flat.Set_text _ -> Case set_text
+    | Flat.Insert _ -> Case insert
+    | Flat.Delete _ -> Case delete)
 
 let change =
-  let edit = case 1 (pair frag_version edit) (fun (base, edit) -> Edit { base; edit })
-  and image = case 2 string (fun bytes -> Image bytes) in
+  let edit =
+    case 1 (pair frag_version edit)
+      (fun (base, edit) -> Edit { base; edit })
+      (function Edit { base; edit } -> (base, edit) | _ -> assert false)
+  and image =
+    case 2 string
+      (fun bytes -> Image bytes)
+      (function Image bytes -> bytes | _ -> assert false)
+  in
   union "fragment change" [ Case edit; Case image ] (function
-    | Edit { base; edit = e } -> View (edit, (base, e))
-    | Image bytes -> View (image, bytes))
+    | Edit _ -> Case edit
+    | Image _ -> Case image)
 
 let m_frag_update =
   case 20
     (pair (triple varint varint frag_version) (pair change parent))
     (fun ((fid, epoch, version), (change, parent)) ->
       Frag_update { fid; epoch; version; change; parent })
+    (function
+      | Frag_update { fid; epoch; version; change; parent } ->
+          ((fid, epoch, version), (change, parent))
+      | _ -> assert false)
 
 let msg =
   union "message tag"
@@ -539,33 +667,26 @@ let msg =
       Case m_gen_fetch; Case m_gen_reply; Case m_frag_update;
     ]
     (function
-      | Visit_request { run; round; site; epoch; label; call; parent } ->
-          View (m_request, ((run, round, site), (epoch, label, call), parent))
-      | Visit_reply { run; round; reply } -> View (m_reply, (run, round, reply))
-      | Ping -> View (m_ping, ())
-      | Pong -> View (m_pong, ())
-      | Shutdown -> View (m_shutdown, ())
-      | Stats_request -> View (m_stats_request, ())
-      | Stats_reply pairs -> View (m_stats_reply, pairs)
-      | Run_done { run } -> View (m_run_done, run)
-      | Frag_fetch { fid; kind; parent } ->
-          View (m_frag_fetch, (fid, kind, parent))
-      | Frag_image { fid; image } -> View (m_frag_image, (fid, image))
-      | Frag_install { fid; epoch; image; parent } ->
-          View (m_frag_install, ((fid, epoch, image), parent))
-      | Frag_retire { fid; epoch; kind; parent } ->
-          View (m_frag_retire, ((fid, epoch, kind), parent))
-      | Admin_reply { reply } -> View (m_admin_reply, reply)
-      | Spans_fetch -> View (m_spans_fetch, ())
-      | Spans_reply { server_now; spans } ->
-          View (m_spans_reply, (server_now, spans))
-      | Gen_publish { kind; gens; parent } ->
-          View (m_gen_publish, (kind, gens, parent))
-      | Gen_event { kind; gens } -> View (m_gen_event, (kind, gens))
-      | Gen_fetch { kind; parent } -> View (m_gen_fetch, (kind, parent))
-      | Gen_reply { kind; gens } -> View (m_gen_reply, (kind, gens))
-      | Frag_update { fid; epoch; version; change; parent } ->
-          View (m_frag_update, ((fid, epoch, version), (change, parent))))
+      | Visit_request _ -> Case m_request
+      | Visit_reply _ -> Case m_reply
+      | Ping -> Case m_ping
+      | Pong -> Case m_pong
+      | Shutdown -> Case m_shutdown
+      | Stats_request -> Case m_stats_request
+      | Stats_reply _ -> Case m_stats_reply
+      | Run_done _ -> Case m_run_done
+      | Frag_fetch _ -> Case m_frag_fetch
+      | Frag_image _ -> Case m_frag_image
+      | Frag_install _ -> Case m_frag_install
+      | Frag_retire _ -> Case m_frag_retire
+      | Admin_reply _ -> Case m_admin_reply
+      | Spans_fetch -> Case m_spans_fetch
+      | Spans_reply _ -> Case m_spans_reply
+      | Gen_publish _ -> Case m_gen_publish
+      | Gen_event _ -> Case m_gen_event
+      | Gen_fetch _ -> Case m_gen_fetch
+      | Gen_reply _ -> Case m_gen_reply
+      | Frag_update _ -> Case m_frag_update)
 
 (* The v2 envelope carries a correlation id right after the version
    byte, on every message: the coordinator stamps each request with a
@@ -598,28 +719,29 @@ let tally_of counts =
 
 let encode_payload ?(corr = 0) m = to_string envelope (version, corr, m)
 
-let encode_tallied ?(corr = 0) m =
-  let s, counts = to_string_counted envelope (version, corr, m) in
-  (s, tally_of counts)
+(* A frame is the payload under a u32 length, which is filled in place
+   once the payload is written. *)
+let frame = framed envelope
 
-let tally m = snd (encode_tallied m)
+let encode_frame w ?(corr = 0) m =
+  append w frame (version, corr, m);
+  tally_of (counts w)
 
-let decode_with of_string s =
-  if s <> "" && Char.code s.[0] <> version then
-    Error (Bad_version (Char.code s.[0]))
+let tally m = encode_frame (writer ()) m
+
+let decode_slice b off len =
+  if len > 0 && Bytes.get_uint8 b off <> version then
+    Error (Bad_version (Bytes.get_uint8 b off))
   else
-    match of_string envelope s with
-    | x -> Ok x
+    match of_slice_counted envelope b off len with
+    | (_, corr, m), counts -> Ok (corr, m, tally_of counts)
     | exception Decode_error { pos; reason } ->
         Error (Corrupt (Printf.sprintf "%s at byte %d" reason pos))
 
 let decode_payload_corr s =
-  Result.map (fun (_, corr, m) -> (corr, m)) (decode_with of_string s)
-
-let decode_tallied s =
-  Result.map
-    (fun ((_, corr, m), counts) -> (corr, m, tally_of counts))
-    (decode_with of_string_counted s)
+  match decode_slice (Bytes.unsafe_of_string s) 0 (String.length s) with
+  | Ok (corr, m, _) -> Ok (corr, m)
+  | Error e -> Error e
 
 (* [lbl "QV" 3] is "QV(F3)". *)
 let lbl name fid = name ^ "(F" ^ string_of_int fid ^ ")"

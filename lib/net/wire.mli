@@ -329,6 +329,10 @@ val pp_error : Format.formatter -> error -> unit
     defaults to [0] (uncorrelated). *)
 val encode_payload : ?corr:int -> msg -> string
 
+(** The payload's codec: the version byte, the correlation id and the
+    message. *)
+val envelope : (int * int * msg) Pax_bool.Codec.t
+
 (** Total decoder of a payload, with its envelope correlation id — what
     the demultiplexing client reads first.  Never raises: a wrong
     version byte is [Bad_version], anything malformed (truncated
@@ -357,13 +361,18 @@ val reply_sections : (string -> section -> unit) -> reply -> unit
     walk.  Only visit calls and replies hold any. *)
 type tally = { sections : int; section_bytes : int; frag_entries : int }
 
-(** {!encode_payload}, with the frame's tally. *)
-val encode_tallied : ?corr:int -> msg -> string * tally
+(** [encode_frame w ?corr m] appends one frame to [w]: the [u32]
+    length, then {!encode_payload}'s bytes, written in one pass with the
+    length filled in place.  Returns the frame's tally.  The frame is
+    the last [4 + payload] bytes of [w]. *)
+val encode_frame : Pax_bool.Codec.writer -> ?corr:int -> msg -> tally
 
-(** {!decode_payload_corr}, with the frame's tally. *)
-val decode_tallied : string -> (int * msg * tally, error) result
+(** [decode_slice b off len] decodes the payload in the [len] bytes of
+    [b] from [off], in place, as {!decode_payload_corr} decodes a
+    string, with the frame's tally.  Nothing decoded aliases [b]. *)
+val decode_slice : Bytes.t -> int -> int -> (int * msg * tally, error) result
 
-(** [tally m] is [snd (encode_tallied m)]. *)
+(** The tally of [m]'s frame, as {!encode_frame} returns it. *)
 val tally : msg -> tally
 
 (** Worst-case framing overhead (structure bytes outside sections):

@@ -191,13 +191,23 @@ let of_tree ?(intern = Intern.create ()) (root : Tree.node) =
   and attr_off = Array.make (max n_attrs 1) 0
   and attr_len = Array.make (max n_attrs 1) 0 in
   let bbuf = Buffer.create 1024 in
+  (* Each distinct label goes to the shared table once per build. *)
+  let seen = Hashtbl.create 64 in
+  let code s =
+    match Hashtbl.find_opt seen s with
+    | Some c -> c
+    | None ->
+        let c = Intern.intern intern s in
+        Hashtbl.add seen s c;
+        c
+  in
   let slot = ref 0 and attr_ix = ref 0 in
   let rec go p (nd : Tree.node) =
     let i = !slot in
     incr slot;
     ids.(i) <- nd.Tree.id;
     parent.(i) <- p;
-    tag.(i) <- Intern.intern intern nd.Tree.tag;
+    tag.(i) <- code nd.Tree.tag;
     (match nd.Tree.kind with
     | Tree.Virtual f -> vfid.(i) <- f
     | Tree.Element -> ());
@@ -213,7 +223,7 @@ let of_tree ?(intern = Intern.create ()) (root : Tree.node) =
       (fun (k, v) ->
         let j = !attr_ix in
         incr attr_ix;
-        attr_key.(j) <- Intern.intern intern k;
+        attr_key.(j) <- code k;
         attr_off.(j) <- Buffer.length bbuf;
         attr_len.(j) <- String.length v;
         Buffer.add_string bbuf v)

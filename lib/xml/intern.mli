@@ -2,9 +2,11 @@
 
     Tags and attribute keys are interned once when a flat fragment
     image ({!Flat}) is built; stage passes then compare tags by int
-    code.  Every operation is mutex-guarded and safe to call from any
-    domain; the hot loops never call in here — they carry pre-resolved
-    codes (see docs/FLATTREE.md). *)
+    code.  Every operation is safe to call from any domain: {!intern}
+    and {!find} take the table's lock, and {!name} and {!size} read a
+    published snapshot without it (codes are only ever appended).  The
+    hot loops never call in here — they carry pre-resolved codes (see
+    docs/FLATTREE.md). *)
 
 type t
 
@@ -19,7 +21,7 @@ val intern : t -> string -> int
     never seen matches no node, and [-1] encodes exactly that. *)
 val find : t -> string -> int
 
-(** [name t c] — inverse of {!intern}.
+(** [name t c] — inverse of {!intern}; takes no lock.
     @raise Invalid_argument on an unknown code. *)
 val name : t -> int -> string
 

@@ -887,6 +887,96 @@ let prop_random_msgs =
       in
       exact && List.for_all prefix_ok (List.init (String.length s) Fun.id))
 
+(* Decoding in place: a payload placed at a random offset inside a
+   larger buffer, random bytes on both sides, decodes from its slice
+   exactly as the payload alone does, tally included, and every shorter
+   slice fails as a prefix must above. *)
+let prop_slices =
+  let pad = QCheck.Gen.(string_size ~gen:char (int_range 0 64)) in
+  QCheck.Test.make ~name:"payloads decode in place; shorter slices are errors"
+    ~count:(qcheck_count 300)
+    (QCheck.make QCheck.Gen.(triple gen_msg pad pad))
+    (fun (msg, before, after) ->
+      let corr = Hashtbl.hash msg land 0xFFFF in
+      let s = Wire.encode_payload ~corr msg in
+      let buf = Bytes.of_string (before ^ s ^ after) in
+      let off = String.length before in
+      let exact =
+        match
+          (Wire.decode_slice buf off (String.length s), Wire.decode_payload_corr s)
+        with
+        | Ok (corr', msg', tally), Ok (corr'', msg'') ->
+            corr' = corr && corr'' = corr
+            && Wire.encode_payload ~corr msg' = s
+            && (has_images msg || msg' = msg'')
+            && tally = Wire.tally msg
+        | _ -> false
+      in
+      let shorter_ok cut =
+        match Wire.decode_slice buf off cut with
+        | Error _ -> true
+        | Ok (corr', msg', _) ->
+            open_ended msg
+            && Wire.encode_payload ~corr:corr' msg' = String.sub s 0 cut
+      in
+      exact && List.for_all shorter_ok (List.init (String.length s) Fun.id))
+
+(* The codec's size is the encoded length, for every message; a frame
+   appended behind other bytes is its u32 length and the payload. *)
+let prop_msg_sizes =
+  QCheck.Test.make ~name:"size = encoded length; frames append in place"
+    ~count:(qcheck_count 300)
+    (QCheck.make QCheck.Gen.(pair gen_msg (string_size ~gen:char (int_range 0 9))))
+    (fun (msg, junk) ->
+      let corr = Hashtbl.hash msg land 0xFFFF in
+      let s = Wire.encode_payload ~corr msg in
+      let w = Codec.writer () in
+      Codec.append w Codec.rest junk;
+      ignore (Wire.encode_frame w ~corr msg : Wire.tally);
+      let header = Bytes.create 4 in
+      Bytes.set_int32_be header 0 (Int32.of_int (String.length s));
+      Codec.size Wire.envelope (Wire.version, corr, msg) = String.length s
+      && Bytes.sub_string (Codec.buffer w) 0 (Codec.length w)
+         = junk ^ Bytes.to_string header ^ s)
+
+(* [Gc.minor_words] to encode every sample message into a connection's
+   writer and to decode it where it lies, after one warm-up pass: the
+   frame path allocates no more than these.  The decoded messages are
+   most of the decode figure.  (Every sample frame is under the minor
+   heap's 2 KiB limit on one block, so a copy of one would count.) *)
+let sample_encode_words = 494
+let sample_decode_words = 2058
+
+let test_frame_words () =
+  let w = Codec.writer () in
+  let encode m =
+    Codec.clear w;
+    ignore (Sys.opaque_identity (Wire.encode_frame w ~corr:7 m))
+  and decode () =
+    ignore
+      (Sys.opaque_identity
+         (Wire.decode_slice (Codec.buffer w) 4 (Codec.length w - 4)))
+  in
+  let words f =
+    List.iter f sample_msgs;
+    let before = Gc.minor_words () in
+    List.iter f sample_msgs;
+    int_of_float (Gc.minor_words () -. before)
+  in
+  let enc = words encode
+  and dec =
+    words (fun m ->
+        encode m;
+        decode ())
+    - words encode
+  in
+  if enc > sample_encode_words then
+    Alcotest.failf "encoding the samples allocated %d minor words, over %d" enc
+      sample_encode_words;
+  if dec > sample_decode_words then
+    Alcotest.failf "decoding the samples allocated %d minor words, over %d" dec
+      sample_decode_words
+
 (* The fixed samples behind the property: the query, vector and bools
    sections accounting charges, each sized as it is measured on the wire.
    The case keeps its name from when a separate Measure module held the
@@ -2108,6 +2198,9 @@ let () =
             test_sections_measured;
           QCheck_alcotest.to_alcotest prop_section_sizes;
           QCheck_alcotest.to_alcotest prop_random_msgs;
+          QCheck_alcotest.to_alcotest prop_slices;
+          QCheck_alcotest.to_alcotest prop_msg_sizes;
+          Alcotest.test_case "frame path allocation" `Quick test_frame_words;
           Alcotest.test_case "byte pins" `Quick test_byte_pins;
           Alcotest.test_case "addresses" `Quick test_addr_parse;
           Alcotest.test_case "an edit frame is small" `Quick

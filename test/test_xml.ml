@@ -112,6 +112,48 @@ let test_float_of () =
   Alcotest.(check (option (float 0.001))) "non-numeric" None
     (Tree.float_of (Tree.leaf b "x" "abc"))
 
+(* Two domains intern fresh labels while a third reads names without the
+   table's lock: every code a reader can see names the label that was
+   interned under it, and after the writers finish every label has one
+   code, dense from 0. *)
+let test_intern_concurrent () =
+  let module Intern = Pax_xml.Intern in
+  let t = Intern.create () in
+  let per_writer = 2000 in
+  let label w i = Printf.sprintf "w%d-%d" w i in
+  let stop = Atomic.make false and bad = Atomic.make 0 in
+  let reader =
+    Domain.spawn (fun () ->
+        let reads = ref 0 in
+        while not (Atomic.get stop) do
+          let n = Intern.size t in
+          for c = 0 to n - 1 do
+            let s = Intern.name t c in
+            if String.length s < 4 || s.[0] <> 'w' then Atomic.incr bad;
+            incr reads
+          done
+        done;
+        !reads)
+  in
+  let writers =
+    List.init 2 (fun w ->
+        Domain.spawn (fun () ->
+            List.init per_writer (fun i -> (label w i, Intern.intern t (label w i)))))
+  in
+  let codes = List.concat_map Domain.join writers in
+  Atomic.set stop true;
+  ignore (Domain.join reader : int);
+  Alcotest.(check int) "no torn read" 0 (Atomic.get bad);
+  Alcotest.(check int) "one code per label" (2 * per_writer) (Intern.size t);
+  List.iter
+    (fun (s, c) ->
+      Alcotest.(check string) "name inverts intern" s (Intern.name t c);
+      Alcotest.(check int) "find agrees" c (Intern.find t s))
+    codes;
+  let sorted = List.sort compare (List.map snd codes) in
+  Alcotest.(check bool) "codes are dense from 0" true
+    (sorted = List.init (2 * per_writer) Fun.id)
+
 let () =
   Alcotest.run "xml"
     [
@@ -134,5 +176,10 @@ let () =
           Alcotest.test_case "find and copy" `Quick test_find_and_copy;
           Alcotest.test_case "virtual nodes" `Quick test_virtual_nodes;
           Alcotest.test_case "float_of" `Quick test_float_of;
+        ] );
+      ( "intern",
+        [
+          Alcotest.test_case "interning races name readers" `Quick
+            test_intern_concurrent;
         ] );
     ]
