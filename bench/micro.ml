@@ -1,8 +1,9 @@
 (* Bechamel micro-benchmarks of the evaluation kernels every evaluator
    runs (the flat bottom-up qualifier pass, top-down selection pass and
-   PaX2's combined traversal), the centralized and streaming
-   evaluators, query compilation and formula operations; then the wire
-   codec on a stage-1 reply, in microseconds and minor words. *)
+   PaX2's combined traversal), the flat image build a store pays per
+   fragment at load, the centralized and streaming evaluators, query
+   compilation and formula operations; then the wire codec on a stage-1
+   reply, in microseconds and minor words. *)
 
 open Bechamel
 open Toolkit
@@ -50,6 +51,12 @@ let tests =
              Pax_core.Flat_pass.combined_run fplan fl
                ~init:(Pax_core.Flat_pass.blank_init compiled)
                ~is_root:true));
+      (* Into the store's table, which holds every label already, as a
+         rebuild after an update does. *)
+      Test.make ~name:"flat image build (8k nodes)"
+        (Staged.stage (fun () ->
+             Pax_xml.Flat.of_tree ~intern:(Pax_frag.Fragment.intern ft)
+               doc.Tree.root));
       Test.make ~name:"centralized Q3 (8k nodes)"
         (Staged.stage (fun () -> Pax_core.Centralized.run q3 doc.Tree.root));
       (let xml = Pax_xml.Printer.to_string doc.Tree.root in

@@ -5,7 +5,8 @@
    Dispatches on the top-level "bench" field: "scaling" (the multicore
    scaling runs of BENCH_PR2-style files), "throughput" (the serving
    benchmark of bench/throughput.ml), "flat" (the pointer-vs-flat
-   stage kernels of bench/flat_main.ml), "skew" (the hot-shard
+   stage kernels of the retired bench/flat_main.ml, kept for the
+   committed BENCH_PR7.json), "skew" (the hot-shard
    rebalance runs of bench/skew.ml), "overload" (the deadline/QoS
    shedding storms of bench/overload.ml) or "pairs" (the alternating
    base/head runs of tools/pairs.py).  Exits 0 when every file is
@@ -255,7 +256,7 @@ let check_throughput (v : J.t) =
 
 (* ---------------- the pointer-vs-flat kernel schema ---------------- *)
 
-(* One (query, kernel) row of bench/flat_main.ml. *)
+(* One (query, kernel) row of the retired bench/flat_main.ml. *)
 let check_flat_row i r =
   let ctx = Printf.sprintf "results[%d]" i in
   ignore (need_str r ctx "query");

@@ -33,7 +33,12 @@
    candidates leave as slot indices, and the caller builds shipped
    answers from the image ([Wire.answer_of_slot]).  The [#document]
    wrapper an absolute query puts above the root fragment is slot -1,
-   evaluated by the same per-slot code as every other slot. *)
+   evaluated by the same per-slot code as every other slot.
+
+   The per-node recurrence ([fsat], [feval_entries]) is the only one in
+   the library: it reads a node's leaf tests through a [source] fixed
+   once per walk, so {!Stream_eval}'s elements and ParBoX's root check
+   run it too. *)
 
 module Flat = Pax_xml.Flat
 module Intern = Pax_xml.Intern
@@ -210,6 +215,8 @@ let make_plan (compiled : Compile.t) intern : plan =
     s_need;
   }
 
+let sel_items plan = plan.fsel
+
 (* ------------------------------------------------------------------ *)
 (* slots, the #document wrapper included                              *)
 (* ------------------------------------------------------------------ *)
@@ -252,29 +259,51 @@ let start plan ~is_root =
 (* qualifier satisfaction over a slot                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Mirror of {!Qual_pass.sat_view} with the lowered tests:
-   [entry i e] reads qualifier entry [e] of slot [i] — the slot's own
-   vector in the qualifier step, the resolved vector in [sel_run], a
-   placeholder in [combined_run]. *)
-let rec fsat flat i entry = function
+(* A lowered tag test [code] passes on tag code [tagc]. *)
+let[@inline] tag_matches code ~tagc = code = -2 || code = tagc
+
+(* Where the recurrence reads a slot's three leaf tests: a flat image's
+   slots here, a streamed element in {!Stream_eval}.  A source is built
+   once per walk, so [fsat] and [feval_entries] serve both. *)
+type 'slot source = {
+  text_equals : 'slot -> string -> bool;
+  num : 'slot -> float option;
+  attr_test : 'slot -> key:int -> expected:string option -> bool;
+}
+
+let image_source flat =
+  {
+    text_equals = (fun i s -> text_equals flat i s);
+    num = (fun i -> num flat i);
+    attr_test = (fun i ~key ~expected -> attr_test flat i ~key ~expected);
+  }
+
+(* The qualifier recurrence of paper §3.1, written once.  [fsat src i
+   entry q] is the satisfaction of filter [q] at slot [i]: [entry i e]
+   reads qualifier entry [e] of the slot — its own vector in the
+   qualifier step, the resolved vector in [sel_run], a placeholder in
+   [combined_run]. *)
+let rec fsat src i entry = function
   | FSat_empty -> Formula.true_
   | FSat e -> entry i e
-  | FText_eq s -> Formula.bool (text_equals flat i s)
+  | FText_eq s -> Formula.bool (src.text_equals i s)
   | FVal_cmp (op, n) ->
       Formula.bool
-        (match num flat i with
+        (match src.num i with
         | Some f -> Ast.compare_num op f n
         | None -> false)
-  | FAttr_test (key, expected) -> Formula.bool (attr_test flat i ~key ~expected)
-  | FNot q -> Formula.not_ (fsat flat i entry q)
-  | FAnd (a, b) -> Formula.conj (fsat flat i entry a) (fsat flat i entry b)
-  | FOr (a, b) -> Formula.disj (fsat flat i entry a) (fsat flat i entry b)
+  | FAttr_test (key, expected) -> Formula.bool (src.attr_test i ~key ~expected)
+  | FNot q -> Formula.not_ (fsat src i entry q)
+  | FAnd (a, b) -> Formula.conj (fsat src i entry a) (fsat src i entry b)
+  | FOr (a, b) -> Formula.disj (fsat src i entry a) (fsat src i entry b)
 
-(* Mirror of {!Qual_pass.eval_entries}: one element slot's qualifier
-   vector, path by path, suffix-position descending.  [kids.(ko + e)] is
-   the disjunction of entry [e] over the slot's children, folded left in
-   child order as the pointer reference folds it. *)
-let feval_entries plan flat i ~tagc (kids : Formula.t array) ko :
+(* One element slot's qualifier vector, path by path (nested paths
+   first: compile order gives them the smaller indices) and, within a
+   path, suffix-position descending, so every read hits an entry
+   already written.  [kids.(ko + e)] is the disjunction of entry [e]
+   over the slot's children, folded left in child order as the pointer
+   reference folds it. *)
+let feval_entries plan src i ~tagc (kids : Formula.t array) ko :
     Formula.t array =
   let vec = Array.make plan.compiled.Compile.n_qual Formula.false_ in
   let own _ e = vec.(e) in
@@ -287,10 +316,13 @@ let feval_entries plan flat i ~tagc (kids : Formula.t array) ko :
         in
         match p.fitems.(j) with
         | FMove code ->
+            (* B(j): the slot matches the move and the rest holds below. *)
             vec.(p.fstep.(j)) <-
-              (if code = -2 || code = tagc then a_next else Formula.false_);
+              (if tag_matches code ~tagc then a_next else Formula.false_);
+            (* A(j): some child matches the move. *)
             vec.(p.fsat.(j)) <- kids.(ko + p.fstep.(j))
         | FDos ->
+            (* D(j+1) = A(j+1) or some child's D(j+1); A(j) = D(j+1). *)
             let d =
               if j + 1 = k then Formula.true_
               else begin
@@ -303,10 +335,16 @@ let feval_entries plan flat i ~tagc (kids : Formula.t array) ko :
         | FFilter q ->
             vec.(p.fsat.(j)) <-
               (if a_next == Formula.false_ then Formula.false_
-               else Formula.conj (fsat flat i own q) a_next)
+               else Formula.conj (fsat src i own q) a_next)
       done)
     plan.fpaths;
   vec
+
+(* The all-variables vector of a virtual slot for fragment [fid]: every
+   entry is the fresh variable [Var.Qual (fid, e)], which the
+   coordinator's unification later grounds. *)
+let virtual_vec compiled fid =
+  Array.init compiled.Compile.n_qual (fun e -> Formula.var (Var.Qual (fid, e)))
 
 (* ------------------------------------------------------------------ *)
 (* ground qualifier vectors: bitsets off the spine                    *)
@@ -405,6 +443,7 @@ let formulas_of_bits n_qual bits o =
 type walk = {
   w_plan : plan;
   w_flat : Flat.t;
+  src : int source;  (* [w_flat]'s slots, for the spine's [feval_entries] *)
   cols : Flat.columns;
   n_qual : int;
   width : int;  (* words of a bitset row *)
@@ -424,13 +463,14 @@ type walk = {
   post : int -> Formula.t array -> unit;
 }
 
-let walk plan flat cols ~every ~sel ~asked ~virtual_ops ~pre ~post =
+let walk plan flat ~src cols ~every ~sel ~asked ~virtual_ops ~pre ~post =
   let n_qual = plan.compiled.Compile.n_qual in
   let width = words n_qual and depths = cols.Flat.levels + 1 in
   let ints k = Array.make (depths * k) 0 in
   {
     w_plan = plan;
     w_flat = flat;
+    src;
     cols;
     n_qual;
     width;
@@ -619,7 +659,7 @@ let rec qwalk w i d =
     if vfid >= 0 then begin
       let want = w.pre i d vfid (-1) in
       w.ops <- w.ops + w.virtual_ops;
-      let vec = Qual_pass.virtual_vec w.w_plan.compiled vfid in
+      let vec = virtual_vec w.w_plan.compiled vfid in
       if want then w.post i vec;
       vec
     end
@@ -653,7 +693,7 @@ let rec qwalk w i d =
         ch := c.next_sibling.(ci)
       done;
       w.ops <- w.ops + (n_qual * (1 + !n_kids));
-      let vec = feval_entries w.w_plan w.w_flat i ~tagc acc ao in
+      let vec = feval_entries w.w_plan w.src i ~tagc acc ao in
       if want then w.post i vec;
       vec
     end
@@ -682,7 +722,8 @@ let qual_run plan flat ~is_root : qual =
   let wrap = ref None in
   let post i vec = if i >= 0 then vecs.(i) <- vec else wrap := Some vec in
   let w =
-    walk plan flat (Flat.columns flat) ~every:true ~sel:[||] ~asked:[||]
+    walk plan flat ~src:(image_source flat) (Flat.columns flat) ~every:true
+      ~sel:[||] ~asked:[||]
       ~virtual_ops:plan.compiled.Compile.n_qual
       ~pre:(fun _ _ _ _ -> true)
       ~post
@@ -746,7 +787,7 @@ let parent_vec ~init sel n d =
    vector at offset [o] of [sv] from its parent's, at offset [po] of
    [pv], charged [n_sel] by the caller.  Filters read qualifier entries
    through [entry] ({!fsat}). *)
-let sel_step plan flat entry i ~tagc ~is_context (pv : Formula.t array) po
+let sel_step plan src entry i ~tagc ~is_context (pv : Formula.t array) po
     (sv : Formula.t array) o =
   set sv o (if is_context then Formula.true_ else Formula.false_);
   let fsel = plan.fsel in
@@ -754,22 +795,22 @@ let sel_step plan flat entry i ~tagc ~is_context (pv : Formula.t array) po
     set sv (o + ix)
       (match fsel.(ix - 1) with
       | FMove code ->
-          if code = -2 || code = tagc then pv.(po + ix - 1) else Formula.false_
+          if tag_matches code ~tagc then pv.(po + ix - 1) else Formula.false_
       | FDos -> Formula.disj pv.(po + ix) sv.(o + ix - 1)
       | FFilter q ->
           let prev = sv.(o + ix - 1) in
           if prev == Formula.false_ then Formula.false_
-          else Formula.conj prev (fsat flat i entry q))
+          else Formula.conj prev (fsat src i entry q))
   done
 
 (* [sel_step] on slot [i] at depth [d], the wrapper (when there is one)
    being the context node itself. *)
-let sel_step_at plan flat entry i ~tagc ~init ~is_root sel d =
+let sel_step_at plan src entry i ~tagc ~init ~is_root sel d =
   let n = plan.compiled.Compile.n_sel in
   if d = 0 then
-    sel_step plan flat entry i ~tagc ~is_context:is_root init 0 sel 0
+    sel_step plan src entry i ~tagc ~is_context:is_root init 0 sel 0
   else
-    sel_step plan flat entry i ~tagc ~is_context:false sel
+    sel_step plan src entry i ~tagc ~is_context:false sel
       ((d - 1) * n)
       sel (d * n)
 
@@ -781,6 +822,7 @@ let sel_run plan flat ~init ~is_root ~(qual : qual option) : sel_outcome =
   let n = plan.compiled.Compile.n_sel in
   let last = n - 1 in
   let cols = Flat.columns flat in
+  let src = image_source flat in
   let sel = sel_rows plan cols in
   let ops = ref 0 in
   let answers = ref [] in
@@ -796,7 +838,7 @@ let sel_run plan flat ~init ~is_root ~(qual : qual option) : sel_outcome =
     if vfid >= 0 then contexts := (vfid, parent_vec ~init sel n d) :: !contexts
     else begin
       ops := !ops + n;
-      sel_step_at plan flat entry i ~tagc:(tag_at cols i) ~init ~is_root sel d;
+      sel_step_at plan src entry i ~tagc:(tag_at cols i) ~init ~is_root sel d;
       let f = sel.((d * n) + last) in
       if f == Formula.true_ then answers := i :: !answers
       else if f != Formula.false_ then candidates := (i, f) :: !candidates;
@@ -850,6 +892,7 @@ let combined_run plan flat ~init ~is_root : combined_outcome =
   let n_sel = compiled.Compile.n_sel in
   let last = n_sel - 1 in
   let cols = Flat.columns flat in
+  let src = image_source flat in
   let sel = sel_rows plan cols in
   let sigma : Formula.t array Sigma.t = Sigma.create 16 in
   let issued = ref false in
@@ -872,7 +915,7 @@ let combined_run plan flat ~init ~is_root : combined_outcome =
     else begin
       sel_ops := !sel_ops + n_sel;
       issued := false;
-      sel_step_at plan flat entry i ~tagc ~init ~is_root sel d;
+      sel_step_at plan src entry i ~tagc ~init ~is_root sel d;
       let f = sel.((d * n_sel) + last) in
       if f != Formula.false_ then pending := (i, f) :: !pending;
       !issued
@@ -881,7 +924,7 @@ let combined_run plan flat ~init ~is_root : combined_outcome =
   let post i vec = Sigma.replace sigma (id_at cols i) vec in
   (* PaX2's pass charges nothing for a virtual slot's vector. *)
   let w =
-    walk plan flat cols ~every:false ~sel ~asked ~virtual_ops:0 ~pre ~post
+    walk plan flat ~src cols ~every:false ~sel ~asked ~virtual_ops:0 ~pre ~post
   in
   let s = start plan ~is_root in
   let vec = qwalk w s 0 in

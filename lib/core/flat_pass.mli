@@ -6,8 +6,8 @@
     whole document.
 
     The qualifier and selection passes are the paper's bottom-up
-    ({!Qual_pass.eval_entries} per node) and top-down recurrences, with
-    its operation counting, over flat slots: tag tests compare interned
+    ({!feval_entries} per node) and top-down recurrences, with its
+    operation counting, over flat slots: tag tests compare interned
     int codes, text/attribute tests read the shared byte buffer in
     place, traversal follows int vectors.  Off the spine ([spine] in
     {!Pax_xml.Flat.columns}) a qualifier vector is ground and held as a
@@ -44,6 +44,63 @@ val make_plan : Pax_xpath.Compile.t -> Pax_xml.Intern.t -> plan
 (** [node_id flat i] — slot [i]'s document node id; [-1] for the
     wrapper slot [-1]. *)
 val node_id : Pax_xml.Flat.t -> int -> int
+
+(** {1 The qualifier recurrence}
+
+    The paper's §3.1 recurrence over one node, written once: the passes
+    below run it on flat slots, {!Stream_eval} on each element it
+    closes, and ParBoX's root check on slot 0 of the root fragment. *)
+
+(** A filter lowered against the plan's intern table. *)
+type fqual =
+  | FSat_empty  (** a path with no items: trivially true *)
+  | FSat of int  (** a path's satisfaction: qualifier entry [e] *)
+  | FText_eq of string
+  | FVal_cmp of Pax_xpath.Ast.cmp * float
+  | FAttr_test of int * string option  (** attribute key code, value *)
+  | FNot of fqual
+  | FAnd of fqual * fqual
+  | FOr of fqual * fqual
+
+(** A lowered path item.  A tag test is an int: [-2] matches any tag,
+    [-1] (a label the table never interned) matches none, a code
+    matches exactly that tag. *)
+type fitem = FMove of int | FDos | FFilter of fqual
+
+(** The selection path's lowered items. *)
+val sel_items : plan -> fitem array
+
+(** [tag_matches code ~tagc] — does the tag test [code] pass on a node
+    whose tag code is [tagc]? *)
+val tag_matches : int -> tagc:int -> bool
+
+(** Where the recurrence reads a node's three leaf tests.  Built once
+    per walk, never per node. *)
+type 'slot source = {
+  text_equals : 'slot -> string -> bool;
+  num : 'slot -> float option;
+  attr_test : 'slot -> key:int -> expected:string option -> bool;
+}
+
+(** A flat image's slots, the wrapper slot [-1] included. *)
+val image_source : Pax_xml.Flat.t -> int source
+
+(** [fsat src i entry q] — satisfaction of filter [q] at node [i],
+    where [entry i e] reads qualifier entry [e] of [i]'s vector.
+    Ground when every entry read is. *)
+val fsat :
+  'slot source -> 'slot -> ('slot -> int -> Formula.t) -> fqual -> Formula.t
+
+(** [feval_entries plan src i ~tagc kids ko] — element [i]'s qualifier
+    vector, where [i]'s tag code is [tagc] and [kids.(ko + e)] is the
+    disjunction of entry [e] over [i]'s children. *)
+val feval_entries :
+  plan -> 'slot source -> 'slot -> tagc:int -> Formula.t array -> int ->
+  Formula.t array
+
+(** The all-variables vector of a virtual node for fragment [fid]:
+    entry [e] is [Var.Qual (fid, e)]. *)
+val virtual_vec : Pax_xpath.Compile.t -> int -> Formula.t array
 
 (** {1 Qualifier pass} — bottom-up, every slot's vector. *)
 

@@ -1,6 +1,5 @@
 module Ast = Pax_xpath.Ast
 module Query = Pax_xpath.Query
-module Compile = Pax_xpath.Compile
 module Formula = Pax_bool.Formula
 module Fragment = Pax_frag.Fragment
 module Cluster = Pax_dist.Cluster
@@ -21,14 +20,19 @@ let eval (cl : Cluster.t) (qual : Ast.qual) : bool * Cluster.report =
   let answer =
     Cluster.coord cl ~label:"evalFT" (fun () ->
         Stages.unify_quals r;
-        let root = (Fragment.root_fragment (Cluster.ftree cl)).Fragment.root in
+        (* The filter at slot 0 of the root fragment's image, reading
+           the unified root vector. *)
+        let ft = Cluster.ftree cl in
+        let plan = Flat_pass.make_plan compiled (Fragment.intern ft) in
         let root_vec = Array.map Formula.bool (Stages.root_quals r) in
         let filter =
-          match compiled.Compile.sel with
-          | [| Compile.Filter f |] -> f
+          match Flat_pass.sel_items plan with
+          | [| Flat_pass.FFilter f |] -> f
           | _ -> invalid_arg "ParBoX: not a Boolean query"
         in
-        match Formula.to_bool (Qual_pass.sat compiled root_vec root filter) with
+        let src = Flat_pass.image_source (Fragment.flat ft 0) in
+        let entry _ e = root_vec.(e) in
+        match Formula.to_bool (Flat_pass.fsat src 0 entry filter) with
         | Some b -> b
         | None -> invalid_arg "ParBoX: unresolved answer")
   in

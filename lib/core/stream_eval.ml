@@ -1,5 +1,6 @@
 module Tree = Pax_xml.Tree
 module Sax = Pax_xml.Sax
+module Intern = Pax_xml.Intern
 module Compile = Pax_xpath.Compile
 module Query = Pax_xpath.Query
 module Formula = Pax_bool.Formula
@@ -12,19 +13,37 @@ type result = {
   peak_pending : int;
 }
 
-(* One frame per open element. *)
+(* One frame per open element: the node the recurrence reads through
+   [source].  Its text and number are unknown until the close tag, and
+   read as [""] and [None] before it. *)
 type frame = {
   index : int;  (** pre-order index; -1 for the synthetic document node *)
-  tag : string;
-  attrs : (string * string) list;
-  text : Buffer.t;
+  tagc : int;  (** tag code in the run's table: -1 unknown, -3 document *)
+  attrs : (int * string) list;  (** attributes whose key the query names *)
+  buf : Buffer.t;
+  mutable text : string;
+  mutable num : float option;
   sv : Formula.t array;
   acc : Formula.t array;  (** OR of closed children's qualifier vectors *)
   mutable issued : bool;  (** did this frame defer any filter to close? *)
 }
 
+let source : frame Flat_pass.source =
+  {
+    Flat_pass.text_equals = (fun fr s -> String.equal fr.text s);
+    num = (fun fr -> fr.num);
+    attr_test =
+      (fun fr ~key ~expected ->
+        match (List.assoc_opt key fr.attrs, expected) with
+        | Some _, None -> true
+        | Some actual, Some s -> String.equal actual s
+        | None, _ -> false);
+  }
+
 type state = {
-  compiled : Compile.t;
+  plan : Flat_pass.plan;
+  items : Flat_pass.fitem array;
+  n_qual : int;
   mutable stack : frame list;
   sigma : (int * int, Formula.t) Hashtbl.t;
       (** (pre-order index, n_qual + item index) → filter value *)
@@ -38,35 +57,39 @@ type state = {
 
 (* Does a filter need the element's subtree or character data?  If not
    (pure attribute logic) it is decidable at the open tag. *)
-let rec needs_close compiled = function
-  | Compile.Sat pi ->
-      Array.length compiled.Compile.paths.(pi).Compile.items > 0
-  | Compile.Text_eq _ | Compile.Val_cmp _ -> true
-  | Compile.Attr_test _ -> false
-  | Compile.Qnot q -> needs_close compiled q
-  | Compile.Qand (a, b) | Compile.Qor (a, b) ->
-      needs_close compiled a || needs_close compiled b
+let rec needs_close = function
+  | Flat_pass.FSat _ | Flat_pass.FText_eq _ | Flat_pass.FVal_cmp _ -> true
+  | Flat_pass.FSat_empty | Flat_pass.FAttr_test _ -> false
+  | Flat_pass.FNot q -> needs_close q
+  | Flat_pass.FAnd (a, b) | Flat_pass.FOr (a, b) ->
+      needs_close a || needs_close b
 
-let open_view (fr : frame) : Qual_pass.view =
-  {
-    Qual_pass.vtag = fr.tag;
-    vtext = "";
-    vnum = None;
-    vattr = (fun name -> List.assoc_opt name fr.attrs);
-  }
+(* Every label and attribute name the query spells, so that the plan
+   lowers none of them to the never-interned [-1]: the document has not
+   been seen when the plan is made. *)
+let intern_query intern (compiled : Compile.t) =
+  let rec qual = function
+    | Compile.Attr_test (name, _) -> ignore (Intern.intern intern name : int)
+    | Compile.Qnot q -> qual q
+    | Compile.Qand (a, b) | Compile.Qor (a, b) ->
+        qual a;
+        qual b
+    | Compile.Sat _ | Compile.Text_eq _ | Compile.Val_cmp _ -> ()
+  in
+  let item = function
+    | Compile.Move (Compile.TLabel s) -> ignore (Intern.intern intern s : int)
+    | Compile.Move Compile.TAny | Compile.Dos_item -> ()
+    | Compile.Filter q -> qual q
+  in
+  Array.iter item compiled.Compile.sel;
+  Array.iter
+    (fun (p : Compile.cpath) -> Array.iter item p.Compile.items)
+    compiled.Compile.paths
 
-let close_view (fr : frame) : Qual_pass.view =
-  let text = Buffer.contents fr.text in
-  {
-    Qual_pass.vtag = fr.tag;
-    vtext = text;
-    vnum = float_of_string_opt (String.trim text);
-    vattr = (fun name -> List.assoc_opt name fr.attrs);
-  }
+let no_entry _ _ = invalid_arg "Stream_eval: an open-tag filter read an entry"
 
-let open_element ?index st ~is_context tag attrs =
-  let compiled = st.compiled in
-  let n_sel = compiled.Compile.n_sel in
+let open_element ?index st ~is_context ~tagc attrs =
+  let n_sel = Array.length st.items + 1 in
   let index =
     match index with
     | Some i -> i
@@ -83,11 +106,13 @@ let open_element ?index st ~is_context tag attrs =
   let fr =
     {
       index;
-      tag;
+      tagc;
       attrs;
-      text = Buffer.create 8;
+      buf = Buffer.create 8;
+      text = "";
+      num = None;
       sv = Array.make n_sel Formula.false_;
-      acc = Array.make compiled.Compile.n_qual Formula.false_;
+      acc = Array.make st.n_qual Formula.false_;
       issued = false;
     }
   in
@@ -96,23 +121,23 @@ let open_element ?index st ~is_context tag attrs =
     (fun j item ->
       let i = j + 1 in
       match item with
-      | Compile.Move test ->
+      | Flat_pass.FMove code ->
           fr.sv.(i) <-
-            (if Compile.matches test tag then parent_sv.(j) else Formula.false_)
-      | Compile.Dos_item -> fr.sv.(i) <- Formula.disj parent_sv.(i) fr.sv.(i - 1)
-      | Compile.Filter q ->
+            (if Flat_pass.tag_matches code ~tagc then parent_sv.(j)
+             else Formula.false_)
+      | Flat_pass.FDos -> fr.sv.(i) <- Formula.disj parent_sv.(i) fr.sv.(i - 1)
+      | Flat_pass.FFilter q ->
           fr.sv.(i) <-
             (if fr.sv.(i - 1) = Formula.false_ then Formula.false_
-             else if needs_close compiled q then begin
+             else if needs_close q then begin
                fr.issued <- true;
                Formula.conj fr.sv.(i - 1)
-                 (Formula.var
-                    (Var.Qual_at (index, compiled.Compile.n_qual + j)))
+                 (Formula.var (Var.Qual_at (index, st.n_qual + j)))
              end
              else
                Formula.conj fr.sv.(i - 1)
-                 (Qual_pass.sat_view compiled [||] (open_view fr) q)))
-    compiled.Compile.sel;
+                 (Flat_pass.fsat source fr no_entry q)))
+    st.items;
   let last = n_sel - 1 in
   (if index >= 0 then
      match Formula.to_bool fr.sv.(last) with
@@ -128,27 +153,28 @@ let open_element ?index st ~is_context tag attrs =
   st.max_depth <- max st.max_depth (List.length st.stack)
 
 let close_element st =
-  let compiled = st.compiled in
   match st.stack with
   | [] -> invalid_arg "Stream_eval: close without open"
   | fr :: rest ->
       st.stack <- rest;
-      let view = close_view fr in
+      let text = Buffer.contents fr.buf in
+      fr.text <- text;
+      fr.num <- float_of_string_opt (String.trim text);
       (* Post-order: this element's full qualifier vector, from the
          accumulated child disjunctions. *)
       let qvec =
-        Qual_pass.eval_entries compiled view ~exists_child:(fun e -> fr.acc.(e))
+        Flat_pass.feval_entries st.plan source fr ~tagc:fr.tagc fr.acc 0
       in
       if fr.issued then
         Array.iteri
           (fun j item ->
             match item with
-            | Compile.Filter q when needs_close compiled q ->
+            | Flat_pass.FFilter q when needs_close q ->
                 Hashtbl.replace st.sigma
-                  (fr.index, compiled.Compile.n_qual + j)
-                  (Qual_pass.sat_view compiled qvec view q)
-            | Compile.Filter _ | Compile.Move _ | Compile.Dos_item -> ())
-          compiled.Compile.sel;
+                  (fr.index, st.n_qual + j)
+                  (Flat_pass.fsat source fr (fun _ e -> qvec.(e)) q)
+            | Flat_pass.FFilter _ | Flat_pass.FMove _ | Flat_pass.FDos -> ())
+          st.items;
       (* Fold this node's vector into the parent's accumulator. *)
       (match st.stack with
       | parent :: _ ->
@@ -157,11 +183,20 @@ let close_element st =
             qvec
       | [] -> ())
 
-let over_events (q : Query.t) (events : Sax.event list) : result =
+(* The query is lowered against a table of its own, filled with its
+   labels first; element tags and attribute keys are then only looked
+   up, so an element the query cannot name is tagged [-1] and matches
+   wildcards alone. *)
+let over_string (q : Query.t) xml : result =
   let compiled = q.Query.compiled in
+  let intern = Intern.create () in
+  intern_query intern compiled;
+  let plan = Flat_pass.make_plan compiled intern in
   let st =
     {
-      compiled;
+      plan;
+      items = Flat_pass.sel_items plan;
+      n_qual = compiled.Compile.n_qual;
       stack = [];
       sigma = Hashtbl.create 64;
       pending = [];
@@ -174,23 +209,30 @@ let over_events (q : Query.t) (events : Sax.event list) : result =
   in
   (* Absolute queries start from a synthetic document frame, processed
      like any element (its filters defer to its close at end of
-     stream); the negative index keeps it out of the answers. *)
+     stream); the negative index keeps it out of the answers, and its
+     tag code, like the kernels' wrapper slot, is matched by wildcards
+     alone. *)
   if compiled.Compile.absolute then
-    open_element ~index:(-1) st ~is_context:true "#document" [];
+    open_element ~index:(-1) st ~is_context:true ~tagc:(-3) [];
   let first = ref true in
-  List.iter
-    (fun (e : Sax.event) ->
+  Sax.iter_string xml ~f:(fun (e : Sax.event) ->
       match e with
       | Sax.Open (tag, attrs) ->
           let is_context = !first && not compiled.Compile.absolute in
           first := false;
-          open_element st ~is_context tag attrs
+          let attrs =
+            List.filter_map
+              (fun (k, v) ->
+                let key = Intern.find intern k in
+                if key >= 0 then Some (key, v) else None)
+              attrs
+          in
+          open_element st ~is_context ~tagc:(Intern.find intern tag) attrs
       | Sax.Text s -> (
           match st.stack with
-          | fr :: _ -> Buffer.add_string fr.text s
+          | fr :: _ -> Buffer.add_string fr.buf s
           | [] -> ())
-      | Sax.Close _ -> close_element st)
-    events;
+      | Sax.Close _ -> close_element st);
   if compiled.Compile.absolute then close_element st;
   let lookup = function
     | Var.Qual_at (nid, e) -> Hashtbl.find_opt st.sigma (nid, e)
@@ -211,8 +253,6 @@ let over_events (q : Query.t) (events : Sax.event list) : result =
     max_depth = st.max_depth;
     peak_pending = st.peak_pending;
   }
-
-let over_string q xml = over_events q (Sax.events_of_string xml)
 
 let indices_of_answers root answers =
   let ids = List.map (fun (n : Tree.node) -> n.Tree.id) answers in

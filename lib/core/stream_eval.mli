@@ -12,7 +12,16 @@
 
     Memory: O(depth · |Q|) for the stack plus the not-yet-decidable
     answer candidates (a node can be reported only once every qualifier
-    above and below it is known).
+    above and below it is known).  Events are consumed as the scanner
+    produces them ({!Pax_xml.Sax.iter_string}); no event list is held.
+
+    The per-element recurrence is the kernels' own
+    ({!Flat_pass.fsat}, {!Flat_pass.feval_entries}), over the query's
+    plan lowered against a table holding the query's labels: an element
+    whose tag the query never names matches wildcards only.  What is
+    the stream's alone is the deferral: at an open tag a filter that
+    needs the element's subtree or text becomes a placeholder, decided
+    at the close tag.
 
     Answers are reported as pre-order indices (the document's root
     element is index 0), since there are no node ids without a tree. *)
@@ -25,12 +34,9 @@ type result = {
 }
 
 (** [over_string q xml] — evaluate in one pass over the serialized
-    document.
+    document, driven by the scanner's events as they come.
     @raise Pax_xml.Sax.Parse_error on malformed input. *)
 val over_string : Pax_xpath.Query.t -> string -> result
-
-(** [over_events q events] — same, over a pre-scanned event list. *)
-val over_events : Pax_xpath.Query.t -> Pax_xml.Sax.event list -> result
 
 (** Pre-order indices of [Centralized] answers, for cross-checking. *)
 val indices_of_answers :

@@ -68,6 +68,49 @@ let test_traffic_independent_of_tree () =
   Alcotest.(check bool) "traffic same order despite 10x tree" true
     (report_big.Cluster.control_bytes < 4 * report_small.Cluster.control_bytes)
 
+(* The root check reads the root's own text and attributes, from slot 0
+   of the root fragment's image: random qualifiers never put an empty
+   path under a text or attribute test, so only these cases ask. *)
+let test_root_own_data () =
+  let quals =
+    [
+      ("text() = \"x\"", true);
+      ("text() = \"y\"", false);
+      ("@id", true);
+      ("@zz", false);
+      ("@id = \"r1\"", true);
+      ("not(@cat = \"y\")", true);
+      ("not(@cat = \"z\")", false);
+      ("text() = \"x\" and @id and not(@cat = \"y\")", true);
+      ("@cat = \"z\" and //c", true);
+      ("@id and //e", false);
+    ]
+  in
+  let build () =
+    let b = Tree.builder () in
+    Tree.elem b ~text:"x" ~attrs:[ ("id", "r1"); ("cat", "z") ] "r"
+      [
+        Tree.elem b "s" [ Tree.leaf b "b" "1" ];
+        Tree.elem b "s" [ Tree.leaf b "c" "2" ];
+      ]
+  in
+  let reference = build () in
+  let doc = Tree.doc_of_root (build ()) in
+  let ft =
+    Pax_frag.Fragment.fragmentize doc
+      ~cuts:(Pax_frag.Fragment.cuts_by_tag doc ~tag:"s")
+  in
+  let cl =
+    Cluster.create ~ftree:ft ~n_sites:2 ~assign:(fun fid -> fid mod 2) ()
+  in
+  List.iter
+    (fun (s, holds) ->
+      Alcotest.(check bool) (s ^ " oracle") holds
+        (Semantics.holds (Parse.qual s) reference);
+      Alcotest.(check bool) (s ^ " truth") holds
+        (fst (Pax_core.Parbox.eval_string cl s)))
+    quals
+
 let () =
   Alcotest.run "parbox"
     [
@@ -77,5 +120,7 @@ let () =
           Alcotest.test_case "single visit" `Quick test_one_visit;
           Alcotest.test_case "no data shipping" `Quick test_no_tree_data;
           Alcotest.test_case "traffic vs tree size" `Quick test_traffic_independent_of_tree;
+          Alcotest.test_case "root's own text and attributes" `Quick
+            test_root_own_data;
         ] );
     ]

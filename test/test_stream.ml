@@ -9,6 +9,12 @@ module Semantics = Pax_xpath.Semantics
 module Stream_eval = Pax_core.Stream_eval
 module H = Test_helpers
 
+(* Random-case counts scale with PAX_QCHECK_COUNT (the @slow suites). *)
+let qcheck_count n =
+  match Sys.getenv_opt "PAX_QCHECK_COUNT" with
+  | Some s -> ( try int_of_string s with _ -> n)
+  | None -> n
+
 (* ---------------- SAX scanner ------------------------------------- *)
 
 let test_events () =
@@ -106,8 +112,57 @@ let test_constant_stack () =
   Alcotest.(check int) "depth 2" 2 r.Stream_eval.max_depth;
   Alcotest.(check int) "all elements seen" 501 r.Stream_eval.elements
 
+(* The evaluator runs as the scanner reads, so a malformed document
+   still ends the run with the scanner's error. *)
+let test_stream_errors () =
+  List.iter
+    (fun qs ->
+      let q = Query.of_string qs in
+      List.iter
+        (fun xml ->
+          match Stream_eval.over_string q xml with
+          | exception Sax.Parse_error _ -> ()
+          | _ -> Alcotest.failf "%s over %S should not evaluate" qs xml)
+        [ "<a><b></a>"; "<a><b>"; "text only"; "<a></a><b/>"; "<a>x</a>y" ])
+    [ "//b"; "/.[//e]//a"; "a[b/text() = \"x\"]" ]
+
+(* Labels and attribute names the document never has: the stream
+   lowers its query against a table holding the query's own labels, so
+   an element the query cannot name matches wildcards only, and a name
+   the document lacks matches nothing.  The random generator draws only
+   the document's tags and attributes, so it never asks these. *)
+let test_unknown_labels () =
+  let b = Tree.builder () in
+  let root =
+    Tree.elem b ~attrs:[ ("id", "1") ] "a"
+      [
+        Tree.leaf b "b" "x";
+        Tree.elem b ~attrs:[ ("cat", "y") ] "a"
+          [ Tree.leaf b "b" "2"; Tree.leaf b "c" "3" ];
+        Tree.elem b "d" [];
+      ]
+  in
+  List.iter
+    (fun (qs, nonempty) ->
+      let expected = oracle_indices qs root in
+      Alcotest.(check bool) (qs ^ " oracle answers") nonempty (expected <> []);
+      Alcotest.(check (list int)) (qs ^ " streams correctly") expected
+        (stream_matches qs root))
+    [
+      ("//e", false);
+      ("//a[e]/b", false);
+      ("//*[@zz]", false);
+      ("/.[//e]//a", false);
+      ("/*", true);
+      ("//a[not(e)]/b", true);
+      ("/.[not(//e)]//a", true);
+      ("//*[@zz or @cat]", true);
+      ("/*/*", true);
+    ]
+
 let prop_stream_equals_tree =
-  QCheck.Test.make ~name:"stream = tree on random scenarios" ~count:300
+  QCheck.Test.make ~name:"stream = tree on random scenarios"
+    ~count:(qcheck_count 300)
     (QCheck.make
        ~print:(fun (d, q) ->
          Format.asprintf "%a over %a" Pax_xpath.Ast.pp q Tree.pp d.Tree.root)
@@ -142,6 +197,10 @@ let () =
           Alcotest.test_case "clientele queries" `Quick test_clientele_queries;
           Alcotest.test_case "xmark queries" `Quick test_xmark_queries;
           Alcotest.test_case "stack stays shallow" `Quick test_constant_stack;
+          Alcotest.test_case "malformed documents raise" `Quick
+            test_stream_errors;
+          Alcotest.test_case "labels the document lacks" `Quick
+            test_unknown_labels;
           QCheck_alcotest.to_alcotest prop_stream_equals_tree;
         ] );
     ]
